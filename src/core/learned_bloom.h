@@ -36,10 +36,9 @@ struct BloomOptions {
 /// a classical Bloom filter — no trained positive is ever reported absent.
 ///
 /// Thread safety: MayContain / MayContainMulti / Probability are safe from
-/// concurrent reader threads. The backup filter and threshold are read-only
-/// after Build/Load, metrics are atomic, and the model's mutable scratch
-/// state is serialized by SetModel's inference mutex (see serve/serving.h
-/// for parallel replicas).
+/// concurrent reader threads and run in parallel: the model, backup filter
+/// and threshold are read-only after Build/Load, model inference keeps its
+/// activations in per-thread workspaces, and metrics are atomic.
 class LearnedBloomFilter {
  public:
   /// Builds from a collection. Positives are all subsets up to

@@ -134,7 +134,7 @@ std::vector<double> LearnedCardinalityEstimator::EstimateBatch(
   std::vector<double> out(queries.size(), 0.0);
   // Resolve aux hits and OOV queries first; batch the rest through
   // SetModel::PredictBatch, which bounds sub-batch sizes and reuses the
-  // model's scratch CSR buffers.
+  // calling thread's workspace.
   std::vector<size_t> model_queries;
   std::vector<sets::SetView> views;
   const int64_t vocab = model_->vocab();

@@ -28,11 +28,9 @@ struct CardinalityOptions {
 /// exactly.
 ///
 /// Thread safety: Estimate / EstimateBatch are safe to call from concurrent
-/// reader threads. The aux map and scaler are read-only after Build/Load,
-/// metrics are atomic, and the only mutable state — the model's scratch
-/// buffers and activation caches — is serialized by SetModel's inference
-/// mutex (concurrent forwards take turns; use serve/serving.h shard
-/// replicas for parallel forwards).
+/// reader threads and run in parallel: the model, aux map and scaler are
+/// read-only after Build/Load, model inference keeps its activations in
+/// per-thread workspaces, and metrics are atomic.
 class LearnedCardinalityEstimator {
  public:
   /// Enumerates training subsets from the collection and trains.

@@ -38,10 +38,10 @@ struct IndexOptions {
 /// index.
 ///
 /// Thread safety: Lookup / LookupEqual / LookupBatch / EstimatePosition are
-/// safe from concurrent reader threads — the aux B+ tree, error bounds,
-/// scaler and collection are read-only at serving time, metrics are atomic,
-/// and the model's mutable scratch state is serialized by SetModel's
-/// inference mutex (see serve/serving.h for parallel replicas). The one
+/// safe from concurrent reader threads and run in parallel — the model, aux
+/// B+ tree, error bounds, scaler and collection are read-only at serving
+/// time, model inference keeps its activations in per-thread workspaces,
+/// and metrics are atomic. The one
 /// mutating entry point, AbsorbUpdatedSet, writes the aux tree and must not
 /// run concurrently with readers.
 class LearnedSetIndex {

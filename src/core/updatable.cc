@@ -25,10 +25,10 @@ void LowerThreadPriority(int nice) {
 
 namespace {
 
-// The structures' canonical clone path (also how serving.cc builds shard
-// replicas): an in-memory Save/Load round trip. For the index, Load rebinds
-// to `collection`, which must be position-compatible with the collection
-// the source index was built over.
+// Copies an index onto a generation's own collection snapshot: an
+// in-memory Save/Load round trip, with Load rebinding to `collection`,
+// which must be position-compatible with the collection the source index
+// was built over.
 Result<std::unique_ptr<LearnedSetIndex>> CloneIndexTo(
     const LearnedSetIndex& src, const sets::SetCollection& collection,
     MetricsRegistry* registry) {

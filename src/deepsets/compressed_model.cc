@@ -40,7 +40,6 @@ CompressedDeepSetsModel::CompressedDeepSetsModel(
   }
   rho_ = nn::Mlp(WithPrefix(phi_out, config_.base.rho_hidden, true),
                  config_.base.hidden_act, config_.base.output_act, &rng);
-  slot_ids_.resize(static_cast<size_t>(ns));
 }
 
 Result<std::unique_ptr<CompressedDeepSetsModel>>
@@ -56,63 +55,84 @@ CompressedDeepSetsModel::Create(const CompressedConfig& config) {
       new CompressedDeepSetsModel(config, *comp));
 }
 
-const nn::Tensor& CompressedDeepSetsModel::Forward(
+struct CompressedDeepSetsModel::Activations : SetModel::Workspace {
+  std::vector<uint32_t> sub;                    // one element's sub-elements
+  std::vector<std::vector<uint32_t>> slot_ids;  // per slot, per element
+  nn::Tensor concat;                            // (elements x ns*embed_dim)
+  nn::Mlp::Workspace phi;
+  nn::Tensor pooled;
+  std::vector<int64_t> pool_argmax;
+  nn::Mlp::Workspace rho;
+};
+
+std::unique_ptr<SetModel::Workspace> CompressedDeepSetsModel::NewWorkspace()
+    const {
+  return std::make_unique<Activations>();
+}
+
+SetModel::Workspace* CompressedDeepSetsModel::ThreadWorkspace() const {
+  thread_local Activations ws;
+  return &ws;
+}
+
+const nn::Tensor& CompressedDeepSetsModel::ForwardPass(
     const std::vector<sets::ElementId>& ids,
-    const std::vector<int64_t>& offsets) {
+    const std::vector<int64_t>& offsets, Workspace* base) const {
+  auto* ws = static_cast<Activations*>(base);
   TRACE_SPAN_VAR(span, "model", "model.forward");
   span.set_arg("elements", static_cast<double>(ids.size()));
-  last_offsets_ = offsets;
-  const int ns = compressor_.ns();
+  const size_t ns = static_cast<size_t>(compressor_.ns());
   const size_t n = ids.size();
   {
     TRACE_SPAN("model", "model.compress");
-    for (int s = 0; s < ns; ++s) slot_ids_[static_cast<size_t>(s)].resize(n);
-    std::vector<uint32_t> sub(static_cast<size_t>(ns));
+    ws->sub.resize(ns);
+    ws->slot_ids.resize(ns);
+    for (auto& slot : ws->slot_ids) slot.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      compressor_.CompressInto(ids[i], sub.data());
-      for (int s = 0; s < ns; ++s) {
-        slot_ids_[static_cast<size_t>(s)][i] = sub[static_cast<size_t>(s)];
-      }
+      compressor_.CompressInto(ids[i], ws->sub.data());
+      for (size_t s = 0; s < ns; ++s) ws->slot_ids[s][i] = ws->sub[s];
     }
   }
   const int64_t d = config_.base.embed_dim;
   {
     TRACE_SPAN("model", "model.embed_gather");
-    concat_.ResizeAndZero(static_cast<int64_t>(n), ns * d);
-    for (int s = 0; s < ns; ++s) {
-      slot_embeds_[static_cast<size_t>(s)].ForwardInto(
-          slot_ids_[static_cast<size_t>(s)], &concat_, s * d);
+    ws->concat.ResizeAndZero(static_cast<int64_t>(n),
+                             static_cast<int64_t>(ns) * d);
+    for (size_t s = 0; s < ns; ++s) {
+      slot_embeds_[s].ForwardInto(ws->slot_ids[s], &ws->concat,
+                                  static_cast<int64_t>(s) * d);
     }
   }
-  const nn::Tensor* phi_out = &concat_;
+  const nn::Tensor* phi_out = &ws->concat;
   if (has_phi()) {
     TRACE_SPAN("model", "model.phi");
-    phi_out = &phi_.Forward(concat_, &phi_ws_);
+    phi_out = &phi_.Forward(ws->concat, &ws->phi);
   }
   {
     TRACE_SPAN("model", "model.pool");
-    pool_.Forward(*phi_out, offsets, &pooled_, &pool_argmax_);
+    pool_.Forward(*phi_out, offsets, &ws->pooled, &ws->pool_argmax);
   }
   TRACE_SPAN("model", "model.rho");
-  return rho_.Forward(pooled_, &rho_ws_);
+  return rho_.Forward(ws->pooled, &ws->rho);
 }
 
-void CompressedDeepSetsModel::Backward(const nn::Tensor& dout) {
+void CompressedDeepSetsModel::BackwardPass(Workspace* base,
+                                           const nn::Tensor& dout) {
+  auto* ws = static_cast<Activations*>(base);
   nn::Tensor dy = dout;
-  rho_.Backward(pooled_, &rho_ws_, &dy, &dpooled_);
-  const int64_t total_elements =
-      static_cast<int64_t>(slot_ids_.empty() ? 0 : slot_ids_[0].size());
-  pool_.Backward(dpooled_, last_offsets_, pool_argmax_, total_elements,
+  rho_.Backward(ws->pooled, &ws->rho, &dy, &dpooled_);
+  const int64_t total_elements = static_cast<int64_t>(ws->ids.size());
+  pool_.Backward(dpooled_, ws->offsets, ws->pool_argmax, total_elements,
                  &dphi_out_);
   const nn::Tensor* dconcat = &dphi_out_;
   if (has_phi()) {
-    phi_.Backward(concat_, &phi_ws_, &dphi_out_, &dconcat_);
+    phi_.Backward(ws->concat, &ws->phi, &dphi_out_, &dconcat_);
     dconcat = &dconcat_;
   }
   const int64_t d = config_.base.embed_dim;
-  for (int s = 0; s < compressor_.ns(); ++s) {
-    slot_embeds_[static_cast<size_t>(s)].BackwardFrom(
-        slot_ids_[static_cast<size_t>(s)], *dconcat, s * d);
+  for (size_t s = 0; s < ws->slot_ids.size(); ++s) {
+    slot_embeds_[s].BackwardFrom(ws->slot_ids[s], *dconcat,
+                                 static_cast<int64_t>(s) * d);
   }
 }
 

@@ -35,9 +35,6 @@ class CompressedDeepSetsModel : public SetModel {
   static Result<std::unique_ptr<CompressedDeepSetsModel>> Create(
       const CompressedConfig& config);
 
-  const nn::Tensor& Forward(const std::vector<sets::ElementId>& ids,
-                            const std::vector<int64_t>& offsets) override;
-  void Backward(const nn::Tensor& dout) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   size_t ByteSize() const override;
   std::string name() const override { return "CLSM"; }
@@ -50,7 +47,17 @@ class CompressedDeepSetsModel : public SetModel {
   static Result<std::unique_ptr<CompressedDeepSetsModel>> Load(
       BinaryReader* r);
 
+ protected:
+  std::unique_ptr<Workspace> NewWorkspace() const override;
+  Workspace* ThreadWorkspace() const override;
+  const nn::Tensor& ForwardPass(const std::vector<sets::ElementId>& ids,
+                                const std::vector<int64_t>& offsets,
+                                Workspace* ws) const override;
+  void BackwardPass(Workspace* ws, const nn::Tensor& dout) override;
+
  private:
+  struct Activations;
+
   CompressedDeepSetsModel(const CompressedConfig& config,
                           ElementCompressor compressor);
 
@@ -63,14 +70,7 @@ class CompressedDeepSetsModel : public SetModel {
   nn::Mlp rho_;
   nn::SegmentPool pool_;
 
-  // Last-forward caches.
-  std::vector<int64_t> last_offsets_;
-  std::vector<std::vector<uint32_t>> slot_ids_;  // per slot, per element
-  nn::Tensor concat_;   // (elements x ns*embed_dim)
-  nn::Mlp::Workspace phi_ws_;
-  nn::Tensor pooled_;
-  std::vector<int64_t> pool_argmax_;
-  nn::Mlp::Workspace rho_ws_;
+  // Backward scratch.
   nn::Tensor dpooled_;
   nn::Tensor dphi_out_;
   nn::Tensor dconcat_;

@@ -40,41 +40,58 @@ DeepSetsModel::DeepSetsModel(const DeepSetsConfig& config)
                  config_.output_act, &rng);
 }
 
-const nn::Tensor& DeepSetsModel::Forward(
+struct DeepSetsModel::Activations : SetModel::Workspace {
+  nn::Tensor embedded;
+  nn::Mlp::Workspace phi;
+  nn::Tensor pooled;
+  std::vector<int64_t> pool_argmax;
+  nn::Mlp::Workspace rho;
+};
+
+std::unique_ptr<SetModel::Workspace> DeepSetsModel::NewWorkspace() const {
+  return std::make_unique<Activations>();
+}
+
+SetModel::Workspace* DeepSetsModel::ThreadWorkspace() const {
+  thread_local Activations ws;
+  return &ws;
+}
+
+const nn::Tensor& DeepSetsModel::ForwardPass(
     const std::vector<sets::ElementId>& ids,
-    const std::vector<int64_t>& offsets) {
+    const std::vector<int64_t>& offsets, Workspace* base) const {
+  auto* ws = static_cast<Activations*>(base);
   TRACE_SPAN_VAR(span, "model", "model.forward");
   span.set_arg("elements", static_cast<double>(ids.size()));
-  last_ids_ = ids;
-  last_offsets_ = offsets;
   {
     TRACE_SPAN("model", "model.embed_gather");
-    embed_.Forward(ids, &embedded_);
+    embed_.Forward(ids, &ws->embedded);
   }
-  const nn::Tensor* phi_out = &embedded_;
+  const nn::Tensor* phi_out = &ws->embedded;
   if (has_phi()) {
     TRACE_SPAN("model", "model.phi");
-    phi_out = &phi_.Forward(embedded_, &phi_ws_);
+    phi_out = &phi_.Forward(ws->embedded, &ws->phi);
   }
   {
     TRACE_SPAN("model", "model.pool");
-    pool_.Forward(*phi_out, offsets, &pooled_, &pool_argmax_);
+    pool_.Forward(*phi_out, offsets, &ws->pooled, &ws->pool_argmax);
   }
   TRACE_SPAN("model", "model.rho");
-  return rho_.Forward(pooled_, &rho_ws_);
+  return rho_.Forward(ws->pooled, &ws->rho);
 }
 
-void DeepSetsModel::Backward(const nn::Tensor& dout) {
+void DeepSetsModel::BackwardPass(Workspace* base, const nn::Tensor& dout) {
+  auto* ws = static_cast<Activations*>(base);
   nn::Tensor dy = dout;
-  rho_.Backward(pooled_, &rho_ws_, &dy, &dpooled_);
-  const int64_t total_elements = static_cast<int64_t>(last_ids_.size());
-  pool_.Backward(dpooled_, last_offsets_, pool_argmax_, total_elements,
+  rho_.Backward(ws->pooled, &ws->rho, &dy, &dpooled_);
+  const int64_t total_elements = static_cast<int64_t>(ws->ids.size());
+  pool_.Backward(dpooled_, ws->offsets, ws->pool_argmax, total_elements,
                  &dphi_out_);
   if (has_phi()) {
-    phi_.Backward(embedded_, &phi_ws_, &dphi_out_, &dembedded_);
-    embed_.Backward(last_ids_, dembedded_);
+    phi_.Backward(ws->embedded, &ws->phi, &dphi_out_, &dembedded_);
+    embed_.Backward(ws->ids, dembedded_);
   } else {
-    embed_.Backward(last_ids_, dphi_out_);
+    embed_.Backward(ws->ids, dphi_out_);
   }
 }
 

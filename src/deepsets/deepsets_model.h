@@ -34,9 +34,6 @@ class DeepSetsModel : public SetModel {
  public:
   explicit DeepSetsModel(const DeepSetsConfig& config);
 
-  const nn::Tensor& Forward(const std::vector<sets::ElementId>& ids,
-                            const std::vector<int64_t>& offsets) override;
-  void Backward(const nn::Tensor& dout) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   size_t ByteSize() const override;
   std::string name() const override { return "LSM"; }
@@ -47,7 +44,17 @@ class DeepSetsModel : public SetModel {
   void Save(BinaryWriter* w) const override;
   static Result<std::unique_ptr<DeepSetsModel>> Load(BinaryReader* r);
 
+ protected:
+  std::unique_ptr<Workspace> NewWorkspace() const override;
+  Workspace* ThreadWorkspace() const override;
+  const nn::Tensor& ForwardPass(const std::vector<sets::ElementId>& ids,
+                                const std::vector<int64_t>& offsets,
+                                Workspace* ws) const override;
+  void BackwardPass(Workspace* ws, const nn::Tensor& dout) override;
+
  private:
+  struct Activations;
+
   bool has_phi() const { return !config_.phi_hidden.empty(); }
 
   DeepSetsConfig config_;
@@ -56,14 +63,7 @@ class DeepSetsModel : public SetModel {
   nn::Mlp rho_;  // post-pooling transform, ends in 1 output
   nn::SegmentPool pool_;
 
-  // Cached state of the last Forward (needed by Backward).
-  std::vector<sets::ElementId> last_ids_;
-  std::vector<int64_t> last_offsets_;
-  nn::Tensor embedded_;
-  nn::Mlp::Workspace phi_ws_;
-  nn::Tensor pooled_;
-  std::vector<int64_t> pool_argmax_;
-  nn::Mlp::Workspace rho_ws_;
+  // Backward scratch.
   nn::Tensor dpooled_;
   nn::Tensor dphi_out_;
   nn::Tensor dembedded_;

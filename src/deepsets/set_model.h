@@ -1,7 +1,7 @@
 #ifndef LOS_DEEPSETS_SET_MODEL_H_
 #define LOS_DEEPSETS_SET_MODEL_H_
 
-#include <mutex>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -21,30 +21,40 @@ namespace los::deepsets {
 /// is one scalar per set (position / cardinality / membership probability,
 /// all in [0,1] via the sigmoid head — Table 1).
 ///
-/// Models are stateful across Forward/Backward: Backward refers to the most
-/// recent Forward's cached activations, so one model serves one training
-/// thread at a time; the kernels inside Forward/Backward fan out over the
-/// shared thread pool with bit-deterministic results.
-///
-/// Thread safety at serving time: the Predict* entry points share scratch
-/// CSR buffers and every Forward rewrites the activation caches, so they
-/// serialize on an internal inference mutex — concurrent Predict* calls
-/// from many threads are safe but take turns. Callers that need parallel
-/// forwards run one model replica per thread (see serve/serving.h's shard
-/// replicas). Raw Forward/Backward remain unsynchronized: they are the
-/// single-threaded training path.
+/// Each implementation has one const forward pass (ForwardPass) that writes
+/// every activation into a Workspace owned by its caller:
+///   - Forward/Backward are the training path. They keep one workspace as a
+///     member, with a copy of the batch, so Backward refers to the most
+///     recent Forward; one model serves one training thread at a time. The
+///     kernels inside fan out over the shared thread pool with
+///     bit-deterministic results.
+///   - Predict* are const and lock-free: each call runs on the calling
+///     thread's workspace, so any number of threads may predict from one
+///     model at once, and predicting between a Forward and its Backward
+///     leaves the training state untouched. Concurrent Predict* must not
+///     overlap a parameter update (the optimizer step, Load).
 class SetModel {
  public:
+  /// \brief Activations of one forward pass. Each implementation derives
+  /// its own layout; `ids`/`offsets` hold a CSR batch assembled by the
+  /// workspace's owner (the trainer's copy, PredictBatch's gathered views).
+  struct Workspace {
+    virtual ~Workspace() = default;
+    std::vector<sets::ElementId> ids;
+    std::vector<int64_t> offsets;
+  };
+
   virtual ~SetModel() = default;
 
-  /// Batch forward pass; returns a reference to the (num_sets x 1) output
-  /// owned by the model (valid until the next Forward).
-  virtual const nn::Tensor& Forward(const std::vector<sets::ElementId>& ids,
-                                    const std::vector<int64_t>& offsets) = 0;
+  /// Training forward pass over a batch; returns a reference to the
+  /// (num_sets x 1) output held in the training workspace (valid until the
+  /// next Forward).
+  const nn::Tensor& Forward(const std::vector<sets::ElementId>& ids,
+                            const std::vector<int64_t>& offsets);
 
   /// Backpropagates `dout` (num_sets x 1) through the last Forward,
   /// accumulating parameter gradients.
-  virtual void Backward(const nn::Tensor& dout) = 0;
+  void Backward(const nn::Tensor& dout);
 
   /// Appends all trainable parameters (for the optimizer).
   virtual void CollectParameters(std::vector<nn::Parameter*>* out) = 0;
@@ -60,41 +70,51 @@ class SetModel {
 
   virtual void Save(BinaryWriter* w) const = 0;
 
-  /// Predicts the scalar for a single set (convenience around Forward).
-  /// Reuses internal scratch buffers, so repeated calls do not allocate.
-  /// Thread-safe (serialized on the inference mutex).
-  double PredictOne(sets::SetView s);
+  /// Predicts the scalar for a single set. After warm-up the calling
+  /// thread's workspace has its capacity, so repeated calls do not
+  /// allocate.
+  double PredictOne(sets::SetView s) const;
 
   /// Batched inference: appends one prediction per set to `out`. Large
-  /// batches are split into bounded sub-batches internally (reusing one
-  /// scratch CSR buffer per model), so arbitrarily many sets can be served
-  /// without unbounded intermediate tensors or per-query allocation churn.
-  /// Thread-safe (serialized on the inference mutex).
+  /// batches are split into bounded sub-batches, so arbitrarily many sets
+  /// can be served without unbounded intermediate tensors.
   void PredictBatch(const sets::SetView* views, size_t count,
-                    std::vector<double>* out);
-  std::vector<double> PredictBatch(const std::vector<sets::SetView>& views);
+                    std::vector<double>* out) const;
+  std::vector<double> PredictBatch(
+      const std::vector<sets::SetView>& views) const;
 
   /// Batched inference over an already-flattened CSR batch (`offsets` has
   /// num_sets + 1 entries into `ids`); appends one prediction per set to
   /// `out`. Used by the trainer and the learned structures' batch lookups.
-  /// Thread-safe (serialized on the inference mutex).
   void PredictBatchCsr(const std::vector<sets::ElementId>& ids,
                        const std::vector<int64_t>& offsets,
-                       std::vector<double>* out);
+                       std::vector<double>* out) const;
+
+ protected:
+  /// A new, empty workspace of this implementation's layout.
+  virtual std::unique_ptr<Workspace> NewWorkspace() const = 0;
+
+  /// The calling thread's workspace of this implementation's layout,
+  /// shared by every model of the class on that thread.
+  virtual Workspace* ThreadWorkspace() const = 0;
+
+  /// The forward pass: writes all activations into `ws` (which came from
+  /// this class's NewWorkspace or ThreadWorkspace) and returns the
+  /// (num_sets x 1) output held there. `ids`/`offsets` may alias
+  /// `ws->ids`/`ws->offsets`, which it does not write.
+  virtual const nn::Tensor& ForwardPass(const std::vector<sets::ElementId>& ids,
+                                        const std::vector<int64_t>& offsets,
+                                        Workspace* ws) const = 0;
+
+  /// Backpropagates through the forward recorded in `ws`, whose
+  /// `ids`/`offsets` hold that forward's batch.
+  virtual void BackwardPass(Workspace* ws, const nn::Tensor& dout) = 0;
 
  private:
-  /// Runs Forward on a prepared scratch batch and appends the outputs.
-  void FlushScratch(std::vector<double>* out);
+  /// Forwards the batch gathered in `ws`, appends its outputs and clears it.
+  void Flush(Workspace* ws, std::vector<double>* out) const;
 
-  /// Serializes the Predict* entry points: they share the scratch buffers
-  /// below and the implementations' activation caches. PredictOne,
-  /// PredictBatch(ptr, count) and PredictBatchCsr each take it exactly once
-  /// at their outermost level (the other overloads delegate).
-  std::mutex infer_mu_;
-
-  // Reused across PredictOne/PredictBatch calls; guarded by infer_mu_.
-  std::vector<sets::ElementId> scratch_ids_;
-  std::vector<int64_t> scratch_offsets_;
+  std::unique_ptr<Workspace> train_ws_;  // created by the first Forward
 };
 
 }  // namespace los::deepsets

@@ -110,13 +110,47 @@ Result<std::unique_ptr<SetTransformerModel>> SetTransformerModel::Create(
       new SetTransformerModel(config));
 }
 
-const nn::Tensor& SetTransformerModel::Forward(
+struct SetTransformerModel::Activations : SetModel::Workspace {
+  /// Per-set attention activations.
+  struct SetCache {
+    nn::Tensor x;    // (n x d) projected inputs
+    nn::Tensor q;    // (n x d)
+    nn::Tensor k;    // (n x d)
+    nn::Tensor v;    // (n x d)
+    nn::Tensor attn;  // (heads*n x n) softmax rows, stacked per head
+    nn::Tensor h;    // (n x d) x + attn*v (residual)
+    nn::Mlp::Workspace ff_ws;
+    nn::Tensor f;    // (n x d) h + FF(h)
+    nn::Tensor pk;   // (n x d) PMA keys
+    nn::Tensor pv;   // (n x d) PMA values
+    nn::Tensor pattn;  // (heads x n) PMA softmax, one row per head
+  };
+
+  nn::Tensor embedded;
+  nn::Tensor projected;
+  std::vector<SetCache> set_caches;
+  nn::Tensor pooled;  // (num_sets x d)
+  nn::Mlp::Workspace rho_ws;
+  // Per-head scratch, reused across sets.
+  nn::Tensor qh, kh, vh, ah, oh, pkh, pvh, seed_h;
+};
+
+std::unique_ptr<SetModel::Workspace> SetTransformerModel::NewWorkspace()
+    const {
+  return std::make_unique<Activations>();
+}
+
+SetModel::Workspace* SetTransformerModel::ThreadWorkspace() const {
+  thread_local Activations ws;
+  return &ws;
+}
+
+const nn::Tensor& SetTransformerModel::ForwardPass(
     const std::vector<sets::ElementId>& ids,
-    const std::vector<int64_t>& offsets) {
+    const std::vector<int64_t>& offsets, Workspace* base) const {
+  auto* ws = static_cast<Activations*>(base);
   TRACE_SPAN_VAR(span, "model", "model.forward");
   span.set_arg("elements", static_cast<double>(ids.size()));
-  last_ids_ = ids;
-  last_offsets_ = offsets;
   const int64_t d = config_.att_dim;
   const int64_t heads = config_.num_heads;
   const int64_t dh = d / heads;
@@ -125,16 +159,18 @@ const nn::Tensor& SetTransformerModel::Forward(
 
   {
     TRACE_SPAN("model", "model.embed_gather");
-    embed_.Forward(ids, &embedded_);
-    input_proj_.Forward(embedded_, &projected_);
+    embed_.Forward(ids, &ws->embedded);
+    input_proj_.Forward(ws->embedded, &ws->projected);
   }
 
   TRACE_SPAN_VAR(attn_span, "model", "model.attention");
-  set_caches_.resize(static_cast<size_t>(num_sets));
-  pooled_.ResizeAndZero(num_sets, d);
-  nn::Tensor qh, kh, vh, ah, oh, pkh, pvh, seed_h;
+  ws->set_caches.resize(static_cast<size_t>(num_sets));
+  ws->pooled.ResizeAndZero(num_sets, d);
+  nn::Tensor &qh = ws->qh, &kh = ws->kh, &vh = ws->vh, &ah = ws->ah,
+             &oh = ws->oh, &pkh = ws->pkh, &pvh = ws->pvh,
+             &seed_h = ws->seed_h;
   for (int64_t s = 0; s < num_sets; ++s) {
-    SetCache& c = set_caches_[static_cast<size_t>(s)];
+    Activations::SetCache& c = ws->set_caches[static_cast<size_t>(s)];
     const int64_t begin = offsets[static_cast<size_t>(s)];
     const int64_t end = offsets[static_cast<size_t>(s) + 1];
     const int64_t n = end - begin;
@@ -143,7 +179,7 @@ const nn::Tensor& SetTransformerModel::Forward(
       c.x.ResizeAndZero(0, d);
       continue;
     }
-    CopyRows(projected_, begin, end, &c.x);
+    CopyRows(ws->projected, begin, end, &c.x);
     c.q.ResizeAndZero(n, d);
     c.k.ResizeAndZero(n, d);
     c.v.ResizeAndZero(n, d);
@@ -177,7 +213,7 @@ const nn::Tensor& SetTransformerModel::Forward(
     Gemm(c.f, false, pwk_.value, false, 1.0f, 0.0f, &c.pk);
     Gemm(c.f, false, pwv_.value, false, 1.0f, 0.0f, &c.pv);
     c.pattn.ResizeAndZero(heads, n);
-    float* prow = pooled_.row(s);
+    float* prow = ws->pooled.row(s);
     for (int64_t h = 0; h < heads; ++h) {
       CopyColBlock(c.pk, h * dh, dh, &pkh);
       CopyColBlock(c.pv, h * dh, dh, &pvh);
@@ -197,27 +233,30 @@ const nn::Tensor& SetTransformerModel::Forward(
   }
   attn_span.Stop();
   TRACE_SPAN("model", "model.rho");
-  return rho_.Forward(pooled_, &rho_ws_);
+  return rho_.Forward(ws->pooled, &ws->rho_ws);
 }
 
-void SetTransformerModel::Backward(const nn::Tensor& dout) {
+void SetTransformerModel::BackwardPass(Workspace* base,
+                                       const nn::Tensor& dout) {
+  auto* ws = static_cast<Activations*>(base);
   const int64_t d = config_.att_dim;
   const int64_t heads = config_.num_heads;
   const int64_t dh = d / heads;
   const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-  const int64_t num_sets = static_cast<int64_t>(last_offsets_.size()) - 1;
+  const std::vector<int64_t>& offsets = ws->offsets;
+  const int64_t num_sets = static_cast<int64_t>(offsets.size()) - 1;
 
   nn::Tensor dy = dout;
   nn::Tensor dpooled;
-  rho_.Backward(pooled_, &rho_ws_, &dy, &dpooled);
+  rho_.Backward(ws->pooled, &ws->rho_ws, &dy, &dpooled);
 
-  nn::Tensor dprojected(projected_.rows(), projected_.cols());
+  nn::Tensor dprojected(ws->projected.rows(), ws->projected.cols());
   nn::Tensor dph(1, dh), da, df, dh_grad, dq, dk, dv, dpk, dpv, dff_in;
   nn::Tensor qh, kh, vh, ah, pkh, pvh, seed_h, dqh, dkh, dvh, doh;
   for (int64_t s = 0; s < num_sets; ++s) {
-    SetCache& c = set_caches_[static_cast<size_t>(s)];
-    const int64_t begin = last_offsets_[static_cast<size_t>(s)];
-    const int64_t n = last_offsets_[static_cast<size_t>(s) + 1] - begin;
+    Activations::SetCache& c = ws->set_caches[static_cast<size_t>(s)];
+    const int64_t begin = offsets[static_cast<size_t>(s)];
+    const int64_t n = offsets[static_cast<size_t>(s) + 1] - begin;
     if (n == 0) continue;
 
     // ---- PMA backward (per head): pooled_h = pattn_h * PV_h.
@@ -301,8 +340,8 @@ void SetTransformerModel::Backward(const nn::Tensor& dout) {
   }
 
   nn::Tensor dembedded;
-  input_proj_.Backward(embedded_, projected_, &dprojected, &dembedded);
-  embed_.Backward(last_ids_, dembedded);
+  input_proj_.Backward(ws->embedded, ws->projected, &dprojected, &dembedded);
+  embed_.Backward(ws->ids, dembedded);
 }
 
 void SetTransformerModel::CollectParameters(

@@ -39,9 +39,6 @@ class SetTransformerModel : public SetModel {
   static Result<std::unique_ptr<SetTransformerModel>> Create(
       const SetTransformerConfig& config);
 
-  const nn::Tensor& Forward(const std::vector<sets::ElementId>& ids,
-                            const std::vector<int64_t>& offsets) override;
-  void Backward(const nn::Tensor& dout) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   size_t ByteSize() const override;
   std::string name() const override { return "SetTransformer"; }
@@ -51,23 +48,18 @@ class SetTransformerModel : public SetModel {
 
   const SetTransformerConfig& config() const { return config_; }
 
- private:
-  explicit SetTransformerModel(const SetTransformerConfig& config);
+ protected:
+  std::unique_ptr<Workspace> NewWorkspace() const override;
+  Workspace* ThreadWorkspace() const override;
+  const nn::Tensor& ForwardPass(const std::vector<sets::ElementId>& ids,
+                                const std::vector<int64_t>& offsets,
+                                Workspace* ws) const override;
+  void BackwardPass(Workspace* ws, const nn::Tensor& dout) override;
 
-  /// Per-set attention activations cached for backward.
-  struct SetCache {
-    nn::Tensor x;    // (n x d) projected inputs
-    nn::Tensor q;    // (n x d)
-    nn::Tensor k;    // (n x d)
-    nn::Tensor v;    // (n x d)
-    nn::Tensor attn;  // (heads*n x n) softmax rows, stacked per head
-    nn::Tensor h;    // (n x d) x + attn*v (residual)
-    nn::Mlp::Workspace ff_ws;
-    nn::Tensor f;    // (n x d) h + FF(h)
-    nn::Tensor pk;   // (n x d) PMA keys
-    nn::Tensor pv;   // (n x d) PMA values
-    nn::Tensor pattn;  // (heads x n) PMA softmax, one row per head
-  };
+ private:
+  struct Activations;
+
+  explicit SetTransformerModel(const SetTransformerConfig& config);
 
   SetTransformerConfig config_;
   nn::Embedding embed_;
@@ -77,15 +69,6 @@ class SetTransformerModel : public SetModel {
   nn::Parameter seed_;             // (1 x d) PMA seed
   nn::Parameter pwk_, pwv_;        // (d x d) PMA projections
   nn::Mlp rho_;                    // d -> rho_hidden -> 1
-
-  // Last-forward caches.
-  std::vector<sets::ElementId> last_ids_;
-  std::vector<int64_t> last_offsets_;
-  nn::Tensor embedded_;
-  nn::Tensor projected_;
-  std::vector<SetCache> set_caches_;
-  nn::Tensor pooled_;  // (num_sets x d)
-  nn::Mlp::Workspace rho_ws_;
 };
 
 }  // namespace los::deepsets

@@ -312,13 +312,8 @@ void SetKernelThreadPool(ThreadPool* pool) {
   g_kernel_pool.store(pool, std::memory_order_relaxed);
 }
 
-void KernelParallelFor(int64_t n, int64_t min_chunk,
-                       const std::function<void(int64_t, int64_t)>& fn) {
-  if (n <= 0) return;
-  if (!KernelThreadingEnabled() || n <= min_chunk) {
-    fn(0, n);
-    return;
-  }
+void KernelPoolParallelFor(int64_t n, int64_t min_chunk,
+                           const std::function<void(int64_t, int64_t)>& fn) {
   KernelPool()->ParallelFor(
       static_cast<size_t>(n),
       [&fn](size_t begin, size_t end) {

@@ -48,11 +48,25 @@ bool KernelThreadingEnabled();
 /// have observed it has returned.
 void SetKernelThreadPool(ThreadPool* pool);
 
+/// Splits [0, n) across the kernel pool; the threaded half of
+/// KernelParallelFor.
+void KernelPoolParallelFor(int64_t n, int64_t min_chunk,
+                           const std::function<void(int64_t, int64_t)>& fn);
+
 /// Runs `fn(begin, end)` over [0, n), splitting across the kernel pool when
-/// threading is enabled and `n > min_chunk`; inline otherwise. `fn` must
-/// write disjoint state per index so that chunking cannot affect results.
-void KernelParallelFor(int64_t n, int64_t min_chunk,
-                       const std::function<void(int64_t, int64_t)>& fn);
+/// threading is enabled and `n > min_chunk`; inline otherwise, calling `fn`
+/// directly so small (single-query) kernels never allocate a closure. `fn`
+/// must write disjoint state per index so that chunking cannot affect
+/// results.
+template <typename Fn>
+void KernelParallelFor(int64_t n, int64_t min_chunk, const Fn& fn) {
+  if (n <= 0) return;
+  if (!KernelThreadingEnabled() || n <= min_chunk) {
+    fn(int64_t{0}, n);
+    return;
+  }
+  KernelPoolParallelFor(n, min_chunk, fn);
+}
 
 /// Adds row-vector `bias` (1 x d) to every row of `x` (n x d).
 void AddRowBroadcast(const Tensor& bias, Tensor* x);

@@ -27,11 +27,10 @@
 // batch within max_delay_us it collapses to min_delay_us so sparse traffic
 // keeps low latency instead of always eating the full deadline.
 //
-// Sharding (`ServeOptions::num_shards` > 1) runs one queue + worker +
-// structure replica per shard, routed round-robin or by set hash —
-// shared-nothing on the model state, which is what serializes forwards
-// (see SetModel's inference mutex). Replica construction is the typed
-// services' job (serving.h); this template only routes.
+// Sharding (`ServeOptions::num_shards` > 1) runs one queue + worker per
+// shard, routed round-robin or by set hash, so flushes execute in parallel.
+// Binding each shard's batch function is the typed services' job
+// (serving.h); this template only routes.
 //
 // Observability (prefix `serve.<name>.`):
 //   enqueued          counter  accepted submissions
@@ -165,7 +164,7 @@ class BatchFuture {
 
 enum class ShardBy {
   kRoundRobin,  ///< uniform load spread (stateless queries)
-  kHash,        ///< HashSetSorted(query) — stable replica per query set
+  kHash,        ///< HashSetSorted(query) — stable shard per query set
 };
 
 struct ServeOptions {

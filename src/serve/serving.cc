@@ -1,49 +1,10 @@
 #include "serve/serving.h"
 
-#include <string>
 #include <utility>
-
-#include "common/serialize.h"
 
 namespace los::serve {
 
 namespace {
-
-/// In-memory Save/Load round-trip: the cheapest correct way to give each
-/// shard private model state (weights are identical; scratch buffers,
-/// activation caches and the inference mutex are per-clone).
-Result<std::unique_ptr<core::LearnedCardinalityEstimator>> CloneEstimator(
-    const core::LearnedCardinalityEstimator& primary) {
-  BinaryWriter w;
-  primary.Save(&w);
-  BinaryReader r(w.bytes());
-  auto loaded = core::LearnedCardinalityEstimator::Load(&r);
-  if (!loaded.ok()) return loaded.status();
-  return std::make_unique<core::LearnedCardinalityEstimator>(
-      std::move(loaded).value());
-}
-
-Result<std::unique_ptr<core::LearnedSetIndex>> CloneIndex(
-    const core::LearnedSetIndex& primary,
-    const sets::SetCollection& collection) {
-  BinaryWriter w;
-  primary.Save(&w);
-  BinaryReader r(w.bytes());
-  auto loaded = core::LearnedSetIndex::Load(&r, collection);
-  if (!loaded.ok()) return loaded.status();
-  return std::make_unique<core::LearnedSetIndex>(std::move(loaded).value());
-}
-
-Result<std::unique_ptr<core::LearnedBloomFilter>> CloneBloom(
-    const core::LearnedBloomFilter& primary) {
-  BinaryWriter w;
-  primary.Save(&w);
-  BinaryReader r(w.bytes());
-  auto loaded = core::LearnedBloomFilter::Load(&r);
-  if (!loaded.ok()) return loaded.status();
-  return std::make_unique<core::LearnedBloomFilter>(
-      std::move(loaded).value());
-}
 
 size_t NormalizedShards(const ServeOptions& opts) {
   return opts.num_shards > 0 ? opts.num_shards : 1;
@@ -59,29 +20,16 @@ Result<std::unique_ptr<CardinalityService>> CardinalityService::Create(
   }
   auto service = std::unique_ptr<CardinalityService>(new CardinalityService());
   CardinalityService* svc = service.get();
-  const size_t shards = NormalizedShards(opts);
-  std::vector<BatchServer<double>::BatchFn> fns;
-  fns.reserve(shards);
   // Monitor forwarding happens after the flush executes but before results
   // are published (the BatchServer completes futures after fn returns) —
   // the shadow-sampled slow path rides the worker thread, never a client's.
-  auto wrap = [svc](core::LearnedCardinalityEstimator* est) {
-    return [svc, est](const std::vector<sets::Query>& qs) {
-      std::vector<double> r = est->EstimateBatch(qs);
-      if (auto* m = svc->monitor()) m->ObserveBatch(qs, r);
-      return r;
-    };
-  };
-  fns.push_back(wrap(primary));
-  for (size_t i = 1; i < shards; ++i) {
-    auto clone = CloneEstimator(*primary);
-    if (!clone.ok()) return clone.status();
-    core::LearnedCardinalityEstimator* replica = clone.value().get();
-    replica->SetMetricsRegistry(registry ? registry
-                                         : MetricsRegistry::Global());
-    service->replicas_.push_back(std::move(clone).value());
-    fns.push_back(wrap(replica));
-  }
+  std::vector<BatchServer<double>::BatchFn> fns(
+      NormalizedShards(opts),
+      [primary, svc](const std::vector<sets::Query>& qs) {
+        std::vector<double> r = primary->EstimateBatch(qs);
+        if (auto* m = svc->monitor()) m->ObserveBatch(qs, r);
+        return r;
+      });
   service->server_ = std::make_unique<BatchServer<double>>(
       "cardinality", std::move(fns), opts, registry);
   return service;
@@ -95,8 +43,8 @@ Result<std::unique_ptr<CardinalityService>> CardinalityService::Create(
   }
   auto service = std::unique_ptr<CardinalityService>(new CardinalityService());
   CardinalityService* svc = service.get();
-  // Every shard pins the newest generation per flush; the wrapper handles
-  // replica-free generation pickup (see header comment on live mode).
+  // Every shard pins the newest generation per flush (see the header
+  // comment on live mode).
   std::vector<BatchServer<double>::BatchFn> fns(
       NormalizedShards(opts),
       [live, svc](const std::vector<sets::Query>& qs) {
@@ -110,33 +58,20 @@ Result<std::unique_ptr<CardinalityService>> CardinalityService::Create(
 }
 
 Result<std::unique_ptr<IndexService>> IndexService::Create(
-    core::LearnedSetIndex* primary, const sets::SetCollection& collection,
+    core::LearnedSetIndex* primary, const sets::SetCollection& /*collection*/,
     const ServeOptions& opts, MetricsRegistry* registry) {
   if (primary == nullptr) {
     return Status::InvalidArgument("IndexService: primary is null");
   }
   auto service = std::unique_ptr<IndexService>(new IndexService());
   IndexService* svc = service.get();
-  const size_t shards = NormalizedShards(opts);
-  std::vector<BatchServer<int64_t>::BatchFn> fns;
-  fns.reserve(shards);
-  auto wrap = [svc](core::LearnedSetIndex* index) {
-    return [svc, index](const std::vector<sets::Query>& qs) {
-      std::vector<int64_t> r = index->LookupBatch(qs);
-      if (auto* m = svc->monitor()) m->ObserveBatch(qs);
-      return r;
-    };
-  };
-  fns.push_back(wrap(primary));
-  for (size_t i = 1; i < shards; ++i) {
-    auto clone = CloneIndex(*primary, collection);
-    if (!clone.ok()) return clone.status();
-    core::LearnedSetIndex* replica = clone.value().get();
-    replica->SetMetricsRegistry(registry ? registry
-                                         : MetricsRegistry::Global());
-    service->replicas_.push_back(std::move(clone).value());
-    fns.push_back(wrap(replica));
-  }
+  std::vector<BatchServer<int64_t>::BatchFn> fns(
+      NormalizedShards(opts),
+      [primary, svc](const std::vector<sets::Query>& qs) {
+        std::vector<int64_t> r = primary->LookupBatch(qs);
+        if (auto* m = svc->monitor()) m->ObserveBatch(qs);
+        return r;
+      });
   service->server_ = std::make_unique<BatchServer<int64_t>>(
       "index", std::move(fns), opts, registry);
   return service;
@@ -170,26 +105,13 @@ Result<std::unique_ptr<BloomService>> BloomService::Create(
   }
   auto service = std::unique_ptr<BloomService>(new BloomService());
   BloomService* svc = service.get();
-  const size_t shards = NormalizedShards(opts);
-  std::vector<BatchServer<bool>::BatchFn> fns;
-  fns.reserve(shards);
-  auto wrap = [svc](core::LearnedBloomFilter* bf) {
-    return [svc, bf](const std::vector<sets::Query>& qs) {
-      std::vector<bool> r = std::move(bf->MayContainMulti(qs).verdicts);
-      if (auto* m = svc->monitor()) m->ObserveBatch(qs);
-      return r;
-    };
-  };
-  fns.push_back(wrap(primary));
-  for (size_t i = 1; i < shards; ++i) {
-    auto clone = CloneBloom(*primary);
-    if (!clone.ok()) return clone.status();
-    core::LearnedBloomFilter* replica = clone.value().get();
-    replica->SetMetricsRegistry(registry ? registry
-                                         : MetricsRegistry::Global());
-    service->replicas_.push_back(std::move(clone).value());
-    fns.push_back(wrap(replica));
-  }
+  std::vector<BatchServer<bool>::BatchFn> fns(
+      NormalizedShards(opts),
+      [primary, svc](const std::vector<sets::Query>& qs) {
+        std::vector<bool> r = std::move(primary->MayContainMulti(qs).verdicts);
+        if (auto* m = svc->monitor()) m->ObserveBatch(qs);
+        return r;
+      });
   service->server_ = std::make_unique<BatchServer<bool>>(
       "bloom", std::move(fns), opts, registry);
   return service;

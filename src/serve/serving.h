@@ -2,20 +2,16 @@
 #define LOS_SERVE_SERVING_H_
 
 // Typed serving frontends over BatchServer for the three learned
-// structures. Each service owns:
-//   - shard replicas: for num_shards > 1, shards beyond the first are
-//     private clones of the primary structure made by a Save/Load
-//     round-trip in memory, so every shard has its own SetModel (and thus
-//     its own inference mutex and scratch buffers) — shared-nothing on
-//     exactly the state that serializes forwards. The collection backing a
-//     LearnedSetIndex is immutable at serving time and stays shared.
-//   - one BatchServer that queues, micro-batches and routes to the
-//     replicas' batched entry points (EstimateBatch / LookupBatch /
-//     MayContainMulti).
+// structures. Each service owns one BatchServer that queues, micro-batches
+// and routes to the structure's batched entry point (EstimateBatch /
+// LookupBatch / MayContainMulti). With num_shards > 1 every shard's batch
+// function wraps the same structure: model inference is const and
+// lock-free (see deepsets/set_model.h), so shards run their forwards in
+// parallel without copies of the model.
 //
-// The primary structure is borrowed, not owned, and must outlive the
-// service; it serves shard 0. Shutdown() (or destruction) drains in-flight
-// requests before returning, so futures returned by Submit never dangle.
+// The structure is borrowed, not owned, and must outlive the service.
+// Shutdown() (or destruction) drains in-flight requests before returning,
+// so futures returned by Submit never dangle.
 //
 // Live-update mode: each service also has a Create overload taking an
 // Updatable* wrapper (core/updatable.h) instead of a frozen structure. In
@@ -23,10 +19,8 @@
 // generation for the duration of one flush — a lock-free epoch pin — so
 // background retrains swap new generations in without ever stalling the
 // micro-batchers, and a flush that races a swap simply finishes on the
-// generation it pinned. The shards share the live wrapper (generations are
-// process-wide state, not per-shard), so concurrent flushes serialize on
-// the pinned generation's model inference mutex; prefer num_shards = 1
-// with live structures unless flushes are aux-heavy.
+// generation it pinned. Flushes on different shards read the pinned
+// generation concurrently.
 
 #include <atomic>
 #include <memory>
@@ -44,9 +38,9 @@ namespace los::serve {
 /// \brief Concurrent cardinality-estimation frontend.
 class CardinalityService {
  public:
-  /// `registry` receives the `serve.cardinality.*` instruments and is
-  /// injected into the cloned replicas (the primary's registry is the
-  /// caller's to configure); nullptr means MetricsRegistry::Global().
+  /// `registry` receives the `serve.cardinality.*` instruments (the
+  /// structure's own registry is the caller's to configure); nullptr means
+  /// MetricsRegistry::Global().
   static Result<std::unique_ptr<CardinalityService>> Create(
       core::LearnedCardinalityEstimator* primary, const ServeOptions& opts,
       MetricsRegistry* registry = nullptr);
@@ -80,13 +74,12 @@ class CardinalityService {
 
  private:
   CardinalityService() = default;
-  std::vector<std::unique_ptr<core::LearnedCardinalityEstimator>> replicas_;
   std::atomic<monitor::CardinalityMonitor*> monitor_{nullptr};
   std::unique_ptr<BatchServer<double>> server_;
 };
 
-/// \brief Concurrent first-superset-lookup frontend. `collection` must be
-/// the collection the primary index was built over (replicas rebind to it).
+/// \brief Concurrent first-superset-lookup frontend. `collection` is the
+/// collection the index was built over; the index already references it.
 class IndexService {
  public:
   static Result<std::unique_ptr<IndexService>> Create(
@@ -120,7 +113,6 @@ class IndexService {
 
  private:
   IndexService() = default;
-  std::vector<std::unique_ptr<core::LearnedSetIndex>> replicas_;
   std::atomic<monitor::IndexMonitor*> monitor_{nullptr};
   std::unique_ptr<BatchServer<int64_t>> server_;
 };
@@ -158,7 +150,6 @@ class BloomService {
 
  private:
   BloomService() = default;
-  std::vector<std::unique_ptr<core::LearnedBloomFilter>> replicas_;
   std::atomic<monitor::BloomMonitor*> monitor_{nullptr};
   std::unique_ptr<BatchServer<bool>> server_;
 };

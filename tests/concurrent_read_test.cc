@@ -1,14 +1,15 @@
-// Concurrent-reader safety of the three serving read paths (ISSUE 6
-// satellite): 8 threads hammer Estimate/EstimateBatch, Lookup/LookupBatch
-// and MayContain/MayContainMulti on shared structures and every result must
-// match the serial answer bit-for-bit. The batched and single-query paths
-// share the model's scratch buffers and activation caches, so this test —
-// run under TSan in CI — is what keeps that state honest: any unguarded
-// access is a data race here.
+// Concurrent-reader safety of the three serving read paths: 8 threads
+// hammer Estimate/EstimateBatch, Lookup/LookupBatch and
+// MayContain/MayContainMulti on shared structures and every result must
+// match the serial answer bit-for-bit. The forwards run in parallel, each
+// on its own thread's workspace, with no lock; this test — run under TSan
+// in CI — is what keeps that honest: any state the read paths share and
+// write is a data race here.
 //
-// Exact equality (not tolerance) is intentional: forwards are serialized by
-// SetModel's inference mutex and the GEMM kernels are bit-deterministic
-// across batch shapes, so interleaving must not change a single bit.
+// Exact equality (not tolerance) is intentional: a forward reads only the
+// model's weights and its own workspace, and the GEMM kernels are
+// bit-deterministic across batch shapes, so interleaving must not change a
+// single bit.
 
 #include <gtest/gtest.h>
 

@@ -1,7 +1,8 @@
 // Serving-layer tests: micro-batch flush policies (size / deadline /
 // shutdown), backpressure, metrics identity (serve.queries == client
-// submissions, exactly once), shard replicas, and end-to-end agreement
-// between the served answers and the structures' direct batched paths.
+// submissions, exactly once), shards sharing one structure, and
+// end-to-end agreement between the served answers and the structures'
+// direct batched paths.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <cstdint>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -386,7 +388,42 @@ TEST(CardinalityServiceTest, ServedResultsMatchDirectBatch) {
   EXPECT_EQ(snap.FindCounter("cardinality.queries")->value, queries.size());
 }
 
-TEST(CardinalityServiceTest, ShardedReplicasMatchAndRoundRobin) {
+/// Two-shard service options: both shards' batch functions wrap the one
+/// structure, and max_batch 8 splits the 40 queries into several flushes
+/// spread round-robin over the shards.
+ServeOptions TwoShards() {
+  ServeOptions opts;
+  opts.num_shards = 2;
+  opts.max_batch = 8;
+  opts.max_delay_us = 200;
+  return opts;
+}
+
+/// Serves `queries` through `service` and checks every answer bit-for-bit
+/// against `direct`, then that the service (`serve.<name>.queries`) and the
+/// shared structure (`structure_counter`) each counted every query exactly
+/// once.
+template <typename Service, typename Response>
+void ExpectShardedMatchesDirect(Service* service,
+                                const std::vector<sets::Query>& queries,
+                                const std::vector<Response>& direct,
+                                const MetricsRegistry& registry,
+                                const std::string& name,
+                                const std::string& structure_counter) {
+  EXPECT_EQ(service->server()->num_shards(), 2u);
+  std::vector<serve::BatchFuture<Response>> futures;
+  for (const auto& q : queries) futures.push_back(service->Submit(q));
+  for (size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), direct[i]) << name << " query " << i;
+  }
+  service->Shutdown();
+  auto snap = registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("serve." + name + ".queries")->value,
+            queries.size());
+  EXPECT_EQ(snap.FindCounter(structure_counter)->value, queries.size());
+}
+
+TEST(CardinalityServiceTest, ShardsShareOneStructure) {
   auto c = ServingCollection();
   core::CardinalityOptions copts;
   copts.train.epochs = 4;
@@ -400,25 +437,51 @@ TEST(CardinalityServiceTest, ShardedReplicasMatchAndRoundRobin) {
 
   MetricsRegistry registry;
   est->SetMetricsRegistry(&registry);
-  ServeOptions opts;
-  opts.num_shards = 2;
-  opts.max_batch = 8;
-  opts.max_delay_us = 200;
-  auto service = CardinalityService::Create(&est.value(), opts, &registry);
+  auto service =
+      CardinalityService::Create(&est.value(), TwoShards(), &registry);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_EQ((*service)->server()->num_shards(), 2u);
+  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
+                             "cardinality", "cardinality.queries");
+}
 
-  // Replicas are weight-identical clones, so routing must not change
-  // answers.
-  std::vector<serve::BatchFuture<double>> futures;
-  for (const auto& q : queries) futures.push_back((*service)->Submit(q));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_DOUBLE_EQ(futures[i].get(), direct[i]) << "query " << i;
-  }
-  (*service)->Shutdown();
-  auto snap = registry.Snapshot();
-  EXPECT_EQ(snap.FindCounter("serve.cardinality.queries")->value,
-            queries.size());
+TEST(IndexServiceTest, ShardsShareOneStructure) {
+  auto c = ServingCollection();
+  core::IndexOptions iopts;
+  iopts.train.epochs = 4;
+  iopts.train.loss = core::LossKind::kMse;
+  iopts.max_subset_size = 2;
+  auto index = core::LearnedSetIndex::Build(c, iopts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  auto queries = ServingQueries(c, 40);
+  std::vector<int64_t> direct = index->LookupBatch(queries);
+
+  MetricsRegistry registry;
+  index->SetMetricsRegistry(&registry);
+  auto service = IndexService::Create(&index.value(), c, TwoShards(),
+                                      &registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
+                             "index", "index.lookups");
+}
+
+TEST(BloomServiceTest, ShardsShareOneStructure) {
+  auto c = ServingCollection();
+  core::BloomOptions bopts;
+  bopts.train.epochs = 4;
+  bopts.max_subset_size = 2;
+  auto bloom = core::LearnedBloomFilter::Build(c, bopts);
+  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
+
+  auto queries = ServingQueries(c, 40);
+  std::vector<bool> direct = bloom->MayContainMulti(queries).verdicts;
+
+  MetricsRegistry registry;
+  bloom->SetMetricsRegistry(&registry);
+  auto service = BloomService::Create(&bloom.value(), TwoShards(), &registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
+                             "bloom", "bloom.queries");
 }
 
 TEST(IndexServiceTest, ServedResultsMatchDirectBatch) {
