@@ -5,6 +5,17 @@
 
 namespace los::sets {
 
+namespace {
+
+// Bit (e & 63) set for each element e. If q ⊆ s, Signature(q) ⊆ Signature(s).
+uint64_t Signature(SetView s) {
+  uint64_t sig = 0;
+  for (ElementId e : s) sig |= uint64_t{1} << (e & 63);
+  return sig;
+}
+
+}  // namespace
+
 bool IsSubsetSorted(SetView q, SetView s) {
   size_t i = 0, j = 0;
   while (i < q.size() && j < s.size()) {
@@ -51,6 +62,7 @@ size_t SetCollection::AddSorted(std::vector<ElementId> elements) {
   }
   elements_.insert(elements_.end(), elements.begin(), elements.end());
   offsets_.push_back(elements_.size());
+  signatures_.push_back(Signature(elements));
   return size() - 1;
 }
 
@@ -76,8 +88,10 @@ bool SetCollection::SetContainsSorted(size_t i, SetView q) const {
 int64_t SetCollection::FindFirstSuperset(SetView q, size_t begin,
                                          size_t end) const {
   end = std::min(end, size());
+  const uint64_t qsig = Signature(q);
   for (size_t i = begin; i < end; ++i) {
-    if (SetContainsSorted(i, q)) return static_cast<int64_t>(i);
+    if ((signatures_[i] & qsig) != qsig) continue;
+    if (IsSubsetSorted(q, set(i))) return static_cast<int64_t>(i);
   }
   return -1;
 }
@@ -85,7 +99,9 @@ int64_t SetCollection::FindFirstSuperset(SetView q, size_t begin,
 int64_t SetCollection::FindFirstEqual(SetView q, size_t begin,
                                       size_t end) const {
   end = std::min(end, size());
+  const uint64_t qsig = Signature(q);
   for (size_t i = begin; i < end; ++i) {
+    if (signatures_[i] != qsig) continue;
     SetView s = set(i);
     if (s.size() == q.size() && std::equal(s.begin(), s.end(), q.begin())) {
       return static_cast<int64_t>(i);
@@ -115,6 +131,7 @@ Status SetCollection::UpdateSet(size_t i, std::vector<ElementId> elements) {
   for (size_t k = i + 1; k < offsets_.size(); ++k) {
     offsets_[k] = static_cast<uint64_t>(static_cast<int64_t>(offsets_[k]) + delta);
   }
+  signatures_[i] = Signature(elements);
   return Status::OK();
 }
 
@@ -132,13 +149,18 @@ Result<SetCollection> SetCollection::Load(BinaryReader* r) {
   auto uni = r->ReadU32();
   if (!uni.ok()) return uni.status();
   if (offs->empty() || offs->front() != 0 ||
-      offs->back() != elems->size()) {
+      offs->back() != elems->size() ||
+      !std::is_sorted(offs->begin(), offs->end())) {
     return Status::Internal("corrupt SetCollection offsets");
   }
   SetCollection c;
   c.elements_ = std::move(*elems);
   c.offsets_ = std::move(*offs);
   c.universe_size_ = *uni;
+  c.signatures_.reserve(c.size());
+  for (size_t i = 0; i < c.size(); ++i) {
+    c.signatures_.push_back(Signature(c.set(i)));
+  }
   return c;
 }
 

@@ -64,11 +64,16 @@ class SetCollection {
   bool SetContainsSorted(size_t i, SetView q) const;
 
   /// First position in [begin, end) whose set is a superset of sorted `q`,
-  /// or -1. This is the hybrid index's bounded local scan.
+  /// or -1. This is the hybrid index's bounded local scan. Every set keeps a
+  /// 64-bit element signature, bit (e & 63) set for each element e; a
+  /// candidate whose signature lacks a bit of the query's cannot contain the
+  /// query and is skipped. The others go through the merge check in position
+  /// order, so the answer is exact.
   int64_t FindFirstSuperset(SetView q, size_t begin, size_t end) const;
 
   /// First position in [begin, end) whose set *equals* sorted `q`, or -1
-  /// (the equality-search mode of §4.1).
+  /// (the equality-search mode of §4.1). Candidates whose signature differs
+  /// from the query's are skipped before the element comparison.
   int64_t FindFirstEqual(SetView q, size_t begin, size_t end) const;
 
   /// Replaces set `i` with new contents (used by the update-handling path,
@@ -77,18 +82,22 @@ class SetCollection {
   /// batched.
   Status UpdateSet(size_t i, std::vector<ElementId> elements);
 
-  /// Approximate heap footprint in bytes.
+  /// Approximate heap footprint in bytes: elements, offsets and one 8-byte
+  /// signature per set.
   size_t MemoryBytes() const {
     return elements_.size() * sizeof(ElementId) +
-           offsets_.size() * sizeof(uint64_t);
+           offsets_.size() * sizeof(uint64_t) +
+           signatures_.size() * sizeof(uint64_t);
   }
 
+  /// Signatures are not serialized; Load derives them from the elements.
   void Save(BinaryWriter* w) const;
   static Result<SetCollection> Load(BinaryReader* r);
 
  private:
   std::vector<ElementId> elements_;
   std::vector<uint64_t> offsets_;
+  std::vector<uint64_t> signatures_;  // Element signature of each set.
   ElementId universe_size_ = 0;
 };
 

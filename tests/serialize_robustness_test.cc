@@ -26,6 +26,7 @@
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
 #include "sets/generators.h"
+#include "sets/set_collection.h"
 #include "sets/set_io.h"
 
 namespace los {
@@ -233,6 +234,23 @@ TEST(LocalErrorBoundsTest, CorruptedBuffersAreDataLoss) {
             StatusCode::kDataLoss);
   EXPECT_EQ(LoadBounds(BoundsBytes(0.0, 100.0, {inf})).code(),
             StatusCode::kDataLoss);
+}
+
+// ---------- SetCollection ----------
+
+// Regression: Load checked only the first and last offset, so a decreasing
+// interior offset loaded and made set(i) an out-of-bounds span.
+TEST(SetCollectionLoadTest, DecreasingInteriorOffsetIsRejected) {
+  auto load = [](const std::vector<uint64_t>& offsets) {
+    BinaryWriter w;
+    w.WriteVector(std::vector<sets::ElementId>{1, 2, 3, 4});
+    w.WriteVector(offsets);
+    w.WriteU32(5);
+    BinaryReader r(w.bytes());
+    return sets::SetCollection::Load(&r).status();
+  };
+  EXPECT_TRUE(load({0, 1, 3, 4}).ok());
+  EXPECT_EQ(load({0, 3, 1, 4}).code(), StatusCode::kInternal);
 }
 
 // ---------- Top-level checkpoint corruption ----------

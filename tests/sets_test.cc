@@ -37,6 +37,9 @@ TEST(SetCollectionTest, TracksUniverseAndSizes) {
   EXPECT_EQ(c.total_elements(), 5u);
   EXPECT_EQ(c.SetSizeRange(), (std::pair<size_t, size_t>{2, 3}));
   EXPECT_EQ(c.CountDistinctElements(), 5u);
+  // Elements, offsets and one 8-byte signature per set.
+  EXPECT_EQ(c.MemoryBytes(), 5 * sizeof(ElementId) + 3 * sizeof(uint64_t) +
+                                 2 * sizeof(uint64_t));
 }
 
 TEST(SetCollectionTest, AllowsDuplicateSets) {
@@ -95,6 +98,68 @@ TEST(SetCollectionTest, SaveLoadRoundTrip) {
   EXPECT_EQ(back->size(), 2u);
   EXPECT_EQ(back->universe_size(), 6u);
   EXPECT_EQ(back->set(0)[1], 5u);
+}
+
+// Exhaustive check of the signature-filtered scans against a plain merge
+// loop. Element ids 1, 65, 129 and 193 share signature bit 1, so a query
+// can pass the signature test of a set that does not contain it.
+void ExpectScansMatchReference(const SetCollection& c,
+                               const std::vector<ElementId>& universe) {
+  auto check = [&](SetView q) {
+    for (size_t begin = 0; begin <= c.size(); ++begin) {
+      for (size_t end = begin; end <= c.size() + 1; ++end) {
+        int64_t want_superset = -1, want_equal = -1;
+        for (size_t i = begin; i < std::min(end, c.size()); ++i) {
+          SetView s = c.set(i);
+          if (want_superset < 0 && IsSubsetSorted(q, s)) {
+            want_superset = static_cast<int64_t>(i);
+          }
+          if (want_equal < 0 &&
+              std::equal(s.begin(), s.end(), q.begin(), q.end())) {
+            want_equal = static_cast<int64_t>(i);
+          }
+        }
+        ASSERT_EQ(c.FindFirstSuperset(q, begin, end), want_superset)
+            << "begin=" << begin << " end=" << end << " |q|=" << q.size();
+        ASSERT_EQ(c.FindFirstEqual(q, begin, end), want_equal)
+            << "begin=" << begin << " end=" << end << " |q|=" << q.size();
+      }
+    }
+  };
+  check(SetView());
+  ForEachSubset(SetView(universe.data(), universe.size()), 3, check);
+}
+
+TEST(SetCollectionTest, SignatureScansMatchMergeExhaustively) {
+  const std::vector<ElementId> universe{1, 2, 3, 4, 5, 6, 7, 65, 129, 193};
+  SetCollection c;
+  c.Add({1, 2, 3});
+  c.Add({65, 2, 4});
+  c.Add({129, 193, 5});
+  c.Add({1, 65, 129, 193});
+  c.Add({2, 3, 6, 7});
+  c.Add({65, 2, 4});
+  c.Add({});
+  c.Add({1, 4, 5, 6, 7, 193});
+  ExpectScansMatchReference(c, universe);
+
+  ASSERT_TRUE(c.UpdateSet(0, {1, 2, 3, 4, 5, 6, 7, 65}).ok());   // grow
+  ASSERT_TRUE(c.UpdateSet(3, {129}).ok());                       // shrink
+  ASSERT_TRUE(c.UpdateSet(6, {2, 65, 193}).ok());                // from empty
+  ASSERT_TRUE(c.UpdateSet(7, {}).ok());                          // to empty
+  ASSERT_TRUE(c.UpdateSet(2, {65, 2, 4}).ok());                  // duplicate
+  ExpectScansMatchReference(c, universe);
+
+  BinaryWriter w;
+  c.Save(&w);
+  BinaryReader r(w.bytes());
+  auto loaded = SetCollection::Load(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->MemoryBytes(), c.MemoryBytes());
+  ExpectScansMatchReference(*loaded, universe);
+
+  const SetCollection copy = c;
+  ExpectScansMatchReference(copy, universe);
 }
 
 TEST(IsSubsetSortedTest, EdgeCases) {
