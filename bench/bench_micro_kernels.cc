@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "baselines/bloom_filter.h"
@@ -149,6 +150,58 @@ void BM_EmbeddingScatterAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n) * dim);
 }
 BENCHMARK(BM_EmbeddingScatterAdd)->Arg(256)->Arg(2048)->Arg(16384);
+
+// One dense layer on one row, at the single-row property test's shapes
+// (in -> out; 1-wide heads use sigmoid, the rest relu). BM_DenseForwardM1
+// is the batched Tensor path at m = 1 (Gemm + bias + activation passes);
+// BM_DenseForwardRow is the single-row kernel PredictOne runs.
+los::nn::Dense MakeBenchDense(int64_t in, int64_t out) {
+  Rng rng(3);
+  return los::nn::Dense(in, out,
+                        out == 1 ? los::nn::Activation::kSigmoid
+                                 : los::nn::Activation::kRelu,
+                        &rng);
+}
+
+void DenseShapes(benchmark::internal::Benchmark* b) {
+  for (auto [in, out] : {std::pair<int64_t, int64_t>{8, 32}, {32, 32},
+                         {32, 1}, {16, 64}, {64, 64}, {64, 1}, {33, 17},
+                         {512, 512}}) {
+    b->Args({in, out});
+  }
+  b->ArgNames({"in", "out"});
+}
+
+Tensor BenchRow(int64_t in) {
+  Rng rng(4);
+  Tensor x(1, in);
+  los::nn::GaussianInit(&x, 1.0f, &rng);
+  return x;
+}
+
+void BM_DenseForwardM1(benchmark::State& state) {
+  const los::nn::Dense layer = MakeBenchDense(state.range(0), state.range(1));
+  const Tensor x = BenchRow(state.range(0));
+  Tensor y;
+  for (auto _ : state) {
+    layer.Forward(x, &y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DenseForwardM1)->Apply(DenseShapes);
+
+void BM_DenseForwardRow(benchmark::State& state) {
+  const los::nn::Dense layer = MakeBenchDense(state.range(0), state.range(1));
+  const Tensor x = BenchRow(state.range(0));
+  std::vector<float> y(static_cast<size_t>(state.range(1)));
+  for (auto _ : state) {
+    layer.ForwardRow(x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DenseForwardRow)->Apply(DenseShapes);
 
 void BM_LsmForwardSingleSet(benchmark::State& state) {
   los::deepsets::DeepSetsConfig cfg;

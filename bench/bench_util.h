@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
@@ -37,11 +38,38 @@ inline int EnvEpochs(int fallback) {
   return s != nullptr ? std::atoi(s) : fallback;
 }
 
+/// The host's CPU model (the first "model name" of /proc/cpuinfo, trimmed
+/// and stripped of JSON string metacharacters, as perfbench reports it);
+/// "unknown" where there is none.
+inline std::string CpuModel() {
+  std::string model;
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (model.empty() && std::fgets(line, sizeof(line), f) != nullptr) {
+      const char* colon = std::strchr(line, ':');
+      if (std::strncmp(line, "model name", 10) != 0 || colon == nullptr) {
+        continue;
+      }
+      for (const char* c = colon + 1; *c != '\0'; ++c) {
+        if (*c != '"' && *c != '\\') model += *c;
+      }
+      const size_t b = model.find_first_not_of(" \t\n");
+      model = b == std::string::npos
+                  ? ""
+                  : model.substr(b, model.find_last_not_of(" \t\n") - b + 1);
+    }
+    std::fclose(f);
+  }
+  return model.empty() ? "unknown" : model;
+}
+
 /// Build + runtime provenance as a raw JSON object. Embedded in every
 /// JsonRecord under "provenance" so a committed BENCH_*.json baseline
 /// identifies the binary and machine shape that produced it — without
 /// this, a regression diff cannot tell "code got slower" apart from
-/// "different compiler / ISA / core count".
+/// "different compiler / ISA / core count". `nproc` and `cpu_model` name
+/// the host the way perfbench does; tools/bench_compare.py marks any
+/// comparison whose records disagree on them (or lack them) as cross-host.
 inline std::string ProvenanceJson() {
 #ifdef LOS_GIT_SHA
   const char* sha = LOS_GIT_SHA;
@@ -60,9 +88,12 @@ inline std::string ProvenanceJson() {
   out += "\",\"native\":";
   out += native;
   char buf[64];
-  std::snprintf(buf, sizeof(buf), ",\"threads\":%u,\"scale\":%.6g}",
-                std::thread::hardware_concurrency(), EnvScale());
+  const unsigned nproc = std::thread::hardware_concurrency();
+  std::snprintf(buf, sizeof(buf),
+                ",\"threads\":%u,\"scale\":%.6g,\"nproc\":%u,", nproc,
+                EnvScale(), nproc);
   out += buf;
+  out += "\"cpu_model\":\"" + CpuModel() + "\"}";
   return out;
 }
 

@@ -312,6 +312,16 @@ void TraceSpan::End() {
                          arg_name_, arg_value_);
 }
 
+void TraceSpan::NextStage(const char* name) {
+  const uint64_t now = Tracer::NowNs();
+  Tracer::Global()->Emit(category_, name_, start_ns_, now - start_ns_,
+                         arg_name_, arg_value_);
+  name_ = name;
+  arg_name_ = nullptr;
+  arg_value_ = 0.0;
+  start_ns_ = now;
+}
+
 #else  // LOS_TRACING_DISABLED
 
 // Compiled-out build: keep the Tracer API callable so the CLI/benches link

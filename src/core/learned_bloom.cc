@@ -12,15 +12,16 @@ namespace {
 
 // Safety margin for backup-filter membership. The no-false-negative
 // guarantee requires that any positive accepted here on its model score is
-// also accepted at serve time, but serve-time scores can come from a
-// differently shaped forward pass (MayContain's single-set PredictOne vs
-// the batched pass used below). The GEMM kernels keep per-row results
-// bit-identical across shapes within one binary, so in-process the margin
-// is not needed; it additionally absorbs cross-binary drift (e.g. a filter
-// built with FMA/native ISA, saved, and served by a portable build). BCE
-// training concentrates hard positives right at the threshold, so this is
-// exactly where the insurance matters; the cost is a slightly larger
-// backup filter.
+// also accepted at serve time, but serve-time scores come from a different
+// forward: MayContain's PredictOne runs the single-row path (each layer on
+// the nn::GemmRow kernel) while the scores below come from the batched
+// Tensor pass. Both accumulate every output in increasing k order with the
+// same FMA contraction, so within one binary they are bit-identical
+// (single_row_forward_test) and the margin is not needed in-process; it
+// absorbs cross-binary drift (e.g. a filter built with FMA/native ISA,
+// saved, and served by a portable build). BCE training concentrates hard
+// positives right at the threshold, so this is exactly where the insurance
+// matters; the cost is a slightly larger backup filter.
 constexpr double kThresholdMargin = 1e-4;
 
 }  // namespace

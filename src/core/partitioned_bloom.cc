@@ -15,7 +15,7 @@ namespace {
 // scores come from PredictOne while build-time scores are batched, and a
 // positive landing marginally across a region boundary at serve time would
 // probe a backup filter it was never inserted into — a false negative. The
-// GEMM kernels keep the two paths bit-identical within one binary; the
+// single-row and batched forwards are bit-identical within one binary; the
 // margin additionally covers cross-binary drift after Save/Load.
 constexpr double kScoreMargin = 1e-4;
 

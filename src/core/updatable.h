@@ -66,9 +66,12 @@ namespace los::core {
 /// Readers call Acquire() and hold the returned ReadPin for the duration of
 /// one query (or one batched flush); the pinned generation is guaranteed to
 /// stay alive until the pin is released. Writers call Publish() — the swap
-/// is one seq_cst index store; retired generations are reclaimed once their
-/// readers drain, with up to kSlots-1 retired generations kept alive while
-/// stragglers finish.
+/// is one seq_cst index store. A retired generation is reclaimed by
+/// whichever side sees it unpinned last: Publish if no reader holds it at
+/// the swap, otherwise the reader whose release drops its pins to zero. So
+/// nothing outlives its last reader, and a Publish blocks only when it
+/// would reuse a slot whose generation is still pinned (writers a full
+/// kSlots generations ahead of the slowest reader).
 ///
 /// The pin protocol is the classic epoch-slot idiom: load the current slot
 /// index, increment that slot's pin count, then re-check the index. Both
@@ -77,6 +80,16 @@ namespace los::core {
 /// swap (and retries on the new slot). Slots are fixed storage for the
 /// store's lifetime, so the speculative increment on a stale slot is
 /// always on live memory.
+///
+/// Each slot's `state` packs its pin count with a kRetired bit that
+/// Publish sets when the slot stops being current. The unpin that leaves
+/// exactly kRetired (or Publish, if it finds no pins) claims the slot with
+/// one CAS to 0 and takes the pointer with exchange(nullptr), so exactly
+/// one side deletes. Deciding on "retired" rather than "not current" is
+/// what makes a late unpin safe against slot reuse: a slot is reused only
+/// after its pointer was taken, which clears kRetired, so a straggler's
+/// unpin on the reused slot never sees kRetired and never touches the new
+/// generation.
 template <typename G>
 class GenerationStore {
  public:
@@ -114,7 +127,7 @@ class GenerationStore {
 
     void Release() {
       if (store_ != nullptr) {
-        store_->slots_[slot_].pins.fetch_sub(1, std::memory_order_release);
+        store_->Unpin(slot_);
         store_ = nullptr;
       }
     }
@@ -146,13 +159,15 @@ class GenerationStore {
   ReadPin Acquire() const {
     for (;;) {
       const uint32_t s = current_.load(std::memory_order_acquire);
-      slots_[s].pins.fetch_add(1, std::memory_order_seq_cst);
+      slots_[s].state.fetch_add(1, std::memory_order_seq_cst);
       if (current_.load(std::memory_order_seq_cst) == s) {
         return ReadPin(this, s, slots_[s].ptr.load(std::memory_order_acquire),
                        slots_[s].gen.load(std::memory_order_acquire));
       }
       // Swap raced in between load and pin: undo and retry on the new slot.
-      slots_[s].pins.fetch_sub(1, std::memory_order_release);
+      // The undo may be the last unpin of a retired slot, so it reclaims
+      // like any other release.
+      Unpin(s);
     }
   }
 
@@ -165,30 +180,22 @@ class GenerationStore {
     std::lock_guard<std::mutex> lock(writer_mu_);
     const uint32_t cur = current_.load(std::memory_order_relaxed);
     const uint32_t tgt = (cur + 1) % kSlots;
-    // The target slot holds the generation retired kSlots-1 publishes ago;
-    // wait out any straggling reader before reusing it.
-    while (slots_[tgt].pins.load(std::memory_order_acquire) != 0) {
+    // The target slot held the generation retired kSlots-1 publishes ago;
+    // its last reader reclaims it on release, so wait out any straggler.
+    while (slots_[tgt].ptr.load(std::memory_order_seq_cst) != nullptr) {
       std::this_thread::yield();
     }
-    delete slots_[tgt].ptr.load(std::memory_order_relaxed);
     const uint64_t gen =
         generation_.fetch_add(1, std::memory_order_relaxed) + 1;
     slots_[tgt].ptr.store(next.release(), std::memory_order_relaxed);
     slots_[tgt].gen.store(gen, std::memory_order_relaxed);
     current_.store(tgt, std::memory_order_seq_cst);
-    // Eagerly reclaim drained retired generations so at most one straggler
-    // generation stays resident in the common case. A reader that pinned a
-    // retired slot and passed its recheck keeps pins > 0 here (both sides
-    // are seq_cst), so this never frees under an active pin.
-    for (size_t i = 0; i < kSlots; ++i) {
-      if (i == tgt) continue;
-      if (slots_[i].pins.load(std::memory_order_acquire) == 0) {
-        G* p = slots_[i].ptr.load(std::memory_order_relaxed);
-        if (p != nullptr) {
-          delete p;
-          slots_[i].ptr.store(nullptr, std::memory_order_relaxed);
-        }
-      }
+    // Retire the old slot. Readers that pinned it and passed their recheck
+    // are counted in `state` (both sides are seq_cst); if there are none,
+    // reclaim now, otherwise the last of them does.
+    if (slots_[cur].state.fetch_or(kRetired, std::memory_order_seq_cst) ==
+        0) {
+      slots_[cur].TryReclaim();
     }
     return gen;
   }
@@ -208,11 +215,31 @@ class GenerationStore {
   }
 
  private:
+  static constexpr uint64_t kRetired = uint64_t{1} << 63;
+
   struct Slot {
     std::atomic<G*> ptr{nullptr};
     std::atomic<uint64_t> gen{0};
-    mutable std::atomic<uint64_t> pins{0};
+    std::atomic<uint64_t> state{0};  // pin count | kRetired
+
+    /// Claims a retired, unpinned slot and deletes its generation. Fails
+    /// harmlessly if a speculative pin slipped in; that pin's own unpin
+    /// retries.
+    void TryReclaim() {
+      uint64_t expected = kRetired;
+      if (state.compare_exchange_strong(expected, 0,
+                                        std::memory_order_seq_cst)) {
+        delete ptr.exchange(nullptr, std::memory_order_seq_cst);
+      }
+    }
   };
+
+  void Unpin(size_t slot) const {
+    Slot& s = slots_[slot];
+    if (s.state.fetch_sub(1, std::memory_order_seq_cst) == (kRetired | 1)) {
+      s.TryReclaim();
+    }
+  }
 
   mutable Slot slots_[kSlots];
   std::atomic<uint32_t> current_{0};

@@ -1,6 +1,7 @@
 #include "deepsets/compressed_model.h"
 
 #include <cassert>
+#include <cstring>
 
 #include "common/trace.h"
 
@@ -63,6 +64,7 @@ struct CompressedDeepSetsModel::Activations : SetModel::Workspace {
   nn::Tensor pooled;
   std::vector<int64_t> pool_argmax;
   nn::Mlp::Workspace rho;
+  RowScratch row;
 };
 
 std::unique_ptr<SetModel::Workspace> CompressedDeepSetsModel::NewWorkspace()
@@ -114,6 +116,33 @@ const nn::Tensor& CompressedDeepSetsModel::ForwardPass(
   }
   TRACE_SPAN("model", "model.rho");
   return rho_.Forward(ws->pooled, &ws->rho);
+}
+
+double CompressedDeepSetsModel::PredictOne(sets::SetView s) const {
+  RowScratch* rs = &static_cast<Activations*>(ThreadWorkspace())->row;
+  TRACE_SPAN_VAR(span, "model", "model.forward");
+  const size_t n = s.size();
+  span.set_arg("elements", static_cast<double>(n));
+  TRACE_SPAN_VAR(stage, "model", "model.compress");
+  const size_t ns = static_cast<size_t>(compressor_.ns());
+  uint32_t* sub = RowScratch::Grow(&rs->sub, n * ns);
+  for (size_t i = 0; i < n; ++i) compressor_.CompressInto(s[i], sub + i * ns);
+  stage.Next("model.embed_gather");
+  const size_t d = static_cast<size_t>(config_.base.embed_dim);
+  const size_t in_dim = ns * d;
+  float* in = RowScratch::Grow(&rs->in, n * in_dim);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t t = 0; t < ns; ++t) {
+      const nn::Tensor& table = slot_embeds_[t].table().value;
+      const int64_t id = sub[i * ns + t];
+      assert(id < table.rows());
+      std::memcpy(in + i * in_dim + t * d, table.row(id), d * sizeof(float));
+    }
+  }
+  return static_cast<double>(
+      PhiPoolRhoRow(has_phi() ? &phi_ : nullptr, pool_, rho_,
+                    static_cast<int64_t>(n), static_cast<int64_t>(in_dim), rs,
+                    &stage));
 }
 
 void CompressedDeepSetsModel::BackwardPass(Workspace* base,

@@ -43,6 +43,8 @@ class CompressedDeepSetsModel : public SetModel {
   const CompressedConfig& config() const { return config_; }
   const ElementCompressor& compressor() const { return compressor_; }
 
+  double PredictOne(sets::SetView s) const override;
+
   void Save(BinaryWriter* w) const override;
   static Result<std::unique_ptr<CompressedDeepSetsModel>> Load(
       BinaryReader* r);

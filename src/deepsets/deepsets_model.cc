@@ -1,6 +1,8 @@
 #include "deepsets/deepsets_model.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <memory>
 
 #include "common/trace.h"
@@ -46,6 +48,7 @@ struct DeepSetsModel::Activations : SetModel::Workspace {
   nn::Tensor pooled;
   std::vector<int64_t> pool_argmax;
   nn::Mlp::Workspace rho;
+  RowScratch row;
 };
 
 std::unique_ptr<SetModel::Workspace> DeepSetsModel::NewWorkspace() const {
@@ -78,6 +81,51 @@ const nn::Tensor& DeepSetsModel::ForwardPass(
   }
   TRACE_SPAN("model", "model.rho");
   return rho_.Forward(ws->pooled, &ws->rho);
+}
+
+float PhiPoolRhoRow(const nn::Mlp* phi, const nn::SegmentPool& pool,
+                    const nn::Mlp& rho, int64_t n, int64_t in_dim,
+                    RowScratch* rs, TraceSpan* stage) {
+  const int64_t width =
+      std::max(phi != nullptr ? phi->max_width() : 0, rho.max_width());
+  float* ping = RowScratch::Grow(&rs->ping, static_cast<size_t>(width));
+  float* pong = RowScratch::Grow(&rs->pong, static_cast<size_t>(width));
+  const float* rows = rs->in.data();
+  int64_t d = in_dim;
+  if (phi != nullptr) {
+    stage->Next("model.phi");
+    d = phi->out_dim();
+    float* out = RowScratch::Grow(&rs->phi, static_cast<size_t>(n * d));
+    for (int64_t i = 0; i < n; ++i) {
+      const float* y = phi->ForwardRow(rows + i * in_dim, ping, pong);
+      std::memcpy(out + i * d, y, static_cast<size_t>(d) * sizeof(float));
+    }
+    rows = out;
+  }
+  stage->Next("model.pool");
+  float* pooled = RowScratch::Grow(&rs->pooled, static_cast<size_t>(d));
+  pool.ForwardRow(rows, n, d, pooled);
+  stage->Next("model.rho");
+  return rho.ForwardRow(pooled, ping, pong)[0];
+}
+
+double DeepSetsModel::PredictOne(sets::SetView s) const {
+  RowScratch* rs = &static_cast<Activations*>(ThreadWorkspace())->row;
+  TRACE_SPAN_VAR(span, "model", "model.forward");
+  const int64_t n = static_cast<int64_t>(s.size());
+  span.set_arg("elements", static_cast<double>(n));
+  TRACE_SPAN_VAR(stage, "model", "model.embed_gather");
+  const int64_t d = config_.embed_dim;
+  float* in = RowScratch::Grow(&rs->in, static_cast<size_t>(n * d));
+  const nn::Tensor& table = embed_.table().value;
+  for (int64_t i = 0; i < n; ++i) {
+    const int64_t id = s[static_cast<size_t>(i)];
+    assert(id < table.rows());
+    std::memcpy(in + i * d, table.row(id),
+                static_cast<size_t>(d) * sizeof(float));
+  }
+  return static_cast<double>(PhiPoolRhoRow(has_phi() ? &phi_ : nullptr,
+                                           pool_, rho_, n, d, rs, &stage));
 }
 
 void DeepSetsModel::BackwardPass(Workspace* base, const nn::Tensor& dout) {

@@ -10,6 +10,10 @@
 #include "deepsets/set_model.h"
 #include "nn/mlp.h"
 
+namespace los {
+class TraceSpan;
+}  // namespace los
+
 namespace los::deepsets {
 
 /// Hyper-parameters shared by LSM and CLSM (the paper sweeps embedding size
@@ -24,6 +28,32 @@ struct DeepSetsConfig {
   nn::Pooling pooling = nn::Pooling::kSum;  ///< paper uses sum
   uint64_t seed = 42;
 };
+
+/// \brief Scratch of the single-set forward (PredictOne) shared by LSM and
+/// CLSM. Buffers only grow, so a warmed thread allocates nothing.
+struct RowScratch {
+  std::vector<uint32_t> sub;  ///< CLSM: each element's sub-elements
+  std::vector<float> in;      ///< gathered φ inputs (elements x in_dim)
+  std::vector<float> phi;     ///< φ outputs (elements x φ out)
+  std::vector<float> pooled;
+  std::vector<float> ping, pong;  ///< Mlp::ForwardRow scratch
+
+  /// `v` grown to at least `n` entries; returns its data.
+  template <typename T>
+  static T* Grow(std::vector<T>* v, size_t n) {
+    if (v->size() < n) v->resize(n);
+    return v->data();
+  }
+};
+
+/// The rest of an LSM/CLSM single-set forward once the `n` element rows of
+/// `in_dim` floats are gathered in `rs->in`: φ on each row (skipped when
+/// `phi` is null), pooling, then ρ. `stage` is the caller's running stage
+/// span; it advances to `model.phi`, `model.pool` and `model.rho`. Returns
+/// the model output.
+float PhiPoolRhoRow(const nn::Mlp* phi, const nn::SegmentPool& pool,
+                    const nn::Mlp& rho, int64_t n, int64_t in_dim,
+                    RowScratch* rs, TraceSpan* stage);
 
 /// \brief The non-compressed learned set model (LSM): DeepSets as in
 /// Figure 2.
@@ -40,6 +70,8 @@ class DeepSetsModel : public SetModel {
   int64_t vocab() const override { return config_.vocab; }
 
   const DeepSetsConfig& config() const { return config_; }
+
+  double PredictOne(sets::SetView s) const override;
 
   void Save(BinaryWriter* w) const override;
   static Result<std::unique_ptr<DeepSetsModel>> Load(BinaryReader* r);

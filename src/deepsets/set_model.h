@@ -70,10 +70,15 @@ class SetModel {
 
   virtual void Save(BinaryWriter* w) const = 0;
 
-  /// Predicts the scalar for a single set. After warm-up the calling
+  /// Predicts the scalar for a single set, bit-identical to that set's
+  /// entry in PredictBatch (LearnedBloomFilter's no-false-negative
+  /// guarantee depends on it). This default runs ForwardPass on a one-set
+  /// batch; LSM and CLSM override it with a single-row forward (row
+  /// gather, φ per element row, pool, ρ; each layer on the nn::GemmRow
+  /// kernel) that skips the Tensor plumbing. After warm-up the calling
   /// thread's workspace has its capacity, so repeated calls do not
   /// allocate.
-  double PredictOne(sets::SetView s) const;
+  virtual double PredictOne(sets::SetView s) const;
 
   /// Batched inference: appends one prediction per set to `out`. Large
   /// batches are split into bounded sub-batches, so arbitrarily many sets

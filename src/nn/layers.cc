@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -23,20 +24,30 @@ const char* ActivationName(Activation a) {
   return "?";
 }
 
-void ApplyActivation(Activation act, Tensor* x) {
+namespace {
+
+/// ApplyActivation over the `n` floats at `x`: the Tensor and single-row
+/// forwards share it, so both run the same elementwise code.
+void ApplyActivation(Activation act, float* x, int64_t n) {
   switch (act) {
     case Activation::kNone:
       return;
     case Activation::kRelu:
-      ReluInPlace(x);
+      ReluInPlace(x, n);
       return;
     case Activation::kSigmoid:
-      SigmoidInPlace(x);
+      SigmoidInPlace(x, n);
       return;
     case Activation::kTanh:
-      TanhInPlace(x);
+      TanhInPlace(x, n);
       return;
   }
+}
+
+}  // namespace
+
+void ApplyActivation(Activation act, Tensor* x) {
+  ApplyActivation(act, x->data(), x->size());
 }
 
 void ActivationBackward(Activation act, const Tensor& y, Tensor* dy) {
@@ -69,6 +80,15 @@ void Dense::Forward(const Tensor& x, Tensor* y) const {
   Gemm(x, false, weight_.value, false, 1.0f, 0.0f, y);
   AddRowBroadcast(bias_.value, y);
   ApplyActivation(act_, y);
+}
+
+void Dense::ForwardRow(const float* x, float* y) const {
+  const int64_t n = out_dim();
+  std::fill(y, y + n, 0.0f);
+  GemmRow(x, weight_.value.data(), in_dim(), n, y);
+  const float* b = bias_.value.data();
+  for (int64_t j = 0; j < n; ++j) y[j] += b[j];
+  ApplyActivation(act_, y, n);
 }
 
 void Dense::Backward(const Tensor& x, const Tensor& y, Tensor* dy,
@@ -221,54 +241,69 @@ const char* PoolingName(Pooling p) {
   return "?";
 }
 
+namespace {
+
+/// Pools rows [begin, end) of the row-major `x` (row stride `d`) into
+/// `prow`. `argmax`, if non-null, receives the winning row index per
+/// column for kMax. Shared by the batched and single-set forwards so both
+/// run the same arithmetic.
+void PoolSegment(Pooling pooling, const float* x, int64_t begin, int64_t end,
+                 int64_t d, float* prow, int64_t* argmax) {
+  if (pooling == Pooling::kMax) {
+    for (int64_t j = 0; j < d; ++j) {
+      prow[j] = begin < end ? -std::numeric_limits<float>::infinity() : 0.0f;
+    }
+    for (int64_t e = begin; e < end; ++e) {
+      const float* xr = x + e * d;
+      for (int64_t j = 0; j < d; ++j) {
+        if (xr[j] > prow[j]) {
+          prow[j] = xr[j];
+          if (argmax != nullptr) argmax[j] = e;
+        }
+      }
+    }
+    return;
+  }
+  for (int64_t j = 0; j < d; ++j) prow[j] = 0.0f;
+  for (int64_t e = begin; e < end; ++e) {
+    const float* xr = x + e * d;
+    for (int64_t j = 0; j < d; ++j) prow[j] += xr[j];
+  }
+  if (pooling == Pooling::kMean && end > begin) {
+    const float inv = 1.0f / static_cast<float>(end - begin);
+    for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
+  }
+}
+
+}  // namespace
+
 void SegmentPool::Forward(const Tensor& x, const std::vector<int64_t>& offsets,
                           Tensor* pooled, std::vector<int64_t>* argmax) const {
   const int64_t num_sets = static_cast<int64_t>(offsets.size()) - 1;
   const int64_t d = x.cols();
   if (pooled->rows() != num_sets || pooled->cols() != d) {
     pooled->ResizeAndZero(num_sets, d);
-  } else {
-    pooled->SetZero();
   }
+  int64_t* argmax_d = nullptr;
   if (pooling_ == Pooling::kMax && argmax != nullptr) {
     argmax->assign(static_cast<size_t>(num_sets * d), -1);
+    argmax_d = argmax->data();
   }
   // Sets are independent (disjoint pooled rows and argmax slots), so the
   // batch dimension parallelizes without affecting per-set accumulation
   // order.
   KernelParallelFor(num_sets, 128, [&](int64_t set_begin, int64_t set_end) {
     for (int64_t s = set_begin; s < set_end; ++s) {
-      const int64_t begin = offsets[static_cast<size_t>(s)];
-      const int64_t end = offsets[static_cast<size_t>(s) + 1];
-      float* prow = pooled->row(s);
-      if (pooling_ == Pooling::kMax) {
-        for (int64_t j = 0; j < d; ++j) {
-          prow[j] =
-              begin < end ? -std::numeric_limits<float>::infinity() : 0.0f;
-        }
-        for (int64_t e = begin; e < end; ++e) {
-          const float* xr = x.row(e);
-          for (int64_t j = 0; j < d; ++j) {
-            if (xr[j] > prow[j]) {
-              prow[j] = xr[j];
-              if (argmax != nullptr) {
-                (*argmax)[static_cast<size_t>(s * d + j)] = e;
-              }
-            }
-          }
-        }
-      } else {
-        for (int64_t e = begin; e < end; ++e) {
-          const float* xr = x.row(e);
-          for (int64_t j = 0; j < d; ++j) prow[j] += xr[j];
-        }
-        if (pooling_ == Pooling::kMean && end > begin) {
-          const float inv = 1.0f / static_cast<float>(end - begin);
-          for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
-        }
-      }
+      PoolSegment(pooling_, x.data(), offsets[static_cast<size_t>(s)],
+                  offsets[static_cast<size_t>(s) + 1], d, pooled->row(s),
+                  argmax_d == nullptr ? nullptr : argmax_d + s * d);
     }
   });
+}
+
+void SegmentPool::ForwardRow(const float* x, int64_t rows, int64_t d,
+                             float* pooled) const {
+  PoolSegment(pooling_, x, 0, rows, d, pooled, nullptr);
 }
 
 void SegmentPool::Backward(const Tensor& dpooled,

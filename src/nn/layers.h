@@ -52,6 +52,13 @@ class Dense {
   /// Forward: writes `y` (n x out) for input `x` (n x in).
   void Forward(const Tensor& x, Tensor* y) const;
 
+  /// Single-row forward for inference: writes the out_dim() floats at `y`
+  /// for the in_dim() floats at `x` (which must not overlap `y`). Runs the
+  /// GemmRow kernel, then the bias add and the activation in place, so the
+  /// result is bit-identical to the matching row of Forward. Allocates
+  /// nothing.
+  void ForwardRow(const float* x, float* y) const;
+
   /// Backward. `x` and `y` must be the tensors from the matching Forward;
   /// `dy` is the upstream gradient and is clobbered. If `dx` is non-null it
   /// receives the input gradient. Parameter grads are *accumulated*.
@@ -155,6 +162,12 @@ class SegmentPool {
   /// backward is needed.
   void Forward(const Tensor& x, const std::vector<int64_t>& offsets,
                Tensor* pooled, std::vector<int64_t>* argmax) const;
+
+  /// Pools one set: the `rows` contiguous rows of `d` floats at `x` into the
+  /// `d` floats at `pooled`, with Forward's per-set arithmetic (same
+  /// accumulation order, -inf start for max, zero for an empty set).
+  void ForwardRow(const float* x, int64_t rows, int64_t d,
+                  float* pooled) const;
 
   /// Scatters `dpooled` back to element rows in `dx` (must be pre-zeroed or
   /// correctly shaped; it is overwritten).

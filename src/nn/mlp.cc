@@ -1,6 +1,8 @@
 #include "nn/mlp.h"
 
+#include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace los::nn {
 
@@ -22,6 +24,22 @@ const Tensor& Mlp::Forward(const Tensor& x, Workspace* ws) const {
     cur = &ws->activations[i];
   }
   return *cur;
+}
+
+const float* Mlp::ForwardRow(const float* x, float* a, float* b) const {
+  const float* cur = x;
+  for (const Dense& layer : layers_) {
+    layer.ForwardRow(cur, a);
+    cur = a;
+    std::swap(a, b);
+  }
+  return cur;
+}
+
+int64_t Mlp::max_width() const {
+  int64_t w = 0;
+  for (const Dense& layer : layers_) w = std::max(w, layer.out_dim());
+  return w;
 }
 
 void Mlp::Backward(const Tensor& x, Workspace* ws, Tensor* dy, Tensor* dx) {

@@ -35,7 +35,7 @@ constexpr int64_t kNc = 1024;
 // ~k*n) and at least one full kNr strip of useful columns (a 1-wide output
 // head would compute kNr-1 padded lanes for nothing). Below the row cutoff
 // GemmSmall handles the problem with the unpacked register-tile kernel (or
-// the plain i-k-j loop for one row); the cutoff tracks the tiled path's row
+// the single-row kernel for one row); the cutoff tracks the tiled path's row
 // cap — measured per-row throughput at the boundary (two unpacked 8-row
 // tiles vs packed panels) favors the tiled kernel until ~2 full tiles.
 constexpr int64_t kBlockedMinRows = 17;
@@ -225,19 +225,84 @@ void GemmSmallTiled(const float* ad, int64_t a_cols, bool trans_a,
   }
 }
 
+/// One multiply-add step of the single-row kernel. Under -mfma the batched
+/// kernels' `c += a * b` loops are contracted to fused multiply-adds; GCC
+/// does not reliably contract a loop-carried *scalar* chain (the 1-wide
+/// head), so the row kernel spells the FMA out rather than leave each
+/// output's rounding to the optimizer. Without FMA nothing is contracted
+/// and a plain multiply-add matches the batched kernels.
+inline float MulAdd(float a, float b, float c) {
+#ifdef __FMA__
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// Widest column strip of the single-row kernel: 64 floats are four zmm (or
+/// eight ymm) accumulators, enough independent FMA chains to cover the
+/// FMA latency while each x[k] is broadcast once per strip.
+constexpr int64_t kRowStrip = 64;
+
+/// y[0, W) += alpha * op(x) * w[:, 0, W) with a register-resident
+/// accumulator seeded from y: every element accumulates in strictly
+/// increasing k order, the order all batched paths use.
+template <int64_t W>
+void RowStrip(const float* x, int64_t x_stride, float alpha, const float* w,
+              int64_t ldw, int64_t k, float* y) {
+  float acc[W];
+  for (int64_t j = 0; j < W; ++j) acc[j] = y[j];
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float av = alpha * x[kk * x_stride];
+    const float* __restrict wrow = w + kk * ldw;
+    for (int64_t j = 0; j < W; ++j) acc[j] = MulAdd(av, wrow[j], acc[j]);
+  }
+  for (int64_t j = 0; j < W; ++j) y[j] = acc[j];
+}
+
+/// Covers the last `rest` (< 2W) columns with strips of width W, W/2, ...,
+/// 1, so every strip has a constexpr width; a 1-wide head is a dot product.
+template <int64_t W>
+void RowTail(const float* x, int64_t x_stride, float alpha, const float* w,
+             int64_t ldw, int64_t k, int64_t rest, float* y) {
+  if (rest & W) {
+    RowStrip<W>(x, x_stride, alpha, w, ldw, k, y);
+    w += W;
+    y += W;
+  }
+  if constexpr (W > 1) {
+    RowTail<W / 2>(x, x_stride, alpha, w, ldw, k, rest, y);
+  }
+}
+
+/// The single-row kernel: y (n) += alpha * op(x) (k, element stride
+/// `x_stride`) * w (k x n, row stride `ldw`). Gemm's m = 1 untransposed-B
+/// case and GemmRow (Dense::ForwardRow) both run it.
+void RowKernel(const float* x, int64_t x_stride, float alpha, const float* w,
+               int64_t ldw, int64_t k, int64_t n, float* y) {
+  int64_t j0 = 0;
+  for (; j0 + kRowStrip <= n; j0 += kRowStrip) {
+    RowStrip<kRowStrip>(x, x_stride, alpha, w + j0, ldw, k, y + j0);
+  }
+  RowTail<kRowStrip / 2>(x, x_stride, alpha, w + j0, ldw, k, n - j0, y + j0);
+}
+
 /// Simple i-k-j kernel for problems too small to amortize packing. Unlike
 /// the original seed kernel there is no data-dependent `av == 0` branch, so
-/// the inner loop always vectorizes to contiguous FMAs. Micro-batch shapes
-/// (2..kSmallTiledMaxRows rows, untransposed B) divert to GemmSmallTiled,
-/// which produces bit-identical results (same increasing-k accumulation
-/// order) at several times the throughput — i-k-j re-streams all of B from
-/// L3 once per output row, which made wide-model micro-batches (the serving
-/// layer's bread and butter) pay m times the memory traffic of a single
-/// query.
+/// the inner loop always vectorizes to contiguous FMAs. With untransposed B,
+/// one row runs the single-row kernel and micro-batch shapes
+/// (2..kSmallTiledMaxRows rows) divert to GemmSmallTiled; both produce
+/// bit-identical results (same increasing-k accumulation order) at several
+/// times the throughput — i-k-j accumulates through C in memory and
+/// re-streams all of B once per output row.
 void GemmSmall(const float* ad, int64_t a_cols, bool trans_a, const float* bd,
                int64_t b_cols, bool trans_b, float alpha, int64_t m, int64_t n,
                int64_t k, float* cd) {
-  if (!trans_b && m > 1 && m <= kSmallTiledMaxRows) {
+  if (!trans_b && m == 1) {
+    RowKernel(ad, trans_a ? a_cols : 1, alpha, bd, b_cols, k, n, cd);
+    return;
+  }
+  if (!trans_b && m <= kSmallTiledMaxRows) {
     GemmSmallTiled(ad, a_cols, trans_a, bd, b_cols, alpha, m, n, k, cd);
     return;
   }
@@ -430,6 +495,12 @@ void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
   }
 }
 
+void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y) {
+  TRACE_SPAN_VAR(span, "nn", "nn.gemm");
+  span.set_arg("mnk", static_cast<double>(n * k));
+  RowKernel(x, 1, 1.0f, w, n, k, n, y);
+}
+
 void AddRowBroadcast(const Tensor& bias, Tensor* x) {
   assert(bias.rows() == 1 && bias.cols() == x->cols());
   const float* b = bias.data();
@@ -502,28 +573,31 @@ void ElementwiseParallel(int64_t size, const Fn& fn) {
 
 }  // namespace
 
-void SigmoidInPlace(Tensor* x) {
-  float* d = x->data();
-  ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
+void SigmoidInPlace(float* d, int64_t n) {
+  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
       d[i] = 1.0f / (1.0f + std::exp(-d[i]));
     }
   });
 }
 
-void TanhInPlace(Tensor* x) {
-  float* d = x->data();
-  ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
+void TanhInPlace(float* d, int64_t n) {
+  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) d[i] = std::tanh(d[i]);
   });
 }
 
-void ReluInPlace(Tensor* x) {
-  float* d = x->data();
-  ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
+void ReluInPlace(float* d, int64_t n) {
+  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
   });
 }
+
+void SigmoidInPlace(Tensor* x) { SigmoidInPlace(x->data(), x->size()); }
+
+void TanhInPlace(Tensor* x) { TanhInPlace(x->data(), x->size()); }
+
+void ReluInPlace(Tensor* x) { ReluInPlace(x->data(), x->size()); }
 
 void SigmoidBackwardInPlace(const Tensor& y, Tensor* dy) {
   assert(y.SameShape(*dy));

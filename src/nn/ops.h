@@ -16,9 +16,10 @@ namespace los::nn {
 /// `trans_a` / `trans_b` select whether A / B are used transposed. Large
 /// problems run a cache-blocked, register-tiled kernel over packed panels
 /// (both orientations of B are packed into contiguous strips) and may split
-/// row tiles across the kernel thread pool; small problems use a plain
-/// vectorized i-k-j loop. Threading only partitions disjoint rows of C, so
-/// results are bit-identical for any thread count. Moreover every path
+/// row tiles across the kernel thread pool; small problems use unpacked
+/// register tiles (one row with untransposed B: the GemmRow kernel) or a
+/// plain vectorized i-k-j loop. Threading only partitions disjoint rows of
+/// C, so results are bit-identical for any thread count. Moreover every path
 /// accumulates each output element in strictly increasing k order, so a
 /// row's result is bit-identical regardless of which kernel or blocking the
 /// problem shape selects — batched and single-row calls over the same data
@@ -26,6 +27,19 @@ namespace los::nn {
 /// on this; see GemmTest.PerRowResultsAreShapeInvariant).
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           float alpha, float beta, Tensor* c);
+
+/// \brief y += x · W for one row: the single-row inference kernel.
+///
+/// `x` holds k floats, `w` is a row-major (k x n) matrix and `y` holds n
+/// floats. Accumulators stay in registers across column strips; each y[j]
+/// starts from its value on entry and accumulates in strictly increasing k
+/// order, with the multiply-adds fused exactly when the batched kernels'
+/// are (FMA builds). `Gemm`'s m = 1 untransposed-B case runs this same
+/// kernel, so with y zeroed the result is bit-identical to the matching row
+/// of a batched `Gemm` over the same data — Dense::ForwardRow, and through
+/// it SetModel::PredictOne, depend on this. Single-threaded; allocates
+/// nothing.
+void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y);
 
 /// The original single-threaded scalar GEMM kept as the correctness /
 /// performance baseline for tests and `bench_micro_kernels`.
@@ -91,14 +105,19 @@ void AdamStepFused(float alpha, float beta1, float beta2, float eps,
 void AdamStepReference(float alpha, float beta1, float beta2, float eps,
                        Tensor* value, Tensor* grad, Tensor* m, Tensor* v);
 
-/// Elementwise sigmoid, writing into `x` in place.
+/// Elementwise sigmoid, writing into `x` in place. The pointer overloads
+/// run the same per-element expressions over `n` floats (the single-row
+/// forward's activations), so a row and a tensor agree bit for bit.
 void SigmoidInPlace(Tensor* x);
+void SigmoidInPlace(float* x, int64_t n);
 
 /// Elementwise tanh in place.
 void TanhInPlace(Tensor* x);
+void TanhInPlace(float* x, int64_t n);
 
 /// Elementwise ReLU in place.
 void ReluInPlace(Tensor* x);
+void ReluInPlace(float* x, int64_t n);
 
 /// Given activation *outputs* y and upstream grad dy, computes
 /// dy *= sigma'(x) expressed through y (sigmoid: y(1-y); tanh: 1-y^2;

@@ -1,0 +1,225 @@
+// Bit identity of the single-row inference path. SetModel::PredictOne runs
+// LSM and CLSM through Dense::ForwardRow (the nn::GemmRow kernel) instead
+// of the batched Tensor forward, and LearnedBloomFilter's no-false-negative
+// guarantee needs both to agree exactly. This checks:
+//   - Dense::ForwardRow against each row of Dense::Forward, over batch
+//     heights that select every GEMM path (single row, register tiles,
+//     i-k-j, packed panels), every activation and the paper's layer shapes;
+//   - PredictOne against PredictBatch over pooling, hidden activation, φ
+//     depth and ρ width for LSM and CLSM, on sets of 0-8 elements;
+//   - a learned Bloom filter answering MayContain for every member.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/random.h"
+#include "core/learned_bloom.h"
+#include "deepsets/compressed_model.h"
+#include "deepsets/deepsets_model.h"
+#include "nn/init.h"
+#include "nn/layers.h"
+#include "sets/generators.h"
+#include "sets/subset_gen.h"
+
+namespace los {
+namespace {
+
+using nn::Activation;
+
+constexpr int64_t kHeights[] = {1, 2, 7, 16, 17, 2048};
+constexpr int64_t kMinInputsPerCase = 2000;
+constexpr Activation kActivations[] = {Activation::kNone, Activation::kRelu,
+                                       Activation::kSigmoid,
+                                       Activation::kTanh};
+
+/// Every trainable value nudged by Gaussian noise, so biases are non-zero
+/// and no weight sits at its initializer's structure.
+void Perturb(const std::vector<nn::Parameter*>& params, float stddev,
+             Rng* rng) {
+  for (nn::Parameter* p : params) {
+    nn::Tensor noise(p->value.rows(), p->value.cols());
+    nn::GaussianInit(&noise, stddev, rng);
+    for (int64_t i = 0; i < noise.size(); ++i) {
+      p->value.data()[i] += noise.data()[i];
+    }
+  }
+}
+
+// ---------- Dense::ForwardRow vs Dense::Forward ----------
+
+class DenseForwardRowTest
+    : public testing::TestWithParam<std::pair<int64_t, int64_t>> {};
+
+TEST_P(DenseForwardRowTest, MatchesEveryRowOfForward) {
+  const auto [in, out] = GetParam();
+  Rng rng(static_cast<uint64_t>(in * 1000 + out));
+  for (Activation act : kActivations) {
+    nn::Dense layer(in, out, act, &rng);
+    std::vector<nn::Parameter*> params;
+    layer.CollectParameters(&params);
+    Perturb(params, 0.1f, &rng);
+    std::vector<float> row(static_cast<size_t>(out));
+    for (int64_t m : kHeights) {
+      int64_t inputs = 0;
+      int64_t mismatches = 0;
+      std::string first;
+      while (inputs < kMinInputsPerCase) {
+        nn::Tensor x(m, in);
+        nn::GaussianInit(&x, 1.0f, &rng);
+        nn::Tensor y;
+        layer.Forward(x, &y);
+        for (int64_t i = 0; i < m; ++i) {
+          layer.ForwardRow(x.row(i), row.data());
+          for (int64_t j = 0; j < out; ++j) {
+            const float batched = y(i, j);
+            const float single = row[static_cast<size_t>(j)];
+            if (std::bit_cast<uint32_t>(batched) !=
+                std::bit_cast<uint32_t>(single)) {
+              if (mismatches++ == 0) {
+                std::ostringstream os;
+                os << std::setprecision(9) << "row " << i << " col " << j
+                   << ": batched " << batched << " vs row " << single;
+                first = os.str();
+              }
+            }
+          }
+        }
+        inputs += m;
+      }
+      EXPECT_EQ(mismatches, 0)
+          << in << "->" << out << " " << nn::ActivationName(act) << " m=" << m
+          << ", first " << first;
+    }
+  }
+}
+
+std::string ShapeName(
+    const testing::TestParamInfo<std::pair<int64_t, int64_t>>& info) {
+  return std::to_string(info.param.first) + "to" +
+         std::to_string(info.param.second);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperShapes, DenseForwardRowTest,
+    testing::Values(std::make_pair(8, 32), std::make_pair(32, 32),
+                    std::make_pair(32, 1), std::make_pair(16, 64),
+                    std::make_pair(64, 64), std::make_pair(64, 1),
+                    std::make_pair(33, 17), std::make_pair(512, 512)),
+    ShapeName);
+
+// ---------- PredictOne vs PredictBatch ----------
+
+constexpr uint32_t kVocab = 500;
+
+using ModelParam = std::tuple<bool, nn::Pooling, Activation>;
+
+std::unique_ptr<deepsets::SetModel> MakeModel(
+    bool compressed, const deepsets::DeepSetsConfig& base) {
+  if (!compressed) return std::make_unique<deepsets::DeepSetsModel>(base);
+  deepsets::CompressedConfig cfg;
+  cfg.base = base;
+  cfg.ns = 2;
+  return std::move(deepsets::CompressedDeepSetsModel::Create(cfg)).value();
+}
+
+/// `count` random sets whose sizes cycle through 0..8.
+std::vector<std::vector<sets::ElementId>> RandomSets(size_t count,
+                                                     Rng* rng) {
+  std::vector<std::vector<sets::ElementId>> out(count);
+  for (size_t i = 0; i < count; ++i) {
+    auto& s = out[i];
+    s.resize(i % 9);
+    for (auto& e : s) e = static_cast<sets::ElementId>(rng->Uniform(kVocab));
+    sets::Canonicalize(&s);
+  }
+  return out;
+}
+
+class PredictOneTest : public testing::TestWithParam<ModelParam> {};
+
+TEST_P(PredictOneTest, MatchesPredictBatch) {
+  const auto [compressed, pooling, act] = GetParam();
+  const std::vector<std::vector<int64_t>> phis = {{}, {32}, {64, 32}};
+  const std::vector<int64_t> rho_widths = {32, 64, 512};
+  Rng rng(7);
+  for (const auto& phi : phis) {
+    for (int64_t rho : rho_widths) {
+      deepsets::DeepSetsConfig base;
+      base.vocab = kVocab;
+      base.embed_dim = 8;
+      base.phi_hidden = phi;
+      base.rho_hidden = {rho};
+      base.hidden_act = act;
+      base.pooling = pooling;
+      base.seed = rng.Next();
+      auto model = MakeModel(compressed, base);
+      std::vector<nn::Parameter*> params;
+      model->CollectParameters(&params);
+      Perturb(params, 0.05f, &rng);
+
+      const auto raw = RandomSets(180, &rng);
+      std::vector<sets::SetView> views;
+      for (const auto& s : raw) views.emplace_back(s.data(), s.size());
+      const std::vector<double> batched = model->PredictBatch(views);
+      ASSERT_EQ(batched.size(), views.size());
+      for (size_t i = 0; i < views.size(); ++i) {
+        EXPECT_EQ(model->PredictOne(views[i]), batched[i])
+            << model->name() << " phi " << phi.size() << " layers, rho "
+            << rho << ", set " << i << " of size " << views[i].size();
+      }
+    }
+  }
+}
+
+std::string ModelName(const testing::TestParamInfo<ModelParam>& info) {
+  const auto [compressed, pooling, act] = info.param;
+  return std::string(compressed ? "Clsm" : "Lsm") + "_" +
+         nn::PoolingName(pooling) + "_" + nn::ActivationName(act);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, PredictOneTest,
+    testing::Combine(testing::Bool(),
+                     testing::Values(nn::Pooling::kSum, nn::Pooling::kMean,
+                                     nn::Pooling::kMax),
+                     testing::Values(Activation::kRelu, Activation::kTanh,
+                                     Activation::kSigmoid)),
+    ModelName);
+
+// ---------- The guarantee the identity protects ----------
+
+TEST(SingleRowBloomTest, EveryMemberIsContained) {
+  for (bool compressed : {false, true}) {
+    sets::RwConfig rw;
+    rw.num_sets = 300;
+    rw.num_unique = 80;
+    const sets::SetCollection c = sets::GenerateRw(rw);
+    core::BloomOptions opts;
+    opts.model.compressed = compressed;
+    opts.model.embed_dim = 8;
+    opts.model.phi_hidden = {64};
+    opts.model.rho_hidden = {64};
+    opts.train.epochs = 4;
+    opts.max_subset_size = 2;
+    auto lbf = core::LearnedBloomFilter::Build(c, opts);
+    ASSERT_TRUE(lbf.ok()) << lbf.status().ToString();
+    const auto members = sets::EnumerateLabeledSubsets(c, {2});
+    ASSERT_GT(members.size(), 0u);
+    for (size_t i = 0; i < members.size(); ++i) {
+      ASSERT_TRUE(lbf->MayContain(members.subset(i)))
+          << (compressed ? "CLSM" : "LSM") << " false negative at member "
+          << i;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace los

@@ -9,6 +9,12 @@ fields and flags median-time regressions beyond a threshold:
     bench/bench_table4_cardinality_time > fresh.json
     python3 tools/bench_compare.py BENCH_table4_cardinality_time.json fresh.json
 
+Records name their host in provenance (`nproc`, `cpu_model`, the fields
+perfbench stamps). When either side lacks them or they differ, the diff
+measures the machine as much as the code: a loud CROSS-HOST line says
+so, and deltas beyond the threshold print as `cross-host` instead of
+REGRESSED/improved. The numbers and the exit status are unchanged.
+
 Exit status: 0 = no regression, 1 = regression (or invalid input).
 --report-only always exits 0 so PR CI can surface the diff without
 gating on a noisy runner; the scheduled/main run gates for real.
@@ -43,6 +49,22 @@ _GATE_KEYS = ("median_s", "median_ms", "p99_s", "p99_ms")
 # the same way latency does — a new commit that doubles the monitored
 # q-error should trip the same gate as one that doubles the median.
 _GATE_PREFIXES = ("monitor_",)
+
+
+# Provenance fields that identify the measuring host.
+_HOST_FIELDS = ("nproc", "cpu_model")
+
+
+def host(record):
+    """(nproc, cpu_model) from the record's provenance, or None."""
+    prov = record.get("provenance")
+    if not isinstance(prov, dict) or any(f not in prov for f in _HOST_FIELDS):
+        return None
+    return tuple(prov[f] for f in _HOST_FIELDS)
+
+
+def fmt_host(h):
+    return "unknown host" if h is None else "nproc=%s cpu_model=%r" % h
 
 
 def _is_measurement(key, value):
@@ -113,6 +135,7 @@ def compare(baseline, fresh, threshold, min_seconds):
 
     regressions = []
     compared = 0
+    host_pairs = set()
     for ident, new in sorted(fresh_by_id.items()):
         old = base_by_id.get(ident)
         if old is None:
@@ -121,6 +144,12 @@ def compare(baseline, fresh, threshold, min_seconds):
         if "provenance" in new and "provenance" not in old:
             print("note: baseline for %s predates provenance stamping"
                   % fmt_identity(ident))
+        hosts = (host(old), host(new))
+        cross = None in hosts or hosts[0] != hosts[1]
+        if cross and hosts not in host_pairs:
+            host_pairs.add(hosts)
+            print("CROSS-HOST: baseline on %s, fresh on %s; deltas mix code "
+                  "and machine" % (fmt_host(hosts[0]), fmt_host(hosts[1])))
         for key in gate_keys(new):
             if key not in old or not isinstance(old[key], (int, float)):
                 continue
@@ -134,9 +163,10 @@ def compare(baseline, fresh, threshold, min_seconds):
                 continue
             compared += 1
             ratio = new_v / old_v
-            line = "%-9s %s %s: %.6g -> %.6g (%+.1f%%)" % (
-                "REGRESSED" if ratio > 1.0 + threshold else
-                "improved" if ratio < 1.0 - threshold else "ok",
+            moved = abs(ratio - 1.0) > threshold
+            line = "%-10s %s %s: %.6g -> %.6g (%+.1f%%)" % (
+                "ok" if not moved else "cross-host" if cross else
+                "REGRESSED" if ratio > 1.0 else "improved",
                 fmt_identity(ident), key, old_v, new_v, (ratio - 1.0) * 100)
             print(line)
             if ratio > 1.0 + threshold:
