@@ -254,8 +254,8 @@ int main(int argc, char** argv) {
     for (int clients : {1, 8}) {
       MetricsRegistry registry;
       index->SetMetricsRegistry(&registry);
-      auto service = los::serve::IndexService::Create(
-          &index.value(), collection, serve_opts, &registry);
+      auto service = los::serve::IndexService::Create(&index.value(),
+                                                      serve_opts, &registry);
       if (!service.ok()) return 1;
       auto batched = RunClosedLoop(clients, queries, [&](const Query& q) {
         (void)(*service)->Submit(q).get();

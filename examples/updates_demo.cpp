@@ -1,13 +1,14 @@
-// Update-handling demo (§7.2 of the paper): an UpdatableIndex absorbs set
-// mutations into its auxiliary structure without retraining, tracks when a
-// rebuild is worthwhile, and retrains on demand.
+// Update-handling demo (§7.2 of the paper): an UpdatableSetIndex absorbs
+// set mutations into its auxiliary structure without retraining, tracks when
+// a rebuild is worthwhile, and retrains on demand. Background rebuilds are
+// off, so the demo is single-threaded and deterministic.
 //
 // Usage:  ./build/examples/updates_demo
 
 #include <cstdio>
 #include <vector>
 
-#include "core/updatable_index.h"
+#include "core/updatable.h"
 #include "sets/generators.h"
 
 int main() {
@@ -15,55 +16,61 @@ int main() {
   cfg.num_sets = 1000;
   cfg.num_unique = 150;
   auto collection = GenerateRw(cfg);
-  std::printf("Indexed %zu server-log sets\n", collection.size());
+  const size_t num_sets = collection.size();
+  std::printf("Indexed %zu server-log sets\n", num_sets);
 
-  los::core::UpdatableIndexOptions opts;
+  los::core::UpdatableSetIndex::Options opts;
   opts.index.train.epochs = 20;
   opts.index.train.loss = los::core::LossKind::kMse;
   opts.index.max_subset_size = 3;
-  opts.rebuild_after_absorbed = 50;
-  auto index = los::core::UpdatableIndex::Build(std::move(collection), opts);
+  opts.update.rebuild_after_absorbed = 50;
+  opts.update.background_rebuild = false;
+  auto index =
+      los::core::UpdatableSetIndex::Build(std::move(collection), opts);
   if (!index.ok()) {
     std::printf("build failed: %s\n", index.status().ToString().c_str());
     return 1;
   }
+  los::core::UpdatableSetIndex& live = **index;
 
   // Stream of updates: sets get replaced with new content, including
   // elements the model has never embedded.
   los::Rng rng(7);
   size_t updates = 0;
-  while (!index->NeedsRebuild() && updates < 200) {
-    size_t position = rng.Uniform(index->collection().size());
+  while (!live.NeedsRebuild() && updates < 200) {
+    size_t position = rng.Uniform(num_sets);
     std::vector<los::sets::ElementId> fresh;
     size_t n = 2 + rng.Uniform(4);
     for (size_t i = 0; i < n; ++i) {
       fresh.push_back(
           static_cast<los::sets::ElementId>(1000 + rng.Uniform(100)));
     }
-    if (!index->Update(position, fresh).ok()) break;
+    if (!live.Update(position, fresh).ok()) break;
     ++updates;
 
     // The updated set stays queryable immediately.
     los::sets::SetView q(fresh.data(), 1);
-    if (index->Lookup(q) < 0) {
+    if (live.Lookup(q) < 0) {
       std::printf("lookup after update %zu unexpectedly failed!\n", updates);
       return 1;
     }
   }
-  std::printf("applied %zu updates; auxiliary structure absorbed %zu "
+  std::printf("applied %zu updates; auxiliary structure absorbed %llu "
               "subsets\n",
-              updates, index->index()->updates_absorbed());
+              updates, static_cast<unsigned long long>(
+                           live.engine()->pending_absorbed()));
 
-  if (index->NeedsRebuild()) {
+  if (live.NeedsRebuild()) {
     std::printf("rebuild threshold reached -> retraining...\n");
-    if (auto st = index->Rebuild(); !st.ok()) {
+    if (auto st = live.RebuildNow(); !st.ok()) {
       std::printf("rebuild failed: %s\n", st.ToString().c_str());
       return 1;
     }
-    std::printf("rebuilt: aux structure reset to %zu outliers, "
-                "%zu absorbed updates\n",
-                index->index()->num_outliers(),
-                index->index()->updates_absorbed());
+    auto pin = live.Acquire();
+    std::printf("rebuilt generation %llu: aux structure reset to %zu "
+                "outliers, %zu absorbed updates\n",
+                static_cast<unsigned long long>(pin.generation()),
+                pin->index->num_outliers(), pin->index->updates_absorbed());
   } else {
     std::printf("rebuild not needed yet\n");
   }

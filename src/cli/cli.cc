@@ -502,8 +502,7 @@ int CmdServeBench(const ArgParser& args, std::ostream& out) {
             });
         mon->Refresh(*collection, monitor_max_subset);
       }
-      auto service =
-          serve::IndexService::Create(&index.value(), *collection, sopts);
+      auto service = serve::IndexService::Create(&index.value(), sopts);
       if (!service.ok()) return Fail(out, service.status().ToString());
       if (mon) (*service)->AttachMonitor(mon.get());
       r = RunClosedLoop(clients, per_client, queries,

@@ -14,7 +14,6 @@
 #include "core/learned_bloom.h"
 #include "core/partitioned_bloom.h"
 #include "core/sandwiched_bloom.h"
-#include "core/updatable_index.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
 #include "core/scaling.h"
@@ -825,104 +824,6 @@ TEST(PartitionedBloomTest, BadConfigRejected) {
   EXPECT_FALSE(PartitionedBloomFilter::Build(c, opts).ok());
   sets::SetCollection empty;
   EXPECT_FALSE(PartitionedBloomFilter::Build(empty, {}).ok());
-}
-
-// ---------- UpdatableIndex (§7.2 lifecycle) ----------
-
-TEST(UpdatableIndexTest, UpdatesStayQueryableAndTriggerRebuild) {
-  sets::RwConfig rw;
-  rw.num_sets = 200;
-  rw.num_unique = 50;
-  auto c = GenerateRw(rw);
-  UpdatableIndexOptions opts;
-  opts.index.train.epochs = 8;
-  opts.index.train.loss = LossKind::kMse;
-  opts.index.max_subset_size = 2;
-  opts.rebuild_after_absorbed = 3;
-  auto index = UpdatableIndex::Build(std::move(c), opts);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_FALSE(index->NeedsRebuild());
-
-  // Apply updates with brand-new elements.
-  ASSERT_TRUE(index->Update(10, {101, 102}).ok());
-  ASSERT_TRUE(index->Update(20, {103, 104, 105}).ok());
-  EXPECT_EQ(index->updates_applied(), 2u);
-
-  std::vector<sets::ElementId> q{101, 102};
-  EXPECT_EQ(index->Lookup({q.data(), q.size()}), 10);
-  std::vector<sets::ElementId> q2{104, 105};
-  EXPECT_EQ(index->Lookup({q2.data(), q2.size()}), 20);
-
-  // Enough routed subsets -> rebuild recommended; rebuild restores a clean
-  // model over the updated collection.
-  EXPECT_TRUE(index->NeedsRebuild());
-  ASSERT_TRUE(index->Rebuild().ok());
-  EXPECT_EQ(index->Lookup({q.data(), q.size()}), 10);
-  EXPECT_FALSE(index->NeedsRebuild());
-}
-
-TEST(UpdatableIndexTest, RebuildResetsAccountingAndKeepsRegistry) {
-  sets::RwConfig rw;
-  rw.num_sets = 200;
-  rw.num_unique = 50;
-  auto c = GenerateRw(rw);
-  UpdatableIndexOptions opts;
-  opts.index.train.epochs = 8;
-  opts.index.train.loss = LossKind::kMse;
-  opts.index.max_subset_size = 2;
-  opts.rebuild_after_absorbed = 3;
-  auto index = UpdatableIndex::Build(std::move(c), opts);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  MetricsRegistry registry;
-  index->SetMetricsRegistry(&registry);
-
-  ASSERT_TRUE(index->Update(10, {101, 102}).ok());
-  ASSERT_TRUE(index->Update(20, {103, 104, 105}).ok());
-  ASSERT_TRUE(index->NeedsRebuild());
-  {
-    auto snap = registry.Snapshot();
-    const auto* rec = snap.FindGauge("updatable.rebuild_recommended");
-    ASSERT_NE(rec, nullptr);
-    EXPECT_EQ(rec->value, 1.0);
-  }
-
-  // After a successful rebuild the absorbed-subset accounting and the
-  // recommendation gauge reset...
-  ASSERT_TRUE(index->Rebuild().ok());
-  EXPECT_FALSE(index->NeedsRebuild());
-  EXPECT_EQ(index->index()->updates_absorbed(), 0u);
-  auto snap = registry.Snapshot();
-  const auto* rec = snap.FindGauge("updatable.rebuild_recommended");
-  ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->value, 0.0);
-  const auto* rebuilds = snap.FindCounter("updatable.rebuilds");
-  ASSERT_NE(rebuilds, nullptr);
-  EXPECT_EQ(rebuilds->value, 1u);
-
-  // ...and the rebuilt inner index keeps reporting to the *injected*
-  // registry, not the global one (the seed bug: Rebuild() silently
-  // re-pointed index.* instruments at MetricsRegistry::Global()).
-  const uint64_t global_before =
-      MetricsRegistry::Global()->GetCounter("index.lookups")->value();
-  const uint64_t injected_before =
-      registry.GetCounter("index.lookups")->value();
-  std::vector<sets::ElementId> q{101, 102};
-  EXPECT_EQ(index->Lookup({q.data(), q.size()}), 10);
-  EXPECT_EQ(registry.GetCounter("index.lookups")->value(),
-            injected_before + 1);
-  EXPECT_EQ(MetricsRegistry::Global()->GetCounter("index.lookups")->value(),
-            global_before);
-}
-
-TEST(UpdatableIndexTest, UpdateOutOfRangeFails) {
-  sets::SetCollection c;
-  c.Add({1, 2});
-  UpdatableIndexOptions opts;
-  opts.index.train.epochs = 2;
-  opts.index.train.loss = LossKind::kMse;
-  auto index = UpdatableIndex::Build(std::move(c), opts);
-  ASSERT_TRUE(index.ok());
-  EXPECT_FALSE(index->Update(99, {5}).ok());
 }
 
 // ---------- Equality-search mode ----------

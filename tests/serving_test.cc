@@ -1,8 +1,9 @@
 // Serving-layer tests: micro-batch flush policies (size / deadline /
 // shutdown), backpressure, metrics identity (serve.queries == client
-// submissions, exactly once), shards sharing one structure, and
-// end-to-end agreement between the served answers and the structures'
-// direct batched paths.
+// submissions, exactly once), and one typed test over the six structure
+// kinds Service<> fronts (frozen and live): shards sharing one structure,
+// served answers equal to the structure's direct batched path, and an
+// attached monitor seeing every flushed query.
 
 #include <gtest/gtest.h>
 
@@ -11,15 +12,19 @@
 #include <condition_variable>
 #include <cstdint>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/mpsc_queue.h"
 #include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
+#include "core/updatable.h"
+#include "monitor/monitor.h"
 #include "nn/losses.h"
 #include "serve/batch_server.h"
 #include "serve/serving.h"
@@ -352,182 +357,260 @@ std::vector<sets::Query> ServingQueries(const sets::SetCollection& c,
                              &rng);
 }
 
-TEST(CardinalityServiceTest, ServedResultsMatchDirectBatch) {
+// One helper covers all six structure kinds Service<> serves: the three
+// frozen structures and their three Updatable* wrappers.
+
+core::CardinalityOptions CardOpts() {
+  core::CardinalityOptions o;
+  o.train.epochs = 4;
+  o.train.loss = core::LossKind::kMse;
+  o.max_subset_size = 2;
+  return o;
+}
+
+core::IndexOptions IndexOpts() {
+  core::IndexOptions o;
+  o.train.epochs = 4;
+  o.train.loss = core::LossKind::kMse;
+  o.max_subset_size = 2;
+  return o;
+}
+
+core::BloomOptions BloomOpts() {
+  core::BloomOptions o;
+  o.train.epochs = 4;
+  o.max_subset_size = 2;
+  return o;
+}
+
+/// Live wrappers never rebuild during these tests: answers stay those of the
+/// first generation, so they are comparable with the direct call.
+template <typename Options>
+Options NoRebuilds(Options o) {
+  o.update.rebuild_after_absorbed = 0;
+  o.update.background_rebuild = false;
+  return o;
+}
+
+template <typename T>
+std::unique_ptr<T> Own(Result<T> r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::make_unique<T>(std::move(*r)) : nullptr;
+}
+template <typename T>
+std::unique_ptr<T> Own(Result<std::unique_ptr<T>> r) {
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? std::move(*r) : nullptr;
+}
+
+// Per kind: Build trains it over `c` with its instruments in `registry`, and
+// Direct is its own batched call, bypassing the service.
+
+std::unique_ptr<core::LearnedCardinalityEstimator> Build(
+    core::LearnedCardinalityEstimator*, const sets::SetCollection& c,
+    MetricsRegistry* registry) {
+  auto s = Own(core::LearnedCardinalityEstimator::Build(c, CardOpts()));
+  if (s) s->SetMetricsRegistry(registry);
+  return s;
+}
+std::unique_ptr<core::UpdatableCardinality> Build(
+    core::UpdatableCardinality*, const sets::SetCollection& c,
+    MetricsRegistry* registry) {
+  core::UpdatableCardinality::Options o;
+  o.cardinality = CardOpts();
+  return Own(core::UpdatableCardinality::Build(c, NoRebuilds(o), registry));
+}
+std::unique_ptr<core::LearnedSetIndex> Build(core::LearnedSetIndex*,
+                                             const sets::SetCollection& c,
+                                             MetricsRegistry* registry) {
+  auto s = Own(core::LearnedSetIndex::Build(c, IndexOpts()));
+  if (s) s->SetMetricsRegistry(registry);
+  return s;
+}
+std::unique_ptr<core::UpdatableSetIndex> Build(core::UpdatableSetIndex*,
+                                               const sets::SetCollection& c,
+                                               MetricsRegistry* registry) {
+  core::UpdatableSetIndex::Options o;
+  o.index = IndexOpts();
+  return Own(core::UpdatableSetIndex::Build(c, NoRebuilds(o), registry));
+}
+std::unique_ptr<core::LearnedBloomFilter> Build(core::LearnedBloomFilter*,
+                                                const sets::SetCollection& c,
+                                                MetricsRegistry* registry) {
+  auto s = Own(core::LearnedBloomFilter::Build(c, BloomOpts()));
+  if (s) s->SetMetricsRegistry(registry);
+  return s;
+}
+std::unique_ptr<core::UpdatableBloom> Build(core::UpdatableBloom*,
+                                            const sets::SetCollection& c,
+                                            MetricsRegistry* registry) {
+  core::UpdatableBloom::Options o;
+  o.bloom = BloomOpts();
+  return Own(core::UpdatableBloom::Build(c, NoRebuilds(o), registry));
+}
+
+std::vector<double> Direct(core::LearnedCardinalityEstimator* s,
+                           const std::vector<sets::Query>& qs) {
+  return s->EstimateBatch(qs);
+}
+std::vector<double> Direct(core::UpdatableCardinality* s,
+                           const std::vector<sets::Query>& qs) {
+  return s->EstimateBatch(qs);
+}
+std::vector<int64_t> Direct(core::LearnedSetIndex* s,
+                            const std::vector<sets::Query>& qs) {
+  return s->LookupBatch(qs);
+}
+std::vector<int64_t> Direct(core::UpdatableSetIndex* s,
+                            const std::vector<sets::Query>& qs) {
+  return s->LookupBatch(qs);
+}
+std::vector<bool> Direct(core::LearnedBloomFilter* s,
+                         const std::vector<sets::Query>& qs) {
+  return s->MayContainMulti(qs).verdicts;
+}
+std::vector<bool> Direct(core::UpdatableBloom* s,
+                         const std::vector<sets::Query>& qs) {
+  return s->MayContainMulti(qs);
+}
+
+}  // namespace
+
+// The six kinds as named (not anonymous-namespace) types: gtest prints the
+// type parameter, and ctest names each typed test after it, e.g.
+// `LiveServiceTest.ShardsServeDirectAnswersToMonitor<
+// los::serve::kinds::LiveIndex>`.
+namespace kinds {
+
+template <typename S, typename Svc, typename Mon>
+struct Kind {
+  using Structure = S;
+  using Service = Svc;
+  using Monitor = Mon;
+};
+
+struct Cardinality : Kind<core::LearnedCardinalityEstimator,
+                          CardinalityService, monitor::CardinalityMonitor> {};
+struct LiveCardinality : Kind<core::UpdatableCardinality, CardinalityService,
+                              monitor::CardinalityMonitor> {};
+struct Index
+    : Kind<core::LearnedSetIndex, IndexService, monitor::IndexMonitor> {};
+struct LiveIndex
+    : Kind<core::UpdatableSetIndex, IndexService, monitor::IndexMonitor> {};
+struct Bloom
+    : Kind<core::LearnedBloomFilter, BloomService, monitor::BloomMonitor> {};
+struct LiveBloom
+    : Kind<core::UpdatableBloom, BloomService, monitor::BloomMonitor> {};
+
+}  // namespace kinds
+
+namespace {
+
+/// `serve.<name>.*` prefix and the structure's own per-query counter.
+std::string NameOf(monitor::CardinalityMonitor*) { return "cardinality"; }
+std::string NameOf(monitor::IndexMonitor*) { return "index"; }
+std::string NameOf(monitor::BloomMonitor*) { return "bloom"; }
+std::string StructureCounter(monitor::CardinalityMonitor*) {
+  return "cardinality.queries";
+}
+std::string StructureCounter(monitor::IndexMonitor*) {
+  return "index.lookups";
+}
+std::string StructureCounter(monitor::BloomMonitor*) { return "bloom.queries"; }
+
+/// Serves 40 queries through a `num_shards`-shard service over one structure
+/// of kind K, once per routing mode, max_batch 8 splitting them over several
+/// flushes. Every served answer equals the structure's direct batched answer
+/// bit for bit; the service and the shared structure each count every query
+/// exactly once; and a monitor sampling 1-in-1 observes every query of every
+/// flushed batch.
+template <typename K>
+void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
+  using Structure = typename K::Structure;
+  using Monitor = typename K::Monitor;
+  const std::string name = NameOf(static_cast<Monitor*>(nullptr));
+  const std::string counter = StructureCounter(static_cast<Monitor*>(nullptr));
+
   auto c = ServingCollection();
-  core::CardinalityOptions copts;
-  copts.train.epochs = 4;
-  copts.train.loss = core::LossKind::kMse;
-  copts.max_subset_size = 2;
-  auto est = core::LearnedCardinalityEstimator::Build(c, copts);
-  ASSERT_TRUE(est.ok()) << est.status().ToString();
-
-  auto queries = ServingQueries(c, 40);
-  std::vector<double> direct = est->EstimateBatch(queries);
-
   MetricsRegistry registry;
-  est->SetMetricsRegistry(&registry);
-  ServeOptions opts;
-  opts.max_batch = 16;
-  opts.max_delay_us = 200;
-  auto service = CardinalityService::Create(&est.value(), opts, &registry);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto structure = Build(static_cast<Structure*>(nullptr), c, &registry);
+  ASSERT_NE(structure, nullptr);
+  auto queries = ServingQueries(c, 40);
+  const auto direct = Direct(structure.get(), queries);
+  using Response = typename std::decay_t<decltype(direct)>::value_type;
+  ASSERT_EQ(direct.size(), queries.size());
 
-  std::vector<serve::BatchFuture<double>> futures;
-  for (const auto& q : queries) futures.push_back((*service)->Submit(q));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_DOUBLE_EQ(futures[i].get(), direct[i]) << "query " << i;
+  for (ShardBy shard_by : {ShardBy::kRoundRobin, ShardBy::kHash}) {
+    SCOPED_TRACE(shard_by == ShardBy::kHash ? "kHash" : "kRoundRobin");
+    MetricsRegistry serve_registry;
+    ServeOptions opts;
+    opts.num_shards = num_shards;
+    opts.shard_by = shard_by;
+    opts.max_batch = 8;
+    opts.max_delay_us = 200;
+    monitor::MonitorOptions mopts;
+    mopts.sample_every = 1;
+    Monitor mon(mopts, &serve_registry);
+    auto service = K::Service::Create(structure.get(), opts, &serve_registry);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    EXPECT_EQ((*service)->server()->num_shards(), num_shards);
+    (*service)->AttachMonitor(&mon);
+
+    const uint64_t structure_before = registry.GetCounter(counter)->value();
+    std::vector<BatchFuture<Response>> futures;
+    for (const auto& q : queries) futures.push_back((*service)->Submit(q));
+    for (size_t i = 0; i < futures.size(); ++i) {
+      EXPECT_EQ(futures[i].get(), direct[i]) << name << " query " << i;
+    }
+    (*service)->Shutdown();
+
+    EXPECT_EQ(serve_registry.GetCounter("serve." + name + ".queries")->value(),
+              queries.size());
+    EXPECT_EQ(registry.GetCounter(counter)->value() - structure_before,
+              queries.size());
+    if (kMetricsCompiledIn) {
+      EXPECT_EQ(mon.samples(), queries.size());
+    }
   }
-  (*service)->Shutdown();
-
-  // Cross-layer identity: the structure's own per-query counter saw each
-  // served query exactly once (the direct EstimateBatch above predates the
-  // registry injection, so only served queries are counted here).
-  auto snap = registry.Snapshot();
-  EXPECT_EQ(snap.FindCounter("serve.cardinality.queries")->value,
-            queries.size());
-  EXPECT_EQ(snap.FindCounter("cardinality.queries")->value, queries.size());
 }
 
-/// Two-shard service options: both shards' batch functions wrap the one
-/// structure, and max_batch 8 splits the 40 queries into several flushes
-/// spread round-robin over the shards.
-ServeOptions TwoShards() {
-  ServeOptions opts;
-  opts.num_shards = 2;
-  opts.max_batch = 8;
-  opts.max_delay_us = 200;
-  return opts;
-}
+// The frozen structures, behind one shard and behind two.
 
-/// Serves `queries` through `service` and checks every answer bit-for-bit
-/// against `direct`, then that the service (`serve.<name>.queries`) and the
-/// shared structure (`structure_counter`) each counted every query exactly
-/// once.
-template <typename Service, typename Response>
-void ExpectShardedMatchesDirect(Service* service,
-                                const std::vector<sets::Query>& queries,
-                                const std::vector<Response>& direct,
-                                const MetricsRegistry& registry,
-                                const std::string& name,
-                                const std::string& structure_counter) {
-  EXPECT_EQ(service->server()->num_shards(), 2u);
-  std::vector<serve::BatchFuture<Response>> futures;
-  for (const auto& q : queries) futures.push_back(service->Submit(q));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), direct[i]) << name << " query " << i;
-  }
-  service->Shutdown();
-  auto snap = registry.Snapshot();
-  EXPECT_EQ(snap.FindCounter("serve." + name + ".queries")->value,
-            queries.size());
-  EXPECT_EQ(snap.FindCounter(structure_counter)->value, queries.size());
+TEST(CardinalityServiceTest, ServedResultsMatchDirectBatch) {
+  ExpectServesDirectAnswersToMonitor<kinds::Cardinality>(1);
 }
 
 TEST(CardinalityServiceTest, ShardsShareOneStructure) {
-  auto c = ServingCollection();
-  core::CardinalityOptions copts;
-  copts.train.epochs = 4;
-  copts.train.loss = core::LossKind::kMse;
-  copts.max_subset_size = 2;
-  auto est = core::LearnedCardinalityEstimator::Build(c, copts);
-  ASSERT_TRUE(est.ok()) << est.status().ToString();
-
-  auto queries = ServingQueries(c, 40);
-  std::vector<double> direct = est->EstimateBatch(queries);
-
-  MetricsRegistry registry;
-  est->SetMetricsRegistry(&registry);
-  auto service =
-      CardinalityService::Create(&est.value(), TwoShards(), &registry);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
-                             "cardinality", "cardinality.queries");
-}
-
-TEST(IndexServiceTest, ShardsShareOneStructure) {
-  auto c = ServingCollection();
-  core::IndexOptions iopts;
-  iopts.train.epochs = 4;
-  iopts.train.loss = core::LossKind::kMse;
-  iopts.max_subset_size = 2;
-  auto index = core::LearnedSetIndex::Build(c, iopts);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-
-  auto queries = ServingQueries(c, 40);
-  std::vector<int64_t> direct = index->LookupBatch(queries);
-
-  MetricsRegistry registry;
-  index->SetMetricsRegistry(&registry);
-  auto service = IndexService::Create(&index.value(), c, TwoShards(),
-                                      &registry);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
-                             "index", "index.lookups");
-}
-
-TEST(BloomServiceTest, ShardsShareOneStructure) {
-  auto c = ServingCollection();
-  core::BloomOptions bopts;
-  bopts.train.epochs = 4;
-  bopts.max_subset_size = 2;
-  auto bloom = core::LearnedBloomFilter::Build(c, bopts);
-  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
-
-  auto queries = ServingQueries(c, 40);
-  std::vector<bool> direct = bloom->MayContainMulti(queries).verdicts;
-
-  MetricsRegistry registry;
-  bloom->SetMetricsRegistry(&registry);
-  auto service = BloomService::Create(&bloom.value(), TwoShards(), &registry);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ExpectShardedMatchesDirect(service->get(), queries, direct, registry,
-                             "bloom", "bloom.queries");
+  ExpectServesDirectAnswersToMonitor<kinds::Cardinality>(2);
 }
 
 TEST(IndexServiceTest, ServedResultsMatchDirectBatch) {
-  auto c = ServingCollection();
-  core::IndexOptions iopts;
-  iopts.train.epochs = 4;
-  iopts.train.loss = core::LossKind::kMse;
-  iopts.max_subset_size = 2;
-  auto index = core::LearnedSetIndex::Build(c, iopts);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ExpectServesDirectAnswersToMonitor<kinds::Index>(1);
+}
 
-  auto queries = ServingQueries(c, 40);
-  std::vector<int64_t> direct = index->LookupBatch(queries);
-
-  ServeOptions opts;
-  opts.max_batch = 16;
-  opts.shard_by = ShardBy::kHash;
-  auto service = IndexService::Create(&index.value(), c, opts);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::vector<serve::BatchFuture<int64_t>> futures;
-  for (const auto& q : queries) futures.push_back((*service)->Submit(q));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), direct[i]) << "query " << i;
-  }
+TEST(IndexServiceTest, ShardsShareOneStructure) {
+  ExpectServesDirectAnswersToMonitor<kinds::Index>(2);
 }
 
 TEST(BloomServiceTest, ServedVerdictsMatchDirectMulti) {
-  auto c = ServingCollection();
-  core::BloomOptions bopts;
-  bopts.train.epochs = 4;
-  bopts.max_subset_size = 2;
-  auto bloom = core::LearnedBloomFilter::Build(c, bopts);
-  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
+  ExpectServesDirectAnswersToMonitor<kinds::Bloom>(1);
+}
 
-  auto queries = ServingQueries(c, 40);
-  std::vector<bool> direct = bloom->MayContainMulti(queries).verdicts;
+TEST(BloomServiceTest, ShardsShareOneStructure) {
+  ExpectServesDirectAnswersToMonitor<kinds::Bloom>(2);
+}
 
-  ServeOptions opts;
-  opts.max_batch = 16;
-  auto service = BloomService::Create(&bloom.value(), opts);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::vector<serve::BatchFuture<bool>> futures;
-  for (const auto& q : queries) futures.push_back((*service)->Submit(q));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get(), direct[i]) << "query " << i;
-  }
+// The Updatable* wrappers, two shards on one live structure.
+
+template <typename K>
+class LiveServiceTest : public testing::Test {};
+
+using LiveKinds = testing::Types<kinds::LiveCardinality, kinds::LiveIndex,
+                                 kinds::LiveBloom>;
+TYPED_TEST_SUITE(LiveServiceTest, LiveKinds);
+
+TYPED_TEST(LiveServiceTest, ShardsServeDirectAnswersToMonitor) {
+  ExpectServesDirectAnswersToMonitor<TypeParam>(2);
 }
 
 }  // namespace

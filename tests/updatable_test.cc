@@ -205,6 +205,59 @@ TEST(UpdatableSetIndexTest, CheckpointWrittenAfterRebuild) {
   std::remove(opts.update.checkpoint_path.c_str());
 }
 
+TEST(UpdatableSetIndexTest, UpdateOutOfRangeFailsAndChangesNothing) {
+  sets::SetCollection c;
+  c.Add({1, 2});
+  auto opts = FastIndexOptions();
+  opts.index.train.epochs = 2;
+  auto idx = UpdatableSetIndex::Build(std::move(c), opts);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  auto& index = **idx;
+  EXPECT_FALSE(index.Update(99, {5}).ok());
+  EXPECT_EQ(index.generation(), 1u);
+  EXPECT_EQ(index.updates_applied(), 0u);
+}
+
+TEST(UpdatableSetIndexTest, RebuildResetsAccountingAndKeepsRegistry) {
+  MetricsRegistry registry;
+  auto opts = FastIndexOptions();
+  opts.update.rebuild_after_absorbed = 3;
+  opts.update.background_rebuild = false;  // the gauge must be seen at 1
+  auto idx = UpdatableSetIndex::Build(TestCollection(), opts, &registry);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  auto& index = **idx;
+  auto recommended = [&registry] {
+    auto snap = registry.Snapshot();
+    const auto* rec = snap.FindGauge("updatable.index.rebuild_recommended");
+    return rec != nullptr ? rec->value : -1.0;
+  };
+
+  ASSERT_TRUE(index.Update(10, {101, 102}).ok());
+  ASSERT_TRUE(index.Update(20, {103, 104, 105}).ok());
+  ASSERT_TRUE(index.NeedsRebuild());
+  EXPECT_EQ(recommended(), 1.0);
+
+  // A rebuild resets the absorbed-subset accounting and the gauge...
+  ASSERT_TRUE(index.RebuildNow().ok());
+  EXPECT_FALSE(index.NeedsRebuild());
+  EXPECT_EQ(index.Acquire()->index->updates_absorbed(), 0u);
+  EXPECT_EQ(recommended(), 0.0);
+  EXPECT_EQ(index.engine()->rebuilds(), 1u);
+
+  // ...and the rebuilt generation's index keeps reporting `index.*` to the
+  // injected registry, not to MetricsRegistry::Global().
+  const uint64_t global_before =
+      MetricsRegistry::Global()->GetCounter("index.lookups")->value();
+  const uint64_t injected_before =
+      registry.GetCounter("index.lookups")->value();
+  std::vector<sets::ElementId> q{101, 102};
+  EXPECT_EQ(index.Lookup(sets::SetView(q)), 10);
+  EXPECT_EQ(registry.GetCounter("index.lookups")->value(),
+            injected_before + 1);
+  EXPECT_EQ(MetricsRegistry::Global()->GetCounter("index.lookups")->value(),
+            global_before);
+}
+
 // ---------- UpdatableCardinality ----------
 
 TEST(UpdatableCardinalityTest, ServesAcrossInsertAndRebuild) {

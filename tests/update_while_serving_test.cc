@@ -1,8 +1,8 @@
 // Rebuild-while-serving race repro (ISSUE 8 satellite): one thread streams
 // updates and triggers full retrains while reader threads hammer the query
-// paths. On the seed code — UpdatableIndex::Rebuild() replacing a plain
-// unique_ptr under concurrent Lookup() — this access pattern is a
-// use-after-free; the RCU generation store makes it safe. Run under TSan in
+// paths. Against a rebuild that replaces a plain unique_ptr index under
+// concurrent Lookup() this access pattern is a use-after-free; the RCU
+// generation store makes it safe. Run under TSan in
 // CI: any unsynchronized swap is a reported race here.
 //
 // Assertions are deliberately coarse (answers are well-formed, rebuilds
