@@ -25,6 +25,8 @@
 #include "nn/ops.h"
 #include "sets/generators.h"
 #include "sets/set_hash.h"
+#include "sets/subset_gen.h"
+#include "sets/workload.h"
 
 namespace {
 
@@ -339,6 +341,37 @@ void BM_InvertedIndexCardinality(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InvertedIndexCardinality);
+
+// The learned index's local scan over perfbench's collection (2,050 RW
+// sets, 430 elements, seed 17): sampled first-position queries of <= 3
+// elements, each scanned over the full-width window [0, N). Items are
+// queries; scanned sets are counted as "sets".
+void BM_FindFirstSuperset(benchmark::State& state) {
+  los::sets::RwConfig cfg;
+  cfg.num_sets = 2050;
+  cfg.num_unique = 430;
+  cfg.seed = 17;
+  const auto collection = GenerateRw(cfg);
+  los::sets::SubsetGenOptions gen;
+  gen.max_subset_size = 3;
+  const auto subsets = EnumerateLabeledSubsets(collection, gen);
+  Rng rng(1);
+  const auto queries = SampleQueries(
+      subsets, los::sets::QueryLabel::kFirstPosition, 4096, &rng);
+  size_t k = 0;
+  int64_t sets = 0;
+  for (auto _ : state) {
+    const auto pos =
+        collection.FindFirstSuperset(queries[k].view(), 0, collection.size());
+    benchmark::DoNotOptimize(pos);
+    sets += pos + 1;
+    k = k + 1 == queries.size() ? 0 : k + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["sets"] = benchmark::Counter(
+      static_cast<double>(sets), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FindFirstSuperset);
 
 // Raw cost of one counter increment / histogram observation on the lock-free
 // metrics hot path, plus the same ops against a disabled registry (the

@@ -81,7 +81,10 @@ class BinaryReader {
     }
     size_t bytes_needed = static_cast<size_t>(*n) * sizeof(T);
     std::vector<T> out(static_cast<size_t>(*n));
-    std::memcpy(out.data(), bytes_.data() + pos_, bytes_needed);
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (bytes_needed > 0) {
+      std::memcpy(out.data(), bytes_.data() + pos_, bytes_needed);
+    }
     pos_ += bytes_needed;
     return out;
   }

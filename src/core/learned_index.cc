@@ -142,6 +142,23 @@ int64_t LearnedSetIndex::EstimatePosition(sets::SetView q) {
   return ClampEstimate(model_->PredictOne(q));
 }
 
+LearnedSetIndex::Window LearnedSetIndex::ScanWindow(int64_t est) const {
+  const auto e_r =
+      static_cast<int64_t>(bounds_.ErrorFor(static_cast<double>(est)));
+  return {std::max<int64_t>(0, est - e_r),
+          std::min<int64_t>(static_cast<int64_t>(collection_->size()),
+                            est + e_r + 1)};
+}
+
+namespace {
+
+// LookupStats::visited of a scan over [lo, hi) that answered `pos` (-1: miss).
+int64_t Visited(int64_t pos, int64_t lo, int64_t hi) {
+  return pos >= 0 ? pos - lo + 1 : hi - lo;
+}
+
+}  // namespace
+
 int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
   metrics_.lookups->Increment();
   ScopedLatency timer(metrics_.latency);
@@ -152,9 +169,7 @@ int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
     sets::SetView s = collection_->set(static_cast<size_t>(*aux_pos));
     if (s.size() == q.size() && std::equal(s.begin(), s.end(), q.begin())) {
       if (stats != nullptr) {
-        stats->aux_hit = true;
-        stats->estimate = static_cast<int64_t>(*aux_pos);
-        stats->scan_width = 0;
+        *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
       }
       metrics_.aux_hits->Increment();
       return static_cast<int64_t>(*aux_pos);
@@ -170,19 +185,12 @@ int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
       return pos;
     }
   }
-  int64_t est = EstimatePosition(q);
-  double e_r = bounds_.ErrorFor(static_cast<double>(est));
-  int64_t lo = std::max<int64_t>(0, est - static_cast<int64_t>(e_r));
-  int64_t hi = std::min<int64_t>(static_cast<int64_t>(collection_->size()),
-                                 est + static_cast<int64_t>(e_r) + 1);
-  if (stats != nullptr) {
-    stats->aux_hit = false;
-    stats->estimate = est;
-    stats->scan_width = hi - lo;
-  }
-  metrics_.scan_width->Observe(static_cast<double>(hi - lo));
-  int64_t pos = collection_->FindFirstEqual(q, static_cast<size_t>(lo),
-                                            static_cast<size_t>(hi));
+  const int64_t est = EstimatePosition(q);
+  const Window w = ScanWindow(est);
+  metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  int64_t pos = collection_->FindFirstEqual(q, static_cast<size_t>(w.lo),
+                                            static_cast<size_t>(w.hi));
+  RecordScan(stats, est, w, pos);
   if (pos < 0 && fallback_full_scan_) {
     metrics_.fallback_scans->Increment();
     pos = collection_->FindFirstEqual(q, 0, collection_->size());
@@ -226,9 +234,7 @@ int64_t LearnedSetIndex::Lookup(sets::SetView q, LookupStats* stats) {
     if (aux_pos.has_value() &&
         collection_->SetContainsSorted(static_cast<size_t>(*aux_pos), q)) {
       if (stats != nullptr) {
-        stats->aux_hit = true;
-        stats->estimate = static_cast<int64_t>(*aux_pos);
-        stats->scan_width = 0;
+        *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
       }
       metrics_.aux_hits->Increment();
       span.set_arg("outcome_aux_hit", 1.0);
@@ -240,22 +246,15 @@ int64_t LearnedSetIndex::Lookup(sets::SetView q, LookupStats* stats) {
   // scan — the model has no embedding for them.
   for (sets::ElementId e : q) {
     if (static_cast<int64_t>(e) >= model_->vocab()) {
-      if (stats != nullptr) {
-        stats->aux_hit = false;
-        stats->estimate = -1;
-        stats->scan_width =
-            fallback_full_scan_ ? static_cast<int64_t>(collection_->size())
-                                : 0;
-      }
       metrics_.oov_queries->Increment();
+      RecordScan(stats, -1, Window{}, -1);
+      int64_t pos = -1;
       if (fallback_full_scan_) {
         metrics_.fallback_scans->Increment();
-        int64_t pos = collection_->FindFirstSuperset(q, 0, collection_->size());
-        if (pos < 0) metrics_.misses->Increment();
-        return pos;
+        pos = FallbackScan(q, stats);
       }
-      metrics_.misses->Increment();
-      return -1;
+      if (pos < 0) metrics_.misses->Increment();
+      return pos;
     }
   }
   // Lines 4-7: model estimate + bounded local scan, left to right so the
@@ -270,44 +269,40 @@ int64_t LearnedSetIndex::ProbeLookup(sets::SetView q, LookupStats* stats) {
   if (aux_pos.has_value() &&
       collection_->SetContainsSorted(static_cast<size_t>(*aux_pos), q)) {
     if (stats != nullptr) {
-      stats->aux_hit = true;
-      stats->estimate = static_cast<int64_t>(*aux_pos);
-      stats->scan_width = 0;
+      *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
     }
     return static_cast<int64_t>(*aux_pos);
   }
   for (sets::ElementId e : q) {
     if (static_cast<int64_t>(e) >= model_->vocab()) {
-      if (stats != nullptr) {
-        stats->aux_hit = false;
-        stats->estimate = -1;
-        stats->scan_width =
-            fallback_full_scan_ ? static_cast<int64_t>(collection_->size())
-                                : 0;
-      }
-      return fallback_full_scan_
-                 ? collection_->FindFirstSuperset(q, 0, collection_->size())
-                 : -1;
+      RecordScan(stats, -1, Window{}, -1);
+      return fallback_full_scan_ ? FallbackScan(q, stats) : -1;
     }
   }
   const int64_t est = EstimatePosition(q);
-  const double e_r = bounds_.ErrorFor(static_cast<double>(est));
-  const int64_t lo = std::max<int64_t>(0, est - static_cast<int64_t>(e_r));
-  const int64_t hi =
-      std::min<int64_t>(static_cast<int64_t>(collection_->size()),
-                        est + static_cast<int64_t>(e_r) + 1);
+  const Window w = ScanWindow(est);
+  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(w.lo),
+                                               static_cast<size_t>(w.hi));
+  RecordScan(stats, est, w, pos);
+  if (pos < 0 && fallback_full_scan_) pos = FallbackScan(q, stats);
+  return pos;
+}
+
+void LearnedSetIndex::RecordScan(LookupStats* stats, int64_t est, Window w,
+                                 int64_t pos) {
+  if (stats == nullptr) return;
+  *stats = {.estimate = est,
+            .scan_width = w.hi - w.lo,
+            .visited = Visited(pos, w.lo, w.hi)};
+}
+
+int64_t LearnedSetIndex::FallbackScan(sets::SetView q,
+                                      LookupStats* stats) const {
+  const auto n = static_cast<int64_t>(collection_->size());
+  const int64_t pos = collection_->FindFirstSuperset(q, 0, n);
   if (stats != nullptr) {
-    stats->aux_hit = false;
-    stats->estimate = est;
-    stats->scan_width = hi - lo;
-  }
-  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(lo),
-                                               static_cast<size_t>(hi));
-  if (pos < 0 && fallback_full_scan_) {
-    pos = collection_->FindFirstSuperset(q, 0, collection_->size());
-    if (stats != nullptr) {
-      stats->scan_width += static_cast<int64_t>(collection_->size());
-    }
+    stats->scan_width += n;
+    stats->visited += Visited(pos, 0, n);
   }
   return pos;
 }
@@ -315,26 +310,16 @@ int64_t LearnedSetIndex::ProbeLookup(sets::SetView q, LookupStats* stats) {
 int64_t LearnedSetIndex::ScanFromEstimate(sets::SetView q, int64_t est,
                                           LookupStats* stats) {
   TRACE_SPAN_VAR(span, "serving", "index.bounded_scan");
-  double e_r = bounds_.ErrorFor(static_cast<double>(est));
-  int64_t lo = std::max<int64_t>(0, est - static_cast<int64_t>(e_r));
-  int64_t hi = std::min<int64_t>(static_cast<int64_t>(collection_->size()),
-                                 est + static_cast<int64_t>(e_r) + 1);
-  if (stats != nullptr) {
-    stats->aux_hit = false;
-    stats->estimate = est;
-    stats->scan_width = hi - lo;
-  }
-  metrics_.scan_width->Observe(static_cast<double>(hi - lo));
-  span.set_arg("scan_width", static_cast<double>(hi - lo));
-  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(lo),
-                                               static_cast<size_t>(hi));
+  const Window w = ScanWindow(est);
+  metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  span.set_arg("scan_width", static_cast<double>(w.hi - w.lo));
+  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(w.lo),
+                                               static_cast<size_t>(w.hi));
+  RecordScan(stats, est, w, pos);
   if (pos >= 0) return pos;
   if (fallback_full_scan_) {
     metrics_.fallback_scans->Increment();
-    pos = collection_->FindFirstSuperset(q, 0, collection_->size());
-    if (stats != nullptr) {
-      stats->scan_width += static_cast<int64_t>(collection_->size());
-    }
+    pos = FallbackScan(q, stats);
   }
   if (pos < 0) metrics_.misses->Increment();
   return pos;
@@ -373,8 +358,7 @@ std::vector<int64_t> LearnedSetIndex::LookupBatch(
       metrics_.oov_queries->Increment();
       if (fallback_full_scan_) {
         metrics_.fallback_scans->Increment();
-        results[i] =
-            collection_->FindFirstSuperset(q, 0, collection_->size());
+        results[i] = FallbackScan(q, nullptr);
       }
       if (results[i] < 0) metrics_.misses->Increment();
       continue;

@@ -50,7 +50,12 @@ class LearnedSetIndex {
   struct LookupStats {
     bool aux_hit = false;
     int64_t estimate = -1;
-    int64_t scan_width = 0;  ///< sets examined in the local scan
+    int64_t scan_width = 0;  ///< sets in the scan window(s)
+    /// Sets the scan examined up to the answer: pos − lo + 1 on a window
+    /// hit, the whole window on a miss (plus what a fallback scan
+    /// examined), 0 on an aux hit. visited / (truth + 1) is the share of a
+    /// scan from position 0 that the model's estimate still pays.
+    int64_t visited = 0;
   };
 
   static Result<LearnedSetIndex> Build(const sets::SetCollection& collection,
@@ -144,6 +149,22 @@ class LearnedSetIndex {
 
   /// Converts a scaled model output into a clamped position estimate.
   int64_t ClampEstimate(double scaled) const;
+
+  /// Algorithm 2's scan window [est − e_r, est + e_r + 1), clamped to the
+  /// collection.
+  struct Window {
+    int64_t lo = 0;
+    int64_t hi = 0;
+  };
+  Window ScanWindow(int64_t est) const;
+
+  /// Fills `stats` (if any) for a window scan from `est` that answered `pos`.
+  static void RecordScan(LookupStats* stats, int64_t est, Window w,
+                         int64_t pos);
+
+  /// The optional full-scan fallback after a window miss; adds its sets to
+  /// `stats` (if any).
+  int64_t FallbackScan(sets::SetView q, LookupStats* stats) const;
 
   /// Algorithm 2 lines 4-7: bounded local scan around `est` (plus optional
   /// full-scan fallback). Shared by Lookup and LookupBatch.

@@ -1,20 +1,60 @@
 #include "sets/set_collection.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 
 namespace los::sets {
 
 namespace {
 
-// Bit (e & 63) set for each element e. If q ⊆ s, Signature(q) ⊆ Signature(s).
-uint64_t Signature(SetView s) {
-  uint64_t sig = 0;
-  for (ElementId e : s) sig |= uint64_t{1} << (e & 63);
-  return sig;
+// Sets per block of the signature scan. 32 keeps a block's candidate mask in
+// one uint32_t and a window of ~2,000 sets at ~60 blocks.
+constexpr size_t kScanBlock = 32;
+
+// Bit 63 is set iff t == 0. Plain 64-bit subtract, and-not and shift, so a
+// block of these vectorizes on SSE2, which has no 64-bit lane compare.
+inline uint64_t ZeroTopBit(uint64_t t) { return (t - 1) & ~t; }
+
+// First position in [begin, end) that passes the signature test and `hit`,
+// or -1. `miss(sig)` is zero exactly for the signatures that may hold the
+// answer. Each full block is first OR-reduced to one "any candidate" word;
+// only a block with a candidate builds its mask and merge-checks the
+// candidates in position order. The tail runs the same test per set.
+template <typename Miss, typename Hit>
+int64_t ScanSignatures(const uint64_t* sigs, size_t begin, size_t end,
+                       Miss miss, Hit hit) {
+  size_t i = begin;
+  for (; i < end && end - i >= kScanBlock; i += kScanBlock) {
+    const uint64_t* block = sigs + i;
+    uint64_t any = 0;
+    for (size_t j = 0; j < kScanBlock; ++j) any |= ZeroTopBit(miss(block[j]));
+    if ((any >> 63) == 0) continue;
+    uint32_t mask = 0;
+    for (size_t j = 0; j < kScanBlock; ++j) {
+      mask |= static_cast<uint32_t>(ZeroTopBit(miss(block[j])) >> 63) << j;
+    }
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t k = i + static_cast<size_t>(std::countr_zero(mask));
+      if (hit(k)) return static_cast<int64_t>(k);
+    }
+  }
+  for (; i < end; ++i) {
+    if (miss(sigs[i]) == 0 && hit(i)) return static_cast<int64_t>(i);
+  }
+  return -1;
 }
 
 }  // namespace
+
+uint64_t SetSignature(SetView s) {
+  uint64_t sig = 0;
+  for (ElementId e : s) {
+    const uint64_t hashed = (uint64_t{e} * 0x9E3779B97F4A7C15ull) >> 58;
+    sig |= (uint64_t{1} << (e & 63)) | (uint64_t{1} << hashed);
+  }
+  return sig;
+}
 
 bool IsSubsetSorted(SetView q, SetView s) {
   size_t i = 0, j = 0;
@@ -32,18 +72,9 @@ bool IsSubsetSorted(SetView q, SetView s) {
 }
 
 bool IsSubmultisetSorted(SetView q, SetView s) {
-  size_t i = 0, j = 0;
-  while (i < q.size() && j < s.size()) {
-    if (q[i] == s[j]) {
-      ++i;
-      ++j;
-    } else if (q[i] > s[j]) {
-      ++j;
-    } else {
-      return false;
-    }
-  }
-  return i == q.size();
+  // The merge already consumes one element of s per matched element of q,
+  // so on sorted multisets it compares multiplicities.
+  return IsSubsetSorted(q, s);
 }
 
 void Canonicalize(std::vector<ElementId>* v) {
@@ -62,7 +93,7 @@ size_t SetCollection::AddSorted(std::vector<ElementId> elements) {
   }
   elements_.insert(elements_.end(), elements.begin(), elements.end());
   offsets_.push_back(elements_.size());
-  signatures_.push_back(Signature(elements));
+  signatures_.push_back(SetSignature(elements));
   return size() - 1;
 }
 
@@ -87,27 +118,24 @@ bool SetCollection::SetContainsSorted(size_t i, SetView q) const {
 
 int64_t SetCollection::FindFirstSuperset(SetView q, size_t begin,
                                          size_t end) const {
-  end = std::min(end, size());
-  const uint64_t qsig = Signature(q);
-  for (size_t i = begin; i < end; ++i) {
-    if ((signatures_[i] & qsig) != qsig) continue;
-    if (IsSubsetSorted(q, set(i))) return static_cast<int64_t>(i);
-  }
-  return -1;
+  const uint64_t qsig = SetSignature(q);
+  return ScanSignatures(
+      signatures_.data(), begin, std::min(end, size()),
+      [qsig](uint64_t sig) { return qsig & ~sig; },
+      [&](size_t i) { return IsSubsetSorted(q, set(i)); });
 }
 
 int64_t SetCollection::FindFirstEqual(SetView q, size_t begin,
                                       size_t end) const {
-  end = std::min(end, size());
-  const uint64_t qsig = Signature(q);
-  for (size_t i = begin; i < end; ++i) {
-    if (signatures_[i] != qsig) continue;
-    SetView s = set(i);
-    if (s.size() == q.size() && std::equal(s.begin(), s.end(), q.begin())) {
-      return static_cast<int64_t>(i);
-    }
-  }
-  return -1;
+  const uint64_t qsig = SetSignature(q);
+  return ScanSignatures(
+      signatures_.data(), begin, std::min(end, size()),
+      [qsig](uint64_t sig) { return qsig ^ sig; },
+      [&](size_t i) {
+        SetView s = set(i);
+        return s.size() == q.size() &&
+               std::equal(s.begin(), s.end(), q.begin());
+      });
 }
 
 Status SetCollection::UpdateSet(size_t i, std::vector<ElementId> elements) {
@@ -131,7 +159,7 @@ Status SetCollection::UpdateSet(size_t i, std::vector<ElementId> elements) {
   for (size_t k = i + 1; k < offsets_.size(); ++k) {
     offsets_[k] = static_cast<uint64_t>(static_cast<int64_t>(offsets_[k]) + delta);
   }
-  signatures_[i] = Signature(elements);
+  signatures_[i] = SetSignature(elements);
   return Status::OK();
 }
 
@@ -159,7 +187,7 @@ Result<SetCollection> SetCollection::Load(BinaryReader* r) {
   c.universe_size_ = *uni;
   c.signatures_.reserve(c.size());
   for (size_t i = 0; i < c.size(); ++i) {
-    c.signatures_.push_back(Signature(c.set(i)));
+    c.signatures_.push_back(SetSignature(c.set(i)));
   }
   return c;
 }

@@ -64,16 +64,18 @@ class SetCollection {
   bool SetContainsSorted(size_t i, SetView q) const;
 
   /// First position in [begin, end) whose set is a superset of sorted `q`,
-  /// or -1. This is the hybrid index's bounded local scan. Every set keeps a
-  /// 64-bit element signature, bit (e & 63) set for each element e; a
-  /// candidate whose signature lacks a bit of the query's cannot contain the
-  /// query and is skipped. The others go through the merge check in position
-  /// order, so the answer is exact.
+  /// or -1; an `end` past size() is clamped and `begin >= end` finds
+  /// nothing. This is the hybrid index's bounded local scan. Every set keeps
+  /// a 64-bit SetSignature; a set whose signature lacks a bit of the query's
+  /// cannot contain the query. The scan tests signatures a block of 32 sets
+  /// at a time without branches and merge-checks only the sets that pass, in
+  /// position order, so the answer is the plain merge loop's.
   int64_t FindFirstSuperset(SetView q, size_t begin, size_t end) const;
 
   /// First position in [begin, end) whose set *equals* sorted `q`, or -1
-  /// (the equality-search mode of §4.1). Candidates whose signature differs
-  /// from the query's are skipped before the element comparison.
+  /// (the equality-search mode of §4.1). Same block scan as
+  /// FindFirstSuperset; only sets whose signature equals the query's reach
+  /// the element comparison.
   int64_t FindFirstEqual(SetView q, size_t begin, size_t end) const;
 
   /// Replaces set `i` with new contents (used by the update-handling path,
@@ -97,16 +99,23 @@ class SetCollection {
  private:
   std::vector<ElementId> elements_;
   std::vector<uint64_t> offsets_;
-  std::vector<uint64_t> signatures_;  // Element signature of each set.
+  std::vector<uint64_t> signatures_;  // SetSignature of each set.
   ElementId universe_size_ = 0;
 };
+
+/// Two-bit element signature of a set: each element e sets bit (e & 63) and
+/// bit (e * 0x9E3779B97F4A7C15) >> 58. If q ⊆ s then SetSignature(q) is a
+/// bitwise subset of SetSignature(s), and equal sets have equal signatures.
+/// The second, hashed bit keeps ids that agree mod 64 from looking alike.
+uint64_t SetSignature(SetView s);
 
 /// True iff sorted `q` is a subset of sorted `s` (merge scan).
 bool IsSubsetSorted(SetView q, SetView s);
 
 /// True iff sorted multiset `q` is a sub-multiset of sorted multiset `s`
 /// (each element's multiplicity in q must not exceed its multiplicity in
-/// s). Groundwork for the paper's future-work multi-set querying; the
+/// s). The merge of IsSubsetSorted already has these semantics on sorted
+/// multisets, so this calls it. Groundwork for the paper's future-work multi-set querying; the
 /// DeepSets models already consume repeated ids natively (sum pooling
 /// counts multiplicity).
 bool IsSubmultisetSorted(SetView q, SetView s);

@@ -406,6 +406,60 @@ TEST(LearnedIndexTest, TrainedSubsetsAlwaysFound) {
   }
 }
 
+TEST(LearnedIndexTest, LookupStatsCountVisitedSets) {
+  sets::RwConfig rw;
+  rw.num_sets = 300;
+  rw.num_unique = 80;
+  rw.seed = 5;
+  auto c = GenerateRw(rw);
+  IndexOptions opts;
+  opts.model.embed_dim = 8;
+  opts.model.phi_hidden = {32};
+  opts.model.rho_hidden = {32};
+  opts.train.epochs = 4;
+  opts.max_subset_size = 2;
+  auto index = LearnedSetIndex::Build(c, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+
+  auto subsets = EnumerateLabeledSubsets(c, {2});
+  size_t aux_hits = 0;
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    LearnedSetIndex::LookupStats stats, probe;
+    const int64_t pos = index->Lookup(subsets.subset(i), &stats);
+    ASSERT_EQ(index->ProbeLookup(subsets.subset(i), &probe), pos);
+    EXPECT_EQ(probe.visited, stats.visited);
+    EXPECT_EQ(probe.scan_width, stats.scan_width);
+    ASSERT_EQ(pos, static_cast<int64_t>(subsets.first_position(i)));
+    if (stats.aux_hit) {
+      ++aux_hits;
+      EXPECT_EQ(stats.visited, 0);
+      continue;
+    }
+    const auto e_r = static_cast<int64_t>(
+        index->error_bounds().ErrorFor(static_cast<double>(stats.estimate)));
+    const int64_t lo = std::max<int64_t>(0, stats.estimate - e_r);
+    EXPECT_EQ(stats.visited, pos - lo + 1) << "subset " << i;
+    EXPECT_LE(stats.visited, stats.scan_width);
+  }
+  EXPECT_LT(aux_hits, subsets.size());
+
+  // A pair that no set holds: the scan examines its whole window.
+  bool checked_miss = false;
+  for (sets::ElementId a = 0; a < c.universe_size() && !checked_miss; ++a) {
+    const std::vector<sets::ElementId> q{a, a + 1};
+    if (a + 1 >= c.universe_size() ||
+        c.FindFirstSuperset({q.data(), 2}, 0, c.size()) >= 0) {
+      continue;
+    }
+    LearnedSetIndex::LookupStats stats;
+    ASSERT_EQ(index->Lookup({q.data(), 2}, &stats), -1);
+    EXPECT_FALSE(stats.aux_hit);
+    EXPECT_EQ(stats.visited, stats.scan_width);
+    checked_miss = true;
+  }
+  EXPECT_TRUE(checked_miss);
+}
+
 TEST(LearnedIndexTest, LocalScanNarrowerThanGlobal) {
   sets::RwConfig rw;
   rw.num_sets = 500;

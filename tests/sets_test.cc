@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 #include <set>
 #include <unordered_set>
 #include <vector>
@@ -100,28 +102,31 @@ TEST(SetCollectionTest, SaveLoadRoundTrip) {
   EXPECT_EQ(back->set(0)[1], 5u);
 }
 
-// Exhaustive check of the signature-filtered scans against a plain merge
-// loop. Element ids 1, 65, 129 and 193 share signature bit 1, so a query
-// can pass the signature test of a set that does not contain it.
+// Reference for the signature-filtered scans: the plain merge loop over
+// [begin, min(end, size())).
+int64_t ReferenceFirst(const SetCollection& c, SetView q, size_t begin,
+                       size_t end, bool equal) {
+  for (size_t i = begin; i < std::min(end, c.size()); ++i) {
+    SetView s = c.set(i);
+    if (equal ? std::equal(s.begin(), s.end(), q.begin(), q.end())
+              : IsSubsetSorted(q, s)) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+// Exhaustive check of the signature-filtered scans against the merge loop.
 void ExpectScansMatchReference(const SetCollection& c,
                                const std::vector<ElementId>& universe) {
   auto check = [&](SetView q) {
     for (size_t begin = 0; begin <= c.size(); ++begin) {
       for (size_t end = begin; end <= c.size() + 1; ++end) {
-        int64_t want_superset = -1, want_equal = -1;
-        for (size_t i = begin; i < std::min(end, c.size()); ++i) {
-          SetView s = c.set(i);
-          if (want_superset < 0 && IsSubsetSorted(q, s)) {
-            want_superset = static_cast<int64_t>(i);
-          }
-          if (want_equal < 0 &&
-              std::equal(s.begin(), s.end(), q.begin(), q.end())) {
-            want_equal = static_cast<int64_t>(i);
-          }
-        }
-        ASSERT_EQ(c.FindFirstSuperset(q, begin, end), want_superset)
+        ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
+                  ReferenceFirst(c, q, begin, end, false))
             << "begin=" << begin << " end=" << end << " |q|=" << q.size();
-        ASSERT_EQ(c.FindFirstEqual(q, begin, end), want_equal)
+        ASSERT_EQ(c.FindFirstEqual(q, begin, end),
+                  ReferenceFirst(c, q, begin, end, true))
             << "begin=" << begin << " end=" << end << " |q|=" << q.size();
       }
     }
@@ -130,24 +135,53 @@ void ExpectScansMatchReference(const SetCollection& c,
   ForEachSubset(SetView(universe.data(), universe.size()), 3, check);
 }
 
+// Four ids with one and the same signature: both of their signature bits
+// collide, so any one of them passes the signature test of a set that holds
+// another.
+std::vector<ElementId> CollidingIds() {
+  std::vector<std::vector<ElementId>> by_signature(64);
+  for (ElementId e = 1;; e += 64) {  // bit (e & 63) is 1 for all of these
+    const uint64_t sig = SetSignature(SetView(&e, 1));
+    if (sig == 2) continue;  // the hashed bit is bit 1 itself
+    auto& ids = by_signature[std::countr_zero(sig & ~uint64_t{2})];
+    ids.push_back(e);
+    if (ids.size() == 4) return ids;
+  }
+}
+
 TEST(SetCollectionTest, SignatureScansMatchMergeExhaustively) {
-  const std::vector<ElementId> universe{1, 2, 3, 4, 5, 6, 7, 65, 129, 193};
+  const std::vector<ElementId> ids = CollidingIds();
+  const ElementId a = ids[0], b = ids[1], x = ids[2], y = ids[3];
+  std::vector<ElementId> universe{2, 3, 4, 5, 6, 7, a, b, x, y};
+  std::sort(universe.begin(), universe.end());
   SetCollection c;
-  c.Add({1, 2, 3});
-  c.Add({65, 2, 4});
-  c.Add({129, 193, 5});
-  c.Add({1, 65, 129, 193});
+  c.Add({a, 2, 3});
+  c.Add({b, 2, 4});
+  c.Add({x, y, 5});
+  c.Add({a, b, x, y});
   c.Add({2, 3, 6, 7});
-  c.Add({65, 2, 4});
+  c.Add({b, 2, 4});
   c.Add({});
-  c.Add({1, 4, 5, 6, 7, 193});
+  c.Add({a, 4, 5, 6, 7, y});
+
+  // The data must reach the filter's false-pass path: some query's
+  // signature fits a set that does not contain the query.
+  size_t false_passes = 0;
+  ForEachSubset(SetView(universe.data(), universe.size()), 3, [&](SetView q) {
+    const uint64_t qsig = SetSignature(q);
+    for (size_t i = 0; i < c.size(); ++i) {
+      false_passes += (qsig & ~SetSignature(c.set(i))) == 0 &&
+                      !IsSubsetSorted(q, c.set(i));
+    }
+  });
+  EXPECT_GT(false_passes, 0u);
   ExpectScansMatchReference(c, universe);
 
-  ASSERT_TRUE(c.UpdateSet(0, {1, 2, 3, 4, 5, 6, 7, 65}).ok());   // grow
-  ASSERT_TRUE(c.UpdateSet(3, {129}).ok());                       // shrink
-  ASSERT_TRUE(c.UpdateSet(6, {2, 65, 193}).ok());                // from empty
-  ASSERT_TRUE(c.UpdateSet(7, {}).ok());                          // to empty
-  ASSERT_TRUE(c.UpdateSet(2, {65, 2, 4}).ok());                  // duplicate
+  ASSERT_TRUE(c.UpdateSet(0, {a, 2, 3, 4, 5, 6, 7, b}).ok());  // grow
+  ASSERT_TRUE(c.UpdateSet(3, {x}).ok());                       // shrink
+  ASSERT_TRUE(c.UpdateSet(6, {2, b, y}).ok());                 // from empty
+  ASSERT_TRUE(c.UpdateSet(7, {}).ok());                        // to empty
+  ASSERT_TRUE(c.UpdateSet(2, {b, 2, 4}).ok());                 // duplicate
   ExpectScansMatchReference(c, universe);
 
   BinaryWriter w;
@@ -160,6 +194,118 @@ TEST(SetCollectionTest, SignatureScansMatchMergeExhaustively) {
 
   const SetCollection copy = c;
   ExpectScansMatchReference(copy, universe);
+}
+
+TEST(SetCollectionTest, SignatureIsMonotoneUnderInclusion) {
+  Rng rng(11);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<ElementId> s;
+    const size_t n = rng.Uniform(13);
+    for (size_t k = 0; k < n; ++k) {
+      s.push_back(static_cast<ElementId>(rng.Uniform(100001)));
+    }
+    Canonicalize(&s);
+    std::vector<ElementId> q;
+    for (ElementId e : s) {
+      if (rng.NextDouble() < 0.5) q.push_back(e);
+    }
+    const uint64_t qsig = SetSignature(SetView(q.data(), q.size()));
+    const uint64_t ssig = SetSignature(SetView(s.data(), s.size()));
+    ASSERT_EQ(qsig & ~ssig, 0u);
+  }
+}
+
+// Seeded property test of the block scan: random collections of 0-300 sets
+// over universes below and above 64 ids; windows start at every offset
+// modulo the 32-set block and end after 0-2 full blocks plus every tail
+// length 0..33, including begin > end and end > size(); queries are random
+// subsets of member sets (hits), random id sets (mostly misses), whole
+// member sets (equality hits) and the empty query. Checked again after
+// UpdateSet and after Save -> Load.
+void ExpectBlockScansMatchReference(const SetCollection& c,
+                                    const std::vector<std::vector<ElementId>>&
+                                        queries) {
+  constexpr size_t kBlock = 32;
+  for (const auto& qv : queries) {
+    SetView q(qv.data(), qv.size());
+    for (size_t begin = 0; begin <= kBlock + 1; ++begin) {
+      for (size_t blocks = 0; blocks <= 2; ++blocks) {
+        for (size_t tail = 0; tail <= kBlock + 1; ++tail) {
+          const size_t end = begin + blocks * kBlock + tail;
+          ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
+                    ReferenceFirst(c, q, begin, end, false))
+              << "begin=" << begin << " end=" << end << " size=" << c.size();
+          ASSERT_EQ(c.FindFirstEqual(q, begin, end),
+                    ReferenceFirst(c, q, begin, end, true))
+              << "begin=" << begin << " end=" << end << " size=" << c.size();
+        }
+      }
+      // Windows that end before they start or run past the collection.
+      for (size_t end : {begin / 2, c.size(), c.size() + 1, c.size() + 100}) {
+        ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
+                  ReferenceFirst(c, q, begin, end, false));
+        ASSERT_EQ(c.FindFirstEqual(q, begin, end),
+                  ReferenceFirst(c, q, begin, end, true));
+      }
+    }
+    // Windows near the end of the collection, to exercise its last tail.
+    const size_t last = c.size() > 3 * kBlock ? c.size() - 3 * kBlock : 0;
+    for (size_t begin = last; begin <= c.size() + 1; ++begin) {
+      ASSERT_EQ(c.FindFirstSuperset(q, begin, c.size() + 1),
+                ReferenceFirst(c, q, begin, c.size() + 1, false));
+      ASSERT_EQ(c.FindFirstEqual(q, begin, c.size()),
+                ReferenceFirst(c, q, begin, c.size(), true));
+    }
+  }
+}
+
+TEST(SetCollectionTest, BlockScansMatchMergeOnRandomCollections) {
+  Rng rng(2024);
+  for (ElementId universe : {12u, 40u, 64u, 100u, 700u}) {
+    for (size_t num_sets : {0u, 1u, 31u, 32u, 33u, 97u, 300u}) {
+      auto random_set = [&](size_t max_size) {
+        std::vector<ElementId> s;
+        const size_t n = rng.Uniform(max_size + 1);
+        for (size_t k = 0; k < n; ++k) {
+          s.push_back(static_cast<ElementId>(rng.Uniform(universe)));
+        }
+        Canonicalize(&s);
+        return s;
+      };
+      SetCollection c;
+      for (size_t i = 0; i < num_sets; ++i) c.Add(random_set(8));
+      auto make_queries = [&] {
+        std::vector<std::vector<ElementId>> queries{{}};
+        for (int k = 0; k < 6; ++k) queries.push_back(random_set(3));
+        for (int k = 0; k < 6 && !c.empty(); ++k) {
+          SetView s = c.set(rng.Uniform(c.size()));
+          queries.emplace_back(s.begin(), s.end());
+          std::vector<ElementId> sub;
+          for (ElementId e : s) {
+            if (sub.size() < 3 && rng.NextDouble() < 0.5) sub.push_back(e);
+          }
+          queries.push_back(std::move(sub));
+        }
+        return queries;
+      };
+      SCOPED_TRACE("universe=" + std::to_string(universe) +
+                   " sets=" + std::to_string(num_sets));
+      ExpectBlockScansMatchReference(c, make_queries());
+
+      for (size_t k = 0; k < std::min<size_t>(num_sets, 20); ++k) {
+        ASSERT_TRUE(
+            c.UpdateSet(rng.Uniform(num_sets), random_set(10)).ok());
+      }
+      ExpectBlockScansMatchReference(c, make_queries());
+
+      BinaryWriter w;
+      c.Save(&w);
+      BinaryReader r(w.bytes());
+      auto loaded = SetCollection::Load(&r);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      ExpectBlockScansMatchReference(*loaded, make_queries());
+    }
+  }
 }
 
 TEST(IsSubsetSortedTest, EdgeCases) {
