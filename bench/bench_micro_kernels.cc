@@ -92,6 +92,44 @@ BENCHMARK(BM_GemmThreads)
     ->ArgsProduct({{256, 512}, {1, 2, 4}})
     ->UseRealTime();
 
+// The products one training batch of perfbench's models runs (batch 512,
+// ~1,340 element rows): the CLSM φ input gradient dY·Wᵀ (n = 16), the
+// index model's (n = 8), the 1-wide ρ head forward and its weight gradient
+// Xᵀ·dY, the φ forward E × 16 · 16 × 64 (blocked, threaded) for scale and
+// the φ weight gradient (m = 16). Two serving micro-batches of 8 queries
+// close the list: they share the narrow kernel with training. Items are
+// flops; real time, since the blocked φ forward runs on the kernel pool.
+void BM_GemmTrainShapes(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t k = state.range(2);
+  const bool trans_a = state.range(3) != 0;
+  const bool trans_b = state.range(4) != 0;
+  Rng rng(1);
+  Tensor a(trans_a ? k : m, trans_a ? m : k);
+  Tensor b(trans_b ? n : k, trans_b ? k : n);
+  Tensor c(m, n);
+  los::nn::GaussianInit(&a, 1.0f, &rng);
+  los::nn::GaussianInit(&b, 1.0f, &rng);
+  for (auto _ : state) {
+    los::nn::Gemm(a, trans_a, b, trans_b, 1.0f, 0.0f, &c);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+}
+BENCHMARK(BM_GemmTrainShapes)
+    ->Args({1340, 16, 64, 0, 1})   // CLSM φ dX = dY[E x 64] · W[16 x 64]ᵀ
+    ->Args({1340, 8, 32, 0, 1})    // index φ dX = dY[E x 32] · W[8 x 32]ᵀ
+    ->Args({512, 1, 64, 0, 0})     // ρ head forward X[512 x 64] · W[64 x 1]
+    ->Args({64, 1, 512, 1, 0})     // ρ head dW = X[512 x 64]ᵀ · dY[512 x 1]
+    ->Args({1340, 64, 16, 0, 0})   // CLSM φ forward X[E x 16] · W[16 x 64]
+    ->Args({16, 64, 1340, 1, 0})   // CLSM φ dW = X[E x 16]ᵀ · dY[E x 64]
+    ->Args({8, 64, 64, 0, 0})      // 8 queries through a 64-wide layer
+    ->Args({8, 512, 512, 0, 0})    // 8 queries through a 512-wide layer
+    ->ArgNames({"m", "n", "k", "ta", "tb"})
+    ->UseRealTime();
+
 // Fused Adam step over an embedding-table-sized parameter: single pass
 // updating moments + weights + zeroing the grad, threaded over rows.
 void BM_AdamStepFused(benchmark::State& state) {

@@ -29,11 +29,13 @@ using los::bench::BenchDatasets;
 
 namespace {
 
-/// Per-epoch seconds for an index-task model trained with `threads` kernel
-/// workers (0 = fully serial kernels). The model, data order and results
-/// are bit-identical across rows — only the wall clock changes.
+/// Per-epoch seconds for an index-task model (one φ and one ρ hidden layer
+/// of `hidden` units) trained with `threads` kernel workers (0 = fully
+/// serial kernels). The model, data order and results are bit-identical
+/// across rows — only the wall clock changes.
 std::vector<double> EpochSeconds(const los::sets::LabeledSubsets& subsets,
-                                 bool compressed, int threads, int batch_size,
+                                 bool compressed, int64_t embed_dim,
+                                 int64_t hidden, int threads, int batch_size,
                                  int epochs) {
   std::unique_ptr<los::ThreadPool> pool;
   if (threads <= 0) {
@@ -48,23 +50,22 @@ std::vector<double> EpochSeconds(const los::sets::LabeledSubsets& subsets,
   auto data = los::core::TrainingSet::FromSubsets(
       subsets, los::sets::QueryLabel::kFirstPosition, scaler);
 
-  // The acceptance configuration: d=32 LSM (and its CLSM counterpart).
   std::unique_ptr<los::deepsets::SetModel> model;
   if (compressed) {
     los::deepsets::CompressedConfig cfg;
     cfg.base.vocab = 1 << 16;
-    cfg.base.embed_dim = 32;
-    cfg.base.phi_hidden = {32};
-    cfg.base.rho_hidden = {32};
+    cfg.base.embed_dim = embed_dim;
+    cfg.base.phi_hidden = {hidden};
+    cfg.base.rho_hidden = {hidden};
     auto m = los::deepsets::CompressedDeepSetsModel::Create(cfg);
     if (!m.ok()) return {};
     model = std::move(*m);
   } else {
     los::deepsets::DeepSetsConfig cfg;
     cfg.vocab = 1 << 16;
-    cfg.embed_dim = 32;
-    cfg.phi_hidden = {32};
-    cfg.rho_hidden = {32};
+    cfg.embed_dim = embed_dim;
+    cfg.phi_hidden = {hidden};
+    cfg.rho_hidden = {hidden};
     model = std::make_unique<los::deepsets::DeepSetsModel>(cfg);
   }
 
@@ -163,9 +164,10 @@ int main() {
               "seconds while models take epochs x s/epoch.\n");
 
   // ---- Threaded-training sweep -------------------------------------------
-  // Epochs/s for the d=32 index model across kernel worker counts and batch
-  // sizes. Training is bit-deterministic, so every row computes the same
-  // weights — the sweep isolates wall-clock. JSON lines also land in
+  // Epochs/s for the d=32 index model (the acceptance configuration) across
+  // kernel worker counts and batch sizes. Training is bit-deterministic, so
+  // every row computes the same weights — the sweep isolates wall-clock.
+  // JSON lines, each with the host's provenance, also land in
   // BENCH_build_times.json for downstream tooling.
   std::printf("\nThreaded training sweep (LSM index model, embed_dim=32; "
               "host cores: %u):\n", std::thread::hardware_concurrency());
@@ -180,7 +182,7 @@ int main() {
   for (int threads : kThreadCounts) {
     for (int batch : kBatchSizes) {
       los::bench::JsonRecord r("index_train_epoch");
-      for (double s : EpochSeconds(sweep_subsets, /*compressed=*/false,
+      for (double s : EpochSeconds(sweep_subsets, /*compressed=*/false, 32, 32,
                                    threads, batch, kSweepEpochs)) {
         r.Add(s);
       }
@@ -189,25 +191,38 @@ int main() {
       if (batch == 256 && threads == 8) eight_b256 = eps;
       r.Set("model", "LSM")
           .Set("embed_dim", 32)
+          .Set("hidden", 32)
           .Set("threads", threads)
           .Set("batch", batch)
           .Set("epochs_per_s", eps)
+          .SetProvenance()
           .Print(json);
     }
   }
-  // CLSM counterpart at the acceptance batch size.
-  for (int threads : {0, 8}) {
-    los::bench::JsonRecord r("index_train_epoch");
-    for (double s : EpochSeconds(sweep_subsets, /*compressed=*/true, threads,
-                                 256, kSweepEpochs)) {
-      r.Add(s);
+  // CLSM counterpart at the acceptance batch size, and the paper-sized
+  // CLSM perfbench trains (embed 8, φ/ρ 64, batch 512), whose set-up time
+  // is dominated by the narrow GEMMs (n = 16 input gradient, 1-wide head).
+  struct ClsmRow {
+    int64_t embed_dim, hidden;
+    int batch;
+  };
+  for (const ClsmRow& row : {ClsmRow{32, 32, 256}, ClsmRow{8, 64, 512}}) {
+    for (int threads : {0, 8}) {
+      los::bench::JsonRecord r("index_train_epoch");
+      for (double s : EpochSeconds(sweep_subsets, /*compressed=*/true,
+                                   row.embed_dim, row.hidden, threads,
+                                   row.batch, kSweepEpochs)) {
+        r.Add(s);
+      }
+      r.Set("model", "CLSM")
+          .Set("embed_dim", row.embed_dim)
+          .Set("hidden", row.hidden)
+          .Set("threads", threads)
+          .Set("batch", row.batch)
+          .Set("epochs_per_s", r.Median() > 0.0 ? 1.0 / r.Median() : -1.0)
+          .SetProvenance()
+          .Print(json);
     }
-    r.Set("model", "CLSM")
-        .Set("embed_dim", 32)
-        .Set("threads", threads)
-        .Set("batch", 256)
-        .Set("epochs_per_s", r.Median() > 0.0 ? 1.0 / r.Median() : -1.0)
-        .Print(json);
   }
   if (serial_b256 > 0.0 && eight_b256 > 0.0) {
     los::bench::JsonRecord("index_train_speedup_8t")
@@ -217,6 +232,7 @@ int main() {
         .Set("host_cores",
              static_cast<int64_t>(std::thread::hardware_concurrency()))
         .Set("speedup", eight_b256 / serial_b256)
+        .SetProvenance()
         .Print(json);
   }
   if (json != nullptr) {

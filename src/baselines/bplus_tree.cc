@@ -134,6 +134,24 @@ const BPlusTree::Node* BPlusTree::LeftmostLeafFor(uint64_t key) const {
   return node;
 }
 
+void BPlusTree::Assign(uint64_t key, uint64_t value) {
+  bool found = false;
+  // Same walk as FindFirst; the tree owns its nodes, so writing through the
+  // const descent is sound.
+  for (Node* node = const_cast<Node*>(LeftmostLeafFor(key)); node != nullptr;
+       node = node->next) {
+    size_t i = static_cast<size_t>(
+        std::lower_bound(node->keys.begin(), node->keys.end(), key) -
+        node->keys.begin());
+    for (; i < node->keys.size() && node->keys[i] == key; ++i) {
+      node->values[i] = value;
+      found = true;
+    }
+    if (i < node->keys.size()) break;  // past the key
+  }
+  if (!found) Insert(key, value);
+}
+
 std::optional<uint64_t> BPlusTree::FindFirst(uint64_t key) const {
   std::optional<uint64_t> best;
   for (const Node* node = LeftmostLeafFor(key); node != nullptr;

@@ -30,6 +30,12 @@ class BPlusTree {
   /// Inserts a key/value pair; duplicates of `key` are kept.
   void Insert(uint64_t key, uint64_t value);
 
+  /// Makes `value` the only value stored under `key`: every existing entry
+  /// under `key` is overwritten in place, or one entry is inserted if there
+  /// is none. Unlike Insert, a new value can therefore replace a smaller,
+  /// stale one that FindFirst would otherwise keep returning.
+  void Assign(uint64_t key, uint64_t value);
+
   /// Smallest value stored under `key`, if any. With position payloads this
   /// is the *first* occurrence, matching the index task's semantics.
   std::optional<uint64_t> FindFirst(uint64_t key) const;

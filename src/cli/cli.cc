@@ -811,6 +811,10 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
     auto live = core::UpdatableCardinality::Build(data->collection, opts);
     if (!live.ok()) return Fail(out, live.status().ToString());
 
+    // `mon` is destroyed before `live`, but a late quality trigger can leave
+    // a rebuild running when run() returns, and its listener refreshes
+    // `mon` on the trainer thread: each branch joins the trainer (Stop)
+    // before leaving scope.
     monitor::CardinalityMonitor mon(mopts);
     mon.SetRetrainCallback(
         [&] { (*live)->engine()->RequestQualityRebuild(); });
@@ -818,7 +822,7 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { mon.Refresh((*live)->SnapshotCollection(), max_subset); });
     mon.Refresh((*live)->SnapshotCollection(), max_subset);
 
-    return run(
+    const int rc = run(
         mon,
         [&](const sets::Query& q) {
           mon.Observe(q.view(), (*live)->Estimate(q.view()));
@@ -828,6 +832,8 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { return (*live)->SnapshotCollection(); },
         [&] { return (*live)->engine()->rebuilds(); },
         [&] { (*live)->WaitForRebuilds(); });
+    (*live)->engine()->Stop();
+    return rc;
   }
   if (task == TaskNames::kIndex) {
     core::UpdatableSetIndex::Options opts;
@@ -850,7 +856,7 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { mon.Refresh((*live)->SnapshotCollection(), max_subset); });
     mon.Refresh((*live)->SnapshotCollection(), max_subset);
 
-    return run(
+    const int rc = run(
         mon,
         [&](const sets::Query& q) {
           (*live)->Lookup(q.view());
@@ -863,6 +869,8 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { return (*live)->SnapshotCollection(); },
         [&] { return (*live)->engine()->rebuilds(); },
         [&] { (*live)->WaitForRebuilds(); });
+    (*live)->engine()->Stop();
+    return rc;
   }
   if (task == TaskNames::kBloom) {
     core::UpdatableBloom::Options opts;
@@ -885,7 +893,7 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { mon.Refresh((*live)->SnapshotCollection(), max_subset); });
     mon.Refresh((*live)->SnapshotCollection(), max_subset);
 
-    return run(
+    const int rc = run(
         mon,
         [&](const sets::Query& q) {
           (*live)->MayContain(q.view());
@@ -896,6 +904,8 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&] { return (*live)->SnapshotCollection(); },
         [&] { return (*live)->engine()->rebuilds(); },
         [&] { (*live)->WaitForRebuilds(); });
+    (*live)->engine()->Stop();
+    return rc;
   }
   return Fail(out, "unknown task: " + task);
 }

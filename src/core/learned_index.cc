@@ -200,23 +200,33 @@ int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
 }
 
 size_t LearnedSetIndex::AbsorbUpdatedSet(size_t position,
-                                         size_t max_subset_size) {
+                                         size_t max_subset_size,
+                                         sets::SetView old_content) {
   if (position >= collection_->size()) return 0;
+  const auto pos = static_cast<int64_t>(position);
   size_t routed = 0;
   sets::ForEachSubset(collection_->set(position), max_subset_size,
                       [&](sets::SetView sub) {
                         // If the bounded search already finds a (first)
                         // superset, the error bounds still cover this
                         // subset; otherwise route it to the aux structure.
-                        int64_t found = Lookup(sub);
-                        if (found >= 0 &&
-                            found <= static_cast<int64_t>(position)) {
-                          return;
-                        }
-                        aux_.Insert(sets::HashSetSorted(sub),
-                                    static_cast<uint64_t>(position));
+                        const int64_t found = ProbeLookup(sub);
+                        if (found >= 0 && found <= pos) return;
+                        aux_.Assign(sets::HashSetSorted(sub), position);
                         ++routed;
                       });
+  sets::ForEachSubset(old_content, max_subset_size, [&](sets::SetView sub) {
+    if (collection_->SetContainsSorted(position, sub)) return;
+    // Sets before `position` did not change, so a superset among them was
+    // and still is the first one; otherwise the first moved past
+    // `position` (or vanished, which the bounded lookup cannot contradict:
+    // it only returns verified supersets).
+    const int64_t exact =
+        collection_->FindFirstSuperset(sub, 0, collection_->size());
+    if (exact < pos || ProbeLookup(sub) == exact) return;
+    aux_.Assign(sets::HashSetSorted(sub), static_cast<uint64_t>(exact));
+    ++routed;
+  });
   updates_absorbed_ += routed;
   metrics_.absorbed->Increment(routed);
   return routed;

@@ -89,12 +89,18 @@ class LearnedSetIndex {
 
   /// §7.2 update handling: after the caller updates set `position` in the
   /// collection (e.g. via SetCollection::UpdateSet), registers every subset
-  /// of the new content whose bounded lookup would now miss, by inserting
-  /// it into the auxiliary structure. The model is left untouched — "the
+  /// of the new content whose bounded lookup would now miss, by writing it
+  /// into the auxiliary structure. The model is left untouched — "the
   /// auxiliary index, already containing the updated version, is queried
-  /// first". Returns how many subsets were routed to the auxiliary
+  /// first". `old_content` is the set's content before the update: each of
+  /// its subsets that the new content dropped, and whose first position was
+  /// `position`, now first occurs later (or nowhere); where the bounded
+  /// lookup no longer finds that exact position, the aux tree is made to
+  /// answer it. Aux entries are replaced (BPlusTree::Assign), never
+  /// shadowed. Returns how many subsets were written to the auxiliary
   /// structure. `max_subset_size` should match the build's bound.
-  size_t AbsorbUpdatedSet(size_t position, size_t max_subset_size);
+  size_t AbsorbUpdatedSet(size_t position, size_t max_subset_size,
+                          sets::SetView old_content);
 
   /// Number of updates absorbed since the build; callers use this to decide
   /// when "the whole structure can be rebuilt".

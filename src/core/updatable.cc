@@ -122,10 +122,15 @@ Status UpdatableSetIndex::Update(size_t position,
   size_t routed = 0;
   {
     std::lock_guard<std::mutex> lock(engine_->write_mu());
+    std::vector<sets::ElementId> old_content;
+    if (position < master_collection_->size()) {
+      const sets::SetView old = master_collection_->set(position);
+      old_content.assign(old.begin(), old.end());
+    }
     LOS_RETURN_NOT_OK(
         master_collection_->UpdateSet(position, std::move(new_elements)));
-    routed = master_index_->AbsorbUpdatedSet(position,
-                                             opts_.index.max_subset_size);
+    routed = master_index_->AbsorbUpdatedSet(
+        position, opts_.index.max_subset_size, old_content);
     updated_positions_.push_back(position);
     updates_applied_.fetch_add(1, std::memory_order_relaxed);
     if (++updates_since_publish_ >= opts_.publish_after_updates) {
@@ -179,8 +184,10 @@ std::unique_ptr<IndexGeneration> UpdatableSetIndex::FinalizeGeneration(
   std::vector<size_t> replay = updated_positions_;
   std::sort(replay.begin(), replay.end());
   replay.erase(std::unique(replay.begin(), replay.end()), replay.end());
+  // The built index knows each replayed set as the snapshot held it.
   for (size_t pos : replay) {
-    (*rebound)->AbsorbUpdatedSet(pos, opts_.index.max_subset_size);
+    (*rebound)->AbsorbUpdatedSet(pos, opts_.index.max_subset_size,
+                                 built->collection->set(pos));
   }
   master_collection_ = std::move(new_collection);
   master_index_ = std::move(*rebound);

@@ -33,11 +33,11 @@ constexpr int64_t kNc = 1024;
 
 // The blocked path needs enough output rows to amortize packing B (cost
 // ~k*n) and at least one full kNr strip of useful columns (a 1-wide output
-// head would compute kNr-1 padded lanes for nothing). Below the row cutoff
-// GemmSmall handles the problem with the unpacked register-tile kernel (or
-// the single-row kernel for one row); the cutoff tracks the tiled path's row
-// cap — measured per-row throughput at the boundary (two unpacked 8-row
-// tiles vs packed panels) favors the tiled kernel until ~2 full tiles.
+// head would compute kNr-1 padded lanes for nothing). Everything else runs
+// GemmNarrow's unpacked register tiles (or the single-row kernel for one row
+// with untransposed B); the row cutoff is two narrow tiles — measured
+// per-row throughput at the boundary (two unpacked 8-row tiles vs packed
+// panels) favors the narrow kernel until then.
 constexpr int64_t kBlockedMinRows = 17;
 constexpr int64_t kBlockedMinWork = 32 * 32 * 32;
 
@@ -120,111 +120,6 @@ inline void MicroKernel(int64_t kc, const float* __restrict ap,
   }
 }
 
-/// Tile height for the unpacked register-tile path in GemmSmall. Taller
-/// than the blocked kernel's kMr on purpose: with AVX-512 (32 vector regs)
-/// an 8 x kNr accumulator still fits the register file, and a serving
-/// micro-batch of 8 queries then runs as a SINGLE tile — one streaming pass
-/// over op(B), which is the whole game for weight matrices too large for
-/// cache.
-constexpr int64_t kSmallTileRows = 8;
-
-/// Row cap for the unpacked register-tile path in GemmSmall. Past this the
-/// blocked kernel's packed panels win: each extra kSmallTileRows row tile
-/// re-streams op(B) from memory, so by ~2 tiles the packing cost (~one
-/// extra pass over B) has paid for itself.
-constexpr int64_t kSmallTiledMaxRows = 16;
-
-/// Register-tile micro-kernel over UNPACKED operands for micro-batch row
-/// counts (2..kSmallTiledMaxRows). Same kMr x kNr accumulator shape as the
-/// blocked kernel — so the same near-peak FMA throughput — but reads B
-/// in-place: a kNr-column strip of B is walked down k with a software
-/// prefetch hiding the L3 latency of the row-stride jumps. This skips the
-/// packing pass entirely, which dominates blocked-kernel time at small m
-/// (packing costs ~k*n regardless of row count).
-///
-/// Determinism: the accumulator is seeded from C and each element then
-/// accumulates in strictly increasing k order — the exact order GemmSmall's
-/// scalar loop and the blocked kernel use — so results are bit-identical
-/// whichever path the dispatch picks (batch/serve consistency relies on
-/// this; see GemmTest.PerRowResultsAreShapeInvariant).
-template <int kRows>
-void SmallTileRows(const float* ad, int64_t a_cols, bool trans_a,
-                   const float* bd, int64_t b_cols, float alpha, int64_t i0,
-                   int64_t n, int64_t k, float* cd) {
-  for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-    const int64_t nr = std::min(kNr, n - j0);
-    float acc[kRows * kNr];
-    for (int64_t i = 0; i < kRows; ++i) {
-      for (int64_t j = 0; j < nr; ++j) {
-        acc[i * kNr + j] = cd[(i0 + i) * n + j0 + j];
-      }
-    }
-    const float* bs = bd + j0;
-    if (nr == kNr) {
-      // Constexpr trip counts keep `acc` in vector registers.
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* __restrict brow = bs + kk * b_cols;
-        __builtin_prefetch(brow + 8 * b_cols, 0, 0);
-        __builtin_prefetch(brow + 8 * b_cols + 16, 0, 0);
-        for (int64_t i = 0; i < kRows; ++i) {
-          const float av = alpha * AAt(ad, a_cols, trans_a, i0 + i, kk);
-          float* __restrict arow = acc + i * kNr;
-          for (int64_t j = 0; j < kNr; ++j) arow[j] += av * brow[j];
-        }
-      }
-    } else {
-      for (int64_t kk = 0; kk < k; ++kk) {
-        const float* __restrict brow = bs + kk * b_cols;
-        for (int64_t i = 0; i < kRows; ++i) {
-          const float av = alpha * AAt(ad, a_cols, trans_a, i0 + i, kk);
-          float* __restrict arow = acc + i * kNr;
-          for (int64_t j = 0; j < nr; ++j) arow[j] += av * brow[j];
-        }
-      }
-    }
-    for (int64_t i = 0; i < kRows; ++i) {
-      for (int64_t j = 0; j < nr; ++j) {
-        cd[(i0 + i) * n + j0 + j] = acc[i * kNr + j];
-      }
-    }
-  }
-}
-
-void GemmSmallTiled(const float* ad, int64_t a_cols, bool trans_a,
-                    const float* bd, int64_t b_cols, float alpha, int64_t m,
-                    int64_t n, int64_t k, float* cd) {
-  for (int64_t i0 = 0; i0 < m; i0 += kSmallTileRows) {
-    // Dispatch on the tile's row count so even edge tiles run with
-    // constexpr loop bounds and a register-resident accumulator.
-    switch (std::min(kSmallTileRows, m - i0)) {
-      case 1:
-        SmallTileRows<1>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 2:
-        SmallTileRows<2>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 3:
-        SmallTileRows<3>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 4:
-        SmallTileRows<4>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 5:
-        SmallTileRows<5>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 6:
-        SmallTileRows<6>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      case 7:
-        SmallTileRows<7>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-      default:
-        SmallTileRows<8>(ad, a_cols, trans_a, bd, b_cols, alpha, i0, n, k, cd);
-        break;
-    }
-  }
-}
-
 /// One multiply-add step of the single-row kernel. Under -mfma the batched
 /// kernels' `c += a * b` loops are contracted to fused multiply-adds; GCC
 /// does not reliably contract a loop-carried *scalar* chain (the 1-wide
@@ -260,19 +155,21 @@ void RowStrip(const float* x, int64_t x_stride, float alpha, const float* w,
   for (int64_t j = 0; j < W; ++j) y[j] = acc[j];
 }
 
-/// Covers the last `rest` (< 2W) columns with strips of width W, W/2, ...,
-/// 1, so every strip has a constexpr width; a 1-wide head is a dot product.
-template <int64_t W>
-void RowTail(const float* x, int64_t x_stride, float alpha, const float* w,
-             int64_t ldw, int64_t k, int64_t rest, float* y) {
+/// Covers the last `rest` (< 2W) columns or rows with strips of width W,
+/// W/2, ..., 1: calls strip.template operator()<S>(offset) for every power
+/// of two S set in `rest`, widest first, with `offset` the width already
+/// covered, so every strip kernel runs at a constexpr width (a 1-wide head
+/// is a dot product). Forced inline: GCC otherwise emits the row kernel's
+/// instance out of line, which doubled a small single-row forward
+/// (BM_DenseForwardRow in:8/out:32, ~27 -> ~60 ns on an AVX-512 Xeon).
+template <int64_t W, class F>
+[[gnu::always_inline]] inline void ForPow2Strips(int64_t rest, F&& strip,
+                                                 int64_t offset = 0) {
   if (rest & W) {
-    RowStrip<W>(x, x_stride, alpha, w, ldw, k, y);
-    w += W;
-    y += W;
+    strip.template operator()<W>(offset);
+    offset += W;
   }
-  if constexpr (W > 1) {
-    RowTail<W / 2>(x, x_stride, alpha, w, ldw, k, rest, y);
-  }
+  if constexpr (W > 1) ForPow2Strips<W / 2>(rest, strip, offset);
 }
 
 /// The single-row kernel: y (n) += alpha * op(x) (k, element stride
@@ -284,38 +181,176 @@ void RowKernel(const float* x, int64_t x_stride, float alpha, const float* w,
   for (; j0 + kRowStrip <= n; j0 += kRowStrip) {
     RowStrip<kRowStrip>(x, x_stride, alpha, w + j0, ldw, k, y + j0);
   }
-  RowTail<kRowStrip / 2>(x, x_stride, alpha, w + j0, ldw, k, n - j0, y + j0);
+  ForPow2Strips<kRowStrip / 2>(n - j0, [&]<int64_t W>(int64_t off) {
+    RowStrip<W>(x, x_stride, alpha, w + j0 + off, ldw, k, y + j0 + off);
+  });
 }
 
-/// Simple i-k-j kernel for problems too small to amortize packing. Unlike
-/// the original seed kernel there is no data-dependent `av == 0` branch, so
-/// the inner loop always vectorizes to contiguous FMAs. With untransposed B,
-/// one row runs the single-row kernel and micro-batch shapes
-/// (2..kSmallTiledMaxRows rows) divert to GemmSmallTiled; both produce
-/// bit-identical results (same increasing-k accumulation order) at several
-/// times the throughput — i-k-j accumulates through C in memory and
-/// re-streams all of B once per output row.
-void GemmSmall(const float* ad, int64_t a_cols, bool trans_a, const float* bd,
-               int64_t b_cols, bool trans_b, float alpha, int64_t m, int64_t n,
-               int64_t k, float* cd) {
-  if (!trans_b && m == 1) {
-    RowKernel(ad, trans_a ? a_cols : 1, alpha, bd, b_cols, k, n, cd);
+// ---------------------------------------------------------------------------
+// Narrow GEMM: every product the blocked kernel does not take except the
+// single row with untransposed B — micro-batches (m < kBlockedMinRows),
+// outputs narrower than one kNr strip (training's n = 8/16 input gradients
+// and 1-wide heads), and tiny problems. Nothing is packed for op(A); op(B)
+// is packed k-major one kNr-column strip at a time when it is transposed,
+// so every tile reads a contiguous row of op(B) per k step. A 1-wide output
+// runs the column kernel instead, with rows as the vector lanes.
+// ---------------------------------------------------------------------------
+
+/// Row-tile height of the narrow kernel. With AVX-512 (32 vector registers)
+/// an 8 x kNr accumulator still fits the register file, so a serving
+/// micro-batch of 8 queries runs as a SINGLE tile — one streaming pass over
+/// op(B), which is the whole game for weight matrices too large for cache.
+constexpr int64_t kNarrowRows = 8;
+
+/// Rows per strip of the n = 1 column kernel: 64 lanes are four zmm (eight
+/// ymm) accumulators, enough independent FMA chains to cover FMA latency.
+constexpr int64_t kColStrip = 64;
+
+/// C rows [0, kRows) x columns [0, W) += alpha * op(A) rows [i0, i0+kRows)
+/// * b, where `b` is W columns of op(B) stored k-major with row stride ldb
+/// and `c` points at the tile's top-left element (row stride ldc). The
+/// register-resident accumulator is seeded from C and each element then
+/// accumulates in strictly increasing k, so every path agrees bit for bit
+/// (GemmTest.EveryPathMatchesInOrderContractBitExact).
+template <int64_t kRows, int64_t W>
+void NarrowTile(const float* ad, int64_t a_cols, bool trans_a, float alpha,
+                const float* b, int64_t ldb, int64_t i0, int64_t k, float* c,
+                int64_t ldc) {
+  float acc[kRows * W];
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < W; ++j) acc[i * W + j] = c[i * ldc + j];
+  }
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float* __restrict brow = b + kk * ldb;
+    if constexpr (W == kNr) {
+      // A full strip of an unpacked B walks row-stride jumps down k; the
+      // prefetch hides their L3 latency for weight matrices beyond L2.
+      __builtin_prefetch(brow + 8 * ldb, 0, 0);
+      __builtin_prefetch(brow + 8 * ldb + 16, 0, 0);
+    }
+    for (int64_t i = 0; i < kRows; ++i) {
+      const float av = alpha * AAt(ad, a_cols, trans_a, i0 + i, kk);
+      float* __restrict arow = acc + i * W;
+      // Without this GCC fully unrolls a <= 16-wide j loop first and then
+      // vectorizes across the tile's rows, leaving the accumulator in
+      // memory (~10x slower). Kept rolled, the j loop becomes whole vectors.
+#pragma GCC unroll 1
+      for (int64_t j = 0; j < W; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
+    }
+  }
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < W; ++j) c[i * ldc + j] = acc[i * W + j];
+  }
+}
+
+/// The last tile of a strip, `rows` < kRows high: recurses down to its
+/// height so it too keeps a constexpr, register-resident accumulator.
+template <int64_t kRows, int64_t W>
+void NarrowEdgeTile(int64_t rows, const float* ad, int64_t a_cols,
+                    bool trans_a, float alpha, const float* b, int64_t ldb,
+                    int64_t i0, int64_t k, float* c, int64_t ldc) {
+  if constexpr (kRows > 1) {
+    if (rows < kRows) {
+      NarrowEdgeTile<kRows - 1, W>(rows, ad, a_cols, trans_a, alpha, b, ldb,
+                                   i0, k, c, ldc);
+      return;
+    }
+  }
+  NarrowTile<kRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k, c, ldc);
+}
+
+/// One W-wide column strip over all m rows, in kNarrowRows-high tiles.
+template <int64_t W>
+void NarrowStrip(const float* ad, int64_t a_cols, bool trans_a, float alpha,
+                 const float* b, int64_t ldb, int64_t m, int64_t k, float* c,
+                 int64_t ldc) {
+  int64_t i0 = 0;
+  for (; i0 + kNarrowRows <= m; i0 += kNarrowRows) {
+    NarrowTile<kNarrowRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k,
+                               c + i0 * ldc, ldc);
+  }
+  if (i0 < m) {
+    NarrowEdgeTile<kNarrowRows - 1, W>(m - i0, ad, a_cols, trans_a, alpha, b,
+                                       ldb, i0, k, c + i0 * ldc, ldc);
+  }
+}
+
+/// The n = 1 column kernel: c[r] += alpha * op(A)(r, :) · b for R rows of
+/// op(A) starting at row i0, with `b` contiguous. Rows are the vector lanes,
+/// so each k step is R / 16 independent FMAs rather than one serial
+/// dot-product chain per row, while every c[r] still accumulates alone in
+/// strictly increasing k. Untransposed A is read down its columns (a
+/// strided load per lane).
+template <int64_t R, bool kTransA>
+void ColStrip(const float* ad, int64_t a_cols, float alpha, const float* b,
+              int64_t i0, int64_t k, float* c) {
+  float acc[R];
+  for (int64_t r = 0; r < R; ++r) acc[r] = c[r];
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float bv = b[kk];
+    for (int64_t r = 0; r < R; ++r) {
+      const float a = kTransA ? ad[kk * a_cols + i0 + r]
+                              : ad[(i0 + r) * a_cols + kk];
+      acc[r] = MulAdd(alpha * a, bv, acc[r]);
+    }
+  }
+  for (int64_t r = 0; r < R; ++r) c[r] = acc[r];
+}
+
+/// All m rows of the n = 1 column kernel.
+template <bool kTransA>
+void ColKernel(const float* ad, int64_t a_cols, float alpha, const float* b,
+               int64_t m, int64_t k, float* c) {
+  int64_t i0 = 0;
+  for (; i0 + kColStrip <= m; i0 += kColStrip) {
+    ColStrip<kColStrip, kTransA>(ad, a_cols, alpha, b, i0, k, c + i0);
+  }
+  ForPow2Strips<kColStrip / 2>(m - i0, [&]<int64_t R>(int64_t off) {
+    ColStrip<R, kTransA>(ad, a_cols, alpha, b, i0 + off, k, c + i0 + off);
+  });
+}
+
+/// C (m x n) += alpha * op(A) * op(B) for every shape the blocked kernel
+/// and the single-row kernel do not take. Single-threaded.
+void GemmNarrow(const float* ad, int64_t a_cols, bool trans_a,
+                const float* bd, int64_t b_cols, bool trans_b, float alpha,
+                int64_t m, int64_t n, int64_t k, float* cd) {
+  // One packed strip of a transposed op(B), at most k x kNr floats; reused
+  // across calls so steady-state training allocates nothing here.
+  static thread_local std::vector<float> packed;
+  if (n == 1) {
+    // op(B) is a contiguous k-vector in either orientation (B is k x 1 or
+    // 1 x k).
+    if (trans_a) {
+      ColKernel<true>(ad, a_cols, alpha, bd, m, k, cd);
+    } else {
+      ColKernel<false>(ad, a_cols, alpha, bd, m, k, cd);
+    }
     return;
   }
-  if (!trans_b && m <= kSmallTiledMaxRows) {
-    GemmSmallTiled(ad, a_cols, trans_a, bd, b_cols, alpha, m, n, k, cd);
-    return;
-  }
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = cd + i * n;
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av = alpha * AAt(ad, a_cols, trans_a, i, kk);
-      if (!trans_b) {
-        const float* brow = bd + kk * b_cols;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-      } else {
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * bd[j * b_cols + kk];
+  for (int64_t j0 = 0; j0 < n; j0 += kNr) {
+    const int64_t w = std::min(kNr, n - j0);
+    const float* b = bd + j0;
+    int64_t ldb = b_cols;
+    if (trans_b) {
+      // op(B)(kk, j) = B(j, kk): column j of the strip is a contiguous row
+      // of the stored B.
+      packed.resize(static_cast<size_t>(k * w));
+      float* p = packed.data();
+      for (int64_t j = 0; j < w; ++j) {
+        const float* src = bd + (j0 + j) * b_cols;
+        for (int64_t kk = 0; kk < k; ++kk) p[kk * w + j] = src[kk];
       }
+      b = p;
+      ldb = w;
+    }
+    if (w == kNr) {
+      NarrowStrip<kNr>(ad, a_cols, trans_a, alpha, b, ldb, m, k, cd + j0, n);
+    } else {
+      ForPow2Strips<kNr / 2>(w, [&]<int64_t W>(int64_t off) {
+        NarrowStrip<W>(ad, a_cols, trans_a, alpha, b + off, ldb, m, k,
+                       cd + j0 + off, n);
+      });
     }
   }
 }
@@ -326,7 +361,7 @@ void GemmSmall(const float* ad, int64_t a_cols, bool trans_a, const float* bd,
 ///
 /// The register tile is seeded from C and written back (rather than zeroed
 /// and added): per element the additions then happen in strictly increasing
-/// k order across kKc panels — the exact order GemmSmall uses — so a row's
+/// k order across kKc panels — the exact order GemmNarrow uses — so a row's
 /// result is bit-identical whichever kernel and whatever blocking handles
 /// it. The learned structures rely on this: batched and single-query
 /// forwards must agree exactly (see LearnedBloomFilter's no-false-negative
@@ -415,7 +450,11 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 
   const int64_t work = m * n * k;
   if (m < kBlockedMinRows || n < kNr || work < kBlockedMinWork) {
-    GemmSmall(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m, n, k, cd);
+    if (!trans_b && m == 1) {
+      RowKernel(ad, trans_a ? a_cols : 1, alpha, bd, b_cols, k, n, cd);
+    } else {
+      GemmNarrow(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m, n, k, cd);
+    }
     return;
   }
 

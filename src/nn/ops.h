@@ -16,15 +16,19 @@ namespace los::nn {
 /// `trans_a` / `trans_b` select whether A / B are used transposed. Large
 /// problems run a cache-blocked, register-tiled kernel over packed panels
 /// (both orientations of B are packed into contiguous strips) and may split
-/// row tiles across the kernel thread pool; small problems use unpacked
-/// register tiles (one row with untransposed B: the GemmRow kernel) or a
-/// plain vectorized i-k-j loop. Threading only partitions disjoint rows of
-/// C, so results are bit-identical for any thread count. Moreover every path
-/// accumulates each output element in strictly increasing k order, so a
+/// row tiles across the kernel thread pool. One row with untransposed B runs
+/// the GemmRow kernel; every other shape — micro-batches, outputs narrower
+/// than 32 columns, tiny products — runs the narrow kernel's unpacked
+/// register tiles (a 1-wide output with rows as the vector lanes).
+/// Threading only partitions disjoint rows of C, so results are
+/// bit-identical for any thread count. Moreover every path seeds each
+/// output element from beta * C and accumulates (alpha * a) * b into it in
+/// strictly increasing k order, fused exactly when the build has FMA, so a
 /// row's result is bit-identical regardless of which kernel or blocking the
 /// problem shape selects — batched and single-row calls over the same data
 /// agree exactly (the learned structures' batch/serve consistency depends
-/// on this; see GemmTest.PerRowResultsAreShapeInvariant).
+/// on this; see GemmTest.EveryPathMatchesInOrderContractBitExact and
+/// GemmTest.PerRowResultsAreShapeInvariant).
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           float alpha, float beta, Tensor* c);
 

@@ -49,6 +49,23 @@ TEST(BPlusTreeTest, DuplicateKeysKeepAllValues) {
   EXPECT_EQ(*t.FindFirst(1), 10u);  // smallest value = first position
 }
 
+TEST(BPlusTreeTest, AssignReplacesEveryDuplicate) {
+  BPlusTree t(4);
+  for (uint64_t i = 0; i < 40; ++i) t.Insert(i % 3, 100 + i);  // splits
+  t.Insert(1, 5);
+  t.Assign(1, 70);  // replaces all 14 values under key 1, including 5
+  EXPECT_EQ(*t.FindFirst(1), 70u);
+  const auto all = t.FindAll(1);
+  EXPECT_EQ(all.size(), 14u);
+  for (uint64_t v : all) EXPECT_EQ(v, 70u);
+  EXPECT_EQ(*t.FindFirst(0), 100u);  // neighbours untouched
+  EXPECT_EQ(*t.FindFirst(2), 102u);
+  t.Assign(9, 3);  // absent key: inserted
+  EXPECT_EQ(*t.FindFirst(9), 3u);
+  EXPECT_EQ(t.size(), 42u);
+  EXPECT_TRUE(t.CheckInvariants().ok());
+}
+
 TEST(BPlusTreeTest, SplitsKeepInvariants) {
   BPlusTree t(4);
   for (uint64_t i = 0; i < 200; ++i) t.Insert(i * 7 % 97, i);

@@ -522,9 +522,11 @@ TEST(LearnedIndexTest, AbsorbsUpdatesIntoAuxStructure) {
   ASSERT_TRUE(index.ok());
 
   // Replace set 42 with brand-new elements never seen by the model.
+  const sets::SetView before = c.set(42);
+  const std::vector<sets::ElementId> old(before.begin(), before.end());
   std::vector<sets::ElementId> fresh{200, 201, 202};
   ASSERT_TRUE(c.UpdateSet(42, fresh).ok());
-  size_t routed = index->AbsorbUpdatedSet(42, /*max_subset_size=*/2);
+  size_t routed = index->AbsorbUpdatedSet(42, /*max_subset_size=*/2, old);
   EXPECT_GT(routed, 0u);
   EXPECT_EQ(index->updates_absorbed(), routed);
 

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <vector>
 
 #include "baselines/inverted_index.h"
@@ -406,9 +407,9 @@ TEST(ClosedLoopTest, DriftTriggersQualityRebuildAndQErrorRecovers) {
   opts.cardinality.train.epochs = 3;
   opts.cardinality.max_subset_size = 2;
   opts.update.rebuild_after_absorbed = 0;  // quality-triggered only
-  auto live = core::UpdatableCardinality::Build(collection, opts);
-  ASSERT_TRUE(live.ok()) << live.status().ToString();
 
+  // The monitor outlives the engine: the engine's trainer thread runs the
+  // rebuild listener, which refreshes `mon`, until `live` joins it.
   MetricsRegistry registry;
   monitor::MonitorOptions mopts;
   mopts.sample_every = 1;
@@ -416,9 +417,20 @@ TEST(ClosedLoopTest, DriftTriggersQualityRebuildAndQErrorRecovers) {
   mopts.min_samples = 32;
   mopts.drift_threshold = 0.25;
   monitor::CardinalityMonitor mon(mopts, &registry);
+
+  auto live = core::UpdatableCardinality::Build(collection, opts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
   mon.SetRetrainCallback([&] { (*live)->engine()->RequestQualityRebuild(); });
-  (*live)->engine()->SetRebuildListener(
-      [&] { mon.Refresh((*live)->SnapshotCollection(), 2); });
+  // A retrain of this model takes a few milliseconds, so the rebuild the
+  // monitor triggers mid-phase-B can finish before phase B ends. The
+  // listener holds its rebind (which resets drift score and latch) until
+  // phase B has been read; training itself still overlaps the traffic.
+  std::promise<void> phase_b_read;
+  std::shared_future<void> rebind_allowed = phase_b_read.get_future().share();
+  (*live)->engine()->SetRebuildListener([&] {
+    rebind_allowed.wait();
+    mon.Refresh((*live)->SnapshotCollection(), 2);
+  });
   mon.Refresh((*live)->SnapshotCollection(), 2);
 
   auto observe = [&](const sets::Query& q) {
@@ -449,6 +461,7 @@ TEST(ClosedLoopTest, DriftTriggersQualityRebuildAndQErrorRecovers) {
   EXPECT_GT(mon.drift_score(), 0.25);
   EXPECT_TRUE(mon.triggered());
   const double degraded_p95 = mon.WindowStats().p95;
+  phase_b_read.set_value();
 
   (*live)->WaitForRebuilds();
   EXPECT_EQ((*live)->engine()->rebuilds(), 1u);

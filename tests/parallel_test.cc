@@ -93,6 +93,91 @@ TEST(GemmTest, MatchesReferenceAcrossShapesAndFlags) {
   }
 }
 
+/// The per-element numerics contract every Gemm path keeps: C is scaled by
+/// beta first, then each element accumulates (alpha * a) * b from that seed
+/// in strictly increasing k, fused exactly when the build has FMA.
+void InOrderGemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
+                 float alpha, float beta, Tensor* c) {
+  const int64_t m = c->rows();
+  const int64_t n = c->cols();
+  const int64_t k = trans_a ? a.rows() : a.cols();
+  if (beta == 0.0f) {
+    c->SetZero();
+  } else if (beta != 1.0f) {
+    c->Scale(beta);
+  }
+  const float* ad = a.data();
+  const float* bd = b.data();
+  for (int64_t i = 0; i < m; ++i) {
+    float* crow = c->row(i);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float av =
+          alpha * (trans_a ? ad[kk * a.cols() + i] : ad[i * a.cols() + kk]);
+      for (int64_t j = 0; j < n; ++j) {
+        const float bv =
+            trans_b ? bd[j * b.cols() + kk] : bd[kk * b.cols() + j];
+#ifdef __FMA__
+        crow[j] = std::fmaf(av, bv, crow[j]);
+#else
+        crow[j] = av * bv + crow[j];
+#endif
+      }
+    }
+  }
+}
+
+TEST(GemmTest, EveryPathMatchesInOrderContractBitExact) {
+  ScopedKernelPool pool(4);
+  // Spans the single-row kernel (m = 1), the narrow register tiles (n < 32
+  // or m < 17, both orientations of B), the n = 1 column kernel, and the
+  // blocked + threaded path with k-panel splits (k > 256) and column tails.
+  const std::vector<int64_t> ms = {1, 2, 16, 17, 512, 1341};
+  const std::vector<int64_t> ns = {1, 2, 7, 8, 15, 16, 17, 31, 32, 33};
+  const std::vector<int64_t> ks = {1, 8, 16, 64, 257, 512};
+  const std::vector<std::pair<float, float>> coeffs = {{1.0f, 0.0f},
+                                                       {0.7f, 1.0f}};
+  Rng rng(23);
+  Tensor values(1, 1341 * 512 + 64);
+  nn::GaussianInit(&values, 1.0f, &rng);
+  // Distinct offsets into one random pool give A, B and C unrelated data
+  // without drawing fresh numbers for each of the ~2,900 products.
+  auto fill = [&values](Tensor* t, int64_t offset) {
+    std::memcpy(t->data(), values.data() + offset,
+                static_cast<size_t>(t->size()) * sizeof(float));
+  };
+  int failures = 0;
+  for (bool trans_a : {false, true}) {
+    for (bool trans_b : {false, true}) {
+      for (int64_t m : ms) {
+        for (int64_t k : ks) {
+          Tensor a(trans_a ? k : m, trans_a ? m : k);
+          fill(&a, 0);
+          for (int64_t n : ns) {
+            Tensor b(trans_b ? n : k, trans_b ? k : n);
+            fill(&b, 31);
+            Tensor c0(m, n);
+            fill(&c0, 57);
+            for (const auto& [alpha, beta] : coeffs) {
+              Tensor c_gemm = c0;
+              Tensor c_ref = c0;
+              nn::Gemm(a, trans_a, b, trans_b, alpha, beta, &c_gemm);
+              InOrderGemm(a, trans_a, b, trans_b, alpha, beta, &c_ref);
+              const bool same =
+                  std::memcmp(c_gemm.data(), c_ref.data(),
+                              static_cast<size_t>(c_ref.size()) *
+                                  sizeof(float)) == 0;
+              EXPECT_TRUE(same) << "m=" << m << " n=" << n << " k=" << k
+                                << " ta=" << trans_a << " tb=" << trans_b
+                                << " alpha=" << alpha << " beta=" << beta;
+              if (!same && ++failures >= 10) return;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmTest, ThreadedIsBitIdenticalToSerial) {
   const int64_t n = 320;  // above both the blocked and threaded cutoffs
   Rng rng(5);
@@ -120,31 +205,39 @@ TEST(GemmTest, PerRowResultsAreShapeInvariant) {
   // Build/serve consistency of the learned structures — most critically the
   // Bloom filter's no-false-negative guarantee — requires the per-row
   // result to be bit-identical regardless of problem shape.
-  const int64_t m = 257;  // blocked + threaded
+  // n = 64 runs blocked + threaded; n = 1, 8 and 16 (the output head and
+  // the narrow backward products) run the narrow kernels at full height.
+  const int64_t m = 257;
   const int64_t k = 300;  // > kKc, so the blocked path splits k panels
-  const int64_t n = 64;
   Rng rng(17);
-  for (bool trans_b : {false, true}) {
-    Tensor a(m, k);
-    Tensor b(trans_b ? n : k, trans_b ? k : n);
-    Tensor c0(m, n);
-    nn::GaussianInit(&a, 1.0f, &rng);
-    nn::GaussianInit(&b, 1.0f, &rng);
-    nn::GaussianInit(&c0, 1.0f, &rng);
-    Tensor c_full = c0;
-    nn::Gemm(a, false, b, trans_b, 1.3f, 0.7f, &c_full);
-    for (int64_t i = 0; i < m; i += 17) {
-      Tensor a1(1, k);
-      std::memcpy(a1.data(), a.row(i),
-                  static_cast<size_t>(k) * sizeof(float));
-      Tensor c1(1, n);
-      std::memcpy(c1.data(), c0.row(i),
-                  static_cast<size_t>(n) * sizeof(float));
-      nn::Gemm(a1, false, b, trans_b, 1.3f, 0.7f, &c1);
-      EXPECT_EQ(std::memcmp(c1.data(), c_full.row(i),
-                            static_cast<size_t>(n) * sizeof(float)),
-                0)
-          << "row " << i << " trans_b=" << trans_b;
+  for (int64_t n : {1, 8, 16, 64}) {
+    for (bool trans_a : {false, true}) {
+      for (bool trans_b : {false, true}) {
+        Tensor a(trans_a ? k : m, trans_a ? m : k);
+        Tensor b(trans_b ? n : k, trans_b ? k : n);
+        Tensor c0(m, n);
+        nn::GaussianInit(&a, 1.0f, &rng);
+        nn::GaussianInit(&b, 1.0f, &rng);
+        nn::GaussianInit(&c0, 1.0f, &rng);
+        Tensor c_full = c0;
+        nn::Gemm(a, trans_a, b, trans_b, 1.3f, 0.7f, &c_full);
+        for (int64_t i = 0; i < m; i += 17) {
+          // Row i of op(A) as a one-row operand of the same orientation.
+          Tensor a1(trans_a ? k : 1, trans_a ? 1 : k);
+          for (int64_t kk = 0; kk < k; ++kk) {
+            a1.data()[kk] = trans_a ? a(kk, i) : a(i, kk);
+          }
+          Tensor c1(1, n);
+          std::memcpy(c1.data(), c0.row(i),
+                      static_cast<size_t>(n) * sizeof(float));
+          nn::Gemm(a1, trans_a, b, trans_b, 1.3f, 0.7f, &c1);
+          EXPECT_EQ(std::memcmp(c1.data(), c_full.row(i),
+                                static_cast<size_t>(n) * sizeof(float)),
+                    0)
+              << "row " << i << " n=" << n << " trans_a=" << trans_a
+              << " trans_b=" << trans_b;
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <set>
@@ -256,6 +257,76 @@ TEST(UpdatableSetIndexTest, RebuildResetsAccountingAndKeepsRegistry) {
             injected_before + 1);
   EXPECT_EQ(MetricsRegistry::Global()->GetCounter("index.lookups")->value(),
             global_before);
+}
+
+/// Brute-force first position of `q` in `c`; -1 if no set contains it.
+int64_t FirstSuperset(const sets::SetCollection& c, sets::SetView q) {
+  for (size_t i = 0; i < c.size(); ++i) {
+    const sets::SetView s = c.set(i);
+    if (std::includes(s.begin(), s.end(), q.begin(), q.end())) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return -1;
+}
+
+TEST(UpdatableSetIndexTest, EverySubsetLookupIsExactAcrossRandomUpdates) {
+  // Exhaustive ground truth on a small universe: after every update of a
+  // seeded random sequence, and after a rebuild, each subset of up to
+  // max_subset_size elements must look up to its exact first position (-1
+  // when no set contains it). Updates draw from two ids beyond the trained
+  // vocabulary too, and both add and remove content, so first positions
+  // move earlier (new content) and later (content a set no longer has).
+  constexpr sets::ElementId kTrained = 12;
+  constexpr sets::ElementId kUniverse = kTrained + 2;
+  std::vector<sets::ElementId> universe(kUniverse);
+  for (sets::ElementId e = 0; e < kUniverse; ++e) universe[e] = e;
+  for (uint64_t seed : {1, 2, 3}) {
+    sets::RwConfig rw;
+    rw.num_sets = 80;
+    rw.num_unique = kTrained;
+    rw.seed = seed;
+    auto opts = FastIndexOptions();
+    opts.index.max_subset_size = 3;
+    opts.update.background_rebuild = false;
+    auto idx = UpdatableSetIndex::Build(GenerateRw(rw), opts);
+    ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+    auto& index = **idx;
+    auto wrong_lookups = [&] {
+      const sets::SetCollection c = index.SnapshotCollection();
+      int wrong = 0;
+      sets::ForEachSubset(
+          sets::SetView(universe), opts.index.max_subset_size,
+          [&](sets::SetView q) {
+            const int64_t truth = FirstSuperset(c, q);
+            const int64_t got = index.Lookup(q);
+            if (got != truth && ++wrong <= 3) {
+              ADD_FAILURE() << "query of " << q.size() << " elements {"
+                            << q[0] << (q.size() > 1 ? ", ..." : "")
+                            << "}: lookup " << got << ", truth " << truth;
+            }
+          });
+      return wrong;
+    };
+    ASSERT_EQ(wrong_lookups(), 0) << "seed " << seed << " after build";
+    Rng rng(seed + 100);
+    const size_t num_sets = index.SnapshotCollection().size();
+    for (int step = 0; step < 30; ++step) {
+      const size_t position = rng.Uniform(num_sets);
+      std::set<sets::ElementId> content;
+      const size_t size = 1 + rng.Uniform(5);
+      while (content.size() < size) {
+        content.insert(static_cast<sets::ElementId>(rng.Uniform(kUniverse)));
+      }
+      ASSERT_TRUE(index.Update(position, {content.begin(), content.end()})
+                      .ok());
+      ASSERT_EQ(wrong_lookups(), 0)
+          << "seed " << seed << " after update " << step << " at "
+          << position;
+    }
+    ASSERT_TRUE(index.RebuildNow().ok());
+    ASSERT_EQ(wrong_lookups(), 0) << "seed " << seed << " after rebuild";
+  }
 }
 
 // ---------- UpdatableCardinality ----------
