@@ -1,10 +1,9 @@
 #include "cli/cli.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
+#include <functional>
 
 #include "common/metrics.h"
 #include "common/random.h"
@@ -16,7 +15,6 @@
 #include "core/updatable.h"
 #include "monitor/healthz.h"
 #include "monitor/monitor.h"
-#include "serve/serving.h"
 #include "sets/generators.h"
 #include "sets/set_io.h"
 #include "sets/subset_gen.h"
@@ -47,19 +45,18 @@ std::string Fmt(double v) {
   return buf;
 }
 
-/// Shared `--monitor-*` knobs for serve-bench --monitor and `los monitor`.
-/// Thresholds default to 0 (observe-only); the monitor command overrides
-/// the drift threshold to close the loop.
+/// `los monitor`'s `--monitor-*` and threshold knobs. The defaults sample
+/// densely and close the loop on drift alone; the accuracy thresholds
+/// default to 0 (off).
 monitor::MonitorOptions MonitorOptsFromArgs(const ArgParser& args) {
   monitor::MonitorOptions m;
-  m.sample_every =
-      static_cast<size_t>(args.GetInt("monitor-sample-every", 128));
+  m.sample_every = static_cast<size_t>(args.GetInt("monitor-sample-every", 8));
   m.window = static_cast<size_t>(args.GetInt("monitor-window", 512));
   m.publish_every =
-      static_cast<size_t>(args.GetInt("monitor-publish-every", 32));
+      static_cast<size_t>(args.GetInt("monitor-publish-every", 16));
   m.min_samples =
-      static_cast<size_t>(args.GetInt("monitor-min-samples", 64));
-  m.drift_threshold = args.GetDouble("drift-threshold", 0.0);
+      static_cast<size_t>(args.GetInt("monitor-min-samples", 48));
+  m.drift_threshold = args.GetDouble("drift-threshold", 0.25);
   m.qerror_p95_threshold = args.GetDouble("qerror-threshold", 0.0);
   m.position_error_p95_threshold =
       args.GetDouble("position-error-threshold", 0.0);
@@ -300,8 +297,8 @@ int CmdQuery(const ArgParser& args, std::ostream& out) {
   return Fail(out, "unknown task: " + task);
 }
 
-/// Synthetic query workload for serve-bench: random subsets of the model's
-/// vocabulary, sizes 1..3, deterministic given the seed.
+/// Uniform random queries over a `vocab`-element id space, sizes 1..3,
+/// deterministic given the seed: the monitor demo's drifted traffic.
 std::vector<sets::Query> SyntheticQueries(size_t vocab, size_t n,
                                           uint64_t seed) {
   Rng rng(seed);
@@ -322,239 +319,10 @@ std::vector<sets::Query> SyntheticQueries(size_t vocab, size_t n,
   return queries;
 }
 
-struct ClosedLoopResult {
-  double wall_seconds = 0.0;
-  std::vector<double> latencies;  ///< sorted, seconds
-
-  double Qps() const {
-    return wall_seconds > 0.0
-               ? static_cast<double>(latencies.size()) / wall_seconds
-               : 0.0;
-  }
-  double Percentile(double p) const {
-    if (latencies.empty()) return 0.0;
-    size_t idx = static_cast<size_t>(p * static_cast<double>(latencies.size()));
-    return latencies[std::min(idx, latencies.size() - 1)];
-  }
-};
-
-/// Runs `clients` closed-loop threads, each submitting `per_client` queries
-/// back-to-back through `submit` (which blocks until the query completes).
-ClosedLoopResult RunClosedLoop(
-    size_t clients, size_t per_client, const std::vector<sets::Query>& queries,
-    const std::function<void(const sets::Query&)>& submit) {
-  std::vector<std::vector<double>> per_thread(clients);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (size_t t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      per_thread[t].reserve(per_client);
-      for (size_t i = 0; i < per_client; ++i) {
-        const sets::Query& q =
-            queries[(t * per_client + i) % queries.size()];
-        const auto t0 = std::chrono::steady_clock::now();
-        submit(q);
-        per_thread[t].push_back(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          t0)
-                .count());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  ClosedLoopResult result;
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  for (auto& v : per_thread) {
-    result.latencies.insert(result.latencies.end(), v.begin(), v.end());
-  }
-  std::sort(result.latencies.begin(), result.latencies.end());
-  return result;
-}
-
-void PrintClosedLoop(std::ostream& out, const std::string& label,
-                     const ClosedLoopResult& r) {
-  out << label << ": " << r.latencies.size() << " queries in "
-      << r.wall_seconds << "s = " << r.Qps() << " QPS, p50 "
-      << r.Percentile(0.50) * 1e6 << "us, p95 " << r.Percentile(0.95) * 1e6
-      << "us, p99 " << r.Percentile(0.99) * 1e6 << "us\n";
-}
-
-int CmdServeBench(const ArgParser& args, std::ostream& out) {
-  std::string task = args.GetString("task");
-  std::string model_path = args.GetString("model");
-  if (task.empty() || model_path.empty()) {
-    return Fail(out, "serve-bench requires --task and --model");
-  }
-  const size_t clients = static_cast<size_t>(args.GetInt("clients", 8));
-  const size_t per_client =
-      static_cast<size_t>(args.GetInt("queries-per-client", 2000));
-  const bool no_batching = args.HasFlag("no-batching");
-  const bool monitor_on = args.HasFlag("monitor");
-  if (monitor_on && no_batching) {
-    return Fail(out, "--monitor attaches to the batched serving layer; "
-                     "remove --no-batching");
-  }
-  // The monitor's exact-truth oracle needs the sets the model was built
-  // from; the index task bundles them in the model file, the others take
-  // --input (the build-time sets file).
-  const std::string monitor_input = args.GetString("input");
-  if (monitor_on && task != TaskNames::kIndex && monitor_input.empty()) {
-    return Fail(out, "--monitor for task '" + task +
-                         "' requires --input=<build-time sets file> for "
-                         "ground truth");
-  }
-  const size_t monitor_max_subset =
-      static_cast<size_t>(args.GetInt("max-subset-size", 3));
-
-  serve::ServeOptions sopts;
-  sopts.max_batch = static_cast<size_t>(args.GetInt("max-batch", 64));
-  sopts.max_delay_us =
-      static_cast<uint32_t>(args.GetInt("max-delay-us", 200));
-  sopts.adaptive = args.HasFlag("adaptive");
-  sopts.min_delay_us =
-      static_cast<uint32_t>(args.GetInt("min-delay-us", 20));
-  sopts.num_shards = static_cast<size_t>(args.GetInt("num-shards", 1));
-  if (args.GetString("shard-by", "round-robin") == "hash") {
-    sopts.shard_by = serve::ShardBy::kHash;
-  }
-
-  auto reader = BinaryReader::FromFile(model_path);
-  if (!reader.ok()) return Fail(out, reader.status().ToString());
-  auto magic = reader->ReadString();
-  if (!magic.ok() || *magic != kMagic) {
-    return Fail(out, "not a model file: " + model_path);
-  }
-  auto stored_task = reader->ReadString();
-  if (!stored_task.ok()) return Fail(out, stored_task.status().ToString());
-  if (*stored_task != task) {
-    return Fail(out, "model was built for task '" + *stored_task +
-                         "', not '" + task + "'");
-  }
-  auto dict = sets::Dictionary::Load(&*reader);
-  if (!dict.ok()) return Fail(out, dict.status().ToString());
-
-  auto queries = SyntheticQueries(
-      dict->size(), std::max<size_t>(clients * per_client, 1),
-      static_cast<uint64_t>(args.GetInt("seed", 42)));
-  out << "serve-bench " << task << ": " << clients << " closed-loop clients x "
-      << per_client << " queries, "
-      << (no_batching
-              ? std::string("batching BYPASSED (one forward per query)")
-              : "max_batch " + std::to_string(sopts.max_batch) +
-                    ", max_delay " + std::to_string(sopts.max_delay_us) +
-                    "us" + (sopts.adaptive ? " (adaptive)" : "") +
-                    ", shards " + std::to_string(sopts.num_shards))
-      << "\n";
-
-  if (task == TaskNames::kCardinality) {
-    auto est = core::LearnedCardinalityEstimator::Load(&*reader);
-    if (!est.ok()) return Fail(out, est.status().ToString());
-    ClosedLoopResult r;
-    if (no_batching) {
-      r = RunClosedLoop(clients, per_client, queries,
-                        [&](const sets::Query& q) { est->Estimate(q.view()); });
-    } else {
-      std::unique_ptr<monitor::CardinalityMonitor> mon;
-      if (monitor_on) {
-        auto gt = sets::ReadSetsFile(monitor_input);
-        if (!gt.ok()) return Fail(out, gt.status().ToString());
-        mon = std::make_unique<monitor::CardinalityMonitor>(
-            MonitorOptsFromArgs(args));
-        mon->Refresh(std::move(gt->collection), monitor_max_subset);
-      }
-      auto service = serve::CardinalityService::Create(&est.value(), sopts);
-      if (!service.ok()) return Fail(out, service.status().ToString());
-      if (mon) (*service)->AttachMonitor(mon.get());
-      r = RunClosedLoop(clients, per_client, queries,
-                        [&](const sets::Query& q) {
-                          (*service)->Submit(q).get();
-                        });
-      (*service)->Shutdown();
-      if (mon) {
-        PrintMonitorLine(out, "monitor", *mon, CardinalityQuality(*mon));
-      }
-    }
-    PrintClosedLoop(out, "cardinality", r);
-    return 0;
-  }
-  if (task == TaskNames::kIndex) {
-    auto collection = sets::SetCollection::Load(&*reader);
-    if (!collection.ok()) return Fail(out, collection.status().ToString());
-    auto index = core::LearnedSetIndex::Load(&*reader, *collection);
-    if (!index.ok()) return Fail(out, index.status().ToString());
-    ClosedLoopResult r;
-    if (no_batching) {
-      r = RunClosedLoop(clients, per_client, queries,
-                        [&](const sets::Query& q) { index->Lookup(q.view()); });
-    } else {
-      std::unique_ptr<monitor::IndexMonitor> mon;
-      if (monitor_on) {
-        mon = std::make_unique<monitor::IndexMonitor>(
-            MonitorOptsFromArgs(args));
-        core::LearnedSetIndex* primary = &index.value();
-        mon->SetLookupFn(
-            [primary](sets::SetView q,
-                      core::LearnedSetIndex::LookupStats* stats) {
-              return primary->ProbeLookup(q, stats);
-            });
-        mon->Refresh(*collection, monitor_max_subset);
-      }
-      auto service = serve::IndexService::Create(&index.value(), sopts);
-      if (!service.ok()) return Fail(out, service.status().ToString());
-      if (mon) (*service)->AttachMonitor(mon.get());
-      r = RunClosedLoop(clients, per_client, queries,
-                        [&](const sets::Query& q) {
-                          (*service)->Submit(q).get();
-                        });
-      (*service)->Shutdown();
-      if (mon) PrintMonitorLine(out, "monitor", *mon, IndexQuality(*mon));
-    }
-    PrintClosedLoop(out, "index", r);
-    return 0;
-  }
-  if (task == TaskNames::kBloom) {
-    auto lbf = core::LearnedBloomFilter::Load(&*reader);
-    if (!lbf.ok()) return Fail(out, lbf.status().ToString());
-    ClosedLoopResult r;
-    if (no_batching) {
-      r = RunClosedLoop(clients, per_client, queries, [&](const sets::Query& q) {
-        lbf->MayContain(q.view());
-      });
-    } else {
-      std::unique_ptr<monitor::BloomMonitor> mon;
-      if (monitor_on) {
-        auto gt = sets::ReadSetsFile(monitor_input);
-        if (!gt.ok()) return Fail(out, gt.status().ToString());
-        mon = std::make_unique<monitor::BloomMonitor>(
-            MonitorOptsFromArgs(args));
-        core::LearnedBloomFilter* primary = &lbf.value();
-        mon->SetProbeFn([primary](sets::SetView q) {
-          return primary->ProbeMayContain(q);
-        });
-        mon->Refresh(std::move(gt->collection), monitor_max_subset);
-      }
-      auto service = serve::BloomService::Create(&lbf.value(), sopts);
-      if (!service.ok()) return Fail(out, service.status().ToString());
-      if (mon) (*service)->AttachMonitor(mon.get());
-      r = RunClosedLoop(clients, per_client, queries,
-                        [&](const sets::Query& q) {
-                          (*service)->Submit(q).get();
-                        });
-      (*service)->Shutdown();
-      if (mon) PrintMonitorLine(out, "monitor", *mon, BloomQuality(*mon));
-    }
-    PrintClosedLoop(out, "bloom", r);
-    return 0;
-  }
-  return Fail(out, "unknown task: " + task);
-}
-
-/// Random replacement/insert payloads for update-bench: sets of 3..8
-/// elements over twice the input vocabulary, so roughly half the streamed
-/// elements are novel and the absorb path has real work to do.
+/// Random replacement/insert payloads for the monitor demo's drifted ingest
+/// wave: sets of 3..8 elements over twice the input vocabulary, so roughly
+/// half the streamed elements are novel and the absorb path has real work
+/// to do.
 std::vector<sets::ElementId> UpdatePayload(size_t vocab, Rng* rng) {
   std::vector<sets::ElementId> elems;
   size_t size = 3 + rng->Uniform(6);
@@ -564,144 +332,6 @@ std::vector<sets::ElementId> UpdatePayload(size_t vocab, Rng* rng) {
   }
   sets::Canonicalize(&elems);
   return elems;
-}
-
-int CmdUpdateBench(const ArgParser& args, std::ostream& out) {
-  std::string task = args.GetString("task");
-  std::string input = args.GetString("input");
-  if (task.empty() || input.empty()) {
-    return Fail(out, "update-bench requires --task and --input");
-  }
-  const size_t clients = static_cast<size_t>(args.GetInt("clients", 4));
-  const size_t per_client =
-      static_cast<size_t>(args.GetInt("queries-per-client", 2000));
-  const size_t updates = static_cast<size_t>(args.GetInt("updates", 200));
-  const size_t rebuild_after =
-      static_cast<size_t>(args.GetInt("rebuild-after", 500));
-  const std::string checkpoint = args.GetString("checkpoint");
-  uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
-
-  auto data = sets::ReadSetsFile(input);
-  if (!data.ok()) return Fail(out, data.status().ToString());
-  if (data->collection.empty()) return Fail(out, "input has no sets");
-  const size_t num_sets = data->collection.size();
-  const size_t vocab = data->dictionary.size();
-
-  serve::ServeOptions sopts;
-  sopts.max_batch = static_cast<size_t>(args.GetInt("max-batch", 64));
-  sopts.max_delay_us =
-      static_cast<uint32_t>(args.GetInt("max-delay-us", 200));
-  sopts.min_delay_us =
-      static_cast<uint32_t>(args.GetInt("min-delay-us", 20));
-
-  core::UpdatableOptions update_opts;
-  update_opts.rebuild_after_absorbed = rebuild_after;
-  update_opts.checkpoint_path = checkpoint;
-  update_opts.trainer_nice = 10;
-
-  core::TrainConfig train = TrainFromArgs(args);
-  train.epochs = static_cast<int>(args.GetInt("epochs", 4));
-  const size_t max_subset =
-      static_cast<size_t>(args.GetInt("max-subset-size", 2));
-
-  auto queries = SyntheticQueries(vocab, std::max<size_t>(clients, 1) * 64,
-                                  seed);
-  out << "update-bench " << task << ": " << num_sets << " sets, " << clients
-      << " closed-loop clients x " << per_client << " queries, " << updates
-      << " streamed updates, retrain threshold " << rebuild_after << "\n";
-
-  // One closed-loop run with the update stream interleaved: the updater
-  // applies `updates` deltas back-to-back on its own thread while clients
-  // query through the batched live service; background retrains swap
-  // generations whenever the absorb threshold is crossed.
-  auto run = [&](const std::function<void(const sets::Query&)>& submit,
-                 const std::function<void(size_t)>& apply,
-                 const std::function<uint64_t()>& generation,
-                 const std::function<uint64_t()>& rebuilds,
-                 const std::function<void()>& wait) -> int {
-    auto before = RunClosedLoop(clients, per_client, queries, submit);
-    PrintClosedLoop(out, task + " steady", before);
-
-    std::thread updater([&] {
-      core::LowerThreadPriority(5);
-      for (size_t i = 0; i < updates; ++i) apply(i);
-    });
-    auto during = RunClosedLoop(clients, per_client, queries, submit);
-    updater.join();
-    PrintClosedLoop(out, task + " during updates", during);
-
-    wait();
-    auto after = RunClosedLoop(clients, per_client, queries, submit);
-    PrintClosedLoop(out, task + " after retrain", after);
-    out << "generation " << generation() << ", background rebuilds "
-        << rebuilds() << "\n";
-    if (!checkpoint.empty()) {
-      out << "newest generation checkpointed to " << checkpoint << "\n";
-    }
-    return 0;
-  };
-
-  Rng rng(seed + 1);
-  if (task == TaskNames::kCardinality) {
-    core::UpdatableCardinality::Options opts;
-    opts.cardinality.train = train;
-    opts.cardinality.max_subset_size = max_subset;
-    opts.update = update_opts;
-    auto live = core::UpdatableCardinality::Build(data->collection, opts);
-    if (!live.ok()) return Fail(out, live.status().ToString());
-    auto service = serve::CardinalityService::Create(live->get(), sopts);
-    if (!service.ok()) return Fail(out, service.status().ToString());
-    int rc = run(
-        [&](const sets::Query& q) { (*service)->Submit(q).get(); },
-        [&](size_t) { (*live)->Insert(UpdatePayload(vocab, &rng)); },
-        [&] { return (*live)->generation(); },
-        [&] { return (*live)->engine()->rebuilds(); },
-        [&] { (*live)->WaitForRebuilds(); });
-    (*service)->Shutdown();
-    return rc;
-  }
-  if (task == TaskNames::kIndex) {
-    core::UpdatableSetIndex::Options opts;
-    opts.index.train = train;
-    opts.index.max_subset_size = max_subset;
-    opts.index.hybrid = args.HasFlag("hybrid");
-    opts.publish_after_updates = 16;
-    opts.update = update_opts;
-    auto live = core::UpdatableSetIndex::Build(data->collection, opts);
-    if (!live.ok()) return Fail(out, live.status().ToString());
-    auto service = serve::IndexService::Create(live->get(), sopts);
-    if (!service.ok()) return Fail(out, service.status().ToString());
-    int rc = run(
-        [&](const sets::Query& q) { (*service)->Submit(q).get(); },
-        [&](size_t i) {
-          (void)(*live)->Update(i % num_sets, UpdatePayload(vocab, &rng));
-        },
-        [&] { return (*live)->generation(); },
-        [&] { return (*live)->engine()->rebuilds(); },
-        [&] { (*live)->WaitForRebuilds(); });
-    (*service)->Shutdown();
-    return rc;
-  }
-  if (task == TaskNames::kBloom) {
-    core::UpdatableBloom::Options opts;
-    opts.bloom.train = train;
-    opts.bloom.train.loss = core::LossKind::kBce;
-    opts.bloom.max_subset_size = max_subset;
-    opts.update = update_opts;
-    auto live = core::UpdatableBloom::Build(data->collection, opts);
-    if (!live.ok()) return Fail(out, live.status().ToString());
-    auto service = serve::BloomService::Create(live->get(), sopts);
-    if (!service.ok()) return Fail(out, service.status().ToString());
-    int rc = run(
-        [&](const sets::Query& q) { (*service)->Submit(q).get(); },
-        [&](size_t) { (*live)->Insert(UpdatePayload(vocab, &rng)); },
-        [&] { return (*live)->generation(); },
-        [&] { return (*live)->engine()->rebuilds(); },
-        [&] { (*live)->WaitForRebuilds(); });
-    (*service)->Shutdown();
-    return rc;
-  }
-  return Fail(out, "unknown task: " + task);
 }
 
 /// Three-phase closed-loop quality demo: (A) in-distribution traffic with
@@ -727,16 +357,7 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
   const size_t num_sets = data->collection.size();
   const size_t vocab = data->dictionary.size();
 
-  monitor::MonitorOptions mopts = MonitorOptsFromArgs(args);
-  // Demo defaults: sample densely and close the loop on drift; the
-  // shared-arg defaults are observe-only.
-  mopts.sample_every =
-      static_cast<size_t>(args.GetInt("monitor-sample-every", 8));
-  mopts.publish_every =
-      static_cast<size_t>(args.GetInt("monitor-publish-every", 16));
-  mopts.min_samples =
-      static_cast<size_t>(args.GetInt("monitor-min-samples", 48));
-  mopts.drift_threshold = args.GetDouble("drift-threshold", 0.25);
+  const monitor::MonitorOptions mopts = MonitorOptsFromArgs(args);
 
   // Retrains happen only when the monitor asks for one: the engine's
   // count-based trigger is off.
@@ -919,15 +540,6 @@ constexpr char kUsage[] =
     "           [--compressed] [--hybrid] [--epochs=N]\n"
     "           [--max-subset-size=K] [--keep-fraction=P]\n"
     "  query    --task=<...> --model=M --query=\"a b c\" [--query=...]\n"
-    "  serve-bench --task=<...> --model=M [--clients=N]\n"
-    "           [--queries-per-client=N] [--max-batch=N] [--max-delay-us=T]\n"
-    "           [--adaptive] [--min-delay-us=T] [--num-shards=K]\n"
-    "           [--shard-by=<round-robin|hash>] [--no-batching] [--seed=N]\n"
-    "           [--monitor [--input=F] [--monitor-sample-every=N]]\n"
-    "           closed-loop load through the micro-batching serving layer\n"
-    "           (--no-batching bypasses it: one forward per query);\n"
-    "           --monitor attaches a shadow-sampling quality monitor\n"
-    "           (--input supplies ground-truth sets for cardinality/bloom)\n"
     "  monitor  --task=<...> --input=F [--phase-queries=N] [--updates=N]\n"
     "           [--monitor-sample-every=N] [--drift-threshold=X]\n"
     "           [--qerror-threshold=X] [--fpr-threshold=X]\n"
@@ -936,13 +548,6 @@ constexpr char kUsage[] =
     "           three-phase drift demo: in-distribution traffic, a drifted\n"
     "           ingest wave that trips the monitor's retrain trigger, and\n"
     "           post-retrain recovery; prints a healthz report\n"
-    "  update-bench --task=<...> --input=F [--clients=N]\n"
-    "           [--queries-per-client=N] [--updates=N] [--rebuild-after=K]\n"
-    "           [--checkpoint=F] [--epochs=N] [--max-subset-size=K]\n"
-    "           [--hybrid] [--max-batch=N] [--max-delay-us=T] [--seed=N]\n"
-    "           builds the structure fresh from --input, then streams\n"
-    "           updates under closed-loop query load; background retrains\n"
-    "           swap generations without stalling readers (RCU store)\n"
     "options:\n"
     "  --metrics  after any command, dump serving-path metrics (one JSON\n"
     "             object per line) collected during the run\n"
@@ -1047,10 +652,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out) {
     rc = CmdBuild(parser, out);
   } else if (cmd == "query") {
     rc = CmdQuery(parser, out);
-  } else if (cmd == "serve-bench") {
-    rc = CmdServeBench(parser, out);
-  } else if (cmd == "update-bench") {
-    rc = CmdUpdateBench(parser, out);
   } else if (cmd == "monitor") {
     rc = CmdMonitor(parser, out);
   } else {

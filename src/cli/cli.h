@@ -19,15 +19,9 @@ namespace los::cli {
 ///            [--keep-fraction=P]
 ///   query    --task=<cardinality|index|bloom> --model=M --input=F
 ///            --query="a b c" [--query=...]
-///   serve-bench --task=<cardinality|index|bloom> --model=M [--clients=N]
-///            [--queries-per-client=N] [--max-batch=N] [--max-delay-us=T]
-///            [--adaptive] [--num-shards=K] [--no-batching]
-///   update-bench --task=<cardinality|index|bloom> --input=F [--clients=N]
-///            [--queries-per-client=N] [--updates=N] [--rebuild-after=K]
-///            [--checkpoint=F] [--epochs=N] [--hybrid]
-///            builds fresh from --input and streams updates under query
-///            load; background retrains swap generations via the RCU
-///            store (core/updatable.h) without stalling readers
+///   monitor  --task=<cardinality|index|bloom> --input=F [--phase-queries=N]
+///            [--updates=N] [--drift-threshold=X] [--epochs=N]
+///            three-phase drift -> quality retrain -> recovery demo
 ///
 /// Set files are text: one set per line, whitespace-separated tokens, `#`
 /// comments. Model files bundle the dictionary with the trained structure,

@@ -9,8 +9,7 @@
 // amortized cost per query approaches the batched path's instead of a full
 // single-query forward per client. Flushes happen when:
 //   - size:     `max_batch` requests are pending,
-//   - deadline: the oldest pending request has waited `max_delay_us`
-//               (or the adaptive delay, see below),
+//   - deadline: the oldest pending request has waited `max_delay_us`,
 //   - idle:     the queue is empty and no new request has arrived for
 //               `min_delay_us` — everyone who was going to join this batch
 //               already has, so waiting out the full deadline would only
@@ -21,14 +20,8 @@
 //               would wait the whole deadline.
 //   - shutdown: the server is closing and must drain.
 //
-// Adaptive mode estimates the inter-arrival gap with an EWMA and sets the
-// delay to roughly "time to fill a batch at the current rate", clamped to
-// [min_delay_us, max_delay_us]; when arrivals are too slow to ever fill a
-// batch within max_delay_us it collapses to min_delay_us so sparse traffic
-// keeps low latency instead of always eating the full deadline.
-//
 // Sharding (`ServeOptions::num_shards` > 1) runs one queue + worker per
-// shard, routed round-robin or by set hash, so flushes execute in parallel.
+// shard, routed round-robin, so flushes execute in parallel.
 // Binding each shard's batch function is the typed services' job
 // (serving.h); this template only routes.
 //
@@ -70,7 +63,6 @@
 #include "common/metrics.h"
 #include "common/mpsc_queue.h"
 #include "common/trace.h"
-#include "sets/set_hash.h"
 #include "sets/workload.h"
 
 namespace los::serve {
@@ -108,14 +100,9 @@ struct BatchSharedState {
 };
 
 /// Future returned by BatchServer::Submit. API-compatible with the
-/// std::future subset the serving layer had exposed: get(), valid(), and
-/// wait_for() returning std::future_status; get() throws std::runtime_error
-/// if the server shut down before the query ran.
-///
-/// get() spins briefly (yield loop) before blocking: in a closed-loop
-/// client the result is typically ready within one flush cycle, and on a
-/// saturated box the yields hand the core straight to the flush worker, so
-/// the common path completes with no futex sleep/wake at all.
+/// std::future subset the serving layer had exposed: get() and wait_for()
+/// returning std::future_status; get() throws std::runtime_error if the
+/// server shut down before the query ran.
 template <typename Response>
 class BatchFuture {
  public:
@@ -123,14 +110,8 @@ class BatchFuture {
   explicit BatchFuture(std::shared_ptr<BatchSharedState<Response>> state)
       : state_(std::move(state)) {}
 
-  bool valid() const { return state_ != nullptr; }
-
   Response get() {
     uint32_t phase = state_->phase.load(std::memory_order_acquire);
-    for (int i = 0; phase == 0 && i < kGetSpinYields; ++i) {
-      std::this_thread::yield();
-      phase = state_->phase.load(std::memory_order_acquire);
-    }
     if (phase == 0) {
       std::unique_lock<std::mutex> lock(state_->waiter->mu);
       state_->waiter->cv.wait(lock, [&] {
@@ -157,24 +138,15 @@ class BatchFuture {
   }
 
  private:
-  static constexpr int kGetSpinYields = 0;
-
   std::shared_ptr<BatchSharedState<Response>> state_;
-};
-
-enum class ShardBy {
-  kRoundRobin,  ///< uniform load spread (stateless queries)
-  kHash,        ///< HashSetSorted(query) — stable shard per query set
 };
 
 struct ServeOptions {
   size_t max_batch = 64;       ///< flush when this many requests pend
   uint32_t max_delay_us = 200; ///< oldest request never waits longer
-  uint32_t min_delay_us = 20;  ///< idle-flush linger + adaptive-mode floor
-  bool adaptive = false;       ///< track arrival rate, tune delay
+  uint32_t min_delay_us = 20;  ///< idle-flush linger
   size_t queue_capacity = 4096;  ///< per-shard; full queue = backpressure
-  size_t num_shards = 1;
-  ShardBy shard_by = ShardBy::kRoundRobin;
+  size_t num_shards = 1;       ///< queues + workers, routed round-robin
 };
 
 /// \brief Generic micro-batching server over one batched callable per shard.
@@ -192,10 +164,9 @@ class BatchServer {
   BatchServer(const std::string& name, std::vector<BatchFn> shard_fns,
               const ServeOptions& opts, MetricsRegistry* registry = nullptr)
       : name_(name),
-        opts_(opts),
         max_batch_(opts.max_batch > 0 ? opts.max_batch : 1),
         max_delay_ns_(static_cast<uint64_t>(opts.max_delay_us) * 1000),
-        delay_ns_(static_cast<uint64_t>(opts.max_delay_us) * 1000) {
+        min_delay_ns_(static_cast<uint64_t>(opts.min_delay_us) * 1000) {
     if (registry == nullptr) registry = MetricsRegistry::Global();
     const std::string p = "serve." + name_ + ".";
     enqueued_ = registry->GetCounter(p + "enqueued");
@@ -236,27 +207,6 @@ class BatchServer {
 
   size_t num_shards() const { return shards_.size(); }
 
-  /// Runtime tunables (take effect on the next flush decision).
-  void set_max_batch(size_t n) {
-    max_batch_.store(n > 0 ? n : 1, std::memory_order_relaxed);
-  }
-  size_t max_batch() const {
-    return max_batch_.load(std::memory_order_relaxed);
-  }
-  void set_max_delay_us(uint32_t us) {
-    max_delay_ns_.store(static_cast<uint64_t>(us) * 1000,
-                        std::memory_order_relaxed);
-    if (!opts_.adaptive) {
-      delay_ns_.store(static_cast<uint64_t>(us) * 1000,
-                      std::memory_order_relaxed);
-    }
-  }
-  /// The delay currently applied to the oldest pending request (ns);
-  /// adaptive mode moves it between min_delay_us and max_delay_us.
-  uint64_t current_delay_ns() const {
-    return delay_ns_.load(std::memory_order_relaxed);
-  }
-
   /// Submits one query; blocks while the routed shard's queue is full
   /// (backpressure). The future resolves when the query's flush completes,
   /// or throws std::runtime_error if the server shuts down first.
@@ -264,7 +214,7 @@ class BatchServer {
     Request r;
     r.query = std::move(q);
     r.enqueue_ns = SteadyNowNs();
-    Shard* shard = Route(r.query);
+    Shard* shard = Route();
     auto state = std::make_shared<BatchSharedState<Response>>();
     state->waiter = shard->waiter;
     r.state = state;
@@ -289,7 +239,7 @@ class BatchServer {
     Request r;
     r.query = std::move(q);
     r.enqueue_ns = SteadyNowNs();
-    Shard* shard = Route(r.query);
+    Shard* shard = Route();
     auto state = std::make_shared<BatchSharedState<Response>>();
     state->waiter = shard->waiter;
     r.state = state;
@@ -372,15 +322,10 @@ class BatchServer {
   /// (condvar timed waits undershoot by the kernel's ~50us timer slack).
   static constexpr uint64_t kSpinWaitNs = 100000;  // 100us
 
-  Shard* Route(const sets::Query& q) {
+  Shard* Route() {
     if (shards_.size() == 1) return shards_[0].get();
-    size_t i;
-    if (opts_.shard_by == ShardBy::kHash) {
-      i = static_cast<size_t>(sets::HashSetSorted(q.view())) % shards_.size();
-    } else {
-      i = next_shard_.fetch_add(1, std::memory_order_relaxed) %
-          shards_.size();
-    }
+    const size_t i =
+        next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
     return shards_[i].get();
   }
 
@@ -390,18 +335,17 @@ class BatchServer {
                                    std::to_string(shard_index));
     }
     std::vector<Request> pending;
-    pending.reserve(max_batch());
+    pending.reserve(max_batch_);
     // Newest arrival the worker has seen — the idle linger is measured
     // from here, so a fresh pop keeps extending the window.
     uint64_t last_arrival_ns = 0;
     for (;;) {
-      const size_t target = max_batch();
       Request r;
-      while (pending.size() < target && shard->queue.TryPop(&r)) {
+      while (pending.size() < max_batch_ && shard->queue.TryPop(&r)) {
         last_arrival_ns = std::max(last_arrival_ns, r.enqueue_ns);
         pending.push_back(std::move(r));
       }
-      if (pending.size() >= target) {
+      if (pending.size() >= max_batch_) {
         Flush(shard, &pending, FlushReason::kSize);
         continue;
       }
@@ -431,11 +375,8 @@ class BatchServer {
         Flush(shard, &pending, FlushReason::kShutdown);
         continue;
       }
-      const uint64_t deadline_ns =
-          pending.front().enqueue_ns + delay_ns_.load(std::memory_order_relaxed);
-      const uint64_t linger_ns =
-          last_arrival_ns +
-          static_cast<uint64_t>(opts_.min_delay_us) * 1000;
+      const uint64_t deadline_ns = pending.front().enqueue_ns + max_delay_ns_;
+      const uint64_t linger_ns = last_arrival_ns + min_delay_ns_;
       const uint64_t now_ns = SteadyNowNs();
       if (now_ns >= deadline_ns) {
         Flush(shard, &pending, FlushReason::kDeadline);
@@ -531,7 +472,6 @@ class BatchServer {
       depth += d;
     }
     queue_depth_->Set(static_cast<double>(depth));
-    if (opts_.adaptive && n >= 2) UpdateAdaptiveDelay(*pending);
 
     for (size_t i = 0; i < n; ++i) {
       Request& r = (*pending)[i];
@@ -547,35 +487,10 @@ class BatchServer {
     pending->clear();
   }
 
-  /// EWMA of the arrival gap over the flushed batch; the delay becomes the
-  /// projected time to fill max_batch at that rate, clamped to
-  /// [min_delay, max_delay] — except that a projected fill slower than
-  /// max_delay means batching cannot pay for the wait, so drop to the floor.
-  void UpdateAdaptiveDelay(const std::vector<Request>& batch) {
-    const uint64_t span_ns =
-        batch.back().enqueue_ns - batch.front().enqueue_ns;
-    const double gap_ns =
-        static_cast<double>(span_ns) / static_cast<double>(batch.size() - 1);
-    double ewma = ewma_gap_ns_.load(std::memory_order_relaxed);
-    ewma = ewma <= 0.0 ? gap_ns : 0.8 * ewma + 0.2 * gap_ns;
-    ewma_gap_ns_.store(ewma, std::memory_order_relaxed);
-
-    const double max_d =
-        static_cast<double>(max_delay_ns_.load(std::memory_order_relaxed));
-    const double min_d = static_cast<double>(opts_.min_delay_us) * 1000.0;
-    const double fill_ns = ewma * static_cast<double>(max_batch());
-    double delay = fill_ns > max_d ? min_d
-                   : fill_ns < min_d ? min_d
-                                     : fill_ns;
-    delay_ns_.store(static_cast<uint64_t>(delay), std::memory_order_relaxed);
-  }
-
-  std::string name_;
-  ServeOptions opts_;
-  std::atomic<size_t> max_batch_;
-  std::atomic<uint64_t> max_delay_ns_;
-  std::atomic<uint64_t> delay_ns_;
-  std::atomic<double> ewma_gap_ns_{0.0};
+  const std::string name_;
+  const size_t max_batch_;
+  const uint64_t max_delay_ns_;
+  const uint64_t min_delay_ns_;
   std::atomic<size_t> next_shard_{0};
   std::atomic<bool> stopped_{false};
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -1,11 +1,14 @@
 // In-process tests of the `los` CLI: argument parsing, generate/stats, the
-// full build→query workflow for all three tasks, and error paths.
+// full build→query workflow for all three tasks, the monitor demo's closed
+// loop for all three tasks, and error paths.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/cli.h"
 #include "common/metrics.h"
@@ -43,6 +46,16 @@ TEST_F(CliTest, NoCommandPrintsUsageAndFails) {
 TEST_F(CliTest, HelpSucceeds) {
   EXPECT_EQ(Run({"help"}), 0);
   EXPECT_NE(output().find("usage:"), std::string::npos);
+  // The command list, in order: each entry opens a two-space-indented line.
+  std::istringstream lines(output().substr(0, output().find("options:")));
+  std::vector<std::string> commands;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.size() > 2 && line.rfind("  ", 0) == 0 && line[2] != ' ') {
+      commands.push_back(line.substr(2, line.find(' ', 2) - 2));
+    }
+  }
+  EXPECT_EQ(commands, (std::vector<std::string>{"generate", "stats", "build",
+                                                "query", "monitor"}));
 }
 
 TEST_F(CliTest, UnknownCommandFails) {
@@ -142,6 +155,30 @@ TEST_F(CliTest, BloomWorkflow) {
   EXPECT_NE(output().find("unknown_token -> absent"), std::string::npos);
   std::remove(in.c_str());
   std::remove(model.c_str());
+}
+
+TEST_F(CliTest, MonitorClosesTheLoopForEveryTask) {
+  std::string in = TempPath("monitor_in.txt");
+  ASSERT_EQ(Run({"generate", "--dataset=rw-small", "--output=" + in,
+                 "--scale=0.1"}),
+            0)
+      << output();
+  for (const char* task : {"cardinality", "index", "bloom"}) {
+    SCOPED_TRACE(task);
+    ASSERT_EQ(Run({"monitor", std::string("--task=") + task, "--input=" + in}),
+              0)
+        << output();
+    const std::string out = output();
+    const size_t phase_b = out.find("phase B drifted:");
+    ASSERT_NE(phase_b, std::string::npos) << out;
+    const std::string phase_b_line =
+        out.substr(phase_b, out.find('\n', phase_b) - phase_b);
+    EXPECT_NE(phase_b_line.find("[retrain triggered]"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("quality rebuilds completed: 1\n"), std::string::npos)
+        << out;
+  }
+  std::remove(in.c_str());
 }
 
 TEST_F(CliTest, MetricsFlagDumpsJsonLines) {

@@ -1,9 +1,10 @@
 // Serving-layer tests: micro-batch flush policies (size / deadline /
 // shutdown), backpressure, metrics identity (serve.queries == client
-// submissions, exactly once), and one typed test over the six structure
-// kinds Service<> fronts (frozen and live): shards sharing one structure,
-// served answers equal to the structure's direct batched path, and an
-// attached monitor seeing every flushed query.
+// submissions, exactly once), and one helper over the structure kinds
+// Service<> fronts (frozen, Save→Load round-tripped, and live): shards
+// sharing one structure, concurrent clients served answers equal to the
+// original structure's direct batched path, and an attached monitor seeing
+// every flushed query.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "common/mpsc_queue.h"
+#include "common/serialize.h"
 #include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
@@ -267,38 +269,6 @@ TEST(BatchServerTest, BackpressureRejectsWhenFull) {
             snap.FindCounter("serve.test.enqueued")->value);
 }
 
-TEST(BatchServerTest, RuntimeTunablesApply) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 4;
-  opts.max_delay_us = 100;
-  BatchServer<double> server("test", {CountElements}, opts, &registry);
-  server.set_max_batch(16);
-  EXPECT_EQ(server.max_batch(), 16u);
-  server.set_max_delay_us(500);
-  EXPECT_EQ(server.current_delay_ns(), 500000u);
-  auto fut = server.Submit(MakeQuery({1, 2}));
-  EXPECT_DOUBLE_EQ(fut.get(), 2.0);
-}
-
-TEST(BatchServerTest, AdaptiveModeServesCorrectly) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 8;
-  opts.adaptive = true;
-  opts.min_delay_us = 10;
-  opts.max_delay_us = 1000;
-  BatchServer<double> server("test", {CountElements}, opts, &registry);
-  std::vector<serve::BatchFuture<double>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(server.Submit(MakeQuery({1, 2, 3, 4})));
-  }
-  for (auto& f : futures) EXPECT_DOUBLE_EQ(f.get(), 4.0);
-  // The adaptive delay stays within its configured clamp.
-  EXPECT_GE(server.current_delay_ns(), 10u * 1000);
-  EXPECT_LE(server.current_delay_ns(), 1000u * 1000);
-}
-
 // ---------- Metrics identity across concurrent clients ----------
 
 TEST(BatchServerTest, ServeQueriesEqualsClientSubmissionsExactly) {
@@ -357,8 +327,9 @@ std::vector<sets::Query> ServingQueries(const sets::SetCollection& c,
                              &rng);
 }
 
-// One helper covers all six structure kinds Service<> serves: the three
-// frozen structures and their three Updatable* wrappers.
+// One helper covers every structure kind Service<> serves: the three
+// frozen structures, the same three after a Save→Load round trip, and their
+// three Updatable* wrappers.
 
 core::CardinalityOptions CardOpts() {
   core::CardinalityOptions o;
@@ -449,6 +420,31 @@ std::unique_ptr<core::UpdatableBloom> Build(core::UpdatableBloom*,
   return Own(core::UpdatableBloom::Build(c, NoRebuilds(o), registry));
 }
 
+/// Save→Load round trip of a frozen structure, laid out like a `los` model
+/// file: the collection, then the structure. The index reloads over the
+/// round-tripped collection, which `*loaded_c` keeps alive.
+template <typename S>
+std::unique_ptr<S> SaveLoad(const S& s, const sets::SetCollection& c,
+                            sets::SetCollection* loaded_c,
+                            MetricsRegistry* registry) {
+  BinaryWriter w;
+  c.Save(&w);
+  s.Save(&w);
+  BinaryReader r(w.bytes());
+  auto lc = sets::SetCollection::Load(&r);
+  EXPECT_TRUE(lc.ok()) << lc.status().ToString();
+  if (!lc.ok()) return nullptr;
+  *loaded_c = std::move(*lc);
+  std::unique_ptr<S> loaded;
+  if constexpr (std::is_same_v<S, core::LearnedSetIndex>) {
+    loaded = Own(S::Load(&r, *loaded_c));
+  } else {
+    loaded = Own(S::Load(&r));
+  }
+  if (loaded) loaded->SetMetricsRegistry(registry);
+  return loaded;
+}
+
 std::vector<double> Direct(core::LearnedCardinalityEstimator* s,
                            const std::vector<sets::Query>& qs) {
   return s->EstimateBatch(qs);
@@ -476,17 +472,19 @@ std::vector<bool> Direct(core::UpdatableBloom* s,
 
 }  // namespace
 
-// The six kinds as named (not anonymous-namespace) types: gtest prints the
+// The kinds as named (not anonymous-namespace) types: gtest prints the
 // type parameter, and ctest names each typed test after it, e.g.
 // `LiveServiceTest.ShardsServeDirectAnswersToMonitor<
 // los::serve::kinds::LiveIndex>`.
 namespace kinds {
 
-template <typename S, typename Svc, typename Mon>
+/// `kSaveLoad`: serve a Save→Load copy of the built structure.
+template <typename S, typename Svc, typename Mon, bool Loaded = false>
 struct Kind {
   using Structure = S;
   using Service = Svc;
   using Monitor = Mon;
+  static constexpr bool kSaveLoad = Loaded;
 };
 
 struct Cardinality : Kind<core::LearnedCardinalityEstimator,
@@ -501,6 +499,14 @@ struct Bloom
     : Kind<core::LearnedBloomFilter, BloomService, monitor::BloomMonitor> {};
 struct LiveBloom
     : Kind<core::UpdatableBloom, BloomService, monitor::BloomMonitor> {};
+struct LoadedCardinality
+    : Kind<core::LearnedCardinalityEstimator, CardinalityService,
+           monitor::CardinalityMonitor, true> {};
+struct LoadedIndex
+    : Kind<core::LearnedSetIndex, IndexService, monitor::IndexMonitor, true> {
+};
+struct LoadedBloom : Kind<core::LearnedBloomFilter, BloomService,
+                          monitor::BloomMonitor, true> {};
 
 }  // namespace kinds
 
@@ -518,12 +524,13 @@ std::string StructureCounter(monitor::IndexMonitor*) {
 }
 std::string StructureCounter(monitor::BloomMonitor*) { return "bloom.queries"; }
 
-/// Serves 40 queries through a `num_shards`-shard service over one structure
-/// of kind K, once per routing mode, max_batch 8 splitting them over several
-/// flushes. Every served answer equals the structure's direct batched answer
-/// bit for bit; the service and the shared structure each count every query
-/// exactly once; and a monitor sampling 1-in-1 observes every query of every
-/// flushed batch.
+/// Four client threads submit 40 queries through a `num_shards`-shard
+/// service over one structure of kind K (a Save→Load copy when
+/// K::kSaveLoad), max_batch 8 splitting them over several flushes. Every
+/// served answer equals the originally built structure's direct batched
+/// answer bit for bit; the service and the served structure each count
+/// every query exactly once; and a monitor sampling 1-in-1 observes every
+/// query of every flushed batch.
 template <typename K>
 void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
   using Structure = typename K::Structure;
@@ -532,6 +539,7 @@ void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
   const std::string counter = StructureCounter(static_cast<Monitor*>(nullptr));
 
   auto c = ServingCollection();
+  sets::SetCollection loaded_c;  // outlives a loaded index bound to it
   MetricsRegistry registry;
   auto structure = Build(static_cast<Structure*>(nullptr), c, &registry);
   ASSERT_NE(structure, nullptr);
@@ -539,38 +547,44 @@ void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
   const auto direct = Direct(structure.get(), queries);
   using Response = typename std::decay_t<decltype(direct)>::value_type;
   ASSERT_EQ(direct.size(), queries.size());
+  if constexpr (K::kSaveLoad) {
+    structure = SaveLoad(*structure, c, &loaded_c, &registry);
+    ASSERT_NE(structure, nullptr);
+  }
 
-  for (ShardBy shard_by : {ShardBy::kRoundRobin, ShardBy::kHash}) {
-    SCOPED_TRACE(shard_by == ShardBy::kHash ? "kHash" : "kRoundRobin");
-    MetricsRegistry serve_registry;
-    ServeOptions opts;
-    opts.num_shards = num_shards;
-    opts.shard_by = shard_by;
-    opts.max_batch = 8;
-    opts.max_delay_us = 200;
-    monitor::MonitorOptions mopts;
-    mopts.sample_every = 1;
-    Monitor mon(mopts, &serve_registry);
-    auto service = K::Service::Create(structure.get(), opts, &serve_registry);
-    ASSERT_TRUE(service.ok()) << service.status().ToString();
-    EXPECT_EQ((*service)->server()->num_shards(), num_shards);
-    (*service)->AttachMonitor(&mon);
+  MetricsRegistry serve_registry;
+  ServeOptions opts;
+  opts.num_shards = num_shards;
+  opts.max_batch = 8;
+  opts.max_delay_us = 200;
+  monitor::MonitorOptions mopts;
+  mopts.sample_every = 1;
+  Monitor mon(mopts, &serve_registry);
+  auto service = K::Service::Create(structure.get(), opts, &serve_registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  EXPECT_EQ((*service)->server()->num_shards(), num_shards);
+  (*service)->AttachMonitor(&mon);
 
-    const uint64_t structure_before = registry.GetCounter(counter)->value();
-    std::vector<BatchFuture<Response>> futures;
-    for (const auto& q : queries) futures.push_back((*service)->Submit(q));
-    for (size_t i = 0; i < futures.size(); ++i) {
-      EXPECT_EQ(futures[i].get(), direct[i]) << name << " query " << i;
-    }
-    (*service)->Shutdown();
+  const uint64_t structure_before = registry.GetCounter(counter)->value();
+  constexpr size_t kClients = 4;
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t i = t; i < queries.size(); i += kClients) {
+        Response served = (*service)->Submit(queries[i]).get();
+        EXPECT_EQ(served, direct[i]) << name << " query " << i;
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  (*service)->Shutdown();
 
-    EXPECT_EQ(serve_registry.GetCounter("serve." + name + ".queries")->value(),
-              queries.size());
-    EXPECT_EQ(registry.GetCounter(counter)->value() - structure_before,
-              queries.size());
-    if (kMetricsCompiledIn) {
-      EXPECT_EQ(mon.samples(), queries.size());
-    }
+  EXPECT_EQ(serve_registry.GetCounter("serve." + name + ".queries")->value(),
+            queries.size());
+  EXPECT_EQ(registry.GetCounter(counter)->value() - structure_before,
+            queries.size());
+  if (kMetricsCompiledIn) {
+    EXPECT_EQ(mon.samples(), queries.size());
   }
 }
 
@@ -610,6 +624,24 @@ using LiveKinds = testing::Types<kinds::LiveCardinality, kinds::LiveIndex,
 TYPED_TEST_SUITE(LiveServiceTest, LiveKinds);
 
 TYPED_TEST(LiveServiceTest, ShardsServeDirectAnswersToMonitor) {
+  ExpectServesDirectAnswersToMonitor<TypeParam>(2);
+}
+
+// The frozen structures after a Save→Load round trip, behind one shard and
+// behind two: the loaded copy serves the original's answers.
+
+template <typename K>
+class LoadedServiceTest : public testing::Test {};
+
+using LoadedKinds = testing::Types<kinds::LoadedCardinality,
+                                   kinds::LoadedIndex, kinds::LoadedBloom>;
+TYPED_TEST_SUITE(LoadedServiceTest, LoadedKinds);
+
+TYPED_TEST(LoadedServiceTest, ServesOriginalAnswers) {
+  ExpectServesDirectAnswersToMonitor<TypeParam>(1);
+}
+
+TYPED_TEST(LoadedServiceTest, ShardsServeOriginalAnswers) {
   ExpectServesDirectAnswersToMonitor<TypeParam>(2);
 }
 
