@@ -414,10 +414,17 @@ BENCHMARK(BM_FindFirstSuperset);
 // Raw cost of one counter increment / histogram observation on the lock-free
 // metrics hot path, plus the same ops against a disabled registry (the
 // serving structures pay the disabled cost when metrics are off at runtime).
+// Every thread of a row observes the same instrument, so the threads:3 rows
+// measure what concurrent clients pay on one shared counter or histogram.
+los::MetricsRegistry* BenchMetricsRegistry() {
+  static los::MetricsRegistry* registry = new los::MetricsRegistry();
+  return registry;
+}
+
 void BM_MetricsCounterIncrement(benchmark::State& state) {
-  los::MetricsRegistry registry;
-  registry.set_enabled(state.range(0) != 0);
-  los::Counter* c = registry.GetCounter("bench.counter");
+  los::MetricsRegistry* registry = BenchMetricsRegistry();
+  registry->set_enabled(state.range(0) != 0);
+  los::Counter* c = registry->GetCounter("bench.counter");
   for (auto _ : state) {
     c->Increment();
     benchmark::DoNotOptimize(c);
@@ -427,13 +434,15 @@ void BM_MetricsCounterIncrement(benchmark::State& state) {
 BENCHMARK(BM_MetricsCounterIncrement)
     ->Arg(1)
     ->Arg(0)
-    ->ArgNames({"enabled"});
+    ->ArgNames({"enabled"})
+    ->Threads(1)
+    ->Threads(3);
 
 void BM_MetricsHistogramObserve(benchmark::State& state) {
-  los::MetricsRegistry registry;
-  registry.set_enabled(state.range(0) != 0);
-  los::Histogram* h = registry.GetHistogram("bench.hist",
-                                            los::LatencyHistogramOptions());
+  los::MetricsRegistry* registry = BenchMetricsRegistry();
+  registry->set_enabled(state.range(0) != 0);
+  los::Histogram* h = registry->GetHistogram("bench.hist",
+                                             los::LatencyHistogramOptions());
   double v = 1e-6;
   for (auto _ : state) {
     h->Observe(v);
@@ -445,7 +454,9 @@ void BM_MetricsHistogramObserve(benchmark::State& state) {
 BENCHMARK(BM_MetricsHistogramObserve)
     ->Arg(1)
     ->Arg(0)
-    ->ArgNames({"enabled"});
+    ->ArgNames({"enabled"})
+    ->Threads(1)
+    ->Threads(3);
 
 // Shared small estimator for the end-to-end serving-overhead benches
 // (built once, reused across all rows).

@@ -103,8 +103,11 @@ int CmdGenerate(const ArgParser& args, std::ostream& out) {
   if (!collection.ok()) return Fail(out, collection.status().ToString());
   // Ids are written as numeric tokens via an identity dictionary.
   sets::Dictionary dict;
+  std::string token;
   for (sets::ElementId e = 0; e < collection->universe_size(); ++e) {
-    dict.GetOrAdd("e" + std::to_string(e));
+    token = "e";
+    token += std::to_string(e);
+    dict.GetOrAdd(token);
   }
   Status st = sets::WriteSetsFile(output, *collection, dict);
   if (!st.ok()) return Fail(out, st.ToString());
@@ -487,7 +490,10 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
         [&](size_t i) {
           (void)(*live)->Update(i % num_sets, UpdatePayload(vocab, &urng));
         },
-        [&] { return (*live)->SnapshotCollection(); },
+        // Lookups scan the last published generation, which trails the
+        // master collection by up to publish_after_updates updates; the
+        // oracle is grounded on that generation so lag is not a miss.
+        [&] { return *(*live)->engine()->Acquire()->collection; },
         [&] { return (*live)->engine()->rebuilds(); },
         [&] { (*live)->WaitForRebuilds(); });
     (*live)->engine()->Stop();

@@ -1,6 +1,7 @@
 #include "common/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 
@@ -60,11 +61,37 @@ std::string OpenMetricsName(const std::string& name) {
   return out;
 }
 
+double LoadDouble(const std::atomic<uint64_t>& w) {
+  return std::bit_cast<double>(w.load(std::memory_order_relaxed));
+}
+
+void StoreDouble(std::atomic<uint64_t>* w, double v) {
+  w->store(std::bit_cast<uint64_t>(v), std::memory_order_relaxed);
+}
+
 }  // namespace
+
+size_t metrics_internal::NextShard() {
+  static std::atomic<size_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) % kShards;
+}
+
+uint64_t Counter::value() const {
+  uint64_t total = 0;
+  for (const Cell& c : cells_) total += c.value.load(std::memory_order_relaxed);
+  return total;
+}
+
+void Counter::Reset() {
+  for (Cell& c : cells_) c.value.store(0, std::memory_order_relaxed);
+}
 
 Histogram::Histogram(std::string name, const Options& opts,
                      const std::atomic<bool>* enabled)
     : name_(std::move(name)), enabled_(enabled) {
+  using metrics_internal::kCacheLineBytes;
+  using metrics_internal::kShards;
+  constexpr size_t kWordsPerLine = kCacheLineBytes / sizeof(uint64_t);
   const size_t n = std::max<size_t>(opts.num_buckets, 1);
   const double growth = std::max(opts.growth, 1.0 + 1e-9);
   bounds_.reserve(n);
@@ -73,10 +100,65 @@ Histogram::Histogram(std::string name, const Options& opts,
     bounds_.push_back(bound);
     bound *= growth;
   }
-  buckets_ = std::make_unique<std::atomic<uint64_t>[]>(n + 1);
-  for (size_t i = 0; i <= n; ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
+  shard_words_ =
+      (kBuckets + n + 1 + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
+  // One spare line lets words_ start on a line boundary inside storage_.
+  storage_ = std::make_unique<std::atomic<uint64_t>[]>(
+      kShards * shard_words_ + kWordsPerLine);
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(storage_.get()) % kCacheLineBytes;
+  words_ = storage_.get() +
+           (kCacheLineBytes - misalign) % kCacheLineBytes / sizeof(uint64_t);
+  Reset();
+}
+
+void Histogram::Reset() {
+  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
+    std::atomic<uint64_t>* w = Shard(s);
+    // All-zero bits are a count of 0 and a sum of 0.0.
+    for (size_t i = 0; i < shard_words_; ++i) {
+      w[i].store(0, std::memory_order_relaxed);
+    }
+    StoreDouble(&w[kMin], std::numeric_limits<double>::infinity());
+    StoreDouble(&w[kMax], -std::numeric_limits<double>::infinity());
   }
+}
+
+uint64_t Histogram::count() const {
+  uint64_t total = 0;
+  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
+    total += Shard(s)[kCount].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+double Histogram::sum() const {
+  double total = 0.0;
+  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
+    total += LoadDouble(Shard(s)[kSum]);
+  }
+  return total;
+}
+
+void Histogram::MergeInto(HistogramSnapshot* out) const {
+  out->bounds = bounds_;
+  out->buckets.assign(bounds_.size() + 1, 0);
+  out->count = 0;
+  out->sum = 0.0;
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
+    const std::atomic<uint64_t>* w = Shard(s);
+    for (size_t i = 0; i < out->buckets.size(); ++i) {
+      out->buckets[i] += w[kBuckets + i].load(std::memory_order_relaxed);
+    }
+    out->count += w[kCount].load(std::memory_order_relaxed);
+    out->sum += LoadDouble(w[kSum]);
+    lo = std::min(lo, LoadDouble(w[kMin]));
+    hi = std::max(hi, LoadDouble(w[kMax]));
+  }
+  out->min = out->count > 0 ? lo : 0.0;
+  out->max = out->count > 0 ? hi : 0.0;
 }
 
 ScopedLatency::ScopedLatency(Histogram* h)
@@ -362,17 +444,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, h] : histograms_) {
     HistogramSnapshot hs;
     hs.name = name;
-    hs.bounds = h->bounds_;
-    hs.buckets.resize(hs.bounds.size() + 1);
-    for (size_t i = 0; i < hs.buckets.size(); ++i) {
-      hs.buckets[i] = h->buckets_[i].load(std::memory_order_relaxed);
-    }
-    hs.count = h->count_.load(std::memory_order_relaxed);
-    hs.sum = h->sum_.load(std::memory_order_relaxed);
-    if (hs.count > 0) {
-      hs.min = h->min_.load(std::memory_order_relaxed);
-      hs.max = h->max_.load(std::memory_order_relaxed);
-    }
+    h->MergeInto(&hs);
     snap.histograms.push_back(std::move(hs));
   }
   return snap;
@@ -380,23 +452,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) {
-    c->value_.store(0, std::memory_order_relaxed);
-  }
+  for (auto& [name, c] : counters_) c->Reset();
   for (auto& [name, g] : gauges_) {
     g->value_.store(0.0, std::memory_order_relaxed);
   }
-  for (auto& [name, h] : histograms_) {
-    for (size_t i = 0; i <= h->bounds_.size(); ++i) {
-      h->buckets_[i].store(0, std::memory_order_relaxed);
-    }
-    h->count_.store(0, std::memory_order_relaxed);
-    h->sum_.store(0.0, std::memory_order_relaxed);
-    h->min_.store(std::numeric_limits<double>::infinity(),
-                  std::memory_order_relaxed);
-    h->max_.store(-std::numeric_limits<double>::infinity(),
-                  std::memory_order_relaxed);
-  }
+  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 MetricsRegistry* MetricsRegistry::Global() {

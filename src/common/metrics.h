@@ -19,8 +19,21 @@
 //     LOS_METRICS_DISABLED (cmake -DLOS_METRICS=OFF) removes the observation
 //     bodies entirely; `kMetricsCompiledIn` lets tests and benches check
 //     which mode they are in at compile time.
+//   - Counters and histograms are sharded per thread: kShards (16)
+//     cache-line-aligned shards per instrument, and a thread picks its
+//     shard once, round-robin, at its first observation. An observation
+//     writes only its own shard, so concurrent clients do not serialize on
+//     a shared line; threads that share a shard still use atomic RMWs and
+//     stay exact. A counter takes 16 x 64 B = 1 KiB; a histogram takes 16
+//     shards of (4 + buckets + overflow) words rounded up to whole lines:
+//     3 KiB for the 16-bucket serve-batch grid, 5 KiB for the 32-bucket
+//     latency grid, 6 KiB for the 40-bucket q-error grid. Gauges keep
+//     last-value semantics and stay one cell.
 //   - Snapshots are deterministic: instruments are stored in name-sorted
-//     order, and Snapshot() reads every atomic exactly once.
+//     order, and Snapshot() reads every atomic exactly once, merging the
+//     shards: counts, buckets and sums add up in shard order, min/max are
+//     taken over the shards. A single-threaded observation sequence lands
+//     in one shard and snapshots exactly as an unsharded instrument would.
 //
 // Naming scheme (see DESIGN.md "Serving-path observability"): dotted
 // lowercase `<structure>.<event>`, e.g. `index.lookups`,
@@ -29,6 +42,7 @@
 // seconds, other histograms hold values (scan widths, q-errors).
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <limits>
@@ -51,24 +65,44 @@ inline constexpr bool kMetricsCompiledIn = true;
 
 namespace metrics_internal {
 
-/// Relaxed CAS add for pre-C++20-hardware-support atomic doubles.
-inline void AtomicAdd(std::atomic<double>* a, double v) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (!a->compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
+/// Instruments are striped over this many per-thread shards; a thread
+/// writes only its own shard and readers merge all of them.
+inline constexpr size_t kShards = 16;
+inline constexpr size_t kCacheLineBytes = 64;
+
+/// Round-robin shard for a new thread (the process-wide sequence of first
+/// observations, modulo kShards).
+size_t NextShard();
+
+/// The calling thread's shard, fixed at its first observation.
+inline size_t ThreadShard() {
+  thread_local const size_t shard = NextShard();
+  return shard;
+}
+
+/// Relaxed CAS loops: add, min and max on a double held as the bits of an
+/// atomic<uint64_t>, so a histogram shard is one flat run of 64-bit words.
+inline void AtomicAdd(std::atomic<uint64_t>* w, double v) {
+  uint64_t cur = w->load(std::memory_order_relaxed);
+  while (!w->compare_exchange_weak(
+      cur, std::bit_cast<uint64_t>(std::bit_cast<double>(cur) + v),
+      std::memory_order_relaxed)) {
   }
 }
 
-inline void AtomicMin(std::atomic<double>* a, double v) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+inline void AtomicMin(std::atomic<uint64_t>* w, double v) {
+  uint64_t cur = w->load(std::memory_order_relaxed);
+  while (v < std::bit_cast<double>(cur) &&
+         !w->compare_exchange_weak(cur, std::bit_cast<uint64_t>(v),
+                                   std::memory_order_relaxed)) {
   }
 }
 
-inline void AtomicMax(std::atomic<double>* a, double v) {
-  double cur = a->load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a->compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+inline void AtomicMax(std::atomic<uint64_t>* w, double v) {
+  uint64_t cur = w->load(std::memory_order_relaxed);
+  while (v > std::bit_cast<double>(cur) &&
+         !w->compare_exchange_weak(cur, std::bit_cast<uint64_t>(v),
+                                   std::memory_order_relaxed)) {
   }
 }
 
@@ -77,31 +111,41 @@ inline void AtomicMax(std::atomic<double>* a, double v) {
 class MetricsRegistry;
 
 /// \brief Monotonic event counter. Increment is lock-free and wait-free.
+///
+/// One cache-line-padded cell per shard (kShards x 64 bytes); value() sums
+/// the cells, so it is exact however many threads share a cell.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
 #ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    value_.fetch_add(n, std::memory_order_relaxed);
+    cells_[metrics_internal::ThreadShard()].value.fetch_add(
+        n, std::memory_order_relaxed);
 #else
     (void)n;
 #endif
   }
 
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
+  uint64_t value() const;
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
   Counter(std::string name, const std::atomic<bool>* enabled)
       : name_(std::move(name)), enabled_(enabled) {}
+  void Reset();
+
+  struct alignas(metrics_internal::kCacheLineBytes) Cell {
+    std::atomic<uint64_t> value{0};
+  };
 
   std::string name_;
   const std::atomic<bool>* enabled_;
-  std::atomic<uint64_t> value_{0};
+  Cell cells_[metrics_internal::kShards];
 };
 
-/// \brief Last-value gauge (e.g. the most recent epoch loss).
+/// \brief Last-value gauge (e.g. the most recent epoch loss). A single
+/// cell: a last value has no per-thread merge.
 class Gauge {
  public:
   void Set(double v) {
@@ -126,12 +170,18 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+struct HistogramSnapshot;
+
 /// \brief Fixed-bucket histogram with exponentially growing bucket bounds.
 ///
 /// Bucket i counts observations v with v <= first_bound * growth^i; one
 /// extra overflow bucket catches everything larger. The layout is fixed at
 /// creation (first GetHistogram call for the name wins), so Observe never
 /// allocates.
+///
+/// Each shard is a run of 64-bit words starting on its own cache line —
+/// count, sum, min, max (doubles as bits), then the bounds.size() + 1
+/// buckets — padded to whole lines, so no two shards share a line.
 class Histogram {
  public:
   struct Options {
@@ -143,18 +193,19 @@ class Histogram {
   void Observe(double v) {
 #ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    buckets_[BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    metrics_internal::AtomicAdd(&sum_, v);
-    metrics_internal::AtomicMin(&min_, v);
-    metrics_internal::AtomicMax(&max_, v);
+    std::atomic<uint64_t>* s = Shard(metrics_internal::ThreadShard());
+    s[kBuckets + BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
+    s[kCount].fetch_add(1, std::memory_order_relaxed);
+    metrics_internal::AtomicAdd(&s[kSum], v);
+    metrics_internal::AtomicMin(&s[kMin], v);
+    metrics_internal::AtomicMax(&s[kMax], v);
 #else
     (void)v;
 #endif
   }
 
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  uint64_t count() const;
+  double sum() const;
   const std::string& name() const { return name_; }
   const std::vector<double>& bounds() const { return bounds_; }
 
@@ -168,6 +219,21 @@ class Histogram {
   friend class MetricsRegistry;
   Histogram(std::string name, const Options& opts,
             const std::atomic<bool>* enabled);
+  void Reset();
+  /// Merges the shards: counts and sums add up (shard order), min and max
+  /// are taken over the shards.
+  void MergeInto(HistogramSnapshot* out) const;
+
+  // Word offsets inside a shard.
+  static constexpr size_t kCount = 0;
+  static constexpr size_t kSum = 1;
+  static constexpr size_t kMin = 2;
+  static constexpr size_t kMax = 3;
+  static constexpr size_t kBuckets = 4;
+
+  std::atomic<uint64_t>* Shard(size_t s) const {
+    return words_ + s * shard_words_;
+  }
 
   size_t BucketFor(double v) const {
     // Linear scan: instrument layouts are ~32 buckets and real observations
@@ -182,11 +248,9 @@ class Histogram {
   std::string name_;
   const std::atomic<bool>* enabled_;
   std::vector<double> bounds_;  ///< inclusive upper bounds, sorted
-  std::unique_ptr<std::atomic<uint64_t>[]> buckets_;  ///< bounds_.size() + 1
-  std::atomic<uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
+  size_t shard_words_ = 0;      ///< words per shard, a whole number of lines
+  std::unique_ptr<std::atomic<uint64_t>[]> storage_;  ///< owns words_
+  std::atomic<uint64_t>* words_ = nullptr;  ///< line-aligned into storage_
 };
 
 /// \brief Observes the enclosing scope's duration (seconds) on destruction.

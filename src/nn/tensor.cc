@@ -99,9 +99,14 @@ Result<Tensor> Tensor::Load(BinaryReader* r) {
   if (!cols.ok()) return cols.status();
   auto data = r->ReadVector<float>();
   if (!data.ok()) return data.status();
-  if (static_cast<int64_t>(data->size()) != *rows * *cols) {
-    return Status::Internal("tensor payload size mismatch");
+  // The dimensions are untrusted bytes: reject negative ones and match the
+  // payload length by division, so a huge rows * cols cannot overflow.
+  if (*rows < 0 || *cols < 0) {
+    return Status::DataLoss("negative tensor dimension");
   }
+  const auto n = static_cast<int64_t>(data->size());
+  const bool fits = *rows == 0 ? n == 0 : n % *rows == 0 && n / *rows == *cols;
+  if (!fits) return Status::DataLoss("tensor payload size mismatch");
   return FromValues(*rows, *cols, std::move(*data));
 }
 

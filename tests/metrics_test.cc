@@ -1,6 +1,7 @@
 // Tests for the serving-path metrics subsystem: instrument correctness,
-// registry semantics, thread-safety of the lock-free hot path, snapshot
-// determinism, and injection into the learned structures.
+// registry semantics, exactness of the per-thread-sharded hot path (also
+// with more threads than shards), snapshot determinism, and injection into
+// the learned structures.
 
 #include "common/metrics.h"
 
@@ -10,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -158,30 +160,100 @@ TEST(RegistryTest, SnapshotIsNameSortedAndDeterministic) {
   EXPECT_EQ(snap.ToJsonLines(), registry.Snapshot().ToJsonLines());
 }
 
-TEST(RegistryTest, ConcurrentObservationsAreExact) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
+// Every thread observes the values 0..6 in turn on one shared counter and
+// histogram. Integer values keep every partial sum exact, so the merged
+// snapshot must match the serial totals whatever the shard assignment.
+void ExpectConcurrentObservationsExact(size_t num_threads) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
-  const size_t kN = 100000;
-  ThreadPool pool(4);
-  pool.ParallelFor(
-      kN,
-      [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          c->Increment();
-          h->Observe(static_cast<double>(i % 7));
-        }
-      },
-      1);
-  EXPECT_EQ(c->value(), kN);
-  EXPECT_EQ(h->count(), kN);
+  const size_t kPerThread = 50000;
+  // Threads take their shards round-robin at their first observation, so
+  // with more threads than shards some of them share one. A start barrier
+  // releases them together.
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < num_threads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < num_threads) std::this_thread::yield();
+      for (size_t i = 0; i < kPerThread; ++i) {
+        c->Increment();
+        h->Observe(static_cast<double>(i % 7));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  // Serial reference on a fresh single-threaded registry.
+  MetricsRegistry serial;
+  Histogram* ref = serial.GetHistogram("test.hist", {1.0, 2.0, 8});
+  for (size_t t = 0; t < num_threads; ++t) {
+    for (size_t i = 0; i < kPerThread; ++i) {
+      ref->Observe(static_cast<double>(i % 7));
+    }
+  }
+
+  const uint64_t total = num_threads * kPerThread;
+  EXPECT_EQ(c->value(), total);
+  EXPECT_EQ(h->count(), total);
+  EXPECT_DOUBLE_EQ(h->sum(), ref->sum());
   auto snap = registry.Snapshot();
+  auto ref_snap = serial.Snapshot();
   const HistogramSnapshot* hs = snap.FindHistogram("test.hist");
+  const HistogramSnapshot* rs = ref_snap.FindHistogram("test.hist");
   ASSERT_NE(hs, nullptr);
+  ASSERT_NE(rs, nullptr);
+  EXPECT_EQ(hs->count, total);
+  EXPECT_EQ(hs->sum, rs->sum);
+  EXPECT_EQ(hs->buckets, rs->buckets);
   uint64_t bucket_total = 0;
   for (uint64_t b : hs->buckets) bucket_total += b;
-  EXPECT_EQ(bucket_total, kN);
+  EXPECT_EQ(bucket_total, total);
+  EXPECT_EQ(hs->min, 0.0);
+  EXPECT_EQ(hs->max, 6.0);
+}
+
+TEST(RegistryTest, ConcurrentObservationsAreExact) {
+  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
+  ExpectConcurrentObservationsExact(3);
+}
+
+// More threads than shards: threads that share a shard must stay exact.
+TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
+  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
+  ExpectConcurrentObservationsExact(2 * metrics_internal::kShards);
+}
+
+// Reset must zero every shard, not just the resetting thread's.
+TEST(RegistryTest, ResetZeroesEveryShard) {
+  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
+  auto populate = [](MetricsRegistry* r) {
+    r->GetCounter("c");
+    r->GetGauge("g");
+    r->GetHistogram("h", {1.0, 2.0, 8});
+  };
+  MetricsRegistry registry;
+  populate(&registry);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < metrics_internal::kShards + 1; ++t) {
+    threads.emplace_back([&registry, t] {
+      registry.GetCounter("c")->Increment(t + 1);
+      registry.GetGauge("g")->Set(static_cast<double>(t));
+      registry.GetHistogram("h")->Observe(static_cast<double>(t) - 3.0);
+    });
+  }
+  for (auto& t : threads) t.join();
+  registry.Reset();
+
+  MetricsRegistry fresh;
+  populate(&fresh);
+  EXPECT_EQ(registry.Snapshot().ToJsonLines(), fresh.Snapshot().ToJsonLines());
+  EXPECT_EQ(registry.Snapshot().ToOpenMetrics(),
+            fresh.Snapshot().ToOpenMetrics());
+  EXPECT_EQ(registry.GetCounter("c")->value(), 0u);
+  EXPECT_EQ(registry.GetHistogram("h")->count(), 0u);
+  EXPECT_EQ(registry.GetHistogram("h")->sum(), 0.0);
 }
 
 TEST(RegistryTest, ConcurrentResolutionIsSafe) {

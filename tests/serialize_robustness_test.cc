@@ -5,6 +5,8 @@
 //     or failure mid-write can never truncate an existing good file.
 //   - LocalErrorBounds::Load must reject corrupted fields with DataLoss
 //     instead of accepting garbage that poisons scan windows.
+//   - Tensor::Load must reject negative or overflowing dimensions with
+//     DataLoss.
 //   - Top-level structure checkpoints (estimator / bloom / index) must
 //     survive truncation and bit-flips with a clean error Status.
 
@@ -25,6 +27,7 @@
 #include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
+#include "nn/tensor.h"
 #include "sets/generators.h"
 #include "sets/set_collection.h"
 #include "sets/set_io.h"
@@ -251,6 +254,34 @@ TEST(SetCollectionLoadTest, DecreasingInteriorOffsetIsRejected) {
   };
   EXPECT_TRUE(load({0, 1, 3, 4}).ok());
   EXPECT_EQ(load({0, 3, 1, 4}).code(), StatusCode::kInternal);
+}
+
+// ---------- Tensor ----------
+
+Status LoadTensor(int64_t rows, int64_t cols, std::vector<float> data) {
+  BinaryWriter w;
+  w.WriteI64(rows);
+  w.WriteI64(cols);
+  w.WriteVector(data);
+  BinaryReader r(w.bytes());
+  return nn::Tensor::Load(&r).status();
+}
+
+// Regression: Load compared the payload length against rows * cols in
+// signed 64 bits, which overflows (undefined behaviour) on corrupted dims.
+TEST(TensorLoadTest, CorruptedDimensionsAreDataLoss) {
+  EXPECT_TRUE(LoadTensor(2, 3, std::vector<float>(6)).ok());
+  EXPECT_TRUE(LoadTensor(0, 5, {}).ok());
+  const int64_t huge = int64_t{1} << 40;
+  EXPECT_EQ(LoadTensor(huge, huge, std::vector<float>(4)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadTensor(-2, -3, std::vector<float>(6)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadTensor(2, -3, {}).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(LoadTensor(0, 5, std::vector<float>(1)).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadTensor(2, 3, std::vector<float>(5)).code(),
+            StatusCode::kDataLoss);
 }
 
 // ---------- Top-level checkpoint corruption ----------
