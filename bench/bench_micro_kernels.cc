@@ -33,6 +33,10 @@ namespace {
 using los::Rng;
 using los::nn::Tensor;
 
+// Values passed to benchmark::DoNotOptimize are named, non-const lvalues:
+// google-benchmark 1.8 deprecates the const-reference overload that
+// temporaries and const values would bind to.
+
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
@@ -41,7 +45,8 @@ void BM_Gemm(benchmark::State& state) {
   los::nn::GaussianInit(&b, 1.0f, &rng);
   for (auto _ : state) {
     los::nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c);
-    benchmark::DoNotOptimize(c.data());
+    auto* ptr = c.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -57,7 +62,8 @@ void BM_GemmReference(benchmark::State& state) {
   los::nn::GaussianInit(&b, 1.0f, &rng);
   for (auto _ : state) {
     los::nn::GemmReference(a, false, b, false, 1.0f, 0.0f, &c);
-    benchmark::DoNotOptimize(c.data());
+    auto* ptr = c.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
@@ -82,7 +88,8 @@ void BM_GemmThreads(benchmark::State& state) {
   }
   for (auto _ : state) {
     los::nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c);
-    benchmark::DoNotOptimize(c.data());
+    auto* ptr = c.data();
+    benchmark::DoNotOptimize(ptr);
   }
   los::nn::SetKernelThreading(true);
   los::nn::SetKernelThreadPool(nullptr);
@@ -113,7 +120,8 @@ void BM_GemmTrainShapes(benchmark::State& state) {
   los::nn::GaussianInit(&b, 1.0f, &rng);
   for (auto _ : state) {
     los::nn::Gemm(a, trans_a, b, trans_b, 1.0f, 0.0f, &c);
-    benchmark::DoNotOptimize(c.data());
+    auto* ptr = c.data();
+    benchmark::DoNotOptimize(ptr);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
@@ -145,7 +153,8 @@ void BM_AdamStepFused(benchmark::State& state) {
   for (auto _ : state) {
     std::memcpy(grad.data(), grad0.data(), grad_bytes);
     los::nn::AdamStepFused(1e-3f, 0.9f, 0.999f, 1e-7f, &value, &grad, &m, &v);
-    benchmark::DoNotOptimize(value.data());
+    auto* ptr = value.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * rows * 32);
 }
@@ -165,7 +174,8 @@ void BM_AdamStepReference(benchmark::State& state) {
     std::memcpy(grad.data(), grad0.data(), grad_bytes);
     los::nn::AdamStepReference(1e-3f, 0.9f, 0.999f, 1e-7f, &value, &grad, &m,
                                &v);
-    benchmark::DoNotOptimize(value.data());
+    auto* ptr = value.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * rows * 32);
 }
@@ -185,7 +195,8 @@ void BM_EmbeddingScatterAdd(benchmark::State& state) {
   los::nn::GaussianInit(&dout, 1.0f, &rng);
   for (auto _ : state) {
     embed.Backward(ids, dout);
-    benchmark::DoNotOptimize(embed.table()->grad.data());
+    auto* ptr = embed.table()->grad.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n) * dim);
 }
@@ -225,7 +236,8 @@ void BM_DenseForwardM1(benchmark::State& state) {
   Tensor y;
   for (auto _ : state) {
     layer.Forward(x, &y);
-    benchmark::DoNotOptimize(y.data());
+    auto* ptr = y.data();
+    benchmark::DoNotOptimize(ptr);
     benchmark::ClobberMemory();
   }
 }
@@ -237,7 +249,8 @@ void BM_DenseForwardRow(benchmark::State& state) {
   std::vector<float> y(static_cast<size_t>(state.range(1)));
   for (auto _ : state) {
     layer.ForwardRow(x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
+    auto* ptr = y.data();
+    benchmark::DoNotOptimize(ptr);
     benchmark::ClobberMemory();
   }
 }
@@ -254,7 +267,8 @@ void BM_LsmForwardSingleSet(benchmark::State& state) {
   std::vector<int64_t> offsets{0, 4};
   for (auto _ : state) {
     const Tensor& out = model.Forward(ids, offsets);
-    benchmark::DoNotOptimize(out.data());
+    auto* ptr = out.data();
+    benchmark::DoNotOptimize(ptr);
   }
 }
 BENCHMARK(BM_LsmForwardSingleSet);
@@ -275,7 +289,8 @@ void BM_ClsmForwardSingleSet(benchmark::State& state) {
   std::vector<int64_t> offsets{0, 4};
   for (auto _ : state) {
     const Tensor& out = (*model)->Forward(ids, offsets);
-    benchmark::DoNotOptimize(out.data());
+    auto* ptr = out.data();
+    benchmark::DoNotOptimize(ptr);
   }
 }
 BENCHMARK(BM_ClsmForwardSingleSet);
@@ -330,7 +345,8 @@ void BM_LsmPredictBatch(benchmark::State& state) {
   for (auto _ : state) {
     out.clear();
     model.PredictBatch(views.data(), views.size(), &out);
-    benchmark::DoNotOptimize(out.data());
+    auto* ptr = out.data();
+    benchmark::DoNotOptimize(ptr);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
@@ -399,7 +415,7 @@ void BM_FindFirstSuperset(benchmark::State& state) {
   size_t k = 0;
   int64_t sets = 0;
   for (auto _ : state) {
-    const auto pos =
+    auto pos =
         collection.FindFirstSuperset(queries[k].view(), 0, collection.size());
     benchmark::DoNotOptimize(pos);
     sets += pos + 1;

@@ -89,9 +89,6 @@ void Counter::Reset() {
 Histogram::Histogram(std::string name, const Options& opts,
                      const std::atomic<bool>* enabled)
     : name_(std::move(name)), enabled_(enabled) {
-  using metrics_internal::kCacheLineBytes;
-  using metrics_internal::kShards;
-  constexpr size_t kWordsPerLine = kCacheLineBytes / sizeof(uint64_t);
   const size_t n = std::max<size_t>(opts.num_buckets, 1);
   const double growth = std::max(opts.growth, 1.0 + 1e-9);
   bounds_.reserve(n);
@@ -100,34 +97,28 @@ Histogram::Histogram(std::string name, const Options& opts,
     bounds_.push_back(bound);
     bound *= growth;
   }
-  shard_words_ =
-      (kBuckets + n + 1 + kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
-  // One spare line lets words_ start on a line boundary inside storage_.
-  storage_ = std::make_unique<std::atomic<uint64_t>[]>(
-      kShards * shard_words_ + kWordsPerLine);
-  const size_t misalign =
-      reinterpret_cast<uintptr_t>(storage_.get()) % kCacheLineBytes;
-  words_ = storage_.get() +
-           (kCacheLineBytes - misalign) % kCacheLineBytes / sizeof(uint64_t);
+  shard_lines_ = (kBuckets + n + 1 + Line::kWords - 1) / Line::kWords;
+  lines_ = std::make_unique<Line[]>(metrics_internal::kShards * shard_lines_);
   Reset();
 }
 
 void Histogram::Reset() {
-  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
-    std::atomic<uint64_t>* w = Shard(s);
-    // All-zero bits are a count of 0 and a sum of 0.0.
-    for (size_t i = 0; i < shard_words_; ++i) {
-      w[i].store(0, std::memory_order_relaxed);
+  // All-zero bits are a count of 0 and a sum of 0.0.
+  for (size_t l = 0; l < metrics_internal::kShards * shard_lines_; ++l) {
+    for (std::atomic<uint64_t>& w : lines_[l].w) {
+      w.store(0, std::memory_order_relaxed);
     }
-    StoreDouble(&w[kMin], std::numeric_limits<double>::infinity());
-    StoreDouble(&w[kMax], -std::numeric_limits<double>::infinity());
+  }
+  for (size_t s = 0; s < metrics_internal::kShards; ++s) {
+    StoreDouble(&Word(s, kMin), std::numeric_limits<double>::infinity());
+    StoreDouble(&Word(s, kMax), -std::numeric_limits<double>::infinity());
   }
 }
 
 uint64_t Histogram::count() const {
   uint64_t total = 0;
   for (size_t s = 0; s < metrics_internal::kShards; ++s) {
-    total += Shard(s)[kCount].load(std::memory_order_relaxed);
+    total += Word(s, kCount).load(std::memory_order_relaxed);
   }
   return total;
 }
@@ -135,7 +126,7 @@ uint64_t Histogram::count() const {
 double Histogram::sum() const {
   double total = 0.0;
   for (size_t s = 0; s < metrics_internal::kShards; ++s) {
-    total += LoadDouble(Shard(s)[kSum]);
+    total += LoadDouble(Word(s, kSum));
   }
   return total;
 }
@@ -148,14 +139,13 @@ void Histogram::MergeInto(HistogramSnapshot* out) const {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (size_t s = 0; s < metrics_internal::kShards; ++s) {
-    const std::atomic<uint64_t>* w = Shard(s);
     for (size_t i = 0; i < out->buckets.size(); ++i) {
-      out->buckets[i] += w[kBuckets + i].load(std::memory_order_relaxed);
+      out->buckets[i] += Word(s, kBuckets + i).load(std::memory_order_relaxed);
     }
-    out->count += w[kCount].load(std::memory_order_relaxed);
-    out->sum += LoadDouble(w[kSum]);
-    lo = std::min(lo, LoadDouble(w[kMin]));
-    hi = std::max(hi, LoadDouble(w[kMax]));
+    out->count += Word(s, kCount).load(std::memory_order_relaxed);
+    out->sum += LoadDouble(Word(s, kSum));
+    lo = std::min(lo, LoadDouble(Word(s, kMin)));
+    hi = std::max(hi, LoadDouble(Word(s, kMax)));
   }
   out->min = out->count > 0 ? lo : 0.0;
   out->max = out->count > 0 ? hi : 0.0;

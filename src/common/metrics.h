@@ -193,12 +193,12 @@ class Histogram {
   void Observe(double v) {
 #ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    std::atomic<uint64_t>* s = Shard(metrics_internal::ThreadShard());
-    s[kBuckets + BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
-    s[kCount].fetch_add(1, std::memory_order_relaxed);
-    metrics_internal::AtomicAdd(&s[kSum], v);
-    metrics_internal::AtomicMin(&s[kMin], v);
-    metrics_internal::AtomicMax(&s[kMax], v);
+    const size_t s = metrics_internal::ThreadShard();
+    Word(s, kBuckets + BucketFor(v)).fetch_add(1, std::memory_order_relaxed);
+    Word(s, kCount).fetch_add(1, std::memory_order_relaxed);
+    metrics_internal::AtomicAdd(&Word(s, kSum), v);
+    metrics_internal::AtomicMin(&Word(s, kMin), v);
+    metrics_internal::AtomicMax(&Word(s, kMax), v);
 #else
     (void)v;
 #endif
@@ -231,8 +231,17 @@ class Histogram {
   static constexpr size_t kMax = 3;
   static constexpr size_t kBuckets = 4;
 
-  std::atomic<uint64_t>* Shard(size_t s) const {
-    return words_ + s * shard_words_;
+  /// One cache line of 64-bit words; aligned `new` puts every line, and
+  /// so every shard, on its own line.
+  struct alignas(metrics_internal::kCacheLineBytes) Line {
+    static constexpr size_t kWords =
+        metrics_internal::kCacheLineBytes / sizeof(uint64_t);
+    std::atomic<uint64_t> w[kWords];
+  };
+
+  /// Word i of shard s.
+  std::atomic<uint64_t>& Word(size_t s, size_t i) const {
+    return lines_[s * shard_lines_ + i / Line::kWords].w[i % Line::kWords];
   }
 
   size_t BucketFor(double v) const {
@@ -248,9 +257,8 @@ class Histogram {
   std::string name_;
   const std::atomic<bool>* enabled_;
   std::vector<double> bounds_;  ///< inclusive upper bounds, sorted
-  size_t shard_words_ = 0;      ///< words per shard, a whole number of lines
-  std::unique_ptr<std::atomic<uint64_t>[]> storage_;  ///< owns words_
-  std::atomic<uint64_t>* words_ = nullptr;  ///< line-aligned into storage_
+  size_t shard_lines_ = 0;       ///< lines per shard
+  std::unique_ptr<Line[]> lines_;  ///< kShards * shard_lines_
 };
 
 /// \brief Observes the enclosing scope's duration (seconds) on destruction.

@@ -1,11 +1,13 @@
 // Tests for the serving-path metrics subsystem: instrument correctness,
 // registry semantics, exactness of the per-thread-sharded hot path (also
-// with more threads than shards), snapshot determinism, and injection into
-// the learned structures.
+// with threads updating one shard at once), snapshot determinism, and
+// injection into the learned structures.
 
 #include "common/metrics.h"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <cstdio>
 #include <fstream>
@@ -163,43 +165,30 @@ TEST(RegistryTest, SnapshotIsNameSortedAndDeterministic) {
 // Every thread observes the values 0..6 in turn on one shared counter and
 // histogram. Integer values keep every partial sum exact, so the merged
 // snapshot must match the serial totals whatever the shard assignment.
-void ExpectConcurrentObservationsExact(size_t num_threads) {
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("test.counter");
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
-  const size_t kPerThread = 50000;
-  // Threads take their shards round-robin at their first observation, so
-  // with more threads than shards some of them share one. A start barrier
-  // releases them together.
-  std::atomic<size_t> ready{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < num_threads; ++t) {
-    threads.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < num_threads) std::this_thread::yield();
-      for (size_t i = 0; i < kPerThread; ++i) {
-        c->Increment();
-        h->Observe(static_cast<double>(i % 7));
-      }
-    });
+void ObserveSequence(Counter* c, Histogram* h, size_t per_thread) {
+  for (size_t i = 0; i < per_thread; ++i) {
+    c->Increment();
+    h->Observe(static_cast<double>(i % 7));
   }
-  for (auto& t : threads) t.join();
+}
 
-  // Serial reference on a fresh single-threaded registry.
+// Checks `registry`'s "test.counter" and "test.hist" against num_threads
+// serial runs of ObserveSequence.
+void ExpectExact(const MetricsRegistry& registry, size_t num_threads,
+                 size_t per_thread) {
   MetricsRegistry serial;
+  Counter* ref_c = serial.GetCounter("test.counter");
   Histogram* ref = serial.GetHistogram("test.hist", {1.0, 2.0, 8});
   for (size_t t = 0; t < num_threads; ++t) {
-    for (size_t i = 0; i < kPerThread; ++i) {
-      ref->Observe(static_cast<double>(i % 7));
-    }
+    ObserveSequence(ref_c, ref, per_thread);
   }
 
-  const uint64_t total = num_threads * kPerThread;
-  EXPECT_EQ(c->value(), total);
-  EXPECT_EQ(h->count(), total);
-  EXPECT_DOUBLE_EQ(h->sum(), ref->sum());
+  const uint64_t total = num_threads * per_thread;
   auto snap = registry.Snapshot();
   auto ref_snap = serial.Snapshot();
+  const CounterSnapshot* cs = snap.FindCounter("test.counter");
+  ASSERT_NE(cs, nullptr);
+  EXPECT_EQ(cs->value, total);
   const HistogramSnapshot* hs = snap.FindHistogram("test.hist");
   const HistogramSnapshot* rs = ref_snap.FindHistogram("test.hist");
   ASSERT_NE(hs, nullptr);
@@ -216,13 +205,91 @@ void ExpectConcurrentObservationsExact(size_t num_threads) {
 
 TEST(RegistryTest, ConcurrentObservationsAreExact) {
   if (!kObserving) GTEST_SKIP() << "metrics compiled out";
-  ExpectConcurrentObservationsExact(3);
+  constexpr size_t kThreads = 3;
+  constexpr size_t kPerThread = 50000;
+  MetricsRegistry registry;
+  Counter* c = registry.GetCounter("test.counter");
+  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
+  // A start barrier releases the threads together.
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      ObserveSequence(c, h, kPerThread);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c->value(), kThreads * kPerThread);
+  EXPECT_EQ(h->count(), kThreads * kPerThread);
+  ExpectExact(registry, kThreads, kPerThread);
 }
 
-// More threads than shards: threads that share a shard must stay exact.
+// Pins the calling thread to the k-th CPU it may run on; false when there
+// are no more than k of them. New threads start on their parent's CPU and
+// the scheduler can take tens of milliseconds to spread busy ones, so
+// threads meant to run at once are pinned apart.
+bool PinToKthAllowedCpu(size_t k) {
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return false;
+  size_t seen = 0;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || seen++ < k) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    return pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
+  }
+  return false;
+}
+
+// Threads that share a shard must stay exact while they update it at the
+// same time. Threads take shards round-robin, so more than 2 x kShards
+// threads are started, one at a time, until kColliders have landed on the
+// main thread's shard; the others exit at once. The colliders, each on
+// its own CPU where the host has enough, wait, spinning, and are released
+// together, so their updates overlap on one set of lines.
 TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
   if (!kObserving) GTEST_SKIP() << "metrics compiled out";
-  ExpectConcurrentObservationsExact(2 * metrics_internal::kShards);
+  constexpr size_t kColliders = 3;
+  constexpr size_t kPerThread = 200000;
+  MetricsRegistry registry;
+  Counter* c = registry.GetCounter("test.counter");
+  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
+  const size_t target = metrics_internal::ThreadShard();
+  std::atomic<bool> go{false};
+  std::atomic<int> verdict{0};  // 1: other shard, exited; 2: on target
+  std::vector<std::thread> colliders;
+  // Every kShards-th new thread lands on `target`; the bound on spawns
+  // only stops a broken assignment from looping for ever.
+  for (size_t spawned = 0; colliders.size() < kColliders &&
+                           spawned < 4 * kColliders * metrics_internal::kShards;
+       ++spawned) {
+    verdict.store(0);
+    std::thread t([&, index = colliders.size()] {
+      if (metrics_internal::ThreadShard() != target) {
+        verdict.store(1);
+        return;
+      }
+      PinToKthAllowedCpu(index);
+      verdict.store(2);
+      while (!go.load()) {
+      }
+      ObserveSequence(c, h, kPerThread);
+    });
+    int v;
+    while ((v = verdict.load()) == 0) std::this_thread::yield();
+    if (v == 1) {
+      t.join();
+    } else {
+      colliders.push_back(std::move(t));
+    }
+  }
+  ASSERT_EQ(colliders.size(), kColliders);
+  go.store(true);
+  for (auto& t : colliders) t.join();
+  ExpectExact(registry, kColliders, kPerThread);
 }
 
 // Reset must zero every shard, not just the resetting thread's.
