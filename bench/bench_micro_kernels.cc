@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <limits>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,11 +15,13 @@
 #include "baselines/bloom_filter.h"
 #include "baselines/bplus_tree.h"
 #include "baselines/inverted_index.h"
+#include "bench/bench_util.h"
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "core/learned_cardinality.h"
+#include "core/updatable.h"
 #include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/init.h"
@@ -596,6 +600,82 @@ void BM_HashSetSorted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashSetSorted);
+
+// One UpdatableSetIndex::Update with perfbench's index options (its preset,
+// 3 epochs, subsets of <= 3 elements) over an RW collection of 2,050 sets
+// and 430 elements, or ten times both. publish:1 publishes a read
+// generation after every update (the default, read-your-writes); publish:0
+// never does, which isolates the absorb path. Updates cycle through 256
+// fixed (position, content) pairs whose contents come from a universe
+// twice as wide, like perfbench's live stream; one warm-up cycle when a
+// row is first set up fills the aux tree, so timed updates overwrite its
+// entries instead of growing it. Each row builds its index on first use
+// (about 4 s at 20,500 sets); CI's filter leaves these rows out.
+struct IndexUpdateRow {
+  std::unique_ptr<los::core::UpdatableSetIndex> index;
+  std::vector<std::pair<size_t, std::vector<los::sets::ElementId>>> updates;
+};
+
+IndexUpdateRow* IndexUpdateSetup(size_t num_sets, bool publish) {
+  static std::map<std::pair<size_t, bool>, std::unique_ptr<IndexUpdateRow>>
+      rows;
+  auto& row = rows[{num_sets, publish}];
+  if (row != nullptr) return row.get();
+  const size_t num_unique = 430 * (num_sets / 2050);
+  los::sets::RwConfig cfg;
+  cfg.num_sets = num_sets;
+  cfg.num_unique = num_unique;
+  cfg.seed = 17;
+  los::core::UpdatableSetIndex::Options opts;
+  opts.index = los::bench::IndexPreset(/*compressed=*/false, /*hybrid=*/true);
+  opts.index.train.epochs = 3;
+  opts.index.max_subset_size = 3;
+  opts.update.rebuild_after_absorbed = 0;
+  opts.update.background_rebuild = false;
+  opts.publish_after_updates =
+      publish ? 1 : std::numeric_limits<size_t>::max();
+  auto built = los::core::UpdatableSetIndex::Build(GenerateRw(cfg), opts);
+  if (!built.ok()) return nullptr;
+  row = std::make_unique<IndexUpdateRow>();
+  row->index = std::move(*built);
+  los::sets::RwConfig drift;
+  drift.num_sets = 256;
+  drift.num_unique = 2 * num_unique;
+  drift.seed = 29;
+  const auto deltas = GenerateRw(drift);
+  Rng rng(3);
+  for (size_t i = 0; i < deltas.size(); ++i) {
+    const auto d = deltas.set(i);
+    row->updates.emplace_back(rng.Uniform(num_sets),
+                              std::vector<los::sets::ElementId>(d.begin(),
+                                                                d.end()));
+  }
+  for (const auto& [pos, content] : row->updates) {
+    (void)row->index->Update(pos, content);
+  }
+  return row.get();
+}
+
+void BM_IndexUpdate(benchmark::State& state) {
+  IndexUpdateRow* row = IndexUpdateSetup(static_cast<size_t>(state.range(0)),
+                                         state.range(1) != 0);
+  if (row == nullptr) {
+    state.SkipWithError("build failed");
+    return;
+  }
+  size_t k = 0;
+  for (auto _ : state) {
+    const auto& [pos, content] = row->updates[k];
+    los::Status st = row->index->Update(pos, content);
+    benchmark::DoNotOptimize(st);
+    k = k + 1 == row->updates.size() ? 0 : k + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IndexUpdate)
+    ->ArgsProduct({{2050, 20500}, {1, 0}})
+    ->ArgNames({"sets", "publish"})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -55,10 +55,23 @@ int main() {
       return 1;
     }
   }
-  std::printf("applied %zu updates; auxiliary structure absorbed %llu "
-              "subsets\n",
-              updates, static_cast<unsigned long long>(
-                           live.engine()->pending_absorbed()));
+  // The serving generation is a copy of the writer-side index, so it
+  // reports the same absorbed-subset count the rebuild trigger reads.
+  {
+    auto pin = live.Acquire();
+    const size_t absorbed = pin->index->updates_absorbed();
+    std::printf("applied %zu updates; generation %llu's auxiliary structure "
+                "absorbed %zu subsets\n",
+                updates, static_cast<unsigned long long>(pin.generation()),
+                absorbed);
+    if (absorbed != live.engine()->pending_absorbed()) {
+      std::printf("serving generation lost absorbed updates (engine counted "
+                  "%llu)!\n",
+                  static_cast<unsigned long long>(
+                      live.engine()->pending_absorbed()));
+      return 1;
+    }
+  }
 
   if (live.NeedsRebuild()) {
     std::printf("rebuild threshold reached -> retraining...\n");
@@ -68,7 +81,7 @@ int main() {
     }
     auto pin = live.Acquire();
     std::printf("rebuilt generation %llu: aux structure reset to %zu "
-                "outliers, %zu absorbed updates\n",
+                "outliers, %zu absorbed subsets\n",
                 static_cast<unsigned long long>(pin.generation()),
                 pin->index->num_outliers(), pin->index->updates_absorbed());
   } else {

@@ -84,6 +84,13 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   return index;
 }
 
+LearnedSetIndex LearnedSetIndex::BoundTo(
+    const sets::SetCollection& collection) const {
+  LearnedSetIndex copy(*this);
+  copy.collection_ = &collection;
+  return copy;
+}
+
 void LearnedSetIndex::Save(BinaryWriter* w) const {
   SaveSetModel(*model_, w);
   scaler_.Save(w);

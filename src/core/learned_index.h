@@ -43,9 +43,13 @@ struct IndexOptions {
 /// time, model inference keeps its activations in per-thread workspaces,
 /// and metrics are atomic. The one
 /// mutating entry point, AbsorbUpdatedSet, writes the aux tree and must not
-/// run concurrently with readers.
+/// run concurrently with readers of the same index. BoundTo copies share
+/// only the model, which is immutable after Build.
 class LearnedSetIndex {
  public:
+  LearnedSetIndex(LearnedSetIndex&&) = default;
+  LearnedSetIndex& operator=(LearnedSetIndex&&) = default;
+
   /// Per-lookup observability for benches/tests.
   struct LookupStats {
     bool aux_hit = false;
@@ -102,8 +106,8 @@ class LearnedSetIndex {
   size_t AbsorbUpdatedSet(size_t position, size_t max_subset_size,
                           sets::SetView old_content);
 
-  /// Number of updates absorbed since the build; callers use this to decide
-  /// when "the whole structure can be rebuilt".
+  /// Subsets AbsorbUpdatedSet wrote to the aux structure since the build;
+  /// callers use this to decide when "the whole structure can be rebuilt".
   size_t updates_absorbed() const { return updates_absorbed_; }
 
   const TargetScaler& scaler() const { return scaler_; }
@@ -124,6 +128,11 @@ class LearnedSetIndex {
   /// Average |est - truth| on retained training subsets.
   double final_train_abs_error() const { return final_train_abs_error_; }
 
+  /// A copy bound to `collection`, which must be position-compatible with
+  /// this index's. It shares the trained model and owns everything else, so
+  /// AbsorbUpdatedSet on either side leaves the other unchanged.
+  LearnedSetIndex BoundTo(const sets::SetCollection& collection) const;
+
   /// Persists model, scaler, error bounds and the auxiliary B+ tree. Load
   /// rebinds to `collection`, which must be the collection the index was
   /// built over (positions must match).
@@ -139,6 +148,8 @@ class LearnedSetIndex {
   LearnedSetIndex() : aux_(100) {
     SetMetricsRegistry(MetricsRegistry::Global());
   }
+  /// Private so that every copy goes through BoundTo and rebinds.
+  LearnedSetIndex(const LearnedSetIndex&) = default;
 
   /// Cached instrument handles (resolution locks; observation does not).
   struct Instruments {
@@ -177,7 +188,7 @@ class LearnedSetIndex {
   int64_t ScanFromEstimate(sets::SetView q, int64_t est, LookupStats* stats);
 
   const sets::SetCollection* collection_ = nullptr;
-  std::unique_ptr<deepsets::SetModel> model_;
+  std::shared_ptr<deepsets::SetModel> model_;  ///< shared by BoundTo copies
   TargetScaler scaler_;
   LocalErrorBounds bounds_;
   baselines::BPlusTree aux_;  ///< set-hash -> first position

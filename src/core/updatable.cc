@@ -23,27 +23,6 @@ void LowerThreadPriority(int nice) {
 #endif
 }
 
-namespace {
-
-// Copies an index onto a generation's own collection snapshot: an
-// in-memory Save/Load round trip, with Load rebinding to `collection`,
-// which must be position-compatible with the collection the source index
-// was built over.
-Result<std::unique_ptr<LearnedSetIndex>> CloneIndexTo(
-    const LearnedSetIndex& src, const sets::SetCollection& collection,
-    MetricsRegistry* registry) {
-  BinaryWriter w;
-  src.Save(&w);
-  BinaryReader r(w.bytes());
-  auto loaded = LearnedSetIndex::Load(&r, collection);
-  if (!loaded.ok()) return loaded.status();
-  auto out = std::make_unique<LearnedSetIndex>(std::move(*loaded));
-  out->SetMetricsRegistry(registry);
-  return out;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // UpdatableSetIndex
 // ---------------------------------------------------------------------------
@@ -68,10 +47,6 @@ Result<std::unique_ptr<UpdatableSetIndex>> UpdatableSetIndex::Build(
       std::make_unique<LearnedSetIndex>(std::move(*built));
   self->master_index_->SetMetricsRegistry(self->registry_);
 
-  auto initial = self->SnapshotMasterLocked();
-  if (initial == nullptr) {
-    return Status::Internal("failed to snapshot freshly built index");
-  }
   UpdatableStructure<IndexGeneration>::Hooks hooks;
   UpdatableSetIndex* raw = self.get();
   hooks.build = [raw] { return raw->BuildGeneration(); };
@@ -84,7 +59,7 @@ Result<std::unique_ptr<UpdatableSetIndex>> UpdatableSetIndex::Build(
     };
   }
   self->engine_ = std::make_unique<UpdatableStructure<IndexGeneration>>(
-      "index", std::move(initial), opts.update, std::move(hooks),
+      "index", self->SnapshotMasterLocked(), opts.update, std::move(hooks),
       self->registry_);
   return self;
 }
@@ -94,9 +69,8 @@ std::unique_ptr<IndexGeneration> UpdatableSetIndex::SnapshotMasterLocked()
   auto gen = std::make_unique<IndexGeneration>();
   gen->collection =
       std::make_unique<sets::SetCollection>(*master_collection_);
-  auto clone = CloneIndexTo(*master_index_, *gen->collection, registry_);
-  if (!clone.ok()) return nullptr;
-  gen->index = std::move(*clone);
+  gen->index = std::make_unique<LearnedSetIndex>(
+      master_index_->BoundTo(*gen->collection));
   return gen;
 }
 
@@ -134,11 +108,7 @@ Status UpdatableSetIndex::Update(size_t position,
     updated_positions_.push_back(position);
     updates_applied_.fetch_add(1, std::memory_order_relaxed);
     if (++updates_since_publish_ >= opts_.publish_after_updates) {
-      auto snapshot = SnapshotMasterLocked();
-      if (snapshot == nullptr) {
-        return Status::Internal("failed to snapshot index after update");
-      }
-      engine_->PublishLocked(std::move(snapshot));
+      engine_->PublishLocked(SnapshotMasterLocked());
       updates_since_publish_ = 0;
     }
   }
@@ -167,32 +137,19 @@ Result<std::unique_ptr<IndexGeneration>> UpdatableSetIndex::BuildGeneration() {
 std::unique_ptr<IndexGeneration> UpdatableSetIndex::FinalizeGeneration(
     std::unique_ptr<IndexGeneration> built) {
   // Runs under write_mu. The built index trained on the snapshot; the master
-  // collection may have moved on. Rebind the trained index to the current
-  // collection, re-absorb the post-snapshot updates into its fresh auxiliary
-  // structure, and make it the new master — then publish a snapshot of that.
-  auto new_collection =
-      std::make_unique<sets::SetCollection>(*master_collection_);
-  auto rebound = CloneIndexTo(*built->index, *new_collection, registry_);
-  if (!rebound.ok()) {
-    // Keep the old master; publish the built generation unmodified only if
-    // nothing raced it, else fall back to a plain master snapshot so the
-    // published state never regresses behind applied updates.
-    if (updated_positions_.empty()) return built;
-    auto snapshot = SnapshotMasterLocked();
-    return snapshot != nullptr ? std::move(snapshot) : std::move(built);
-  }
+  // collection may have moved on. Make a copy of the trained index bound to
+  // it the new master, re-absorb the post-snapshot updates into its fresh
+  // auxiliary structure, then publish a snapshot of that.
+  *master_index_ = built->index->BoundTo(*master_collection_);
   std::vector<size_t> replay = updated_positions_;
   std::sort(replay.begin(), replay.end());
   replay.erase(std::unique(replay.begin(), replay.end()), replay.end());
   // The built index knows each replayed set as the snapshot held it.
   for (size_t pos : replay) {
-    (*rebound)->AbsorbUpdatedSet(pos, opts_.index.max_subset_size,
-                                 built->collection->set(pos));
+    master_index_->AbsorbUpdatedSet(pos, opts_.index.max_subset_size,
+                                    built->collection->set(pos));
   }
-  master_collection_ = std::move(new_collection);
-  master_index_ = std::move(*rebound);
-  auto snapshot = SnapshotMasterLocked();
-  return snapshot != nullptr ? std::move(snapshot) : std::move(built);
+  return SnapshotMasterLocked();
 }
 
 Status UpdatableSetIndex::CheckpointGeneration(

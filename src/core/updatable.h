@@ -647,7 +647,9 @@ struct IndexGeneration {
 /// Visibility contract: an Update is applied to the writer-side master
 /// immediately and becomes visible to readers at the next snapshot publish
 /// — every `publish_after_updates` updates (default 1: each Update's
-/// clone+publish makes it visible before Update returns). Rebuilds retrain
+/// publish makes it visible before Update returns). A snapshot is a copy
+/// of the master collection with LearnedSetIndex::BoundTo of the master
+/// index on it; generations share the model until a rebuild. Rebuilds retrain
 /// in the background and swap without blocking readers; updates that raced
 /// the retrain are re-absorbed into the new generation before it publishes,
 /// so no absorbed update is ever lost by a swap.
@@ -657,8 +659,8 @@ class UpdatableSetIndex {
     IndexOptions index;
     UpdatableOptions update;
     /// Publish a new read generation after this many updates (>= 1).
-    /// 1 = read-your-writes for a single updater; larger values amortize
-    /// the clone cost over an update batch.
+    /// 1 = read-your-writes for a single updater; larger values spread
+    /// one snapshot's collection and aux-tree copy over an update batch.
     size_t publish_after_updates = 1;
   };
 

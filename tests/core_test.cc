@@ -622,6 +622,72 @@ TEST(PersistenceTest, IndexRoundTripPreservesLookups) {
                    loaded->error_bounds().GlobalMaxError());
 }
 
+std::vector<uint8_t> SavedIndexBytes(const LearnedSetIndex& index) {
+  BinaryWriter w;
+  index.Save(&w);
+  return {w.bytes().begin(), w.bytes().end()};
+}
+
+TEST(LearnedIndexTest, BoundCopyMatchesSaveLoadCopyAndSharesModel) {
+  // Every subset of a 14-element universe, two ids beyond the trained
+  // vocabulary: aux hits, model scans, misses and out-of-vocabulary
+  // queries are all exercised.
+  constexpr sets::ElementId kTrained = 12;
+  constexpr size_t kMaxSubset = 3;
+  std::vector<sets::ElementId> universe(kTrained + 2);
+  for (sets::ElementId e = 0; e < universe.size(); ++e) universe[e] = e;
+  sets::RwConfig rw;
+  rw.num_sets = 80;
+  rw.num_unique = kTrained;
+  rw.seed = 2;
+  auto c = GenerateRw(rw);
+  IndexOptions opts;
+  opts.train.epochs = 8;
+  opts.train.loss = LossKind::kMse;
+  opts.max_subset_size = kMaxSubset;
+  auto index = LearnedSetIndex::Build(c, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_GT(index->num_outliers(), 0u);
+
+  const sets::SetCollection bound_c = c;
+  const sets::SetCollection loaded_c = c;
+  LearnedSetIndex bound = index->BoundTo(bound_c);
+  BinaryWriter w;
+  index->Save(&w);
+  BinaryReader r(w.bytes());
+  auto loaded = LearnedSetIndex::Load(&r, loaded_c);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  EXPECT_EQ(bound.model(), index->model());
+  EXPECT_EQ(bound.train_seconds(), index->train_seconds());
+  EXPECT_EQ(bound.final_train_qerror(), index->final_train_qerror());
+  EXPECT_EQ(SavedIndexBytes(bound), w.bytes());
+
+  std::vector<int64_t> answers;
+  sets::ForEachSubset(
+      sets::SetView(universe), kMaxSubset, [&](sets::SetView q) {
+        const int64_t pos = bound.Lookup(q);
+        EXPECT_EQ(pos, loaded->Lookup(q));
+        EXPECT_EQ(bound.LookupEqual(q), loaded->LookupEqual(q));
+        answers.push_back(pos);
+      });
+
+  // Absorbing an update into the source writes its aux tree and moves its
+  // collection; the copy keeps its own tree and answers.
+  const sets::SetView old_view = c.set(5);
+  const std::vector<sets::ElementId> old(old_view.begin(), old_view.end());
+  const std::vector<uint8_t> bound_bytes = SavedIndexBytes(bound);
+  ASSERT_TRUE(c.UpdateSet(5, {1, kTrained, kTrained + 1}).ok());
+  ASSERT_GT(index->AbsorbUpdatedSet(5, kMaxSubset, sets::SetView(old)), 0u);
+  EXPECT_EQ(SavedIndexBytes(bound), bound_bytes);
+  EXPECT_EQ(bound.updates_absorbed(), 0u);
+  size_t k = 0;
+  sets::ForEachSubset(sets::SetView(universe), kMaxSubset,
+                      [&](sets::SetView q) {
+                        EXPECT_EQ(bound.Lookup(q), answers[k++]);
+                      });
+}
+
 TEST(PersistenceTest, BloomFilterRoundTrip) {
   sets::RwConfig rw;
   rw.num_sets = 150;

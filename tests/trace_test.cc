@@ -530,14 +530,21 @@ TEST_F(TraceTest, CardinalityEstimateSpansCoverEndToEndLatency) {
   // overhead). Summed over 50 queries, scheduling noise averages out.
   const uint64_t covered = SumDurationByName(events, "cardinality.estimate");
   EXPECT_GE(static_cast<double>(covered), 0.9 * static_cast<double>(wall))
-      << "covered " << covered << "ns of " << wall << "ns";
+      << "estimate spans cover " << covered << " ns of the " << wall
+      << " ns query loop: ratio "
+      << static_cast<double>(covered) / static_cast<double>(wall)
+      << ", bound 0.9";
   // And the model stages cover most of the forward pass itself.
   const uint64_t forward = SumDurationByName(events, "model.forward");
   const uint64_t stages = SumDurationByName(events, "model.embed_gather") +
                           SumDurationByName(events, "model.phi") +
                           SumDurationByName(events, "model.pool") +
                           SumDurationByName(events, "model.rho");
-  EXPECT_GE(static_cast<double>(stages), 0.8 * static_cast<double>(forward));
+  EXPECT_GE(static_cast<double>(stages), 0.8 * static_cast<double>(forward))
+      << "model stages cover " << stages << " ns of " << forward
+      << " ns in model.forward: ratio "
+      << static_cast<double>(stages) / static_cast<double>(forward)
+      << ", bound 0.8";
 }
 
 }  // namespace

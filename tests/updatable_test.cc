@@ -259,6 +259,47 @@ TEST(UpdatableSetIndexTest, RebuildResetsAccountingAndKeepsRegistry) {
             global_before);
 }
 
+TEST(UpdatableSetIndexTest, PublishedGenerationsShareTheModelUntilRebuild) {
+  auto opts = FastIndexOptions();
+  opts.update.background_rebuild = false;
+  auto idx = UpdatableSetIndex::Build(TestCollection(), opts);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  auto& index = **idx;
+  const deepsets::SetModel* built = index.Acquire()->index->model();
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(index.Update(static_cast<size_t>(10 + i), {101, 102}).ok());
+    auto pin = index.Acquire();
+    EXPECT_EQ(pin.generation(), 2u + i);
+    EXPECT_EQ(pin->index->model(), built) << "generation " << pin.generation();
+  }
+  ASSERT_TRUE(index.RebuildNow().ok());
+  const deepsets::SetModel* rebuilt = index.Acquire()->index->model();
+  EXPECT_NE(rebuilt, built);
+  ASSERT_TRUE(index.Update(30, {103, 104}).ok());
+  EXPECT_EQ(index.Acquire()->index->model(), rebuilt);
+}
+
+TEST(UpdatableSetIndexTest, PublishedGenerationReportsAbsorbedUpdates) {
+  MetricsRegistry registry;
+  auto opts = FastIndexOptions();
+  opts.update.background_rebuild = false;
+  auto idx = UpdatableSetIndex::Build(TestCollection(), opts, &registry);
+  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+  auto& index = **idx;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(index.Update(static_cast<size_t>(7 * i),
+                             {static_cast<sets::ElementId>(200 + i), 201})
+                    .ok());
+  }
+  // Every subset the master routed to its aux tree is counted once in
+  // index.subsets_absorbed and once in the engine's lag.
+  const uint64_t absorbed =
+      registry.GetCounter("index.subsets_absorbed")->value();
+  ASSERT_GT(absorbed, 0u);
+  EXPECT_EQ(index.engine()->pending_absorbed(), absorbed);
+  EXPECT_EQ(index.Acquire()->index->updates_absorbed(), absorbed);
+}
+
 /// Brute-force first position of `q` in `c`; -1 if no set contains it.
 int64_t FirstSuperset(const sets::SetCollection& c, sets::SetView q) {
   for (size_t i = 0; i < c.size(); ++i) {

@@ -66,22 +66,45 @@ TEST(UpdateWhileServingTest, IndexLookupsDuringUpdatesAndRebuilds) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> malformed{0};
+  // done_on[t]: a generation that was current when reader t started a
+  // lookup it has since finished; that lookup ran on it or a newer one.
+  std::atomic<uint64_t> done_on[kReaders] = {};
+  int generations_seen[kReaders] = {};
   std::vector<std::thread> readers;
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       auto queries = ReaderQueries(static_cast<uint32_t>(t));
       while (!stop.load(std::memory_order_acquire)) {
+        const uint64_t gen = index.Acquire().generation();
         auto results = index.LookupBatch(queries);
         if (results.size() != queries.size()) malformed.fetch_add(1);
         for (int64_t r : results) {
           if (r < -1 || r >= 150) malformed.fetch_add(1);
         }
         index.Lookup(queries[0].view());
+        if (gen != done_on[t].load(std::memory_order_relaxed)) {
+          ++generations_seen[t];
+        }
+        done_on[t].store(gen, std::memory_order_release);
       }
     });
   }
 
+  // Threads a test starts may run one after another on their parent's CPU
+  // for the first milliseconds, so without this wait the updates could all
+  // land before any reader runs. Waiting for every reader to finish a
+  // lookup on the current generation puts reads between every pair of
+  // publishes, whatever the scheduler does.
+  auto wait_for_readers = [&] {
+    const uint64_t current = index.Acquire().generation();
+    for (auto& done : done_on) {
+      while (done.load(std::memory_order_acquire) < current) {
+        std::this_thread::yield();
+      }
+    }
+  };
   for (int i = 0; i < kUpdates; ++i) {
+    wait_for_readers();
     ASSERT_TRUE(index.Update(static_cast<size_t>(i % 150),
                              UpdatedElements(i))
                     .ok());
@@ -91,6 +114,11 @@ TEST(UpdateWhileServingTest, IndexLookupsDuringUpdatesAndRebuilds) {
   for (auto& th : readers) th.join();
 
   EXPECT_EQ(malformed.load(), 0);
+  // Each update published a generation, and every reader finished a lookup
+  // between consecutive publishes.
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_GE(generations_seen[t], kUpdates) << "reader " << t;
+  }
   EXPECT_GE(index.engine()->rebuilds(), 1u);
   EXPECT_EQ(index.engine()->rebuild_failures(), 0u);
   // No update lost across any swap.
