@@ -478,6 +478,29 @@ BENCHMARK(BM_MetricsHistogramObserve)
     ->Threads(1)
     ->Threads(3);
 
+// One empty timed scope: two clock reads and an Observe on every call, or
+// on 1 call in 16 for a sampled histogram (the single-query paths' grid).
+void BM_MetricsScopedLatency(benchmark::State& state) {
+  los::MetricsRegistry* registry = BenchMetricsRegistry();
+  registry->set_enabled(state.range(0) != 0);
+  los::Histogram* h =
+      state.range(1) != 0
+          ? registry->GetHistogram("bench.sampled_seconds",
+                                   los::SampledLatencyHistogramOptions())
+          : registry->GetHistogram("bench.seconds",
+                                   los::LatencyHistogramOptions());
+  for (auto _ : state) {
+    los::ScopedLatency timer(h);
+    benchmark::DoNotOptimize(h);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MetricsScopedLatency)
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({0, 1})
+    ->ArgNames({"enabled", "sampled"});
+
 // Shared small estimator for the end-to-end serving-overhead benches
 // (built once, reused across all rows).
 los::core::LearnedCardinalityEstimator* BenchEstimator() {

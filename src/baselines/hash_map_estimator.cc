@@ -25,7 +25,7 @@ void HashMapEstimator::Put(sets::SetView subset, uint64_t count) {
 }
 
 uint64_t HashMapEstimator::Estimate(sets::SetView q) const {
-  auto it = map_.find(sets::SetKey(q));
+  auto it = map_.find(q);
   return it == map_.end() ? 0 : it->second;
 }
 

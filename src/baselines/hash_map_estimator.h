@@ -2,7 +2,6 @@
 #define LOS_BASELINES_HASH_MAP_ESTIMATOR_H_
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "sets/set_collection.h"
 #include "sets/set_hash.h"
@@ -42,7 +41,7 @@ class HashMapEstimator {
   size_t MemoryBytes() const;
 
  private:
-  std::unordered_map<sets::SetKey, uint64_t, sets::SetKeyHash> map_;
+  sets::SetKeyMap<uint64_t> map_;
 };
 
 }  // namespace los::baselines

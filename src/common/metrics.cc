@@ -9,12 +9,6 @@ namespace los {
 
 namespace {
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 double UnixSeconds() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -61,6 +55,12 @@ std::string OpenMetricsName(const std::string& name) {
   return out;
 }
 
+/// `,"sample_period":N` for a sampled histogram, empty otherwise.
+std::string SamplePeriodField(const HistogramSnapshot& h) {
+  if (h.sample_period == 1) return "";
+  return ",\"sample_period\":" + std::to_string(h.sample_period);
+}
+
 double LoadDouble(const std::atomic<uint64_t>& w) {
   return std::bit_cast<double>(w.load(std::memory_order_relaxed));
 }
@@ -70,6 +70,12 @@ void StoreDouble(std::atomic<uint64_t>* w, double v) {
 }
 
 }  // namespace
+
+double metrics_internal::NowSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 size_t metrics_internal::NextShard() {
   static std::atomic<size_t> next{0};
@@ -88,7 +94,9 @@ void Counter::Reset() {
 
 Histogram::Histogram(std::string name, const Options& opts,
                      const std::atomic<bool>* enabled)
-    : name_(std::move(name)), enabled_(enabled) {
+    : name_(std::move(name)),
+      enabled_(enabled),
+      sample_period_(opts.sampled ? metrics_internal::kSamplePeriod : 1) {
   const size_t n = std::max<size_t>(opts.num_buckets, 1);
   const double growth = std::max(opts.growth, 1.0 + 1e-9);
   bounds_.reserve(n);
@@ -103,7 +111,7 @@ Histogram::Histogram(std::string name, const Options& opts,
 }
 
 void Histogram::Reset() {
-  // All-zero bits are a count of 0 and a sum of 0.0.
+  // All-zero bits are a count of 0, a sum of 0.0 and a fresh tick.
   for (size_t l = 0; l < metrics_internal::kShards * shard_lines_; ++l) {
     for (std::atomic<uint64_t>& w : lines_[l].w) {
       w.store(0, std::memory_order_relaxed);
@@ -133,6 +141,7 @@ double Histogram::sum() const {
 
 void Histogram::MergeInto(HistogramSnapshot* out) const {
   out->bounds = bounds_;
+  out->sample_period = sample_period_;
   out->buckets.assign(bounds_.size() + 1, 0);
   out->count = 0;
   out->sum = 0.0;
@@ -149,14 +158,6 @@ void Histogram::MergeInto(HistogramSnapshot* out) const {
   }
   out->min = out->count > 0 ? lo : 0.0;
   out->max = out->count > 0 ? hi : 0.0;
-}
-
-ScopedLatency::ScopedLatency(Histogram* h)
-    : h_(h != nullptr && h->enabled() ? h : nullptr),
-      start_(h_ != nullptr ? NowSeconds() : 0.0) {}
-
-ScopedLatency::~ScopedLatency() {
-  if (h_ != nullptr) h_->Observe(NowSeconds() - start_);
 }
 
 double HistogramSnapshot::Percentile(double p) const {
@@ -229,6 +230,7 @@ std::string MetricsSnapshot::ToJsonLines() const {
            ",\"p50\":" + FormatDouble(h.Percentile(0.50)) +
            ",\"p95\":" + FormatDouble(h.Percentile(0.95)) +
            ",\"p99\":" + FormatDouble(h.Percentile(0.99)) +
+           SamplePeriodField(h) +
            ",\"bounds\":" + JsonDoubleArray(h.bounds) +
            ",\"buckets\":" + JsonUintArray(h.buckets) + "}\n";
   }
@@ -259,7 +261,7 @@ std::string MetricsSnapshot::ToJsonObject() const {
            ",\"p95\":" + FormatDouble(h.Percentile(0.95)) +
            ",\"p99\":" + FormatDouble(h.Percentile(0.99)) +
            ",\"min\":" + FormatDouble(h.min) +
-           ",\"max\":" + FormatDouble(h.max) +
+           ",\"max\":" + FormatDouble(h.max) + SamplePeriodField(h) +
            ",\"bounds\":" + JsonDoubleArray(h.bounds) +
            ",\"buckets\":" + JsonUintArray(h.buckets) + "}";
   }
@@ -282,6 +284,10 @@ std::string MetricsSnapshot::ToOpenMetrics() const {
   for (const auto& h : histograms) {
     const std::string n = OpenMetricsName(h.name);
     out += "# TYPE " + n + " histogram\n";
+    if (h.sample_period > 1) {
+      out += "# HELP " + n + " sampled: holds 1 in " +
+             std::to_string(h.sample_period) + " calls\n";
+    }
     uint64_t cumulative = 0;
     for (size_t i = 0; i < h.buckets.size(); ++i) {
       cumulative += h.buckets[i];

@@ -15,10 +15,15 @@
 //     build/load time and cache the pointers. Returned pointers are stable
 //     for the registry's lifetime.
 //   - A registry can be disabled at runtime (`set_enabled(false)`): every
-//     observation short-circuits on a relaxed bool load. Compiling with
-//     LOS_METRICS_DISABLED (cmake -DLOS_METRICS=OFF) removes the observation
-//     bodies entirely; `kMetricsCompiledIn` lets tests and benches check
-//     which mode they are in at compile time.
+//     observation short-circuits on a relaxed bool load.
+//   - A histogram created with `Options::sampled` records 1 call in
+//     kSamplePeriod (16) per shard: Sample() advances a per-shard tick word
+//     with a relaxed load and store, and the first call on a fresh shard is
+//     always sampled. The per-query latency histograms of the learned
+//     structures are sampled, so a sub-µs lookup does not pay two clock
+//     reads and an Observe on every call; their counters stay exact. Ticks
+//     lost to threads racing on one shard only shift which calls are
+//     sampled. Snapshots and exports carry the period.
 //   - Counters and histograms are sharded per thread: kShards (16)
 //     cache-line-aligned shards per instrument, and a thread picks its
 //     shard once, round-robin, at its first observation. An observation
@@ -57,18 +62,18 @@
 
 namespace los {
 
-#ifdef LOS_METRICS_DISABLED
-inline constexpr bool kMetricsCompiledIn = false;
-#else
-inline constexpr bool kMetricsCompiledIn = true;
-#endif
-
 namespace metrics_internal {
 
 /// Instruments are striped over this many per-thread shards; a thread
 /// writes only its own shard and readers merge all of them.
 inline constexpr size_t kShards = 16;
 inline constexpr size_t kCacheLineBytes = 64;
+
+/// A sampled histogram records one call in this many per shard.
+inline constexpr uint64_t kSamplePeriod = 16;
+
+/// Monotonic clock in seconds (ScopedLatency's time base).
+double NowSeconds();
 
 /// Round-robin shard for a new thread (the process-wide sequence of first
 /// observations, modulo kShards).
@@ -117,13 +122,9 @@ class MetricsRegistry;
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
-#ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     cells_[metrics_internal::ThreadShard()].value.fetch_add(
         n, std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
 
   uint64_t value() const;
@@ -149,12 +150,8 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) {
-#ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     value_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   double value() const { return value_.load(std::memory_order_relaxed); }
@@ -180,18 +177,21 @@ struct HistogramSnapshot;
 /// allocates.
 ///
 /// Each shard is a run of 64-bit words starting on its own cache line —
-/// count, sum, min, max (doubles as bits), then the bounds.size() + 1
-/// buckets — padded to whole lines, so no two shards share a line.
+/// count, sum, min, max (doubles as bits), the sampling tick, then the
+/// bounds.size() + 1 buckets — padded to whole lines, so no two shards
+/// share a line.
 class Histogram {
  public:
   struct Options {
     double first_bound = 1e-7;  ///< upper bound of bucket 0 (seconds-friendly)
     double growth = 2.0;        ///< geometric bound growth, > 1
     size_t num_buckets = 32;    ///< bounded buckets (excl. overflow)
+    /// Holds 1 call in metrics_internal::kSamplePeriod: callers ask
+    /// Sample() before they measure (ScopedLatency does).
+    bool sampled = false;
   };
 
   void Observe(double v) {
-#ifndef LOS_METRICS_DISABLED
     if (!enabled_->load(std::memory_order_relaxed)) return;
     const size_t s = metrics_internal::ThreadShard();
     Word(s, kBuckets + BucketFor(v)).fetch_add(1, std::memory_order_relaxed);
@@ -199,9 +199,21 @@ class Histogram {
     metrics_internal::AtomicAdd(&Word(s, kSum), v);
     metrics_internal::AtomicMin(&Word(s, kMin), v);
     metrics_internal::AtomicMax(&Word(s, kMax), v);
-#else
-    (void)v;
-#endif
+  }
+
+  /// Whether the calling event should be measured and observed: false
+  /// while the registry is disabled; for a sampled histogram, true on 1
+  /// call in kSamplePeriod of the calling thread's shard, starting with
+  /// its first. The tick is a relaxed load and store, not an RMW: threads
+  /// sharing a shard may lose ticks, which moves samples, never counters.
+  bool Sample() {
+    if (!enabled_->load(std::memory_order_relaxed)) return false;
+    if (sample_period_ == 1) return true;
+    std::atomic<uint64_t>& tick =
+        Word(metrics_internal::ThreadShard(), kTick);
+    const uint64_t t = tick.load(std::memory_order_relaxed);
+    tick.store(t + 1, std::memory_order_relaxed);
+    return t % metrics_internal::kSamplePeriod == 0;
   }
 
   uint64_t count() const;
@@ -210,10 +222,8 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
 
   /// True when observations are currently recorded — lets callers skip
-  /// work that only feeds this histogram (e.g. ScopedLatency's clock reads).
-  bool enabled() const {
-    return kMetricsCompiledIn && enabled_->load(std::memory_order_relaxed);
-  }
+  /// work that only feeds this histogram.
+  bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
 
  private:
   friend class MetricsRegistry;
@@ -229,7 +239,8 @@ class Histogram {
   static constexpr size_t kSum = 1;
   static constexpr size_t kMin = 2;
   static constexpr size_t kMax = 3;
-  static constexpr size_t kBuckets = 4;
+  static constexpr size_t kTick = 4;
+  static constexpr size_t kBuckets = 5;
 
   /// One cache line of 64-bit words; aligned `new` puts every line, and
   /// so every shard, on its own line.
@@ -257,15 +268,22 @@ class Histogram {
   std::string name_;
   const std::atomic<bool>* enabled_;
   std::vector<double> bounds_;  ///< inclusive upper bounds, sorted
+  uint64_t sample_period_ = 1;
   size_t shard_lines_ = 0;       ///< lines per shard
   std::unique_ptr<Line[]> lines_;  ///< kShards * shard_lines_
 };
 
 /// \brief Observes the enclosing scope's duration (seconds) on destruction.
+/// Asks the histogram first, so a call it does not sample (or a disabled
+/// registry) reads no clock.
 class ScopedLatency {
  public:
-  explicit ScopedLatency(Histogram* h);
-  ~ScopedLatency();
+  explicit ScopedLatency(Histogram* h)
+      : h_(h != nullptr && h->Sample() ? h : nullptr),
+        start_(h_ != nullptr ? metrics_internal::NowSeconds() : 0.0) {}
+  ~ScopedLatency() {
+    if (h_ != nullptr) h_->Observe(metrics_internal::NowSeconds() - start_);
+  }
 
   ScopedLatency(const ScopedLatency&) = delete;
   ScopedLatency& operator=(const ScopedLatency&) = delete;
@@ -294,6 +312,8 @@ struct HistogramSnapshot {
   double max = 0.0;
   std::vector<double> bounds;
   std::vector<uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
+  /// The histogram holds 1 event in this many (1: every event).
+  uint64_t sample_period = 1;
 
   double Mean() const {
     return count > 0 ? sum / static_cast<double>(count) : 0.0;
@@ -319,18 +339,21 @@ struct MetricsSnapshot {
   /// Histogram records carry the full bucket layout ("bounds":[...],
   /// "buckets":[...], overflow last) alongside the interpolated percentiles,
   /// so consumers can reconstruct honest tails instead of trusting p99.
+  /// A sampled histogram's record also carries "sample_period":16.
   std::string ToJsonLines() const;
 
   /// All instruments as one compact JSON object keyed by metric name —
   /// histograms collapse to {count,sum,mean,p50,p95,p99,min,max,bounds,
-  /// buckets}. Suitable for embedding into a bench JsonRecord field.
+  /// buckets}, plus sample_period when sampled. Suitable for embedding into
+  /// a bench JsonRecord field.
   std::string ToJsonObject() const;
 
   /// OpenMetrics / Prometheus text exposition of every instrument,
   /// terminated by `# EOF`. Dotted names are sanitized to underscores and
   /// prefixed `los_` (`index.lookups` -> `los_index_lookups_total`);
   /// histograms expose cumulative `le` buckets (including `+Inf`) plus
-  /// `_sum` and `_count` series.
+  /// `_sum` and `_count` series; a sampled histogram's `# HELP` line states
+  /// its period.
   std::string ToOpenMetrics() const;
 };
 
@@ -436,6 +459,10 @@ class MetricsExportWriter {
 /// DESIGN.md so dashboards can rely on the bucket grid).
 inline Histogram::Options LatencyHistogramOptions() {
   return {1e-7, 2.0, 32};  // 100ns .. ~430s
+}
+/// The latency grid, sampled: for per-query paths cheaper than the clock.
+inline Histogram::Options SampledLatencyHistogramOptions() {
+  return {1e-7, 2.0, 32, true};
 }
 inline Histogram::Options WidthHistogramOptions() {
   return {1.0, 2.0, 28};  // 1 .. ~268M sets

@@ -2,7 +2,6 @@
 #define LOS_CORE_HYBRID_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/serialize.h"
@@ -65,7 +64,7 @@ class OutlierMap {
   }
 
   std::optional<double> Get(sets::SetView subset) const {
-    auto it = map_.find(sets::SetKey(subset));
+    auto it = map_.find(subset);
     if (it == map_.end()) return std::nullopt;
     return it->second;
   }
@@ -79,7 +78,7 @@ class OutlierMap {
   static Result<OutlierMap> Load(BinaryReader* r);
 
  private:
-  std::unordered_map<sets::SetKey, double, sets::SetKeyHash> map_;
+  sets::SetKeyMap<double> map_;
 };
 
 }  // namespace los::core

@@ -121,14 +121,16 @@ void LearnedBloomFilter::SetMetricsRegistry(MetricsRegistry* registry) {
   metrics_.oov_rejects = registry->GetCounter("bloom.oov_rejects");
   metrics_.batches = registry->GetCounter("bloom.query_batches");
   metrics_.latency = registry->GetHistogram("bloom.query_seconds",
-                                            LatencyHistogramOptions());
+                                            SampledLatencyHistogramOptions());
+  metrics_.batch_latency = registry->GetHistogram("bloom.query_batch_seconds",
+                                                  LatencyHistogramOptions());
 }
 
 LearnedBloomFilter::MultiResult LearnedBloomFilter::MayContainMulti(
     const std::vector<sets::Query>& queries) {
   metrics_.batches->Increment();
   metrics_.queries->Increment(queries.size());
-  ScopedLatency timer(metrics_.latency);
+  ScopedLatency timer(metrics_.batch_latency);
   TRACE_SPAN_VAR(span, "serving", "bloom.may_contain_multi");
   span.set_arg("queries", static_cast<double>(queries.size()));
   MultiResult result;

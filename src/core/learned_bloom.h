@@ -104,7 +104,8 @@ class LearnedBloomFilter {
     Counter* rejects = nullptr;          ///< bloom.rejects
     Counter* oov_rejects = nullptr;      ///< bloom.oov_rejects
     Counter* batches = nullptr;          ///< bloom.query_batches
-    Histogram* latency = nullptr;        ///< bloom.query_seconds
+    Histogram* latency = nullptr;        ///< bloom.query_seconds (sampled)
+    Histogram* batch_latency = nullptr;  ///< bloom.query_batch_seconds
   };
 
   std::unique_ptr<deepsets::SetModel> model_;

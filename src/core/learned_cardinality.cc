@@ -88,7 +88,9 @@ void LearnedCardinalityEstimator::SetMetricsRegistry(
   metrics_.oov_queries = registry->GetCounter("cardinality.oov_queries");
   metrics_.batches = registry->GetCounter("cardinality.estimate_batches");
   metrics_.latency = registry->GetHistogram("cardinality.estimate_seconds",
-                                            LatencyHistogramOptions());
+                                            SampledLatencyHistogramOptions());
+  metrics_.batch_latency = registry->GetHistogram(
+      "cardinality.estimate_batch_seconds", LatencyHistogramOptions());
   metrics_.qerror =
       registry->GetHistogram("cardinality.qerror", QErrorHistogramOptions());
 }
@@ -128,7 +130,7 @@ std::vector<double> LearnedCardinalityEstimator::EstimateBatch(
     const std::vector<sets::Query>& queries) {
   metrics_.batches->Increment();
   metrics_.queries->Increment(queries.size());
-  ScopedLatency timer(metrics_.latency);
+  ScopedLatency timer(metrics_.batch_latency);
   TRACE_SPAN_VAR(span, "serving", "cardinality.estimate_batch");
   span.set_arg("queries", static_cast<double>(queries.size()));
   std::vector<double> out(queries.size(), 0.0);

@@ -133,10 +133,13 @@ void LearnedSetIndex::SetMetricsRegistry(MetricsRegistry* registry) {
   metrics_.fallback_scans = registry->GetCounter("index.fallback_scans");
   metrics_.batches = registry->GetCounter("index.lookup_batches");
   metrics_.absorbed = registry->GetCounter("index.subsets_absorbed");
-  metrics_.scan_width =
-      registry->GetHistogram("index.scan_width", WidthHistogramOptions());
+  Histogram::Options width = WidthHistogramOptions();
+  width.sampled = true;
+  metrics_.scan_width = registry->GetHistogram("index.scan_width", width);
   metrics_.latency = registry->GetHistogram("index.lookup_seconds",
-                                            LatencyHistogramOptions());
+                                            SampledLatencyHistogramOptions());
+  metrics_.batch_latency = registry->GetHistogram("index.lookup_batch_seconds",
+                                                  LatencyHistogramOptions());
 }
 
 int64_t LearnedSetIndex::ClampEstimate(double scaled) const {
@@ -194,7 +197,9 @@ int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
   }
   const int64_t est = EstimatePosition(q);
   const Window w = ScanWindow(est);
-  metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  if (metrics_.scan_width->Sample()) {
+    metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  }
   int64_t pos = collection_->FindFirstEqual(q, static_cast<size_t>(w.lo),
                                             static_cast<size_t>(w.hi));
   RecordScan(stats, est, w, pos);
@@ -328,7 +333,9 @@ int64_t LearnedSetIndex::ScanFromEstimate(sets::SetView q, int64_t est,
                                           LookupStats* stats) {
   TRACE_SPAN_VAR(span, "serving", "index.bounded_scan");
   const Window w = ScanWindow(est);
-  metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  if (metrics_.scan_width->Sample()) {
+    metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  }
   span.set_arg("scan_width", static_cast<double>(w.hi - w.lo));
   int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(w.lo),
                                                static_cast<size_t>(w.hi));
@@ -346,7 +353,7 @@ std::vector<int64_t> LearnedSetIndex::LookupBatch(
     const std::vector<sets::Query>& queries) {
   metrics_.batches->Increment();
   metrics_.lookups->Increment(queries.size());
-  ScopedLatency timer(metrics_.latency);
+  ScopedLatency timer(metrics_.batch_latency);
   TRACE_SPAN_VAR(span, "serving", "index.lookup_batch");
   span.set_arg("queries", static_cast<double>(queries.size()));
   std::vector<int64_t> results(queries.size(), -1);

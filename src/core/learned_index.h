@@ -160,8 +160,9 @@ class LearnedSetIndex {
     Counter* fallback_scans = nullptr;  ///< index.fallback_scans
     Counter* batches = nullptr;         ///< index.lookup_batches
     Counter* absorbed = nullptr;        ///< index.subsets_absorbed
-    Histogram* scan_width = nullptr;    ///< index.scan_width
-    Histogram* latency = nullptr;       ///< index.lookup_seconds
+    Histogram* scan_width = nullptr;    ///< index.scan_width (sampled)
+    Histogram* latency = nullptr;       ///< index.lookup_seconds (sampled)
+    Histogram* batch_latency = nullptr;  ///< index.lookup_batch_seconds
   };
 
   /// Converts a scaled model output into a clamped position estimate.

@@ -375,9 +375,14 @@ class UpdatableStructure {
   uint64_t absorbed_total() const {
     return absorbed_total_.load(std::memory_order_relaxed);
   }
-  uint64_t rebuilds() const { return metrics_.rebuilds->value(); }
+  /// Successful and failed rebuilds so far. Engine-owned, so they count
+  /// with the registry disabled too (callers wait on them); the exported
+  /// counters of the same names mirror them.
+  uint64_t rebuilds() const {
+    return rebuilds_.load(std::memory_order_relaxed);
+  }
   uint64_t rebuild_failures() const {
-    return metrics_.rebuild_failures->value();
+    return rebuild_failures_.load(std::memory_order_relaxed);
   }
 
   /// Asks for a rebuild regardless of the threshold. Asynchronous when a
@@ -494,6 +499,7 @@ class UpdatableStructure {
       metrics_.retrain_seconds->Observe(sw.ElapsedSeconds());
     }
     if (!built.ok()) {
+      rebuild_failures_.fetch_add(1, std::memory_order_relaxed);
       metrics_.rebuild_failures->Increment();
       return built.status();
     }
@@ -503,6 +509,7 @@ class UpdatableStructure {
       if (hooks_.finalize) gen = hooks_.finalize(std::move(gen));
       PublishLocked(std::move(gen));
       absorbed_at_build_.store(covered, std::memory_order_relaxed);
+      rebuilds_.fetch_add(1, std::memory_order_relaxed);
       metrics_.rebuilds->Increment();
     }
     UpdateGauges();
@@ -564,6 +571,8 @@ class UpdatableStructure {
 
   std::atomic<uint64_t> absorbed_total_{0};
   std::atomic<uint64_t> absorbed_at_build_{0};
+  std::atomic<uint64_t> rebuilds_{0};
+  std::atomic<uint64_t> rebuild_failures_{0};
 
   std::mutex trainer_mu_;
   std::condition_variable trainer_cv_;

@@ -148,7 +148,6 @@ bool MonitorBase::triggered() const {
 }
 
 bool MonitorBase::SampleOne() {
-  if (!kMetricsCompiledIn) return false;
   if (!gate_.Sample()) return false;
   shadow_samples_->Increment();
   samples_total_.fetch_add(1, std::memory_order_relaxed);

@@ -12,8 +12,7 @@
 //     ground truth from an InvertedIndex oracle, q-error / position-error /
 //     FPR bookkeeping, and a drift-sketch update. Unsampled queries cost
 //     one atomic op; a detached monitor costs one relaxed pointer load per
-//     flush at the serving layer. Under LOS_METRICS=OFF the slow path is
-//     compiled out entirely (monitoring without metrics is meaningless).
+//     flush at the serving layer.
 //   - Ground truth lifecycle. The oracle and the drift *reference* sketch
 //     are bound at build time and rebound by Refresh() after each retrain —
 //     the updatable engine's rebuild listener (SetRebuildListener) is the

@@ -1,7 +1,9 @@
 #ifndef LOS_SETS_SET_HASH_H_
 #define LOS_SETS_SET_HASH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "sets/set_collection.h"
@@ -45,12 +47,37 @@ struct SetKey {
   }
 };
 
-/// Hash functor for SetKey (sorted-sequence hash).
+/// Hash functor for SetKey (sorted-sequence hash). Transparent: a SetView
+/// hashes like the SetKey holding the same elements, so maps can be probed
+/// with a view and no key is built.
 struct SetKeyHash {
-  size_t operator()(const SetKey& k) const {
-    return static_cast<size_t>(HashSetSorted(k.view()));
+  using is_transparent = void;
+  size_t operator()(SetView v) const {
+    return static_cast<size_t>(HashSetSorted(v));
+  }
+  size_t operator()(const SetKey& k) const { return (*this)(k.view()); }
+};
+
+/// Element-wise equality of SetKeys and SetViews in any combination.
+struct SetKeyEq {
+  using is_transparent = void;
+  bool operator()(SetView a, SetView b) const {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+  bool operator()(const SetKey& a, SetView b) const {
+    return (*this)(a.view(), b);
+  }
+  bool operator()(SetView a, const SetKey& b) const {
+    return (*this)(a, b.view());
+  }
+  bool operator()(const SetKey& a, const SetKey& b) const {
+    return a.elements == b.elements;
   }
 };
+
+/// Canonical subset -> V map; `find(SetView)` allocates nothing.
+template <typename V>
+using SetKeyMap = std::unordered_map<SetKey, V, SetKeyHash, SetKeyEq>;
 
 }  // namespace los::sets
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
 
 #include "sets/set_hash.h"
 
@@ -86,16 +85,15 @@ LabeledSubsets EnumerateLabeledSubsets(const SetCollection& collection,
     uint64_t count = 0;
     uint64_t first_pos = 0;
   };
-  std::unordered_map<SetKey, Labels, SetKeyHash> map;
+  SetKeyMap<Labels> map;
   const size_t cap = options.max_distinct_subsets;
   for (size_t i = 0; i < collection.size(); ++i) {
     ForEachSubset(collection.set(i), options.max_subset_size,
                   [&](SetView sub) {
-                    SetKey key(sub);
-                    auto it = map.find(key);
+                    auto it = map.find(sub);
                     if (it == map.end()) {
                       if (cap != 0 && map.size() >= cap) return;
-                      map.emplace(std::move(key), Labels{1, i});
+                      map.emplace(SetKey(sub), Labels{1, i});
                     } else {
                       // Sets are visited in position order, so the first
                       // insertion already recorded the first position.

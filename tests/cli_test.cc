@@ -198,12 +198,10 @@ TEST_F(CliTest, MetricsFlagDumpsJsonLines) {
                  "--query=p q", "--metrics"}),
             0)
       << output();
-  if (kMetricsCompiledIn) {
-    EXPECT_NE(output().find("{\"metric\":\"bloom.queries\""),
-              std::string::npos)
-        << output();
-    EXPECT_NE(output().find("\"type\":\"histogram\""), std::string::npos);
-  }
+  EXPECT_NE(output().find("{\"metric\":\"bloom.queries\""),
+            std::string::npos)
+      << output();
+  EXPECT_NE(output().find("\"type\":\"histogram\""), std::string::npos);
   std::remove(in.c_str());
   std::remove(model.c_str());
 }
@@ -233,10 +231,8 @@ TEST_F(CliTest, TraceOutWritesChromeTraceAndSummary) {
     EXPECT_NE(buf.str().find("bloom.may_contain"), std::string::npos)
         << buf.str();
     // ...and the per-stage summary rides along with the --metrics dump.
-    if (kMetricsCompiledIn) {
-      EXPECT_NE(output().find("trace.bloom.may_contain"), std::string::npos)
-          << output();
-    }
+    EXPECT_NE(output().find("trace.bloom.may_contain"), std::string::npos)
+        << output();
   }
   std::remove(in.c_str());
   std::remove(model.c_str());

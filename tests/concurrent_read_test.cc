@@ -56,20 +56,51 @@ std::vector<sets::Query> SubsetQueries(const sets::SetCollection& c,
   return queries;
 }
 
-/// Runs `fn(thread_index)` on kThreads threads and returns how many threads
-/// reported a mismatch. gtest assertions are not thread-safe, so workers
-/// only count; the test body asserts after the join.
-int RunThreads(const std::function<bool(int)>& fn) {
+struct RunResult {
+  int mismatches = 0;     ///< workers that saw a result differ from serial
+  int max_in_flight = 0;  ///< most workers inside their read loop at once
+};
+
+/// Runs `read_once(thread_index)` (one pass over the queries, false on a
+/// mismatch) on kThreads threads. New threads start on their parent's CPU
+/// and may run one after another for a while, so the workers are released
+/// together by one gate, and each keeps reading — at least kRepsPerThread
+/// passes — until every worker has started. gtest assertions are not
+/// thread-safe, so workers only count; the test body asserts after the
+/// join.
+RunResult RunThreads(const std::function<bool(int)>& read_once) {
+  std::atomic<bool> go{false};
+  std::atomic<int> started{0};
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      if (!fn(t)) mismatches.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      const int now = in_flight.fetch_add(1) + 1;
+      int seen = max_in_flight.load();
+      while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+      }
+      started.fetch_add(1);
+      bool ok = true;
+      for (int rep = 0;
+           ok && (rep < kRepsPerThread || started.load() < kThreads); ++rep) {
+        ok = read_once(t);
+      }
+      in_flight.fetch_sub(1);
+      if (!ok) mismatches.fetch_add(1);
     });
   }
+  go.store(true);
   for (auto& th : threads) th.join();
-  return mismatches.load();
+  return {mismatches.load(), max_in_flight.load()};
+}
+
+void ExpectConcurrentAndExact(const RunResult& r) {
+  EXPECT_EQ(r.mismatches, 0);
+  EXPECT_GE(r.max_in_flight, 2);
 }
 
 TEST(ConcurrentReadTest, CardinalityMatchesSerial) {
@@ -93,21 +124,13 @@ TEST(ConcurrentReadTest, CardinalityMatchesSerial) {
 
   // Even threads replay the single-query path, odd threads the batched
   // path, concurrently against the same estimator.
-  int mismatches = RunThreads([&](int t) {
-    for (int rep = 0; rep < kRepsPerThread; ++rep) {
-      if (t % 2 == 0) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (est->Estimate(queries[i].view()) != serial_single[i]) {
-            return false;
-          }
-        }
-      } else {
-        if (est->EstimateBatch(queries) != serial_batch) return false;
-      }
+  ExpectConcurrentAndExact(RunThreads([&](int t) {
+    if (t % 2 == 1) return est->EstimateBatch(queries) == serial_batch;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (est->Estimate(queries[i].view()) != serial_single[i]) return false;
     }
     return true;
-  });
-  EXPECT_EQ(mismatches, 0);
+  }));
 }
 
 TEST(ConcurrentReadTest, IndexLookupMatchesSerial) {
@@ -129,21 +152,13 @@ TEST(ConcurrentReadTest, IndexLookupMatchesSerial) {
   std::vector<int64_t> serial_batch = index->LookupBatch(queries);
   ASSERT_EQ(serial_single, serial_batch);
 
-  int mismatches = RunThreads([&](int t) {
-    for (int rep = 0; rep < kRepsPerThread; ++rep) {
-      if (t % 2 == 0) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (index->Lookup(queries[i].view()) != serial_single[i]) {
-            return false;
-          }
-        }
-      } else {
-        if (index->LookupBatch(queries) != serial_batch) return false;
-      }
+  ExpectConcurrentAndExact(RunThreads([&](int t) {
+    if (t % 2 == 1) return index->LookupBatch(queries) == serial_batch;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (index->Lookup(queries[i].view()) != serial_single[i]) return false;
     }
     return true;
-  });
-  EXPECT_EQ(mismatches, 0);
+  }));
 }
 
 TEST(ConcurrentReadTest, BloomVerdictsMatchSerial) {
@@ -176,23 +191,17 @@ TEST(ConcurrentReadTest, BloomVerdictsMatchSerial) {
   std::vector<bool> serial_batch = bloom->MayContainMulti(queries).verdicts;
   ASSERT_EQ(serial_single, serial_batch);
 
-  int mismatches = RunThreads([&](int t) {
-    for (int rep = 0; rep < kRepsPerThread; ++rep) {
-      if (t % 2 == 0) {
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (bloom->MayContain(queries[i].view()) != serial_single[i]) {
-            return false;
-          }
-        }
-      } else {
-        if (bloom->MayContainMulti(queries).verdicts != serial_batch) {
-          return false;
-        }
+  ExpectConcurrentAndExact(RunThreads([&](int t) {
+    if (t % 2 == 1) {
+      return bloom->MayContainMulti(queries).verdicts == serial_batch;
+    }
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (bloom->MayContain(queries[i].view()) != serial_single[i]) {
+        return false;
       }
     }
     return true;
-  });
-  EXPECT_EQ(mismatches, 0);
+  }));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "baselines/inverted_index.h"
@@ -20,6 +22,7 @@
 #include "core/trainer.h"
 #include "core/training_data.h"
 #include "sets/generators.h"
+#include "sets/subset_gen.h"
 
 namespace los::core {
 namespace {
@@ -302,6 +305,35 @@ TEST(OutlierMapTest, PutGet) {
   std::vector<sets::ElementId> b{1, 3};
   EXPECT_FALSE(m.Get({b.data(), 2}).has_value());
   EXPECT_GT(m.MemoryBytes(), 0u);
+}
+
+// Get probes with the view itself: for every subset of a 12-element
+// universe it answers the value Put stored for that subset, or nothing.
+TEST(OutlierMapTest, GetMatchesPutOnEverySubset) {
+  std::vector<sets::ElementId> universe(12);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    universe[i] = static_cast<sets::ElementId>(i * i);
+  }
+  const sets::SetView all(universe.data(), universe.size());
+  OutlierMap m;
+  std::map<std::vector<sets::ElementId>, double> oracle;
+  size_t n = 0;
+  sets::ForEachSubset(all, universe.size(), [&](sets::SetView sub) {
+    if (++n % 2 == 0) return;
+    m.Put(sub, static_cast<double>(n));
+    oracle[std::vector<sets::ElementId>(sub.begin(), sub.end())] =
+        static_cast<double>(n);
+  });
+  ASSERT_EQ(m.size(), oracle.size());
+  sets::ForEachSubset(all, universe.size(), [&](sets::SetView sub) {
+    const auto it =
+        oracle.find(std::vector<sets::ElementId>(sub.begin(), sub.end()));
+    const std::optional<double> got = m.Get(sub);
+    ASSERT_EQ(got.has_value(), it != oracle.end());
+    if (got.has_value()) {
+      EXPECT_EQ(*got, it->second);
+    }
+  });
 }
 
 // ---------- End-to-end: cardinality estimator ----------

@@ -9,14 +9,17 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
 #include "sets/generators.h"
@@ -25,17 +28,13 @@
 namespace los {
 namespace {
 
-// The whole file exercises observation side effects, which LOS_METRICS=OFF
-// compiles out by design; only the structural registry tests apply there.
-constexpr bool kObserving = kMetricsCompiledIn;
-
 TEST(CounterTest, IncrementAccumulates) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   EXPECT_EQ(c->value(), 0u);
   c->Increment();
   c->Increment(41);
-  EXPECT_EQ(c->value(), kObserving ? 42u : 0u);
+  EXPECT_EQ(c->value(), 42u);
   EXPECT_EQ(c->name(), "test.counter");
 }
 
@@ -44,11 +43,10 @@ TEST(GaugeTest, SetOverwrites) {
   Gauge* g = registry.GetGauge("test.gauge");
   g->Set(1.5);
   g->Set(-2.25);
-  EXPECT_DOUBLE_EQ(g->value(), kObserving ? -2.25 : 0.0);
+  EXPECT_DOUBLE_EQ(g->value(), -2.25);
 }
 
 TEST(HistogramTest, CountSumMinMax) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
   h->Observe(1.0);
@@ -65,7 +63,6 @@ TEST(HistogramTest, CountSumMinMax) {
 }
 
 TEST(HistogramTest, BucketPlacementAndOverflow) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   // Bounds: 1, 2, 4 (+ overflow).
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 3});
@@ -85,7 +82,6 @@ TEST(HistogramTest, BucketPlacementAndOverflow) {
 }
 
 TEST(HistogramTest, PercentileWalksBuckets) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
   for (int i = 0; i < 90; ++i) h->Observe(0.5);  // bucket 0, bound 1
@@ -125,11 +121,10 @@ TEST(RegistryTest, DisabledRegistryIsNoOp) {
   EXPECT_FALSE(h->enabled());
   registry.set_enabled(true);
   c->Increment(10);
-  EXPECT_EQ(c->value(), kObserving ? 10u : 0u);
+  EXPECT_EQ(c->value(), 10u);
 }
 
 TEST(RegistryTest, ResetZeroesEverything) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("c");
   Gauge* g = registry.GetGauge("g");
@@ -203,29 +198,6 @@ void ExpectExact(const MetricsRegistry& registry, size_t num_threads,
   EXPECT_EQ(hs->max, 6.0);
 }
 
-TEST(RegistryTest, ConcurrentObservationsAreExact) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
-  constexpr size_t kThreads = 3;
-  constexpr size_t kPerThread = 50000;
-  MetricsRegistry registry;
-  Counter* c = registry.GetCounter("test.counter");
-  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
-  // A start barrier releases the threads together.
-  std::atomic<size_t> ready{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      ready.fetch_add(1);
-      while (ready.load() < kThreads) std::this_thread::yield();
-      ObserveSequence(c, h, kPerThread);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(c->value(), kThreads * kPerThread);
-  EXPECT_EQ(h->count(), kThreads * kPerThread);
-  ExpectExact(registry, kThreads, kPerThread);
-}
-
 // Pins the calling thread to the k-th CPU it may run on; false when there
 // are no more than k of them. New threads start on their parent's CPU and
 // the scheduler can take tens of milliseconds to spread busy ones, so
@@ -244,27 +216,45 @@ bool PinToKthAllowedCpu(size_t k) {
   return false;
 }
 
-// Threads that share a shard must stay exact while they update it at the
-// same time. Threads take shards round-robin, so more than 2 x kShards
-// threads are started, one at a time, until kColliders have landed on the
-// main thread's shard; the others exit at once. The colliders, each on
-// its own CPU where the host has enough, wait, spinning, and are released
-// together, so their updates overlap on one set of lines.
-TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
-  constexpr size_t kColliders = 3;
-  constexpr size_t kPerThread = 200000;
+TEST(RegistryTest, ConcurrentObservationsAreExact) {
+  constexpr size_t kThreads = 3;
+  constexpr size_t kPerThread = 50000;
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("test.counter");
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
+  // A start barrier releases the threads together, each on its own CPU
+  // where the host has enough.
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      PinToKthAllowedCpu(t);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      ObserveSequence(c, h, kPerThread);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(c->value(), kThreads * kPerThread);
+  EXPECT_EQ(h->count(), kThreads * kPerThread);
+  ExpectExact(registry, kThreads, kPerThread);
+}
+
+// Runs `body` on `n` threads that all share the calling thread's shard.
+// Threads take shards round-robin, so more than 2 x kShards threads are
+// started, one at a time, until `n` have landed on the caller's shard; the
+// others exit at once. The colliders, each on its own CPU where the host
+// has enough, wait, spinning, and are released together, so their updates
+// overlap on one set of lines. Returns how many colliders ran.
+size_t RunOnCallersShard(size_t n, const std::function<void()>& body) {
   const size_t target = metrics_internal::ThreadShard();
   std::atomic<bool> go{false};
   std::atomic<int> verdict{0};  // 1: other shard, exited; 2: on target
   std::vector<std::thread> colliders;
   // Every kShards-th new thread lands on `target`; the bound on spawns
   // only stops a broken assignment from looping for ever.
-  for (size_t spawned = 0; colliders.size() < kColliders &&
-                           spawned < 4 * kColliders * metrics_internal::kShards;
+  for (size_t spawned = 0;
+       colliders.size() < n && spawned < 4 * n * metrics_internal::kShards;
        ++spawned) {
     verdict.store(0);
     std::thread t([&, index = colliders.size()] {
@@ -276,7 +266,7 @@ TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
       verdict.store(2);
       while (!go.load()) {
       }
-      ObserveSequence(c, h, kPerThread);
+      body();
     });
     int v;
     while ((v = verdict.load()) == 0) std::this_thread::yield();
@@ -286,15 +276,64 @@ TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
       colliders.push_back(std::move(t));
     }
   }
-  ASSERT_EQ(colliders.size(), kColliders);
   go.store(true);
   for (auto& t : colliders) t.join();
+  return colliders.size();
+}
+
+// Threads that share a shard must stay exact while they update it at the
+// same time.
+TEST(RegistryTest, ConcurrentObservationsOnSharedShardsAreExact) {
+  constexpr size_t kColliders = 3;
+  constexpr size_t kPerThread = 200000;
+  MetricsRegistry registry;
+  Counter* c = registry.GetCounter("test.counter");
+  Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 8});
+  ASSERT_EQ(RunOnCallersShard(kColliders,
+                              [&] { ObserveSequence(c, h, kPerThread); }),
+            kColliders);
   ExpectExact(registry, kColliders, kPerThread);
+}
+
+// Threads sharing a shard race on its sampling tick, which may move or add
+// samples (never below one: the first tick read on a fresh shard is 0), but
+// every counted event and every sampled observation stays exact.
+TEST(SampledHistogramTest, SharedShardCountersStayExact) {
+  constexpr size_t kColliders = 3;
+  constexpr size_t kPerThread = 100000;
+  MetricsRegistry registry;
+  Counter* c = registry.GetCounter("test.queries");
+  Histogram::Options opts{1.0, 2.0, 8, true};
+  Histogram* h = registry.GetHistogram("test.sampled", opts);
+  std::atomic<uint64_t> sampled{0};
+  ASSERT_EQ(RunOnCallersShard(kColliders,
+                              [&] {
+                                uint64_t mine = 0;
+                                for (size_t i = 0; i < kPerThread; ++i) {
+                                  c->Increment();
+                                  if (h->Sample()) {
+                                    h->Observe(static_cast<double>(i % 7));
+                                    ++mine;
+                                  }
+                                }
+                                sampled.fetch_add(mine);
+                              }),
+            kColliders);
+  EXPECT_EQ(c->value(), kColliders * kPerThread);
+  auto snap = registry.Snapshot();
+  const HistogramSnapshot* hs = snap.FindHistogram("test.sampled");
+  ASSERT_NE(hs, nullptr);
+  EXPECT_EQ(hs->count, sampled.load());
+  EXPECT_GE(hs->count, 1u);
+  EXPECT_LE(hs->count, kColliders * kPerThread);
+  uint64_t bucket_total = 0;
+  for (uint64_t b : hs->buckets) bucket_total += b;
+  EXPECT_EQ(bucket_total, hs->count);
+  EXPECT_EQ(hs->sample_period, metrics_internal::kSamplePeriod);
 }
 
 // Reset must zero every shard, not just the resetting thread's.
 TEST(RegistryTest, ResetZeroesEveryShard) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto populate = [](MetricsRegistry* r) {
     r->GetCounter("c");
     r->GetGauge("g");
@@ -342,13 +381,10 @@ TEST(RegistryTest, ConcurrentResolutionIsSafe) {
       },
       1);
   EXPECT_FALSE(mismatch.load());
-  if (kObserving) {
-    EXPECT_EQ(first.load()->value(), 1000u);
-  }
+  EXPECT_EQ(first.load()->value(), 1000u);
 }
 
 TEST(SnapshotTest, JsonLinesShape) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   registry.GetCounter("index.lookups")->Increment(42);
   registry.GetGauge("trainer.last_epoch_loss")->Set(0.5);
@@ -368,7 +404,6 @@ TEST(SnapshotTest, JsonLinesShape) {
 }
 
 TEST(ScopedLatencyTest, RecordsPositiveDuration) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("test.seconds",
                                        LatencyHistogramOptions());
@@ -382,7 +417,6 @@ TEST(ScopedLatencyTest, RecordsPositiveDuration) {
 // Injection: a structure built against the global registry can be re-pointed
 // at a private one, and its serving path reports there.
 TEST(InjectionTest, EstimatorReportsToInjectedRegistry) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   sets::RwConfig cfg;
   cfg.num_sets = 300;
   cfg.num_unique = 60;
@@ -417,7 +451,6 @@ TEST(InjectionTest, EstimatorReportsToInjectedRegistry) {
 }
 
 TEST(InjectionTest, IndexLookupCountsQueries) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   sets::RwConfig cfg;
   cfg.num_sets = 300;
   cfg.num_unique = 60;
@@ -455,8 +488,161 @@ TEST(InjectionTest, IndexLookupCountsQueries) {
   EXPECT_GT(width->count, 0u);
 }
 
+// ---------- Sampled histograms ----------
+
+TEST(SampledHistogramTest, SamplesOneCallInSixteenFromTheFirst) {
+  MetricsRegistry registry;
+  Histogram* h = registry.GetHistogram("test.seconds",
+                                       SampledLatencyHistogramOptions());
+  std::vector<size_t> sampled;
+  for (size_t i = 0; i < 40; ++i) {
+    if (h->Sample()) sampled.push_back(i);
+  }
+  EXPECT_EQ(sampled, (std::vector<size_t>{0, 16, 32}));
+  // Reset restarts the tick: the next call is sampled again.
+  registry.Reset();
+  EXPECT_TRUE(h->Sample());
+  EXPECT_FALSE(h->Sample());
+  // A disabled registry samples nothing and leaves the tick alone.
+  registry.Reset();
+  registry.set_enabled(false);
+  EXPECT_FALSE(h->Sample());
+  registry.set_enabled(true);
+  EXPECT_TRUE(h->Sample());
+  // An unsampled histogram takes every call.
+  Histogram* exact = registry.GetHistogram("test.exact");
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(exact->Sample());
+}
+
+TEST(SampledHistogramTest, ScopedLatencyTimesOnlySampledCalls) {
+  MetricsRegistry registry;
+  Histogram* h = registry.GetHistogram("test.seconds",
+                                       SampledLatencyHistogramOptions());
+  for (int i = 0; i < 33; ++i) ScopedLatency timer(h);
+  EXPECT_EQ(h->count(), 3u);  // calls 0, 16 and 32
+}
+
+TEST(SampledHistogramTest, ExportsStateTheSamplePeriod) {
+  MetricsRegistry registry;
+  registry.GetHistogram("test.sampled", SampledLatencyHistogramOptions())
+      ->Observe(1e-6);
+  registry.GetHistogram("test.exact", LatencyHistogramOptions())
+      ->Observe(1e-6);
+  const MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.FindHistogram("test.sampled")->sample_period, 16u);
+  EXPECT_EQ(snap.FindHistogram("test.exact")->sample_period, 1u);
+
+  const std::string lines = snap.ToJsonLines();
+  const size_t sampled_line = lines.find("{\"metric\":\"test.sampled\"");
+  const size_t exact_line = lines.find("{\"metric\":\"test.exact\"");
+  ASSERT_NE(sampled_line, std::string::npos);
+  ASSERT_NE(exact_line, std::string::npos);
+  EXPECT_NE(lines.substr(sampled_line, lines.find('\n', sampled_line) -
+                                           sampled_line)
+                .find("\"sample_period\":16"),
+            std::string::npos)
+      << lines;
+  EXPECT_EQ(lines.substr(exact_line, lines.find('\n', exact_line) -
+                                         exact_line)
+                .find("sample_period"),
+            std::string::npos)
+      << lines;
+
+  const std::string obj = snap.ToJsonObject();
+  EXPECT_NE(obj.find("\"sample_period\":16"), std::string::npos) << obj;
+  const std::string text = snap.ToOpenMetrics();
+  EXPECT_NE(text.find("# HELP los_test_sampled sampled: holds 1 in 16 calls\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("# HELP los_test_exact"), std::string::npos);
+}
+
+// One thread, fresh registry: n single-query calls on each structure give
+// exactly ceil(n / 16) latency observations and n counted queries; batch
+// calls are timed every time, in their own histogram.
+TEST(SampledHistogramTest, StructuresTimeOneQueryInSixteen) {
+  constexpr size_t kCalls = 100;
+  constexpr uint64_t kTimed = (kCalls + 15) / 16;  // 7
+  sets::RwConfig cfg;
+  cfg.num_sets = 300;
+  cfg.num_unique = 60;
+  auto collection = GenerateRw(cfg);
+  std::vector<sets::Query> queries;
+  for (size_t i = 0; i < kCalls; ++i) {
+    sets::SetView v = collection.set(i % collection.size());
+    sets::Query q;
+    q.elements.assign(v.begin(), v.begin() + std::min<size_t>(v.size(), 2));
+    queries.push_back(std::move(q));
+  }
+  auto count = [](const MetricsSnapshot& snap, const std::string& name) {
+    const HistogramSnapshot* h = snap.FindHistogram(name);
+    return h != nullptr ? h->count : ~uint64_t{0};
+  };
+
+  core::CardinalityOptions copts;
+  copts.model.embed_dim = 4;
+  copts.model.phi_hidden = {8};
+  copts.model.rho_hidden = {8};
+  copts.train.epochs = 1;
+  copts.max_subset_size = 2;
+  auto est = core::LearnedCardinalityEstimator::Build(collection, copts);
+  ASSERT_TRUE(est.ok()) << est.status().ToString();
+  MetricsRegistry card_registry;
+  est->SetMetricsRegistry(&card_registry);
+  for (const sets::Query& q : queries) est->Estimate(q.view());
+  est->EstimateBatch(queries);
+  auto snap = card_registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("cardinality.queries")->value, 2 * kCalls);
+  EXPECT_EQ(count(snap, "cardinality.estimate_seconds"), kTimed);
+  EXPECT_EQ(count(snap, "cardinality.estimate_batch_seconds"), 1u);
+
+  core::BloomOptions bopts;
+  bopts.train.epochs = 1;
+  bopts.max_subset_size = 2;
+  auto bloom = core::LearnedBloomFilter::Build(collection, bopts);
+  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
+  MetricsRegistry bloom_registry;
+  bloom->SetMetricsRegistry(&bloom_registry);
+  for (const sets::Query& q : queries) bloom->MayContain(q.view());
+  bloom->MayContainMulti(queries);
+  snap = bloom_registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("bloom.queries")->value, 2 * kCalls);
+  uint64_t outcomes = 0;
+  for (const char* name : {"bloom.learned_accepts", "bloom.backup_hits",
+                           "bloom.rejects", "bloom.oov_rejects"}) {
+    outcomes += snap.FindCounter(name)->value;
+  }
+  EXPECT_EQ(outcomes, 2 * kCalls);
+  EXPECT_EQ(count(snap, "bloom.query_seconds"), kTimed);
+  EXPECT_EQ(count(snap, "bloom.query_batch_seconds"), 1u);
+
+  core::IndexOptions iopts;
+  iopts.model.embed_dim = 4;
+  iopts.model.phi_hidden = {8};
+  iopts.model.rho_hidden = {8};
+  iopts.train.epochs = 1;
+  iopts.max_subset_size = 2;
+  auto index = core::LearnedSetIndex::Build(collection, iopts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  MetricsRegistry index_registry;
+  index->SetMetricsRegistry(&index_registry);
+  for (const sets::Query& q : queries) index->Lookup(q.view());
+  index->LookupBatch(queries);
+  snap = index_registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("index.lookups")->value, 2 * kCalls);
+  EXPECT_EQ(count(snap, "index.lookup_seconds"), kTimed);
+  EXPECT_EQ(count(snap, "index.lookup_batch_seconds"), 1u);
+  // Scan widths are sampled per scan: at most ceil(scans / 16) of the
+  // 2 x kCalls lookups, and the first scan always.
+  EXPECT_GE(count(snap, "index.scan_width"), 1u);
+  EXPECT_LE(count(snap, "index.scan_width"), (2 * kCalls + 15) / 16);
+  // LookupEqual shares the single-query histogram and its tick.
+  for (const sets::Query& q : queries) index->LookupEqual(q.view());
+  snap = index_registry.Snapshot();
+  EXPECT_EQ(count(snap, "index.lookup_seconds"), (2 * kCalls + 15) / 16);
+}
+
 TEST(SnapshotTest, JsonExportsBucketBoundariesAndCounts) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("test.hist", {1.0, 2.0, 3});
   h->Observe(0.5);   // bucket 0 (le 1)
@@ -470,7 +656,6 @@ TEST(SnapshotTest, JsonExportsBucketBoundariesAndCounts) {
 }
 
 TEST(OpenMetricsTest, ExpositionFormat) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   registry.GetCounter("index.lookups")->Increment(42);
   registry.GetGauge("monitor.cardinality.drift_score")->Set(0.25);
@@ -506,7 +691,6 @@ TEST(OpenMetricsTest, ExpositionFormat) {
 }
 
 TEST(ExportWriterTest, WritesJsonlAndOpenMetricsFiles) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   registry.GetCounter("test.exported")->Increment(7);
 

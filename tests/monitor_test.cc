@@ -28,9 +28,6 @@
 namespace los {
 namespace {
 
-// Monitoring is compiled out with the metrics layer; sampling never fires.
-constexpr bool kObserving = kMetricsCompiledIn;
-
 sets::SetCollection SmallCollection(size_t num_sets = 300,
                                     size_t num_unique = 60,
                                     uint64_t seed = 42) {
@@ -138,7 +135,6 @@ TEST(DriftSketchTest, EmptySketchesAgree) {
 }
 
 TEST(CardinalityMonitorTest, ShadowQErrorMatchesExactTruth) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection();
   baselines::InvertedIndex exact(collection);
 
@@ -173,7 +169,6 @@ TEST(CardinalityMonitorTest, ShadowQErrorMatchesExactTruth) {
 }
 
 TEST(CardinalityMonitorTest, SamplingGateHonored) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection();
   monitor::MonitorOptions opts;
   opts.sample_every = 8;
@@ -185,7 +180,6 @@ TEST(CardinalityMonitorTest, SamplingGateHonored) {
 }
 
 TEST(CardinalityMonitorTest, DriftNearZeroInDistributionFiresOnShift) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection();
   monitor::MonitorOptions opts;
   opts.sample_every = 1;
@@ -226,7 +220,6 @@ TEST(CardinalityMonitorTest, DriftNearZeroInDistributionFiresOnShift) {
 }
 
 TEST(CardinalityMonitorTest, QErrorThresholdTriggersAndLatches) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection();
   baselines::InvertedIndex exact(collection);
   monitor::MonitorOptions opts;
@@ -257,7 +250,6 @@ TEST(CardinalityMonitorTest, QErrorThresholdTriggersAndLatches) {
 }
 
 TEST(BloomMonitorTest, SampledFprMatchesExactPoolReplay) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection(120, 24, 5);
   monitor::MonitorOptions opts;
   opts.sample_every = 1;
@@ -301,7 +293,6 @@ TEST(BloomMonitorTest, SampledFprMatchesExactPoolReplay) {
 }
 
 TEST(IndexMonitorTest, PositionErrorAndMissesAgainstOracle) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection();
   baselines::InvertedIndex exact(collection);
   MetricsRegistry registry;
@@ -343,7 +334,6 @@ TEST(IndexMonitorTest, PositionErrorAndMissesAgainstOracle) {
 }
 
 TEST(HealthzTest, AggregatesAndFlagsBreaches) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   MetricsRegistry registry;
   registry.GetGauge("serve.cardinality.queue_depth")->Set(5000.0);
   registry.GetGauge("serve.cardinality.shard0.queue_depth")->Set(3000.0);
@@ -396,7 +386,6 @@ TEST(HealthzTest, EmptySnapshotIsHealthy) {
 // updatable engine, the rebuild listener rebinds the monitor, and the
 // monitored q-error recovers on post-retrain traffic.
 TEST(ClosedLoopTest, DriftTriggersQualityRebuildAndQErrorRecovers) {
-  if (!kObserving) GTEST_SKIP() << "metrics compiled out";
   auto collection = SmallCollection(400, 60, 3);
   const sets::ElementId vocab = collection.universe_size();
 

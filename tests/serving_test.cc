@@ -583,9 +583,7 @@ void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
             queries.size());
   EXPECT_EQ(registry.GetCounter(counter)->value() - structure_before,
             queries.size());
-  if (kMetricsCompiledIn) {
-    EXPECT_EQ(mon.samples(), queries.size());
-  }
+  EXPECT_EQ(mon.samples(), queries.size());
 }
 
 // The frozen structures, behind one shard and behind two.

@@ -365,6 +365,40 @@ TEST(SetKeyTest, EqualityIsExact) {
   EXPECT_FALSE(a == c);
 }
 
+// Maps are probed with views (no key is built): for every subset of a
+// 12-element universe, probing a SetKeyMap that holds every third subset by
+// view finds exactly what probing by key finds.
+TEST(SetKeyTest, ViewLookupMatchesKeyLookupOnEverySubset) {
+  std::vector<ElementId> universe(12);
+  for (size_t i = 0; i < universe.size(); ++i) {
+    universe[i] = static_cast<ElementId>(3 * i + 1);
+  }
+  const SetView all(universe.data(), universe.size());
+  SetKeyMap<size_t> map;
+  size_t n = 0;
+  ForEachSubset(all, universe.size(), [&](SetView sub) {
+    if (n++ % 3 == 0) map[SetKey(sub)] = n;
+  });
+  ASSERT_EQ(n, 4095u);
+  size_t hits = 0;
+  ForEachSubset(all, universe.size(), [&](SetView sub) {
+    const SetKey key(sub);
+    EXPECT_EQ(SetKeyHash()(sub), SetKeyHash()(key));
+    EXPECT_TRUE(SetKeyEq()(sub, key));
+    EXPECT_TRUE(SetKeyEq()(key, sub));
+    const auto by_view = map.find(sub);
+    EXPECT_TRUE(by_view == map.find(key));
+    if (by_view != map.end()) {
+      ++hits;
+      EXPECT_TRUE(SetKeyEq()(by_view->first, sub));
+    }
+  });
+  EXPECT_EQ(hits, map.size());
+  // A prefix is not equal to the set it prefixes.
+  EXPECT_FALSE(SetKeyEq()(SetView(universe.data(), 2),
+                          SetView(universe.data(), 3)));
+}
+
 TEST(SubsetGenTest, CountSubsetsFormula) {
   EXPECT_EQ(CountSubsets(3, 3), 7u);    // 3 + 3 + 1
   EXPECT_EQ(CountSubsets(4, 2), 10u);   // 4 + 6

@@ -114,6 +114,44 @@ TEST(GenerationStoreTest, ManyPublishesWithConcurrentReaders) {
 
 // ---------- ConcurrentBloomDelta ----------
 
+// ---------- UpdatableStructure ----------
+
+// Callers wait on rebuilds() (perfbench's live runner, `los monitor`), so
+// the engine counts rebuilds itself: a disabled registry leaves the
+// exported counters at 0 but not the engine's counts.
+TEST(UpdatableStructureTest, RebuildCountsIgnoreADisabledRegistry) {
+  MetricsRegistry registry;
+  registry.set_enabled(false);
+  UpdatableOptions opts;
+  opts.background_rebuild = false;
+  bool fail = false;
+  int next = 2;
+  UpdatableStructure<CountedGen>::Hooks hooks;
+  hooks.build = [&]() -> Result<std::unique_ptr<CountedGen>> {
+    if (fail) return Status::Internal("build failed");
+    return std::make_unique<CountedGen>(next++);
+  };
+  UpdatableStructure<CountedGen> engine(
+      "test", std::make_unique<CountedGen>(1), opts, std::move(hooks),
+      &registry);
+  ASSERT_TRUE(engine.RebuildNow().ok());
+  fail = true;
+  EXPECT_FALSE(engine.RebuildNow().ok());
+  EXPECT_EQ(engine.rebuilds(), 1u);
+  EXPECT_EQ(engine.rebuild_failures(), 1u);
+  EXPECT_EQ(engine.Acquire()->value, 2);
+  EXPECT_EQ(registry.GetCounter("updatable.test.rebuilds")->value(), 0u);
+  EXPECT_EQ(registry.GetCounter("updatable.test.rebuild_failures")->value(),
+            0u);
+
+  // Enabled again, the exported counters follow the engine's from here on.
+  registry.set_enabled(true);
+  fail = false;
+  ASSERT_TRUE(engine.RebuildNow().ok());
+  EXPECT_EQ(engine.rebuilds(), 2u);
+  EXPECT_EQ(registry.GetCounter("updatable.test.rebuilds")->value(), 1u);
+}
+
 TEST(ConcurrentBloomDeltaTest, InsertedKeysAlwaysHit) {
   ConcurrentBloomDelta delta(1 << 12, 4);
   std::vector<std::vector<sets::ElementId>> keys;
