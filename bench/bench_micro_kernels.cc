@@ -556,8 +556,7 @@ BENCHMARK(BM_CardinalityEstimateMetrics)
 // Raw cost of one span on the tracing hot path. mode 0 = runtime-disabled
 // (one relaxed atomic load — the always-on production cost), mode 1 = every
 // span recorded (two clock reads + a thread-local ring push), mode 2 =
-// 1-in-128 sampling (127 of 128 spans pay only a counter bump). Under
-// -DLOS_TRACING=OFF all rows collapse to zero work.
+// 1-in-128 sampling (127 of 128 spans pay only a counter bump).
 void BM_TraceSpan(benchmark::State& state) {
   auto* tracer = los::Tracer::Global();
   const int mode = static_cast<int>(state.range(0));

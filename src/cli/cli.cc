@@ -640,10 +640,6 @@ int RunCli(const std::vector<std::string>& args, std::ostream& out) {
   }
   const std::string trace_out = parser.GetString("trace-out");
   if (!trace_out.empty()) {
-    if (!kTracingCompiledIn) {
-      out << "warning: tracing compiled out (LOS_TRACING=OFF); " << trace_out
-          << " will contain no spans\n";
-    }
     Tracer::Global()->Reset();
     Tracer::Global()->set_sample_every(
         static_cast<uint32_t>(parser.GetInt("trace-sample", 1)));

@@ -51,7 +51,7 @@ void ThreadPool::Submit(std::function<void()> task) {
   // Enqueue timestamp feeds the pool.queue_wait span; skip the clock read
   // entirely while tracing is off.
   const uint64_t enqueue_ns =
-      kTracingCompiledIn && Tracer::Global()->enabled() ? Tracer::NowNs() : 0;
+      Tracer::Global()->enabled() ? Tracer::NowNs() : 0;
   size_t depth;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -8,8 +8,6 @@
 
 namespace los {
 
-#ifndef LOS_TRACING_DISABLED
-
 namespace trace_internal {
 
 std::atomic<bool> g_enabled{false};
@@ -272,8 +270,7 @@ void TraceSpan::Begin(const char* category, const char* name, bool sampled) {
   ThreadState& state = State();
   if (state.suppress_depth > 0) {
     // Inside a sampled-out query: keep the whole subtree unrecorded.
-    state.suppress_depth++;
-    mode_ = kSuppressing;
+    Suppress();
     return;
   }
   if (sampled) {
@@ -289,8 +286,7 @@ void TraceSpan::Begin(const char* category, const char* name, bool sampled) {
     const bool take = (state.sample_counter % every) == 0;
     state.sample_counter++;
     if (!take) {
-      state.suppress_depth = 1;
-      mode_ = kSuppressing;
+      Suppress();
       return;
     }
   }
@@ -298,6 +294,11 @@ void TraceSpan::Begin(const char* category, const char* name, bool sampled) {
   category_ = category;
   start_ns_ = Tracer::NowNs();
   mode_ = kRecording;
+}
+
+void TraceSpan::Suppress() {
+  State().suppress_depth++;
+  mode_ = kSuppressing;
 }
 
 void TraceSpan::End() {
@@ -321,49 +322,5 @@ void TraceSpan::NextStage(const char* name) {
   arg_value_ = 0.0;
   start_ns_ = now;
 }
-
-#else  // LOS_TRACING_DISABLED
-
-// Compiled-out build: keep the Tracer API callable so the CLI/benches link
-// unchanged; every operation is a no-op that reports empty data.
-
-Tracer::Tracer() = default;
-
-Tracer* Tracer::Global() {
-  static Tracer* const tracer = new Tracer();
-  return tracer;
-}
-
-uint64_t Tracer::NowNs() { return 0; }
-void Tracer::set_enabled(bool) {}
-bool Tracer::enabled() const { return false; }
-void Tracer::set_sample_every(uint32_t) {}
-void Tracer::SetCurrentThreadName(const std::string&) {}
-void Tracer::Emit(const char*, const char*, uint64_t, uint64_t, const char*,
-                  double) {}
-std::vector<TraceEvent> Tracer::Collect() const { return {}; }
-std::vector<TraceThreadInfo> Tracer::Threads() const { return {}; }
-std::string Tracer::ChromeTraceJson() const {
-  return "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}";
-}
-Status Tracer::WriteChromeTrace(const std::string& path) const {
-  // Still write the (empty) trace so --trace-out behaves uniformly.
-  const std::string json = ChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace output file: " + path);
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != json.size() || !close_ok) {
-    return Status::IoError("short write to trace output file: " + path);
-  }
-  return Status::OK();
-}
-void Tracer::SummaryTo(MetricsRegistry*, uint64_t) const {}
-void Tracer::Reset() {}
-Tracer::ThreadBuffer* Tracer::RegisterCurrentThread() { return nullptr; }
-
-#endif  // LOS_TRACING_DISABLED
 
 }  // namespace los

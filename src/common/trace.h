@@ -15,9 +15,6 @@
 //   - Tracing is OFF at runtime by default. A disabled TRACE_SPAN costs one
 //     relaxed atomic load and a predictable branch — cheap enough to leave
 //     in the per-query serving path.
-//   - Compiling with LOS_TRACING_DISABLED (cmake -DLOS_TRACING=OFF) turns
-//     every span into an empty inline object the optimizer deletes;
-//     `kTracingCompiledIn` lets tests and benches check the mode.
 //   - Recording is lock-free and allocation-free after a thread's first
 //     span: each thread owns a fixed-capacity ring buffer of POD records
 //     (registered once under the tracer mutex) and publishes a write index
@@ -55,12 +52,6 @@
 
 namespace los {
 
-#ifdef LOS_TRACING_DISABLED
-inline constexpr bool kTracingCompiledIn = false;
-#else
-inline constexpr bool kTracingCompiledIn = true;
-#endif
-
 /// One completed span (or instant measurement) as stored in the rings and
 /// returned by Tracer::Collect. Name/category are unowned static strings.
 struct TraceEvent {
@@ -81,11 +72,9 @@ struct TraceThreadInfo {
 
 namespace trace_internal {
 
-#ifndef LOS_TRACING_DISABLED
 /// Mirror of Tracer::Global()->enabled(), kept at namespace scope so the
 /// inline span fast path is a single relaxed load with no function call.
 extern std::atomic<bool> g_enabled;
-#endif
 
 struct ThreadState;
 ThreadState& State();
@@ -118,8 +107,7 @@ class Tracer {
   }
 
   /// Names the calling thread in trace exports (Chrome thread_name
-  /// metadata). Allocation-free until the thread records its first span;
-  /// no-op when compiled out.
+  /// metadata). Allocation-free until the thread records its first span.
   static void SetCurrentThreadName(const std::string& name);
 
   /// Records a span that was timed externally (e.g. queue wait measured
@@ -185,14 +173,14 @@ class Tracer {
 
 /// \brief RAII span. Use via the TRACE_SPAN* macros; constructing one
 /// directly is fine too (category/name must be string literals).
-///
-/// Compiled out (LOS_TRACING_DISABLED) this is an empty object with inline
-/// no-op methods, so call sites need no #ifdefs.
 class TraceSpan {
  public:
   struct SampledTag {};
+  struct SuppressTag {};
 
-#ifndef LOS_TRACING_DISABLED
+  /// Records nothing and suppresses nothing: for code that annotates the
+  /// span of its caller's operation when there is none.
+  TraceSpan() = default;
   TraceSpan(const char* category, const char* name) {
     if (!trace_internal::g_enabled.load(std::memory_order_relaxed)) {
       mode_ = kInactive;
@@ -206,6 +194,12 @@ class TraceSpan {
       return;
     }
     Begin(category, name, /*sampled=*/true);
+  }
+  /// Records nothing and suppresses every span nested in its scope — the
+  /// sampled-out mode, taken unconditionally. Shadow re-executions of a
+  /// serving flow run under one so they leave no trace.
+  explicit TraceSpan(SuppressTag) {
+    if (trace_internal::g_enabled.load(std::memory_order_relaxed)) Suppress();
   }
   ~TraceSpan() {
     if (mode_ != kInactive) End();
@@ -241,20 +235,11 @@ class TraceSpan {
   void Next(const char* name) {
     if (mode_ == kRecording) NextStage(name);
   }
-#else
-  TraceSpan(const char*, const char*) {}
-  TraceSpan(const char*, const char*, SampledTag) {}
-  void set_arg(const char*, double) {}
-  bool recording() const { return false; }
-  void Stop() {}
-  void Next(const char*) {}
-#endif
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-#ifndef LOS_TRACING_DISABLED
   enum Mode : uint8_t {
     kInactive,     ///< not recording, nothing to undo
     kRecording,    ///< will push a record on destruction
@@ -262,6 +247,7 @@ class TraceSpan {
   };
 
   void Begin(const char* category, const char* name, bool sampled);
+  void Suppress();
   void End();
   void NextStage(const char* name);
 
@@ -271,7 +257,6 @@ class TraceSpan {
   double arg_value_ = 0.0;
   uint64_t start_ns_ = 0;
   Mode mode_ = kInactive;
-#endif
 };
 
 // Macro plumbing: unique object names per line so multiple spans can share

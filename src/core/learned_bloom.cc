@@ -4,7 +4,7 @@
 
 #include "baselines/inverted_index.h"
 #include "common/stopwatch.h"
-#include "common/trace.h"
+#include "core/query_flow.h"
 
 namespace los::core {
 
@@ -113,17 +113,50 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Load(BinaryReader* r) {
   return lbf;
 }
 
+LearnedBloomFilter::Instruments LearnedBloomFilter::InstrumentsIn(
+    MetricsRegistry* registry) {
+  return {
+      .queries = registry->GetCounter("bloom.queries"),
+      .learned_accepts = registry->GetCounter("bloom.learned_accepts"),
+      .backup_hits = registry->GetCounter("bloom.backup_hits"),
+      .rejects = registry->GetCounter("bloom.rejects"),
+      .oov_rejects = registry->GetCounter("bloom.oov_rejects"),
+      .batches = registry->GetCounter("bloom.query_batches"),
+      .latency = registry->GetHistogram("bloom.query_seconds",
+                                        SampledLatencyHistogramOptions()),
+      .batch_latency = registry->GetHistogram("bloom.query_batch_seconds",
+                                              LatencyHistogramOptions()),
+  };
+}
+
+const LearnedBloomFilter::Instruments& LearnedBloomFilter::Silent() {
+  static const Instruments silent = InstrumentsIn(SilentMetricsRegistry());
+  return silent;
+}
+
 void LearnedBloomFilter::SetMetricsRegistry(MetricsRegistry* registry) {
-  metrics_.queries = registry->GetCounter("bloom.queries");
-  metrics_.learned_accepts = registry->GetCounter("bloom.learned_accepts");
-  metrics_.backup_hits = registry->GetCounter("bloom.backup_hits");
-  metrics_.rejects = registry->GetCounter("bloom.rejects");
-  metrics_.oov_rejects = registry->GetCounter("bloom.oov_rejects");
-  metrics_.batches = registry->GetCounter("bloom.query_batches");
-  metrics_.latency = registry->GetHistogram("bloom.query_seconds",
-                                            SampledLatencyHistogramOptions());
-  metrics_.batch_latency = registry->GetHistogram("bloom.query_batch_seconds",
-                                                  LatencyHistogramOptions());
+  metrics_ = InstrumentsIn(registry);
+}
+
+bool LearnedBloomFilter::MayContain(sets::SetView q) {
+  // The span's outcome arg separates learned-accept / backup-hit / reject
+  // populations: the learned-Bloom model (Mitzenmacher) reasons about each
+  // path's cost and rate independently, so one blended latency is opaque.
+  TRACE_SPAN_SAMPLED_VAR(span, "serving", "bloom.may_contain");
+  return MayContainOne(q, metrics_, span);
+}
+
+bool LearnedBloomFilter::ProbeMayContain(sets::SetView q) {
+  TraceSpan quiet(TraceSpan::SuppressTag{});
+  return MayContainOne(q, Silent(), quiet);
+}
+
+bool LearnedBloomFilter::MayContainOne(sets::SetView q, const Instruments& m,
+                                       TraceSpan& span) {
+  m.queries->Increment();
+  ScopedLatency timer(m.latency);
+  if (std::optional<bool> verdict = PreModel(q, m, span)) return *verdict;
+  return PostModel(q, model_->PredictOne(q), m, span);
 }
 
 LearnedBloomFilter::MultiResult LearnedBloomFilter::MayContainMulti(
@@ -133,97 +166,51 @@ LearnedBloomFilter::MultiResult LearnedBloomFilter::MayContainMulti(
   ScopedLatency timer(metrics_.batch_latency);
   TRACE_SPAN_VAR(span, "serving", "bloom.may_contain_multi");
   span.set_arg("queries", static_cast<double>(queries.size()));
+  TraceSpan no_query_span;
   MultiResult result;
-  result.verdicts.assign(queries.size(), false);
-  // Partition: OOV queries are definitively absent; the rest go through
-  // batched forward passes (SetModel::PredictBatch), with backup-filter
-  // fallback per negative.
-  std::vector<size_t> model_queries;
-  std::vector<sets::SetView> views;
-  const int64_t vocab = model_->vocab();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    sets::SetView q = queries[i].view();
-    bool oov = false;
-    for (sets::ElementId e : q) {
-      if (static_cast<int64_t>(e) >= vocab) {
-        oov = true;
-        break;
-      }
-    }
-    if (oov) {
-      metrics_.oov_rejects->Increment();
-      continue;
-    }
-    model_queries.push_back(i);
-    views.push_back(q);
-  }
-  if (!model_queries.empty()) {
-    std::vector<double> preds;
-    model_->PredictBatch(views.data(), views.size(), &preds);
-    for (size_t k = 0; k < model_queries.size(); ++k) {
-      size_t i = model_queries[k];
-      bool verdict = preds[k] >= threshold_;
-      if (verdict) {
-        metrics_.learned_accepts->Increment();
-      } else if (backup_.MayContain(queries[i].view())) {
-        verdict = true;
-        metrics_.backup_hits->Increment();
-      } else {
-        metrics_.rejects->Increment();
-      }
-      result.verdicts[i] = verdict;
-    }
-  }
+  result.verdicts = AnswerBatch<bool>(
+      *model_, queries,
+      [&](sets::SetView q) { return PreModel(q, metrics_, no_query_span); },
+      [&](sets::SetView q, double score) {
+        return PostModel(q, score, metrics_, no_query_span);
+      });
   for (bool v : result.verdicts) {
     result.all = result.all && v;
     result.any = result.any || v;
   }
-  if (queries.empty()) result.all = true;
   return result;
 }
 
-bool LearnedBloomFilter::MayContain(sets::SetView q) {
-  metrics_.queries->Increment();
-  ScopedLatency timer(metrics_.latency);
-  // The span's outcome arg separates learned-accept / backup-hit / reject
-  // populations: the learned-Bloom model (Mitzenmacher) reasons about each
-  // path's cost and rate independently, so one blended latency is opaque.
-  TRACE_SPAN_SAMPLED_VAR(span, "serving", "bloom.may_contain");
+std::optional<bool> LearnedBloomFilter::PreModel(sets::SetView q,
+                                                 const Instruments& m,
+                                                 TraceSpan& span) const {
   // Elements outside the training universe cannot be in any indexed set —
   // and the model has no embedding for them.
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) {
-      metrics_.oov_rejects->Increment();
-      span.set_arg("outcome_oov_reject", 1.0);
-      return false;
-    }
-  }
-  if (model_->PredictOne(q) >= threshold_) {
-    metrics_.learned_accepts->Increment();
+  if (model_->Covers(q)) return std::nullopt;
+  m.oov_rejects->Increment();
+  span.set_arg("outcome_oov_reject", 1.0);
+  return false;
+}
+
+bool LearnedBloomFilter::PostModel(sets::SetView q, double score,
+                                   const Instruments& m,
+                                   TraceSpan& span) const {
+  if (score >= threshold_) {
+    m.learned_accepts->Increment();
     span.set_arg("outcome_learned_accept", 1.0);
     return true;
   }
   {
     TRACE_SPAN("serving", "bloom.backup_probe");
     if (backup_.MayContain(q)) {
-      metrics_.backup_hits->Increment();
+      m.backup_hits->Increment();
       span.set_arg("outcome_backup_hit", 1.0);
       return true;
     }
   }
-  metrics_.rejects->Increment();
+  m.rejects->Increment();
   span.set_arg("outcome_reject", 1.0);
   return false;
-}
-
-bool LearnedBloomFilter::ProbeMayContain(sets::SetView q) {
-  // Mirror of MayContain's verdict logic without instruments — keep the two
-  // in sync.
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) return false;
-  }
-  if (model_->PredictOne(q) >= threshold_) return true;
-  return backup_.MayContain(q);
 }
 
 }  // namespace los::core

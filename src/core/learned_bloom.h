@@ -3,9 +3,11 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "baselines/bloom_filter.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "core/model_factory.h"
 #include "core/trainer.h"
 #include "core/training_data.h"
@@ -53,10 +55,11 @@ class LearnedBloomFilter {
   /// backup filter.
   bool MayContain(sets::SetView q);
 
-  /// Same verdict as MayContain but records no `bloom.*` instruments or
-  /// trace spans — the monitor's sampled negative probes (FPR estimation)
-  /// go through here so synthetic audit traffic never distorts the serving
-  /// metrics' exactly-once accounting.
+  /// MayContain's flow with silent instruments and every span suppressed:
+  /// the same verdict, but no `bloom.*` instrument or trace span records
+  /// it. The monitor's sampled negative probes (FPR estimation) go through
+  /// here so synthetic audit traffic never distorts the serving metrics'
+  /// exactly-once accounting.
   bool ProbeMayContain(sets::SetView q);
 
   /// Raw model probability.
@@ -107,6 +110,19 @@ class LearnedBloomFilter {
     Histogram* latency = nullptr;        ///< bloom.query_seconds (sampled)
     Histogram* batch_latency = nullptr;  ///< bloom.query_batch_seconds
   };
+  static Instruments InstrumentsIn(MetricsRegistry* registry);
+  /// Handles into SilentMetricsRegistry(), for ProbeMayContain.
+  static const Instruments& Silent();
+
+  /// The single-query flow of MayContain and ProbeMayContain.
+  bool MayContainOne(sets::SetView q, const Instruments& m, TraceSpan& span);
+  /// Pre-model step: rejects a query with an out-of-vocabulary element, or
+  /// returns std::nullopt to defer q to the model.
+  std::optional<bool> PreModel(sets::SetView q, const Instruments& m,
+                               TraceSpan& span) const;
+  /// Post-model step: accept at score >= τ, else ask the backup filter.
+  bool PostModel(sets::SetView q, double score, const Instruments& m,
+                 TraceSpan& span) const;
 
   std::unique_ptr<deepsets::SetModel> model_;
   baselines::BloomFilter backup_;

@@ -1,7 +1,7 @@
 #include "core/learned_cardinality.h"
 
 #include "common/stopwatch.h"
-#include "common/trace.h"
+#include "core/query_flow.h"
 #include "nn/losses.h"
 
 namespace los::core {
@@ -103,26 +103,10 @@ double LearnedCardinalityEstimator::ObserveQError(double estimate,
 }
 
 double LearnedCardinalityEstimator::Estimate(sets::SetView q) {
+  TRACE_SPAN_SAMPLED_VAR(span, "serving", "cardinality.estimate");
   metrics_.queries->Increment();
   ScopedLatency timer(metrics_.latency);
-  TRACE_SPAN_SAMPLED_VAR(span, "serving", "cardinality.estimate");
-  {
-    TRACE_SPAN("serving", "cardinality.aux_probe");
-    if (auto exact = aux_.Get(q)) {
-      metrics_.outlier_hits->Increment();
-      span.set_arg("outcome_aux_hit", 1.0);
-      return *exact;
-    }
-  }
-  // Unseen elements occur in no set, so any superset query has cardinality
-  // zero; the model has no embedding for them either.
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) {
-      metrics_.oov_queries->Increment();
-      span.set_arg("outcome_oov", 1.0);
-      return 0.0;
-    }
-  }
+  if (std::optional<double> answer = PreModel(q, span)) return *answer;
   return scaler_.Unscale(model_->PredictOne(q));
 }
 
@@ -133,42 +117,29 @@ std::vector<double> LearnedCardinalityEstimator::EstimateBatch(
   ScopedLatency timer(metrics_.batch_latency);
   TRACE_SPAN_VAR(span, "serving", "cardinality.estimate_batch");
   span.set_arg("queries", static_cast<double>(queries.size()));
-  std::vector<double> out(queries.size(), 0.0);
-  // Resolve aux hits and OOV queries first; batch the rest through
-  // SetModel::PredictBatch, which bounds sub-batch sizes and reuses the
-  // calling thread's workspace.
-  std::vector<size_t> model_queries;
-  std::vector<sets::SetView> views;
-  const int64_t vocab = model_->vocab();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    sets::SetView q = queries[i].view();
-    if (auto exact = aux_.Get(q)) {
-      out[i] = *exact;
+  TraceSpan no_query_span;
+  return AnswerBatch<double>(
+      *model_, queries,
+      [&](sets::SetView q) { return PreModel(q, no_query_span); },
+      [&](sets::SetView, double score) { return scaler_.Unscale(score); });
+}
+
+std::optional<double> LearnedCardinalityEstimator::PreModel(
+    sets::SetView q, TraceSpan& span) const {
+  {
+    TRACE_SPAN("serving", "cardinality.aux_probe");
+    if (std::optional<double> exact = aux_.Get(q)) {
       metrics_.outlier_hits->Increment();
-      continue;
-    }
-    bool oov = false;
-    for (sets::ElementId e : q) {
-      if (static_cast<int64_t>(e) >= vocab) {
-        oov = true;
-        break;
-      }
-    }
-    if (oov) {
-      metrics_.oov_queries->Increment();
-      continue;  // stays 0
-    }
-    model_queries.push_back(i);
-    views.push_back(q);
-  }
-  if (!model_queries.empty()) {
-    std::vector<double> preds;
-    model_->PredictBatch(views.data(), views.size(), &preds);
-    for (size_t k = 0; k < model_queries.size(); ++k) {
-      out[model_queries[k]] = scaler_.Unscale(preds[k]);
+      span.set_arg("outcome_aux_hit", 1.0);
+      return exact;
     }
   }
-  return out;
+  // Unseen elements occur in no set, so any superset query has cardinality
+  // zero; the model has no embedding for them either.
+  if (model_->Covers(q)) return std::nullopt;
+  metrics_.oov_queries->Increment();
+  span.set_arg("outcome_oov", 1.0);
+  return 0.0;
 }
 
 }  // namespace los::core

@@ -2,8 +2,10 @@
 #define LOS_CORE_LEARNED_CARDINALITY_H_
 
 #include <memory>
+#include <optional>
 
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "core/hybrid.h"
 #include "core/model_factory.h"
 #include "core/scaling.h"
@@ -102,6 +104,11 @@ class LearnedCardinalityEstimator {
     Histogram* batch_latency = nullptr;  ///< cardinality.estimate_batch_seconds
     Histogram* qerror = nullptr;      ///< cardinality.qerror
   };
+
+  /// Pre-model step: the exact answer of an evicted outlier, 0 for a query
+  /// with an out-of-vocabulary element, or std::nullopt to defer q to the
+  /// model. The post-model step is scaler_.Unscale.
+  std::optional<double> PreModel(sets::SetView q, TraceSpan& span) const;
 
   std::unique_ptr<deepsets::SetModel> model_;
   TargetScaler scaler_;

@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "common/stopwatch.h"
-#include "common/trace.h"
-#include "sets/subset_gen.h"
+#include "core/query_flow.h"
 #include "nn/losses.h"
 #include "sets/set_hash.h"
+#include "sets/subset_gen.h"
 
 namespace los::core {
 
@@ -125,21 +125,33 @@ Result<LearnedSetIndex> LearnedSetIndex::Load(
   return index;
 }
 
-void LearnedSetIndex::SetMetricsRegistry(MetricsRegistry* registry) {
-  metrics_.lookups = registry->GetCounter("index.lookups");
-  metrics_.aux_hits = registry->GetCounter("index.aux_hits");
-  metrics_.oov_queries = registry->GetCounter("index.oov_queries");
-  metrics_.misses = registry->GetCounter("index.misses");
-  metrics_.fallback_scans = registry->GetCounter("index.fallback_scans");
-  metrics_.batches = registry->GetCounter("index.lookup_batches");
-  metrics_.absorbed = registry->GetCounter("index.subsets_absorbed");
+LearnedSetIndex::Instruments LearnedSetIndex::InstrumentsIn(
+    MetricsRegistry* registry) {
   Histogram::Options width = WidthHistogramOptions();
   width.sampled = true;
-  metrics_.scan_width = registry->GetHistogram("index.scan_width", width);
-  metrics_.latency = registry->GetHistogram("index.lookup_seconds",
-                                            SampledLatencyHistogramOptions());
-  metrics_.batch_latency = registry->GetHistogram("index.lookup_batch_seconds",
-                                                  LatencyHistogramOptions());
+  return {
+      .lookups = registry->GetCounter("index.lookups"),
+      .aux_hits = registry->GetCounter("index.aux_hits"),
+      .oov_queries = registry->GetCounter("index.oov_queries"),
+      .misses = registry->GetCounter("index.misses"),
+      .fallback_scans = registry->GetCounter("index.fallback_scans"),
+      .batches = registry->GetCounter("index.lookup_batches"),
+      .absorbed = registry->GetCounter("index.subsets_absorbed"),
+      .scan_width = registry->GetHistogram("index.scan_width", width),
+      .latency = registry->GetHistogram("index.lookup_seconds",
+                                        SampledLatencyHistogramOptions()),
+      .batch_latency = registry->GetHistogram("index.lookup_batch_seconds",
+                                              LatencyHistogramOptions()),
+  };
+}
+
+const LearnedSetIndex::Instruments& LearnedSetIndex::Silent() {
+  static const Instruments silent = InstrumentsIn(SilentMetricsRegistry());
+  return silent;
+}
+
+void LearnedSetIndex::SetMetricsRegistry(MetricsRegistry* registry) {
+  metrics_ = InstrumentsIn(registry);
 }
 
 int64_t LearnedSetIndex::ClampEstimate(double scaled) const {
@@ -152,14 +164,6 @@ int64_t LearnedSetIndex::EstimatePosition(sets::SetView q) {
   return ClampEstimate(model_->PredictOne(q));
 }
 
-LearnedSetIndex::Window LearnedSetIndex::ScanWindow(int64_t est) const {
-  const auto e_r =
-      static_cast<int64_t>(bounds_.ErrorFor(static_cast<double>(est)));
-  return {std::max<int64_t>(0, est - e_r),
-          std::min<int64_t>(static_cast<int64_t>(collection_->size()),
-                            est + e_r + 1)};
-}
-
 namespace {
 
 // LookupStats::visited of a scan over [lo, hi) that answered `pos` (-1: miss).
@@ -169,45 +173,133 @@ int64_t Visited(int64_t pos, int64_t lo, int64_t hi) {
 
 }  // namespace
 
+bool LearnedSetIndex::Matches(uint64_t position, sets::SetView q,
+                              Match match) const {
+  const auto i = static_cast<size_t>(position);
+  if (match == Match::kSuperset) return collection_->SetContainsSorted(i, q);
+  const sets::SetView s = collection_->set(i);
+  return s.size() == q.size() && std::equal(s.begin(), s.end(), q.begin());
+}
+
+int64_t LearnedSetIndex::FindFirst(sets::SetView q, Match match, int64_t lo,
+                                   int64_t hi) const {
+  const auto begin = static_cast<size_t>(lo);
+  const auto end = static_cast<size_t>(hi);
+  return match == Match::kSuperset
+             ? collection_->FindFirstSuperset(q, begin, end)
+             : collection_->FindFirstEqual(q, begin, end);
+}
+
+int64_t LearnedSetIndex::Lookup(sets::SetView q, LookupStats* stats) {
+  TRACE_SPAN_SAMPLED_VAR(span, "serving", "index.lookup");
+  return LookupOne(q, Match::kSuperset, stats, metrics_, span);
+}
+
 int64_t LearnedSetIndex::LookupEqual(sets::SetView q, LookupStats* stats) {
-  metrics_.lookups->Increment();
-  ScopedLatency timer(metrics_.latency);
-  TRACE_SPAN_SAMPLED("serving", "index.lookup_equal");
-  // Auxiliary probe: verify exact equality at the stored position.
-  auto aux_pos = aux_.FindFirst(sets::HashSetSorted(q));
-  if (aux_pos.has_value()) {
-    sets::SetView s = collection_->set(static_cast<size_t>(*aux_pos));
-    if (s.size() == q.size() && std::equal(s.begin(), s.end(), q.begin())) {
-      if (stats != nullptr) {
-        *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
-      }
-      metrics_.aux_hits->Increment();
-      return static_cast<int64_t>(*aux_pos);
-    }
+  TRACE_SPAN_SAMPLED_VAR(span, "serving", "index.lookup_equal");
+  return LookupOne(q, Match::kEqual, stats, metrics_, span);
+}
+
+int64_t LearnedSetIndex::ProbeLookup(sets::SetView q, LookupStats* stats) {
+  TraceSpan quiet(TraceSpan::SuppressTag{});
+  return LookupOne(q, Match::kSuperset, stats, Silent(), quiet);
+}
+
+int64_t LearnedSetIndex::LookupOne(sets::SetView q, Match match,
+                                   LookupStats* stats, const Instruments& m,
+                                   TraceSpan& span) {
+  m.lookups->Increment();
+  ScopedLatency timer(m.latency);
+  if (std::optional<int64_t> pos = PreModel(q, match, stats, m, span)) {
+    return *pos;
   }
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) {
-      metrics_.oov_queries->Increment();
-      int64_t pos = fallback_full_scan_
-                        ? collection_->FindFirstEqual(q, 0, collection_->size())
-                        : -1;
-      if (pos < 0) metrics_.misses->Increment();
+  return PostModel(q, match, model_->PredictOne(q), stats, m);
+}
+
+std::vector<int64_t> LearnedSetIndex::LookupBatch(
+    const std::vector<sets::Query>& queries) {
+  metrics_.batches->Increment();
+  metrics_.lookups->Increment(queries.size());
+  ScopedLatency timer(metrics_.batch_latency);
+  TRACE_SPAN_VAR(span, "serving", "index.lookup_batch");
+  span.set_arg("queries", static_cast<double>(queries.size()));
+  TraceSpan no_query_span;
+  return AnswerBatch<int64_t>(
+      *model_, queries,
+      [&](sets::SetView q) {
+        return PreModel(q, Match::kSuperset, nullptr, metrics_,
+                        no_query_span);
+      },
+      [&](sets::SetView q, double score) {
+        return PostModel(q, Match::kSuperset, score, nullptr, metrics_);
+      });
+}
+
+std::optional<int64_t> LearnedSetIndex::PreModel(sets::SetView q, Match match,
+                                                 LookupStats* stats,
+                                                 const Instruments& m,
+                                                 TraceSpan& span) const {
+  // Algorithm 2, line 2: auxiliary structure first. Hash collisions are
+  // guarded by verifying the match at the stored position.
+  {
+    TRACE_SPAN("serving", "index.aux_probe");
+    const auto aux_pos = aux_.FindFirst(sets::HashSetSorted(q));
+    if (aux_pos.has_value() && Matches(*aux_pos, q, match)) {
+      const auto pos = static_cast<int64_t>(*aux_pos);
+      if (stats != nullptr) *stats = {.aux_hit = true, .estimate = pos};
+      m.aux_hits->Increment();
+      span.set_arg("outcome_aux_hit", 1.0);
       return pos;
     }
   }
-  const int64_t est = EstimatePosition(q);
-  const Window w = ScanWindow(est);
-  if (metrics_.scan_width->Sample()) {
-    metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
+  // Elements beyond the model's vocabulary (inserted by updates after the
+  // build, §7.2) can only be answered by the auxiliary structure or a full
+  // scan — the model has no embedding for them.
+  if (model_->Covers(q)) return std::nullopt;
+  m.oov_queries->Increment();
+  if (stats != nullptr) *stats = {};
+  return Fallback(q, match, stats, m);
+}
+
+int64_t LearnedSetIndex::PostModel(sets::SetView q, Match match, double score,
+                                   LookupStats* stats,
+                                   const Instruments& m) const {
+  // Lines 4-7: scan [est − e_r, est + e_r], clamped to the collection, left
+  // to right so the *first* matching position is returned.
+  TRACE_SPAN_VAR(span, "serving", "index.bounded_scan");
+  const int64_t est = ClampEstimate(score);
+  const auto e_r =
+      static_cast<int64_t>(bounds_.ErrorFor(static_cast<double>(est)));
+  const int64_t lo = std::max<int64_t>(0, est - e_r);
+  const int64_t hi = std::min<int64_t>(
+      static_cast<int64_t>(collection_->size()), est + e_r + 1);
+  if (m.scan_width->Sample()) {
+    m.scan_width->Observe(static_cast<double>(hi - lo));
   }
-  int64_t pos = collection_->FindFirstEqual(q, static_cast<size_t>(w.lo),
-                                            static_cast<size_t>(w.hi));
-  RecordScan(stats, est, w, pos);
-  if (pos < 0 && fallback_full_scan_) {
-    metrics_.fallback_scans->Increment();
-    pos = collection_->FindFirstEqual(q, 0, collection_->size());
+  span.set_arg("scan_width", static_cast<double>(hi - lo));
+  const int64_t pos = FindFirst(q, match, lo, hi);
+  if (stats != nullptr) {
+    *stats = {.estimate = est,
+              .scan_width = hi - lo,
+              .visited = Visited(pos, lo, hi)};
   }
-  if (pos < 0) metrics_.misses->Increment();
+  return pos >= 0 ? pos : Fallback(q, match, stats, m);
+}
+
+int64_t LearnedSetIndex::Fallback(sets::SetView q, Match match,
+                                  LookupStats* stats,
+                                  const Instruments& m) const {
+  int64_t pos = -1;
+  if (fallback_full_scan_) {
+    m.fallback_scans->Increment();
+    const auto n = static_cast<int64_t>(collection_->size());
+    pos = FindFirst(q, match, 0, n);
+    if (stats != nullptr) {
+      stats->scan_width += n;
+      stats->visited += Visited(pos, 0, n);
+    }
+  }
+  if (pos < 0) m.misses->Increment();
   return pos;
 }
 
@@ -242,164 +334,6 @@ size_t LearnedSetIndex::AbsorbUpdatedSet(size_t position,
   updates_absorbed_ += routed;
   metrics_.absorbed->Increment(routed);
   return routed;
-}
-
-int64_t LearnedSetIndex::Lookup(sets::SetView q, LookupStats* stats) {
-  metrics_.lookups->Increment();
-  ScopedLatency timer(metrics_.latency);
-  TRACE_SPAN_SAMPLED_VAR(span, "serving", "index.lookup");
-  // Algorithm 2, line 2: auxiliary structure first. Hash collisions are
-  // guarded by verifying containment at the stored position.
-  {
-    TRACE_SPAN("serving", "index.aux_probe");
-    auto aux_pos = aux_.FindFirst(sets::HashSetSorted(q));
-    if (aux_pos.has_value() &&
-        collection_->SetContainsSorted(static_cast<size_t>(*aux_pos), q)) {
-      if (stats != nullptr) {
-        *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
-      }
-      metrics_.aux_hits->Increment();
-      span.set_arg("outcome_aux_hit", 1.0);
-      return static_cast<int64_t>(*aux_pos);
-    }
-  }
-  // Elements beyond the model's vocabulary (inserted by updates after the
-  // build, §7.2) can only be answered by the auxiliary structure or a full
-  // scan — the model has no embedding for them.
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) {
-      metrics_.oov_queries->Increment();
-      RecordScan(stats, -1, Window{}, -1);
-      int64_t pos = -1;
-      if (fallback_full_scan_) {
-        metrics_.fallback_scans->Increment();
-        pos = FallbackScan(q, stats);
-      }
-      if (pos < 0) metrics_.misses->Increment();
-      return pos;
-    }
-  }
-  // Lines 4-7: model estimate + bounded local scan, left to right so the
-  // *first* superset position is returned.
-  return ScanFromEstimate(q, EstimatePosition(q), stats);
-}
-
-int64_t LearnedSetIndex::ProbeLookup(sets::SetView q, LookupStats* stats) {
-  // Mirror of Lookup's decision flow without instruments or spans — keep
-  // the two in sync.
-  auto aux_pos = aux_.FindFirst(sets::HashSetSorted(q));
-  if (aux_pos.has_value() &&
-      collection_->SetContainsSorted(static_cast<size_t>(*aux_pos), q)) {
-    if (stats != nullptr) {
-      *stats = {.aux_hit = true, .estimate = static_cast<int64_t>(*aux_pos)};
-    }
-    return static_cast<int64_t>(*aux_pos);
-  }
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) {
-      RecordScan(stats, -1, Window{}, -1);
-      return fallback_full_scan_ ? FallbackScan(q, stats) : -1;
-    }
-  }
-  const int64_t est = EstimatePosition(q);
-  const Window w = ScanWindow(est);
-  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(w.lo),
-                                               static_cast<size_t>(w.hi));
-  RecordScan(stats, est, w, pos);
-  if (pos < 0 && fallback_full_scan_) pos = FallbackScan(q, stats);
-  return pos;
-}
-
-void LearnedSetIndex::RecordScan(LookupStats* stats, int64_t est, Window w,
-                                 int64_t pos) {
-  if (stats == nullptr) return;
-  *stats = {.estimate = est,
-            .scan_width = w.hi - w.lo,
-            .visited = Visited(pos, w.lo, w.hi)};
-}
-
-int64_t LearnedSetIndex::FallbackScan(sets::SetView q,
-                                      LookupStats* stats) const {
-  const auto n = static_cast<int64_t>(collection_->size());
-  const int64_t pos = collection_->FindFirstSuperset(q, 0, n);
-  if (stats != nullptr) {
-    stats->scan_width += n;
-    stats->visited += Visited(pos, 0, n);
-  }
-  return pos;
-}
-
-int64_t LearnedSetIndex::ScanFromEstimate(sets::SetView q, int64_t est,
-                                          LookupStats* stats) {
-  TRACE_SPAN_VAR(span, "serving", "index.bounded_scan");
-  const Window w = ScanWindow(est);
-  if (metrics_.scan_width->Sample()) {
-    metrics_.scan_width->Observe(static_cast<double>(w.hi - w.lo));
-  }
-  span.set_arg("scan_width", static_cast<double>(w.hi - w.lo));
-  int64_t pos = collection_->FindFirstSuperset(q, static_cast<size_t>(w.lo),
-                                               static_cast<size_t>(w.hi));
-  RecordScan(stats, est, w, pos);
-  if (pos >= 0) return pos;
-  if (fallback_full_scan_) {
-    metrics_.fallback_scans->Increment();
-    pos = FallbackScan(q, stats);
-  }
-  if (pos < 0) metrics_.misses->Increment();
-  return pos;
-}
-
-std::vector<int64_t> LearnedSetIndex::LookupBatch(
-    const std::vector<sets::Query>& queries) {
-  metrics_.batches->Increment();
-  metrics_.lookups->Increment(queries.size());
-  ScopedLatency timer(metrics_.batch_latency);
-  TRACE_SPAN_VAR(span, "serving", "index.lookup_batch");
-  span.set_arg("queries", static_cast<double>(queries.size()));
-  std::vector<int64_t> results(queries.size(), -1);
-  // Stage 1: resolve auxiliary hits and out-of-vocabulary queries; everything
-  // else is deferred to one batched model pass.
-  std::vector<size_t> deferred;
-  std::vector<sets::SetView> views;
-  const int64_t vocab = model_->vocab();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    sets::SetView q = queries[i].view();
-    auto aux_pos = aux_.FindFirst(sets::HashSetSorted(q));
-    if (aux_pos.has_value() &&
-        collection_->SetContainsSorted(static_cast<size_t>(*aux_pos), q)) {
-      results[i] = static_cast<int64_t>(*aux_pos);
-      metrics_.aux_hits->Increment();
-      continue;
-    }
-    bool oov = false;
-    for (sets::ElementId e : q) {
-      if (static_cast<int64_t>(e) >= vocab) {
-        oov = true;
-        break;
-      }
-    }
-    if (oov) {
-      metrics_.oov_queries->Increment();
-      if (fallback_full_scan_) {
-        metrics_.fallback_scans->Increment();
-        results[i] = FallbackScan(q, nullptr);
-      }
-      if (results[i] < 0) metrics_.misses->Increment();
-      continue;
-    }
-    deferred.push_back(i);
-    views.push_back(q);
-  }
-  // Stage 2: batched estimates, then per-query bounded scans.
-  if (!deferred.empty()) {
-    std::vector<double> preds;
-    model_->PredictBatch(views.data(), views.size(), &preds);
-    for (size_t k = 0; k < deferred.size(); ++k) {
-      results[deferred[k]] =
-          ScanFromEstimate(views[k], ClampEstimate(preds[k]), nullptr);
-    }
-  }
-  return results;
 }
 
 }  // namespace los::core

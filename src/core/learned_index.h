@@ -2,9 +2,11 @@
 #define LOS_CORE_LEARNED_INDEX_H_
 
 #include <memory>
+#include <optional>
 
 #include "baselines/bplus_tree.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "core/hybrid.h"
 #include "core/model_factory.h"
 #include "core/scaling.h"
@@ -69,10 +71,11 @@ class LearnedSetIndex {
   /// within the error bounds (untrained queries have no guarantee, §7).
   int64_t Lookup(sets::SetView q, LookupStats* stats = nullptr);
 
-  /// Same answer (and LookupStats) as Lookup but records no `index.*`
-  /// instruments or trace spans — the monitor's shadow re-executions go
-  /// through here so sampled audit traffic never inflates the serving
-  /// counters or the scan-width histogram.
+  /// Lookup's flow with silent instruments and every span suppressed: the
+  /// same answer and LookupStats, but no `index.*` instrument or trace span
+  /// records it. The monitor's shadow re-executions and AbsorbUpdatedSet go
+  /// through here, so audit traffic never inflates the serving counters,
+  /// the scan-width histogram or the traced forwards.
   int64_t ProbeLookup(sets::SetView q, LookupStats* stats = nullptr);
 
   /// Equality-search mode (§4.1): first position whose set *equals* sorted
@@ -89,6 +92,7 @@ class LearnedSetIndex {
   /// out-of-vocabulary queries are resolved first; the remainder share
   /// batched model forwards (SetModel::PredictBatch) instead of one forward
   /// per query, which is how heavy query traffic should drive the index.
+  /// The per-query LookupStats are not reported.
   std::vector<int64_t> LookupBatch(const std::vector<sets::Query>& queries);
 
   /// §7.2 update handling: after the caller updates set `position` in the
@@ -164,29 +168,39 @@ class LearnedSetIndex {
     Histogram* latency = nullptr;       ///< index.lookup_seconds (sampled)
     Histogram* batch_latency = nullptr;  ///< index.lookup_batch_seconds
   };
+  static Instruments InstrumentsIn(MetricsRegistry* registry);
+  /// Handles into SilentMetricsRegistry(), for ProbeLookup.
+  static const Instruments& Silent();
+
+  /// What a position must hold to answer q: a superset (Lookup) or q
+  /// itself (LookupEqual). It picks the aux check and the scan kernel.
+  enum class Match { kSuperset, kEqual };
+  bool Matches(uint64_t position, sets::SetView q, Match match) const;
+  /// First matching position in [lo, hi), or -1.
+  int64_t FindFirst(sets::SetView q, Match match, int64_t lo,
+                    int64_t hi) const;
+
+  /// The single-query flow of Lookup, LookupEqual and ProbeLookup, which
+  /// differ in `match`, the instruments and the query's span.
+  int64_t LookupOne(sets::SetView q, Match match, LookupStats* stats,
+                    const Instruments& m, TraceSpan& span);
+  /// Pre-model step (Algorithm 2, lines 2-3): the verified aux answer, an
+  /// out-of-vocabulary query's fallback answer, or std::nullopt to defer q
+  /// to the model.
+  std::optional<int64_t> PreModel(sets::SetView q, Match match,
+                                  LookupStats* stats, const Instruments& m,
+                                  TraceSpan& span) const;
+  /// Post-model step (lines 4-7): the bounded scan around the score's
+  /// position estimate, then the optional full-scan fallback.
+  int64_t PostModel(sets::SetView q, Match match, double score,
+                    LookupStats* stats, const Instruments& m) const;
+  /// The optional full scan after a window miss or for an OOV query; adds
+  /// its sets to `stats` (if any) and counts the miss if it finds nothing.
+  int64_t Fallback(sets::SetView q, Match match, LookupStats* stats,
+                   const Instruments& m) const;
 
   /// Converts a scaled model output into a clamped position estimate.
   int64_t ClampEstimate(double scaled) const;
-
-  /// Algorithm 2's scan window [est − e_r, est + e_r + 1), clamped to the
-  /// collection.
-  struct Window {
-    int64_t lo = 0;
-    int64_t hi = 0;
-  };
-  Window ScanWindow(int64_t est) const;
-
-  /// Fills `stats` (if any) for a window scan from `est` that answered `pos`.
-  static void RecordScan(LookupStats* stats, int64_t est, Window w,
-                         int64_t pos);
-
-  /// The optional full-scan fallback after a window miss; adds its sets to
-  /// `stats` (if any).
-  int64_t FallbackScan(sets::SetView q, LookupStats* stats) const;
-
-  /// Algorithm 2 lines 4-7: bounded local scan around `est` (plus optional
-  /// full-scan fallback). Shared by Lookup and LookupBatch.
-  int64_t ScanFromEstimate(sets::SetView q, int64_t est, LookupStats* stats);
 
   const sets::SetCollection* collection_ = nullptr;
   std::shared_ptr<deepsets::SetModel> model_;  ///< shared by BoundTo copies

@@ -104,9 +104,7 @@ size_t PartitionedBloomFilter::RegionOf(double score) const {
 }
 
 bool PartitionedBloomFilter::MayContain(sets::SetView q) {
-  for (sets::ElementId e : q) {
-    if (static_cast<int64_t>(e) >= model_->vocab()) return false;
-  }
+  if (!model_->Covers(q)) return false;
   double score = model_->PredictOne(q);
   size_t region = RegionOf(score);
   if (region >= backups_.size()) return true;  // top region: accept

@@ -535,9 +535,7 @@ class UpdatableStructure {
   }
 
   void TrainerLoop() {
-    if (kTracingCompiledIn) {
-      Tracer::SetCurrentThreadName("updatable." + name_ + ".trainer");
-    }
+    Tracer::SetCurrentThreadName("updatable." + name_ + ".trainer");
     if (opts_.trainer_nice != 0) LowerThreadPriority(opts_.trainer_nice);
     std::unique_lock<std::mutex> lock(trainer_mu_);
     for (;;) {

@@ -68,6 +68,17 @@ class SetModel {
   /// Largest element id + 1 the model accepts (its embedding coverage).
   virtual int64_t vocab() const = 0;
 
+  /// True when every element of `s` has an embedding (id < vocab()). The
+  /// learned structures answer a query that fails this without the model:
+  /// its elements were never trained on (or arrived by a later update).
+  bool Covers(sets::SetView s) const {
+    const int64_t v = vocab();
+    for (sets::ElementId e : s) {
+      if (static_cast<int64_t>(e) >= v) return false;
+    }
+    return true;
+  }
+
   virtual void Save(BinaryWriter* w) const = 0;
 
   /// Predicts the scalar for a single set, bit-identical to that set's

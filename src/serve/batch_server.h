@@ -67,16 +67,6 @@
 
 namespace los::serve {
 
-/// Steady-clock nanoseconds. Same time base as Tracer::NowNs() so emitted
-/// spans line up, but usable when tracing is compiled out (where
-/// Tracer::NowNs() returns 0 — deadlines must still work then).
-inline uint64_t SteadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// Client<->worker wait channel, one per shard, shared (via shared_ptr) by
 /// every in-flight request routed there. The flush publishes each result
 /// with a release store on the request's phase flag and then issues a
@@ -213,13 +203,13 @@ class BatchServer {
   BatchFuture<Response> Submit(sets::Query q) {
     Request r;
     r.query = std::move(q);
-    r.enqueue_ns = SteadyNowNs();
+    r.enqueue_ns = Tracer::NowNs();
     Shard* shard = Route();
     auto state = std::make_shared<BatchSharedState<Response>>();
     state->waiter = shard->waiter;
     r.state = state;
     BatchFuture<Response> fut(state);
-    if (kTracingCompiledIn && Tracer::Global()->enabled()) {
+    if (Tracer::Global()->enabled()) {
       Tracer::Global()->Emit("serve", "serve.enqueue", r.enqueue_ns, 0);
     }
     if (!shard->queue.Push(std::move(r))) {
@@ -238,7 +228,7 @@ class BatchServer {
   bool TrySubmit(sets::Query q, BatchFuture<Response>* out) {
     Request r;
     r.query = std::move(q);
-    r.enqueue_ns = SteadyNowNs();
+    r.enqueue_ns = Tracer::NowNs();
     Shard* shard = Route();
     auto state = std::make_shared<BatchSharedState<Response>>();
     state->waiter = shard->waiter;
@@ -248,7 +238,7 @@ class BatchServer {
       rejected_->Increment();
       return false;
     }
-    if (kTracingCompiledIn && Tracer::Global()->enabled()) {
+    if (Tracer::Global()->enabled()) {
       Tracer::Global()->Emit("serve", "serve.enqueue", r.enqueue_ns, 0);
     }
     enqueued_->Increment();
@@ -330,10 +320,8 @@ class BatchServer {
   }
 
   void WorkerLoop(Shard* shard, size_t shard_index) {
-    if (kTracingCompiledIn) {
-      Tracer::SetCurrentThreadName("serve." + name_ + ".shard" +
-                                   std::to_string(shard_index));
-    }
+    Tracer::SetCurrentThreadName("serve." + name_ + ".shard" +
+                                 std::to_string(shard_index));
     std::vector<Request> pending;
     pending.reserve(max_batch_);
     // Newest arrival the worker has seen — the idle linger is measured
@@ -377,7 +365,7 @@ class BatchServer {
       }
       const uint64_t deadline_ns = pending.front().enqueue_ns + max_delay_ns_;
       const uint64_t linger_ns = last_arrival_ns + min_delay_ns_;
-      const uint64_t now_ns = SteadyNowNs();
+      const uint64_t now_ns = Tracer::NowNs();
       if (now_ns >= deadline_ns) {
         Flush(shard, &pending, FlushReason::kDeadline);
         continue;
@@ -399,7 +387,7 @@ class BatchServer {
       const uint64_t wake_ns = std::min(deadline_ns, linger_ns);
       if (wake_ns - now_ns <= kSpinWaitNs) {
         bool got = false;
-        while (SteadyNowNs() < wake_ns) {
+        while (Tracer::NowNs() < wake_ns) {
           if (shard->queue.TryPop(&r)) {
             got = true;
             break;
@@ -433,7 +421,7 @@ class BatchServer {
     for (Request& r : *pending) shard->scratch.push_back(std::move(r.query));
 
     std::vector<Response> results = shard->fn(shard->scratch);
-    const uint64_t end_ns = SteadyNowNs();
+    const uint64_t end_ns = Tracer::NowNs();
 
     // All instrumentation lands BEFORE any result is published: a client
     // that wakes from future.get() and snapshots the registry must already
@@ -443,7 +431,7 @@ class BatchServer {
     // Per-query and per-batch counts are both recorded here and only here:
     // the sum over flushes of batch sizes equals accepted submissions, so
     // `serve.<name>.queries == serve.<name>.enqueued` after a drain.
-    const bool tracing = kTracingCompiledIn && Tracer::Global()->enabled();
+    const bool tracing = Tracer::Global()->enabled();
     const bool timing = request_seconds_->enabled();
     for (size_t i = 0; i < n; ++i) {
       const Request& r = (*pending)[i];

@@ -226,14 +226,12 @@ TEST_F(CliTest, TraceOutWritesChromeTraceAndSummary) {
   std::stringstream buf;
   buf << f.rdbuf();
   EXPECT_NE(buf.str().find("\"traceEvents\""), std::string::npos);
-  if (kTracingCompiledIn) {
-    // The query's serving span made it into the Chrome trace...
-    EXPECT_NE(buf.str().find("bloom.may_contain"), std::string::npos)
-        << buf.str();
-    // ...and the per-stage summary rides along with the --metrics dump.
-    EXPECT_NE(output().find("trace.bloom.may_contain"), std::string::npos)
-        << output();
-  }
+  // The query's serving span made it into the Chrome trace...
+  EXPECT_NE(buf.str().find("bloom.may_contain"), std::string::npos)
+      << buf.str();
+  // ...and the per-stage summary rides along with the --metrics dump.
+  EXPECT_NE(output().find("trace.bloom.may_contain"), std::string::npos)
+      << output();
   std::remove(in.c_str());
   std::remove(model.c_str());
   std::remove(trace.c_str());

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -833,8 +835,7 @@ TEST(CardinalityBatchTest, BatchMatchesSingleQueryPath) {
   auto batch = est->EstimateBatch(queries);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_NEAR(batch[i], est->Estimate(queries[i].view()), 1e-9)
-        << "query " << i;
+    EXPECT_EQ(batch[i], est->Estimate(queries[i].view())) << "query " << i;
   }
   EXPECT_EQ(batch.back(), 0.0);
 }
@@ -1003,6 +1004,151 @@ TEST(LearnedIndexTest, LookupEqualFindsExactSets) {
   EXPECT_EQ(index->LookupEqual({q.data(), 2}), 1);
   std::vector<sets::ElementId> missing{1, 3};
   EXPECT_EQ(index->LookupEqual({missing.data(), 2}), -1);
+}
+
+// An out-of-vocabulary LookupEqual takes Lookup's fallback: it counts
+// index.fallback_scans and reports the full scan in its LookupStats.
+TEST(LearnedIndexTest, LookupEqualCountsItsOovFallback) {
+  sets::RwConfig rw;
+  rw.num_sets = 80;
+  rw.num_unique = 12;
+  rw.seed = 2;
+  auto c = GenerateRw(rw);
+  IndexOptions opts;
+  opts.train.epochs = 2;
+  opts.max_subset_size = 2;
+  opts.fallback_full_scan = true;
+  auto index = LearnedSetIndex::Build(c, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  MetricsRegistry registry;
+  index->SetMetricsRegistry(&registry);
+  auto counter = [&](const char* name) {
+    return registry.GetCounter(name)->value();
+  };
+
+  // Set 5 becomes {unseen}: the only set that contains or equals it.
+  const sets::ElementId unseen = c.universe_size();
+  ASSERT_TRUE(c.UpdateSet(5, {unseen}).ok());
+  const std::vector<sets::ElementId> q{unseen};
+  LearnedSetIndex::LookupStats lookup, equal;
+  ASSERT_EQ(index->Lookup(sets::SetView(q), &lookup), 5);
+  EXPECT_EQ(counter("index.fallback_scans"), 1u);
+  ASSERT_EQ(index->LookupEqual(sets::SetView(q), &equal), 5);
+  EXPECT_EQ(counter("index.fallback_scans"), 2u);
+  EXPECT_EQ(counter("index.oov_queries"), 2u);
+  EXPECT_EQ(counter("index.misses"), 0u);
+
+  EXPECT_FALSE(equal.aux_hit);
+  EXPECT_EQ(equal.estimate, -1);
+  EXPECT_EQ(equal.scan_width, static_cast<int64_t>(c.size()));
+  EXPECT_EQ(equal.visited, 6);
+  EXPECT_EQ(equal.aux_hit, lookup.aux_hit);
+  EXPECT_EQ(equal.estimate, lookup.estimate);
+  EXPECT_EQ(equal.scan_width, lookup.scan_width);
+  EXPECT_EQ(equal.visited, lookup.visited);
+}
+
+// ---------- One query flow per structure ----------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// Every subset (up to 3 elements) of a 12-element universe plus one
+// out-of-vocabulary element goes through the single, batch and shadow-probe
+// flows of the three structures, all built with aux entries: the answers
+// are bit-equal, Lookup and ProbeLookup report equal LookupStats, and every
+// query evicted into the cardinality aux is answered exactly by Estimate
+// and EstimateBatch, before and after Save -> Load.
+TEST(QueryFlowTest, SingleBatchAndProbeAgreeOnEverySubset) {
+  constexpr size_t kMaxSubset = 3;
+  sets::RwConfig rw;
+  rw.num_sets = 80;
+  rw.num_unique = 12;
+  rw.seed = 2;
+  auto c = GenerateRw(rw);
+  const sets::ElementId unseen = c.universe_size();
+  ASSERT_LE(unseen, 12u);
+  std::vector<sets::ElementId> universe(unseen + 1);
+  std::iota(universe.begin(), universe.end(), 0);
+
+  IndexOptions iopts;
+  iopts.train.epochs = 8;
+  iopts.train.loss = LossKind::kMse;
+  iopts.max_subset_size = kMaxSubset;
+  iopts.fallback_full_scan = true;
+  auto index = LearnedSetIndex::Build(c, iopts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_GT(index->num_outliers(), 0u);
+
+  CardinalityOptions copts;
+  copts.train.epochs = 8;
+  copts.train.loss = LossKind::kMse;
+  copts.max_subset_size = kMaxSubset;
+  copts.hybrid = true;
+  copts.keep_fraction = 0.8;
+  auto card = LearnedCardinalityEstimator::Build(c, copts);
+  ASSERT_TRUE(card.ok()) << card.status().ToString();
+  ASSERT_GT(card->num_outliers(), 0u);
+  BinaryWriter w;
+  card->Save(&w);
+  BinaryReader r(w.bytes());
+  auto loaded = LearnedCardinalityEstimator::Load(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+
+  BloomOptions bopts;
+  bopts.train.epochs = 8;
+  bopts.max_subset_size = kMaxSubset;
+  auto bloom = LearnedBloomFilter::Build(c, bopts);
+  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
+
+  std::vector<sets::Query> queries;
+  sets::ForEachSubset(sets::SetView(universe), kMaxSubset,
+                      [&](sets::SetView q) {
+                        queries.push_back(sets::Query{
+                            std::vector<sets::ElementId>(q.begin(), q.end())});
+                      });
+  const std::vector<int64_t> positions = index->LookupBatch(queries);
+  const std::vector<double> estimates = card->EstimateBatch(queries);
+  const std::vector<double> loaded_estimates = loaded->EstimateBatch(queries);
+  const std::vector<bool> verdicts = bloom->MayContainMulti(queries).verdicts;
+
+  size_t aux_hits = 0, outliers = 0, oov = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    const sets::SetView q = queries[i].view();
+    oov += q.back() == unseen;
+
+    LearnedSetIndex::LookupStats stats, probe;
+    const int64_t pos = index->Lookup(q, &stats);
+    EXPECT_EQ(index->ProbeLookup(q, &probe), pos);
+    EXPECT_EQ(positions[i], pos);
+    EXPECT_EQ(probe.aux_hit, stats.aux_hit);
+    EXPECT_EQ(probe.estimate, stats.estimate);
+    EXPECT_EQ(probe.scan_width, stats.scan_width);
+    EXPECT_EQ(probe.visited, stats.visited);
+    aux_hits += stats.aux_hit;
+
+    const double est = card->Estimate(q);
+    EXPECT_EQ(Bits(estimates[i]), Bits(est));
+    EXPECT_EQ(Bits(loaded->Estimate(q)), Bits(est));
+    EXPECT_EQ(Bits(loaded_estimates[i]), Bits(est));
+    EXPECT_EQ(loaded->IsOutlier(q), card->IsOutlier(q));
+    if (card->IsOutlier(q)) {
+      ++outliers;
+      double truth = 0.0;
+      for (size_t s = 0; s < c.size(); ++s) truth += c.SetContainsSorted(s, q);
+      EXPECT_EQ(est, truth);
+      EXPECT_EQ(estimates[i], truth);
+      EXPECT_EQ(loaded->Estimate(q), truth);
+      EXPECT_EQ(loaded_estimates[i], truth);
+    }
+
+    const bool verdict = bloom->MayContain(q);
+    EXPECT_EQ(bloom->ProbeMayContain(q), verdict);
+    EXPECT_EQ(verdicts[i], verdict);
+  }
+  EXPECT_GT(aux_hits, 0u);
+  EXPECT_EQ(outliers, card->num_outliers());
+  EXPECT_GT(oov, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Tests for the span-tracing subsystem (common/trace.h): runtime/compile
-// gating, nesting, 1-in-N sampling with nested suppression, ring wrap,
+// Tests for the span-tracing subsystem (common/trace.h): runtime gating,
+// nesting, 1-in-N sampling with nested suppression, suppressed scopes and
+// the shadow probes that run under one, ring wrap,
 // cross-thread recording via the thread pool, the Chrome trace_event
 // exporter (parsed back with a minimal JSON reader), the per-stage summary
 // bridge into MetricsRegistry, and the end-to-end coverage acceptance check
@@ -19,9 +20,12 @@
 #include "common/metrics.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
+#include "core/learned_index.h"
 #include "sets/generators.h"
 #include "sets/set_collection.h"
+#include "sets/subset_gen.h"
 
 namespace los {
 namespace {
@@ -209,24 +213,7 @@ TEST_F(TraceTest, RuntimeDisabledObservesNothing) {
   EXPECT_TRUE(Tracer::Global()->Collect().empty());
 }
 
-TEST_F(TraceTest, CompiledOutObservesNothingEvenWhenEnabled) {
-  if (kTracingCompiledIn) GTEST_SKIP() << "tracing compiled in";
-  Tracer::Global()->set_enabled(true);
-  {
-    TRACE_SPAN("test", "test.compiled_out");
-    TRACE_SPAN_VAR(span, "test", "test.compiled_out_var");
-    EXPECT_FALSE(span.recording());
-  }
-  EXPECT_TRUE(Tracer::Global()->Collect().empty());
-  // The exporter still produces a valid (empty) document.
-  JsonValue doc;
-  ASSERT_TRUE(JsonReader(Tracer::Global()->ChromeTraceJson()).Parse(&doc));
-  ASSERT_NE(doc.Get("traceEvents"), nullptr);
-  EXPECT_TRUE(doc.Get("traceEvents")->items.empty());
-}
-
 TEST_F(TraceTest, RecordsNestedSpansWithArgs) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   {
     TRACE_SPAN_VAR(outer, "test", "test.outer");
@@ -251,7 +238,6 @@ TEST_F(TraceTest, RecordsNestedSpansWithArgs) {
 }
 
 TEST_F(TraceTest, StopEndsSpanEarlyAndIsIdempotent) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   {
     TRACE_SPAN_VAR(span, "test", "test.stopped");
@@ -267,7 +253,6 @@ TEST_F(TraceTest, StopEndsSpanEarlyAndIsIdempotent) {
 }
 
 TEST_F(TraceTest, SamplingRecordsExactlyOneInN) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_sample_every(4);
   Tracer::Global()->set_enabled(true);
   for (int i = 0; i < 12; ++i) {
@@ -290,8 +275,86 @@ TEST_F(TraceTest, SamplingRecordsExactlyOneInN) {
   EXPECT_EQ(CountByName(Tracer::Global()->Collect(), "test.query"), 5u);
 }
 
+TEST_F(TraceTest, SuppressedScopeRecordsNothingNested) {
+  Tracer::Global()->set_enabled(true);
+  {
+    TraceSpan quiet(TraceSpan::SuppressTag{});
+    EXPECT_FALSE(quiet.recording());
+    TRACE_SPAN("test", "test.hidden");
+    TRACE_SPAN_SAMPLED_VAR(hidden, "test", "test.hidden_sampled");
+    EXPECT_FALSE(hidden.recording());
+  }
+  {
+    // A default span neither records nor suppresses.
+    TraceSpan none;
+    none.set_arg("x", 1.0);
+    EXPECT_FALSE(none.recording());
+    TRACE_SPAN("test", "test.after");
+  }
+  auto events = Tracer::Global()->Collect();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_STREQ(events[0].name, "test.after");
+}
+
+// Shadow probes run the serving flow with silent instruments under one
+// suppressed scope: with tracing on at sample 1 they record no span (none
+// of the model's stage or GEMM spans either) and leave every instrument of
+// the structures' registry at zero.
+TEST_F(TraceTest, ShadowProbesRecordNothing) {
+  sets::RwConfig cfg;
+  cfg.num_sets = 300;
+  cfg.num_unique = 80;
+  auto collection = GenerateRw(cfg);
+  core::IndexOptions iopts;
+  iopts.model.embed_dim = 8;
+  iopts.model.phi_hidden = {16};
+  iopts.model.rho_hidden = {16};
+  iopts.train.epochs = 1;
+  iopts.max_subset_size = 2;
+  iopts.fallback_full_scan = true;
+  auto index = core::LearnedSetIndex::Build(collection, iopts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  core::BloomOptions bopts;
+  bopts.train.epochs = 1;
+  bopts.max_subset_size = 2;
+  auto bloom = core::LearnedBloomFilter::Build(collection, bopts);
+  ASSERT_TRUE(bloom.ok()) << bloom.status().ToString();
+  MetricsRegistry registry;
+  index->SetMetricsRegistry(&registry);
+  bloom->SetMetricsRegistry(&registry);
+
+  auto subsets = EnumerateLabeledSubsets(collection, {2});
+  std::vector<std::vector<sets::ElementId>> queries;
+  for (size_t i = 0; i < 50; ++i) {
+    const sets::SetView s = subsets.subset(i * subsets.size() / 50);
+    queries.emplace_back(s.begin(), s.end());
+  }
+  queries.push_back({collection.universe_size()});  // out of vocabulary
+  Tracer::Global()->set_sample_every(1);
+  Tracer::Global()->set_enabled(true);
+  for (const auto& q : queries) {
+    index->ProbeLookup(sets::SetView(q));
+    bloom->ProbeMayContain(sets::SetView(q));
+  }
+  EXPECT_TRUE(Tracer::Global()->Collect().empty());
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_FALSE(snap.counters.empty());
+  for (const auto& c : snap.counters) EXPECT_EQ(c.value, 0u) << c.name;
+  for (const auto& h : snap.histograms) EXPECT_EQ(h.count, 0u) << h.name;
+
+  // The serving calls on the same thread still record: the probes left no
+  // suppression behind, and the zeros above are not a tracing outage.
+  index->Lookup(sets::SetView(queries[0]));
+  bloom->MayContain(sets::SetView(queries[0]));
+  auto events = Tracer::Global()->Collect();
+  EXPECT_EQ(CountByName(events, "index.lookup"), 1u);
+  EXPECT_EQ(CountByName(events, "bloom.may_contain"), 1u);
+  EXPECT_GE(CountByName(events, "model.forward"), 1u);
+  EXPECT_EQ(registry.GetCounter("index.lookups")->value(), 1u);
+  EXPECT_EQ(registry.GetCounter("bloom.queries")->value(), 1u);
+}
+
 TEST_F(TraceTest, RingWrapKeepsFreshestRecordsWithoutTearing) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   const size_t cap = Tracer::kThreadBufferCapacity;
   const size_t total = cap + 257;  // wrap, not by a multiple of the capacity
@@ -315,7 +378,6 @@ TEST_F(TraceTest, RingWrapKeepsFreshestRecordsWithoutTearing) {
 }
 
 TEST_F(TraceTest, ResetDropsBufferedSpans) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   { TRACE_SPAN("test", "test.before"); }
   ASSERT_EQ(Tracer::Global()->Collect().size(), 1u);
@@ -328,7 +390,6 @@ TEST_F(TraceTest, ResetDropsBufferedSpans) {
 }
 
 TEST_F(TraceTest, EmitRecordsExternallyTimedSpan) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   const uint64_t start = Tracer::NowNs();
   Tracer::Global()->Emit("test", "test.emit", start, 12345, "n", 7.0);
@@ -341,7 +402,6 @@ TEST_F(TraceTest, EmitRecordsExternallyTimedSpan) {
 }
 
 TEST_F(TraceTest, ThreadPoolWorkersRecordUnderTheirOwnIds) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   {
     ThreadPool pool(2);
@@ -384,7 +444,6 @@ TEST_F(TraceTest, ThreadPoolWorkersRecordUnderTheirOwnIds) {
 }
 
 TEST_F(TraceTest, ChromeTraceJsonParsesBack) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::SetCurrentThreadName("trace-test-main");
   Tracer::Global()->set_enabled(true);
   {
@@ -436,7 +495,6 @@ TEST_F(TraceTest, ChromeTraceJsonParsesBack) {
 }
 
 TEST_F(TraceTest, SummaryToBuildsPerStageHistograms) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   Tracer::Global()->set_enabled(true);
   for (int i = 0; i < 5; ++i) {
     TRACE_SPAN("test", "test.stage_a");
@@ -476,7 +534,6 @@ TEST_F(TraceTest, SummaryToBuildsPerStageHistograms) {
 // stage spans covering >= 90% of its end-to-end latency, with the
 // aux-probe / gather / phi / pool / rho stages all visible.
 TEST_F(TraceTest, CardinalityEstimateSpansCoverEndToEndLatency) {
-  if (!kTracingCompiledIn) GTEST_SKIP() << "tracing compiled out";
   sets::RwConfig cfg;
   cfg.num_sets = 1500;
   cfg.num_unique = 400;
