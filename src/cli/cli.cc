@@ -510,9 +510,7 @@ int CmdMonitor(const ArgParser& args, std::ostream& out) {
 
     monitor::BloomMonitor mon(mopts);
     mon.SetProbeFn([&](sets::SetView q) {
-      auto pin = (*live)->engine()->Acquire();
-      if (pin->filter->ProbeMayContain(q)) return true;
-      return pin->delta->MayContain(q);
+      return (*live)->Acquire()->ProbeMayContain(q);
     });
     mon.SetRetrainCallback(
         [&] { (*live)->engine()->RequestQualityRebuild(); });

@@ -1,7 +1,7 @@
 #ifndef LOS_CORE_UPDATABLE_H_
 #define LOS_CORE_UPDATABLE_H_
 
-// Online-update subsystem (ROADMAP item 2): serve queries from immutable
+// Online-update subsystem (ROADMAP item 5): serve queries from immutable
 // model generations while updates absorb on the writer side and a
 // background trainer thread rebuilds and atomically swaps in fresh
 // generations — continuous ingest under query load with no serving stalls.
@@ -27,11 +27,16 @@
 //                        `updatable.<name>.*` metrics + "updatable" trace
 //                        spans.
 //
-//   UpdatableSetIndex / UpdatableCardinality / UpdatableBloom
-//                        Typed wrappers (updatable.cc) that own the
-//                        writer-side master state and supply the engine's
-//                        build/finalize/checkpoint hooks. See each class
-//                        comment for its visibility contract.
+//   Updatable<Traits>    The one wrapper (defined below): owns the
+//                        writer-side master collection and supplies the
+//                        engine's build/finalize/checkpoint hooks. A traits
+//                        class (IndexTraits, CardinalityTraits,
+//                        BloomTraits) supplies only what differs: the
+//                        generation type, the build from a collection, the
+//                        absorb step of a write, the finalize replay and
+//                        the Save. UpdatableSetIndex, UpdatableCardinality
+//                        and UpdatableBloom name its three instances; see
+//                        each traits class for its visibility contract.
 //
 // Thread safety: any number of reader threads may call the query entry
 // points concurrently with one updater thread and the background trainer.
@@ -40,17 +45,20 @@
 // for a single ingest stream. Destruction must not race with any call.
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -58,6 +66,7 @@
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
 #include "sets/set_hash.h"
+#include "sets/subset_gen.h"
 
 namespace los::core {
 
@@ -247,14 +256,17 @@ class GenerationStore {
   std::mutex writer_mu_;
 };
 
-/// Policy knobs shared by the three updatable wrappers.
 /// Applies `nice` to the calling thread (Linux; no-op elsewhere). Failures
 /// are ignored: priority is an optimization, never a correctness knob.
 void LowerThreadPriority(int nice);
 
+/// Policy knobs shared by the three updatable structures.
 struct UpdatableOptions {
   /// Background retrain is recommended (and auto-triggered) once this many
-  /// updates have been absorbed since the last rebuild snapshot. 0 disables
+  /// units have been absorbed since the last rebuild snapshot. The unit is
+  /// the structure's: for the index, subsets an Update routed to the aux
+  /// tree; for cardinality, sets written (one per Update or Insert); for
+  /// the Bloom filter, subsets absorbed into the delta filter. 0 disables
   /// automatic triggering (RequestRebuild / RebuildNow still work).
   size_t rebuild_after_absorbed = 10000;
   /// true: rebuilds run on the engine's trainer thread and swap in when
@@ -273,7 +285,7 @@ struct UpdatableOptions {
   int trainer_nice = 0;
 };
 
-/// \brief The engine behind the three updatable wrappers: generation store
+/// \brief The engine behind Updatable<Traits>: generation store
 /// + rebuild trigger accounting + background trainer thread + metrics,
 /// tracing and checkpointing.
 ///
@@ -335,8 +347,8 @@ class UpdatableStructure {
   uint64_t generation() const { return store_.generation(); }
   const std::string& name() const { return name_; }
 
-  /// Serializes all writer-side master-state mutation (wrappers lock it in
-  /// their Update/Insert paths; the rebuild hooks lock it to snapshot and
+  /// Serializes all writer-side master-state mutation (Updatable locks it
+  /// in its Update/Insert paths; the rebuild hooks lock it to snapshot and
   /// to finalize). Readers never touch it.
   std::mutex& write_mu() { return write_mu_; }
 
@@ -637,7 +649,7 @@ class ConcurrentBloomDelta {
 };
 
 // ---------------------------------------------------------------------------
-// Typed wrappers (implementations in updatable.cc).
+// Updatable<Traits> and its three traits, header-defined like serve::Service<>.
 // ---------------------------------------------------------------------------
 
 /// One immutable read generation of the index: a collection snapshot plus
@@ -646,22 +658,223 @@ class ConcurrentBloomDelta {
 struct IndexGeneration {
   std::unique_ptr<sets::SetCollection> collection;
   std::unique_ptr<LearnedSetIndex> index;
+
+  void SetMetricsRegistry(MetricsRegistry* r) { index->SetMetricsRegistry(r); }
 };
 
-/// \brief Concurrent-update first-superset index: §7.2 absorb-then-rebuild
-/// behind RCU generation swaps.
+/// One immutable read generation of the membership filter plus the
+/// concurrent delta filter absorbing inserts that postdate its retrain.
+struct BloomGeneration {
+  std::unique_ptr<LearnedBloomFilter> filter;
+  std::shared_ptr<ConcurrentBloomDelta> delta;
+
+  /// The live answer: the trained filter, else the delta of the writes it
+  /// was not trained on. The delta only ever flips a verdict to true.
+  bool MayContain(sets::SetView q) const {
+    return filter->MayContain(q) || delta->MayContain(q);
+  }
+  /// verdicts[i] matches MayContain(queries[i]).
+  std::vector<bool> MayContainMulti(
+      const std::vector<sets::Query>& queries) const {
+    std::vector<bool> verdicts =
+        std::move(filter->MayContainMulti(queries).verdicts);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if (!verdicts[i]) verdicts[i] = delta->MayContain(queries[i].view());
+    }
+    return verdicts;
+  }
+  /// MayContain's answer through the filter's metric-silent probe.
+  bool ProbeMayContain(sets::SetView q) const {
+    return filter->ProbeMayContain(q) || delta->MayContain(q);
+  }
+  void SetMetricsRegistry(MetricsRegistry* r) { filter->SetMetricsRegistry(r); }
+};
+
+/// \brief A learned structure under concurrent updates: §7.2
+/// absorb-then-rebuild behind RCU generation swaps.
+///
+/// Owns the writer-side master collection and the engine. Each write runs
+/// the trait's absorb step under the engine's write mutex and counts what
+/// it absorbed toward `rebuild_after_absorbed`. A rebuild snapshots the
+/// master under that mutex, lets the trait build a generation from the
+/// snapshot unlocked, then runs the trait's finalize replay (if it has one)
+/// back under the mutex before the swap. The query calls are named per
+/// structure, and each exists only on its own instance.
+template <typename Traits>
+class Updatable {
+ public:
+  using Generation = typename Traits::Generation;
+  using Options = typename Traits::Options;
+  using Engine = UpdatableStructure<Generation>;
+
+  static Result<std::unique_ptr<Updatable>> Build(
+      sets::SetCollection collection, const Options& opts,
+      MetricsRegistry* registry = nullptr) {
+    auto self = std::unique_ptr<Updatable>(new Updatable());
+    self->opts_ = opts;
+    self->registry_ =
+        registry != nullptr ? registry : MetricsRegistry::Global();
+    self->master_ =
+        std::make_unique<sets::SetCollection>(std::move(collection));
+    auto initial = Traits::Build(*self->master_, opts);
+    if (!initial.ok()) return initial.status();
+    (*initial)->SetMetricsRegistry(self->registry_);
+
+    typename Engine::Hooks hooks;
+    Updatable* raw = self.get();
+    hooks.build = [raw] { return raw->BuildGeneration(); };
+    hooks.finalize = [raw](std::unique_ptr<Generation> g) {
+      return raw->Finalize(std::move(g));
+    };
+    if (!opts.update.checkpoint_path.empty()) {
+      hooks.checkpoint = [raw](const Generation& g) {
+        return raw->CheckpointGeneration(g);
+      };
+    }
+    self->engine_ = std::make_unique<Engine>(
+        Traits::kName, self->Finalize(std::move(*initial)), opts.update,
+        std::move(hooks), self->registry_);
+    return self;
+  }
+
+  int64_t Lookup(sets::SetView q,
+                 LearnedSetIndex::LookupStats* stats = nullptr)
+    requires std::same_as<Generation, IndexGeneration>
+  {
+    return Acquire()->index->Lookup(q, stats);
+  }
+  std::vector<int64_t> LookupBatch(const std::vector<sets::Query>& queries)
+    requires std::same_as<Generation, IndexGeneration>
+  {
+    return Acquire()->index->LookupBatch(queries);
+  }
+  double Estimate(sets::SetView q)
+    requires std::same_as<Generation, LearnedCardinalityEstimator>
+  {
+    return Acquire()->Estimate(q);
+  }
+  std::vector<double> EstimateBatch(const std::vector<sets::Query>& queries)
+    requires std::same_as<Generation, LearnedCardinalityEstimator>
+  {
+    return Acquire()->EstimateBatch(queries);
+  }
+  bool MayContain(sets::SetView q)
+    requires std::same_as<Generation, BloomGeneration>
+  {
+    return Acquire()->MayContain(q);
+  }
+  std::vector<bool> MayContainMulti(const std::vector<sets::Query>& queries)
+    requires std::same_as<Generation, BloomGeneration>
+  {
+    return Acquire()->MayContainMulti(queries);
+  }
+
+  /// Replaces set `position` with new contents and absorbs the write.
+  Status Update(size_t position, std::vector<sets::ElementId> elements) {
+    Result<size_t> absorbed = Status::OK();
+    {
+      std::lock_guard<std::mutex> lock(engine_->write_mu());
+      absorbed = traits_.Update(*this, position, std::move(elements));
+      if (!absorbed.ok()) return absorbed.status();
+      updates_applied_.fetch_add(1, std::memory_order_relaxed);
+    }
+    engine_->NoteAbsorbed(*absorbed);
+    return Status::OK();
+  }
+
+  /// Appends a new set and absorbs it; returns its position. The index has
+  /// no Insert: its positions are what it learned.
+  size_t Insert(std::vector<sets::ElementId> elements)
+    requires(!std::same_as<Generation, IndexGeneration>)
+  {
+    size_t position;
+    size_t absorbed;
+    {
+      std::lock_guard<std::mutex> lock(engine_->write_mu());
+      position = master_->size();
+      absorbed = traits_.Insert(*this, std::move(elements));
+      updates_applied_.fetch_add(1, std::memory_order_relaxed);
+    }
+    engine_->NoteAbsorbed(absorbed);
+    return position;
+  }
+
+  bool NeedsRebuild() const { return engine_->NeedsRebuild(); }
+  void RequestRebuild() { engine_->RequestRebuild(); }
+  Status RebuildNow() { return engine_->RebuildNow(); }
+  void WaitForRebuilds() { engine_->WaitForRebuilds(); }
+
+  /// Consistent copy of the writer-side master collection (takes write_mu
+  /// briefly). The monitor layer rebuilds ground-truth oracles from it.
+  sets::SetCollection SnapshotCollection() {
+    std::lock_guard<std::mutex> lock(engine_->write_mu());
+    return *master_;
+  }
+
+  uint64_t generation() const { return engine_->generation(); }
+  /// Successful Update and Insert calls so far.
+  uint64_t updates_applied() const {
+    return updates_applied_.load(std::memory_order_relaxed);
+  }
+  typename Engine::ReadPin Acquire() const { return engine_->Acquire(); }
+  Engine* engine() { return engine_.get(); }
+
+ private:
+  friend Traits;
+  Updatable() = default;
+
+  /// Engine build hook: snapshot under write_mu, then the trait builds.
+  Result<std::unique_ptr<Generation>> BuildGeneration() {
+    sets::SetCollection snapshot;
+    {
+      // Snapshot cut: writes from here on are replayed by Finalize.
+      std::lock_guard<std::mutex> lock(engine_->write_mu());
+      snapshot = *master_;
+      if constexpr (requires { &Traits::OnSnapshot; }) traits_.OnSnapshot();
+    }
+    auto gen = Traits::Build(std::move(snapshot), opts_);
+    if (gen.ok()) (*gen)->SetMetricsRegistry(registry_);
+    return gen;
+  }
+
+  /// Engine finalize hook, under write_mu (and once at Build).
+  std::unique_ptr<Generation> Finalize(std::unique_ptr<Generation> built) {
+    if constexpr (requires { &Traits::Finalize; }) {
+      return traits_.Finalize(*this, std::move(built));
+    } else {
+      return built;
+    }
+  }
+
+  Status CheckpointGeneration(const Generation& gen) const {
+    BinaryWriter w;
+    Traits::Save(gen, &w);
+    return w.WriteToFile(opts_.update.checkpoint_path);
+  }
+
+  Options opts_;
+  MetricsRegistry* registry_ = nullptr;
+  std::unique_ptr<sets::SetCollection> master_;
+  Traits traits_;
+  std::atomic<uint64_t> updates_applied_{0};
+  // Declared last: its destructor joins the trainer thread before the
+  // master state above (captured by the hooks) is torn down.
+  std::unique_ptr<Engine> engine_;
+};
+
+/// \brief The first-superset index under updates.
 ///
 /// Visibility contract: an Update is applied to the writer-side master
 /// immediately and becomes visible to readers at the next snapshot publish
 /// — every `publish_after_updates` updates (default 1: each Update's
 /// publish makes it visible before Update returns). A snapshot is a copy
 /// of the master collection with LearnedSetIndex::BoundTo of the master
-/// index on it; generations share the model until a rebuild. Rebuilds retrain
-/// in the background and swap without blocking readers; updates that raced
-/// the retrain are re-absorbed into the new generation before it publishes,
-/// so no absorbed update is ever lost by a swap.
-class UpdatableSetIndex {
- public:
+/// index on it; generations share the model until a rebuild. Rebuilds
+/// retrain in the background and swap without blocking readers; updates
+/// that raced the retrain are re-absorbed into the new generation before it
+/// publishes, so no absorbed update is ever lost by a swap.
+struct IndexTraits {
+  using Generation = IndexGeneration;
   struct Options {
     IndexOptions index;
     UpdatableOptions update;
@@ -670,121 +883,118 @@ class UpdatableSetIndex {
     /// one snapshot's collection and aux-tree copy over an update batch.
     size_t publish_after_updates = 1;
   };
+  static constexpr const char* kName = "index";
 
-  static Result<std::unique_ptr<UpdatableSetIndex>> Build(
-      sets::SetCollection collection, const Options& opts,
-      MetricsRegistry* registry = nullptr);
-  ~UpdatableSetIndex();
-
-  int64_t Lookup(sets::SetView q,
-                 LearnedSetIndex::LookupStats* stats = nullptr);
-  std::vector<int64_t> LookupBatch(const std::vector<sets::Query>& queries);
-
-  /// Replaces set `position` with new contents; absorbs now-unfindable
-  /// subsets into the master's auxiliary structure (§7.2).
-  Status Update(size_t position, std::vector<sets::ElementId> new_elements);
-
-  bool NeedsRebuild() const { return engine_->NeedsRebuild(); }
-  void RequestRebuild() { engine_->RequestRebuild(); }
-  Status RebuildNow() { return engine_->RebuildNow(); }
-  void WaitForRebuilds() { engine_->WaitForRebuilds(); }
-
-  /// Consistent copy of the writer-side master collection (takes write_mu
-  /// briefly). The monitor layer rebuilds ground-truth oracles from it.
-  sets::SetCollection SnapshotCollection();
-
-  uint64_t generation() const { return engine_->generation(); }
-  uint64_t updates_applied() const {
-    return updates_applied_.load(std::memory_order_relaxed);
+  static Result<std::unique_ptr<Generation>> Build(
+      sets::SetCollection snapshot, const Options& opts) {
+    if (opts.publish_after_updates == 0) {
+      return Status::InvalidArgument("publish_after_updates must be >= 1");
+    }
+    auto gen = std::make_unique<IndexGeneration>();
+    gen->collection =
+        std::make_unique<sets::SetCollection>(std::move(snapshot));
+    auto built = LearnedSetIndex::Build(*gen->collection, opts.index);
+    if (!built.ok()) return built.status();
+    gen->index = std::make_unique<LearnedSetIndex>(std::move(*built));
+    return gen;
   }
-  GenerationStore<IndexGeneration>::ReadPin Acquire() const {
-    return engine_->Acquire();
+
+  static void Save(const Generation& gen, BinaryWriter* w) {
+    gen.collection->Save(w);
+    gen.index->Save(w);
   }
-  UpdatableStructure<IndexGeneration>* engine() { return engine_.get(); }
+
+  /// Replaces set `position` in the master and absorbs now-unfindable
+  /// subsets into the master index's aux structure (§7.2); returns how
+  /// many it routed there.
+  Result<size_t> Update(Updatable<IndexTraits>& u, size_t position,
+                        std::vector<sets::ElementId> elements) {
+    sets::SetCollection& master = *u.master_;
+    const sets::SetView old =
+        position < master.size() ? master.set(position) : sets::SetView();
+    std::vector<sets::ElementId> old_content(old.begin(), old.end());
+    LOS_RETURN_NOT_OK(master.UpdateSet(position, std::move(elements)));
+    const size_t routed = master_index_->AbsorbUpdatedSet(
+        position, u.opts_.index.max_subset_size, old_content);
+    updated_positions_.insert(position);
+    if (++updates_since_publish_ >= u.opts_.publish_after_updates) {
+      u.engine_->PublishLocked(Snapshot(master));
+      updates_since_publish_ = 0;
+    }
+    return routed;
+  }
+
+  void OnSnapshot() { updated_positions_.clear(); }
+
+  std::unique_ptr<Generation> Finalize(Updatable<IndexTraits>& u,
+                                       std::unique_ptr<Generation> built) {
+    // The built index trained on the snapshot; the master collection may
+    // have moved on. Bind a copy of the trained index to the master,
+    // re-absorb the post-snapshot updates into its fresh auxiliary
+    // structure, then publish a snapshot of that.
+    master_index_ = std::make_unique<LearnedSetIndex>(
+        built->index->BoundTo(*u.master_));
+    // The built index knows each replayed set as the snapshot held it.
+    for (size_t pos : updated_positions_) {
+      master_index_->AbsorbUpdatedSet(pos, u.opts_.index.max_subset_size,
+                                      built->collection->set(pos));
+    }
+    return Snapshot(*u.master_);
+  }
 
  private:
-  UpdatableSetIndex() = default;
+  std::unique_ptr<Generation> Snapshot(
+      const sets::SetCollection& master) const {
+    auto gen = std::make_unique<IndexGeneration>();
+    gen->collection = std::make_unique<sets::SetCollection>(master);
+    gen->index = std::make_unique<LearnedSetIndex>(
+        master_index_->BoundTo(*gen->collection));
+    return gen;
+  }
 
-  Result<std::unique_ptr<IndexGeneration>> BuildGeneration();
-  std::unique_ptr<IndexGeneration> FinalizeGeneration(
-      std::unique_ptr<IndexGeneration> built);
-  std::unique_ptr<IndexGeneration> SnapshotMasterLocked() const;
-  Status CheckpointGeneration(const IndexGeneration& gen) const;
-
-  Options opts_;
-  MetricsRegistry* registry_ = nullptr;
-  std::unique_ptr<sets::SetCollection> master_collection_;
   std::unique_ptr<LearnedSetIndex> master_index_;
-  std::vector<size_t> updated_positions_;  ///< since last rebuild snapshot
+  std::set<size_t> updated_positions_;  ///< since last rebuild snapshot
   size_t updates_since_publish_ = 0;
-  std::atomic<uint64_t> updates_applied_{0};
-  // Declared last: its destructor joins the trainer thread before the
-  // master state above (captured by the hooks) is torn down.
-  std::unique_ptr<UpdatableStructure<IndexGeneration>> engine_;
 };
 
-/// \brief Concurrent-update cardinality estimator: the delta-buffer +
-/// periodic-retrain pattern. Updates mutate the writer-side collection only
-/// — estimates serve from the last published generation (bounded staleness,
+/// \brief The cardinality estimator under updates: the delta-buffer +
+/// periodic-retrain pattern. Writes mutate the master collection only —
+/// estimates serve from the last published generation (bounded staleness,
 /// the paper's §7.2 trade) until the background retrain swaps in a fresh
-/// model.
-class UpdatableCardinality {
- public:
+/// model. It has no finalize replay: a rebuild trains on the newest
+/// snapshot and later writes wait for the next one.
+struct CardinalityTraits {
+  using Generation = LearnedCardinalityEstimator;
   struct Options {
     CardinalityOptions cardinality;
     UpdatableOptions update;
   };
+  static constexpr const char* kName = "cardinality";
 
-  static Result<std::unique_ptr<UpdatableCardinality>> Build(
-      sets::SetCollection collection, const Options& opts,
-      MetricsRegistry* registry = nullptr);
-  ~UpdatableCardinality();
-
-  double Estimate(sets::SetView q);
-  std::vector<double> EstimateBatch(const std::vector<sets::Query>& queries);
-
-  /// Replaces set `position` with new contents in the master collection.
-  Status Update(size_t position, std::vector<sets::ElementId> new_elements);
-  /// Appends a new set; returns its position.
-  size_t Insert(std::vector<sets::ElementId> elements);
-
-  bool NeedsRebuild() const { return engine_->NeedsRebuild(); }
-  void RequestRebuild() { engine_->RequestRebuild(); }
-  Status RebuildNow() { return engine_->RebuildNow(); }
-  void WaitForRebuilds() { engine_->WaitForRebuilds(); }
-
-  /// Consistent copy of the writer-side master collection (takes write_mu
-  /// briefly). The monitor layer rebuilds ground-truth oracles from it.
-  sets::SetCollection SnapshotCollection();
-
-  uint64_t generation() const { return engine_->generation(); }
-  GenerationStore<LearnedCardinalityEstimator>::ReadPin Acquire() const {
-    return engine_->Acquire();
-  }
-  UpdatableStructure<LearnedCardinalityEstimator>* engine() {
-    return engine_.get();
+  static Result<std::unique_ptr<Generation>> Build(
+      sets::SetCollection snapshot, const Options& opts) {
+    auto built = LearnedCardinalityEstimator::Build(snapshot, opts.cardinality);
+    if (!built.ok()) return built.status();
+    return std::make_unique<LearnedCardinalityEstimator>(std::move(*built));
   }
 
- private:
-  UpdatableCardinality() = default;
+  static void Save(const Generation& gen, BinaryWriter* w) { gen.Save(w); }
 
-  Result<std::unique_ptr<LearnedCardinalityEstimator>> BuildGeneration();
-  Status CheckpointGeneration(const LearnedCardinalityEstimator& gen) const;
+  static Result<size_t> Update(Updatable<CardinalityTraits>& u,
+                               size_t position,
+                               std::vector<sets::ElementId> elements) {
+    LOS_RETURN_NOT_OK(u.master_->UpdateSet(position, std::move(elements)));
+    return size_t{1};
+  }
 
-  Options opts_;
-  MetricsRegistry* registry_ = nullptr;
-  std::unique_ptr<sets::SetCollection> master_collection_;
-  std::unique_ptr<UpdatableStructure<LearnedCardinalityEstimator>> engine_;
+  static size_t Insert(Updatable<CardinalityTraits>& u,
+                       std::vector<sets::ElementId> elements) {
+    u.master_->Add(std::move(elements));
+    return 1;
+  }
 };
 
-/// One immutable read generation of the membership filter plus the
-/// concurrent delta filter absorbing inserts that postdate its retrain.
-struct BloomGeneration {
-  std::unique_ptr<LearnedBloomFilter> filter;
-  std::shared_ptr<ConcurrentBloomDelta> delta;
-};
-
-/// \brief Concurrent-update learned Bloom filter. Inserts absorb into the
+/// \brief The learned Bloom filter under updates. Writes absorb into the
 /// generation's delta filter immediately (in the spirit of one-shot
 /// memory-augmented updates — no retrain needed for correctness), so:
 ///
@@ -792,71 +1002,100 @@ struct BloomGeneration {
 ///   "maybe present" for S and for every subset of S up to
 ///   max_subset_size, at all times and across generation swaps.
 ///
-/// A background rebuild folds absorbed inserts into a fresh learned filter
-/// (its backup filter restores the trained no-false-negative guarantee) and
-/// replays any insert that raced the retrain into the new generation's
-/// delta before the swap, so the guarantee has no gaps.
-class UpdatableBloom {
- public:
+/// An Update absorbs the new content the same way; the old content may
+/// keep answering "maybe present" until the next rebuild — false
+/// positives, never false negatives. A background rebuild folds absorbed
+/// writes into a fresh learned filter (its backup filter restores the
+/// trained no-false-negative guarantee) and replays any write that raced
+/// the retrain into the new generation's delta before the swap, so the
+/// guarantee has no gaps.
+struct BloomTraits {
+  using Generation = BloomGeneration;
   struct Options {
     BloomOptions bloom;
     UpdatableOptions update;
-    /// Delta filter sizing. Bits are fixed per generation; an over-full
-    /// delta only raises the false-positive rate. ~16 KiB default.
-    size_t delta_bits = 1 << 17;
-    size_t delta_hashes = 4;
   };
+  static constexpr const char* kName = "bloom";
+  /// Delta filter sizing (~16 KiB). Bits are fixed per generation; an
+  /// over-full delta only raises the false-positive rate.
+  static constexpr size_t kDeltaBits = size_t{1} << 17;
+  static constexpr size_t kDeltaHashes = 4;
 
-  static Result<std::unique_ptr<UpdatableBloom>> Build(
-      sets::SetCollection collection, const Options& opts,
-      MetricsRegistry* registry = nullptr);
-  ~UpdatableBloom();
-
-  bool MayContain(sets::SetView q);
-  /// verdicts[i] matches MayContain(queries[i]).
-  std::vector<bool> MayContainMulti(const std::vector<sets::Query>& queries);
-
-  /// Adds a new set; all its subsets up to max_subset_size answer
-  /// MayContain == true from now on. Returns the new set's position.
-  size_t Insert(std::vector<sets::ElementId> elements);
-  /// Replaces set `position`; the new content's subsets are absorbed (the
-  /// old content may keep answering "maybe present" until the next rebuild
-  /// — false positives, never false negatives).
-  Status Update(size_t position, std::vector<sets::ElementId> new_elements);
-
-  bool NeedsRebuild() const { return engine_->NeedsRebuild(); }
-  void RequestRebuild() { engine_->RequestRebuild(); }
-  Status RebuildNow() { return engine_->RebuildNow(); }
-  void WaitForRebuilds() { engine_->WaitForRebuilds(); }
-
-  /// Consistent copy of the writer-side master collection (takes write_mu
-  /// briefly). The monitor layer rebuilds ground-truth oracles from it.
-  sets::SetCollection SnapshotCollection();
-
-  uint64_t generation() const { return engine_->generation(); }
-  GenerationStore<BloomGeneration>::ReadPin Acquire() const {
-    return engine_->Acquire();
+  static Result<std::unique_ptr<Generation>> Build(
+      sets::SetCollection snapshot, const Options& opts) {
+    auto built = LearnedBloomFilter::Build(snapshot, opts.bloom);
+    if (!built.ok()) return built.status();
+    auto gen = std::make_unique<BloomGeneration>();
+    gen->filter = std::make_unique<LearnedBloomFilter>(std::move(*built));
+    gen->delta =
+        std::make_shared<ConcurrentBloomDelta>(kDeltaBits, kDeltaHashes);
+    return gen;
   }
-  UpdatableStructure<BloomGeneration>* engine() { return engine_.get(); }
+
+  static void Save(const Generation& gen, BinaryWriter* w) {
+    gen.filter->Save(w);
+  }
+
+  Result<size_t> Update(Updatable<BloomTraits>& u, size_t position,
+                        std::vector<sets::ElementId> elements) {
+    sets::Canonicalize(&elements);
+    LOS_RETURN_NOT_OK(u.master_->UpdateSet(position, elements));
+    return Absorb(u, std::move(elements));
+  }
+
+  size_t Insert(Updatable<BloomTraits>& u,
+                std::vector<sets::ElementId> elements) {
+    sets::Canonicalize(&elements);
+    u.master_->AddSorted(elements);
+    return Absorb(u, std::move(elements));
+  }
+
+  void OnSnapshot() { pending_sets_.clear(); }
+
+  std::unique_ptr<Generation> Finalize(Updatable<BloomTraits>& u,
+                                       std::unique_ptr<Generation> built) {
+    // Writes that raced the retrain sit in pending_sets_; replay them into
+    // the fresh delta before the swap so the no-false-negative guarantee
+    // has no gap across generations.
+    for (const auto& s : pending_sets_) {
+      AbsorbSubsets(s, u.opts_.bloom.max_subset_size, built->delta.get());
+    }
+    return built;
+  }
 
  private:
-  UpdatableBloom() = default;
+  /// Absorbs the sorted `set` into the live generation's delta and logs it
+  /// for replay; returns the count of subsets absorbed.
+  size_t Absorb(Updatable<BloomTraits>& u, std::vector<sets::ElementId> set) {
+    // Absorb while holding write_mu: a concurrent rebuild cannot publish in
+    // between (Finalize runs under the same mutex and replays pending_sets_
+    // into the new delta), so the key is visible to readers at every
+    // instant from here on.
+    auto pin = u.engine_->Acquire();
+    const size_t absorbed =
+        AbsorbSubsets(set, u.opts_.bloom.max_subset_size, pin->delta.get());
+    pending_sets_.push_back(std::move(set));
+    return absorbed;
+  }
 
-  Result<std::unique_ptr<BloomGeneration>> BuildGeneration();
-  std::unique_ptr<BloomGeneration> FinalizeGeneration(
-      std::unique_ptr<BloomGeneration> built);
-  void AbsorbSubsetsLocked(sets::SetView s, ConcurrentBloomDelta* delta,
-                           size_t* absorbed) const;
-  Status CheckpointGeneration(const BloomGeneration& gen) const;
+  static size_t AbsorbSubsets(sets::SetView s, size_t max_subset_size,
+                              ConcurrentBloomDelta* delta) {
+    size_t absorbed = 0;
+    sets::ForEachSubset(s, max_subset_size, [&](sets::SetView sub) {
+      delta->Insert(sub);
+      ++absorbed;
+    });
+    return absorbed;
+  }
 
-  Options opts_;
-  MetricsRegistry* registry_ = nullptr;
-  std::unique_ptr<sets::SetCollection> master_collection_;
   /// Sets inserted/updated since the last rebuild snapshot; replayed into
-  /// the next generation's delta so inserts racing a retrain are not lost.
+  /// the next generation's delta so writes racing a retrain are not lost.
   std::vector<std::vector<sets::ElementId>> pending_sets_;
-  std::unique_ptr<UpdatableStructure<BloomGeneration>> engine_;
 };
+
+using UpdatableSetIndex = Updatable<IndexTraits>;
+using UpdatableCardinality = Updatable<CardinalityTraits>;
+using UpdatableBloom = Updatable<BloomTraits>;
 
 }  // namespace los::core
 

@@ -333,8 +333,9 @@ class BloomMonitor : public MonitorBase {
                         MetricsRegistry* registry = nullptr);
 
   /// Binds the membership probe (e.g. ProbeMayContain on the frozen
-  /// filter, or pin-then-probe-or-delta on an UpdatableBloom). Must be set
-  /// before observations sample.
+  /// filter, or on the generation an UpdatableBloom pins, which answers
+  /// from its filter, else its delta). Must be set before observations
+  /// sample.
   void SetProbeFn(ProbeFn fn);
 
   void Observe(sets::SetView q);

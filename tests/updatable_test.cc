@@ -1,6 +1,7 @@
-// Online-update subsystem (ISSUE 8 tentpole): generation-store RCU
-// semantics, the background-retraining engine, and the three typed
-// wrappers' visibility contracts — including the Bloom wrapper's
+// Online-update subsystem: generation-store RCU semantics, the
+// background-retraining engine, what Updatable<Traits> does alike for all
+// three structures (typed tests over the three instances), and each
+// trait's visibility contract — including the Bloom filter's
 // no-false-negative guarantee across generation swaps, checked against
 // exhaustive subset ground truth.
 
@@ -38,6 +39,14 @@ UpdatableSetIndex::Options FastIndexOptions() {
   opts.index.train.loss = LossKind::kMse;
   opts.index.max_subset_size = 2;
   opts.update.rebuild_after_absorbed = 0;  // tests trigger explicitly
+  return opts;
+}
+
+UpdatableCardinality::Options FastCardinalityOptions() {
+  UpdatableCardinality::Options opts;
+  opts.cardinality.train.epochs = 8;
+  opts.cardinality.max_subset_size = 2;
+  opts.update.rebuild_after_absorbed = 0;
   return opts;
 }
 
@@ -172,6 +181,61 @@ TEST(ConcurrentBloomDeltaTest, InsertedKeysAlwaysHit) {
   EXPECT_LT(hits, 40u);
 }
 
+// ---------- Every Updatable<Traits> instance ----------
+
+UpdatableSetIndex::Options FastOptions(UpdatableSetIndex*) {
+  return FastIndexOptions();
+}
+UpdatableCardinality::Options FastOptions(UpdatableCardinality*) {
+  return FastCardinalityOptions();
+}
+UpdatableBloom::Options FastOptions(UpdatableBloom*) {
+  return FastBloomOptions();
+}
+
+std::vector<std::vector<sets::ElementId>> Contents(
+    const sets::SetCollection& c) {
+  std::vector<std::vector<sets::ElementId>> out;
+  for (size_t i = 0; i < c.size(); ++i) {
+    out.emplace_back(c.set(i).begin(), c.set(i).end());
+  }
+  return out;
+}
+
+template <typename U>
+class UpdatableTest : public testing::Test {};
+using UpdatableKinds =
+    testing::Types<UpdatableSetIndex, UpdatableCardinality, UpdatableBloom>;
+TYPED_TEST_SUITE(UpdatableTest, UpdatableKinds);
+
+TYPED_TEST(UpdatableTest, UpdateOutOfRangeFailsAndChangesNothing) {
+  MetricsRegistry registry;
+  auto built = TypeParam::Build(
+      TestCollection(), FastOptions(static_cast<TypeParam*>(nullptr)),
+      &registry);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  auto& live = **built;
+  // One write that lands first, so "unchanged" is not just "initial".
+  ASSERT_TRUE(live.Update(3, {101, 102}).ok());
+  Counter* publishes = registry.GetCounter(
+      "updatable." + live.engine()->name() + ".publishes");
+  const uint64_t generation = live.generation();
+  const uint64_t pending = live.engine()->pending_absorbed();
+  const uint64_t published = publishes->value();
+  const auto contents = Contents(live.SnapshotCollection());
+
+  // Just past the end, and far past it.
+  for (size_t position : {contents.size(), size_t{100000}}) {
+    const Status st = live.Update(position, {5, 6});
+    EXPECT_EQ(st.code(), StatusCode::kOutOfRange) << st.ToString();
+  }
+  EXPECT_EQ(live.generation(), generation);
+  EXPECT_EQ(live.engine()->pending_absorbed(), pending);
+  EXPECT_EQ(publishes->value(), published);
+  EXPECT_EQ(Contents(live.SnapshotCollection()), contents);
+  EXPECT_EQ(live.updates_applied(), 1u);
+}
+
 // ---------- UpdatableSetIndex ----------
 
 TEST(UpdatableSetIndexTest, UpdatesVisibleImmediatelyAndAfterRebuild) {
@@ -242,19 +306,6 @@ TEST(UpdatableSetIndexTest, CheckpointWrittenAfterRebuild) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(reader->AtEnd());
   std::remove(opts.update.checkpoint_path.c_str());
-}
-
-TEST(UpdatableSetIndexTest, UpdateOutOfRangeFailsAndChangesNothing) {
-  sets::SetCollection c;
-  c.Add({1, 2});
-  auto opts = FastIndexOptions();
-  opts.index.train.epochs = 2;
-  auto idx = UpdatableSetIndex::Build(std::move(c), opts);
-  ASSERT_TRUE(idx.ok()) << idx.status().ToString();
-  auto& index = **idx;
-  EXPECT_FALSE(index.Update(99, {5}).ok());
-  EXPECT_EQ(index.generation(), 1u);
-  EXPECT_EQ(index.updates_applied(), 0u);
 }
 
 TEST(UpdatableSetIndexTest, RebuildResetsAccountingAndKeepsRegistry) {
@@ -411,13 +462,9 @@ TEST(UpdatableSetIndexTest, EverySubsetLookupIsExactAcrossRandomUpdates) {
 // ---------- UpdatableCardinality ----------
 
 TEST(UpdatableCardinalityTest, ServesAcrossInsertAndRebuild) {
-  UpdatableCardinality::Options opts;
-  opts.cardinality.train.epochs = 8;
-  opts.cardinality.max_subset_size = 2;
-  opts.update.rebuild_after_absorbed = 0;
   MetricsRegistry registry;
-  auto est =
-      UpdatableCardinality::Build(TestCollection(), opts, &registry);
+  auto est = UpdatableCardinality::Build(TestCollection(),
+                                         FastCardinalityOptions(), &registry);
   ASSERT_TRUE(est.ok()) << est.status().ToString();
   auto& card = **est;
 
