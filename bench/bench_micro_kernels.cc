@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
+#include "core/hybrid.h"
 #include "core/learned_cardinality.h"
 #include "core/updatable.h"
 #include "deepsets/compressed_model.h"
@@ -368,6 +369,83 @@ void BM_BPlusTreeFind(benchmark::State& state) {
 }
 BENCHMARK(BM_BPlusTreeFind);
 
+// The learned structures' aux probes at perfbench's size: 4,599 stored
+// subsets of 1-3 distinct elements over 430 elements, probed by 4,096
+// queries of the same shape, every other one stored. Each probe hashes the
+// query and looks it up, as PreModel does on every query before the model.
+struct AuxProbeData {
+  std::vector<std::vector<los::sets::ElementId>> stored;
+  std::vector<std::vector<los::sets::ElementId>> probes;
+};
+
+const AuxProbeData& AuxProbes() {
+  static const AuxProbeData data = [] {
+    constexpr size_t kStored = 4599;
+    constexpr size_t kProbes = 4096;
+    AuxProbeData d;
+    Rng rng(11);
+    los::sets::SetKeyMap<bool> seen;
+    auto draw = [&] {
+      std::vector<los::sets::ElementId> s;
+      do {
+        s.resize(1 + rng.Uniform(3));
+        for (auto& e : s) e = static_cast<los::sets::ElementId>(rng.Uniform(430));
+        los::sets::Canonicalize(&s);
+      } while (!seen.emplace(los::sets::SetKey(s), true).second);
+      return s;
+    };
+    while (d.stored.size() < kStored) d.stored.push_back(draw());
+    for (size_t i = 0; i < kProbes; ++i) {
+      d.probes.push_back(i % 2 == 0 ? d.stored[(i * 7) % kStored] : draw());
+    }
+    return d;
+  }();
+  return data;
+}
+
+void BM_IndexAuxFind(benchmark::State& state) {
+  const AuxProbeData& d = AuxProbes();
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  for (size_t i = 0; i < d.stored.size(); ++i) {
+    entries.emplace_back(los::sets::HashSetSorted(d.stored[i]),
+                         static_cast<uint32_t>(i));
+  }
+  const auto aux = los::core::IndexAux::Build(std::move(entries));
+  size_t k = 0;
+  for (auto _ : state) {
+    auto v = aux.FindFirst(los::sets::HashSetSorted(d.probes[k]));
+    benchmark::DoNotOptimize(v);
+    k = (k + 1) & (d.probes.size() - 1);
+  }
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(aux.MemoryBytes()) /
+      static_cast<double>(d.stored.size());
+}
+BENCHMARK(BM_IndexAuxFind);
+
+void BM_CardAuxGet(benchmark::State& state) {
+  const AuxProbeData& d = AuxProbes();
+  std::vector<los::core::CardinalityAux::Entry> entries;
+  for (size_t i = 0; i < d.stored.size(); ++i) {
+    entries.push_back({d.stored[i], static_cast<uint32_t>(i + 1)});
+  }
+  const auto aux = los::core::CardinalityAux::Build(entries);
+  if (!aux.ok()) {
+    state.SkipWithError("build failed");
+    return;
+  }
+  size_t k = 0;
+  for (auto _ : state) {
+    auto v = aux->Get(d.probes[k]);
+    benchmark::DoNotOptimize(v);
+    k = (k + 1) & (d.probes.size() - 1);
+  }
+  state.counters["bytes_per_entry"] =
+      static_cast<double>(aux->MemoryBytes()) /
+      static_cast<double>(d.stored.size());
+}
+BENCHMARK(BM_CardAuxGet);
+
 void BM_BloomProbe(benchmark::State& state) {
   los::baselines::BloomFilter bf(100000, 0.01);
   for (uint64_t i = 0; i < 100000; ++i) {
@@ -630,8 +708,8 @@ BENCHMARK(BM_HashSetSorted);
 // never does, which isolates the absorb path. Updates cycle through 256
 // fixed (position, content) pairs whose contents come from a universe
 // twice as wide, like perfbench's live stream; one warm-up cycle when a
-// row is first set up fills the aux tree, so timed updates overwrite its
-// entries instead of growing it. Each row builds its index on first use
+// row is first set up fills the aux overlay, so timed updates overwrite
+// its entries instead of growing it. Each row builds its index on first use
 // (about 4 s at 20,500 sets); CI's filter leaves these rows out.
 struct IndexUpdateRow {
   std::unique_ptr<los::core::UpdatableSetIndex> index;

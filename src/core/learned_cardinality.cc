@@ -46,9 +46,15 @@ LearnedCardinalityEstimator::BuildFromSubsets(
     guided.keep_fraction = opts.keep_fraction;
     GuidedResult res = TrainGuided(est.model_.get(), &data, est.scaler_,
                                    guided);
+    std::vector<CardinalityAux::Entry> outliers;
+    outliers.reserve(res.outliers.size());
     for (size_t idx : res.outliers) {
-      est.aux_.Put(data.subset(idx), data.raw_target(idx));
+      outliers.push_back({data.subset(idx),
+                          static_cast<uint32_t>(data.raw_target(idx))});
     }
+    auto aux = CardinalityAux::Build(outliers);
+    if (!aux.ok()) return aux.status();
+    est.aux_ = std::move(*aux);
     est.final_train_qerror_ = res.final_avg_qerror;
   } else {
     Trainer trainer(train);
@@ -75,7 +81,7 @@ Result<LearnedCardinalityEstimator> LearnedCardinalityEstimator::Load(
   auto scaler = TargetScaler::Load(r);
   if (!scaler.ok()) return scaler.status();
   est.scaler_ = *scaler;
-  auto aux = OutlierMap::Load(r);
+  auto aux = CardinalityAux::Load(r);
   if (!aux.ok()) return aux.status();
   est.aux_ = std::move(*aux);
   return est;

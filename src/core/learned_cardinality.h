@@ -26,11 +26,11 @@ struct CardinalityOptions {
 };
 
 /// \brief Learned set cardinality estimator: LSM/CLSM regression model, with
-/// an optional hybrid auxiliary OutlierMap serving evicted training subsets
-/// exactly.
+/// an optional hybrid auxiliary table (CardinalityAux) serving evicted
+/// training subsets exactly.
 ///
 /// Thread safety: Estimate / EstimateBatch are safe to call from concurrent
-/// reader threads and run in parallel: the model, aux map and scaler are
+/// reader threads and run in parallel: the model, aux table and scaler are
 /// read-only after Build/Load, model inference keeps its activations in
 /// per-thread workspaces, and metrics are atomic.
 class LearnedCardinalityEstimator {
@@ -112,7 +112,7 @@ class LearnedCardinalityEstimator {
 
   std::unique_ptr<deepsets::SetModel> model_;
   TargetScaler scaler_;
-  OutlierMap aux_;
+  CardinalityAux aux_;
   double train_seconds_ = 0.0;
   double final_train_qerror_ = 0.0;
   Instruments metrics_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/stopwatch.h"
 #include "core/query_flow.h"
@@ -16,6 +17,9 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   if (collection.empty()) {
     return Status::InvalidArgument("empty collection");
   }
+  if (collection.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("collection exceeds 2^32 sets");
+  }
   sets::SubsetGenOptions gen;
   gen.max_subset_size = opts.max_subset_size;
   sets::LabeledSubsets subsets = EnumerateLabeledSubsets(collection, gen);
@@ -24,7 +28,6 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   LearnedSetIndex index;
   index.collection_ = &collection;
   index.fallback_full_scan_ = opts.fallback_full_scan;
-  index.aux_ = baselines::BPlusTree(opts.aux_branching_factor);
   index.scaler_ =
       TargetScaler::FitRange(0.0, static_cast<double>(collection.size() - 1));
 
@@ -47,10 +50,13 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
     guided.keep_fraction = opts.keep_fraction;
     GuidedResult res =
         TrainGuided(index.model_.get(), &data, index.scaler_, guided);
+    std::vector<std::pair<uint64_t, uint32_t>> outliers;
+    outliers.reserve(res.outliers.size());
     for (size_t idx : res.outliers) {
-      index.aux_.Insert(sets::HashSetSorted(data.subset(idx)),
-                        static_cast<uint64_t>(data.raw_target(idx)));
+      outliers.emplace_back(sets::HashSetSorted(data.subset(idx)),
+                            static_cast<uint32_t>(data.raw_target(idx)));
     }
+    index.aux_ = IndexAux::Build(std::move(outliers));
     index.num_outliers_ = res.outliers.size();
   } else {
     Trainer trainer(train);
@@ -113,7 +119,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Load(
   auto bounds = LocalErrorBounds::Load(r);
   if (!bounds.ok()) return bounds.status();
   index.bounds_ = std::move(*bounds);
-  auto aux = baselines::BPlusTree::Load(r);
+  auto aux = IndexAux::Load(r, collection.size());
   if (!aux.ok()) return aux.status();
   index.aux_ = std::move(*aux);
   auto outliers = r->ReadU64();
@@ -316,7 +322,8 @@ size_t LearnedSetIndex::AbsorbUpdatedSet(size_t position,
                         // subset; otherwise route it to the aux structure.
                         const int64_t found = ProbeLookup(sub);
                         if (found >= 0 && found <= pos) return;
-                        aux_.Assign(sets::HashSetSorted(sub), position);
+                        aux_.Assign(sets::HashSetSorted(sub),
+                                    static_cast<uint32_t>(position));
                         ++routed;
                       });
   sets::ForEachSubset(old_content, max_subset_size, [&](sets::SetView sub) {
@@ -328,7 +335,7 @@ size_t LearnedSetIndex::AbsorbUpdatedSet(size_t position,
     const int64_t exact =
         collection_->FindFirstSuperset(sub, 0, collection_->size());
     if (exact < pos || ProbeLookup(sub) == exact) return;
-    aux_.Assign(sets::HashSetSorted(sub), static_cast<uint64_t>(exact));
+    aux_.Assign(sets::HashSetSorted(sub), static_cast<uint32_t>(exact));
     ++routed;
   });
   updates_absorbed_ += routed;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <optional>
 
-#include "baselines/bplus_tree.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "core/hybrid.h"
@@ -26,27 +25,26 @@ struct IndexOptions {
   int guided_rounds = 2;
   double keep_fraction = 0.9;  ///< Table 5's percentile threshold
   double error_range_length = 100.0;  ///< local error bound granularity
-  size_t aux_branching_factor = 100;  ///< outlier B+ tree fanout
   bool fallback_full_scan = false;  ///< scan everything if bounded scan misses
 };
 
 /// \brief Learned set index over an unordered collection (§4.1).
 ///
 /// Maps a query subset to the *first* position i with q ⊆ S[i]. Querying
-/// follows Algorithm 2: probe the auxiliary B+ tree (outliers evicted by
-/// guided learning), else predict a position, look up the local error bound
-/// e_r, and scan S[est - e_r .. est + e_r] left-to-right for the first
-/// superset. The collection is referenced, not copied — it must outlive the
+/// follows Algorithm 2: probe the auxiliary set-hash table (IndexAux: the
+/// outliers evicted by guided learning), else predict a position, look up
+/// the local error bound e_r, and scan S[est - e_r .. est + e_r]
+/// left-to-right for the first superset. The collection is referenced, not copied — it must outlive the
 /// index.
 ///
 /// Thread safety: Lookup / LookupEqual / LookupBatch / EstimatePosition are
 /// safe from concurrent reader threads and run in parallel — the model, aux
-/// B+ tree, error bounds, scaler and collection are read-only at serving
+/// table, error bounds, scaler and collection are read-only at serving
 /// time, model inference keeps its activations in per-thread workspaces,
-/// and metrics are atomic. The one
-/// mutating entry point, AbsorbUpdatedSet, writes the aux tree and must not
-/// run concurrently with readers of the same index. BoundTo copies share
-/// only the model, which is immutable after Build.
+/// and metrics are atomic. The one mutating entry point, AbsorbUpdatedSet,
+/// writes the aux overlay and must not run concurrently with readers of the
+/// same index. BoundTo copies share the model and the aux base, both
+/// immutable after Build.
 class LearnedSetIndex {
  public:
   LearnedSetIndex(LearnedSetIndex&&) = default;
@@ -103,10 +101,10 @@ class LearnedSetIndex {
   /// first". `old_content` is the set's content before the update: each of
   /// its subsets that the new content dropped, and whose first position was
   /// `position`, now first occurs later (or nowhere); where the bounded
-  /// lookup no longer finds that exact position, the aux tree is made to
-  /// answer it. Aux entries are replaced (BPlusTree::Assign), never
-  /// shadowed. Returns how many subsets were written to the auxiliary
-  /// structure. `max_subset_size` should match the build's bound.
+  /// lookup no longer finds that exact position, the aux structure is made
+  /// to answer it. Each write replaces every aux entry under the subset's
+  /// hash (IndexAux::Assign). Returns how many subsets were written to the
+  /// auxiliary structure. `max_subset_size` should match the build's bound.
   size_t AbsorbUpdatedSet(size_t position, size_t max_subset_size,
                           sets::SetView old_content);
 
@@ -118,6 +116,7 @@ class LearnedSetIndex {
   const LocalErrorBounds& error_bounds() const { return bounds_; }
   deepsets::SetModel* model() { return model_.get(); }
   size_t num_outliers() const { return num_outliers_; }
+  const IndexAux& aux() const { return aux_; }
 
   size_t ModelBytes() const { return model_->ByteSize(); }
   size_t AuxBytes() const { return aux_.MemoryBytes(); }
@@ -133,13 +132,15 @@ class LearnedSetIndex {
   double final_train_abs_error() const { return final_train_abs_error_; }
 
   /// A copy bound to `collection`, which must be position-compatible with
-  /// this index's. It shares the trained model and owns everything else, so
-  /// AbsorbUpdatedSet on either side leaves the other unchanged.
+  /// this index's. It shares the trained model and the aux base and owns
+  /// everything else (the aux overlay included), so AbsorbUpdatedSet on
+  /// either side leaves the other unchanged.
   LearnedSetIndex BoundTo(const sets::SetCollection& collection) const;
 
-  /// Persists model, scaler, error bounds and the auxiliary B+ tree. Load
+  /// Persists model, scaler, error bounds and the auxiliary table. Load
   /// rebinds to `collection`, which must be the collection the index was
-  /// built over (positions must match).
+  /// built over (positions must match; an aux position past its end is
+  /// DataLoss).
   void Save(BinaryWriter* w) const;
   static Result<LearnedSetIndex> Load(BinaryReader* r,
                                       const sets::SetCollection& collection);
@@ -149,7 +150,7 @@ class LearnedSetIndex {
   void SetMetricsRegistry(MetricsRegistry* registry);
 
  private:
-  LearnedSetIndex() : aux_(100) {
+  LearnedSetIndex() {
     SetMetricsRegistry(MetricsRegistry::Global());
   }
   /// Private so that every copy goes through BoundTo and rebinds.
@@ -206,7 +207,7 @@ class LearnedSetIndex {
   std::shared_ptr<deepsets::SetModel> model_;  ///< shared by BoundTo copies
   TargetScaler scaler_;
   LocalErrorBounds bounds_;
-  baselines::BPlusTree aux_;  ///< set-hash -> first position
+  IndexAux aux_;  ///< set-hash -> first position
   size_t num_outliers_ = 0;
   size_t updates_absorbed_ = 0;
   bool fallback_full_scan_ = false;

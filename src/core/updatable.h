@@ -265,7 +265,7 @@ struct UpdatableOptions {
   /// Background retrain is recommended (and auto-triggered) once this many
   /// units have been absorbed since the last rebuild snapshot. The unit is
   /// the structure's: for the index, subsets an Update routed to the aux
-  /// tree; for cardinality, sets written (one per Update or Insert); for
+  /// structure; for cardinality, sets written (one per Update or Insert); for
   /// the Bloom filter, subsets absorbed into the delta filter. 0 disables
   /// automatic triggering (RequestRebuild / RebuildNow still work).
   size_t rebuild_after_absorbed = 10000;
@@ -880,7 +880,7 @@ struct IndexTraits {
     UpdatableOptions update;
     /// Publish a new read generation after this many updates (>= 1).
     /// 1 = read-your-writes for a single updater; larger values spread
-    /// one snapshot's collection and aux-tree copy over an update batch.
+    /// one snapshot's collection and aux-overlay copy over an update batch.
     size_t publish_after_updates = 1;
   };
   static constexpr const char* kName = "index";
@@ -943,6 +943,9 @@ struct IndexTraits {
   }
 
  private:
+  /// A read generation: a copy of the master collection and a BoundTo copy
+  /// of the master index, which shares the model and the aux base and
+  /// copies only the aux overlay written since the last rebuild.
   std::unique_ptr<Generation> Snapshot(
       const sets::SetCollection& master) const {
     auto gen = std::make_unique<IndexGeneration>();

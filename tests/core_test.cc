@@ -10,9 +10,12 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "baselines/bplus_tree.h"
 #include "baselines/inverted_index.h"
+#include "common/random.h"
 #include "core/hybrid.h"
 #include "nn/losses.h"
 #include "core/learned_bloom.h"
@@ -299,43 +302,208 @@ TEST(LocalErrorBoundsTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(back->ErrorFor(1), b.ErrorFor(1));
 }
 
-TEST(OutlierMapTest, PutGet) {
-  OutlierMap m;
+TEST(CardinalityAuxTest, BuildGet) {
   std::vector<sets::ElementId> a{1, 2};
-  m.Put({a.data(), 2}, 42.0);
-  EXPECT_EQ(*m.Get({a.data(), 2}), 42.0);
+  auto m = CardinalityAux::Build({{sets::SetView(a), 42}});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(*m->Get(sets::SetView(a)), 42.0);
   std::vector<sets::ElementId> b{1, 3};
-  EXPECT_FALSE(m.Get({b.data(), 2}).has_value());
-  EXPECT_GT(m.MemoryBytes(), 0u);
+  EXPECT_FALSE(m->Get(sets::SetView(b)).has_value());
+  EXPECT_GT(m->MemoryBytes(), 0u);
+  EXPECT_EQ(CardinalityAux().MemoryBytes(), 0u);
 }
 
-// Get probes with the view itself: for every subset of a 12-element
-// universe it answers the value Put stored for that subset, or nothing.
-TEST(OutlierMapTest, GetMatchesPutOnEverySubset) {
+TEST(CardinalityAuxTest, BuildRejectsNonCanonicalOrRepeatedSubsets) {
+  std::vector<sets::ElementId> unsorted{2, 1}, repeated{1, 1}, a{1, 2};
+  EXPECT_EQ(CardinalityAux::Build({{sets::SetView(unsorted), 1}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CardinalityAux::Build({{sets::SetView(repeated), 1}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(CardinalityAux::Build({{sets::SetView(a), 1},
+                                   {sets::SetView(a), 2}})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// A 12-element universe of non-consecutive ids. The tests below store
+// every other subset, so hits and misses of every size are probed.
+std::vector<sets::ElementId> SquaresUniverse() {
   std::vector<sets::ElementId> universe(12);
   for (size_t i = 0; i < universe.size(); ++i) {
     universe[i] = static_cast<sets::ElementId>(i * i);
   }
+  return universe;
+}
+
+// Get probes with the view itself: for every subset of a 12-element
+// universe it answers the count Build stored for that subset, or nothing,
+// before and after Save -> Load.
+TEST(CardinalityAuxTest, GetMatchesBuildOnEverySubset) {
+  const std::vector<sets::ElementId> universe = SquaresUniverse();
   const sets::SetView all(universe.data(), universe.size());
-  OutlierMap m;
   std::map<std::vector<sets::ElementId>, double> oracle;
   size_t n = 0;
   sets::ForEachSubset(all, universe.size(), [&](sets::SetView sub) {
     if (++n % 2 == 0) return;
-    m.Put(sub, static_cast<double>(n));
     oracle[std::vector<sets::ElementId>(sub.begin(), sub.end())] =
         static_cast<double>(n);
   });
-  ASSERT_EQ(m.size(), oracle.size());
-  sets::ForEachSubset(all, universe.size(), [&](sets::SetView sub) {
-    const auto it =
-        oracle.find(std::vector<sets::ElementId>(sub.begin(), sub.end()));
-    const std::optional<double> got = m.Get(sub);
-    ASSERT_EQ(got.has_value(), it != oracle.end());
-    if (got.has_value()) {
-      EXPECT_EQ(*got, it->second);
+  std::vector<CardinalityAux::Entry> entries;
+  for (const auto& [subset, count] : oracle) {
+    entries.push_back({sets::SetView(subset), static_cast<uint32_t>(count)});
+  }
+  auto built = CardinalityAux::Build(entries);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  BinaryWriter w;
+  built->Save(&w);
+  BinaryReader r(w.bytes());
+  auto loaded = CardinalityAux::Load(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const CardinalityAux* m : {&std::as_const(*built),
+                                  &std::as_const(*loaded)}) {
+    ASSERT_EQ(m->size(), oracle.size());
+    sets::ForEachSubset(all, universe.size(), [&](sets::SetView sub) {
+      const auto it =
+          oracle.find(std::vector<sets::ElementId>(sub.begin(), sub.end()));
+      const std::optional<double> got = m->Get(sub);
+      ASSERT_EQ(got.has_value(), it != oracle.end());
+      if (got.has_value()) {
+        EXPECT_EQ(*got, it->second);
+      }
+    });
+  }
+}
+
+// Every <= 3-subset of a 12-element universe: FindFirst answers the
+// smallest position stored under the subset's hash, before and after
+// Save -> Load, and the saved bytes are the B+ tree's for the same entries.
+TEST(IndexAuxTest, FindFirstMatchesBuildOnEverySmallSubset) {
+  const std::vector<sets::ElementId> universe = SquaresUniverse();
+  const sets::SetView all(universe.data(), universe.size());
+  std::map<uint64_t, uint32_t> oracle;
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  baselines::BPlusTree tree(100);
+  uint32_t n = 0;
+  sets::ForEachSubset(all, 3, [&](sets::SetView sub) {
+    if (++n % 2 == 0) return;
+    const uint64_t h = sets::HashSetSorted(sub);
+    // Every third stored subset is stored twice, its larger position
+    // first: FindFirst still answers the smaller, and Save keeps the
+    // insertion order of equal keys, as the B+ tree's stable duplicates do.
+    if (n % 3 == 0) {
+      entries.emplace_back(h, n + 1000);
+      tree.Insert(h, n + 1000);
     }
+    entries.emplace_back(h, n);
+    tree.Insert(h, n);
+    oracle[h] = n;
   });
+  const IndexAux built = IndexAux::Build(entries);
+  BinaryWriter w;
+  built.Save(&w);
+  BinaryWriter tree_bytes;
+  tree.Save(&tree_bytes);
+  EXPECT_EQ(w.bytes(), tree_bytes.bytes());
+  BinaryReader r(w.bytes());
+  auto loaded = IndexAux::Load(&r, 5000);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const IndexAux* aux : {&built, &std::as_const(*loaded)}) {
+    EXPECT_EQ(aux->size(), entries.size());
+    sets::ForEachSubset(all, 3, [&](sets::SetView sub) {
+      const uint64_t h = sets::HashSetSorted(sub);
+      const auto it = oracle.find(h);
+      const std::optional<uint64_t> got = aux->FindFirst(h);
+      ASSERT_EQ(got.has_value(), it != oracle.end());
+      if (got.has_value()) {
+        EXPECT_EQ(*got, it->second);
+      }
+    });
+  }
+}
+
+// Assign shadows every base row under its key, inserts keys the base lacks,
+// and Save writes what BPlusTree::Assign would have left in the tree.
+TEST(IndexAuxTest, AssignShadowsTheBaseLikeBPlusTreeAssign) {
+  Rng rng(7);
+  std::vector<std::pair<uint64_t, uint32_t>> entries;
+  baselines::BPlusTree tree(100);
+  for (uint32_t i = 0; i < 600; ++i) {
+    const uint64_t key = rng.Uniform(200) * 0x9E3779B97F4A7C15ULL;
+    entries.emplace_back(key, i);
+    tree.Insert(key, i);
+  }
+  IndexAux aux = IndexAux::Build(entries);
+  for (uint32_t i = 0; i < 300; ++i) {
+    const uint64_t key = rng.Uniform(400) * 0x9E3779B97F4A7C15ULL;
+    const auto position = static_cast<uint32_t>(10000 + rng.Uniform(50));
+    aux.Assign(key, position);
+    tree.Assign(key, position);
+    EXPECT_EQ(aux.FindFirst(key), position);
+  }
+  EXPECT_GT(aux.overlay_size(), 0u);
+  EXPECT_EQ(aux.size(), tree.size());
+  for (uint64_t k = 0; k < 400; ++k) {
+    const uint64_t key = k * 0x9E3779B97F4A7C15ULL;
+    EXPECT_EQ(aux.FindFirst(key), tree.FindFirst(key)) << k;
+  }
+  BinaryWriter w, tree_bytes;
+  aux.Save(&w);
+  tree.Save(&tree_bytes);
+  EXPECT_EQ(w.bytes(), tree_bytes.bytes());
+}
+
+// A copy shares the immutable base and owns its overlay: writes to the
+// source's overlay after the copy leave the copy's answers unchanged.
+TEST(IndexAuxTest, CopySharesBaseAndOwnsOverlay) {
+  const IndexAux source_built = IndexAux::Build({{10, 1}, {20, 2}, {30, 3}});
+  IndexAux source = source_built;
+  source.Assign(20, 7);
+  const IndexAux copy = source;
+  EXPECT_EQ(copy.base_identity(), source.base_identity());
+  source.Assign(10, 8);
+  source.Assign(40, 9);
+  EXPECT_EQ(copy.base_identity(), source.base_identity());
+  EXPECT_EQ(copy.overlay_size(), 1u);
+  EXPECT_EQ(copy.FindFirst(10), 1u);
+  EXPECT_EQ(copy.FindFirst(20), 7u);
+  EXPECT_FALSE(copy.FindFirst(40).has_value());
+  EXPECT_EQ(source.FindFirst(10), 8u);
+  EXPECT_EQ(source.FindFirst(40), 9u);
+  EXPECT_EQ(source_built.FindFirst(20), 2u);
+}
+
+TEST(SetHashTableTest, EqualRangeFindsEveryKeyAndNoOther) {
+  Rng rng(5);
+  for (size_t n : {0u, 1u, 2u, 3u, 100u, 4599u}) {
+    std::vector<uint64_t> keys(n);
+    for (auto& k : keys) k = rng.Next();
+    if (n > 2) keys[1] = keys[0];  // a duplicate
+    if (n > 0) keys.back() = ~uint64_t{0};  // the largest key
+    std::sort(keys.begin(), keys.end());
+    const SetHashTable table(keys);
+    for (size_t i = 0; i < n; ++i) {
+      const auto [lo, hi] = table.EqualRange(keys[i]);
+      ASSERT_LE(lo, i);
+      ASSERT_GT(hi, i);
+      for (uint32_t row = lo; row < hi; ++row) {
+        EXPECT_EQ(table.key(row), keys[i]);
+      }
+      const size_t count = static_cast<size_t>(
+          std::count(keys.begin(), keys.end(), keys[i]));
+      EXPECT_EQ(hi - lo, count);
+    }
+    for (int probe = 0; probe < 200; ++probe) {
+      const uint64_t key = rng.Next();
+      const auto [lo, hi] = table.EqualRange(key);
+      EXPECT_EQ(hi - lo, static_cast<size_t>(std::count(
+                             keys.begin(), keys.end(), key)));
+    }
+  }
 }
 
 // ---------- End-to-end: cardinality estimator ----------
@@ -604,6 +772,53 @@ TEST(PersistenceTest, CardinalityEstimatorRoundTrip) {
   EXPECT_EQ(est->num_outliers(), loaded->num_outliers());
 }
 
+// The estimator's aux used to be a node-based map saved in its iteration
+// order: (count, then per entry the element vector and a double). A
+// checkpoint in that format, written here by hand in another order, loads
+// and answers every subset as the estimator it was written from.
+TEST(PersistenceTest, HybridEstimatorLoadsNodeMapCheckpoint) {
+  sets::RwConfig rw;
+  rw.num_sets = 150;
+  rw.num_unique = 40;
+  auto c = GenerateRw(rw);
+  CardinalityOptions opts;
+  opts.train.epochs = 5;
+  opts.train.loss = LossKind::kMse;
+  opts.max_subset_size = 2;
+  opts.hybrid = true;
+  opts.keep_fraction = 0.8;
+  auto est = LearnedCardinalityEstimator::Build(c, opts);
+  ASSERT_TRUE(est.ok());
+  ASSERT_GT(est->num_outliers(), 0u);
+
+  auto subsets = EnumerateLabeledSubsets(c, {2});
+  sets::SetKeyMap<double> node_map;
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    if (est->IsOutlier(subsets.subset(i))) {
+      node_map[sets::SetKey(subsets.subset(i))] =
+          static_cast<double>(subsets.cardinality(i));
+    }
+  }
+  ASSERT_EQ(node_map.size(), est->num_outliers());
+  BinaryWriter w;
+  SaveSetModel(*est->model(), &w);
+  est->scaler().Save(&w);
+  w.WriteU64(node_map.size());
+  for (const auto& [key, value] : node_map) {
+    w.WriteVector(key.elements);
+    w.WriteF64(value);
+  }
+  BinaryReader r(w.bytes());
+  auto loaded = LearnedCardinalityEstimator::Load(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(loaded->num_outliers(), est->num_outliers());
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    EXPECT_EQ(est->Estimate(subsets.subset(i)),
+              loaded->Estimate(subsets.subset(i)));
+  }
+}
+
 TEST(PersistenceTest, CompressedEstimatorRoundTrip) {
   sets::RwConfig rw;
   rw.num_sets = 100;
@@ -693,6 +908,7 @@ TEST(LearnedIndexTest, BoundCopyMatchesSaveLoadCopyAndSharesModel) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(bound.model(), index->model());
+  EXPECT_EQ(bound.aux().base_identity(), index->aux().base_identity());
   EXPECT_EQ(bound.train_seconds(), index->train_seconds());
   EXPECT_EQ(bound.final_train_qerror(), index->final_train_qerror());
   EXPECT_EQ(SavedIndexBytes(bound), w.bytes());
@@ -713,6 +929,9 @@ TEST(LearnedIndexTest, BoundCopyMatchesSaveLoadCopyAndSharesModel) {
   const std::vector<uint8_t> bound_bytes = SavedIndexBytes(bound);
   ASSERT_TRUE(c.UpdateSet(5, {1, kTrained, kTrained + 1}).ok());
   ASSERT_GT(index->AbsorbUpdatedSet(5, kMaxSubset, sets::SetView(old)), 0u);
+  EXPECT_GT(index->aux().overlay_size(), 0u);
+  EXPECT_EQ(bound.aux().overlay_size(), 0u);
+  EXPECT_EQ(bound.aux().base_identity(), index->aux().base_identity());
   EXPECT_EQ(SavedIndexBytes(bound), bound_bytes);
   EXPECT_EQ(bound.updates_absorbed(), 0u);
   size_t k = 0;

@@ -1,5 +1,5 @@
 // Cross-cutting coverage: small-surface APIs not exercised elsewhere —
-// names/labels, OutlierMap persistence, TrainingSet membership building,
+// names/labels, CardinalityAux persistence, TrainingSet membership building,
 // workspace reuse, sandwiched-filter internals, CLI generate across all
 // datasets.
 
@@ -40,19 +40,25 @@ TEST(TensorToStringTest, TruncatesLongTensors) {
   EXPECT_NE(s.find("..."), std::string::npos);
 }
 
-TEST(OutlierMapTest, SaveLoadRoundTrip) {
-  core::OutlierMap m;
-  std::vector<sets::ElementId> a{1, 2}, b{7};
-  m.Put({a.data(), 2}, 42.0);
-  m.Put({b.data(), 1}, -1.5);
+TEST(CardinalityAuxTest, SaveLoadRoundTrip) {
+  std::vector<sets::ElementId> a{1, 2}, b{7}, empty;
+  auto m = core::CardinalityAux::Build({{sets::SetView(a), 42},
+                                        {sets::SetView(b), 0},
+                                        {sets::SetView(empty), 9}});
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
   BinaryWriter w;
-  m.Save(&w);
+  m->Save(&w);
   BinaryReader r(w.bytes());
-  auto back = core::OutlierMap::Load(&r);
+  auto back = core::CardinalityAux::Load(&r);
   ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->size(), 2u);
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(back->size(), 3u);
   EXPECT_EQ(*back->Get({a.data(), 2}), 42.0);
-  EXPECT_EQ(*back->Get({b.data(), 1}), -1.5);
+  EXPECT_EQ(*back->Get({b.data(), 1}), 0.0);
+  EXPECT_EQ(*back->Get(sets::SetView(empty)), 9.0);
+  BinaryWriter again;
+  back->Save(&again);
+  EXPECT_EQ(again.bytes(), w.bytes());
 }
 
 TEST(TrainingSetTest, FromMembershipLabelsPositiveAndNegative) {

@@ -56,6 +56,24 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> Corpus() {
     corpus.emplace_back("bplustree", w.bytes());
   }
   {
+    std::vector<std::pair<uint64_t, uint32_t>> entries;
+    for (uint32_t i = 0; i < 50; ++i) entries.emplace_back(i * 3 % 17, i);
+    core::IndexAux aux = core::IndexAux::Build(std::move(entries));
+    aux.Assign(4, 60);
+    aux.Assign(99, 61);
+    BinaryWriter w;
+    aux.Save(&w);
+    corpus.emplace_back("index_aux", w.bytes());
+  }
+  {
+    std::vector<sets::ElementId> a{1, 2}, b{3}, c{2, 5, 9};
+    auto aux = core::CardinalityAux::Build(
+        {{sets::SetView(a), 4}, {sets::SetView(b), 7}, {sets::SetView(c), 1}});
+    BinaryWriter w;
+    aux->Save(&w);
+    corpus.emplace_back("card_aux", w.bytes());
+  }
+  {
     sets::SetCollection c;
     c.Add({1, 2});
     c.Add({3});
@@ -87,6 +105,10 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> Corpus() {
   return corpus;
 }
 
+/// The collection size the index_aux entry is loaded against: its positions
+/// are below 62, so bit flips in a position's low bits may load or fail.
+constexpr size_t kIndexAuxPositions = 64;
+
 /// Tries to deserialize `bytes` as whatever type `name` denotes; returns
 /// false on a clean error, true on success. Crashing fails the test.
 bool TryLoad(const std::string& name, std::vector<uint8_t> bytes) {
@@ -96,6 +118,10 @@ bool TryLoad(const std::string& name, std::vector<uint8_t> bytes) {
   }
   if (name == "bloom") return baselines::BloomFilter::Load(&r).ok();
   if (name == "bplustree") return baselines::BPlusTree::Load(&r).ok();
+  if (name == "index_aux") {
+    return core::IndexAux::Load(&r, kIndexAuxPositions).ok();
+  }
+  if (name == "card_aux") return core::CardinalityAux::Load(&r).ok();
   if (name == "collection") return sets::SetCollection::Load(&r).ok();
   if (name == "dictionary") return sets::Dictionary::Load(&r).ok();
   if (name == "bounds") return core::LocalErrorBounds::Load(&r).ok();

@@ -5,6 +5,9 @@
 //     or failure mid-write can never truncate an existing good file.
 //   - LocalErrorBounds::Load must reject corrupted fields with DataLoss
 //     instead of accepting garbage that poisons scan windows.
+//   - IndexAux::Load and CardinalityAux::Load must reject positions past
+//     the collection, non-canonical subsets and non-count values with
+//     DataLoss.
 //   - Tensor::Load must reject negative or overflowing dimensions with
 //     DataLoss.
 //   - Top-level structure checkpoints (estimator / bloom / index) must
@@ -27,6 +30,8 @@
 #include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
+#include "core/model_factory.h"
+#include "sets/set_hash.h"
 #include "nn/tensor.h"
 #include "sets/generators.h"
 #include "sets/set_collection.h"
@@ -239,6 +244,82 @@ TEST(LocalErrorBoundsTest, CorruptedBuffersAreDataLoss) {
             StatusCode::kDataLoss);
 }
 
+// ---------- Auxiliary tables ----------
+
+std::vector<uint8_t> IndexAuxBytes(
+    const std::vector<std::pair<uint64_t, uint64_t>>& entries) {
+  BinaryWriter w;
+  w.WriteU64(100);  // fanout word
+  w.WriteU64(entries.size());
+  for (const auto& [key, position] : entries) {
+    w.WriteU64(key);
+    w.WriteU64(position);
+  }
+  return w.bytes();
+}
+
+Status LoadIndexAux(std::vector<uint8_t> bytes, size_t num_positions) {
+  BinaryReader r(std::move(bytes));
+  return core::IndexAux::Load(&r, num_positions).status();
+}
+
+// Regression: any aux position loaded, and the first query whose set hash
+// matched a position past the collection read its offsets out of bounds.
+TEST(IndexAuxTest, CorruptedBuffersAreDataLoss) {
+  EXPECT_TRUE(LoadIndexAux(IndexAuxBytes({{5, 0}, {9, 9}}), 10).ok());
+  EXPECT_TRUE(LoadIndexAux(IndexAuxBytes({}), 0).ok());
+  EXPECT_EQ(LoadIndexAux(IndexAuxBytes({{5, 0}, {9, 10}}), 10).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadIndexAux(IndexAuxBytes({{5, 0}}), 0).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(
+      LoadIndexAux(IndexAuxBytes({{5, uint64_t{1} << 32}}), 10).code(),
+      StatusCode::kDataLoss);
+  EXPECT_EQ(LoadIndexAux(IndexAuxBytes({{5, ~uint64_t{0}}}), 10).code(),
+            StatusCode::kDataLoss);
+}
+
+struct CardAuxEntry {
+  std::vector<sets::ElementId> subset;
+  double count;
+};
+
+std::vector<uint8_t> CardAuxBytes(const std::vector<CardAuxEntry>& entries) {
+  BinaryWriter w;
+  w.WriteU64(entries.size());
+  for (const CardAuxEntry& e : entries) {
+    w.WriteVector(e.subset);
+    w.WriteF64(e.count);
+  }
+  return w.bytes();
+}
+
+Status LoadCardAux(std::vector<uint8_t> bytes) {
+  BinaryReader r(std::move(bytes));
+  return core::CardinalityAux::Load(&r).status();
+}
+
+// A subset whose elements are unsorted or repeated could never match a
+// canonical query, and a count that is not a count would be served as an
+// exact answer.
+TEST(CardinalityAuxTest, CorruptedBuffersAreDataLoss) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(LoadCardAux(CardAuxBytes({{{1, 2}, 3}, {{7}, 0}, {{}, 4}})).ok());
+  EXPECT_TRUE(LoadCardAux(CardAuxBytes({{{1}, 4294967295.0}})).ok());
+  EXPECT_EQ(LoadCardAux(CardAuxBytes({{{2, 1}, 3}})).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadCardAux(CardAuxBytes({{{1, 1}, 3}})).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadCardAux(CardAuxBytes({{{1, 2}, 3}, {{1, 2}, 4}})).code(),
+            StatusCode::kDataLoss);
+  for (double bad : {nan, inf, -inf, -1.0, 2.5, 4294967296.0}) {
+    EXPECT_EQ(LoadCardAux(CardAuxBytes({{{1, 2}, bad}})).code(),
+              StatusCode::kDataLoss)
+        << bad;
+  }
+}
+
 // ---------- SetCollection ----------
 
 // Regression: Load checked only the first and last offset, so a decreasing
@@ -366,6 +447,41 @@ TEST(CheckpointCorruptionTest, SetIndexTruncations) {
         return core::LearnedSetIndex::Load(r, c).status();
       },
       "index");
+}
+
+// An index checkpoint whose aux names a position past the collection it
+// is loaded against is DataLoss; the last valid position loads and answers.
+TEST(CheckpointCorruptionTest, SetIndexAuxPositionPastCollectionIsDataLoss) {
+  auto collection = SmallCollection();
+  auto index = core::LearnedSetIndex::Build(collection,
+                                            TinyModel<core::IndexOptions>());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  const sets::SetView q = collection.set(collection.size() - 1);
+  auto checkpoint = [&](uint64_t aux_position) {
+    BinaryWriter w;
+    core::SaveSetModel(*index->model(), &w);
+    index->scaler().Save(&w);
+    index->error_bounds().Save(&w);
+    std::vector<uint8_t> bytes = w.bytes();
+    const std::vector<uint8_t> aux =
+        IndexAuxBytes({{sets::HashSetSorted(q), aux_position}});
+    bytes.insert(bytes.end(), aux.begin(), aux.end());
+    BinaryWriter tail;
+    tail.WriteU64(1);  // num_outliers
+    tail.WriteU32(0);  // fallback_full_scan
+    bytes.insert(bytes.end(), tail.bytes().begin(), tail.bytes().end());
+    return bytes;
+  };
+  const sets::SetCollection& c = collection;
+  BinaryReader bad(checkpoint(c.size()));
+  EXPECT_EQ(core::LearnedSetIndex::Load(&bad, c).status().code(),
+            StatusCode::kDataLoss);
+  BinaryReader good(checkpoint(c.size() - 1));
+  auto loaded = core::LearnedSetIndex::Load(&good, c);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  core::LearnedSetIndex::LookupStats stats;
+  const int64_t pos = loaded->Lookup(q, &stats);
+  EXPECT_EQ(pos, c.FindFirstSuperset(q, 0, c.size()));
 }
 
 }  // namespace
