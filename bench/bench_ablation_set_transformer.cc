@@ -88,7 +88,8 @@ int main() {
     ds_cfg.phi_hidden = {64};
     ds_cfg.rho_hidden = {64};
     ds_cfg.seed = 1;
-    auto deepsets = std::make_unique<los::deepsets::DeepSetsModel>(ds_cfg);
+    auto deepsets =
+        std::move(los::deepsets::DeepSetsModel::Create(ds_cfg)).value();
     Row r1 = Evaluate(deepsets.get(), "DeepSets", &data, scaler, queries,
                       epochs);
 

@@ -13,14 +13,11 @@
 
 #include "bench/bench_util.h"
 #include "common/stopwatch.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/losses.h"
 #include "nn/optimizer.h"
 #include "nn/rnn.h"
 
-using los::deepsets::CompressedConfig;
-using los::deepsets::CompressedDeepSetsModel;
 using los::deepsets::DeepSetsConfig;
 using los::deepsets::DeepSetsModel;
 using los::deepsets::SetModel;
@@ -146,16 +143,16 @@ void RunRange(uint32_t max_value, size_t train_n, int epochs) {
   ds_cfg.rho_hidden = {hidden};
   ds_cfg.output_act = los::nn::Activation::kNone;  // unbounded sums
   ds_cfg.seed = 1;
-  auto deepsets = std::make_unique<DeepSetsModel>(ds_cfg);
-
-  CompressedConfig c_cfg;
-  c_cfg.base = ds_cfg;
+  DeepSetsConfig c_cfg = ds_cfg;
+  c_cfg.compressed = true;
   c_cfg.ns = 2;
-  auto compressed_r = CompressedDeepSetsModel::Create(c_cfg);
-  if (!compressed_r.ok()) {
-    std::printf("compressed build failed\n");
+  auto deepsets_r = DeepSetsModel::Create(ds_cfg);
+  auto compressed_r = DeepSetsModel::Create(c_cfg);
+  if (!deepsets_r.ok() || !compressed_r.ok()) {
+    std::printf("model build failed\n");
     return;
   }
+  auto deepsets = std::move(*deepsets_r);
   auto compressed = std::move(*compressed_r);
 
   los::Rng init_rng(2);

@@ -23,7 +23,6 @@
 #include "core/hybrid.h"
 #include "core/learned_cardinality.h"
 #include "core/updatable.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/init.h"
 #include "nn/layers.h"
@@ -261,53 +260,43 @@ void BM_DenseForwardRow(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseForwardRow)->Apply(DenseShapes);
 
-void BM_LsmForwardSingleSet(benchmark::State& state) {
+/// The model benches' LSM, or CLSM with ns = 2: vocab 10,000, embed 8,
+/// φ and ρ 64 wide.
+std::unique_ptr<los::deepsets::DeepSetsModel> BenchModel(bool compressed) {
   los::deepsets::DeepSetsConfig cfg;
   cfg.vocab = 10000;
   cfg.embed_dim = 8;
   cfg.phi_hidden = {64};
   cfg.rho_hidden = {64};
-  los::deepsets::DeepSetsModel model(cfg);
+  cfg.compressed = compressed;
+  cfg.ns = 2;
+  return std::move(los::deepsets::DeepSetsModel::Create(cfg)).value();
+}
+
+void ForwardSingleSet(benchmark::State& state, bool compressed) {
+  auto model = BenchModel(compressed);
   std::vector<los::sets::ElementId> ids{17, 423, 999, 5000};
   std::vector<int64_t> offsets{0, 4};
   for (auto _ : state) {
-    const Tensor& out = model.Forward(ids, offsets);
+    const Tensor& out = model->Forward(ids, offsets);
     auto* ptr = out.data();
     benchmark::DoNotOptimize(ptr);
   }
 }
+
+void BM_LsmForwardSingleSet(benchmark::State& state) {
+  ForwardSingleSet(state, /*compressed=*/false);
+}
 BENCHMARK(BM_LsmForwardSingleSet);
 
 void BM_ClsmForwardSingleSet(benchmark::State& state) {
-  los::deepsets::CompressedConfig cfg;
-  cfg.base.vocab = 10000;
-  cfg.base.embed_dim = 8;
-  cfg.base.phi_hidden = {64};
-  cfg.base.rho_hidden = {64};
-  cfg.ns = 2;
-  auto model = los::deepsets::CompressedDeepSetsModel::Create(cfg);
-  if (!model.ok()) {
-    state.SkipWithError("build failed");
-    return;
-  }
-  std::vector<los::sets::ElementId> ids{17, 423, 999, 5000};
-  std::vector<int64_t> offsets{0, 4};
-  for (auto _ : state) {
-    const Tensor& out = (*model)->Forward(ids, offsets);
-    auto* ptr = out.data();
-    benchmark::DoNotOptimize(ptr);
-  }
+  ForwardSingleSet(state, /*compressed=*/true);
 }
 BENCHMARK(BM_ClsmForwardSingleSet);
 
 // One PredictOne call per set: the pre-batching serving path.
 void BM_LsmPredictOneLoop(benchmark::State& state) {
-  los::deepsets::DeepSetsConfig cfg;
-  cfg.vocab = 10000;
-  cfg.embed_dim = 8;
-  cfg.phi_hidden = {64};
-  cfg.rho_hidden = {64};
-  los::deepsets::DeepSetsModel model(cfg);
+  auto model = BenchModel(/*compressed=*/false);
   const size_t batch = static_cast<size_t>(state.range(0));
   Rng rng(7);
   std::vector<std::vector<los::sets::ElementId>> sets(batch);
@@ -319,7 +308,7 @@ void BM_LsmPredictOneLoop(benchmark::State& state) {
   for (auto _ : state) {
     double sum = 0.0;
     for (const auto& s : sets) {
-      sum += model.PredictOne({s.data(), s.size()});
+      sum += model->PredictOne({s.data(), s.size()});
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -330,12 +319,7 @@ BENCHMARK(BM_LsmPredictOneLoop)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 // Same sets through one PredictBatch call (batched forwards + threaded
 // kernels + scratch reuse).
 void BM_LsmPredictBatch(benchmark::State& state) {
-  los::deepsets::DeepSetsConfig cfg;
-  cfg.vocab = 10000;
-  cfg.embed_dim = 8;
-  cfg.phi_hidden = {64};
-  cfg.rho_hidden = {64};
-  los::deepsets::DeepSetsModel model(cfg);
+  auto model = BenchModel(/*compressed=*/false);
   const size_t batch = static_cast<size_t>(state.range(0));
   Rng rng(7);
   std::vector<std::vector<los::sets::ElementId>> sets(batch);
@@ -349,7 +333,7 @@ void BM_LsmPredictBatch(benchmark::State& state) {
   std::vector<double> out;
   for (auto _ : state) {
     out.clear();
-    model.PredictBatch(views.data(), views.size(), &out);
+    model->PredictBatch(views.data(), views.size(), &out);
     auto* ptr = out.data();
     benchmark::DoNotOptimize(ptr);
   }

@@ -20,7 +20,6 @@
 #include "core/scaling.h"
 #include "core/trainer.h"
 #include "core/training_data.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/ops.h"
 #include "sets/set_hash.h"
@@ -50,24 +49,15 @@ std::vector<double> EpochSeconds(const los::sets::LabeledSubsets& subsets,
   auto data = los::core::TrainingSet::FromSubsets(
       subsets, los::sets::QueryLabel::kFirstPosition, scaler);
 
-  std::unique_ptr<los::deepsets::SetModel> model;
-  if (compressed) {
-    los::deepsets::CompressedConfig cfg;
-    cfg.base.vocab = 1 << 16;
-    cfg.base.embed_dim = embed_dim;
-    cfg.base.phi_hidden = {hidden};
-    cfg.base.rho_hidden = {hidden};
-    auto m = los::deepsets::CompressedDeepSetsModel::Create(cfg);
-    if (!m.ok()) return {};
-    model = std::move(*m);
-  } else {
-    los::deepsets::DeepSetsConfig cfg;
-    cfg.vocab = 1 << 16;
-    cfg.embed_dim = embed_dim;
-    cfg.phi_hidden = {hidden};
-    cfg.rho_hidden = {hidden};
-    model = std::make_unique<los::deepsets::DeepSetsModel>(cfg);
-  }
+  los::deepsets::DeepSetsConfig cfg;
+  cfg.vocab = 1 << 16;
+  cfg.embed_dim = embed_dim;
+  cfg.phi_hidden = {hidden};
+  cfg.rho_hidden = {hidden};
+  cfg.compressed = compressed;
+  auto created = los::deepsets::DeepSetsModel::Create(cfg);
+  if (!created.ok()) return {};
+  std::unique_ptr<los::deepsets::SetModel> model = std::move(*created);
 
   los::core::TrainConfig tc;
   tc.epochs = epochs;

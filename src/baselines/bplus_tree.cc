@@ -34,23 +34,6 @@ BPlusTree::~BPlusTree() {
   if (root_ != nullptr) FreeRecursive(root_);
 }
 
-BPlusTree::BPlusTree(const BPlusTree& other)
-    : branching_factor_(other.branching_factor_), size_(other.size_) {
-  Node* prev_leaf = nullptr;
-  root_ = CopyRecursive(other.root_, &prev_leaf);
-}
-
-BPlusTree::Node* BPlusTree::CopyRecursive(const Node* node, Node** prev_leaf) {
-  Node* copy = new Node(*node);  // children and next are re-pointed below
-  copy->next = nullptr;
-  for (Node*& c : copy->children) c = CopyRecursive(c, prev_leaf);
-  if (copy->is_leaf) {  // leaves are reached left to right
-    if (*prev_leaf != nullptr) (*prev_leaf)->next = copy;
-    *prev_leaf = copy;
-  }
-  return copy;
-}
-
 BPlusTree::BPlusTree(BPlusTree&& other) noexcept
     : branching_factor_(other.branching_factor_),
       root_(other.root_),

@@ -22,8 +22,7 @@ class BPlusTree {
   explicit BPlusTree(size_t branching_factor = 100);
   ~BPlusTree();
 
-  /// Deep copy: same node shapes, own nodes, leaves re-chained in order.
-  BPlusTree(const BPlusTree& other);
+  BPlusTree(const BPlusTree&) = delete;
   BPlusTree& operator=(const BPlusTree&) = delete;
   BPlusTree(BPlusTree&&) noexcept;
   BPlusTree& operator=(BPlusTree&&) noexcept;
@@ -73,7 +72,6 @@ class BPlusTree {
   struct SplitResult;
 
   SplitResult InsertRecursive(Node* node, uint64_t key, uint64_t value);
-  static Node* CopyRecursive(const Node* node, Node** prev_leaf);
   const Node* LeftmostLeafFor(uint64_t key) const;
   void FreeRecursive(Node* node);
   size_t MemoryRecursive(const Node* node) const;

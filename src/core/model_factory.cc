@@ -4,24 +4,18 @@ namespace los::core {
 
 Result<std::unique_ptr<deepsets::SetModel>> MakeSetModel(
     const ModelOptions& options, int64_t vocab) {
-  if (vocab <= 0) return Status::InvalidArgument("empty universe");
-  deepsets::DeepSetsConfig base;
-  base.vocab = vocab;
-  base.embed_dim = options.embed_dim;
-  base.phi_hidden = options.phi_hidden;
-  base.rho_hidden = options.rho_hidden;
-  base.pooling = options.pooling;
-  base.output_act = nn::Activation::kSigmoid;
-  base.seed = options.seed;
-  if (!options.compressed) {
-    return std::unique_ptr<deepsets::SetModel>(
-        std::make_unique<deepsets::DeepSetsModel>(base));
-  }
-  deepsets::CompressedConfig cc;
-  cc.base = base;
-  cc.ns = options.ns;
-  cc.divisor_override = options.divisor_override;
-  auto model = deepsets::CompressedDeepSetsModel::Create(cc);
+  deepsets::DeepSetsConfig c;
+  c.vocab = vocab;
+  c.embed_dim = options.embed_dim;
+  c.phi_hidden = options.phi_hidden;
+  c.rho_hidden = options.rho_hidden;
+  c.pooling = options.pooling;
+  c.output_act = nn::Activation::kSigmoid;
+  c.seed = options.seed;
+  c.compressed = options.compressed;
+  c.ns = options.ns;
+  c.divisor_override = options.divisor_override;
+  auto model = deepsets::DeepSetsModel::Create(c);
   if (!model.ok()) return model.status();
   return std::unique_ptr<deepsets::SetModel>(std::move(*model));
 }
@@ -34,14 +28,10 @@ void SaveSetModel(const deepsets::SetModel& model, BinaryWriter* w) {
 Result<std::unique_ptr<deepsets::SetModel>> LoadSetModel(BinaryReader* r) {
   auto kind = r->ReadString();
   if (!kind.ok()) return kind.status();
-  if (*kind == "LSM") {
+  if (*kind == "LSM" || *kind == "CLSM") {
     auto m = deepsets::DeepSetsModel::Load(r);
     if (!m.ok()) return m.status();
-    return std::unique_ptr<deepsets::SetModel>(std::move(*m));
-  }
-  if (*kind == "CLSM") {
-    auto m = deepsets::CompressedDeepSetsModel::Load(r);
-    if (!m.ok()) return m.status();
+    if ((*m)->name() != *kind) return Status::DataLoss("model kind mismatch");
     return std::unique_ptr<deepsets::SetModel>(std::move(*m));
   }
   if (*kind == "SetTransformer") {

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/status.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
 #include "deepsets/set_model.h"

@@ -6,7 +6,9 @@ namespace los::deepsets {
 
 Result<ElementCompressor> ElementCompressor::Create(
     uint64_t max_value, int ns, uint64_t divisor_override) {
-  if (ns < 1) return Status::InvalidArgument("ns must be >= 1");
+  if (ns < 1 || ns > kMaxNs) {
+    return Status::InvalidArgument("ns must be in [1, 64]");
+  }
   uint64_t divisor;
   if (ns == 1) {
     divisor = max_value + 1;  // identity: the single slot holds the element
@@ -83,6 +85,12 @@ Result<ElementCompressor> ElementCompressor::Load(BinaryReader* r) {
   if (!ns.ok()) return ns.status();
   auto d = r->ReadU64();
   if (!d.ok()) return d.status();
+  if (*ns < 1 || *ns > static_cast<uint32_t>(kMaxNs)) {
+    return Status::DataLoss("corrupt compressor ns");
+  }
+  if (*ns == 1 ? *d != *mv + 1 || *d == 0 : *d < 2) {
+    return Status::DataLoss("corrupt compressor divisor");
+  }
   return ElementCompressor(*mv, static_cast<int>(*ns), *d);
 }
 

@@ -21,8 +21,10 @@ namespace los::deepsets {
 /// "no compression" trades memory for accuracy.
 class ElementCompressor {
  public:
+  static constexpr int kMaxNs = 64;
+
   /// \param max_value largest element id that will be compressed
-  /// \param ns number of sub-elements (>= 1; 1 means identity)
+  /// \param ns number of sub-elements (1..kMaxNs; 1 means identity)
   /// \param divisor_override non-zero to tune sv_d manually (Table 6);
   ///        0 picks the optimal ceil(max_value^(1/ns))
   static Result<ElementCompressor> Create(uint64_t max_value, int ns,
@@ -56,6 +58,8 @@ class ElementCompressor {
   uint64_t TotalVocab() const;
 
   void Save(BinaryWriter* w) const;
+  /// Rejects what Create cannot produce (ns outside [1, kMaxNs], a divisor
+  /// below 2, an identity whose divisor is not max_value + 1) with DataLoss.
   static Result<ElementCompressor> Load(BinaryReader* r);
 
  private:

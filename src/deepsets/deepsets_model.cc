@@ -4,46 +4,79 @@
 #include <cassert>
 #include <cstring>
 #include <memory>
+#include <utility>
 
+#include "common/random.h"
 #include "common/trace.h"
 
 namespace los::deepsets {
 
 namespace {
 
-/// Builds {in, hidden..., } dims for φ: output dim is the last hidden width.
-std::vector<int64_t> PhiDims(int64_t in, const std::vector<int64_t>& hidden) {
+/// Builds {in, hidden...} dims, plus a final 1 for ρ's scalar head.
+std::vector<int64_t> LayerDims(int64_t in, const std::vector<int64_t>& hidden,
+                               bool scalar_head) {
   std::vector<int64_t> dims{in};
   dims.insert(dims.end(), hidden.begin(), hidden.end());
+  if (scalar_head) dims.push_back(1);
   return dims;
 }
 
-/// Builds {in, hidden..., 1} dims for ρ.
-std::vector<int64_t> RhoDims(int64_t in, const std::vector<int64_t>& hidden) {
-  std::vector<int64_t> dims{in};
-  dims.insert(dims.end(), hidden.begin(), hidden.end());
-  dims.push_back(1);
-  return dims;
-}
+/// \brief Scratch of the single-set forward (PredictOne). Buffers only
+/// grow, so a warmed thread allocates nothing.
+struct RowScratch {
+  std::vector<uint32_t> sub;  ///< CLSM: each element's sub-elements
+  std::vector<float> in;      ///< gathered φ inputs (elements x in_dim)
+  std::vector<float> phi;     ///< φ outputs (elements x φ out)
+  std::vector<float> pooled;
+  std::vector<float> ping, pong;  ///< Mlp::ForwardRow scratch
+
+  /// `v` grown to at least `n` entries; returns its data.
+  template <typename T>
+  static T* Grow(std::vector<T>* v, size_t n) {
+    if (v->size() < n) v->resize(n);
+    return v->data();
+  }
+};
 
 }  // namespace
 
-DeepSetsModel::DeepSetsModel(const DeepSetsConfig& config)
-    : config_(config), pool_(config.pooling) {
+DeepSetsModel::DeepSetsModel(const DeepSetsConfig& config,
+                             ElementCompressor compressor)
+    : config_(config), compressor_(compressor), pool_(config.pooling) {
   Rng rng(config_.seed);
-  embed_ = nn::Embedding(config_.vocab, config_.embed_dim, &rng);
-  int64_t phi_out = config_.embed_dim;
+  const int ns = compressor_.ns();
+  slot_embeds_.reserve(static_cast<size_t>(ns));
+  for (int s = 0; s < ns; ++s) {
+    slot_embeds_.emplace_back(static_cast<int64_t>(compressor_.SlotVocab(s)),
+                              config_.embed_dim, &rng);
+  }
+  int64_t phi_out = ns * config_.embed_dim;
   if (has_phi()) {
-    phi_ = nn::Mlp(PhiDims(config_.embed_dim, config_.phi_hidden),
+    phi_ = nn::Mlp(LayerDims(phi_out, config_.phi_hidden, false),
                    config_.hidden_act, config_.hidden_act, &rng);
     phi_out = config_.phi_hidden.back();
   }
-  rho_ = nn::Mlp(RhoDims(phi_out, config_.rho_hidden), config_.hidden_act,
-                 config_.output_act, &rng);
+  rho_ = nn::Mlp(LayerDims(phi_out, config_.rho_hidden, true),
+                 config_.hidden_act, config_.output_act, &rng);
+}
+
+Result<std::unique_ptr<DeepSetsModel>> DeepSetsModel::Create(
+    const DeepSetsConfig& config) {
+  if (config.vocab <= 0) {
+    return Status::InvalidArgument("vocab must be positive");
+  }
+  auto comp = ElementCompressor::Create(
+      static_cast<uint64_t>(config.vocab) - 1,
+      config.compressed ? config.ns : 1,
+      config.compressed ? config.divisor_override : 0);
+  if (!comp.ok()) return comp.status();
+  return std::unique_ptr<DeepSetsModel>(new DeepSetsModel(config, *comp));
 }
 
 struct DeepSetsModel::Activations : SetModel::Workspace {
-  nn::Tensor embedded;
+  std::vector<std::vector<uint32_t>> slot_ids;  // CLSM: per slot, per element
+  nn::Tensor embedded;  // (elements x ns*embed_dim), slots side by side
   nn::Mlp::Workspace phi;
   nn::Tensor pooled;
   std::vector<int64_t> pool_argmax;
@@ -60,15 +93,43 @@ SetModel::Workspace* DeepSetsModel::ThreadWorkspace() const {
   return &ws;
 }
 
+const std::vector<uint32_t>& DeepSetsModel::SlotIds(
+    const Activations& ws, const std::vector<sets::ElementId>& ids,
+    size_t s) const {
+  return config_.compressed ? ws.slot_ids[s] : ids;
+}
+
 const nn::Tensor& DeepSetsModel::ForwardPass(
     const std::vector<sets::ElementId>& ids,
     const std::vector<int64_t>& offsets, Workspace* base) const {
   auto* ws = static_cast<Activations*>(base);
   TRACE_SPAN_VAR(span, "model", "model.forward");
   span.set_arg("elements", static_cast<double>(ids.size()));
+  const size_t ns = static_cast<size_t>(compressor_.ns());
+  const size_t n = ids.size();
+  if (config_.compressed) {
+    TRACE_SPAN("model", "model.compress");
+    uint32_t sub[ElementCompressor::kMaxNs] = {};
+    ws->slot_ids.resize(ns);
+    for (auto& slot : ws->slot_ids) slot.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      compressor_.CompressInto(ids[i], sub);
+      for (size_t s = 0; s < ns; ++s) ws->slot_ids[s][i] = sub[s];
+    }
+  }
+  const int64_t d = config_.embed_dim;
   {
     TRACE_SPAN("model", "model.embed_gather");
-    embed_.Forward(ids, &ws->embedded);
+    // Every column is overwritten by exactly one slot's gather.
+    const auto rows = static_cast<int64_t>(n);
+    const auto cols = static_cast<int64_t>(ns) * d;
+    if (ws->embedded.rows() != rows || ws->embedded.cols() != cols) {
+      ws->embedded.ResizeAndZero(rows, cols);
+    }
+    for (size_t s = 0; s < ns; ++s) {
+      slot_embeds_[s].ForwardInto(SlotIds(*ws, ids, s), &ws->embedded,
+                                  static_cast<int64_t>(s) * d);
+    }
   }
   const nn::Tensor* phi_out = &ws->embedded;
   if (has_phi()) {
@@ -83,49 +144,55 @@ const nn::Tensor& DeepSetsModel::ForwardPass(
   return rho_.Forward(ws->pooled, &ws->rho);
 }
 
-float PhiPoolRhoRow(const nn::Mlp* phi, const nn::SegmentPool& pool,
-                    const nn::Mlp& rho, int64_t n, int64_t in_dim,
-                    RowScratch* rs, TraceSpan* stage) {
-  const int64_t width =
-      std::max(phi != nullptr ? phi->max_width() : 0, rho.max_width());
-  float* ping = RowScratch::Grow(&rs->ping, static_cast<size_t>(width));
-  float* pong = RowScratch::Grow(&rs->pong, static_cast<size_t>(width));
-  const float* rows = rs->in.data();
-  int64_t d = in_dim;
-  if (phi != nullptr) {
-    stage->Next("model.phi");
-    d = phi->out_dim();
-    float* out = RowScratch::Grow(&rs->phi, static_cast<size_t>(n * d));
-    for (int64_t i = 0; i < n; ++i) {
-      const float* y = phi->ForwardRow(rows + i * in_dim, ping, pong);
-      std::memcpy(out + i * d, y, static_cast<size_t>(d) * sizeof(float));
-    }
-    rows = out;
-  }
-  stage->Next("model.pool");
-  float* pooled = RowScratch::Grow(&rs->pooled, static_cast<size_t>(d));
-  pool.ForwardRow(rows, n, d, pooled);
-  stage->Next("model.rho");
-  return rho.ForwardRow(pooled, ping, pong)[0];
-}
-
 double DeepSetsModel::PredictOne(sets::SetView s) const {
   RowScratch* rs = &static_cast<Activations*>(ThreadWorkspace())->row;
   TRACE_SPAN_VAR(span, "model", "model.forward");
-  const int64_t n = static_cast<int64_t>(s.size());
+  const size_t n = s.size();
   span.set_arg("elements", static_cast<double>(n));
-  TRACE_SPAN_VAR(stage, "model", "model.embed_gather");
-  const int64_t d = config_.embed_dim;
-  float* in = RowScratch::Grow(&rs->in, static_cast<size_t>(n * d));
-  const nn::Tensor& table = embed_.table().value;
-  for (int64_t i = 0; i < n; ++i) {
-    const int64_t id = s[static_cast<size_t>(i)];
-    assert(id < table.rows());
-    std::memcpy(in + i * d, table.row(id),
-                static_cast<size_t>(d) * sizeof(float));
+  TRACE_SPAN_VAR(stage, "model",
+                 config_.compressed ? "model.compress" : "model.embed_gather");
+  const size_t ns = static_cast<size_t>(compressor_.ns());
+  const uint32_t* sub = s.data();  // the LSM's one slot is the element
+  if (config_.compressed) {
+    uint32_t* out = RowScratch::Grow(&rs->sub, n * ns);
+    for (size_t i = 0; i < n; ++i) compressor_.CompressInto(s[i], out + i * ns);
+    sub = out;
+    stage.Next("model.embed_gather");
   }
-  return static_cast<double>(PhiPoolRhoRow(has_phi() ? &phi_ : nullptr,
-                                           pool_, rho_, n, d, rs, &stage));
+  const size_t d = static_cast<size_t>(config_.embed_dim);
+  const size_t in_dim = ns * d;
+  float* in = RowScratch::Grow(&rs->in, n * in_dim);
+  for (size_t t = 0; t < ns; ++t) {
+    const nn::Tensor& table = slot_embeds_[t].table().value;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t id = sub[i * ns + t];
+      assert(id < table.rows());
+      std::memcpy(in + i * in_dim + t * d, table.row(id), d * sizeof(float));
+    }
+  }
+  // φ on each row, then pool into one row, then ρ, ping-ponging two rows.
+  const int64_t width =
+      std::max(has_phi() ? phi_.max_width() : 0, rho_.max_width());
+  float* ping = RowScratch::Grow(&rs->ping, static_cast<size_t>(width));
+  float* pong = RowScratch::Grow(&rs->pong, static_cast<size_t>(width));
+  const float* rows = in;
+  size_t row_dim = in_dim;
+  if (has_phi()) {
+    stage.Next("model.phi");
+    row_dim = static_cast<size_t>(phi_.out_dim());
+    float* out = RowScratch::Grow(&rs->phi, n * row_dim);
+    for (size_t i = 0; i < n; ++i) {
+      const float* y = phi_.ForwardRow(in + i * in_dim, ping, pong);
+      std::memcpy(out + i * row_dim, y, row_dim * sizeof(float));
+    }
+    rows = out;
+  }
+  stage.Next("model.pool");
+  float* pooled = RowScratch::Grow(&rs->pooled, row_dim);
+  pool_.ForwardRow(rows, static_cast<int64_t>(n),
+                   static_cast<int64_t>(row_dim), pooled);
+  stage.Next("model.rho");
+  return static_cast<double>(rho_.ForwardRow(pooled, ping, pong)[0]);
 }
 
 void DeepSetsModel::BackwardPass(Workspace* base, const nn::Tensor& dout) {
@@ -135,27 +202,34 @@ void DeepSetsModel::BackwardPass(Workspace* base, const nn::Tensor& dout) {
   const int64_t total_elements = static_cast<int64_t>(ws->ids.size());
   pool_.Backward(dpooled_, ws->offsets, ws->pool_argmax, total_elements,
                  &dphi_out_);
+  const nn::Tensor* dembedded = &dphi_out_;
   if (has_phi()) {
     phi_.Backward(ws->embedded, &ws->phi, &dphi_out_, &dembedded_);
-    embed_.Backward(ws->ids, dembedded_);
-  } else {
-    embed_.Backward(ws->ids, dphi_out_);
+    dembedded = &dembedded_;
+  }
+  const int64_t d = config_.embed_dim;
+  for (size_t s = 0; s < slot_embeds_.size(); ++s) {
+    slot_embeds_[s].BackwardFrom(SlotIds(*ws, ws->ids, s), *dembedded,
+                                 static_cast<int64_t>(s) * d);
   }
 }
 
 void DeepSetsModel::CollectParameters(std::vector<nn::Parameter*>* out) {
-  embed_.CollectParameters(out);
+  for (auto& e : slot_embeds_) e.CollectParameters(out);
   if (has_phi()) phi_.CollectParameters(out);
   rho_.CollectParameters(out);
 }
 
 size_t DeepSetsModel::ByteSize() const {
-  return embed_.ByteSize() + (has_phi() ? phi_.ByteSize() : 0) +
-         rho_.ByteSize();
+  size_t total = (has_phi() ? phi_.ByteSize() : 0) + rho_.ByteSize();
+  for (const auto& e : slot_embeds_) total += e.ByteSize();
+  return total;
 }
 
+// Format: name(), the shared config, then for a CLSM its ns,
+// divisor_override and compressor, then the slot tables, φ and ρ.
 void DeepSetsModel::Save(BinaryWriter* w) const {
-  w->WriteString("LSM");
+  w->WriteString(name());
   w->WriteI64(config_.vocab);
   w->WriteI64(config_.embed_dim);
   w->WriteU64(config_.phi_hidden.size());
@@ -166,80 +240,116 @@ void DeepSetsModel::Save(BinaryWriter* w) const {
   w->WriteU32(static_cast<uint32_t>(config_.output_act));
   w->WriteU32(static_cast<uint32_t>(config_.pooling));
   w->WriteU64(config_.seed);
-  embed_.Save(w);
+  if (config_.compressed) {
+    w->WriteU32(static_cast<uint32_t>(config_.ns));
+    w->WriteU64(config_.divisor_override);
+    compressor_.Save(w);
+  }
+  for (const auto& e : slot_embeds_) e.Save(w);
   if (has_phi()) phi_.Save(w);
   rho_.Save(w);
 }
-
 
 namespace {
 
 /// Rejects corrupted config fields before any allocation: every dimension
 /// must be positive and small enough that its tensors could actually be
 /// present in the remaining payload.
-bool SaneDim(int64_t d) { return d > 0 && d <= (int64_t{1} << 24); }
+constexpr int64_t kMaxDim = int64_t{1} << 24;
 
-bool SaneEmbedding(int64_t rows, int64_t cols, const BinaryReader& r) {
-  if (!SaneDim(rows) || !SaneDim(cols)) return false;
-  // The table's floats must fit in what is left of the buffer (slack for
-  // headers).
-  return static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) <=
+bool SaneDim(int64_t d) { return d > 0 && d <= kMaxDim; }
+
+/// True when every slot table of `comp` has a sane row count and all of
+/// them fit in what is left of the buffer (slack for headers).
+bool SaneEmbeddings(const ElementCompressor& comp, int64_t embed_dim,
+                    const BinaryReader& r) {
+  if (!SaneDim(embed_dim)) return false;
+  uint64_t rows = 0;  // at most 64 slots of 2^24 rows: cannot overflow
+  for (int s = 0; s < comp.ns(); ++s) {
+    const uint64_t v = comp.SlotVocab(s);
+    if (v == 0 || v > static_cast<uint64_t>(kMaxDim)) return false;
+    rows += v;
+  }
+  return rows * static_cast<uint64_t>(embed_dim) <=
          r.remaining() / sizeof(float) + 1024;
 }
 
+Result<std::vector<int64_t>> ReadDims(BinaryReader* r) {
+  uint64_t count = 0;
+  LOS_ASSIGN_OR_RETURN(count, r->ReadU64());
+  std::vector<int64_t> dims;
+  for (uint64_t i = 0; i < count; ++i) {
+    int64_t d = 0;
+    LOS_ASSIGN_OR_RETURN(d, r->ReadI64());
+    if (!SaneDim(d)) return Status::DataLoss("corrupt model layer width");
+    dims.push_back(d);
+  }
+  return dims;
+}
+
+/// Every parameter's (rows, cols), in CollectParameters order.
+std::vector<std::pair<int64_t, int64_t>> Shapes(SetModel* model) {
+  std::vector<nn::Parameter*> params;
+  model->CollectParameters(&params);
+  std::vector<std::pair<int64_t, int64_t>> shapes;
+  for (const nn::Parameter* p : params) {
+    shapes.emplace_back(p->value.rows(), p->value.cols());
+  }
+  return shapes;
+}
+
 }  // namespace
+
 Result<std::unique_ptr<DeepSetsModel>> DeepSetsModel::Load(BinaryReader* r) {
-  auto tag = r->ReadString();
-  if (!tag.ok()) return tag.status();
-  if (*tag != "LSM") return Status::Internal("expected LSM model tag");
+  std::string tag;
+  LOS_ASSIGN_OR_RETURN(tag, r->ReadString());
   DeepSetsConfig c;
-  auto vocab = r->ReadI64();
-  if (!vocab.ok()) return vocab.status();
-  c.vocab = *vocab;
-  auto ed = r->ReadI64();
-  if (!ed.ok()) return ed.status();
-  c.embed_dim = *ed;
-  auto np = r->ReadU64();
-  if (!np.ok()) return np.status();
-  c.phi_hidden.clear();
-  for (uint64_t i = 0; i < *np; ++i) {
-    auto d = r->ReadI64();
-    if (!d.ok()) return d.status();
-    c.phi_hidden.push_back(*d);
+  c.compressed = tag == "CLSM";
+  if (!c.compressed && tag != "LSM") {
+    return Status::Internal("expected LSM or CLSM model tag");
   }
-  auto nr = r->ReadU64();
-  if (!nr.ok()) return nr.status();
-  c.rho_hidden.clear();
-  for (uint64_t i = 0; i < *nr; ++i) {
-    auto d = r->ReadI64();
-    if (!d.ok()) return d.status();
-    c.rho_hidden.push_back(*d);
+  LOS_ASSIGN_OR_RETURN(c.vocab, r->ReadI64());
+  LOS_ASSIGN_OR_RETURN(c.embed_dim, r->ReadI64());
+  LOS_ASSIGN_OR_RETURN(c.phi_hidden, ReadDims(r));
+  LOS_ASSIGN_OR_RETURN(c.rho_hidden, ReadDims(r));
+  uint32_t hidden_act = 0, output_act = 0, pooling = 0;
+  LOS_ASSIGN_OR_RETURN(hidden_act, r->ReadU32());
+  LOS_ASSIGN_OR_RETURN(output_act, r->ReadU32());
+  LOS_ASSIGN_OR_RETURN(pooling, r->ReadU32());
+  c.hidden_act = static_cast<nn::Activation>(hidden_act);
+  c.output_act = static_cast<nn::Activation>(output_act);
+  c.pooling = static_cast<nn::Pooling>(pooling);
+  LOS_ASSIGN_OR_RETURN(c.seed, r->ReadU64());
+  // No cap here: a CLSM's vocab may exceed 2^24, since only its slot
+  // tables are allocated, and SaneEmbeddings caps each of them (for the
+  // LSM, the one table of vocab rows).
+  if (c.vocab <= 0) return Status::DataLoss("corrupt model vocab");
+  const uint64_t max_value = static_cast<uint64_t>(c.vocab) - 1;
+  auto comp = ElementCompressor::Create(max_value, 1);
+  if (c.compressed) {
+    uint32_t ns = 0;
+    LOS_ASSIGN_OR_RETURN(ns, r->ReadU32());
+    c.ns = static_cast<int>(ns);
+    LOS_ASSIGN_OR_RETURN(c.divisor_override, r->ReadU64());
+    comp = ElementCompressor::Load(r);
+    if (!comp.ok()) return comp.status();
+    if (comp->ns() != c.ns) return Status::DataLoss("corrupt CLSM ns");
   }
-  auto ha = r->ReadU32();
-  if (!ha.ok()) return ha.status();
-  c.hidden_act = static_cast<nn::Activation>(*ha);
-  auto oa = r->ReadU32();
-  if (!oa.ok()) return oa.status();
-  c.output_act = static_cast<nn::Activation>(*oa);
-  auto po = r->ReadU32();
-  if (!po.ok()) return po.status();
-  c.pooling = static_cast<nn::Pooling>(*po);
-  auto seed = r->ReadU64();
-  if (!seed.ok()) return seed.status();
-  c.seed = *seed;
-  if (!SaneEmbedding(c.vocab, c.embed_dim, *r)) {
-    return Status::Internal("corrupt LSM dimensions");
+  // An element below vocab must land inside every slot's table.
+  if (comp->max_value() != max_value ||
+      !SaneEmbeddings(*comp, c.embed_dim, *r)) {
+    return Status::DataLoss("corrupt model dimensions");
   }
-  for (int64_t d : c.phi_hidden) {
-    if (!SaneDim(d)) return Status::Internal("corrupt LSM phi width");
-  }
-  for (int64_t d : c.rho_hidden) {
-    if (!SaneDim(d)) return Status::Internal("corrupt LSM rho width");
-  }
-  auto model = std::make_unique<DeepSetsModel>(c);
-  LOS_RETURN_NOT_OK(model->embed_.Load(r));
-  if (!c.phi_hidden.empty()) LOS_RETURN_NOT_OK(model->phi_.Load(r));
+  std::unique_ptr<DeepSetsModel> model(new DeepSetsModel(c, *comp));
+  const auto built = Shapes(model.get());
+  for (auto& e : model->slot_embeds_) LOS_RETURN_NOT_OK(e.Load(r));
+  if (model->has_phi()) LOS_RETURN_NOT_OK(model->phi_.Load(r));
   LOS_RETURN_NOT_OK(model->rho_.Load(r));
+  // The stored tensors must have the shapes the config implies: a table
+  // shorter than its slot's vocab would be read past by a covered query.
+  if (Shapes(model.get()) != built) {
+    return Status::DataLoss("model tensor shapes do not match its config");
+  }
   return model;
 }
 

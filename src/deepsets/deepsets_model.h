@@ -6,20 +6,16 @@
 #include <string>
 #include <vector>
 
-#include "common/random.h"
+#include "deepsets/compression.h"
 #include "deepsets/set_model.h"
 #include "nn/mlp.h"
 
-namespace los {
-class TraceSpan;
-}  // namespace los
-
 namespace los::deepsets {
 
-/// Hyper-parameters shared by LSM and CLSM (the paper sweeps embedding size
+/// Hyper-parameters of the LSM and the CLSM (the paper sweeps embedding size
 /// {2..32}, neurons {8..256} and layers {1,2}).
 struct DeepSetsConfig {
-  int64_t vocab = 0;           ///< universe size (embedding rows)
+  int64_t vocab = 0;           ///< universe size (max id + 1)
   int64_t embed_dim = 8;       ///< embedding vector size
   std::vector<int64_t> phi_hidden = {32};  ///< φ layer widths (may be empty)
   std::vector<int64_t> rho_hidden = {32};  ///< ρ hidden layer widths
@@ -27,53 +23,49 @@ struct DeepSetsConfig {
   nn::Activation output_act = nn::Activation::kSigmoid;  ///< Table 1
   nn::Pooling pooling = nn::Pooling::kSum;  ///< paper uses sum
   uint64_t seed = 42;
+  /// CLSM: split every element into `ns` sub-elements. False is the LSM,
+  /// whose one slot is the element itself; `ns` and `divisor_override` are
+  /// then unused.
+  bool compressed = false;
+  int ns = 2;                     ///< CLSM sub-elements (paper: 2)
+  uint64_t divisor_override = 0;  ///< CLSM sv_d (Table 6); 0 = optimal
 };
 
-/// \brief Scratch of the single-set forward (PredictOne) shared by LSM and
-/// CLSM. Buffers only grow, so a warmed thread allocates nothing.
-struct RowScratch {
-  std::vector<uint32_t> sub;  ///< CLSM: each element's sub-elements
-  std::vector<float> in;      ///< gathered φ inputs (elements x in_dim)
-  std::vector<float> phi;     ///< φ outputs (elements x φ out)
-  std::vector<float> pooled;
-  std::vector<float> ping, pong;  ///< Mlp::ForwardRow scratch
-
-  /// `v` grown to at least `n` entries; returns its data.
-  template <typename T>
-  static T* Grow(std::vector<T>* v, size_t n) {
-    if (v->size() < n) v->resize(n);
-    return v->data();
-  }
-};
-
-/// The rest of an LSM/CLSM single-set forward once the `n` element rows of
-/// `in_dim` floats are gathered in `rs->in`: φ on each row (skipped when
-/// `phi` is null), pooling, then ρ. `stage` is the caller's running stage
-/// span; it advances to `model.phi`, `model.pool` and `model.rho`. Returns
-/// the model output.
-float PhiPoolRhoRow(const nn::Mlp* phi, const nn::SegmentPool& pool,
-                    const nn::Mlp& rho, int64_t n, int64_t in_dim,
-                    RowScratch* rs, TraceSpan* stage);
-
-/// \brief The non-compressed learned set model (LSM): DeepSets as in
-/// Figure 2.
+/// \brief The learned set model: DeepSets (Figure 2), uncompressed (LSM) or
+/// compressed (CLSM, Figure 4).
 ///
-/// y = ρ( pool_{x ∈ X} φ(e(x)) ), with a single shared embedding `e`, making
-/// the function permutation invariant and size-agnostic by construction.
+/// y = ρ( pool_{x ∈ X} φ([e_1(x_1), ..., e_ns(x_ns)]) ): the
+/// ElementCompressor splits each element into `ns` sub-elements x_s (the
+/// LSM's one slot is the identity), each slot has its own embedding table
+/// e_s (all quotients share one encoder, all remainders another), and an
+/// element's slot embeddings are concatenated before φ. Pooling makes the
+/// function permutation invariant and size-agnostic by construction. The φ
+/// step is what preserves the CLSM's quotient↔remainder interconnection:
+/// pooling raw concatenations would let the sum conflate different sets
+/// (see §5's X = {(q1,r1),(q2,r2)} vs Z = {(q2,r1),(q1,r2)} example), and
+/// `phi_hidden = {}` reproduces exactly that broken ablation, which the
+/// property tests exercise.
 class DeepSetsModel : public SetModel {
  public:
-  explicit DeepSetsModel(const DeepSetsConfig& config);
+  /// Fails on a non-positive vocab or a CLSM `ns`/`divisor_override` that
+  /// ElementCompressor::Create rejects.
+  static Result<std::unique_ptr<DeepSetsModel>> Create(
+      const DeepSetsConfig& config);
 
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   size_t ByteSize() const override;
-  std::string name() const override { return "LSM"; }
+  std::string name() const override {
+    return config_.compressed ? "CLSM" : "LSM";
+  }
   int64_t vocab() const override { return config_.vocab; }
 
   const DeepSetsConfig& config() const { return config_; }
+  const ElementCompressor& compressor() const { return compressor_; }
 
   double PredictOne(sets::SetView s) const override;
 
   void Save(BinaryWriter* w) const override;
+  /// Reads what Save wrote for either kind.
   static Result<std::unique_ptr<DeepSetsModel>> Load(BinaryReader* r);
 
  protected:
@@ -87,10 +79,19 @@ class DeepSetsModel : public SetModel {
  private:
   struct Activations;
 
+  DeepSetsModel(const DeepSetsConfig& config, ElementCompressor compressor);
+
   bool has_phi() const { return !config_.phi_hidden.empty(); }
 
+  /// Slot `s`'s embedding ids for the batch `ids` recorded in `ws`: the
+  /// ids themselves for the LSM, the compressed sub-elements for a CLSM.
+  const std::vector<uint32_t>& SlotIds(const Activations& ws,
+                                       const std::vector<sets::ElementId>& ids,
+                                       size_t s) const;
+
   DeepSetsConfig config_;
-  nn::Embedding embed_;
+  ElementCompressor compressor_;
+  std::vector<nn::Embedding> slot_embeds_;  // one per sub-element slot
   nn::Mlp phi_;  // per-element transform (identity when phi_hidden empty)
   nn::Mlp rho_;  // post-pooling transform, ends in 1 output
   nn::SegmentPool pool_;

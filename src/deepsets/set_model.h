@@ -15,8 +15,8 @@ namespace los::deepsets {
 
 /// \brief Interface of a learned set-to-scalar model.
 ///
-/// Implementations: DeepSetsModel (LSM), CompressedDeepSetsModel (CLSM) and
-/// SetTransformerModel. Batches use CSR layout: `ids` flattens all sets'
+/// Implementations: DeepSetsModel (the LSM, and with `compressed` the CLSM)
+/// and SetTransformerModel. Batches use CSR layout: `ids` flattens all sets'
 /// elements, `offsets` (num_sets + 1 entries) delimits each set. The output
 /// is one scalar per set (position / cardinality / membership probability,
 /// all in [0,1] via the sigmoid head — Table 1).
@@ -84,7 +84,7 @@ class SetModel {
   /// Predicts the scalar for a single set, bit-identical to that set's
   /// entry in PredictBatch (LearnedBloomFilter's no-false-negative
   /// guarantee depends on it). This default runs ForwardPass on a one-set
-  /// batch; LSM and CLSM override it with a single-row forward (row
+  /// batch; DeepSetsModel overrides it with a single-row forward (row
   /// gather, φ per element row, pool, ρ; each layer on the nn::GemmRow
   /// kernel) that skips the Tensor plumbing. After warm-up the calling
   /// thread's workspace has its capacity, so repeated calls do not

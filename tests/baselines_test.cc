@@ -124,48 +124,6 @@ TEST(BPlusTreeTest, MoveTransfersOwnership) {
   EXPECT_EQ(b.size(), 1u);
 }
 
-std::vector<uint8_t> SavedBytes(const BPlusTree& t) {
-  BinaryWriter w;
-  t.Save(&w);
-  return {w.bytes().begin(), w.bytes().end()};
-}
-
-TEST(BPlusTreeTest, CopyIsDeepAndIndependent) {
-  // Few distinct keys over many leaves: duplicate runs span leaf
-  // boundaries, so FindAll and Save only agree if the copy's leaf chain is
-  // whole and in order.
-  BPlusTree src(8);
-  Rng rng(11);
-  for (int i = 0; i < 3000; ++i) src.Insert(rng.Uniform(400), rng.Next());
-  const std::vector<uint8_t> src_bytes = SavedBytes(src);
-
-  BPlusTree copy(src);
-  EXPECT_TRUE(copy.CheckInvariants().ok());
-  EXPECT_EQ(copy.size(), src.size());
-  EXPECT_EQ(copy.height(), src.height());
-  EXPECT_EQ(SavedBytes(copy), src_bytes);
-  for (uint64_t key = 0; key < 400; ++key) {
-    EXPECT_EQ(copy.FindAll(key), src.FindAll(key)) << key;
-  }
-
-  // Writes to the source, including enough inserts to split leaves, leave
-  // the copy as it was...
-  src.Assign(7, 123456);
-  for (uint64_t i = 0; i < 500; ++i) src.Insert(1000 + i, i);
-  EXPECT_EQ(SavedBytes(copy), src_bytes);
-  EXPECT_TRUE(copy.CheckInvariants().ok());
-
-  // ...and writes to the copy leave the source as it is.
-  const std::vector<uint8_t> src_after = SavedBytes(src);
-  copy.Assign(7, 654321);
-  for (uint64_t i = 0; i < 500; ++i) copy.Insert(2000 + i, i);
-  EXPECT_EQ(SavedBytes(src), src_after);
-  EXPECT_EQ(*src.FindFirst(7), 123456u);
-  EXPECT_EQ(*copy.FindFirst(7), 654321u);
-  EXPECT_TRUE(src.CheckInvariants().ok());
-  EXPECT_TRUE(copy.CheckInvariants().ok());
-}
-
 TEST(BPlusTreeTest, SaveLoadRoundTrip) {
   BPlusTree t(8);
   Rng rng(9);

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/compression.h"
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
@@ -101,6 +100,8 @@ TEST(CompressorTest, TotalVocabDecreasesWithNs) {
 TEST(CompressorTest, InvalidArgsRejected) {
   EXPECT_FALSE(ElementCompressor::Create(100, 0).ok());
   EXPECT_FALSE(ElementCompressor::Create(100, 2, 1).ok());
+  EXPECT_FALSE(ElementCompressor::Create(100, ElementCompressor::kMaxNs + 1)
+                   .ok());
 }
 
 TEST(CompressorTest, SaveLoadRoundTrip) {
@@ -126,22 +127,19 @@ std::unique_ptr<DeepSetsModel> MakeLsm(Pooling pooling, uint64_t seed = 7) {
   c.rho_hidden = {8};
   c.pooling = pooling;
   c.seed = seed;
-  return std::make_unique<DeepSetsModel>(c);
+  return std::move(DeepSetsModel::Create(c)).value();
 }
 
-std::unique_ptr<CompressedDeepSetsModel> MakeClsm(bool with_phi,
-                                                  uint64_t seed = 7) {
-  CompressedConfig cc;
-  cc.base.vocab = 50;
-  cc.base.embed_dim = 4;
-  cc.base.phi_hidden = with_phi ? std::vector<int64_t>{8}
-                                : std::vector<int64_t>{};
-  cc.base.rho_hidden = {8};
-  cc.base.seed = seed;
-  cc.ns = 2;
-  auto m = CompressedDeepSetsModel::Create(cc);
-  EXPECT_TRUE(m.ok());
-  return std::move(*m);
+std::unique_ptr<DeepSetsModel> MakeClsm(bool with_phi, uint64_t seed = 7) {
+  DeepSetsConfig c;
+  c.vocab = 50;
+  c.embed_dim = 4;
+  c.phi_hidden = with_phi ? std::vector<int64_t>{8} : std::vector<int64_t>{};
+  c.rho_hidden = {8};
+  c.seed = seed;
+  c.compressed = true;
+  c.ns = 2;
+  return std::move(DeepSetsModel::Create(c)).value();
 }
 
 // ---------- Permutation invariance ----------
@@ -229,15 +227,16 @@ TEST(CompressedModelTest, PhiSeparatesRecombinedPairs) {
   // to (q=1,r=0), (q=2,r=1); the recombination z1 = 1*7+1 = 8, z2 = 2*7+0=14
   // swaps the remainders. Without φ (sum-pool the raw concatenations) the
   // two sets are indistinguishable by construction; with φ they are not.
-  CompressedConfig no_phi;
-  no_phi.base.vocab = 50;
-  no_phi.base.embed_dim = 4;
-  no_phi.base.phi_hidden = {};
-  no_phi.base.rho_hidden = {8};
-  no_phi.base.seed = 11;
+  DeepSetsConfig no_phi;
+  no_phi.vocab = 50;
+  no_phi.embed_dim = 4;
+  no_phi.phi_hidden = {};
+  no_phi.rho_hidden = {8};
+  no_phi.seed = 11;
+  no_phi.compressed = true;
   no_phi.ns = 2;
   no_phi.divisor_override = 7;
-  auto broken = CompressedDeepSetsModel::Create(no_phi);
+  auto broken = DeepSetsModel::Create(no_phi);
   ASSERT_TRUE(broken.ok());
 
   std::vector<sets::ElementId> x{7, 15}, z{8, 14};
@@ -246,9 +245,9 @@ TEST(CompressedModelTest, PhiSeparatesRecombinedPairs) {
   EXPECT_FLOAT_EQ(static_cast<float>(bx), static_cast<float>(bz))
       << "without phi the model must conflate X and Z";
 
-  CompressedConfig with_phi = no_phi;
-  with_phi.base.phi_hidden = {8};
-  auto fixed = CompressedDeepSetsModel::Create(with_phi);
+  DeepSetsConfig with_phi = no_phi;
+  with_phi.phi_hidden = {8};
+  auto fixed = DeepSetsModel::Create(with_phi);
   ASSERT_TRUE(fixed.ok());
   double fx = (*fixed)->PredictOne({x.data(), 2});
   double fz = (*fixed)->PredictOne({z.data(), 2});
@@ -333,6 +332,7 @@ TEST(DeepSetsModelTest, SaveLoadPreservesPredictions) {
   BinaryReader r(w.bytes());
   auto loaded = DeepSetsModel::Load(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->name(), "LSM");
   std::vector<sets::ElementId> s{3, 17, 42};
   EXPECT_EQ(model->PredictOne({s.data(), 3}),
             (*loaded)->PredictOne({s.data(), 3}));
@@ -343,8 +343,9 @@ TEST(CompressedModelTest, SaveLoadPreservesPredictions) {
   BinaryWriter w;
   model->Save(&w);
   BinaryReader r(w.bytes());
-  auto loaded = CompressedDeepSetsModel::Load(&r);
+  auto loaded = DeepSetsModel::Load(&r);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->name(), "CLSM");
   std::vector<sets::ElementId> s{5, 23, 49};
   EXPECT_EQ(model->PredictOne({s.data(), 3}),
             (*loaded)->PredictOne({s.data(), 3}));
@@ -367,11 +368,14 @@ TEST(SetTransformerTest, SaveLoadPreservesPredictions) {
 }
 
 TEST(ModelLoadTest, WrongTagRejected) {
-  auto model = MakeLsm(Pooling::kSum);
+  SetTransformerConfig cfg;
+  cfg.vocab = 30;
+  auto model = SetTransformerModel::Create(cfg);
+  ASSERT_TRUE(model.ok());
   BinaryWriter w;
-  model->Save(&w);
+  (*model)->Save(&w);
   BinaryReader r(w.bytes());
-  EXPECT_FALSE(CompressedDeepSetsModel::Load(&r).ok());
+  EXPECT_FALSE(DeepSetsModel::Load(&r).ok());
 }
 
 // ---------- Memory scaling (the point of §5) ----------
@@ -382,29 +386,31 @@ TEST(MemoryTest, ClsmDrasticallySmallerThanLsmForLargeVocab) {
   lsm_cfg.embed_dim = 8;
   lsm_cfg.phi_hidden = {16};
   lsm_cfg.rho_hidden = {16};
-  DeepSetsModel lsm(lsm_cfg);
+  auto lsm = DeepSetsModel::Create(lsm_cfg);
+  ASSERT_TRUE(lsm.ok());
 
-  CompressedConfig clsm_cfg;
-  clsm_cfg.base = lsm_cfg;
+  DeepSetsConfig clsm_cfg = lsm_cfg;
+  clsm_cfg.compressed = true;
   clsm_cfg.ns = 2;
-  auto clsm = CompressedDeepSetsModel::Create(clsm_cfg);
+  auto clsm = DeepSetsModel::Create(clsm_cfg);
   ASSERT_TRUE(clsm.ok());
   // Embedding dominates LSM; CLSM's two ~317-row tables are tiny.
-  EXPECT_GT(lsm.ByteSize(), (*clsm)->ByteSize() * 50);
+  EXPECT_GT((*lsm)->ByteSize(), (*clsm)->ByteSize() * 50);
 }
 
 TEST(MemoryTest, DivisorOverrideInterpolatesSize) {
   // Table 6: larger sv_d -> more parameters -> more memory.
   size_t prev = 0;
   for (uint64_t svd : {0u /*optimal*/, 1000u, 5000u, 10000u}) {
-    CompressedConfig cfg;
-    cfg.base.vocab = 73618;  // Tweets universe
-    cfg.base.embed_dim = 8;
-    cfg.base.phi_hidden = {16};
-    cfg.base.rho_hidden = {16};
+    DeepSetsConfig cfg;
+    cfg.vocab = 73618;  // Tweets universe
+    cfg.embed_dim = 8;
+    cfg.phi_hidden = {16};
+    cfg.rho_hidden = {16};
+    cfg.compressed = true;
     cfg.ns = 2;
     cfg.divisor_override = svd;
-    auto m = CompressedDeepSetsModel::Create(cfg);
+    auto m = DeepSetsModel::Create(cfg);
     ASSERT_TRUE(m.ok());
     EXPECT_GT((*m)->ByteSize(), prev);
     prev = (*m)->ByteSize();

@@ -1,16 +1,16 @@
 // Numerical gradient checks for every hand-written backward pass: Dense,
-// MLP, DeepSetsModel (all poolings), CompressedDeepSetsModel, LSTM, GRU.
+// MLP, DeepSetsModel (LSM over all poolings, CLSM over ns), LSTM, GRU.
 // Analytic gradients from Backward() are compared against central finite
 // differences of the forward pass.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <vector>
 
 #include "common/random.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
 #include "nn/init.h"
@@ -20,8 +20,6 @@
 namespace los {
 namespace {
 
-using deepsets::CompressedConfig;
-using deepsets::CompressedDeepSetsModel;
 using deepsets::DeepSetsConfig;
 using deepsets::DeepSetsModel;
 using deepsets::SetModel;
@@ -179,8 +177,91 @@ TEST_P(DeepSetsGradCheck, AllParametersMatchNumeric) {
   c.pooling = GetParam();
   c.output_act = Activation::kSigmoid;
   c.seed = 17;
-  DeepSetsModel model(c);
-  CheckSetModel(&model);
+  auto model = DeepSetsModel::Create(c);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  CheckSetModel(model->get());
+}
+
+/// Runs Forward and Backward over `ids`/`offsets` with upstream gradient
+/// `coeff`; returns the parameters, holding their gradients.
+std::vector<Parameter*> Gradients(SetModel* model,
+                                  const std::vector<sets::ElementId>& ids,
+                                  const std::vector<int64_t>& offsets,
+                                  const Tensor& coeff) {
+  std::vector<Parameter*> params;
+  model->CollectParameters(&params);
+  for (auto* p : params) p->ZeroGrad();
+  model->Forward(ids, offsets);
+  model->Backward(coeff);
+  return params;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// With ns = 1 the compressor is the identity, so a one-slot CLSM is the
+// LSM of the same config and seed: every prediction, parameter and
+// gradient must be equal bit for bit.
+TEST_P(DeepSetsGradCheck, OneSlotClsmMatchesLsmBitForBit) {
+  for (bool with_phi : {false, true}) {
+    DeepSetsConfig c;
+    c.vocab = 10;
+    c.embed_dim = 3;
+    c.phi_hidden = with_phi ? std::vector<int64_t>{4} : std::vector<int64_t>{};
+    c.rho_hidden = {4};
+    c.pooling = GetParam();
+    c.seed = 17;
+    auto lsm = DeepSetsModel::Create(c);
+    c.compressed = true;
+    c.ns = 1;
+    auto clsm = DeepSetsModel::Create(c);
+    ASSERT_TRUE(lsm.ok() && clsm.ok());
+    ASSERT_EQ((*clsm)->name(), "CLSM");
+
+    // 100 random sets of 0-8 elements, repeats allowed.
+    Rng rng(41);
+    std::vector<sets::ElementId> ids;
+    std::vector<int64_t> offsets{0};
+    for (int s = 0; s < 100; ++s) {
+      for (int i = 0; i < s % 9; ++i) {
+        ids.push_back(static_cast<sets::ElementId>(rng.Uniform(10)));
+      }
+      offsets.push_back(static_cast<int64_t>(ids.size()));
+    }
+    std::vector<sets::SetView> views;
+    for (size_t s = 0; s + 1 < offsets.size(); ++s) {
+      views.emplace_back(ids.data() + offsets[s],
+                         static_cast<size_t>(offsets[s + 1] - offsets[s]));
+    }
+    const std::vector<double> lsm_batch = (*lsm)->PredictBatch(views);
+    const std::vector<double> clsm_batch = (*clsm)->PredictBatch(views);
+    ASSERT_EQ(lsm_batch.size(), views.size());
+    ASSERT_EQ(clsm_batch.size(), views.size());
+    EXPECT_EQ(std::memcmp(lsm_batch.data(), clsm_batch.data(),
+                          views.size() * sizeof(double)),
+              0);
+    for (size_t s = 0; s < views.size(); ++s) {
+      const double a = (*lsm)->PredictOne(views[s]);
+      const double b = (*clsm)->PredictOne(views[s]);
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << "phi " << with_phi << ", set " << s;
+    }
+
+    Tensor coeff(static_cast<int64_t>(views.size()), 1);
+    GaussianInit(&coeff, 1.0f, &rng);
+    const auto lsm_params = Gradients(lsm->get(), ids, offsets, coeff);
+    const auto clsm_params = Gradients(clsm->get(), ids, offsets, coeff);
+    ASSERT_EQ(lsm_params.size(), clsm_params.size());
+    for (size_t p = 0; p < lsm_params.size(); ++p) {
+      EXPECT_TRUE(SameBits(lsm_params[p]->value, clsm_params[p]->value))
+          << "phi " << with_phi << ", parameter " << p;
+      EXPECT_TRUE(SameBits(lsm_params[p]->grad, clsm_params[p]->grad))
+          << "phi " << with_phi << ", gradient of parameter " << p;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Poolings, DeepSetsGradCheck,
@@ -195,22 +276,24 @@ TEST(GradCheck, DeepSetsWithoutPhi) {
   c.phi_hidden = {};
   c.rho_hidden = {4};
   c.seed = 23;
-  DeepSetsModel model(c);
-  CheckSetModel(&model);
+  auto model = DeepSetsModel::Create(c);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  CheckSetModel(model->get());
 }
 
 class CompressedGradCheck : public ::testing::TestWithParam<int> {};
 
 TEST_P(CompressedGradCheck, AllParametersMatchNumeric) {
-  CompressedConfig cc;
-  cc.base.vocab = 10;
-  cc.base.embed_dim = 2;
-  cc.base.hidden_act = Activation::kTanh;
-  cc.base.phi_hidden = {5};
-  cc.base.rho_hidden = {4};
-  cc.base.seed = 29;
-  cc.ns = GetParam();
-  auto model = CompressedDeepSetsModel::Create(cc);
+  DeepSetsConfig c;
+  c.vocab = 10;
+  c.embed_dim = 2;
+  c.hidden_act = Activation::kTanh;
+  c.phi_hidden = {5};
+  c.rho_hidden = {4};
+  c.seed = 29;
+  c.compressed = true;
+  c.ns = GetParam();
+  auto model = DeepSetsModel::Create(c);
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   CheckSetModel(model->get());
 }

@@ -16,7 +16,6 @@
 #include "core/learned_index.h"
 #include "core/trainer.h"
 #include "core/training_data.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
 #include "nn/init.h"
@@ -320,19 +319,21 @@ TEST(PredictBatchTest, LsmMatchesPredictOne) {
   cfg.embed_dim = 8;
   cfg.phi_hidden = {32};
   cfg.rho_hidden = {32};
-  deepsets::DeepSetsModel model(cfg);
+  auto model = deepsets::DeepSetsModel::Create(cfg);
+  ASSERT_TRUE(model.ok());
   // > 2048 sets so the internal sub-batch chunking is exercised too.
-  CheckBatchMatchesOne(&model, 2500);
+  CheckBatchMatchesOne(model->get(), 2500);
 }
 
 TEST(PredictBatchTest, ClsmMatchesPredictOne) {
-  deepsets::CompressedConfig cfg;
-  cfg.base.vocab = 500;
-  cfg.base.embed_dim = 6;
-  cfg.base.phi_hidden = {16};
-  cfg.base.rho_hidden = {16};
+  deepsets::DeepSetsConfig cfg;
+  cfg.vocab = 500;
+  cfg.embed_dim = 6;
+  cfg.phi_hidden = {16};
+  cfg.rho_hidden = {16};
+  cfg.compressed = true;
   cfg.ns = 2;
-  auto model = deepsets::CompressedDeepSetsModel::Create(cfg);
+  auto model = deepsets::DeepSetsModel::Create(cfg);
   ASSERT_TRUE(model.ok());
   CheckBatchMatchesOne(model->get(), 200);
 }
@@ -428,17 +429,17 @@ std::vector<float> TrainAndDumpWeights() {
   cfg.phi_hidden = {64};
   cfg.rho_hidden = {64};
   cfg.seed = 1;
-  deepsets::DeepSetsModel model(cfg);
+  auto model = std::move(deepsets::DeepSetsModel::Create(cfg)).value();
 
   core::TrainConfig tc;
   tc.epochs = 3;
   tc.batch_size = 64;
   tc.seed = 2;
   core::Trainer trainer(tc);
-  trainer.Train(&model, data);
+  trainer.Train(model.get(), data);
 
   std::vector<nn::Parameter*> params;
-  model.CollectParameters(&params);
+  model->CollectParameters(&params);
   std::vector<float> weights;
   for (const auto* p : params) {
     const float* d = p->value.data();

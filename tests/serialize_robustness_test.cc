@@ -10,6 +10,9 @@
 //     DataLoss.
 //   - Tensor::Load must reject negative or overflowing dimensions with
 //     DataLoss.
+//   - DeepSetsModel::Load must reject a header that disagrees with the
+//     stored tensors, and ElementCompressor::Load a compressor Create
+//     cannot make, with DataLoss.
 //   - Top-level structure checkpoints (estimator / bloom / index) must
 //     survive truncation and bit-flips with a clean error Status.
 
@@ -21,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -31,6 +35,8 @@
 #include "core/learned_cardinality.h"
 #include "core/learned_index.h"
 #include "core/model_factory.h"
+#include "deepsets/compression.h"
+#include "deepsets/deepsets_model.h"
 #include "sets/set_hash.h"
 #include "nn/tensor.h"
 #include "sets/generators.h"
@@ -363,6 +369,129 @@ TEST(TensorLoadTest, CorruptedDimensionsAreDataLoss) {
             StatusCode::kDataLoss);
   EXPECT_EQ(LoadTensor(2, 3, std::vector<float>(5)).code(),
             StatusCode::kDataLoss);
+}
+
+// ---------- Model checkpoints ----------
+
+/// Save() of a vocab-100 LSM or CLSM (ns = 2).
+std::vector<uint8_t> ModelBytes(bool compressed) {
+  core::ModelOptions mo;
+  mo.compressed = compressed;
+  mo.embed_dim = 4;
+  mo.phi_hidden = {8};
+  mo.rho_hidden = {8};
+  auto model = core::MakeSetModel(mo, 100);
+  EXPECT_TRUE(model.ok()) << model.status().ToString();
+  BinaryWriter w;
+  (*model)->Save(&w);
+  return w.bytes();
+}
+
+StatusCode LoadModel(std::vector<uint8_t> bytes) {
+  BinaryReader r(std::move(bytes));
+  return deepsets::DeepSetsModel::Load(&r).status().code();
+}
+
+/// `bytes` with the 8 bytes at `offset` replaced by `value`.
+std::vector<uint8_t> Patched(std::vector<uint8_t> bytes, size_t offset,
+                             uint64_t value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(value));
+  return bytes;
+}
+
+// Regression: an LSM saved with vocab 100 and its header patched to 300
+// loaded, and PredictOne({250, 299}) then read past its 100-row table.
+TEST(CheckpointCorruptionTest, ModelVocabNotMatchingEmbeddingsIsDataLoss) {
+  for (bool compressed : {false, true}) {
+    const std::vector<uint8_t> bytes = ModelBytes(compressed);
+    BinaryWriter tag;
+    tag.WriteString(compressed ? "CLSM" : "LSM");
+    const size_t vocab_at = tag.bytes().size();  // the first config field
+    int64_t vocab = 0;
+    std::memcpy(&vocab, bytes.data() + vocab_at, sizeof(vocab));
+    ASSERT_EQ(vocab, 100);
+    EXPECT_EQ(LoadModel(bytes), StatusCode::kOk);
+    for (uint64_t patched : {300, 50}) {
+      EXPECT_EQ(LoadModel(Patched(bytes, vocab_at, patched)),
+                StatusCode::kDataLoss)
+          << (compressed ? "CLSM" : "LSM") << " vocab " << patched;
+    }
+  }
+}
+
+// Regression: a CLSM whose compressor divisor was 0 died of SIGFPE inside
+// Load, where SlotVocab divides by it.
+TEST(CheckpointCorruptionTest, ClsmCompressorCreateCannotMakeIsDataLoss) {
+  const std::vector<uint8_t> bytes = ModelBytes(/*compressed=*/true);
+  BinaryWriter comp;
+  deepsets::ElementCompressor::Create(99, 2)->Save(&comp);
+  const auto at = std::search(bytes.begin(), bytes.end(),
+                              comp.bytes().begin(), comp.bytes().end());
+  ASSERT_NE(at, bytes.end());
+  // The compressor writes max_value (u64), ns (u32), then the divisor.
+  const size_t divisor_at = static_cast<size_t>(at - bytes.begin()) + 12;
+  for (uint64_t divisor : {0, 1}) {
+    EXPECT_EQ(LoadModel(Patched(bytes, divisor_at, divisor)),
+              StatusCode::kDataLoss)
+        << "divisor " << divisor;
+  }
+
+  auto load = [](uint64_t max_value, uint32_t ns, uint64_t divisor) {
+    BinaryWriter w;
+    w.WriteU64(max_value);
+    w.WriteU32(ns);
+    w.WriteU64(divisor);
+    BinaryReader r(w.bytes());
+    return deepsets::ElementCompressor::Load(&r).status().code();
+  };
+  EXPECT_EQ(load(99, 2, 10), StatusCode::kOk);
+  EXPECT_EQ(load(99, 1, 100), StatusCode::kOk);
+  EXPECT_EQ(load(99, 0, 10), StatusCode::kDataLoss);
+  EXPECT_EQ(load(99, 65, 10), StatusCode::kDataLoss);
+  EXPECT_EQ(load(99, 2, 0), StatusCode::kDataLoss);
+  EXPECT_EQ(load(99, 2, 1), StatusCode::kDataLoss);
+  EXPECT_EQ(load(99, 1, 99), StatusCode::kDataLoss);
+  EXPECT_EQ(load(~uint64_t{0}, 1, 0), StatusCode::kDataLoss);
+}
+
+// A CLSM allocates only its slot tables, so its vocab may exceed the 2^24
+// rows an LSM's one table is capped at; such a model must load again.
+TEST(CheckpointCorruptionTest, ClsmVocabAboveLsmCapRoundTrips) {
+  constexpr int64_t kVocab = int64_t{1} << 25;
+  core::ModelOptions mo;
+  mo.compressed = true;
+  mo.ns = 2;
+  mo.embed_dim = 2;
+  mo.phi_hidden = {4};
+  mo.rho_hidden = {4};
+  auto model = core::MakeSetModel(mo, kVocab);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  BinaryWriter w;
+  (*model)->Save(&w);
+  BinaryReader r(w.bytes());
+  auto loaded = deepsets::DeepSetsModel::Load(&r);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->vocab(), kVocab);
+  BinaryWriter again;
+  (*loaded)->Save(&again);
+  EXPECT_EQ(again.bytes(), w.bytes());
+  const std::vector<sets::ElementId> last = {
+      static_cast<sets::ElementId>(kVocab - 1)};
+  EXPECT_EQ((*loaded)->PredictOne(last), (*model)->PredictOne(last));
+}
+
+// An outer model kind that disagrees with the payload's own tag.
+TEST(CheckpointCorruptionTest, ModelKindMismatchIsDataLoss) {
+  for (bool compressed : {false, true}) {
+    BinaryWriter w;
+    w.WriteString(compressed ? "LSM" : "CLSM");
+    const std::vector<uint8_t> payload = ModelBytes(compressed);
+    std::vector<uint8_t> bytes = w.bytes();
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    BinaryReader r(std::move(bytes));
+    EXPECT_EQ(core::LoadSetModel(&r).status().code(), StatusCode::kDataLoss)
+        << "outer " << (compressed ? "LSM" : "CLSM");
+  }
 }
 
 // ---------- Top-level checkpoint corruption ----------

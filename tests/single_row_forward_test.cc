@@ -22,7 +22,6 @@
 
 #include "common/random.h"
 #include "core/learned_bloom.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/init.h"
 #include "nn/layers.h"
@@ -121,13 +120,11 @@ constexpr uint32_t kVocab = 500;
 
 using ModelParam = std::tuple<bool, nn::Pooling, Activation>;
 
-std::unique_ptr<deepsets::SetModel> MakeModel(
-    bool compressed, const deepsets::DeepSetsConfig& base) {
-  if (!compressed) return std::make_unique<deepsets::DeepSetsModel>(base);
-  deepsets::CompressedConfig cfg;
-  cfg.base = base;
+std::unique_ptr<deepsets::SetModel> MakeModel(bool compressed,
+                                              deepsets::DeepSetsConfig cfg) {
+  cfg.compressed = compressed;
   cfg.ns = 2;
-  return std::move(deepsets::CompressedDeepSetsModel::Create(cfg)).value();
+  return std::move(deepsets::DeepSetsModel::Create(cfg)).value();
 }
 
 /// `count` random sets whose sizes cycle through 0..8.

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
 
@@ -70,16 +69,14 @@ std::unique_ptr<SetModel> MakeModel(Family f) {
   base.rho_hidden = {32};
   switch (f) {
     case Family::kLsmSum:
-      return std::make_unique<DeepSetsModel>(base);
+      return std::move(DeepSetsModel::Create(base)).value();
     case Family::kLsmMax:
       base.pooling = nn::Pooling::kMax;
-      return std::make_unique<DeepSetsModel>(base);
-    case Family::kClsm: {
-      CompressedConfig cfg;
-      cfg.base = base;
-      cfg.ns = 2;
-      return std::move(CompressedDeepSetsModel::Create(cfg)).value();
-    }
+      return std::move(DeepSetsModel::Create(base)).value();
+    case Family::kClsm:
+      base.compressed = true;
+      base.ns = 2;
+      return std::move(DeepSetsModel::Create(base)).value();
     case Family::kSetTransformer: {
       SetTransformerConfig cfg;
       cfg.vocab = kVocab;

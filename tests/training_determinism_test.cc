@@ -17,7 +17,6 @@
 #include "core/scaling.h"
 #include "core/trainer.h"
 #include "core/training_data.h"
-#include "deepsets/compressed_model.h"
 #include "deepsets/deepsets_model.h"
 #include "nn/init.h"
 #include "nn/layers.h"
@@ -233,25 +232,17 @@ core::TrainConfig TestTrainConfig(Task task) {
 
 std::unique_ptr<deepsets::SetModel> TestModel(
     const sets::SetCollection& collection, bool compressed) {
-  if (compressed) {
-    deepsets::CompressedConfig cfg;
-    cfg.base.vocab = static_cast<int64_t>(collection.universe_size());
-    cfg.base.embed_dim = 16;
-    cfg.base.phi_hidden = {32};
-    cfg.base.rho_hidden = {32};
-    cfg.base.seed = 1;
-    cfg.ns = 2;
-    auto model = deepsets::CompressedDeepSetsModel::Create(cfg);
-    EXPECT_TRUE(model.ok());
-    return std::move(*model);
-  }
   deepsets::DeepSetsConfig cfg;
   cfg.vocab = static_cast<int64_t>(collection.universe_size());
-  cfg.embed_dim = 32;
+  cfg.embed_dim = compressed ? 16 : 32;
   cfg.phi_hidden = {32};
   cfg.rho_hidden = {32};
   cfg.seed = 1;
-  return std::make_unique<deepsets::DeepSetsModel>(cfg);
+  cfg.compressed = compressed;
+  cfg.ns = 2;
+  auto model = deepsets::DeepSetsModel::Create(cfg);
+  EXPECT_TRUE(model.ok());
+  return std::move(*model);
 }
 
 std::vector<float> DumpWeights(deepsets::SetModel* model) {
