@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -259,6 +261,55 @@ void BM_DenseForwardRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseForwardRow)->Apply(DenseShapes);
+
+// ρ's single-row forward as PredictOne runs it: a width -> width ReLU layer
+// and then the 1-wide sigmoid head, both through GemmRow, the kernel
+// Dense::ForwardRow calls. Width 64 is the cardinality and Bloom models'
+// ρ, 32 the index's. Every buffer (weights, biases, input, hidden row)
+// starts `offset` bytes past a cache-line boundary: 0 is where Tensor
+// storage puts them, 16 where a 16-byte-aligned std::vector may.
+void BM_RhoForwardRow(benchmark::State& state) {
+  const auto width = static_cast<size_t>(state.range(0));
+  const auto offset = static_cast<size_t>(state.range(1));
+  const size_t sizes[] = {width * width, width, width, 1, width, width};
+  std::vector<float> arena(8 * width * width + 256);
+  float* bufs[6];
+  auto next = reinterpret_cast<uintptr_t>(arena.data());
+  Rng rng(5);
+  for (int i = 0; i < 6; ++i) {
+    constexpr uintptr_t kLine = 64;  // one cache line
+    next = ((next + kLine - 1) & ~(kLine - 1)) + offset;
+    bufs[i] = reinterpret_cast<float*>(next);
+    for (size_t j = 0; j < sizes[i]; ++j) {
+      bufs[i][j] = static_cast<float>(0.2 * rng.NextGaussian());
+    }
+    next += sizes[i] * sizeof(float);
+  }
+  const float* w1 = bufs[0];
+  const float* b1 = bufs[1];
+  const float* w2 = bufs[2];
+  const float b2 = bufs[3][0];
+  const float* x = bufs[4];
+  float* hidden = bufs[5];
+  const auto k = static_cast<int64_t>(width);
+  for (auto _ : state) {
+    std::fill(hidden, hidden + width, 0.0f);
+    los::nn::GemmRow(x, w1, k, k, hidden);
+    for (size_t j = 0; j < width; ++j) hidden[j] += b1[j];
+    los::nn::ReluInPlace(hidden, k);
+    float out = 0.0f;
+    los::nn::GemmRow(hidden, w2, k, 1, &out);
+    out += b2;
+    los::nn::SigmoidInPlace(&out, 1);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_RhoForwardRow)
+    ->Args({64, 0})
+    ->Args({64, 16})
+    ->Args({32, 0})
+    ->Args({32, 16})
+    ->ArgNames({"width", "offset"});
 
 /// The model benches' LSM, or CLSM with ns = 2: vocab 10,000, embed 8,
 /// φ and ρ 64 wide.

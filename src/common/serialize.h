@@ -29,8 +29,8 @@ class BinaryWriter {
     WriteRaw(s.data(), s.size());
   }
 
-  template <typename T>
-  void WriteVector(const std::vector<T>& v) {
+  template <typename T, typename Alloc>
+  void WriteVector(const std::vector<T, Alloc>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     WriteU64(v.size());
     WriteRaw(v.data(), v.size() * sizeof(T));
@@ -70,8 +70,10 @@ class BinaryReader {
 
   Result<std::string> ReadString();
 
-  template <typename T>
-  Result<std::vector<T>> ReadVector() {
+  /// `Alloc` picks the returned vector's allocator (the bytes read are the
+  /// same for every allocator).
+  template <typename T, typename Alloc = std::allocator<T>>
+  Result<std::vector<T, Alloc>> ReadVector() {
     static_assert(std::is_trivially_copyable_v<T>);
     auto n = ReadU64();
     if (!n.ok()) return n.status();
@@ -80,7 +82,7 @@ class BinaryReader {
       return Status::OutOfRange("truncated vector in binary buffer");
     }
     size_t bytes_needed = static_cast<size_t>(*n) * sizeof(T);
-    std::vector<T> out(static_cast<size_t>(*n));
+    std::vector<T, Alloc> out(static_cast<size_t>(*n));
     // An empty vector's data() may be null, which memcpy must not get.
     if (bytes_needed > 0) {
       std::memcpy(out.data(), bytes_.data() + pos_, bytes_needed);

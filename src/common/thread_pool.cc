@@ -1,5 +1,9 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -105,27 +109,42 @@ void ThreadPool::ParallelFor(size_t n,
     fn(0, n);
     return;
   }
-  // `remaining`, the decrement, and the final notify are all kept under
-  // done_mu: the caller can only observe remaining == 0 (and destroy this
-  // stack frame) after the last worker has released the lock, at which
-  // point that worker no longer touches any of this state. A lock-free
-  // decrement would let a spurious wakeup race the worker between its
-  // fetch_sub and taking the lock, destroying the mutex under it.
-  size_t remaining = num_chunks;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    size_t begin = c * chunk;
-    size_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end] {
-      fn(begin, end);
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
+  // The caller and the workers claim chunks from one shared cursor, so the
+  // caller finishes the loop alone if no worker wakes: a lost wakeup or a
+  // pool busy with other work costs time, never a hang. Each task owns a
+  // reference to the state, so a worker that wakes after the loop has
+  // returned finds no chunk left and touches nothing freed; `fn` is only
+  // called for a claimed chunk, and the caller waits for every claimed
+  // chunk to finish.
+  struct State {
+    const std::function<void(size_t, size_t)>* fn = nullptr;
+    size_t n = 0, chunk = 0, num_chunks = 0;
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    size_t done = 0;  // guarded by mu
+
+    void RunChunks() {
+      for (size_t c = next.fetch_add(1); c < num_chunks;
+           c = next.fetch_add(1)) {
+        const size_t begin = c * chunk;
+        (*fn)(begin, std::min(n, begin + chunk));
+        std::lock_guard<std::mutex> lock(mu);
+        if (++done == num_chunks) cv.notify_one();
+      }
+    }
+  };
+  auto state = std::make_shared<State>();
+  state->fn = &fn;
+  state->n = n;
+  state->chunk = (n + num_chunks - 1) / num_chunks;
+  state->num_chunks = num_chunks;
+  for (size_t c = 1; c < num_chunks; ++c) {
+    Submit([state] { state->RunChunks(); });
   }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
+  state->RunChunks();
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->cv.wait(lock, [&] { return state->done == num_chunks; });
 }
 
 ThreadPool* ThreadPool::Global() {

@@ -28,6 +28,9 @@ class ThreadPool {
 
   /// Runs `fn(begin, end)` over disjoint chunks of [0, n) and blocks until
   /// all chunks complete. Falls back to inline execution for tiny ranges.
+  /// The chunk boundaries depend only on n, min_chunk and the worker
+  /// count. The caller runs chunks too, claiming them from the same cursor
+  /// as the workers, so the loop completes even when no worker is free.
   ///
   /// Safe to call from inside a pool worker (nested parallelism): the loop
   /// then runs inline on the calling worker instead of enqueueing tasks the

@@ -23,17 +23,18 @@ std::vector<int64_t> LayerDims(int64_t in, const std::vector<int64_t>& hidden,
 }
 
 /// \brief Scratch of the single-set forward (PredictOne). Buffers only
-/// grow, so a warmed thread allocates nothing.
+/// grow, so a warmed thread allocates nothing; the float rows are
+/// cache-line aligned like the weights they meet.
 struct RowScratch {
-  std::vector<uint32_t> sub;  ///< CLSM: each element's sub-elements
-  std::vector<float> in;      ///< gathered φ inputs (elements x in_dim)
-  std::vector<float> phi;     ///< φ outputs (elements x φ out)
-  std::vector<float> pooled;
-  std::vector<float> ping, pong;  ///< Mlp::ForwardRow scratch
+  std::vector<uint32_t> sub;     ///< CLSM: each element's sub-elements
+  nn::AlignedVector<float> in;   ///< gathered φ inputs (elements x in_dim)
+  nn::AlignedVector<float> phi;  ///< φ outputs (elements x φ out)
+  nn::AlignedVector<float> pooled;
+  nn::AlignedVector<float> ping, pong;  ///< Mlp::ForwardRow scratch
 
   /// `v` grown to at least `n` entries; returns its data.
-  template <typename T>
-  static T* Grow(std::vector<T>* v, size_t n) {
+  template <typename V>
+  static auto* Grow(V* v, size_t n) {
     if (v->size() < n) v->resize(n);
     return v->data();
   }
@@ -287,17 +288,6 @@ Result<std::vector<int64_t>> ReadDims(BinaryReader* r) {
   return dims;
 }
 
-/// Every parameter's (rows, cols), in CollectParameters order.
-std::vector<std::pair<int64_t, int64_t>> Shapes(SetModel* model) {
-  std::vector<nn::Parameter*> params;
-  model->CollectParameters(&params);
-  std::vector<std::pair<int64_t, int64_t>> shapes;
-  for (const nn::Parameter* p : params) {
-    shapes.emplace_back(p->value.rows(), p->value.cols());
-  }
-  return shapes;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<DeepSetsModel>> DeepSetsModel::Load(BinaryReader* r) {
@@ -341,13 +331,13 @@ Result<std::unique_ptr<DeepSetsModel>> DeepSetsModel::Load(BinaryReader* r) {
     return Status::DataLoss("corrupt model dimensions");
   }
   std::unique_ptr<DeepSetsModel> model(new DeepSetsModel(c, *comp));
-  const auto built = Shapes(model.get());
+  const auto built = model->ParameterShapes();
   for (auto& e : model->slot_embeds_) LOS_RETURN_NOT_OK(e.Load(r));
   if (model->has_phi()) LOS_RETURN_NOT_OK(model->phi_.Load(r));
   LOS_RETURN_NOT_OK(model->rho_.Load(r));
   // The stored tensors must have the shapes the config implies: a table
   // shorter than its slot's vocab would be read past by a covered query.
-  if (Shapes(model.get()) != built) {
+  if (model->ParameterShapes() != built) {
     return Status::DataLoss("model tensor shapes do not match its config");
   }
   return model;

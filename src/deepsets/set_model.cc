@@ -94,4 +94,14 @@ void SetModel::PredictBatchCsr(const std::vector<sets::ElementId>& ids,
   }
 }
 
+std::vector<std::pair<int64_t, int64_t>> SetModel::ParameterShapes() {
+  std::vector<nn::Parameter*> params;
+  CollectParameters(&params);
+  std::vector<std::pair<int64_t, int64_t>> shapes;
+  for (const nn::Parameter* p : params) {
+    shapes.emplace_back(p->value.rows(), p->value.cols());
+  }
+  return shapes;
+}
+
 }  // namespace los::deepsets

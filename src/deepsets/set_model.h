@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serialize.h"
@@ -58,6 +59,12 @@ class SetModel {
 
   /// Appends all trainable parameters (for the optimizer).
   virtual void CollectParameters(std::vector<nn::Parameter*>* out) = 0;
+
+  /// Every parameter's (rows, cols), in CollectParameters order. Loaders
+  /// compare it before and after reading the stored tensors: a tensor of
+  /// another shape than its config builds (say, an embedding table shorter
+  /// than the vocab) is corrupt.
+  std::vector<std::pair<int64_t, int64_t>> ParameterShapes();
 
   /// Parameter bytes — the "model size" of the memory tables.
   virtual size_t ByteSize() const = 0;

@@ -442,20 +442,23 @@ Result<std::unique_ptr<SetTransformerModel>> SetTransformerModel::Load(
   }
   auto model = Create(c);
   if (!model.ok()) return model.status();
-  LOS_RETURN_NOT_OK((*model)->embed_.Load(r));
-  LOS_RETURN_NOT_OK((*model)->input_proj_.Load(r));
-  for (nn::Parameter* p :
-       {&(*model)->wq_, &(*model)->wk_, &(*model)->wv_, &(*model)->seed_,
-        &(*model)->pwk_, &(*model)->pwv_}) {
-    auto t = nn::Tensor::Load(r);
-    if (!t.ok()) return t.status();
-    if (!t->SameShape(p->value)) {
-      return Status::Internal("set-transformer parameter shape mismatch");
-    }
-    p->value = std::move(*t);
+  SetTransformerModel* m = model->get();
+  const auto built = m->ParameterShapes();
+  LOS_RETURN_NOT_OK(m->embed_.Load(r));
+  LOS_RETURN_NOT_OK(m->input_proj_.Load(r));
+  for (nn::Parameter* p : {&m->wq_, &m->wk_, &m->wv_, &m->seed_, &m->pwk_,
+                           &m->pwv_}) {
+    LOS_ASSIGN_OR_RETURN(p->value, nn::Tensor::Load(r));
   }
-  LOS_RETURN_NOT_OK((*model)->ff_.Load(r));
-  LOS_RETURN_NOT_OK((*model)->rho_.Load(r));
+  LOS_RETURN_NOT_OK(m->ff_.Load(r));
+  LOS_RETURN_NOT_OK(m->rho_.Load(r));
+  // The stored tensors must have the shapes the config implies: an
+  // embedding table shorter than the header's vocab would be read past by
+  // a covered query.
+  if (m->ParameterShapes() != built) {
+    return Status::DataLoss(
+        "set-transformer tensor shapes do not match its config");
+  }
   return model;
 }
 

@@ -7,6 +7,10 @@
 #include <cstring>
 #include <vector>
 
+#if defined(__AVX512F__) || defined(__FMA__)
+#include <immintrin.h>
+#endif
+
 #include "common/thread_pool.h"
 #include "common/trace.h"
 
@@ -104,28 +108,10 @@ void PackA(const float* ad, int64_t a_cols, bool trans_a, float alpha,
   }
 }
 
-/// acc[kMr][kNr] += packed_a * packed_b over `kc` depth steps. Fully
-/// branch-free; with constexpr tile sizes the compiler keeps `acc` in vector
-/// registers and emits contiguous FMAs.
-inline void MicroKernel(int64_t kc, const float* __restrict ap,
-                        const float* __restrict bp, float* __restrict acc) {
-  for (int64_t p = 0; p < kc; ++p) {
-    const float* __restrict brow = bp + p * kNr;
-    const float* __restrict acol = ap + p * kMr;
-    for (int64_t i = 0; i < kMr; ++i) {
-      const float av = acol[i];
-      float* __restrict arow = acc + i * kNr;
-      for (int64_t j = 0; j < kNr; ++j) arow[j] += av * brow[j];
-    }
-  }
-}
-
-/// One multiply-add step of the single-row kernel. Under -mfma the batched
-/// kernels' `c += a * b` loops are contracted to fused multiply-adds; GCC
-/// does not reliably contract a loop-carried *scalar* chain (the 1-wide
-/// head), so the row kernel spells the FMA out rather than leave each
-/// output's rounding to the optimizer. Without FMA nothing is contracted
-/// and a plain multiply-add matches the batched kernels.
+/// One multiply-add step of every kernel: fused exactly when the build has
+/// FMA, a plain multiply-add otherwise. Spelled out rather than left to
+/// -ffp-contract, which GCC applies to vector loops but not reliably to a
+/// loop-carried scalar chain (the 1-wide head).
 inline float MulAdd(float a, float b, float c) {
 #ifdef __FMA__
   return __builtin_fmaf(a, b, c);
@@ -134,25 +120,192 @@ inline float MulAdd(float a, float b, float c) {
 #endif
 }
 
-/// Widest column strip of the single-row kernel: 64 floats are four zmm (or
-/// eight ymm) accumulators, enough independent FMA chains to cover the
-/// FMA latency while each x[k] is broadcast once per strip.
-constexpr int64_t kRowStrip = 64;
+// ---------------------------------------------------------------------------
+// The accumulation contract every path keeps (see Gemm in ops.h). k is cut
+// into blocks of kKc steps; within a block each output element keeps S
+// partial sums, partial s taking the steps k ≡ s (mod S) in increasing k.
+// Partial 0 starts from the element's running value (beta * C before the
+// first block), the others from zero, and at the end of the block
+// CombineSums adds them in one fixed tree into the running value. S depends
+// on the output width n alone (SumsFor). A path may compute the partials
+// interleaved (for independent FMA chains) or one after another (to keep
+// its register tile), since each partial is its own chain.
+// ---------------------------------------------------------------------------
 
-/// y[0, W) += alpha * op(x) * w[:, 0, W) with a register-resident
-/// accumulator seeded from y: every element accumulates in strictly
-/// increasing k order, the order all batched paths use.
-template <int64_t W>
+/// S for a 1-wide output (a model's head): one dot product, so the most
+/// chains. Wider outputs already run a chain per column and take two.
+constexpr int64_t kHeadSums = 8;
+constexpr int64_t kWideSums = 2;
+static_assert(kKc % kHeadSums == 0 && kKc % kWideSums == 0,
+              "every k block must start at partial 0");
+
+/// The contract's combining tree over one element's partials p[0, S):
+/// halves added elementwise, p[s] += p[s + h] for h = S/2, ..., 1; for
+/// S = 8 that is ((p0 + p4) + (p2 + p6)) + ((p1 + p5) + (p3 + p7)). T is
+/// float, or a vector of floats combining one element per lane.
+template <int64_t S, typename T>
+inline T CombineSums(T* p) {
+  for (int64_t h = S / 2; h >= 1; h /= 2) {
+    for (int64_t s = 0; s < h; ++s) p[s] += p[s + h];
+  }
+  return p[0];
+}
+
+/// The same tree for kLen elements at once, partial s of element e at
+/// part[s * kLen + e]; the results land in part[0, kLen).
+template <int64_t S, int64_t kLen>
+inline void CombinePartials(float* part) {
+  for (int64_t h = S / 2; h >= 1; h /= 2) {
+    for (int64_t s = 0; s < h; ++s) {
+      for (int64_t e = 0; e < kLen; ++e) {
+        part[s * kLen + e] += part[(s + h) * kLen + e];
+      }
+    }
+  }
+}
+
+/// One k step of the blocked kernel: acc[kMr][kNr] += acol (x) brow.
+inline void MicroStep(const float* __restrict acol,
+                      const float* __restrict brow, float* __restrict acc) {
+  for (int64_t i = 0; i < kMr; ++i) {
+    const float av = acol[i];
+    float* __restrict arow = acc + i * kNr;
+    for (int64_t j = 0; j < kNr; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
+  }
+}
+
+/// acc[kMr][kNr] += packed_a * packed_b over `kc` depth steps under the
+/// contract: outputs here are at least kNr wide, so its two partials, the
+/// even steps accumulating into `acc` (seeded by the caller) and the odd
+/// ones into a zeroed tile, added into `acc` at the end. With constexpr
+/// tile sizes the compiler keeps both tiles in vector registers (24 zmm).
+inline void MicroKernel(int64_t kc, const float* __restrict ap,
+                        const float* __restrict bp, float* __restrict acc) {
+  static_assert(kWideSums == 2, "the blocked kernel keeps two tiles");
+  constexpr int64_t kTile = kMr * kNr;
+  float odd[kTile];
+  for (int64_t e = 0; e < kTile; ++e) odd[e] = 0.0f;
+  int64_t p = 0;
+  for (; p + 2 <= kc; p += 2) {
+    MicroStep(ap + p * kMr, bp + p * kNr, acc);
+    MicroStep(ap + (p + 1) * kMr, bp + (p + 1) * kNr, odd);
+  }
+  if (p < kc) MicroStep(ap + p * kMr, bp + p * kNr, acc);
+  for (int64_t e = 0; e < kTile; ++e) acc[e] += odd[e];
+}
+
+/// The build's widest float vector, for the single-row kernel's
+/// accumulators.
+#if defined(__AVX512F__)
+constexpr int64_t kVecLanes = 16;
+#elif defined(__AVX__)
+constexpr int64_t kVecLanes = 8;
+#else
+constexpr int64_t kVecLanes = 4;
+#endif
+using VecF = float __attribute__((vector_size(kVecLanes * sizeof(float))));
+
+/// MulAdd on whole vectors, lane by lane the same operation as the scalar
+/// one: fused exactly when the build has FMA.
+inline VecF MulAdd(VecF a, VecF b, VecF c) {
+#if defined(__AVX512F__)
+  return _mm512_fmadd_ps(a, b, c);
+#elif defined(__FMA__)
+  return _mm256_fmadd_ps(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+/// Loads, stores and broadcasts of T (float or VecF) at unaligned
+/// addresses.
+template <typename T>
+inline T LoadAs(const float* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return v;
+}
+template <typename T>
+inline void StoreAs(float* p, T v) {
+  std::memcpy(p, &v, sizeof(T));
+}
+/// `v` in every lane (v - 0 is v exactly, -0 included; a lane-by-lane
+/// fill compiles to one insert per lane).
+template <typename T>
+inline T Broadcast(float v) {
+  return v - T{};
+}
+
+/// Widest column strip of the single-row kernel: its kWideSums x 64
+/// accumulators are 8 zmm registers; without AVX-512, 16 columns keep them
+/// within 8 vector registers.
+#ifdef __AVX512F__
+constexpr int64_t kRowStrip = 64;
+#else
+constexpr int64_t kRowStrip = 16;
+#endif
+
+/// y[0, kCount * lanes of T) += alpha * op(x) * w over one k block (k <=
+/// kKc) with S partials interleaved: k step kk feeds partial kk mod S, so a
+/// strip runs S times as many independent FMA chains as it has
+/// accumulators per partial. Partial 0 starts from y, and y receives the
+/// combined sum. With kUnitAlpha (alpha == 1, every single-row forward)
+/// the exact product 1 * x is not computed: a multiply per k step less on
+/// the FMA ports.
+template <bool kUnitAlpha, int64_t S, typename T, int64_t kCount>
+void RowStripOf(const float* x, int64_t x_stride, float alpha, const float* w,
+                int64_t ldw, int64_t k, float* y) {
+  constexpr int64_t kLanes = sizeof(T) / sizeof(float);
+  // Fully unrolled, so the accumulators live in registers from the start
+  // (a rolled zeroing loop becomes a memset of a stack copy).
+  T acc[S][kCount];
+#pragma GCC unroll 64
+  for (int64_t v = 0; v < kCount; ++v) {
+    acc[0][v] = LoadAs<T>(y + v * kLanes);
+#pragma GCC unroll 8
+    for (int64_t s = 1; s < S; ++s) acc[s][v] = T{};
+  }
+  int64_t kk = 0;
+  for (; kk + S <= k; kk += S) {
+#pragma GCC unroll 8
+    for (int64_t s = 0; s < S; ++s) {
+      const float xv = x[(kk + s) * x_stride];
+      const T av = Broadcast<T>(kUnitAlpha ? xv : alpha * xv);
+      const float* wrow = w + (kk + s) * ldw;
+#pragma GCC unroll 8
+      for (int64_t v = 0; v < kCount; ++v) {
+        acc[s][v] = MulAdd(av, LoadAs<T>(wrow + v * kLanes), acc[s][v]);
+      }
+    }
+  }
+  for (int64_t s = 0; kk < k; ++kk, ++s) {  // the last k mod S steps
+    const float xv = x[kk * x_stride];
+    const T av = Broadcast<T>(kUnitAlpha ? xv : alpha * xv);
+    const float* wrow = w + kk * ldw;
+#pragma GCC unroll 8
+    for (int64_t v = 0; v < kCount; ++v) {
+      acc[s][v] = MulAdd(av, LoadAs<T>(wrow + v * kLanes), acc[s][v]);
+    }
+  }
+#pragma GCC unroll 64
+  for (int64_t v = 0; v < kCount; ++v) {
+    T p[S];
+#pragma GCC unroll 8
+    for (int64_t s = 0; s < S; ++s) p[s] = acc[s][v];
+    StoreAs<T>(y + v * kLanes, CombineSums<S>(p));
+  }
+}
+
+/// A W-wide strip in whole vectors when W allows, else in floats.
+template <bool kUnitAlpha, int64_t W, int64_t S>
 void RowStrip(const float* x, int64_t x_stride, float alpha, const float* w,
               int64_t ldw, int64_t k, float* y) {
-  float acc[W];
-  for (int64_t j = 0; j < W; ++j) acc[j] = y[j];
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float av = alpha * x[kk * x_stride];
-    const float* __restrict wrow = w + kk * ldw;
-    for (int64_t j = 0; j < W; ++j) acc[j] = MulAdd(av, wrow[j], acc[j]);
+  if constexpr (W % kVecLanes == 0) {
+    RowStripOf<kUnitAlpha, S, VecF, W / kVecLanes>(x, x_stride, alpha, w, ldw,
+                                                   k, y);
+  } else {
+    RowStripOf<kUnitAlpha, S, float, W>(x, x_stride, alpha, w, ldw, k, y);
   }
-  for (int64_t j = 0; j < W; ++j) y[j] = acc[j];
 }
 
 /// Covers the last `rest` (< 2W) columns or rows with strips of width W,
@@ -174,16 +327,30 @@ template <int64_t W, class F>
 
 /// The single-row kernel: y (n) += alpha * op(x) (k, element stride
 /// `x_stride`) * w (k x n, row stride `ldw`). Gemm's m = 1 untransposed-B
-/// case and GemmRow (Dense::ForwardRow) both run it.
+/// case and GemmRow (Dense::ForwardRow) both run it. Strips run one k block
+/// at a time; each seeds partial 0 from y and writes the block's sum back,
+/// which chains the blocks as the contract does.
+template <bool kUnitAlpha>
 void RowKernel(const float* x, int64_t x_stride, float alpha, const float* w,
                int64_t ldw, int64_t k, int64_t n, float* y) {
-  int64_t j0 = 0;
-  for (; j0 + kRowStrip <= n; j0 += kRowStrip) {
-    RowStrip<kRowStrip>(x, x_stride, alpha, w + j0, ldw, k, y + j0);
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const float* xb = x + k0 * x_stride;
+    const float* wb = w + k0 * ldw;
+    const int64_t kb = std::min(kKc, k - k0);
+    if (n == 1) {
+      RowStrip<kUnitAlpha, 1, kHeadSums>(xb, x_stride, alpha, wb, ldw, kb, y);
+      continue;
+    }
+    int64_t j0 = 0;
+    for (; j0 + kRowStrip <= n; j0 += kRowStrip) {
+      RowStrip<kUnitAlpha, kRowStrip, kWideSums>(xb, x_stride, alpha, wb + j0,
+                                                 ldw, kb, y + j0);
+    }
+    ForPow2Strips<kRowStrip / 2>(n - j0, [&]<int64_t W>(int64_t off) {
+      RowStrip<kUnitAlpha, W, kWideSums>(xb, x_stride, alpha, wb + j0 + off,
+                                         ldw, kb, y + j0 + off);
+    });
   }
-  ForPow2Strips<kRowStrip / 2>(n - j0, [&]<int64_t W>(int64_t off) {
-    RowStrip<W>(x, x_stride, alpha, w + j0 + off, ldw, k, y + j0 + off);
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -206,125 +373,189 @@ constexpr int64_t kNarrowRows = 8;
 /// ymm) accumulators, enough independent FMA chains to cover FMA latency.
 constexpr int64_t kColStrip = 64;
 
+/// One k step of a narrow tile: acc[kRows][W] += alpha * op(A) rows
+/// [i0, i0 + kRows) at step kk (x) brow.
+template <bool kUnitAlpha, int64_t kRows, int64_t W>
+inline void NarrowStep(const float* ad, int64_t a_cols, bool trans_a,
+                       float alpha, const float* __restrict brow, int64_t i0,
+                       int64_t kk, float* __restrict acc) {
+  for (int64_t i = 0; i < kRows; ++i) {
+    const float a = AAt(ad, a_cols, trans_a, i0 + i, kk);
+    const float av = kUnitAlpha ? a : alpha * a;
+    float* __restrict arow = acc + i * W;
+    // Without this GCC fully unrolls a <= 16-wide j loop first and then
+    // vectorizes across the tile's rows, leaving the accumulator in memory
+    // (~10x slower). Kept rolled, the j loop becomes whole vectors.
+#pragma GCC unroll 1
+    for (int64_t j = 0; j < W; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
+  }
+}
+
+/// Writes a kRows x W tile to c (row stride ldc).
+template <int64_t kRows, int64_t W>
+inline void StoreTile(const float* tile, float* c, int64_t ldc) {
+  for (int64_t i = 0; i < kRows; ++i) {
+    for (int64_t j = 0; j < W; ++j) c[i * ldc + j] = tile[i * W + j];
+  }
+}
+
 /// C rows [0, kRows) x columns [0, W) += alpha * op(A) rows [i0, i0+kRows)
 /// * b, where `b` is W columns of op(B) stored k-major with row stride ldb
-/// and `c` points at the tile's top-left element (row stride ldc). The
-/// register-resident accumulator is seeded from C and each element then
-/// accumulates in strictly increasing k, so every path agrees bit for bit
-/// (GemmTest.EveryPathMatchesInOrderContractBitExact).
-template <int64_t kRows, int64_t W>
+/// and `c` points at the tile's top-left element (row stride ldc), under
+/// the contract's kWideSums partials (n > 1 here). Partials whose tiles fit
+/// 16 zmm together are interleaved; a larger tile (8 x kNr) runs them one
+/// after another, so it keeps its register budget
+/// (GemmTest.EveryPathMatchesPartialSumContractBitExact).
+template <bool kUnitAlpha, int64_t kRows, int64_t W>
 void NarrowTile(const float* ad, int64_t a_cols, bool trans_a, float alpha,
                 const float* b, int64_t ldb, int64_t i0, int64_t k, float* c,
                 int64_t ldc) {
-  float acc[kRows * W];
-  for (int64_t i = 0; i < kRows; ++i) {
-    for (int64_t j = 0; j < W; ++j) acc[i * W + j] = c[i * ldc + j];
-  }
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float* __restrict brow = b + kk * ldb;
-    if constexpr (W == kNr) {
-      // A full strip of an unpacked B walks row-stride jumps down k; the
-      // prefetch hides their L3 latency for weight matrices beyond L2.
-      __builtin_prefetch(brow + 8 * ldb, 0, 0);
-      __builtin_prefetch(brow + 8 * ldb + 16, 0, 0);
+  constexpr int64_t kLen = kRows * W;
+  constexpr int64_t kGroup = kLen * kWideSums <= 256 ? kWideSums : 1;
+  float part[kGroup < kWideSums ? kWideSums * kLen : 1];
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const int64_t k1 = std::min(k, k0 + kKc);
+    for (int64_t s0 = 0; s0 < kWideSums; s0 += kGroup) {
+      float acc[kGroup * kLen];
+      for (int64_t g = 0; g < kGroup; ++g) {
+        for (int64_t i = 0; i < kRows; ++i) {
+          for (int64_t j = 0; j < W; ++j) {
+            acc[g * kLen + i * W + j] = s0 + g == 0 ? c[i * ldc + j] : 0.0f;
+          }
+        }
+      }
+      int64_t kk = k0 + s0;
+      for (; kk + kGroup <= k1; kk += kWideSums) {
+        if constexpr (W == kNr) {
+          // A full strip of an unpacked B walks row-stride jumps down k;
+          // the prefetch hides their L3 latency for weight matrices beyond
+          // L2.
+          const float* ahead = b + (kk + 8 * kWideSums) * ldb;
+          __builtin_prefetch(ahead, 0, 0);
+          __builtin_prefetch(ahead + 16, 0, 0);
+        }
+#pragma GCC unroll 2
+        for (int64_t g = 0; g < kGroup; ++g) {
+          NarrowStep<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha,
+                                           b + (kk + g) * ldb, i0, kk + g,
+                                           acc + g * kLen);
+        }
+      }
+      for (int64_t g = 0; kk + g < k1; ++g) {  // a block's odd last step
+        NarrowStep<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha,
+                                         b + (kk + g) * ldb, i0, kk + g,
+                                         acc + g * kLen);
+      }
+      if constexpr (kGroup == kWideSums) {
+        CombinePartials<kWideSums, kLen>(acc);
+        StoreTile<kRows, W>(acc, c, ldc);
+      } else {
+        std::memcpy(part + s0 * kLen, acc, sizeof(acc));
+      }
     }
-    for (int64_t i = 0; i < kRows; ++i) {
-      const float av = alpha * AAt(ad, a_cols, trans_a, i0 + i, kk);
-      float* __restrict arow = acc + i * W;
-      // Without this GCC fully unrolls a <= 16-wide j loop first and then
-      // vectorizes across the tile's rows, leaving the accumulator in
-      // memory (~10x slower). Kept rolled, the j loop becomes whole vectors.
-#pragma GCC unroll 1
-      for (int64_t j = 0; j < W; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
+    if constexpr (kGroup < kWideSums) {
+      CombinePartials<kWideSums, kLen>(part);
+      StoreTile<kRows, W>(part, c, ldc);
     }
-  }
-  for (int64_t i = 0; i < kRows; ++i) {
-    for (int64_t j = 0; j < W; ++j) c[i * ldc + j] = acc[i * W + j];
   }
 }
 
 /// The last tile of a strip, `rows` < kRows high: recurses down to its
 /// height so it too keeps a constexpr, register-resident accumulator.
-template <int64_t kRows, int64_t W>
+template <bool kUnitAlpha, int64_t kRows, int64_t W>
 void NarrowEdgeTile(int64_t rows, const float* ad, int64_t a_cols,
                     bool trans_a, float alpha, const float* b, int64_t ldb,
                     int64_t i0, int64_t k, float* c, int64_t ldc) {
   if constexpr (kRows > 1) {
     if (rows < kRows) {
-      NarrowEdgeTile<kRows - 1, W>(rows, ad, a_cols, trans_a, alpha, b, ldb,
-                                   i0, k, c, ldc);
+      NarrowEdgeTile<kUnitAlpha, kRows - 1, W>(rows, ad, a_cols, trans_a,
+                                               alpha, b, ldb, i0, k, c, ldc);
       return;
     }
   }
-  NarrowTile<kRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k, c, ldc);
+  NarrowTile<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k,
+                                   c, ldc);
 }
 
 /// One W-wide column strip over all m rows, in kNarrowRows-high tiles.
-template <int64_t W>
+template <bool kUnitAlpha, int64_t W>
 void NarrowStrip(const float* ad, int64_t a_cols, bool trans_a, float alpha,
                  const float* b, int64_t ldb, int64_t m, int64_t k, float* c,
                  int64_t ldc) {
   int64_t i0 = 0;
   for (; i0 + kNarrowRows <= m; i0 += kNarrowRows) {
-    NarrowTile<kNarrowRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k,
-                               c + i0 * ldc, ldc);
+    NarrowTile<kUnitAlpha, kNarrowRows, W>(ad, a_cols, trans_a, alpha, b, ldb,
+                                           i0, k, c + i0 * ldc, ldc);
   }
   if (i0 < m) {
-    NarrowEdgeTile<kNarrowRows - 1, W>(m - i0, ad, a_cols, trans_a, alpha, b,
-                                       ldb, i0, k, c + i0 * ldc, ldc);
+    NarrowEdgeTile<kUnitAlpha, kNarrowRows - 1, W>(
+        m - i0, ad, a_cols, trans_a, alpha, b, ldb, i0, k, c + i0 * ldc, ldc);
   }
 }
 
 /// The n = 1 column kernel: c[r] += alpha * op(A)(r, :) · b for R rows of
 /// op(A) starting at row i0, with `b` contiguous. Rows are the vector lanes,
 /// so each k step is R / 16 independent FMAs rather than one serial
-/// dot-product chain per row, while every c[r] still accumulates alone in
-/// strictly increasing k. Untransposed A is read down its columns (a
-/// strided load per lane).
-template <int64_t R, bool kTransA>
+/// dot-product chain per row; the contract's kHeadSums partials run one
+/// after another, as in NarrowTile. Untransposed A is read down its columns
+/// (a strided load per lane).
+template <bool kUnitAlpha, int64_t R, bool kTransA>
 void ColStrip(const float* ad, int64_t a_cols, float alpha, const float* b,
               int64_t i0, int64_t k, float* c) {
-  float acc[R];
-  for (int64_t r = 0; r < R; ++r) acc[r] = c[r];
-  for (int64_t kk = 0; kk < k; ++kk) {
-    const float bv = b[kk];
-    for (int64_t r = 0; r < R; ++r) {
-      const float a = kTransA ? ad[kk * a_cols + i0 + r]
-                              : ad[(i0 + r) * a_cols + kk];
-      acc[r] = MulAdd(alpha * a, bv, acc[r]);
+  float part[kHeadSums * R];
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const int64_t k1 = std::min(k, k0 + kKc);
+    for (int64_t s = 0; s < kHeadSums; ++s) {
+      float acc[R];
+      for (int64_t r = 0; r < R; ++r) acc[r] = s == 0 ? c[r] : 0.0f;
+      for (int64_t kk = k0 + s; kk < k1; kk += kHeadSums) {
+        const float bv = b[kk];
+        for (int64_t r = 0; r < R; ++r) {
+          const float a = kTransA ? ad[kk * a_cols + i0 + r]
+                                  : ad[(i0 + r) * a_cols + kk];
+          acc[r] = MulAdd(kUnitAlpha ? a : alpha * a, bv, acc[r]);
+        }
+      }
+      std::memcpy(part + s * R, acc, sizeof(acc));
     }
+    CombinePartials<kHeadSums, R>(part);
+    for (int64_t r = 0; r < R; ++r) c[r] = part[r];
   }
-  for (int64_t r = 0; r < R; ++r) c[r] = acc[r];
 }
 
 /// All m rows of the n = 1 column kernel.
-template <bool kTransA>
+template <bool kUnitAlpha, bool kTransA>
 void ColKernel(const float* ad, int64_t a_cols, float alpha, const float* b,
                int64_t m, int64_t k, float* c) {
   int64_t i0 = 0;
   for (; i0 + kColStrip <= m; i0 += kColStrip) {
-    ColStrip<kColStrip, kTransA>(ad, a_cols, alpha, b, i0, k, c + i0);
+    ColStrip<kUnitAlpha, kColStrip, kTransA>(ad, a_cols, alpha, b, i0, k,
+                                             c + i0);
   }
   ForPow2Strips<kColStrip / 2>(m - i0, [&]<int64_t R>(int64_t off) {
-    ColStrip<R, kTransA>(ad, a_cols, alpha, b, i0 + off, k, c + i0 + off);
+    ColStrip<kUnitAlpha, R, kTransA>(ad, a_cols, alpha, b, i0 + off, k,
+                                     c + i0 + off);
   });
 }
 
 /// C (m x n) += alpha * op(A) * op(B) for every shape the blocked kernel
-/// and the single-row kernel do not take. Single-threaded.
+/// and the single-row kernel do not take. Single-threaded. With kUnitAlpha
+/// (alpha == 1, all of training) the kernels skip the exact product 1 * a,
+/// a multiply per FMA less on the FMA ports.
+template <bool kUnitAlpha>
 void GemmNarrow(const float* ad, int64_t a_cols, bool trans_a,
                 const float* bd, int64_t b_cols, bool trans_b, float alpha,
                 int64_t m, int64_t n, int64_t k, float* cd) {
   // One packed strip of a transposed op(B), at most k x kNr floats; reused
   // across calls so steady-state training allocates nothing here.
-  static thread_local std::vector<float> packed;
+  static thread_local AlignedVector<float> packed;
   if (n == 1) {
     // op(B) is a contiguous k-vector in either orientation (B is k x 1 or
     // 1 x k).
     if (trans_a) {
-      ColKernel<true>(ad, a_cols, alpha, bd, m, k, cd);
+      ColKernel<kUnitAlpha, true>(ad, a_cols, alpha, bd, m, k, cd);
     } else {
-      ColKernel<false>(ad, a_cols, alpha, bd, m, k, cd);
+      ColKernel<kUnitAlpha, false>(ad, a_cols, alpha, bd, m, k, cd);
     }
     return;
   }
@@ -345,27 +576,28 @@ void GemmNarrow(const float* ad, int64_t a_cols, bool trans_a,
       ldb = w;
     }
     if (w == kNr) {
-      NarrowStrip<kNr>(ad, a_cols, trans_a, alpha, b, ldb, m, k, cd + j0, n);
+      NarrowStrip<kUnitAlpha, kNr>(ad, a_cols, trans_a, alpha, b, ldb, m, k,
+                                   cd + j0, n);
     } else {
       ForPow2Strips<kNr / 2>(w, [&]<int64_t W>(int64_t off) {
-        NarrowStrip<W>(ad, a_cols, trans_a, alpha, b + off, ldb, m, k,
-                       cd + j0 + off, n);
+        NarrowStrip<kUnitAlpha, W>(ad, a_cols, trans_a, alpha, b + off, ldb,
+                                   m, k, cd + j0 + off, n);
       });
     }
   }
 }
 
 /// One parallel chunk of the blocked kernel: row tiles [tile_begin,
-/// tile_end) against the already-packed `bp` panel. Each chunk writes a
-/// disjoint set of C rows, so chunking never changes results.
+/// tile_end) against the already-packed `bp` panel, which is one k block of
+/// the contract. Each chunk writes a disjoint set of C rows, so chunking
+/// never changes results.
 ///
-/// The register tile is seeded from C and written back (rather than zeroed
-/// and added): per element the additions then happen in strictly increasing
-/// k order across kKc panels — the exact order GemmNarrow uses — so a row's
-/// result is bit-identical whichever kernel and whatever blocking handles
-/// it. The learned structures rely on this: batched and single-query
-/// forwards must agree exactly (see LearnedBloomFilter's no-false-negative
-/// guarantee).
+/// Partial 0 of the register tile is seeded from C and the block's combined
+/// sum written back, so per element the panels chain exactly as the
+/// contract's k blocks do on every other path: a row's result is
+/// bit-identical whichever kernel and whatever blocking handles it. The
+/// learned structures rely on this: batched and single-query forwards must
+/// agree exactly (see LearnedBloomFilter's no-false-negative guarantee).
 void RowTileRange(const float* ad, int64_t a_cols, bool trans_a, float alpha,
                   int64_t m, int64_t n, const float* bp, int64_t pc,
                   int64_t kc, int64_t jc, int64_t nc, float* cd,
@@ -451,9 +683,20 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   const int64_t work = m * n * k;
   if (m < kBlockedMinRows || n < kNr || work < kBlockedMinWork) {
     if (!trans_b && m == 1) {
-      RowKernel(ad, trans_a ? a_cols : 1, alpha, bd, b_cols, k, n, cd);
+      const int64_t x_stride = trans_a ? a_cols : 1;
+      if (alpha == 1.0f) {
+        RowKernel<true>(ad, x_stride, alpha, bd, b_cols, k, n, cd);
+      } else {
+        RowKernel<false>(ad, x_stride, alpha, bd, b_cols, k, n, cd);
+      }
     } else {
-      GemmNarrow(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m, n, k, cd);
+      if (alpha == 1.0f) {
+        GemmNarrow<true>(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m, n,
+                         k, cd);
+      } else {
+        GemmNarrow<false>(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m,
+                          n, k, cd);
+      }
     }
     return;
   }
@@ -465,7 +708,7 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   // no allocation. Strips are laid out at a fixed kKc depth stride, so the
   // buffer is sized by the (kNr-rounded) panel width alone. Only the calling
   // thread packs; workers read it.
-  static thread_local std::vector<float> bp;
+  static thread_local AlignedVector<float> bp;
   const int64_t nc_max = std::min(kNc, ((n + kNr - 1) / kNr) * kNr);
   bp.resize(static_cast<size_t>(nc_max * kKc));
   // Hoist the pointer: worker threads must read THIS thread's packed panel,
@@ -537,7 +780,7 @@ void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
 void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y) {
   TRACE_SPAN_VAR(span, "nn", "nn.gemm");
   span.set_arg("mnk", static_cast<double>(n * k));
-  RowKernel(x, 1, 1.0f, w, n, k, n, y);
+  RowKernel<true>(x, 1, 1.0f, w, n, k, n, y);
 }
 
 void AddRowBroadcast(const Tensor& bias, Tensor* x) {

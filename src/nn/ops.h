@@ -21,28 +21,38 @@ namespace los::nn {
 /// than 32 columns, tiny products — runs the narrow kernel's unpacked
 /// register tiles (a 1-wide output with rows as the vector lanes).
 /// Threading only partitions disjoint rows of C, so results are
-/// bit-identical for any thread count. Moreover every path seeds each
-/// output element from beta * C and accumulates (alpha * a) * b into it in
-/// strictly increasing k order, fused exactly when the build has FMA, so a
-/// row's result is bit-identical regardless of which kernel or blocking the
-/// problem shape selects — batched and single-row calls over the same data
-/// agree exactly (the learned structures' batch/serve consistency depends
-/// on this; see GemmTest.EveryPathMatchesInOrderContractBitExact and
-/// GemmTest.PerRowResultsAreShapeInvariant).
+/// bit-identical for any thread count.
+///
+/// Every path computes each output element by one accumulation contract,
+/// so a row's result is bit-identical whichever kernel or blocking the
+/// problem shape selects, and batched and single-row calls over the same
+/// data agree exactly (the learned structures' batch/serve consistency
+/// depends on this):
+///   - C is first scaled by beta; that value seeds the element;
+///   - k is cut into blocks of 256 steps (the last may be shorter); within
+///     a block the element keeps S partial sums, partial s accumulating
+///     (alpha * a) * b over the steps k ≡ s (mod S) in increasing k, fused
+///     exactly when the build has FMA. Partial 0 starts from the running
+///     value, the others from zero;
+///   - at the end of each block the partials are added by halves into the
+///     running value: p[s] += p[s + h] for h = S/2, ..., 1;
+///   - S depends on the output width n alone: 8 when n = 1 (a model's
+///     1-wide head, one dot product), 2 otherwise. Independent chains per
+///     element let the single-row kernel hide the FMA latency.
+/// See GemmTest.EveryPathMatchesPartialSumContractBitExact and
+/// GemmTest.PerRowResultsAreShapeInvariant.
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           float alpha, float beta, Tensor* c);
 
 /// \brief y += x · W for one row: the single-row inference kernel.
 ///
 /// `x` holds k floats, `w` is a row-major (k x n) matrix and `y` holds n
-/// floats. Accumulators stay in registers across column strips; each y[j]
-/// starts from its value on entry and accumulates in strictly increasing k
-/// order, with the multiply-adds fused exactly when the batched kernels'
-/// are (FMA builds). `Gemm`'s m = 1 untransposed-B case runs this same
-/// kernel, so with y zeroed the result is bit-identical to the matching row
-/// of a batched `Gemm` over the same data — Dense::ForwardRow, and through
-/// it SetModel::PredictOne, depend on this. Single-threaded; allocates
-/// nothing.
+/// floats. Each y[j] starts from its value on entry and accumulates under
+/// Gemm's contract, its partials interleaved in registers. `Gemm`'s
+/// m = 1 untransposed-B case runs this same kernel, so with y zeroed the
+/// result is bit-identical to the matching row of a batched `Gemm` over
+/// the same data — Dense::ForwardRow, and through it SetModel::PredictOne,
+/// depend on this. Single-threaded; allocates nothing.
 void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y);
 
 /// The original single-threaded scalar GEMM kept as the correctness /

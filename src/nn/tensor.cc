@@ -12,7 +12,7 @@ Tensor Tensor::FromValues(int64_t rows, int64_t cols,
   Tensor t;
   t.rows_ = rows;
   t.cols_ = cols;
-  t.data_ = std::move(values);
+  t.data_.assign(values.begin(), values.end());
   return t;
 }
 
@@ -97,7 +97,7 @@ Result<Tensor> Tensor::Load(BinaryReader* r) {
   if (!rows.ok()) return rows.status();
   auto cols = r->ReadI64();
   if (!cols.ok()) return cols.status();
-  auto data = r->ReadVector<float>();
+  auto data = r->ReadVector<float, CacheLineAllocator<float>>();
   if (!data.ok()) return data.status();
   // The dimensions are untrusted bytes: reject negative ones and match the
   // payload length by division, so a huge rows * cols cannot overflow.
@@ -107,7 +107,11 @@ Result<Tensor> Tensor::Load(BinaryReader* r) {
   const auto n = static_cast<int64_t>(data->size());
   const bool fits = *rows == 0 ? n == 0 : n % *rows == 0 && n / *rows == *cols;
   if (!fits) return Status::DataLoss("tensor payload size mismatch");
-  return FromValues(*rows, *cols, std::move(*data));
+  Tensor t;
+  t.rows_ = *rows;
+  t.cols_ = *cols;
+  t.data_ = std::move(*data);
+  return t;
 }
 
 }  // namespace los::nn

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -12,11 +13,47 @@
 
 namespace los::nn {
 
+/// Bytes of one cache line: the alignment of every tensor's storage.
+inline constexpr size_t kCacheLine = 64;
+
+/// \brief Allocator of cache-line-aligned storage. A model's weights then
+/// start on a line boundary wherever the heap puts them: a row whose width
+/// is a multiple of 16 floats never splits a line, and a forward's speed
+/// does not depend on what was allocated before the model (with a
+/// 16-byte-aligned `std::vector` it moved a single-row forward by up to
+/// 30%).
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(
+        ::operator new(n * sizeof(T), std::align_val_t{kCacheLine}));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), std::align_val_t{kCacheLine});
+  }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
+/// A `std::vector` whose data() is cache-line aligned.
+template <typename T>
+using AlignedVector = std::vector<T, CacheLineAllocator<T>>;
+
 /// \brief Dense row-major 2-D float32 matrix.
 ///
 /// The whole NN stack works on rank-2 tensors: a batch of vectors is
 /// `(batch, dim)`; a single vector is `(1, dim)`. This deliberately simple
-/// representation keeps the hand-written backward passes auditable.
+/// representation keeps the hand-written backward passes auditable. The
+/// values are cache-line aligned (`data() % kCacheLine == 0`), however the
+/// tensor was made, resized, copied, moved or loaded.
 class Tensor {
  public:
   /// Empty 0x0 tensor.
@@ -108,7 +145,7 @@ class Tensor {
  private:
   int64_t rows_;
   int64_t cols_;
-  std::vector<float> data_;
+  AlignedVector<float> data_;
 };
 
 }  // namespace los::nn

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -273,6 +276,59 @@ TEST(ThreadPoolTest, EmptyRangeIsNoop) {
   bool called = false;
   pool.ParallelFor(0, [&](size_t, size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// Regression: ParallelFor used to block until pool workers ran every
+// chunk, so when no worker could take one (all busy, or a wakeup lost) the
+// caller waited forever. The caller now claims chunks itself. Every worker
+// is parked inside another ParallelFor's chunk, then the test thread's own
+// loop must still finish, covering its range exactly once.
+TEST(ThreadPoolTest, ParallelForCompletesWhileEveryWorkerIsBusy) {
+  constexpr size_t kWorkers = 2;
+  ThreadPool pool(kWorkers);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<size_t> workers_parked{0};
+  static thread_local bool t_parker = false;
+  // Each parker thread runs a two-chunk loop: it parks in one chunk itself
+  // and leaves the other to a worker, which parks there too.
+  std::vector<std::thread> parkers;
+  for (size_t i = 0; i < kWorkers; ++i) {
+    parkers.emplace_back([&] {
+      t_parker = true;
+      pool.ParallelFor(
+          2,
+          [&](size_t, size_t) {
+            if (!t_parker) workers_parked.fetch_add(1);
+            released.wait();
+          },
+          /*min_chunk=*/1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (workers_parked.load() < kWorkers &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(workers_parked.load(), kWorkers);
+
+  std::vector<std::atomic<int>> hits(1000);
+  auto loop = std::async(std::launch::async, [&] {
+    pool.ParallelFor(
+        hits.size(),
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        },
+        /*min_chunk=*/10);
+  });
+  const bool finished =
+      loop.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.set_value();  // unpark, so a failing run still ends
+  loop.get();
+  for (auto& t : parkers) t.join();
+  EXPECT_TRUE(finished) << "ParallelFor waited on busy workers";
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 double benchmark_sink = 0;  // defeats optimization of the timing loop

@@ -13,6 +13,7 @@
 #include "core/model_factory.h"
 #include "core/scaling.h"
 #include "deepsets/compression.h"
+#include "deepsets/set_transformer.h"
 #include "sets/dictionary.h"
 #include "sets/set_collection.h"
 
@@ -40,6 +41,18 @@ std::vector<std::pair<std::string, std::vector<uint8_t>>> Corpus() {
     BinaryWriter w;
     core::SaveSetModel(**model, &w);
     corpus.emplace_back("clsm", w.bytes());
+  }
+  {
+    deepsets::SetTransformerConfig cfg;
+    cfg.vocab = 20;
+    cfg.embed_dim = 2;
+    cfg.att_dim = 4;
+    cfg.ff_hidden = 4;
+    cfg.rho_hidden = {3};
+    auto model = deepsets::SetTransformerModel::Create(cfg);
+    BinaryWriter w;
+    core::SaveSetModel(**model, &w);
+    corpus.emplace_back("set_transformer", w.bytes());
   }
   {
     baselines::BloomFilter bf(100, 0.01);
@@ -116,7 +129,7 @@ constexpr size_t kIndexAuxPositions = 64;
 /// (which ASan reports).
 bool TryLoad(const std::string& name, std::vector<uint8_t> bytes) {
   BinaryReader r(std::move(bytes));
-  if (name == "lsm" || name == "clsm") {
+  if (name == "lsm" || name == "clsm" || name == "set_transformer") {
     auto model = core::LoadSetModel(&r);
     if (!model.ok()) return false;
     const std::vector<sets::ElementId> last{

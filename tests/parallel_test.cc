@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -92,47 +93,72 @@ TEST(GemmTest, MatchesReferenceAcrossShapesAndFlags) {
   }
 }
 
-/// The per-element numerics contract every Gemm path keeps: C is scaled by
-/// beta first, then each element accumulates (alpha * a) * b from that seed
-/// in strictly increasing k, fused exactly when the build has FMA.
-void InOrderGemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
-                 float alpha, float beta, Tensor* c) {
+/// Scalar reference of the per-element accumulation contract every Gemm
+/// path keeps (nn/ops.h): C is scaled by beta first; k is cut into blocks
+/// of 256 steps; within a block the element keeps S partial sums (S = 8
+/// for a 1-wide output, else 2), partial s accumulating (alpha * a) * b
+/// over k ≡ s (mod S) in increasing k, fused exactly when the build has
+/// FMA, partial 0 seeded from the running value and the others from zero;
+/// each block ends with the running value = the partials added by halves
+/// (p[s] += p[s + h] for h = S/2, ..., 1). Plain loops that share no code
+/// with the kernels, so a kernel that drifts from the contract cannot
+/// drift with it.
+void PartialSumGemm(const Tensor& a, bool trans_a, const Tensor& b,
+                    bool trans_b, float alpha, float beta, Tensor* c) {
+  constexpr int64_t kBlock = 256;
   const int64_t m = c->rows();
   const int64_t n = c->cols();
   const int64_t k = trans_a ? a.rows() : a.cols();
+  const int64_t sums = n == 1 ? 8 : 2;
   if (beta == 0.0f) {
     c->SetZero();
   } else if (beta != 1.0f) {
     c->Scale(beta);
   }
+  if (k == 0 || alpha == 0.0f) return;
   const float* ad = a.data();
   const float* bd = b.data();
+  std::vector<float> p(static_cast<size_t>(sums * n));
   for (int64_t i = 0; i < m; ++i) {
-    float* crow = c->row(i);
-    for (int64_t kk = 0; kk < k; ++kk) {
-      const float av =
-          alpha * (trans_a ? ad[kk * a.cols() + i] : ad[i * a.cols() + kk]);
-      for (int64_t j = 0; j < n; ++j) {
-        const float bv =
-            trans_b ? bd[j * b.cols() + kk] : bd[kk * b.cols() + j];
+    float* crow = c->row(i);  // the running values
+    for (int64_t k0 = 0; k0 < k; k0 += kBlock) {
+      std::fill(p.begin(), p.end(), 0.0f);
+      std::copy(crow, crow + n, p.begin());
+      for (int64_t kk = k0; kk < std::min(k, k0 + kBlock); ++kk) {
+        const float av =
+            alpha * (trans_a ? ad[kk * a.cols() + i] : ad[i * a.cols() + kk]);
+        float* part = p.data() + ((kk - k0) % sums) * n;
+        for (int64_t j = 0; j < n; ++j) {
+          const float bv =
+              trans_b ? bd[j * b.cols() + kk] : bd[kk * b.cols() + j];
 #ifdef __FMA__
-        crow[j] = std::fmaf(av, bv, crow[j]);
+          part[j] = std::fmaf(av, bv, part[j]);
 #else
-        crow[j] = av * bv + crow[j];
+          part[j] = av * bv + part[j];
 #endif
+        }
       }
+      for (int64_t h = sums / 2; h >= 1; h /= 2) {
+        for (int64_t s = 0; s < h; ++s) {
+          for (int64_t j = 0; j < n; ++j) p[s * n + j] += p[(s + h) * n + j];
+        }
+      }
+      std::copy(p.begin(), p.begin() + n, crow);
     }
   }
 }
 
-TEST(GemmTest, EveryPathMatchesInOrderContractBitExact) {
+TEST(GemmTest, EveryPathMatchesPartialSumContractBitExact) {
   ScopedKernelPool pool(4);
   // Spans the single-row kernel (m = 1), the narrow register tiles (n < 32
   // or m < 17, both orientations of B), the n = 1 column kernel, and the
-  // blocked + threaded path with k-panel splits (k > 256) and column tails.
+  // blocked + threaded path with k-panel splits (k > 256) and column tails;
+  // k = 1, 3, 5, 7, 13, 31, 66 and 257 leave remainders 1, 2, 3, 5 and 7
+  // mod 8 (a 1-wide output's partials), the odd ones 1 mod 2.
   const std::vector<int64_t> ms = {1, 2, 16, 17, 512, 1341};
-  const std::vector<int64_t> ns = {1, 2, 7, 8, 15, 16, 17, 31, 32, 33};
-  const std::vector<int64_t> ks = {1, 8, 16, 64, 257, 512};
+  const std::vector<int64_t> ns = {1, 2, 7, 8, 15, 16, 17, 31, 32, 33, 64};
+  const std::vector<int64_t> ks = {1,  3,  5,  7,  8,  13, 16,
+                                   31, 64, 66, 257, 512};
   const std::vector<std::pair<float, float>> coeffs = {{1.0f, 0.0f},
                                                        {0.7f, 1.0f}};
   Rng rng(23);
@@ -160,7 +186,7 @@ TEST(GemmTest, EveryPathMatchesInOrderContractBitExact) {
               Tensor c_gemm = c0;
               Tensor c_ref = c0;
               nn::Gemm(a, trans_a, b, trans_b, alpha, beta, &c_gemm);
-              InOrderGemm(a, trans_a, b, trans_b, alpha, beta, &c_ref);
+              PartialSumGemm(a, trans_a, b, trans_b, alpha, beta, &c_ref);
               const bool same =
                   std::memcmp(c_gemm.data(), c_ref.data(),
                               static_cast<size_t>(c_ref.size()) *

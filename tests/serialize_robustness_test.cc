@@ -37,6 +37,7 @@
 #include "core/model_factory.h"
 #include "deepsets/compression.h"
 #include "deepsets/deepsets_model.h"
+#include "deepsets/set_transformer.h"
 #include "sets/set_hash.h"
 #include "nn/tensor.h"
 #include "sets/generators.h"
@@ -417,6 +418,45 @@ TEST(CheckpointCorruptionTest, ModelVocabNotMatchingEmbeddingsIsDataLoss) {
           << (compressed ? "CLSM" : "LSM") << " vocab " << patched;
     }
   }
+}
+
+// Regression: a Set Transformer saved with vocab 100 and its header patched
+// to 300 loaded, and PredictOne({250, 299}) then read past its 100-row
+// embedding table. Any stored tensor whose shape the header's config does
+// not build (here: the vocab, or the feed-forward width) is DataLoss.
+TEST(CheckpointCorruptionTest,
+     SetTransformerVocabNotMatchingEmbeddingsIsDataLoss) {
+  deepsets::SetTransformerConfig cfg;
+  cfg.vocab = 100;
+  cfg.embed_dim = 4;
+  cfg.att_dim = 8;
+  cfg.ff_hidden = 16;
+  cfg.rho_hidden = {8};
+  auto model = deepsets::SetTransformerModel::Create(cfg);
+  ASSERT_TRUE(model.ok());
+  BinaryWriter w;
+  (*model)->Save(&w);
+  const std::vector<uint8_t> bytes = w.bytes();
+  auto load = [](std::vector<uint8_t> b) {
+    BinaryReader r(std::move(b));
+    return deepsets::SetTransformerModel::Load(&r).status().code();
+  };
+  EXPECT_EQ(load(bytes), StatusCode::kOk);
+  BinaryWriter tag;
+  tag.WriteString("SetTransformer");
+  // The header: vocab, embed_dim, att_dim, num_heads, ff_hidden (i64 each).
+  const size_t vocab_at = tag.bytes().size();
+  const size_t ff_at = vocab_at + 4 * sizeof(int64_t);
+  int64_t stored = 0;
+  std::memcpy(&stored, bytes.data() + vocab_at, sizeof(stored));
+  ASSERT_EQ(stored, 100);
+  std::memcpy(&stored, bytes.data() + ff_at, sizeof(stored));
+  ASSERT_EQ(stored, 16);
+  for (uint64_t vocab : {300, 50}) {
+    EXPECT_EQ(load(Patched(bytes, vocab_at, vocab)), StatusCode::kDataLoss)
+        << "vocab " << vocab;
+  }
+  EXPECT_EQ(load(Patched(bytes, ff_at, 8)), StatusCode::kDataLoss);
 }
 
 // Regression: a CLSM whose compressor divisor was 0 died of SIGFPE inside

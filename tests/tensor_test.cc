@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -69,6 +70,37 @@ TEST(TensorTest, SaveLoadRoundTrip) {
   EXPECT_TRUE(back->SameShape(t));
   for (int64_t i = 0; i < t.size(); ++i) {
     EXPECT_EQ(back->data()[i], t.data()[i]);
+  }
+}
+
+bool CacheLineAligned(const Tensor& t) {
+  return reinterpret_cast<uintptr_t>(t.data()) % kCacheLine == 0;
+}
+
+// Weights and activations start on a cache line however a tensor is made,
+// so a forward's speed does not depend on where the heap put them.
+TEST(TensorTest, StorageIsCacheLineAligned) {
+  for (int64_t cols : {1, 3, 16, 17, 64}) {
+    Tensor t(5, cols);
+    EXPECT_TRUE(CacheLineAligned(t)) << "constructed, cols " << cols;
+    t.ResizeAndZero(7, cols + 1);
+    EXPECT_TRUE(CacheLineAligned(t)) << "resized, cols " << cols;
+    Tensor v = Tensor::FromValues(
+        1, cols, std::vector<float>(static_cast<size_t>(cols), 1.5f));
+    EXPECT_TRUE(CacheLineAligned(v)) << "from values, cols " << cols;
+    BinaryWriter w;
+    v.Save(&w);
+    BinaryReader r(w.bytes());
+    auto loaded = Tensor::Load(&r);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(CacheLineAligned(*loaded)) << "loaded, cols " << cols;
+    Tensor copy = t;
+    EXPECT_TRUE(CacheLineAligned(copy)) << "copied, cols " << cols;
+    Tensor assigned;
+    assigned = v;
+    EXPECT_TRUE(CacheLineAligned(assigned)) << "copy-assigned, cols " << cols;
+    Tensor moved = std::move(copy);
+    EXPECT_TRUE(CacheLineAligned(moved)) << "moved, cols " << cols;
   }
 }
 

@@ -11,11 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -404,26 +407,49 @@ TEST_F(TraceTest, EmitRecordsExternallyTimedSpan) {
 
 TEST_F(TraceTest, ThreadPoolWorkersRecordUnderTheirOwnIds) {
   Tracer::Global()->set_enabled(true);
+  { TRACE_SPAN("test", "test.caller"); }  // marks the caller's tid
   {
     ThreadPool pool(2);
-    // min_chunk=1 forces the range onto the workers even on one core.
+    // Two chunks of four. The caller claims chunks too, so a chunk it
+    // claims waits until a worker has started the other one: at least one
+    // chunk runs on a worker.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> worker_started{false};
     pool.ParallelFor(
-        8, [](size_t begin, size_t end) {
+        8,
+        [&](size_t begin, size_t end) {
+          if (std::this_thread::get_id() != caller) {
+            worker_started.store(true);
+          } else {
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (!worker_started.load() &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
+          }
           for (size_t i = begin; i < end; ++i) {
             TRACE_SPAN("test", "test.chunk");
           }
         },
-        /*min_chunk=*/1);
+        /*min_chunk=*/4);
+    EXPECT_TRUE(worker_started.load());
     // ParallelFor returns as soon as the last chunk's closure finishes —
     // *inside* that worker's pool.task span. Join the workers (pool
     // destructor) so every span has been pushed before collecting.
   }
   auto events = Tracer::Global()->Collect();
   ASSERT_EQ(CountByName(events, "test.chunk"), 8u);
-  // Every chunk span nests inside some worker's pool.task span: same tid,
-  // enclosed interval.
+  uint32_t caller_tid = 0;
   for (const auto& e : events) {
-    if (std::string(e.name) != "test.chunk") continue;
+    if (std::string(e.name) == "test.caller") caller_tid = e.tid;
+  }
+  // Every chunk span a worker recorded nests inside that worker's
+  // pool.task span: same tid, enclosed interval.
+  size_t on_workers = 0;
+  for (const auto& e : events) {
+    if (std::string(e.name) != "test.chunk" || e.tid == caller_tid) continue;
+    ++on_workers;
     bool enclosed = false;
     for (const auto& t : events) {
       if (std::string(t.name) != "pool.task" || t.tid != e.tid) continue;
@@ -435,6 +461,7 @@ TEST_F(TraceTest, ThreadPoolWorkersRecordUnderTheirOwnIds) {
     }
     EXPECT_TRUE(enclosed) << "chunk span not inside any pool.task";
   }
+  EXPECT_GE(on_workers, 4u);
   // The workers registered stable names.
   auto threads = Tracer::Global()->Threads();
   size_t named = 0;
