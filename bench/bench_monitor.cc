@@ -1,8 +1,8 @@
 // Monitoring overhead on the cardinality serving path: closed-loop QPS with
 // the quality monitor detached, shadow-sampling 1-in-128 (the production
 // default), and a deliberately hot 1-in-8 rate. Each shadow sample
-// re-executes the query against an exact InvertedIndex oracle on the serve
-// worker thread, so the interesting number is how much capacity that slow
+// re-executes the query against an exact InvertedIndex oracle on the
+// caller's thread, so the interesting number is how much capacity that slow
 // path steals: at 1-in-128 the overhead budget is 2%.
 //
 // JsonRecord rows carry queries_per_s per mode plus the monitor's own
@@ -32,7 +32,7 @@ using los::bench::JsonRecord;
 using los::sets::Query;
 
 /// Closed-loop capacity: `clients` threads replay the query list
-/// back-to-back through the batched service; returns sustained QPS.
+/// back-to-back through the service; returns sustained QPS.
 double MeasureQps(int clients, int repeats, const std::vector<Query>& queries,
                   los::serve::CardinalityService* service) {
   std::vector<std::thread> threads;
@@ -87,8 +87,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  los::serve::ServeOptions serve_opts;
-  serve_opts.min_delay_us = 10;
   const int kClients = 8;
   const int kRepeats = 3;
   const int kTrials = 3;
@@ -112,7 +110,7 @@ int main(int argc, char** argv) {
     MetricsRegistry registry;
     est->SetMetricsRegistry(&registry);
     auto service = los::serve::CardinalityService::Create(
-        &est.value(), serve_opts, &registry);
+        &est.value(), {}, &registry);
     if (!service.ok()) return false;
 
     std::unique_ptr<los::monitor::CardinalityMonitor> monitor;
@@ -253,8 +251,8 @@ int main(int argc, char** argv) {
 
   trace.Finish();
   std::printf("\nExpected shape: 1-in-128 shadow sampling costs <2%% "
-              "(one oracle re-execution per 128 queries rides the batch "
-              "worker); 1-in-8 makes the slow path visible in the QPS rows. "
+              "(one oracle re-execution per 128 queries rides the caller's "
+              "thread); 1-in-8 makes the slow path visible in the QPS rows. "
               "The monitor's q-error window tracks the model's true serving "
               "accuracy. The flushpath row is the deterministic overhead "
               "measurement; the closed-loop QPS rows carry scheduler noise "

@@ -1,7 +1,7 @@
 // Online updates under query load (ROADMAP item 2): streaming generator
 // deltas mutate each structure through its Updatable* wrapper while
-// closed-loop clients keep querying through the micro-batched serving
-// layer. Three phases per structure:
+// closed-loop clients keep querying through the serving layer. Three phases
+// per structure:
 //
 //   steady  queries only — the baseline tail
 //   during  an updater thread streams updates, background retrains swap
@@ -12,7 +12,7 @@
 //
 // JsonRecord rows carry per-phase p50/p95/p99 plus generation/rebuild
 // counts; run with --trace=FILE to see the `updatable.retrain` /
-// `updatable.swap` spans interleaved with serve flushes in the Chrome
+// `updatable.swap` spans interleaved with the queries in the Chrome
 // trace.
 
 #include <algorithm>
@@ -245,11 +245,6 @@ int main(int argc, char** argv) {
   auto queries = los::sets::SampleQueries(
       subsets, los::sets::QueryLabel::kCardinality, 400, &rng);
 
-  los::serve::ServeOptions serve_opts;
-  serve_opts.max_batch = 64;
-  serve_opts.max_delay_us = 200;
-  serve_opts.min_delay_us = 10;
-
   // Small models and short retrains: the subject under test is the swap
   // machinery and the serving tail, not model quality.
   const int epochs = los::bench::EnvEpochs(2);
@@ -280,7 +275,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto service =
-        los::serve::IndexService::Create(index->get(), serve_opts,
+        los::serve::IndexService::Create(index->get(), {},
                                          &registry);
     if (!service.ok()) return 1;
     los::core::UpdatableSetIndex* live = index->get();
@@ -317,7 +312,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto service = los::serve::CardinalityService::Create(
-        card->get(), serve_opts, &registry);
+        card->get(), {}, &registry);
     if (!service.ok()) return 1;
     los::core::UpdatableCardinality* live = card->get();
     RunPhases(
@@ -352,7 +347,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     auto service =
-        los::serve::BloomService::Create(bloom->get(), serve_opts,
+        los::serve::BloomService::Create(bloom->get(), {},
                                          &registry);
     if (!service.ok()) return 1;
     los::core::UpdatableBloom* live = bloom->get();

@@ -1,18 +1,18 @@
-// Serving-layer throughput: concurrent clients driving the three learned
-// structures through serve::BatchServer versus the no-batching baseline
-// (batcher bypassed, one lock-free forward per query on the client's own
-// thread). Closed loop measures capacity: each client fires its
-// next query the moment the previous one completes. Open loop offers a
-// fixed arrival rate and reports the latency from the scheduled send time,
-// so schedule slip shows up as tail latency.
+// Serving-layer throughput: concurrent closed-loop clients driving the three
+// learned structures "direct" (the structure's own single-query call on the
+// client's thread) and "served" (the same call through serve::Service<>,
+// which adds its counters, its sampled latency histogram and the monitor
+// hook). Each client fires its next query the moment the previous one
+// completes and replays the shared query list until the row has run
+// kMinSeconds, so the fast structures' rows are not a few hundred
+// microseconds of thread start-up.
 //
 // JsonRecord rows carry queries_per_s plus median/p95/p99 per-request
-// latency; --metrics additionally dumps the serving registry (batch-size
-// histogram, flush reason counters, queue depth) per structure.
+// latency; served rows attach the serving registry (`serve.<name>.*` and the
+// structure's own instruments).
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <thread>
@@ -32,6 +32,9 @@ using los::Stopwatch;
 using los::bench::JsonRecord;
 using los::sets::Query;
 
+constexpr double kMinSeconds = 0.2;
+const std::vector<int> kClients = {1, 2, 4, 8};
+
 /// Per-request latencies plus the wall time of the whole run.
 struct LoadResult {
   double wall_seconds = 0.0;
@@ -45,8 +48,9 @@ struct LoadResult {
 };
 
 /// Closed loop: `clients` threads each replay the shared query list
-/// back-to-back; `issue` runs one query to completion and is the only part
-/// that differs between the direct and batched paths.
+/// back-to-back, whole passes, until kMinSeconds have passed; `issue` runs
+/// one query to completion and is the only part that differs between the
+/// direct and served paths.
 LoadResult RunClosedLoop(int clients, const std::vector<Query>& queries,
                          const std::function<void(const Query&)>& issue) {
   std::vector<std::vector<double>> lat(clients);
@@ -55,47 +59,13 @@ LoadResult RunClosedLoop(int clients, const std::vector<Query>& queries,
   for (int t = 0; t < clients; ++t) {
     threads.emplace_back([&, t] {
       lat[t].reserve(queries.size());
-      for (const auto& q : queries) {
-        Stopwatch sw;
-        issue(q);
-        lat[t].push_back(sw.ElapsedSeconds());
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  LoadResult out;
-  out.wall_seconds = wall.ElapsedSeconds();
-  for (auto& v : lat) {
-    out.latencies.insert(out.latencies.end(), v.begin(), v.end());
-  }
-  return out;
-}
-
-/// Open loop: each client schedules query i at T0 + i / per_client_rate and
-/// measures completion against that schedule, so queueing delay (and any
-/// schedule slip when the service cannot keep up) lands in the tail.
-LoadResult RunOpenLoop(int clients, double offered_qps,
-                       const std::vector<Query>& queries,
-                       const std::function<void(const Query&)>& issue) {
-  const double per_client = offered_qps / clients;
-  std::vector<std::vector<double>> lat(clients);
-  std::vector<std::thread> threads;
-  Stopwatch wall;
-  for (int t = 0; t < clients; ++t) {
-    threads.emplace_back([&, t] {
-      lat[t].reserve(queries.size());
-      const auto t0 = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < queries.size(); ++i) {
-        const auto scheduled =
-            t0 + std::chrono::nanoseconds(static_cast<int64_t>(
-                     1e9 * static_cast<double>(i) / per_client));
-        std::this_thread::sleep_until(scheduled);
-        issue(queries[i]);
-        lat[t].push_back(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          scheduled)
-                .count());
-      }
+      do {
+        for (const auto& q : queries) {
+          Stopwatch sw;
+          issue(q);
+          lat[t].push_back(sw.ElapsedSeconds());
+        }
+      } while (wall.ElapsedSeconds() < kMinSeconds);
     });
   }
   for (auto& th : threads) th.join();
@@ -108,37 +78,55 @@ LoadResult RunOpenLoop(int clients, double offered_qps,
 }
 
 void Report(const std::string& structure, const std::string& mode,
-            int clients, int shards, double offered_qps,
-            const LoadResult& r, const los::MetricsSnapshot* metrics) {
+            int clients, const LoadResult& r,
+            const los::MetricsSnapshot* metrics) {
   JsonRecord rec("serving_qps");
-  rec.Set("structure", structure)
-      .Set("mode", mode)
-      .Set("clients", clients)
-      .Set("shards", shards);
-  if (offered_qps > 0.0) {
-    rec.Set("offered_qps", static_cast<int64_t>(offered_qps));
-  }
+  rec.Set("structure", structure).Set("mode", mode).Set("clients", clients);
   for (double s : r.latencies) rec.Add(s);
   rec.Set("queries_per_s", r.Qps());
   rec.SetProvenance();
   if (metrics != nullptr) rec.SetMetrics(*metrics);
-  std::printf("%-12s %-8s c=%d s=%d  %10.0f qps  p50=%.0fus p95=%.0fus "
-              "p99=%.0fus\n",
-              structure.c_str(), mode.c_str(), clients, shards, r.Qps(),
+  std::printf("%-12s %-7s c=%d  %10.0f qps  p50=%.2fus p95=%.2fus "
+              "p99=%.2fus\n",
+              structure.c_str(), mode.c_str(), clients, r.Qps(),
               rec.Median() * 1e6, rec.P95() * 1e6, rec.P99() * 1e6);
   rec.Print();
+}
+
+/// Every client count, direct then served, over one built structure.
+/// `direct` is the structure's own call; the service is created per row
+/// over `structure` with a fresh registry that the structure also reports
+/// to for that row.
+template <typename Service, typename S>
+bool Sweep(const std::string& name, S* structure,
+           const std::vector<Query>& queries,
+           const std::function<void(const Query&)>& direct) {
+  for (int clients : kClients) {
+    Report(name, "direct", clients, RunClosedLoop(clients, queries, direct),
+           nullptr);
+  }
+  for (int clients : kClients) {
+    MetricsRegistry registry;
+    structure->SetMetricsRegistry(&registry);
+    auto service = Service::Create(structure, {}, &registry);
+    if (!service.ok()) return false;
+    auto served = RunClosedLoop(clients, queries, [&](const Query& q) {
+      (void)(*service)->Submit(q).get();
+    });
+    (*service)->Shutdown();
+    auto snap = registry.Snapshot();
+    Report(name, "served", clients, served, &snap);
+    structure->SetMetricsRegistry(MetricsRegistry::Global());
+  }
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  los::bench::Banner("Serving QPS: micro-batched vs no-batching",
+  los::bench::Banner("Serving QPS: served vs direct",
                      "serving layer (not a paper table)");
   los::bench::BenchTraceSession trace(argc, argv);
-  bool dump_metrics = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics") == 0) dump_metrics = true;
-  }
 
   const double scale = los::bench::EnvScale();
   los::sets::RwConfig rw;
@@ -153,22 +141,14 @@ int main(int argc, char** argv) {
   auto queries = los::sets::SampleQueries(
       subsets, los::sets::QueryLabel::kCardinality, 400, &rng);
 
-  const std::vector<int> kClients = {1, 4, 8};
-  const double kOpenQps = 4000.0;
-  los::serve::ServeOptions serve_opts;  // defaults: batch 64 / 200us
-  serve_opts.min_delay_us = 10;  // short idle linger: closed-loop friendly
-
   // ---------------- cardinality ----------------
   {
     auto opts = los::bench::CardinalityPreset(false, true);
     opts.train.epochs = std::min(opts.train.epochs, 3);
     opts.max_subset_size = subset_opts.max_subset_size;
-    // Serving-sized model (512-wide layers, L2-resident weights): per-forward
-    // cost is dominated by streaming the weight matrices, which one
-    // batched GEMM pays once per flush while the direct path pays per
-    // query — this is the gap the micro-batcher exists to exploit. 512 is
-    // the measured sweet spot: weights still fit L2, and the batch-8
-    // register-tile kernel amortizes the stream ~2.9x over single-row.
+    // A serving-sized model (512-wide layers, L2-resident weights), far
+    // above the paper's 64-256 neurons: the size at which one batched
+    // forward once paid for a queue hop (DESIGN.md "Serving layer").
     opts.model.embed_dim = 32;
     opts.model.phi_hidden = {512, 512};
     opts.model.rho_hidden = {512, 512};
@@ -179,58 +159,10 @@ int main(int argc, char** argv) {
                    est.status().ToString().c_str());
       return 1;
     }
-    for (int clients : kClients) {
-      auto direct = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)est->Estimate(q.view());
-      });
-      Report("cardinality", "direct", clients, 1, 0.0, direct, nullptr);
-    }
-    for (int clients : kClients) {
-      MetricsRegistry registry;
-      est->SetMetricsRegistry(&registry);
-      auto service = los::serve::CardinalityService::Create(
-          &est.value(), serve_opts, &registry);
-      if (!service.ok()) return 1;
-      auto batched = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)(*service)->Submit(q).get();
-      });
-      (*service)->Shutdown();
-      auto snap = registry.Snapshot();
-      Report("cardinality", "batched", clients, 1, 0.0, batched, &snap);
-      if (dump_metrics) std::printf("%s\n", snap.ToJsonLines().c_str());
-      est->SetMetricsRegistry(MetricsRegistry::Global());
-    }
-    {
-      // Shared-structure shards: two workers flush in parallel over the one
-      // estimator at full load.
-      MetricsRegistry registry;
-      est->SetMetricsRegistry(&registry);
-      auto sharded_opts = serve_opts;
-      sharded_opts.num_shards = 2;
-      auto service = los::serve::CardinalityService::Create(
-          &est.value(), sharded_opts, &registry);
-      if (!service.ok()) return 1;
-      auto batched = RunClosedLoop(8, queries, [&](const Query& q) {
-        (void)(*service)->Submit(q).get();
-      });
-      (*service)->Shutdown();
-      auto snap = registry.Snapshot();
-      Report("cardinality", "batched", 8, 2, 0.0, batched, &snap);
-      est->SetMetricsRegistry(MetricsRegistry::Global());
-    }
-    {
-      MetricsRegistry registry;
-      est->SetMetricsRegistry(&registry);
-      auto service = los::serve::CardinalityService::Create(
-          &est.value(), serve_opts, &registry);
-      if (!service.ok()) return 1;
-      auto open = RunOpenLoop(8, kOpenQps, queries, [&](const Query& q) {
-        (void)(*service)->Submit(q).get();
-      });
-      (*service)->Shutdown();
-      auto snap = registry.Snapshot();
-      Report("cardinality", "open", 8, 1, kOpenQps, open, &snap);
-      est->SetMetricsRegistry(MetricsRegistry::Global());
+    if (!Sweep<los::serve::CardinalityService>(
+            "cardinality", &est.value(), queries,
+            [&](const Query& q) { (void)est->Estimate(q.view()); })) {
+      return 1;
     }
   }
 
@@ -245,26 +177,10 @@ int main(int argc, char** argv) {
                    index.status().ToString().c_str());
       return 1;
     }
-    for (int clients : {1, 8}) {
-      auto direct = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)index->Lookup(q.view());
-      });
-      Report("index", "direct", clients, 1, 0.0, direct, nullptr);
-    }
-    for (int clients : {1, 8}) {
-      MetricsRegistry registry;
-      index->SetMetricsRegistry(&registry);
-      auto service = los::serve::IndexService::Create(&index.value(),
-                                                      serve_opts, &registry);
-      if (!service.ok()) return 1;
-      auto batched = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)(*service)->Submit(q).get();
-      });
-      (*service)->Shutdown();
-      auto snap = registry.Snapshot();
-      Report("index", "batched", clients, 1, 0.0, batched, &snap);
-      if (dump_metrics) std::printf("%s\n", snap.ToJsonLines().c_str());
-      index->SetMetricsRegistry(MetricsRegistry::Global());
+    if (!Sweep<los::serve::IndexService>(
+            "index", &index.value(), queries,
+            [&](const Query& q) { (void)index->Lookup(q.view()); })) {
+      return 1;
     }
   }
 
@@ -279,38 +195,18 @@ int main(int argc, char** argv) {
                    bloom.status().ToString().c_str());
       return 1;
     }
-    for (int clients : {1, 8}) {
-      auto direct = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)bloom->MayContain(q.view());
-      });
-      Report("bloom", "direct", clients, 1, 0.0, direct, nullptr);
-    }
-    for (int clients : {1, 8}) {
-      MetricsRegistry registry;
-      bloom->SetMetricsRegistry(&registry);
-      auto service =
-          los::serve::BloomService::Create(&bloom.value(), serve_opts,
-                                           &registry);
-      if (!service.ok()) return 1;
-      auto batched = RunClosedLoop(clients, queries, [&](const Query& q) {
-        (void)(*service)->Submit(q).get();
-      });
-      (*service)->Shutdown();
-      auto snap = registry.Snapshot();
-      Report("bloom", "batched", clients, 1, 0.0, batched, &snap);
-      if (dump_metrics) std::printf("%s\n", snap.ToJsonLines().c_str());
-      bloom->SetMetricsRegistry(MetricsRegistry::Global());
+    if (!Sweep<los::serve::BloomService>(
+            "bloom", &bloom.value(), queries,
+            [&](const Query& q) { (void)bloom->MayContain(q.view()); })) {
+      return 1;
     }
   }
 
   trace.Finish();
-  std::printf("\nExpected shape: direct forwards are lock-free and run on "
-              "the clients' own threads, so direct QPS grows with clients up "
-              "to the core count. The batcher amortizes one forward across "
-              "up to max_batch queries but adds a queue hop and a flush wait "
-              "per query, so it pays only where one batched forward costs "
-              "less than the clients' parallel single forwards; s=2 runs two "
-              "flush workers over the one shared structure. Open loop p99 "
-              "stays near the flush deadline while under capacity.\n");
+  std::printf("\nExpected shape: served answers on the client's thread "
+              "through the same single-query call as direct, so served QPS "
+              "tracks direct at every client count, less the service's two "
+              "counter increments and sampled latency histogram per query. "
+              "Both grow with clients up to the core count.\n");
   return 0;
 }

@@ -43,7 +43,7 @@ std::string JsonUintArray(const std::vector<uint64_t>& v) {
 
 /// OpenMetrics metric names are [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted names
 /// map dots (and anything else outside that set) to underscores under a
-/// `los_` prefix, e.g. `serve.index.queue_depth` -> `los_serve_index_queue_depth`.
+/// `los_` prefix, e.g. `serve.index.queries` -> `los_serve_index_queries`.
 std::string OpenMetricsName(const std::string& name) {
   std::string out = "los_";
   out.reserve(name.size() + 4);

@@ -470,9 +470,6 @@ inline Histogram::Options WidthHistogramOptions() {
 inline Histogram::Options QErrorHistogramOptions() {
   return {1.0, 1.25, 40};  // q-error 1 .. ~7500
 }
-inline Histogram::Options ServeBatchHistogramOptions() {
-  return {1.0, 2.0, 16};  // batch size 1 .. 32768
-}
 
 }  // namespace los
 

@@ -1,6 +1,5 @@
 #include "monitor/healthz.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -14,8 +13,8 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-/// Splits "serve.cardinality.queue_depth" into {"serve", "cardinality",
-/// "queue_depth"}; returns false unless there are >= 3 dotted parts (the
+/// Splits "serve.cardinality.request_seconds" into {"serve", "cardinality",
+/// "request_seconds"}; returns false unless there are >= 3 dotted parts (the
 /// remainder joins into `tail`).
 bool SplitMetric(const std::string& name, std::string* family,
                  std::string* component, std::string* tail) {
@@ -52,10 +51,7 @@ std::string HealthReport::ToJson() const {
       if (j > 0) out += ",";
       out += "\"" + c.issues[j] + "\"";
     }
-    out += "],\"queue_depth\":" + FormatDouble(c.queue_depth) +
-           ",\"max_shard_queue_depth\":" +
-           FormatDouble(c.max_shard_queue_depth) +
-           ",\"p99_seconds\":" + FormatDouble(c.p99_seconds) +
+    out += "],\"p99_seconds\":" + FormatDouble(c.p99_seconds) +
            ",\"generation\":" + FormatDouble(c.generation) +
            ",\"lag_absorbed\":" + FormatDouble(c.lag_absorbed) +
            ",\"rebuild_failures\":" + FormatDouble(c.rebuild_failures) +
@@ -77,15 +73,7 @@ HealthReport Healthz(const MetricsSnapshot& snap, const HealthzOptions& opts) {
   std::string family, component, tail;
   for (const auto& g : snap.gauges) {
     if (!SplitMetric(g.name, &family, &component, &tail)) continue;
-    if (family == "serve") {
-      if (tail == "queue_depth") {
-        comp(component).queue_depth = g.value;
-      } else if (tail.rfind("shard", 0) == 0 &&
-                 tail.find(".queue_depth") != std::string::npos) {
-        ComponentHealth& c = comp(component);
-        c.max_shard_queue_depth = std::max(c.max_shard_queue_depth, g.value);
-      }
-    } else if (family == "updatable") {
+    if (family == "updatable") {
       if (tail == "generation") comp(component).generation = g.value;
       if (tail == "lag_absorbed") comp(component).lag_absorbed = g.value;
     } else if (family == "monitor") {
@@ -116,9 +104,6 @@ HealthReport Healthz(const MetricsSnapshot& snap, const HealthzOptions& opts) {
       c.ok = false;
       c.issues.push_back(what);
     };
-    breach(opts.max_queue_depth > 0 && c.queue_depth > opts.max_queue_depth,
-           "queue_depth " + FormatDouble(c.queue_depth) + " > " +
-               FormatDouble(opts.max_queue_depth));
     breach(opts.max_p99_seconds > 0 && c.p99_seconds > opts.max_p99_seconds,
            "p99_seconds " + FormatDouble(c.p99_seconds) + " > " +
                FormatDouble(opts.max_p99_seconds));

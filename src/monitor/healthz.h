@@ -1,12 +1,12 @@
 #ifndef LOS_MONITOR_HEALTHZ_H_
 #define LOS_MONITOR_HEALTHZ_H_
 
-// One-call health aggregation: folds the serve layer's mechanical signals
-// (per-shard queue depth, request p99), the updatable engine's freshness
-// signals (generation, absorbed lag, rebuild failures) and the monitor
-// layer's quality signals (drift score, q-error, FPR, miss rate) into a
-// single pass/fail report per component — the thing a load balancer's
-// `/healthz` endpoint or an operator's first glance actually wants.
+// One-call health aggregation: folds the serve layer's mechanical signal
+// (request p99), the updatable engine's freshness signals (generation,
+// absorbed lag, rebuild failures) and the monitor layer's quality signals
+// (drift score, q-error, FPR, miss rate) into a single pass/fail report per
+// component — the thing a load balancer's `/healthz` endpoint or an
+// operator's first glance actually wants.
 //
 // Healthz() is a pure function of a MetricsSnapshot, so it works on a live
 // registry, a JSONL export line, or a test fixture alike, and never takes a
@@ -20,8 +20,6 @@
 namespace los::monitor {
 
 struct HealthzOptions {
-  /// serve.<c>.queue_depth (aggregate) above this is backlogged; 0 ignores.
-  double max_queue_depth = 2048;
   /// serve.<c>.request_seconds p99 above this is slow; 0 ignores.
   double max_p99_seconds = 1.0;
   /// updatable.<c>.lag_absorbed above this is stale; 0 ignores.
@@ -46,8 +44,6 @@ struct ComponentHealth {
   std::vector<std::string> issues;  ///< human-readable threshold breaches
 
   // Raw signals (0 when the corresponding instrument is absent).
-  double queue_depth = 0.0;
-  double max_shard_queue_depth = 0.0;
   double p99_seconds = 0.0;
   double generation = 0.0;
   double lag_absorbed = 0.0;

@@ -364,8 +364,8 @@ void RowKernel(const float* x, int64_t x_stride, float alpha, const float* w,
 // ---------------------------------------------------------------------------
 
 /// Row-tile height of the narrow kernel. With AVX-512 (32 vector registers)
-/// an 8 x kNr accumulator still fits the register file, so a serving
-/// micro-batch of 8 queries runs as a SINGLE tile — one streaming pass over
+/// an 8 x kNr accumulator still fits the register file, so a batch of 8
+/// queries runs as a SINGLE tile — one streaming pass over
 /// op(B), which is the whole game for weight matrices too large for cache.
 constexpr int64_t kNarrowRows = 8;
 

@@ -335,9 +335,9 @@ TEST(IndexMonitorTest, PositionErrorAndMissesAgainstOracle) {
 
 TEST(HealthzTest, AggregatesAndFlagsBreaches) {
   MetricsRegistry registry;
-  registry.GetGauge("serve.cardinality.queue_depth")->Set(5000.0);
-  registry.GetGauge("serve.cardinality.shard0.queue_depth")->Set(3000.0);
-  registry.GetGauge("serve.cardinality.shard1.queue_depth")->Set(100.0);
+  Histogram* request = registry.GetHistogram(
+      "serve.cardinality.request_seconds", LatencyHistogramOptions());
+  for (int i = 0; i < 100; ++i) request->Observe(4.0);
   registry.GetGauge("updatable.cardinality.generation")->Set(4.0);
   registry.GetGauge("updatable.cardinality.lag_absorbed")->Set(12.0);
   registry.GetGauge("monitor.cardinality.drift_score")->Set(0.9);
@@ -347,7 +347,7 @@ TEST(HealthzTest, AggregatesAndFlagsBreaches) {
   registry.GetGauge("monitor.bloom.fpr_estimate")->Set(0.001);
 
   monitor::HealthzOptions hopts;
-  hopts.max_queue_depth = 2048;
+  hopts.max_p99_seconds = 1.0;
   hopts.max_drift_score = 0.5;
   hopts.max_qerror_p95 = 10.0;
   hopts.max_rebuild_failures = 0;
@@ -357,12 +357,11 @@ TEST(HealthzTest, AggregatesAndFlagsBreaches) {
   const monitor::ComponentHealth* card = report.Find("cardinality");
   ASSERT_NE(card, nullptr);
   EXPECT_FALSE(card->ok);
-  EXPECT_DOUBLE_EQ(card->queue_depth, 5000.0);
-  EXPECT_DOUBLE_EQ(card->max_shard_queue_depth, 3000.0);
+  EXPECT_GT(card->p99_seconds, hopts.max_p99_seconds);
   EXPECT_DOUBLE_EQ(card->generation, 4.0);
   EXPECT_DOUBLE_EQ(card->drift_score, 0.9);
   EXPECT_DOUBLE_EQ(card->rebuild_failures, 2.0);
-  // queue depth + drift + qerror + rebuild failures all breached.
+  // request p99 + drift + qerror + rebuild failures all breached.
   EXPECT_EQ(card->issues.size(), 4u);
 
   const monitor::ComponentHealth* bloom = report.Find("bloom");

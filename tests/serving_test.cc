@@ -1,26 +1,19 @@
-// Serving-layer tests: micro-batch flush policies (size / deadline /
-// shutdown), backpressure, metrics identity (serve.queries == client
-// submissions, exactly once), and one helper over the structure kinds
-// Service<> fronts (frozen, Save→Load round-tripped, and live): shards
-// sharing one structure, concurrent clients served answers equal to the
-// original structure's direct batched path, and an attached monitor seeing
-// every flushed query.
+// Serving-layer tests over the structure kinds Service<> fronts (frozen,
+// Save→Load round-tripped, and live): concurrent clients served answers
+// equal to the original structure's direct batched path, an attached
+// monitor seeing every query, each query counted exactly once by the
+// service and by the structure, and no structure call after Shutdown().
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
-#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "common/mpsc_queue.h"
 #include "common/serialize.h"
 #include "core/learned_bloom.h"
 #include "core/learned_cardinality.h"
@@ -28,7 +21,6 @@
 #include "core/updatable.h"
 #include "monitor/monitor.h"
 #include "nn/losses.h"
-#include "serve/batch_server.h"
 #include "serve/serving.h"
 #include "sets/generators.h"
 #include "sets/subset_gen.h"
@@ -36,278 +28,6 @@
 
 namespace los::serve {
 namespace {
-
-sets::Query MakeQuery(std::vector<sets::ElementId> elements) {
-  sets::Query q;
-  q.elements = std::move(elements);
-  return q;
-}
-
-/// Batch function that answers each query with its element count — cheap,
-/// deterministic, and needs no trained model.
-std::vector<double> CountElements(const std::vector<sets::Query>& qs) {
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (const auto& q : qs) out.push_back(static_cast<double>(q.elements.size()));
-  return out;
-}
-
-// ---------- MpscQueue ----------
-
-TEST(MpscQueueTest, FifoSingleThread) {
-  MpscQueue<int> q(8);
-  EXPECT_EQ(q.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(q.TryPush(int(i)));
-  int overflow = 99;
-  EXPECT_FALSE(q.TryPush(std::move(overflow)));
-  int v = -1;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(q.TryPop(&v));
-    EXPECT_EQ(v, i);
-  }
-  EXPECT_FALSE(q.TryPop(&v));
-}
-
-TEST(MpscQueueTest, CapacityRoundsUpToPowerOfTwo) {
-  MpscQueue<int> q(5);
-  EXPECT_EQ(q.capacity(), 8u);
-}
-
-TEST(MpscQueueTest, TryPushFailureLeavesValueIntact) {
-  MpscQueue<std::vector<int>> q(2);
-  EXPECT_TRUE(q.TryPush({1}));
-  EXPECT_TRUE(q.TryPush({2}));
-  std::vector<int> v{3, 4, 5};
-  EXPECT_FALSE(q.TryPush(std::move(v)));
-  EXPECT_EQ(v.size(), 3u);  // not consumed on failure
-}
-
-TEST(MpscQueueTest, CloseFailsPushesButDrains) {
-  MpscQueue<int> q(8);
-  EXPECT_TRUE(q.TryPush(1));
-  q.Close();
-  EXPECT_FALSE(q.TryPush(2));
-  EXPECT_FALSE(q.Push(3));
-  int v = 0;
-  EXPECT_TRUE(q.TryPop(&v));
-  EXPECT_EQ(v, 1);
-  EXPECT_FALSE(q.PopUntil(&v, std::chrono::steady_clock::now() +
-                                  std::chrono::milliseconds(5)));
-}
-
-TEST(MpscQueueTest, ManyProducersOneConsumer) {
-  MpscQueue<uint64_t> q(64);
-  constexpr int kProducers = 4;
-  constexpr uint64_t kPerProducer = 2000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (uint64_t i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(static_cast<uint64_t>(p) * kPerProducer + i));
-      }
-    });
-  }
-  uint64_t sum = 0;
-  uint64_t got = 0;
-  while (got < kProducers * kPerProducer) {
-    uint64_t v;
-    if (q.PopUntil(&v, std::chrono::steady_clock::now() +
-                           std::chrono::milliseconds(1))) {
-      sum += v;
-      ++got;
-    }
-  }
-  for (auto& t : producers) t.join();
-  const uint64_t n = kProducers * kPerProducer;
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-// ---------- BatchServer flush policies ----------
-
-TEST(BatchServerTest, FlushOnSize) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 4;
-  opts.max_delay_us = 1000000;  // 1s: only size can trigger before the test ends
-  opts.min_delay_us = 1000000;  // idle linger can't fire early either
-  BatchServer<double> server("test", {CountElements}, opts, &registry);
-  std::vector<serve::BatchFuture<double>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(server.Submit(MakeQuery({1, 2, 3})));
-  }
-  for (auto& f : futures) EXPECT_DOUBLE_EQ(f.get(), 3.0);
-  auto snap = registry.Snapshot();
-  EXPECT_GE(snap.FindCounter("serve.test.flush_size")->value, 1u);
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value, 8u);
-}
-
-TEST(BatchServerTest, FlushOnDeadlineWithinBudget) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 64;        // never reached: 3 queries submitted
-  opts.max_delay_us = 50000;  // 50ms deadline
-  opts.min_delay_us = 50000;  // linger == deadline: the deadline fires first
-  BatchServer<double> server("test", {CountElements}, opts, &registry);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<serve::BatchFuture<double>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(server.Submit(MakeQuery({1, 2})));
-  }
-  // Fewer than max_batch queries must still complete, within the deadline
-  // plus generous scheduling slack (TSan/CI runners are slow).
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
-    EXPECT_DOUBLE_EQ(f.get(), 2.0);
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            5000);
-  auto snap = registry.Snapshot();
-  EXPECT_GE(snap.FindCounter("serve.test.flush_deadline")->value, 1u);
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value, 3u);
-}
-
-TEST(BatchServerTest, FlushOnIdleShortcutsDeadline) {
-  // With a huge deadline but the default 20us linger, a partial batch whose
-  // arrivals have gone quiet must flush long before the deadline — this is
-  // what keeps closed-loop clients from being deadline-bound.
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 64;
-  opts.max_delay_us = 5000000;  // 5s: completing sooner proves the idle path
-  BatchServer<double> server("test", {CountElements}, opts, &registry);
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<serve::BatchFuture<double>> futures;
-  for (int i = 0; i < 3; ++i) {
-    futures.push_back(server.Submit(MakeQuery({1, 2})));
-  }
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(4)), std::future_status::ready);
-    EXPECT_DOUBLE_EQ(f.get(), 2.0);
-  }
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                .count(),
-            4000);
-  auto snap = registry.Snapshot();
-  EXPECT_GE(snap.FindCounter("serve.test.flush_idle")->value, 1u);
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value, 3u);
-}
-
-TEST(BatchServerTest, ShutdownDrainsPending) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 1000;
-  opts.max_delay_us = 10000000;  // neither deadline nor idle linger fires
-  opts.min_delay_us = 10000000;
-  auto server = std::make_unique<BatchServer<double>>(
-      "test", std::vector<BatchServer<double>::BatchFn>{CountElements}, opts,
-      &registry);
-  std::vector<serve::BatchFuture<double>> futures;
-  for (int i = 0; i < 5; ++i) futures.push_back(server->Submit(MakeQuery({7})));
-  server->Shutdown();  // must flush the pending 5, not abandon them
-  for (auto& f : futures) EXPECT_DOUBLE_EQ(f.get(), 1.0);
-  auto snap = registry.Snapshot();
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value, 5u);
-  EXPECT_GE(snap.FindCounter("serve.test.flush_shutdown")->value, 1u);
-}
-
-TEST(BatchServerTest, SubmitAfterShutdownFails) {
-  MetricsRegistry registry;
-  BatchServer<double> server("test", {CountElements}, ServeOptions{},
-                             &registry);
-  server.Shutdown();
-  auto fut = server.Submit(MakeQuery({1}));
-  EXPECT_THROW(fut.get(), std::runtime_error);
-  serve::BatchFuture<double> out;
-  EXPECT_FALSE(server.TrySubmit(MakeQuery({1}), &out));
-}
-
-TEST(BatchServerTest, BackpressureRejectsWhenFull) {
-  MetricsRegistry registry;
-  // Block the worker inside a flush so the queue can fill up behind it.
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  auto blocking_fn = [&](const std::vector<sets::Query>& qs) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-    return CountElements(qs);
-  };
-  ServeOptions opts;
-  opts.max_batch = 1;
-  opts.queue_capacity = 4;
-  opts.max_delay_us = 1;
-  BatchServer<double> server("test", {blocking_fn}, opts, &registry);
-
-  std::vector<serve::BatchFuture<double>> futures;
-  futures.push_back(server.Submit(MakeQuery({1})));  // occupies the worker
-  // Fill the queue; within capacity + 2 attempts TrySubmit must reject.
-  bool saw_reject = false;
-  for (int i = 0; i < 6 && !saw_reject; ++i) {
-    serve::BatchFuture<double> out;
-    if (server.TrySubmit(MakeQuery({1}), &out)) {
-      futures.push_back(std::move(out));
-    } else {
-      saw_reject = true;
-    }
-    // Give the worker a moment to pop the first request into its flush.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_TRUE(saw_reject);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  for (auto& f : futures) EXPECT_DOUBLE_EQ(f.get(), 1.0);
-  auto snap = registry.Snapshot();
-  EXPECT_GE(snap.FindCounter("serve.test.rejected")->value, 1u);
-  // Identity despite rejections: completed == accepted.
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value,
-            snap.FindCounter("serve.test.enqueued")->value);
-}
-
-// ---------- Metrics identity across concurrent clients ----------
-
-TEST(BatchServerTest, ServeQueriesEqualsClientSubmissionsExactly) {
-  MetricsRegistry registry;
-  ServeOptions opts;
-  opts.max_batch = 7;  // deliberately not a divisor of the total
-  opts.max_delay_us = 200;
-  auto server = std::make_unique<BatchServer<double>>(
-      "test", std::vector<BatchServer<double>::BatchFn>{CountElements}, opts,
-      &registry);
-  constexpr int kClients = 8;
-  constexpr int kPerClient = 50;
-  std::vector<std::thread> clients;
-  for (int cth = 0; cth < kClients; ++cth) {
-    clients.emplace_back([&server] {
-      for (int i = 0; i < kPerClient; ++i) {
-        auto fut = server->Submit(MakeQuery({1, 2}));
-        ASSERT_DOUBLE_EQ(fut.get(), 2.0);
-      }
-    });
-  }
-  for (auto& t : clients) t.join();
-  server->Shutdown();
-  auto snap = registry.Snapshot();
-  const uint64_t total = kClients * kPerClient;
-  // The exactly-once identity (ISSUE 6 satellite): per-query counts are
-  // recorded at flush only, per-batch counts once per flush, so nothing is
-  // double-counted when one batched call serves M logical queries.
-  EXPECT_EQ(snap.FindCounter("serve.test.enqueued")->value, total);
-  EXPECT_EQ(snap.FindCounter("serve.test.queries")->value, total);
-  const uint64_t batches = snap.FindCounter("serve.test.batches")->value;
-  EXPECT_EQ(snap.FindCounter("serve.test.flush_size")->value +
-                snap.FindCounter("serve.test.flush_deadline")->value +
-                snap.FindCounter("serve.test.flush_idle")->value +
-                snap.FindCounter("serve.test.flush_shutdown")->value,
-            batches);
-  EXPECT_EQ(snap.FindHistogram("serve.test.batch_size")->count, batches);
-  EXPECT_EQ(snap.FindHistogram("serve.test.request_seconds")->count, total);
-}
 
 // ---------- End-to-end services over trained structures ----------
 
@@ -474,7 +194,7 @@ std::vector<bool> Direct(core::UpdatableBloom* s,
 
 // The kinds as named (not anonymous-namespace) types: gtest prints the
 // type parameter, and ctest names each typed test after it, e.g.
-// `LiveServiceTest.ShardsServeDirectAnswersToMonitor<
+// `LiveServiceTest.ServesDirectAnswersToMonitor<
 // los::serve::kinds::LiveIndex>`.
 namespace kinds {
 
@@ -524,15 +244,15 @@ std::string StructureCounter(monitor::IndexMonitor*) {
 }
 std::string StructureCounter(monitor::BloomMonitor*) { return "bloom.queries"; }
 
-/// Four client threads submit 40 queries through a `num_shards`-shard
-/// service over one structure of kind K (a Save→Load copy when
-/// K::kSaveLoad), max_batch 8 splitting them over several flushes. Every
-/// served answer equals the originally built structure's direct batched
-/// answer bit for bit; the service and the served structure each count
-/// every query exactly once; and a monitor sampling 1-in-1 observes every
-/// query of every flushed batch.
+/// Four client threads submit 40 queries through `num_services` services
+/// over one structure of kind K (a Save→Load copy when K::kSaveLoad), client
+/// t using service t mod `num_services`. Every served answer equals the
+/// originally built structure's direct batched answer bit for bit; the
+/// services (which share one registry) and the served structure each count
+/// every query exactly once; and a monitor sampling 1-in-1, attached to every
+/// service, observes every query.
 template <typename K>
-void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
+void ExpectServesDirectAnswersToMonitor(size_t num_services = 1) {
   using Structure = typename K::Structure;
   using Monitor = typename K::Monitor;
   const std::string name = NameOf(static_cast<Monitor*>(nullptr));
@@ -553,31 +273,32 @@ void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
   }
 
   MetricsRegistry serve_registry;
-  ServeOptions opts;
-  opts.num_shards = num_shards;
-  opts.max_batch = 8;
-  opts.max_delay_us = 200;
   monitor::MonitorOptions mopts;
   mopts.sample_every = 1;
   Monitor mon(mopts, &serve_registry);
-  auto service = K::Service::Create(structure.get(), opts, &serve_registry);
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_EQ((*service)->server()->num_shards(), num_shards);
-  (*service)->AttachMonitor(&mon);
+  std::vector<std::unique_ptr<typename K::Service>> services;
+  for (size_t s = 0; s < num_services; ++s) {
+    auto service =
+        K::Service::Create(structure.get(), ServeOptions{}, &serve_registry);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    (*service)->AttachMonitor(&mon);
+    services.push_back(std::move(*service));
+  }
 
   const uint64_t structure_before = registry.GetCounter(counter)->value();
   constexpr size_t kClients = 4;
   std::vector<std::thread> clients;
   for (size_t t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
+      auto& service = services[t % services.size()];
       for (size_t i = t; i < queries.size(); i += kClients) {
-        Response served = (*service)->Submit(queries[i]).get();
+        Response served = service->Submit(queries[i]).get();
         EXPECT_EQ(served, direct[i]) << name << " query " << i;
       }
     });
   }
   for (auto& th : clients) th.join();
-  (*service)->Shutdown();
+  for (auto& service : services) service->Shutdown();
 
   EXPECT_EQ(serve_registry.GetCounter("serve." + name + ".queries")->value(),
             queries.size());
@@ -586,18 +307,134 @@ void ExpectServesDirectAnswersToMonitor(size_t num_shards) {
   EXPECT_EQ(mon.samples(), queries.size());
 }
 
-// The frozen structures, behind one shard and behind two.
+/// One client submits 24 queries: `queries` and `batches` each count one per
+/// call. After Shutdown() every Submit throws, naming the service, and the
+/// structure's own query counter does not move.
+template <typename K>
+void ExpectCountsEachCallOnceAndFailsAfterShutdown() {
+  using Structure = typename K::Structure;
+  using Monitor = typename K::Monitor;
+  const std::string name = NameOf(static_cast<Monitor*>(nullptr));
+  const std::string counter = StructureCounter(static_cast<Monitor*>(nullptr));
 
-TEST(CardinalityServiceTest, ServedResultsMatchDirectBatch) {
-  ExpectServesDirectAnswersToMonitor<kinds::Cardinality>(1);
+  auto c = ServingCollection();
+  MetricsRegistry registry;
+  auto structure = Build(static_cast<Structure*>(nullptr), c, &registry);
+  ASSERT_NE(structure, nullptr);
+  const auto queries = ServingQueries(c, 24);
+
+  MetricsRegistry serve_registry;
+  auto service =
+      K::Service::Create(structure.get(), ServeOptions{}, &serve_registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  for (const auto& q : queries) (void)(*service)->Submit(q).get();
+  const std::string p = "serve." + name + ".";
+  EXPECT_EQ(serve_registry.GetCounter(p + "queries")->value(), queries.size());
+  EXPECT_EQ(serve_registry.GetCounter(p + "batches")->value(), queries.size());
+
+  (*service)->Shutdown();
+  (*service)->Shutdown();  // idempotent
+  const uint64_t structure_before = registry.GetCounter(counter)->value();
+  for (const auto& q : queries) {
+    try {
+      (void)(*service)->Submit(q).get();
+      ADD_FAILURE() << name << ": Submit after Shutdown returned an answer";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("serve." + name), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(registry.GetCounter(counter)->value(), structure_before);
+  EXPECT_EQ(serve_registry.GetCounter(p + "queries")->value(), queries.size());
+  EXPECT_EQ(serve_registry.GetCounter(p + "batches")->value(), queries.size());
 }
 
+TEST(ServiceTest, CountsEachCallOnceAndFailsAfterShutdown) {
+  ExpectCountsEachCallOnceAndFailsAfterShutdown<kinds::Cardinality>();
+  ExpectCountsEachCallOnceAndFailsAfterShutdown<kinds::Index>();
+  ExpectCountsEachCallOnceAndFailsAfterShutdown<kinds::Bloom>();
+}
+
+// These two checks keep the names they had when the service batched; both
+// still hold of the inline service.
+
+/// A service shut down before its first call refuses it.
+TEST(BatchServerTest, SubmitAfterShutdownFails) {
+  auto c = ServingCollection();
+  MetricsRegistry registry;
+  auto structure = Build(static_cast<core::LearnedSetIndex*>(nullptr), c,
+                         &registry);
+  ASSERT_NE(structure, nullptr);
+  MetricsRegistry serve_registry;
+  auto service =
+      IndexService::Create(structure.get(), ServeOptions{}, &serve_registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  (*service)->Shutdown();
+  const auto queries = ServingQueries(c, 1);
+  ASSERT_EQ(queries.size(), 1u);
+  EXPECT_THROW((void)(*service)->Submit(queries[0]).get(), std::runtime_error);
+  EXPECT_EQ(registry.GetCounter("index.lookups")->value(), 0u);
+  EXPECT_EQ(serve_registry.GetCounter("serve.index.queries")->value(), 0u);
+}
+
+/// Eight clients submitting concurrently: `queries` and `batches` each end
+/// exactly at the number of submissions, and the sampled request histogram
+/// holds no more observations than that.
+TEST(BatchServerTest, ServeQueriesEqualsClientSubmissionsExactly) {
+  auto c = ServingCollection();
+  MetricsRegistry registry;
+  auto structure = Build(static_cast<core::LearnedSetIndex*>(nullptr), c,
+                         &registry);
+  ASSERT_NE(structure, nullptr);
+  const auto queries = ServingQueries(c, 8);
+  ASSERT_FALSE(queries.empty());
+  const auto direct = structure->LookupBatch(queries);
+  MetricsRegistry serve_registry;
+  auto service =
+      IndexService::Create(structure.get(), ServeOptions{}, &serve_registry);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  constexpr size_t kClients = 8;
+  constexpr size_t kPerClient = 50;
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t i = 0; i < kPerClient; ++i) {
+        const size_t k = (t + i) % queries.size();
+        EXPECT_EQ((*service)->Submit(queries[k]).get(), direct[k]);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  (*service)->Shutdown();
+
+  const uint64_t total = kClients * kPerClient;
+  auto snap = serve_registry.Snapshot();
+  EXPECT_EQ(snap.FindCounter("serve.index.queries")->value, total);
+  EXPECT_EQ(snap.FindCounter("serve.index.batches")->value, total);
+  EXPECT_LE(snap.FindHistogram("serve.index.request_seconds")->count, total);
+}
+
+TEST(ServiceTest, RejectsNullStructure) {
+  EXPECT_FALSE(CardinalityService::Create(
+                   static_cast<core::LearnedCardinalityEstimator*>(nullptr))
+                   .ok());
+}
+
+// The frozen structures.
+
+TEST(CardinalityServiceTest, ServedResultsMatchDirectBatch) {
+  ExpectServesDirectAnswersToMonitor<kinds::Cardinality>();
+}
+
+// Two services over one structure: the structure is borrowed, so several
+// frontends may share it.
 TEST(CardinalityServiceTest, ShardsShareOneStructure) {
   ExpectServesDirectAnswersToMonitor<kinds::Cardinality>(2);
 }
 
 TEST(IndexServiceTest, ServedResultsMatchDirectBatch) {
-  ExpectServesDirectAnswersToMonitor<kinds::Index>(1);
+  ExpectServesDirectAnswersToMonitor<kinds::Index>();
 }
 
 TEST(IndexServiceTest, ShardsShareOneStructure) {
@@ -605,14 +442,14 @@ TEST(IndexServiceTest, ShardsShareOneStructure) {
 }
 
 TEST(BloomServiceTest, ServedVerdictsMatchDirectMulti) {
-  ExpectServesDirectAnswersToMonitor<kinds::Bloom>(1);
+  ExpectServesDirectAnswersToMonitor<kinds::Bloom>();
 }
 
 TEST(BloomServiceTest, ShardsShareOneStructure) {
   ExpectServesDirectAnswersToMonitor<kinds::Bloom>(2);
 }
 
-// The Updatable* wrappers, two shards on one live structure.
+// The Updatable* wrappers.
 
 template <typename K>
 class LiveServiceTest : public testing::Test {};
@@ -621,12 +458,12 @@ using LiveKinds = testing::Types<kinds::LiveCardinality, kinds::LiveIndex,
                                  kinds::LiveBloom>;
 TYPED_TEST_SUITE(LiveServiceTest, LiveKinds);
 
-TYPED_TEST(LiveServiceTest, ShardsServeDirectAnswersToMonitor) {
-  ExpectServesDirectAnswersToMonitor<TypeParam>(2);
+TYPED_TEST(LiveServiceTest, ServesDirectAnswersToMonitor) {
+  ExpectServesDirectAnswersToMonitor<TypeParam>();
 }
 
-// The frozen structures after a Save→Load round trip, behind one shard and
-// behind two: the loaded copy serves the original's answers.
+// The frozen structures after a Save→Load round trip, behind one service
+// and behind two: the loaded copy serves the original's answers.
 
 template <typename K>
 class LoadedServiceTest : public testing::Test {};
@@ -636,7 +473,7 @@ using LoadedKinds = testing::Types<kinds::LoadedCardinality,
 TYPED_TEST_SUITE(LoadedServiceTest, LoadedKinds);
 
 TYPED_TEST(LoadedServiceTest, ServesOriginalAnswers) {
-  ExpectServesDirectAnswersToMonitor<TypeParam>(1);
+  ExpectServesDirectAnswersToMonitor<TypeParam>();
 }
 
 TYPED_TEST(LoadedServiceTest, ShardsServeOriginalAnswers) {

@@ -235,10 +235,7 @@ TEST(UpdateWhileServingTest, ServiceIntegrationPicksUpGenerations) {
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   auto& index = **built;
 
-  serve::ServeOptions serve_opts;
-  serve_opts.max_batch = 16;
-  serve_opts.max_delay_us = 100;
-  auto service = serve::IndexService::Create(&index, serve_opts);
+  auto service = serve::IndexService::Create(&index);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   std::atomic<bool> stop{false};
@@ -264,15 +261,15 @@ TEST(UpdateWhileServingTest, ServiceIntegrationPicksUpGenerations) {
   const uint64_t gen_after = index.generation();
   stop.store(true, std::memory_order_release);
   for (auto& th : clients) th.join();
-  (*service)->Shutdown();
 
   EXPECT_EQ(malformed.load(), 0);
   EXPECT_GE(index.engine()->rebuilds(), 1u);
-  // The batcher-served answer reflects the newest generation.
+  // The served answer reflects the newest generation.
   sets::Query fresh;
   fresh.elements = UpdatedElements(kUpdates - 1);
   EXPECT_GE(gen_after, 2u);
-  EXPECT_EQ(index.Lookup(fresh.view()), (kUpdates - 1) % 150);
+  EXPECT_EQ((*service)->Submit(fresh).get(), (kUpdates - 1) % 150);
+  (*service)->Shutdown();
 }
 
 // ---------- Exhaustive answers while rebuilds race readers ----------
