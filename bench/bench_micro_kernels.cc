@@ -58,8 +58,8 @@ void BM_Gemm(benchmark::State& state) {
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
-// The seed scalar kernel, kept as the before/after baseline for the blocked
-// SIMD kernel above (EXPERIMENTS.md records the ratio).
+// The seed scalar kernel, kept as the before/after baseline for the SIMD
+// tile kernel above (EXPERIMENTS.md records the ratio).
 void BM_GemmReference(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(1);
@@ -108,10 +108,10 @@ BENCHMARK(BM_GemmThreads)
 // The products one training batch of perfbench's models runs (batch 512,
 // ~1,340 element rows): the CLSM φ input gradient dY·Wᵀ (n = 16), the
 // index model's (n = 8), the 1-wide ρ head forward and its weight gradient
-// Xᵀ·dY, the φ forward E × 16 · 16 × 64 (blocked, threaded) for scale and
+// Xᵀ·dY, the φ forward E × 16 · 16 × 64 (threaded) for scale and
 // the φ weight gradient (m = 16). Two serving micro-batches of 8 queries
-// close the list: they share the narrow kernel with training. Items are
-// flops; real time, since the blocked φ forward runs on the kernel pool.
+// close the list: they run the same 8-row tile instance as training.
+// Items are flops; real time, since the φ forward runs on the kernel pool.
 void BM_GemmTrainShapes(benchmark::State& state) {
   const int64_t m = state.range(0);
   const int64_t n = state.range(1);

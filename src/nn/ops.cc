@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #if defined(__AVX512F__) || defined(__FMA__)
@@ -19,36 +20,76 @@ namespace los::nn {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Blocked GEMM configuration.
+// GEMM tile kernel.
 //
-// The kernel follows the classic three-level blocking scheme (BLIS/GotoBLAS):
-//   - kKc x kNc panels of op(B) are packed once and reused by every row tile;
-//   - kMr x kKc strips of op(A) are packed per row tile with alpha folded in;
-//   - a kMr x kNr register tile accumulates over the packed panels with a
-//     branch-free FMA loop the compiler can vectorize.
-// kMr*kNr floats must fit the register file (6x32 floats = 12 zmm); the
-// kKc*kNr B strip stays L1-resident during a micro-kernel call and the full
-// kKc*kNc panel targets L2.
+// Every product runs one register-tile template, Tile<R, W, S, kStrided>:
+// R rows x W lanes of C held in registers over all of k. Each k step
+// broadcasts one value per tile row and multiplies it into W lanes read
+// from one row of the other operand. Gemm's dispatcher picks the instance
+// from the shape (see the table in DESIGN.md "Compute backend"):
+//   - n = 1: the single-row tile on the transposed problem, so the rows of
+//     C become the lanes and op(B) is broadcast; untransposed A is read
+//     down its columns (kStrided);
+//   - m = 1 (and GemmRow): one row of up to kRowLanes lanes;
+//   - otherwise kTileRows x kTileLanes tiles, split across the kernel pool
+//     for large products.
+// op(A) is read in place (from a copy scaled by alpha when alpha != 1),
+// op(B) in place too (from a k-major copy when transposed).
 // ---------------------------------------------------------------------------
-constexpr int64_t kMr = 6;
-constexpr int64_t kNr = 32;
+
+// The accumulation contract every product keeps (see Gemm in ops.h). k is
+// cut into blocks of kKc steps; within a block each output element keeps S
+// partial sums, partial s taking the steps k ≡ s (mod S) in increasing k.
+// Partial 0 starts from the element's running value (beta * C before the
+// first block), the others from zero, and the block ends by adding them by
+// halves into the running value. S is kHeadSums for a 1-wide output (a
+// model's head: one dot product, so the most chains), kWideSums otherwise.
+// A tile may run its partials interleaved or in several passes, since each
+// partial is its own chain.
 constexpr int64_t kKc = 256;
-constexpr int64_t kNc = 1024;
+constexpr int64_t kHeadSums = 8;
+constexpr int64_t kWideSums = 2;
+static_assert(kKc % kHeadSums == 0 && kKc % kWideSums == 0,
+              "every k block must start at partial 0");
 
-// The blocked path needs enough output rows to amortize packing B (cost
-// ~k*n) and at least one full kNr strip of useful columns (a 1-wide output
-// head would compute kNr-1 padded lanes for nothing). Everything else runs
-// GemmNarrow's unpacked register tiles (or the single-row kernel for one row
-// with untransposed B); the row cutoff is two narrow tiles — measured
-// per-row throughput at the boundary (two unpacked 8-row tiles vs packed
-// panels) favors the narrow kernel until then.
-constexpr int64_t kBlockedMinRows = 17;
-constexpr int64_t kBlockedMinWork = 32 * 32 * 32;
+/// The build's widest float vector, and how many vector registers a
+/// tile's accumulators may take: half the register file.
+#if defined(__AVX512F__)
+constexpr int64_t kVecLanes = 16;
+constexpr int64_t kAccRegs = 16;
+#elif defined(__AVX__)
+constexpr int64_t kVecLanes = 8;
+constexpr int64_t kAccRegs = 8;
+#else
+constexpr int64_t kVecLanes = 4;
+constexpr int64_t kAccRegs = 8;
+#endif
 
-// Minimum row tiles per chunk when threading a GEMM, and minimum
-// multiply-adds before threads are used at all. The cutoff admits the
-// training-batch GEMMs (a few thousand element rows x 32-64 features);
-// kRowTilesPerChunk keeps per-chunk work large enough to amortize dispatch.
+/// A vector of L floats. (A member typedef: GCC drops vector_size from an
+/// alias template, and from a class-scope alias of a dependent vector.)
+template <int64_t L>
+struct VecOf {
+  typedef float type __attribute__((vector_size(L * sizeof(float))));
+};
+
+/// The lanes of a W-wide tile: vectors of up to kVecLanes floats, or single
+/// floats below four lanes.
+template <int64_t W>
+using LanesOf = std::conditional_t<(W < 4), float,
+                                   typename VecOf<std::min(W, kVecLanes)>::type>;
+static_assert(sizeof(LanesOf<4 * kVecLanes>) == kVecLanes * sizeof(float));
+
+/// Tile shapes: a one-row tile spans up to kRowLanes lanes, a multi-row
+/// tile kTileRows x kTileLanes (with AVX-512 one partial's 8 x 32 tile is
+/// 16 zmm, so a batch of 8 queries streams op(B) once). The partials whose
+/// accumulators fit kAccRegs run interleaved, the others in further passes.
+constexpr int64_t kRowLanes = 4 * kVecLanes;
+constexpr int64_t kTileRows = 8;
+constexpr int64_t kTileLanes = 2 * kVecLanes;
+
+/// A product of at least kThreadedCutoff multiply-adds and 32 columns
+/// splits its row tiles across the kernel pool, kRowTilesPerChunk at a
+/// time. Chunks write disjoint rows of C, so results never change.
 constexpr int64_t kRowTilesPerChunk = 16;
 constexpr int64_t kThreadedCutoff = 128 * 128 * 64;
 
@@ -63,162 +104,31 @@ ThreadPool* KernelPool() {
   return pool != nullptr ? pool : ThreadPool::Global();
 }
 
-/// op(A)(i, kk) for the packing routines.
-inline float AAt(const float* ad, int64_t a_cols, bool trans_a, int64_t i,
-                 int64_t kk) {
-  return trans_a ? ad[kk * a_cols + i] : ad[i * a_cols + kk];
-}
-
-/// Packs a kc x nr slice of op(B) (rows [pc, pc+kc), cols [jc, jc+nr)) into
-/// `bp` in p-major order: bp[p*kNr + j]. Columns beyond `nr` are zero-padded
-/// so the micro-kernel never needs a column tail case.
-void PackB(const float* bd, int64_t b_cols, bool trans_b, int64_t pc,
-           int64_t kc, int64_t jc, int64_t nr, float* bp) {
-  if (!trans_b) {
-    for (int64_t p = 0; p < kc; ++p) {
-      const float* src = bd + (pc + p) * b_cols + jc;
-      float* dst = bp + p * kNr;
-      std::memcpy(dst, src, static_cast<size_t>(nr) * sizeof(float));
-      for (int64_t j = nr; j < kNr; ++j) dst[j] = 0.0f;
-    }
-  } else {
-    // op(B)(kk, j) = B(j, kk): each logical column j is a contiguous row of
-    // the stored B, so pack column-by-column.
-    for (int64_t j = 0; j < nr; ++j) {
-      const float* src = bd + (jc + j) * b_cols + pc;
-      for (int64_t p = 0; p < kc; ++p) bp[p * kNr + j] = src[p];
-    }
-    for (int64_t j = nr; j < kNr; ++j) {
-      for (int64_t p = 0; p < kc; ++p) bp[p * kNr + j] = 0.0f;
-    }
-  }
-}
-
-/// Packs a mr x kc strip of alpha*op(A) (rows [i0, i0+mr), depth
-/// [pc, pc+kc)) into `ap` in p-major order: ap[p*kMr + i], zero-padding rows
-/// beyond `mr`.
-void PackA(const float* ad, int64_t a_cols, bool trans_a, float alpha,
-           int64_t i0, int64_t mr, int64_t pc, int64_t kc, float* ap) {
-  for (int64_t p = 0; p < kc; ++p) {
-    float* dst = ap + p * kMr;
-    for (int64_t i = 0; i < mr; ++i) {
-      dst[i] = alpha * AAt(ad, a_cols, trans_a, i0 + i, pc + p);
-    }
-    for (int64_t i = mr; i < kMr; ++i) dst[i] = 0.0f;
-  }
-}
-
-/// One multiply-add step of every kernel: fused exactly when the build has
-/// FMA, a plain multiply-add otherwise. Spelled out rather than left to
-/// -ffp-contract, which GCC applies to vector loops but not reliably to a
-/// loop-carried scalar chain (the 1-wide head).
-inline float MulAdd(float a, float b, float c) {
+/// One multiply-add step of the kernel on a float or a vector, lane by lane:
+/// fused exactly when the build has FMA, a plain multiply-add otherwise.
+/// Spelled out rather than left to -ffp-contract, which GCC applies to
+/// vector loops but not reliably to a loop-carried scalar chain (the 1-wide
+/// head).
+template <typename T>
+inline T MulAdd(T a, T b, T c) {
 #ifdef __FMA__
-  return __builtin_fmaf(a, b, c);
+  if constexpr (sizeof(T) == sizeof(float)) {
+    return __builtin_fmaf(a, b, c);
+#ifdef __AVX512F__
+  } else if constexpr (sizeof(T) == 64) {
+    return _mm512_fmadd_ps(a, b, c);
+#endif
+  } else if constexpr (sizeof(T) == 32) {
+    return _mm256_fmadd_ps(a, b, c);
+  } else {
+    return _mm_fmadd_ps(a, b, c);
+  }
 #else
   return a * b + c;
 #endif
 }
 
-// ---------------------------------------------------------------------------
-// The accumulation contract every path keeps (see Gemm in ops.h). k is cut
-// into blocks of kKc steps; within a block each output element keeps S
-// partial sums, partial s taking the steps k ≡ s (mod S) in increasing k.
-// Partial 0 starts from the element's running value (beta * C before the
-// first block), the others from zero, and at the end of the block
-// CombineSums adds them in one fixed tree into the running value. S depends
-// on the output width n alone (SumsFor). A path may compute the partials
-// interleaved (for independent FMA chains) or one after another (to keep
-// its register tile), since each partial is its own chain.
-// ---------------------------------------------------------------------------
-
-/// S for a 1-wide output (a model's head): one dot product, so the most
-/// chains. Wider outputs already run a chain per column and take two.
-constexpr int64_t kHeadSums = 8;
-constexpr int64_t kWideSums = 2;
-static_assert(kKc % kHeadSums == 0 && kKc % kWideSums == 0,
-              "every k block must start at partial 0");
-
-/// The contract's combining tree over one element's partials p[0, S):
-/// halves added elementwise, p[s] += p[s + h] for h = S/2, ..., 1; for
-/// S = 8 that is ((p0 + p4) + (p2 + p6)) + ((p1 + p5) + (p3 + p7)). T is
-/// float, or a vector of floats combining one element per lane.
-template <int64_t S, typename T>
-inline T CombineSums(T* p) {
-  for (int64_t h = S / 2; h >= 1; h /= 2) {
-    for (int64_t s = 0; s < h; ++s) p[s] += p[s + h];
-  }
-  return p[0];
-}
-
-/// The same tree for kLen elements at once, partial s of element e at
-/// part[s * kLen + e]; the results land in part[0, kLen).
-template <int64_t S, int64_t kLen>
-inline void CombinePartials(float* part) {
-  for (int64_t h = S / 2; h >= 1; h /= 2) {
-    for (int64_t s = 0; s < h; ++s) {
-      for (int64_t e = 0; e < kLen; ++e) {
-        part[s * kLen + e] += part[(s + h) * kLen + e];
-      }
-    }
-  }
-}
-
-/// One k step of the blocked kernel: acc[kMr][kNr] += acol (x) brow.
-inline void MicroStep(const float* __restrict acol,
-                      const float* __restrict brow, float* __restrict acc) {
-  for (int64_t i = 0; i < kMr; ++i) {
-    const float av = acol[i];
-    float* __restrict arow = acc + i * kNr;
-    for (int64_t j = 0; j < kNr; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
-  }
-}
-
-/// acc[kMr][kNr] += packed_a * packed_b over `kc` depth steps under the
-/// contract: outputs here are at least kNr wide, so its two partials, the
-/// even steps accumulating into `acc` (seeded by the caller) and the odd
-/// ones into a zeroed tile, added into `acc` at the end. With constexpr
-/// tile sizes the compiler keeps both tiles in vector registers (24 zmm).
-inline void MicroKernel(int64_t kc, const float* __restrict ap,
-                        const float* __restrict bp, float* __restrict acc) {
-  static_assert(kWideSums == 2, "the blocked kernel keeps two tiles");
-  constexpr int64_t kTile = kMr * kNr;
-  float odd[kTile];
-  for (int64_t e = 0; e < kTile; ++e) odd[e] = 0.0f;
-  int64_t p = 0;
-  for (; p + 2 <= kc; p += 2) {
-    MicroStep(ap + p * kMr, bp + p * kNr, acc);
-    MicroStep(ap + (p + 1) * kMr, bp + (p + 1) * kNr, odd);
-  }
-  if (p < kc) MicroStep(ap + p * kMr, bp + p * kNr, acc);
-  for (int64_t e = 0; e < kTile; ++e) acc[e] += odd[e];
-}
-
-/// The build's widest float vector, for the single-row kernel's
-/// accumulators.
-#if defined(__AVX512F__)
-constexpr int64_t kVecLanes = 16;
-#elif defined(__AVX__)
-constexpr int64_t kVecLanes = 8;
-#else
-constexpr int64_t kVecLanes = 4;
-#endif
-using VecF = float __attribute__((vector_size(kVecLanes * sizeof(float))));
-
-/// MulAdd on whole vectors, lane by lane the same operation as the scalar
-/// one: fused exactly when the build has FMA.
-inline VecF MulAdd(VecF a, VecF b, VecF c) {
-#if defined(__AVX512F__)
-  return _mm512_fmadd_ps(a, b, c);
-#elif defined(__FMA__)
-  return _mm256_fmadd_ps(a, b, c);
-#else
-  return a * b + c;
-#endif
-}
-
-/// Loads, stores and broadcasts of T (float or VecF) at unaligned
-/// addresses.
+/// Loads and stores of T (a float or a Vec) at unaligned addresses.
 template <typename T>
 inline T LoadAs(const float* p) {
   T v;
@@ -229,92 +139,176 @@ template <typename T>
 inline void StoreAs(float* p, T v) {
   std::memcpy(p, &v, sizeof(T));
 }
-/// `v` in every lane (v - 0 is v exactly, -0 included; a lane-by-lane
-/// fill compiles to one insert per lane).
+
+/// Lanes p[0], p[stride], ... of a T: one gather with AVX-512.
 template <typename T>
-inline T Broadcast(float v) {
-  return v - T{};
+inline T LoadStrided(const float* p, int64_t stride) {
+#ifdef __AVX512F__
+  if constexpr (sizeof(T) == 64) {
+    const __m512i lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
+                                           11, 12, 13, 14, 15);
+    // The masked form: GCC 12 warns that the plain one reads an
+    // uninitialized source.
+    return _mm512_mask_i32gather_ps(
+        _mm512_setzero_ps(), 0xFFFF,
+        _mm512_mullo_epi32(lane, _mm512_set1_epi32(static_cast<int>(stride))),
+        p, sizeof(float));
+  }
+#endif
+  float lanes[sizeof(T) / sizeof(float)];
+  for (size_t l = 0; l < sizeof(T) / sizeof(float); ++l) {
+    lanes[l] = p[static_cast<int64_t>(l) * stride];
+  }
+  return LoadAs<T>(lanes);
 }
 
-/// Widest column strip of the single-row kernel: its kWideSums x 64
-/// accumulators are 8 zmm registers; without AVX-512, 16 columns keep them
-/// within 8 vector registers.
-#ifdef __AVX512F__
-constexpr int64_t kRowStrip = 64;
-#else
-constexpr int64_t kRowStrip = 16;
-#endif
+/// Where a tile's operands live. Tile row i at k step kk broadcasts
+/// x[i * x_row + kk * x_step]; lane j reads w[j * w_lane + kk * w_step],
+/// where w_lane is 1 unless the tile reads its lanes strided.
+struct Operands {
+  const float* x;
+  int64_t x_row, x_step;
+  const float* w;
+  int64_t w_lane, w_step;
 
-/// y[0, kCount * lanes of T) += alpha * op(x) * w over one k block (k <=
-/// kKc) with S partials interleaved: k step kk feeds partial kk mod S, so a
-/// strip runs S times as many independent FMA chains as it has
-/// accumulators per partial. Partial 0 starts from y, and y receives the
-/// combined sum. With kUnitAlpha (alpha == 1, every single-row forward)
-/// the exact product 1 * x is not computed: a multiply per k step less on
-/// the FMA ports.
-template <bool kUnitAlpha, int64_t S, typename T, int64_t kCount>
-void RowStripOf(const float* x, int64_t x_stride, float alpha, const float* w,
-                int64_t ldw, int64_t k, float* y) {
-  constexpr int64_t kLanes = sizeof(T) / sizeof(float);
-  // Fully unrolled, so the accumulators live in registers from the start
-  // (a rolled zeroing loop becomes a memset of a stack copy).
-  T acc[S][kCount];
-#pragma GCC unroll 64
-  for (int64_t v = 0; v < kCount; ++v) {
-    acc[0][v] = LoadAs<T>(y + v * kLanes);
-#pragma GCC unroll 8
-    for (int64_t s = 1; s < S; ++s) acc[s][v] = T{};
+  /// The operands of the tile whose first row is i0 and first lane j0.
+  Operands At(int64_t i0, int64_t j0) const {
+    return {x + i0 * x_row, x_row, x_step, w + j0 * w_lane, w_lane, w_step};
   }
-  int64_t kk = 0;
-  for (; kk + S <= k; kk += S) {
+};
+
+/// Partials per pass: the most (a power of two dividing S) whose tiles of
+/// `regs` registers fit kAccRegs together, and at least one.
+constexpr int64_t PartialsPerPass(int64_t regs, int64_t s) {
+  while (s > 1 && s * regs > kAccRegs) s /= 2;
+  return s;
+}
+
+/// One k step: acc[i][v] += xk[i * x_row] * lane group v of wk, where xk
+/// and wk point at the step's operands.
+template <bool kStrided, int64_t R, int64_t kV, typename T>
+[[gnu::always_inline]] inline void Step(const Operands& o, const float* xk,
+                                        const float* wk, T (&acc)[R][kV]) {
+  constexpr int64_t kL = sizeof(T) / sizeof(float);
+  T wv[kV];
+#pragma GCC unroll 64
+  for (int64_t v = 0; v < kV; ++v) {
+    wv[v] = kStrided ? LoadStrided<T>(wk + v * kL * o.w_lane, o.w_lane)
+                     : LoadAs<T>(wk + v * kL);
+  }
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < R; ++i) {
+    // x - 0 is x exactly (-0 included) in every lane; a lane-by-lane fill
+    // compiles to one insert per lane.
+    const T xv = xk[i * o.x_row] - T{};
+#pragma GCC unroll 64
+    for (int64_t v = 0; v < kV; ++v) acc[i][v] = MulAdd(xv, wv[v], acc[i][v]);
+  }
+}
+
+/// Adds each element's S partials p[0, S) by halves, p[s] += p[s + h] for
+/// h = S/2, ..., 1 (for S = 8: ((p0 + p4) + (p2 + p6)) + ((p1 + p5) +
+/// (p3 + p7))), and stores the sum into the tile of C.
+template <int64_t S, int64_t R, int64_t kV, typename T>
+[[gnu::always_inline]] inline void CombineStore(T (&p)[S][R][kV], float* c,
+                                                int64_t ldc) {
+  constexpr int64_t kL = sizeof(T) / sizeof(float);
+#pragma GCC unroll 16
+  for (int64_t i = 0; i < R; ++i) {
+#pragma GCC unroll 64
+    for (int64_t v = 0; v < kV; ++v) {
 #pragma GCC unroll 8
-    for (int64_t s = 0; s < S; ++s) {
-      const float xv = x[(kk + s) * x_stride];
-      const T av = Broadcast<T>(kUnitAlpha ? xv : alpha * xv);
-      const float* wrow = w + (kk + s) * ldw;
+      for (int64_t h = S / 2; h >= 1; h /= 2) {
 #pragma GCC unroll 8
-      for (int64_t v = 0; v < kCount; ++v) {
-        acc[s][v] = MulAdd(av, LoadAs<T>(wrow + v * kLanes), acc[s][v]);
+        for (int64_t s = 0; s < h; ++s) p[s][i][v] += p[s + h][i][v];
+      }
+      StoreAs<T>(c + i * ldc + v * kL, p[0][i][v]);
+    }
+  }
+}
+
+/// The tile kernel: C (R x W at c, row stride ldc) += x * w over all of k
+/// under S partial sums, G of them per pass, interleaved. Fully unrolled
+/// and forced inline, so the accumulators live in registers.
+template <int64_t R, int64_t W, int64_t S, bool kStrided>
+[[gnu::always_inline]] inline void Tile(const Operands& o, int64_t k, float* c,
+                                        int64_t ldc) {
+  using T = LanesOf<W>;
+  constexpr int64_t kL = sizeof(T) / sizeof(float);
+  constexpr int64_t kV = W / kL;
+  constexpr int64_t G = PartialsPerPass(R * kV, S);
+  T part[G < S ? S : 1][R][kV];
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const int64_t k1 = std::min(k, k0 + kKc);
+    for (int64_t s0 = 0; s0 < S; s0 += G) {
+      T acc[G][R][kV];
+#pragma GCC unroll 8
+      for (int64_t g = 0; g < G; ++g) {
+#pragma GCC unroll 16
+        for (int64_t i = 0; i < R; ++i) {
+#pragma GCC unroll 64
+          for (int64_t v = 0; v < kV; ++v) {
+            acc[g][i][v] = s0 + g == 0 ? LoadAs<T>(c + i * ldc + v * kL) : T{};
+          }
+        }
+      }
+      int64_t kk = k0 + s0;
+      for (; kk + G <= k1; kk += S) {
+        // The group's operands by pointer bumps: an index per partial
+        // would take a register each.
+        const float* xg = o.x + kk * o.x_step;
+        const float* wg = o.w + kk * o.w_step;
+#pragma GCC unroll 8
+        for (int64_t g = 0; g < G; ++g) {
+          Step<kStrided>(o, xg, wg, acc[g]);
+          if (g + 1 < G) {
+            xg += o.x_step;
+            wg += o.w_step;
+          }
+        }
+      }
+#pragma GCC unroll 8
+      for (int64_t g = 0; g < G; ++g) {  // the block ends inside a group
+        if (kk + g < k1) {
+          Step<kStrided>(o, o.x + (kk + g) * o.x_step,
+                         o.w + (kk + g) * o.w_step, acc[g]);
+        }
+      }
+      if constexpr (G == S) {
+        CombineStore(acc, c, ldc);
+      } else {
+        for (int64_t g = 0; g < G; ++g) {
+          std::memcpy(part[s0 + g], acc[g], sizeof(acc[g]));
+        }
       }
     }
+    if constexpr (G < S) CombineStore(part, c, ldc);
   }
-  for (int64_t s = 0; kk < k; ++kk, ++s) {  // the last k mod S steps
-    const float xv = x[kk * x_stride];
-    const T av = Broadcast<T>(kUnitAlpha ? xv : alpha * xv);
-    const float* wrow = w + kk * ldw;
-#pragma GCC unroll 8
-    for (int64_t v = 0; v < kCount; ++v) {
-      acc[s][v] = MulAdd(av, LoadAs<T>(wrow + v * kLanes), acc[s][v]);
+}
+
+/// Rows [0, m) of a W-lane strip in R-high tiles; the last rows recurse
+/// down to their exact height, so every tile keeps constexpr shape.
+template <int64_t R, int64_t W, int64_t S, bool kStrided>
+[[gnu::always_inline]] inline void Rows(const Operands& o, int64_t m,
+                                        int64_t k, float* c, int64_t ldc) {
+  int64_t i0 = 0;
+  for (; i0 + R <= m; i0 += R) {
+    Tile<R, W, S, kStrided>(o.At(i0, 0), k, c + i0 * ldc, ldc);
+  }
+  if constexpr (R > 1) {
+    if (i0 < m) {
+      Rows<R - 1, W, S, kStrided>(o.At(i0, 0), m - i0, k, c + i0 * ldc, ldc);
     }
   }
-#pragma GCC unroll 64
-  for (int64_t v = 0; v < kCount; ++v) {
-    T p[S];
-#pragma GCC unroll 8
-    for (int64_t s = 0; s < S; ++s) p[s] = acc[s][v];
-    StoreAs<T>(y + v * kLanes, CombineSums<S>(p));
-  }
 }
 
-/// A W-wide strip in whole vectors when W allows, else in floats.
-template <bool kUnitAlpha, int64_t W, int64_t S>
-void RowStrip(const float* x, int64_t x_stride, float alpha, const float* w,
-              int64_t ldw, int64_t k, float* y) {
-  if constexpr (W % kVecLanes == 0) {
-    RowStripOf<kUnitAlpha, S, VecF, W / kVecLanes>(x, x_stride, alpha, w, ldw,
-                                                   k, y);
-  } else {
-    RowStripOf<kUnitAlpha, S, float, W>(x, x_stride, alpha, w, ldw, k, y);
-  }
-}
-
-/// Covers the last `rest` (< 2W) columns or rows with strips of width W,
-/// W/2, ..., 1: calls strip.template operator()<S>(offset) for every power
-/// of two S set in `rest`, widest first, with `offset` the width already
-/// covered, so every strip kernel runs at a constexpr width (a 1-wide head
-/// is a dot product). Forced inline: GCC otherwise emits the row kernel's
-/// instance out of line, which doubled a small single-row forward
-/// (BM_DenseForwardRow in:8/out:32, ~27 -> ~60 ns on an AVX-512 Xeon).
+/// Covers the last `rest` (< 2W) lanes with strips of width W, W/2, ..., 1:
+/// calls strip.template operator()<V>(offset) for every power of two V set
+/// in `rest`, widest first, with `offset` the width already covered, so
+/// every strip runs at a constexpr width (a 1-wide head is a dot product).
+/// Forced inline, like Rows: GCC otherwise emits the one-row strips out of
+/// line, which doubled a small single-row forward (BM_DenseForwardRow
+/// in:8/out:32, ~27 -> ~60 ns on an AVX-512 Xeon).
 template <int64_t W, class F>
 [[gnu::always_inline]] inline void ForPow2Strips(int64_t rest, F&& strip,
                                                  int64_t offset = 0) {
@@ -325,308 +319,27 @@ template <int64_t W, class F>
   if constexpr (W > 1) ForPow2Strips<W / 2>(rest, strip, offset);
 }
 
-/// The single-row kernel: y (n) += alpha * op(x) (k, element stride
-/// `x_stride`) * w (k x n, row stride `ldw`). Gemm's m = 1 untransposed-B
-/// case and GemmRow (Dense::ForwardRow) both run it. Strips run one k block
-/// at a time; each seeds partial 0 from y and writes the block's sum back,
-/// which chains the blocks as the contract does.
-template <bool kUnitAlpha>
-void RowKernel(const float* x, int64_t x_stride, float alpha, const float* w,
-               int64_t ldw, int64_t k, int64_t n, float* y) {
-  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
-    const float* xb = x + k0 * x_stride;
-    const float* wb = w + k0 * ldw;
-    const int64_t kb = std::min(kKc, k - k0);
-    if (n == 1) {
-      RowStrip<kUnitAlpha, 1, kHeadSums>(xb, x_stride, alpha, wb, ldw, kb, y);
-      continue;
-    }
-    int64_t j0 = 0;
-    for (; j0 + kRowStrip <= n; j0 += kRowStrip) {
-      RowStrip<kUnitAlpha, kRowStrip, kWideSums>(xb, x_stride, alpha, wb + j0,
-                                                 ldw, kb, y + j0);
-    }
-    ForPow2Strips<kRowStrip / 2>(n - j0, [&]<int64_t W>(int64_t off) {
-      RowStrip<kUnitAlpha, W, kWideSums>(xb, x_stride, alpha, wb + j0 + off,
-                                         ldw, kb, y + j0 + off);
-    });
+/// C (m x n at c, row stride ldc) += x * w: W-lane strips and then the
+/// power-of-two tail strips, each strip's rows in R-high tiles.
+template <int64_t R, int64_t W, int64_t S, bool kStrided = false>
+void Cover(const Operands& o, int64_t m, int64_t n, int64_t k, float* c,
+           int64_t ldc) {
+  int64_t j0 = 0;
+  for (; j0 + W <= n; j0 += W) {
+    Rows<R, W, S, kStrided>(o.At(0, j0), m, k, c + j0, ldc);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Narrow GEMM: every product the blocked kernel does not take except the
-// single row with untransposed B — micro-batches (m < kBlockedMinRows),
-// outputs narrower than one kNr strip (training's n = 8/16 input gradients
-// and 1-wide heads), and tiny problems. Nothing is packed for op(A); op(B)
-// is packed k-major one kNr-column strip at a time when it is transposed,
-// so every tile reads a contiguous row of op(B) per k step. A 1-wide output
-// runs the column kernel instead, with rows as the vector lanes.
-// ---------------------------------------------------------------------------
-
-/// Row-tile height of the narrow kernel. With AVX-512 (32 vector registers)
-/// an 8 x kNr accumulator still fits the register file, so a batch of 8
-/// queries runs as a SINGLE tile — one streaming pass over
-/// op(B), which is the whole game for weight matrices too large for cache.
-constexpr int64_t kNarrowRows = 8;
-
-/// Rows per strip of the n = 1 column kernel: 64 lanes are four zmm (eight
-/// ymm) accumulators, enough independent FMA chains to cover FMA latency.
-constexpr int64_t kColStrip = 64;
-
-/// One k step of a narrow tile: acc[kRows][W] += alpha * op(A) rows
-/// [i0, i0 + kRows) at step kk (x) brow.
-template <bool kUnitAlpha, int64_t kRows, int64_t W>
-inline void NarrowStep(const float* ad, int64_t a_cols, bool trans_a,
-                       float alpha, const float* __restrict brow, int64_t i0,
-                       int64_t kk, float* __restrict acc) {
-  for (int64_t i = 0; i < kRows; ++i) {
-    const float a = AAt(ad, a_cols, trans_a, i0 + i, kk);
-    const float av = kUnitAlpha ? a : alpha * a;
-    float* __restrict arow = acc + i * W;
-    // Without this GCC fully unrolls a <= 16-wide j loop first and then
-    // vectorizes across the tile's rows, leaving the accumulator in memory
-    // (~10x slower). Kept rolled, the j loop becomes whole vectors.
-#pragma GCC unroll 1
-    for (int64_t j = 0; j < W; ++j) arow[j] = MulAdd(av, brow[j], arow[j]);
-  }
-}
-
-/// Writes a kRows x W tile to c (row stride ldc).
-template <int64_t kRows, int64_t W>
-inline void StoreTile(const float* tile, float* c, int64_t ldc) {
-  for (int64_t i = 0; i < kRows; ++i) {
-    for (int64_t j = 0; j < W; ++j) c[i * ldc + j] = tile[i * W + j];
-  }
-}
-
-/// C rows [0, kRows) x columns [0, W) += alpha * op(A) rows [i0, i0+kRows)
-/// * b, where `b` is W columns of op(B) stored k-major with row stride ldb
-/// and `c` points at the tile's top-left element (row stride ldc), under
-/// the contract's kWideSums partials (n > 1 here). Partials whose tiles fit
-/// 16 zmm together are interleaved; a larger tile (8 x kNr) runs them one
-/// after another, so it keeps its register budget
-/// (GemmTest.EveryPathMatchesPartialSumContractBitExact).
-template <bool kUnitAlpha, int64_t kRows, int64_t W>
-void NarrowTile(const float* ad, int64_t a_cols, bool trans_a, float alpha,
-                const float* b, int64_t ldb, int64_t i0, int64_t k, float* c,
-                int64_t ldc) {
-  constexpr int64_t kLen = kRows * W;
-  constexpr int64_t kGroup = kLen * kWideSums <= 256 ? kWideSums : 1;
-  float part[kGroup < kWideSums ? kWideSums * kLen : 1];
-  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
-    const int64_t k1 = std::min(k, k0 + kKc);
-    for (int64_t s0 = 0; s0 < kWideSums; s0 += kGroup) {
-      float acc[kGroup * kLen];
-      for (int64_t g = 0; g < kGroup; ++g) {
-        for (int64_t i = 0; i < kRows; ++i) {
-          for (int64_t j = 0; j < W; ++j) {
-            acc[g * kLen + i * W + j] = s0 + g == 0 ? c[i * ldc + j] : 0.0f;
-          }
-        }
-      }
-      int64_t kk = k0 + s0;
-      for (; kk + kGroup <= k1; kk += kWideSums) {
-        if constexpr (W == kNr) {
-          // A full strip of an unpacked B walks row-stride jumps down k;
-          // the prefetch hides their L3 latency for weight matrices beyond
-          // L2.
-          const float* ahead = b + (kk + 8 * kWideSums) * ldb;
-          __builtin_prefetch(ahead, 0, 0);
-          __builtin_prefetch(ahead + 16, 0, 0);
-        }
-#pragma GCC unroll 2
-        for (int64_t g = 0; g < kGroup; ++g) {
-          NarrowStep<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha,
-                                           b + (kk + g) * ldb, i0, kk + g,
-                                           acc + g * kLen);
-        }
-      }
-      for (int64_t g = 0; kk + g < k1; ++g) {  // a block's odd last step
-        NarrowStep<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha,
-                                         b + (kk + g) * ldb, i0, kk + g,
-                                         acc + g * kLen);
-      }
-      if constexpr (kGroup == kWideSums) {
-        CombinePartials<kWideSums, kLen>(acc);
-        StoreTile<kRows, W>(acc, c, ldc);
-      } else {
-        std::memcpy(part + s0 * kLen, acc, sizeof(acc));
-      }
-    }
-    if constexpr (kGroup < kWideSums) {
-      CombinePartials<kWideSums, kLen>(part);
-      StoreTile<kRows, W>(part, c, ldc);
-    }
-  }
-}
-
-/// The last tile of a strip, `rows` < kRows high: recurses down to its
-/// height so it too keeps a constexpr, register-resident accumulator.
-template <bool kUnitAlpha, int64_t kRows, int64_t W>
-void NarrowEdgeTile(int64_t rows, const float* ad, int64_t a_cols,
-                    bool trans_a, float alpha, const float* b, int64_t ldb,
-                    int64_t i0, int64_t k, float* c, int64_t ldc) {
-  if constexpr (kRows > 1) {
-    if (rows < kRows) {
-      NarrowEdgeTile<kUnitAlpha, kRows - 1, W>(rows, ad, a_cols, trans_a,
-                                               alpha, b, ldb, i0, k, c, ldc);
-      return;
-    }
-  }
-  NarrowTile<kUnitAlpha, kRows, W>(ad, a_cols, trans_a, alpha, b, ldb, i0, k,
-                                   c, ldc);
-}
-
-/// One W-wide column strip over all m rows, in kNarrowRows-high tiles.
-template <bool kUnitAlpha, int64_t W>
-void NarrowStrip(const float* ad, int64_t a_cols, bool trans_a, float alpha,
-                 const float* b, int64_t ldb, int64_t m, int64_t k, float* c,
-                 int64_t ldc) {
-  int64_t i0 = 0;
-  for (; i0 + kNarrowRows <= m; i0 += kNarrowRows) {
-    NarrowTile<kUnitAlpha, kNarrowRows, W>(ad, a_cols, trans_a, alpha, b, ldb,
-                                           i0, k, c + i0 * ldc, ldc);
-  }
-  if (i0 < m) {
-    NarrowEdgeTile<kUnitAlpha, kNarrowRows - 1, W>(
-        m - i0, ad, a_cols, trans_a, alpha, b, ldb, i0, k, c + i0 * ldc, ldc);
-  }
-}
-
-/// The n = 1 column kernel: c[r] += alpha * op(A)(r, :) · b for R rows of
-/// op(A) starting at row i0, with `b` contiguous. Rows are the vector lanes,
-/// so each k step is R / 16 independent FMAs rather than one serial
-/// dot-product chain per row; the contract's kHeadSums partials run one
-/// after another, as in NarrowTile. Untransposed A is read down its columns
-/// (a strided load per lane).
-template <bool kUnitAlpha, int64_t R, bool kTransA>
-void ColStrip(const float* ad, int64_t a_cols, float alpha, const float* b,
-              int64_t i0, int64_t k, float* c) {
-  float part[kHeadSums * R];
-  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
-    const int64_t k1 = std::min(k, k0 + kKc);
-    for (int64_t s = 0; s < kHeadSums; ++s) {
-      float acc[R];
-      for (int64_t r = 0; r < R; ++r) acc[r] = s == 0 ? c[r] : 0.0f;
-      for (int64_t kk = k0 + s; kk < k1; kk += kHeadSums) {
-        const float bv = b[kk];
-        for (int64_t r = 0; r < R; ++r) {
-          const float a = kTransA ? ad[kk * a_cols + i0 + r]
-                                  : ad[(i0 + r) * a_cols + kk];
-          acc[r] = MulAdd(kUnitAlpha ? a : alpha * a, bv, acc[r]);
-        }
-      }
-      std::memcpy(part + s * R, acc, sizeof(acc));
-    }
-    CombinePartials<kHeadSums, R>(part);
-    for (int64_t r = 0; r < R; ++r) c[r] = part[r];
-  }
-}
-
-/// All m rows of the n = 1 column kernel.
-template <bool kUnitAlpha, bool kTransA>
-void ColKernel(const float* ad, int64_t a_cols, float alpha, const float* b,
-               int64_t m, int64_t k, float* c) {
-  int64_t i0 = 0;
-  for (; i0 + kColStrip <= m; i0 += kColStrip) {
-    ColStrip<kUnitAlpha, kColStrip, kTransA>(ad, a_cols, alpha, b, i0, k,
-                                             c + i0);
-  }
-  ForPow2Strips<kColStrip / 2>(m - i0, [&]<int64_t R>(int64_t off) {
-    ColStrip<kUnitAlpha, R, kTransA>(ad, a_cols, alpha, b, i0 + off, k,
-                                     c + i0 + off);
+  ForPow2Strips<W / 2>(n - j0, [&]<int64_t V>(int64_t off) {
+    Rows<R, V, S, kStrided>(o.At(0, j0 + off), m, k, c + j0 + off, ldc);
   });
 }
 
-/// C (m x n) += alpha * op(A) * op(B) for every shape the blocked kernel
-/// and the single-row kernel do not take. Single-threaded. With kUnitAlpha
-/// (alpha == 1, all of training) the kernels skip the exact product 1 * a,
-/// a multiply per FMA less on the FMA ports.
-template <bool kUnitAlpha>
-void GemmNarrow(const float* ad, int64_t a_cols, bool trans_a,
-                const float* bd, int64_t b_cols, bool trans_b, float alpha,
-                int64_t m, int64_t n, int64_t k, float* cd) {
-  // One packed strip of a transposed op(B), at most k x kNr floats; reused
-  // across calls so steady-state training allocates nothing here.
-  static thread_local AlignedVector<float> packed;
+/// The single-row instance, y (n) += x * w: Gemm's m = 1 and GemmRow. A
+/// 1-wide output is one dot product over kHeadSums chains.
+void SingleRow(const Operands& o, int64_t n, int64_t k, float* y) {
   if (n == 1) {
-    // op(B) is a contiguous k-vector in either orientation (B is k x 1 or
-    // 1 x k).
-    if (trans_a) {
-      ColKernel<kUnitAlpha, true>(ad, a_cols, alpha, bd, m, k, cd);
-    } else {
-      ColKernel<kUnitAlpha, false>(ad, a_cols, alpha, bd, m, k, cd);
-    }
-    return;
-  }
-  for (int64_t j0 = 0; j0 < n; j0 += kNr) {
-    const int64_t w = std::min(kNr, n - j0);
-    const float* b = bd + j0;
-    int64_t ldb = b_cols;
-    if (trans_b) {
-      // op(B)(kk, j) = B(j, kk): column j of the strip is a contiguous row
-      // of the stored B.
-      packed.resize(static_cast<size_t>(k * w));
-      float* p = packed.data();
-      for (int64_t j = 0; j < w; ++j) {
-        const float* src = bd + (j0 + j) * b_cols;
-        for (int64_t kk = 0; kk < k; ++kk) p[kk * w + j] = src[kk];
-      }
-      b = p;
-      ldb = w;
-    }
-    if (w == kNr) {
-      NarrowStrip<kUnitAlpha, kNr>(ad, a_cols, trans_a, alpha, b, ldb, m, k,
-                                   cd + j0, n);
-    } else {
-      ForPow2Strips<kNr / 2>(w, [&]<int64_t W>(int64_t off) {
-        NarrowStrip<kUnitAlpha, W>(ad, a_cols, trans_a, alpha, b + off, ldb,
-                                   m, k, cd + j0 + off, n);
-      });
-    }
-  }
-}
-
-/// One parallel chunk of the blocked kernel: row tiles [tile_begin,
-/// tile_end) against the already-packed `bp` panel, which is one k block of
-/// the contract. Each chunk writes a disjoint set of C rows, so chunking
-/// never changes results.
-///
-/// Partial 0 of the register tile is seeded from C and the block's combined
-/// sum written back, so per element the panels chain exactly as the
-/// contract's k blocks do on every other path: a row's result is
-/// bit-identical whichever kernel and whatever blocking handles it. The
-/// learned structures rely on this: batched and single-query forwards must
-/// agree exactly (see LearnedBloomFilter's no-false-negative guarantee).
-void RowTileRange(const float* ad, int64_t a_cols, bool trans_a, float alpha,
-                  int64_t m, int64_t n, const float* bp, int64_t pc,
-                  int64_t kc, int64_t jc, int64_t nc, float* cd,
-                  int64_t tile_begin, int64_t tile_end) {
-  alignas(64) float ap[kKc * kMr];
-  alignas(64) float acc[kMr * kNr];
-  for (int64_t t = tile_begin; t < tile_end; ++t) {
-    const int64_t i0 = t * kMr;
-    const int64_t mr = std::min(kMr, m - i0);
-    PackA(ad, a_cols, trans_a, alpha, i0, mr, pc, kc, ap);
-    for (int64_t js = 0; js < nc; js += kNr) {
-      const int64_t nr = std::min(kNr, nc - js);
-      for (int64_t i = 0; i < mr; ++i) {
-        const float* crow = cd + (i0 + i) * n + jc + js;
-        float* arow = acc + i * kNr;
-        for (int64_t j = 0; j < nr; ++j) arow[j] = crow[j];
-        for (int64_t j = nr; j < kNr; ++j) arow[j] = 0.0f;
-      }
-      if (mr < kMr) {
-        std::memset(acc + mr * kNr, 0,
-                    static_cast<size_t>((kMr - mr) * kNr) * sizeof(float));
-      }
-      MicroKernel(kc, ap, bp + js * kKc, acc);
-      for (int64_t i = 0; i < mr; ++i) {
-        float* crow = cd + (i0 + i) * n + jc + js;
-        const float* arow = acc + i * kNr;
-        for (int64_t j = 0; j < nr; ++j) crow[j] = arow[j];
-      }
-    }
+    Rows<1, 1, kHeadSums, false>(o, 1, k, y, 0);
+  } else {
+    Cover<1, kRowLanes, kWideSums>(o, 1, n, k, y, 0);
   }
 }
 
@@ -677,66 +390,55 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   float* cd = c->data();
   const float* ad = a.data();
   const float* bd = b.data();
-  const int64_t a_cols = a.cols();
-  const int64_t b_cols = b.cols();
-
-  const int64_t work = m * n * k;
-  if (m < kBlockedMinRows || n < kNr || work < kBlockedMinWork) {
-    if (!trans_b && m == 1) {
-      const int64_t x_stride = trans_a ? a_cols : 1;
-      if (alpha == 1.0f) {
-        RowKernel<true>(ad, x_stride, alpha, bd, b_cols, k, n, cd);
-      } else {
-        RowKernel<false>(ad, x_stride, alpha, bd, b_cols, k, n, cd);
-      }
+  int64_t ldb = b.cols();
+  // Packing scratch, reused across calls so steady-state training allocates
+  // nothing here. Workers read it through the hoisted pointers.
+  static thread_local AlignedVector<float> scaled_a, packed_b;
+  if (alpha != 1.0f) {
+    // alpha * a rounded once per element: the contract's (alpha * a) * b.
+    scaled_a.resize(static_cast<size_t>(a.size()));
+    for (int64_t e = 0; e < a.size(); ++e) scaled_a[e] = alpha * ad[e];
+    ad = scaled_a.data();
+  }
+  if (n == 1) {
+    // Rows become lanes: the single-row tile on the transposed problem,
+    // broadcasting op(B), a contiguous k-vector in either orientation.
+    // Untransposed A is read down its columns.
+    if (trans_a) {
+      Cover<1, kRowLanes, kHeadSums>({bd, 0, 1, ad, 1, a.cols()}, 1, m, k, cd,
+                                     0);
     } else {
-      if (alpha == 1.0f) {
-        GemmNarrow<true>(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m, n,
-                         k, cd);
-      } else {
-        GemmNarrow<false>(ad, a_cols, trans_a, bd, b_cols, trans_b, alpha, m,
-                          n, k, cd);
-      }
+      assert(a.cols() <= INT32_MAX / kVecLanes);  // the gather's lane offsets
+      Cover<1, kRowLanes, kHeadSums, true>({bd, 0, 1, ad, a.cols(), 1}, 1, m,
+                                           k, cd, 0);
     }
     return;
   }
-
-  const int64_t row_tiles = (m + kMr - 1) / kMr;
-  const bool threaded = KernelThreadingEnabled() && work >= kThreadedCutoff &&
-                        row_tiles > kRowTilesPerChunk;
-  // Packing scratch, reused across calls so mid-size GEMMs (one panel) pay
-  // no allocation. Strips are laid out at a fixed kKc depth stride, so the
-  // buffer is sized by the (kNr-rounded) panel width alone. Only the calling
-  // thread packs; workers read it.
-  static thread_local AlignedVector<float> bp;
-  const int64_t nc_max = std::min(kNc, ((n + kNr - 1) / kNr) * kNr);
-  bp.resize(static_cast<size_t>(nc_max * kKc));
-  // Hoist the pointer: worker threads must read THIS thread's packed panel,
-  // not their own (empty) thread-local scratch.
-  float* const bpd = bp.data();
-  for (int64_t jc = 0; jc < n; jc += kNc) {
-    const int64_t nc = std::min(kNc, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKc) {
-      const int64_t kc = std::min(kKc, k - pc);
-      // Pack the whole B panel in kNr-column strips; strip s lives at
-      // bp[s * kNr * kKc], columns zero-padded to kNr so the micro-kernel
-      // has no column tail case.
-      for (int64_t js = 0; js < nc; js += kNr) {
-        float* strip = bpd + js * kKc;
-        PackB(bd, b_cols, trans_b, pc, kc, jc + js, std::min(kNr, nc - js),
-              strip);
-      }
-      auto run = [&](int64_t tile_begin, int64_t tile_end) {
-        RowTileRange(ad, a_cols, trans_a, alpha, m, n, bpd, pc, kc, jc,
-                     nc, cd, tile_begin, tile_end);
-      };
-      if (threaded) {
-        KernelParallelFor(row_tiles, kRowTilesPerChunk, run);
-      } else {
-        run(0, row_tiles);
-      }
+  if (trans_b) {
+    // op(B)(kk, j) = B(j, kk), packed k-major so the lanes are contiguous.
+    packed_b.resize(static_cast<size_t>(k * n));
+    for (int64_t j = 0; j < n; ++j) {
+      for (int64_t kk = 0; kk < k; ++kk) packed_b[kk * n + j] = bd[j * ldb + kk];
     }
+    bd = packed_b.data();
+    ldb = n;
   }
+  const Operands o{ad, trans_a ? 1 : a.cols(), trans_a ? a.cols() : 1, bd, 1,
+                   ldb};
+  if (m == 1) {
+    SingleRow(o, n, k, cd);
+    return;
+  }
+  const int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
+  const bool threaded = n >= 32 && m * n * k >= kThreadedCutoff;
+  KernelParallelFor(
+      row_tiles, threaded ? kRowTilesPerChunk : row_tiles,
+      [&](int64_t t0, int64_t t1) {
+        const int64_t i0 = t0 * kTileRows;
+        const int64_t i1 = std::min(m, t1 * kTileRows);
+        Cover<kTileRows, kTileLanes, kWideSums>(
+            o.At(i0, 0), i1 - i0, n, k, cd + i0 * n, n);
+      });
 }
 
 void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
@@ -780,7 +482,7 @@ void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
 void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y) {
   TRACE_SPAN_VAR(span, "nn", "nn.gemm");
   span.set_arg("mnk", static_cast<double>(n * k));
-  RowKernel<true>(x, 1, 1.0f, w, n, k, n, y);
+  SingleRow({x, 0, 1, w, 1, n}, n, k, y);
 }
 
 void AddRowBroadcast(const Tensor& bias, Tensor* x) {

@@ -13,15 +13,14 @@ namespace los::nn {
 
 /// \brief C = alpha * op(A) * op(B) + beta * C.
 ///
-/// `trans_a` / `trans_b` select whether A / B are used transposed. Large
-/// problems run a cache-blocked, register-tiled kernel over packed panels
-/// (both orientations of B are packed into contiguous strips) and may split
-/// row tiles across the kernel thread pool. One row with untransposed B runs
-/// the GemmRow kernel; every other shape — micro-batches, outputs narrower
-/// than 32 columns, tiny products — runs the narrow kernel's unpacked
-/// register tiles (a 1-wide output with rows as the vector lanes).
-/// Threading only partitions disjoint rows of C, so results are
-/// bit-identical for any thread count.
+/// `trans_a` / `trans_b` select whether A / B are used transposed. Every
+/// shape runs one register-tile kernel template, instantiated per shape:
+/// one row (the GemmRow kernel), a 1-wide output with the rows of C as the
+/// vector lanes, or 8-row tiles, which large products split across the
+/// kernel thread pool. Operands are read in place; a transposed B is
+/// packed k-major first, and A is scaled by alpha into a copy when
+/// alpha != 1. Threading only partitions disjoint rows of C, so results
+/// are bit-identical for any thread count.
 ///
 /// Every path computes each output element by one accumulation contract,
 /// so a row's result is bit-identical whichever kernel or blocking the
@@ -38,7 +37,7 @@ namespace los::nn {
 ///     running value: p[s] += p[s + h] for h = S/2, ..., 1;
 ///   - S depends on the output width n alone: 8 when n = 1 (a model's
 ///     1-wide head, one dot product), 2 otherwise. Independent chains per
-///     element let the single-row kernel hide the FMA latency.
+///     element let a single row hide the FMA latency.
 /// See GemmTest.EveryPathMatchesPartialSumContractBitExact and
 /// GemmTest.PerRowResultsAreShapeInvariant.
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
@@ -48,11 +47,12 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 ///
 /// `x` holds k floats, `w` is a row-major (k x n) matrix and `y` holds n
 /// floats. Each y[j] starts from its value on entry and accumulates under
-/// Gemm's contract, its partials interleaved in registers. `Gemm`'s
-/// m = 1 untransposed-B case runs this same kernel, so with y zeroed the
-/// result is bit-identical to the matching row of a batched `Gemm` over
-/// the same data — Dense::ForwardRow, and through it SetModel::PredictOne,
-/// depend on this. Single-threaded; allocates nothing.
+/// Gemm's contract, its partials interleaved in registers. This is the
+/// tile kernel's one-row instance, which `Gemm` also runs for m = 1 and
+/// n > 1; with y zeroed the result is bit-identical to the matching row of
+/// a batched `Gemm` over the same data — Dense::ForwardRow, and through it
+/// SetModel::PredictOne, depend on this. Single-threaded; allocates
+/// nothing.
 void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y);
 
 /// The original single-threaded scalar GEMM kept as the correctness /

@@ -1,4 +1,4 @@
-// Tests for the parallel + SIMD compute backend: blocked GEMM equivalence
+// Tests for the parallel + SIMD compute backend: tile GEMM equivalence
 // against the scalar reference, determinism under threading, nested
 // ParallelFor safety, and PredictBatch/PredictOne agreement for every
 // SetModel implementation.
@@ -50,9 +50,9 @@ struct GemmShape {
 
 TEST(GemmTest, MatchesReferenceAcrossShapesAndFlags) {
   ScopedKernelPool pool(4);
-  // Covers the small-path (tiny m or n), the blocked path, the threaded
-  // path, tile remainders (non-multiples of 6 and 32) and k-panel splits
-  // (> 256 depth).
+  // Covers the one-row and rows-as-lanes instances (m or n of 1), the
+  // 8-row tiles, the threaded path, tile remainders (non-multiples of 8
+  // and 32) and k-block splits (> 256 depth).
   const std::vector<GemmShape> shapes = {
       {1, 1, 1},    {3, 5, 7},       {17, 31, 13},   {64, 64, 64},
       {1, 300, 2},  {97, 101, 103},  {130, 70, 257}, {160, 160, 160},
@@ -81,8 +81,8 @@ TEST(GemmTest, MatchesReferenceAcrossShapesAndFlags) {
                 max_diff, std::abs(static_cast<double>(c_new.data()[i]) -
                                    static_cast<double>(c_ref.data()[i])));
           }
-          // The blocked kernel reorders float accumulation, so allow a
-          // k-scaled tolerance rather than exact equality.
+          // The tile kernel's partial sums reorder float accumulation, so
+          // allow a k-scaled tolerance rather than exact equality.
           EXPECT_LT(max_diff, 1e-3 * std::sqrt(static_cast<double>(s.k)))
               << "m=" << s.m << " n=" << s.n << " k=" << s.k
               << " ta=" << trans_a << " tb=" << trans_b << " alpha=" << alpha
@@ -150,13 +150,19 @@ void PartialSumGemm(const Tensor& a, bool trans_a, const Tensor& b,
 
 TEST(GemmTest, EveryPathMatchesPartialSumContractBitExact) {
   ScopedKernelPool pool(4);
-  // Spans the single-row kernel (m = 1), the narrow register tiles (n < 32
-  // or m < 17, both orientations of B), the n = 1 column kernel, and the
-  // blocked + threaded path with k-panel splits (k > 256) and column tails;
-  // k = 1, 3, 5, 7, 13, 31, 66 and 257 leave remainders 1, 2, 3, 5 and 7
-  // mod 8 (a 1-wide output's partials), the odd ones 1 mod 2.
-  const std::vector<int64_t> ms = {1, 2, 16, 17, 512, 1341};
-  const std::vector<int64_t> ns = {1, 2, 7, 8, 15, 16, 17, 31, 32, 33, 64};
+  // Spans every instance of the tile kernel: the single row (m = 1; n = 63
+  // takes every power-of-two tail strip, 65 a 1-wide one after a full
+  // 64-lane strip), the n = 1 transposed tile (rows as lanes; m = 63, 65
+  // and 1341 leave lane tails), and the multi-row tiles at every height
+  // (m = 2..9, 17, 63 and 65 leave last tiles of 1 to 7 rows) and width
+  // (n = 2..33 and 63 leave every tail below 32), both orientations of A
+  // and B, threaded for the large products. k = 1, 3, 5, 7, 13, 31, 66 and
+  // 257 leave remainders 1, 2, 3, 5 and 7 mod 8 (a 1-wide output's
+  // partials), the odd ones 1 mod 2; k > 256 splits blocks.
+  const std::vector<int64_t> ms = {1, 2,  3,  4,  5,  6,   7,   8,
+                                   9, 16, 17, 63, 65, 512, 1341};
+  const std::vector<int64_t> ns = {1,  2,  7,  8,  15, 16, 17,
+                                   31, 32, 33, 63, 64, 65};
   const std::vector<int64_t> ks = {1,  3,  5,  7,  8,  13, 16,
                                    31, 64, 66, 257, 512};
   const std::vector<std::pair<float, float>> coeffs = {{1.0f, 0.0f},
@@ -165,7 +171,7 @@ TEST(GemmTest, EveryPathMatchesPartialSumContractBitExact) {
   Tensor values(1, 1341 * 512 + 64);
   nn::GaussianInit(&values, 1.0f, &rng);
   // Distinct offsets into one random pool give A, B and C unrelated data
-  // without drawing fresh numbers for each of the ~2,900 products.
+  // without drawing fresh numbers for each of the ~18,700 products.
   auto fill = [&values](Tensor* t, int64_t offset) {
     std::memcpy(t->data(), values.data() + offset,
                 static_cast<size_t>(t->size()) * sizeof(float));
@@ -204,7 +210,7 @@ TEST(GemmTest, EveryPathMatchesPartialSumContractBitExact) {
 }
 
 TEST(GemmTest, ThreadedIsBitIdenticalToSerial) {
-  const int64_t n = 320;  // above both the blocked and threaded cutoffs
+  const int64_t n = 320;  // above the threaded cutoff
   Rng rng(5);
   Tensor a(n, n), b(n, n);
   nn::GaussianInit(&a, 1.0f, &rng);
@@ -226,14 +232,14 @@ TEST(GemmTest, ThreadedIsBitIdenticalToSerial) {
 TEST(GemmTest, PerRowResultsAreShapeInvariant) {
   ScopedKernelPool pool(4);
   // Batched and single-query forwards put the same logical row through very
-  // different GEMM shapes (blocked/threaded vs the tiny small-path kernel).
+  // different GEMM shapes (threaded 8-row tiles vs the one-row instance).
   // Build/serve consistency of the learned structures — most critically the
   // Bloom filter's no-false-negative guarantee — requires the per-row
   // result to be bit-identical regardless of problem shape.
-  // n = 64 runs blocked + threaded; n = 1, 8 and 16 (the output head and
-  // the narrow backward products) run the narrow kernels at full height.
+  // n = 64 runs threaded 8-row tiles; n = 8 and 16 (the narrow backward
+  // products) single-threaded ones; n = 1 (the output head) rows as lanes.
   const int64_t m = 257;
-  const int64_t k = 300;  // > kKc, so the blocked path splits k panels
+  const int64_t k = 300;  // > kKc, so k splits into two blocks
   Rng rng(17);
   for (int64_t n : {1, 8, 16, 64}) {
     for (bool trans_a : {false, true}) {

@@ -3,8 +3,9 @@
 // of the batched Tensor forward, and LearnedBloomFilter's no-false-negative
 // guarantee needs both to agree exactly. This checks:
 //   - Dense::ForwardRow against each row of Dense::Forward, over batch
-//     heights that select every GEMM path (single row, register tiles,
-//     i-k-j, packed panels), every activation and the paper's layer shapes;
+//     heights that select every instance of the GEMM tile kernel (one
+//     row, rows as lanes, 8-row tiles with short last tiles, threaded),
+//     every activation and the paper's layer shapes;
 //   - PredictOne against PredictBatch over pooling, hidden activation, φ
 //     depth and ρ width for LSM and CLSM, on sets of 0-8 elements;
 //   - a learned Bloom filter answering MayContain for every member.
