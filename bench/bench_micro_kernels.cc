@@ -75,43 +75,64 @@ void BM_GemmReference(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmReference)->Arg(128)->Arg(256)->Arg(512);
 
-// Threaded-vs-serial sweep: range(1) worker threads via an injected pool
-// (threads = 1 disables kernel threading entirely). On a single-core host
-// all rows collapse to the serial number.
+/// Runs the nn kernels serially (threads <= 1) or on an injected pool of
+/// `threads` workers for the scope's lifetime.
+class BenchKernelThreads {
+ public:
+  explicit BenchKernelThreads(int64_t threads) {
+    if (threads <= 1) {
+      los::nn::SetKernelThreading(false);
+    } else {
+      pool_ = std::make_unique<los::ThreadPool>(static_cast<size_t>(threads));
+      los::nn::SetKernelThreadPool(pool_.get());
+    }
+  }
+  ~BenchKernelThreads() {
+    los::nn::SetKernelThreading(true);
+    los::nn::SetKernelThreadPool(nullptr);
+  }
+
+ private:
+  std::unique_ptr<los::ThreadPool> pool_;
+};
+
+// Threaded-vs-serial sweep on both sides of the GEMM threading crossover
+// (2^25 multiply-adds): `threads` workers via an injected pool (threads = 1
+// disables kernel threading entirely). Below the crossover the library runs
+// on the caller's thread whatever the pool, so those rows match threads = 1.
+// On a single-core host all rows collapse to the serial number.
 void BM_GemmThreads(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const int64_t threads = state.range(1);
+  const int64_t m = state.range(0);
+  const int64_t n = state.range(1);
+  const int64_t k = state.range(2);
   Rng rng(1);
-  Tensor a(n, n), b(n, n), c(n, n);
+  Tensor a(m, k), b(k, n), c(m, n);
   los::nn::GaussianInit(&a, 1.0f, &rng);
   los::nn::GaussianInit(&b, 1.0f, &rng);
-  std::unique_ptr<los::ThreadPool> pool;
-  if (threads <= 1) {
-    los::nn::SetKernelThreading(false);
-  } else {
-    pool = std::make_unique<los::ThreadPool>(static_cast<size_t>(threads));
-    los::nn::SetKernelThreadPool(pool.get());
-  }
+  BenchKernelThreads threads(state.range(3));
   for (auto _ : state) {
     los::nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c);
     auto* ptr = c.data();
     benchmark::DoNotOptimize(ptr);
   }
-  los::nn::SetKernelThreading(true);
-  los::nn::SetKernelThreadPool(nullptr);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
 }
 BENCHMARK(BM_GemmThreads)
-    ->ArgsProduct({{256, 512}, {1, 2, 4}})
+    ->ArgsProduct({{1340}, {64}, {16}, {1, 4}})  // CLSM φ forward, batch 512
+    ->ArgsProduct({{512}, {64}, {64}, {1, 4}})   // 64-wide ρ forward
+    ->ArgsProduct({{256}, {256}, {256}, {1, 4}})
+    ->ArgsProduct({{320}, {320}, {320}, {1, 4}})  // just below
+    ->ArgsProduct({{512}, {256}, {256}, {1, 4}})  // 256-wide ρ: 2^25
+    ->ArgsProduct({{512}, {512}, {512}, {1, 2, 4}})  // 512-wide layer
+    ->ArgNames({"m", "n", "k", "threads"})
     ->UseRealTime();
 
 // The products one training batch of perfbench's models runs (batch 512,
 // ~1,340 element rows): the CLSM φ input gradient dY·Wᵀ (n = 16), the
 // index model's (n = 8), the 1-wide ρ head forward and its weight gradient
-// Xᵀ·dY, the φ forward E × 16 · 16 × 64 (threaded) for scale and
-// the φ weight gradient (m = 16). Two serving micro-batches of 8 queries
-// close the list: they run the same 8-row tile instance as training.
-// Items are flops; real time, since the φ forward runs on the kernel pool.
+// Xᵀ·dY, the φ forward E × 16 · 16 × 64 and the φ weight gradient
+// (m = 16). Two serving micro-batches of 8 queries close the list: they run
+// the same 8-row tile instance as training. Items are flops.
 void BM_GemmTrainShapes(benchmark::State& state) {
   const int64_t m = state.range(0);
   const int64_t n = state.range(1);
@@ -144,27 +165,36 @@ BENCHMARK(BM_GemmTrainShapes)
     ->ArgNames({"m", "n", "k", "ta", "tb"})
     ->UseRealTime();
 
-// Fused Adam step over an embedding-table-sized parameter: single pass
-// updating moments + weights + zeroing the grad, threaded over rows.
+// The fused Adam step (one pass updating moments + weights + zeroing the
+// grad) serial (threads = 1) and on a 4-worker pool, on both sides of the
+// elementwise threading crossover (2^16 floats): a paper-size table
+// (universe 901 x embed 8), the crossover's neighbours, and tables of
+// 16,384 and 65,536 ids x 32.
 void BM_AdamStepFused(benchmark::State& state) {
   const int64_t rows = state.range(0);
+  const int64_t cols = state.range(1);
   Rng rng(5);
-  Tensor value(rows, 32), grad(rows, 32), m(rows, 32), v(rows, 32);
+  Tensor value(rows, cols), grad(rows, cols), m(rows, cols), v(rows, cols);
   los::nn::GaussianInit(&value, 1.0f, &rng);
   los::nn::GaussianInit(&grad, 1.0f, &rng);
   const Tensor grad0 = grad;  // the step zeroes grad; refresh it each
                               // iteration so the moments never decay into
                               // denormals (which would dominate the timing)
   const size_t grad_bytes = static_cast<size_t>(grad.size()) * sizeof(float);
+  BenchKernelThreads threads(state.range(2));
   for (auto _ : state) {
     std::memcpy(grad.data(), grad0.data(), grad_bytes);
     los::nn::AdamStepFused(1e-3f, 0.9f, 0.999f, 1e-7f, &value, &grad, &m, &v);
     auto* ptr = value.data();
     benchmark::DoNotOptimize(ptr);
   }
-  state.SetItemsProcessed(state.iterations() * rows * 32);
+  state.SetItemsProcessed(state.iterations() * rows * cols);
 }
-BENCHMARK(BM_AdamStepFused)->Arg(1024)->Arg(16384)->Arg(65536);
+BENCHMARK(BM_AdamStepFused)
+    ->ArgsProduct({{901}, {8}, {1, 4}})
+    ->ArgsProduct({{1024, 2048, 16384, 65536}, {32}, {1, 4}})
+    ->ArgNames({"rows", "cols", "threads"})
+    ->UseRealTime();
 
 // The seed's scalar update loop (same expressions), kept as the
 // before/after baseline for the fused kernel — results are bit-identical.
@@ -187,7 +217,7 @@ void BM_AdamStepReference(benchmark::State& state) {
 }
 BENCHMARK(BM_AdamStepReference)->Arg(1024)->Arg(16384)->Arg(65536);
 
-// Sharded deterministic scatter-add vs. the row count (skewed ids).
+// Embedding scatter-add vs. the row count (skewed ids).
 void BM_EmbeddingScatterAdd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int64_t dim = 32;
@@ -365,10 +395,16 @@ void BM_LsmPredictOneLoop(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_LsmPredictOneLoop)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LsmPredictOneLoop)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->UseRealTime();
 
-// Same sets through one PredictBatch call (batched forwards + threaded
-// kernels + scratch reuse).
+// Same sets through one PredictBatch call (batched forwards + scratch
+// reuse). Real time: a batch whose kernels reach the pool would read
+// inflated from the calling thread's CPU time.
 void BM_LsmPredictBatch(benchmark::State& state) {
   auto model = BenchModel(/*compressed=*/false);
   const size_t batch = static_cast<size_t>(state.range(0));
@@ -390,7 +426,12 @@ void BM_LsmPredictBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
 }
-BENCHMARK(BM_LsmPredictBatch)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_LsmPredictBatch)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024)
+    ->UseRealTime();
 
 void BM_BPlusTreeFind(benchmark::State& state) {
   los::baselines::BPlusTree tree(100);

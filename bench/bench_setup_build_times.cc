@@ -29,13 +29,13 @@ using los::bench::BenchDatasets;
 namespace {
 
 /// Per-epoch seconds for an index-task model (one φ and one ρ hidden layer
-/// of `hidden` units) trained with `threads` kernel workers (0 = fully
-/// serial kernels). The model, data order and results are bit-identical
-/// across rows — only the wall clock changes.
+/// of `hidden` units, `vocab` embedding ids) trained with `threads` kernel
+/// workers (0 = fully serial kernels). The model, data order and results
+/// are bit-identical across rows — only the wall clock changes.
 std::vector<double> EpochSeconds(const los::sets::LabeledSubsets& subsets,
-                                 bool compressed, int64_t embed_dim,
-                                 int64_t hidden, int threads, int batch_size,
-                                 int epochs) {
+                                 bool compressed, int64_t vocab,
+                                 int64_t embed_dim, int64_t hidden,
+                                 int threads, int batch_size, int epochs) {
   std::unique_ptr<los::ThreadPool> pool;
   if (threads <= 0) {
     los::nn::SetKernelThreading(false);
@@ -50,7 +50,7 @@ std::vector<double> EpochSeconds(const los::sets::LabeledSubsets& subsets,
       subsets, los::sets::QueryLabel::kFirstPosition, scaler);
 
   los::deepsets::DeepSetsConfig cfg;
-  cfg.vocab = 1 << 16;
+  cfg.vocab = vocab;
   cfg.embed_dim = embed_dim;
   cfg.phi_hidden = {hidden};
   cfg.rho_hidden = {hidden};
@@ -154,62 +154,63 @@ int main() {
               "seconds while models take epochs x s/epoch.\n");
 
   // ---- Threaded-training sweep -------------------------------------------
-  // Epochs/s for the d=32 index model (the acceptance configuration) across
-  // kernel worker counts and batch sizes. Training is bit-deterministic, so
-  // every row computes the same weights — the sweep isolates wall-clock.
-  // JSON lines, each with the host's provenance, also land in
-  // BENCH_build_times.json for downstream tooling.
-  std::printf("\nThreaded training sweep (LSM index model, embed_dim=32; "
-              "host cores: %u):\n", std::thread::hardware_concurrency());
+  // Epochs/s across kernel worker counts and batch sizes. Training is
+  // bit-deterministic, so every row of one model computes the same weights
+  // — the sweep isolates wall-clock. JSON lines, each with the host's
+  // provenance, also land in BENCH_build_times.json for downstream tooling.
+  std::printf("\nThreaded training sweep (host cores: %u):\n",
+              std::thread::hardware_concurrency());
   std::FILE* json = std::fopen("BENCH_build_times.json", "w");
   auto sweep_data = BenchDatasets(false);
   auto sweep_subsets = EnumerateLabeledSubsets(
       sweep_data.front().collection, los::bench::BenchSubsetOptions());
+  const auto universe =
+      static_cast<int64_t>(sweep_data.front().collection.universe_size());
   const int kSweepEpochs = los::bench::EnvEpochs(3);
-  const int kThreadCounts[] = {0, 1, 2, 4, 8};  // 0 = serial kernels
-  const int kBatchSizes[] = {64, 256, 1024};
-  double serial_b256 = -1.0, eight_b256 = -1.0;
-  for (int threads : kThreadCounts) {
-    for (int batch : kBatchSizes) {
-      los::bench::JsonRecord r("index_train_epoch");
-      for (double s : EpochSeconds(sweep_subsets, /*compressed=*/false, 32, 32,
-                                   threads, batch, kSweepEpochs)) {
-        r.Add(s);
-      }
-      double eps = r.Median() > 0.0 ? 1.0 / r.Median() : -1.0;
-      if (batch == 256 && threads == 0) serial_b256 = eps;
-      if (batch == 256 && threads == 8) eight_b256 = eps;
-      r.Set("model", "LSM")
-          .Set("embed_dim", 32)
-          .Set("hidden", 32)
-          .Set("threads", threads)
-          .Set("batch", batch)
-          .Set("epochs_per_s", eps)
-          .SetProvenance()
-          .Print(json);
-    }
-  }
-  // CLSM counterpart at the acceptance batch size, and the paper-sized
-  // CLSM perfbench trains (embed 8, φ/ρ 64, batch 512), whose set-up time
-  // is dominated by the narrow GEMMs (n = 16 input gradient, 1-wide head).
-  struct ClsmRow {
-    int64_t embed_dim, hidden;
+  struct SweepRow {
+    bool compressed;
+    int64_t vocab, embed_dim, hidden;
     int batch;
+    std::vector<int> threads;  // 0 = serial kernels
   };
-  for (const ClsmRow& row : {ClsmRow{32, 32, 256}, ClsmRow{8, 64, 512}}) {
-    for (int threads : {0, 8}) {
+  // The d=32 LSM over 65,536 ids (the acceptance configuration, whose
+  // 2M-float embedding table puts the Adam step above the elementwise
+  // crossover) at three batch sizes; its CLSM counterpart and the
+  // paper-sized CLSM perfbench trains (embed 8, φ/ρ 64, batch 512) over the
+  // same ids; then the paper-size LSM (embed 8, φ/ρ 32) and CLSM at
+  // vocab = universe, as every MakeSetModel build has it, where no kernel
+  // reaches the threading crossovers.
+  const std::vector<int> kAllThreads = {0, 1, 2, 4, 8};
+  const std::vector<SweepRow> rows = {
+      {false, 1 << 16, 32, 32, 64, kAllThreads},
+      {false, 1 << 16, 32, 32, 256, kAllThreads},
+      {false, 1 << 16, 32, 32, 1024, kAllThreads},
+      {true, 1 << 16, 32, 32, 256, {0, 8}},
+      {true, 1 << 16, 8, 64, 512, {0, 8}},
+      {false, universe, 8, 32, 512, {0, 4}},
+      {true, universe, 8, 64, 512, {0, 4}},
+  };
+  double serial_b256 = -1.0, eight_b256 = -1.0;
+  for (const SweepRow& row : rows) {
+    for (int threads : row.threads) {
       los::bench::JsonRecord r("index_train_epoch");
-      for (double s : EpochSeconds(sweep_subsets, /*compressed=*/true,
+      for (double s : EpochSeconds(sweep_subsets, row.compressed, row.vocab,
                                    row.embed_dim, row.hidden, threads,
                                    row.batch, kSweepEpochs)) {
         r.Add(s);
       }
-      r.Set("model", "CLSM")
+      const double eps = r.Median() > 0.0 ? 1.0 / r.Median() : -1.0;
+      if (!row.compressed && row.vocab == 1 << 16 && row.batch == 256) {
+        if (threads == 0) serial_b256 = eps;
+        if (threads == 8) eight_b256 = eps;
+      }
+      r.Set("model", row.compressed ? "CLSM" : "LSM")
+          .Set("vocab", row.vocab)
           .Set("embed_dim", row.embed_dim)
           .Set("hidden", row.hidden)
           .Set("threads", threads)
           .Set("batch", row.batch)
-          .Set("epochs_per_s", r.Median() > 0.0 ? 1.0 / r.Median() : -1.0)
+          .Set("epochs_per_s", eps)
           .SetProvenance()
           .Print(json);
     }

@@ -3,22 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 
-#include "nn/ops.h"
-
 namespace los::core {
-
-namespace {
-
-// Thresholds for the parallel error-bound build: enough samples to be worth
-// dispatching, and a cap on per-chunk partial arrays so the scratch stays
-// small relative to the sample data.
-constexpr size_t kParallelBoundsMinSamples = 8192;
-constexpr size_t kParallelBoundsChunks = 8;
-
-}  // namespace
 
 LocalErrorBounds LocalErrorBounds::Build(const std::vector<double>& estimates,
                                          const std::vector<double>& truths,
@@ -36,38 +23,6 @@ LocalErrorBounds LocalErrorBounds::Build(const std::vector<double>& estimates,
   size_t num_ranges =
       static_cast<size_t>((hi - lo) / b.range_length_) + 1;
   b.errors_.assign(num_ranges, 0.0);
-  const size_t n = estimates.size();
-  if (n >= kParallelBoundsMinSamples &&
-      num_ranges <= n / kParallelBoundsChunks) {
-    // Per-chunk partial maxima, merged at the end. Max is insensitive to
-    // visit order, so the partition (and the merge order) cannot change the
-    // resulting bounds — this path is bit-identical to the serial loop.
-    std::vector<double> partial(kParallelBoundsChunks * num_ranges, 0.0);
-    nn::KernelParallelFor(
-        static_cast<int64_t>(kParallelBoundsChunks), 1,
-        [&](int64_t cb, int64_t ce) {
-          for (int64_t c = cb; c < ce; ++c) {
-            double* part = partial.data() +
-                           static_cast<size_t>(c) * num_ranges;
-            const size_t begin = static_cast<size_t>(c) * n /
-                                 kParallelBoundsChunks;
-            const size_t end = static_cast<size_t>(c + 1) * n /
-                               kParallelBoundsChunks;
-            for (size_t i = begin; i < end; ++i) {
-              size_t r = b.RangeOf(estimates[i]);
-              double err = std::abs(estimates[i] - truths[i]);
-              part[r] = std::max(part[r], err);
-            }
-          }
-        });
-    for (size_t c = 0; c < kParallelBoundsChunks; ++c) {
-      const double* part = partial.data() + c * num_ranges;
-      for (size_t r = 0; r < num_ranges; ++r) {
-        b.errors_[r] = std::max(b.errors_[r], part[r]);
-      }
-    }
-    return b;
-  }
   for (size_t i = 0; i < estimates.size(); ++i) {
     size_t r = b.RangeOf(estimates[i]);
     double err = std::abs(estimates[i] - truths[i]);

@@ -7,7 +7,6 @@
 #include "common/stopwatch.h"
 #include "common/trace.h"
 #include "nn/losses.h"
-#include "nn/ops.h"
 
 namespace los::core {
 
@@ -135,18 +134,10 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
     if (idx.empty()) break;
     std::vector<double> preds = trainer.PredictScaled(model, *data, idx);
     std::vector<double> errors(idx.size());
-    // Each sample's error is independent and written to its own slot, so
-    // the eviction scoring splits across the kernel pool without affecting
-    // the outlier set.
-    nn::KernelParallelFor(
-        static_cast<int64_t>(idx.size()), 2048,
-        [&](int64_t begin, int64_t end) {
-          for (int64_t i = begin; i < end; ++i) {
-            const size_t s = static_cast<size_t>(i);
-            double est = scaler.Unscale(preds[s]);
-            errors[s] = nn::QError(est, data->raw_target(idx[s]));
-          }
-        });
+    for (size_t i = 0; i < idx.size(); ++i) {
+      errors[i] =
+          nn::QError(scaler.Unscale(preds[i]), data->raw_target(idx[i]));
+    }
     // Threshold = keep_fraction percentile of the error distribution.
     std::vector<double> sorted = errors;
     std::sort(sorted.begin(), sorted.end());
@@ -183,19 +174,10 @@ double EvaluateAvgQError(deepsets::SetModel* model, const TrainingSet& data,
   if (idx.empty()) return 1.0;
   Trainer trainer(TrainConfig{});
   std::vector<double> preds = trainer.PredictScaled(model, data, idx);
-  std::vector<double> errors(idx.size());
-  nn::KernelParallelFor(
-      static_cast<int64_t>(idx.size()), 2048,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          const size_t s = static_cast<size_t>(i);
-          errors[s] =
-              nn::QError(scaler.Unscale(preds[s]), data.raw_target(idx[s]));
-        }
-      });
-  // Serial in-order sum so the average does not depend on chunking.
   double total = 0.0;
-  for (double e : errors) total += e;
+  for (size_t i = 0; i < idx.size(); ++i) {
+    total += nn::QError(scaler.Unscale(preds[i]), data.raw_target(idx[i]));
+  }
   return total / static_cast<double>(idx.size());
 }
 

@@ -142,18 +142,12 @@ void Embedding::ForwardInto(const std::vector<uint32_t>& ids, Tensor* out,
   const int64_t d = dim();
   assert(out->rows() == static_cast<int64_t>(ids.size()));
   assert(col_offset + d <= out->cols());
-  // Each output row is written by exactly one chunk, so the gather can be
-  // split freely across the kernel pool.
-  KernelParallelFor(
-      static_cast<int64_t>(ids.size()), 2048,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          assert(ids[static_cast<size_t>(i)] < table_.value.rows());
-          const float* src = table_.value.row(ids[static_cast<size_t>(i)]);
-          float* dst = out->row(i) + col_offset;
-          std::memcpy(dst, src, static_cast<size_t>(d) * sizeof(float));
-        }
-      });
+  for (size_t i = 0; i < ids.size(); ++i) {
+    assert(ids[i] < table_.value.rows());
+    std::memcpy(out->row(static_cast<int64_t>(i)) + col_offset,
+                table_.value.row(ids[i]),
+                static_cast<size_t>(d) * sizeof(float));
+  }
 }
 
 void Embedding::Backward(const std::vector<uint32_t>& ids,
@@ -161,62 +155,18 @@ void Embedding::Backward(const std::vector<uint32_t>& ids,
   BackwardFrom(ids, dout, 0);
 }
 
-namespace {
-
-// Shard count and minimum gathered floats for the sharded scatter-add.
-// Sharding partitions table *rows* (id % kScatterShards), so any shard
-// count gives results bit-identical to the serial loop; the constants only
-// trade bucketing overhead against parallelism.
-constexpr uint32_t kScatterShards = 64;
-constexpr int64_t kShardedScatterMinWork = 1 << 13;
-
-}  // namespace
-
 void Embedding::BackwardFrom(const std::vector<uint32_t>& ids,
                              const Tensor& dout, int64_t col_offset) {
   const int64_t d = dim();
-  const size_t n = ids.size();
-  assert(dout.rows() == static_cast<int64_t>(n));
+  assert(dout.rows() == static_cast<int64_t>(ids.size()));
   assert(col_offset + d <= dout.cols());
-  if (static_cast<int64_t>(n) * d < kShardedScatterMinWork) {
-    for (size_t i = 0; i < n; ++i) {
-      const float* src = dout.row(static_cast<int64_t>(i)) + col_offset;
-      float* dst = table_.grad.row(ids[i]);
-      for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-    }
-    return;
+  // Scatter-add in gather order: each table row receives its additions in
+  // ascending position order.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    const float* src = dout.row(static_cast<int64_t>(i)) + col_offset;
+    float* dst = table_.grad.row(ids[i]);
+    for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
   }
-  // Sharded scatter-add: bucket gathered positions by id % kScatterShards
-  // (stable counting sort), then give each worker whole shards. Shards own
-  // disjoint table rows — no atomics — and each shard visits its positions
-  // in ascending gather order, i.e. each row receives exactly the additions
-  // the serial loop would apply, in the same order. The result is therefore
-  // bit-identical to serial for any worker count.
-  static thread_local std::vector<uint32_t> start, fill, order;
-  start.assign(kScatterShards + 1, 0);
-  for (uint32_t id : ids) ++start[id % kScatterShards + 1];
-  for (uint32_t s = 0; s < kScatterShards; ++s) start[s + 1] += start[s];
-  fill.assign(start.begin(), start.end() - 1);
-  order.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    order[fill[ids[i] % kScatterShards]++] = static_cast<uint32_t>(i);
-  }
-  // Raw pointers: the buffers above are thread_local, and a lambda does not
-  // capture thread_local names — pool workers would resolve them to their
-  // own (empty) instances.
-  const uint32_t* const start_p = start.data();
-  const uint32_t* const order_p = order.data();
-  KernelParallelFor(kScatterShards, 8, [&](int64_t sb, int64_t se) {
-    for (int64_t s = sb; s < se; ++s) {
-      for (uint32_t u = start_p[static_cast<size_t>(s)];
-           u < start_p[static_cast<size_t>(s) + 1]; ++u) {
-        const uint32_t i = order_p[u];
-        const float* src = dout.row(static_cast<int64_t>(i)) + col_offset;
-        float* dst = table_.grad.row(ids[i]);
-        for (int64_t j = 0; j < d; ++j) dst[j] += src[j];
-      }
-    }
-  });
 }
 
 void Embedding::Save(BinaryWriter* w) const { table_.value.Save(w); }
@@ -289,16 +239,11 @@ void SegmentPool::Forward(const Tensor& x, const std::vector<int64_t>& offsets,
     argmax->assign(static_cast<size_t>(num_sets * d), -1);
     argmax_d = argmax->data();
   }
-  // Sets are independent (disjoint pooled rows and argmax slots), so the
-  // batch dimension parallelizes without affecting per-set accumulation
-  // order.
-  KernelParallelFor(num_sets, 128, [&](int64_t set_begin, int64_t set_end) {
-    for (int64_t s = set_begin; s < set_end; ++s) {
-      PoolSegment(pooling_, x.data(), offsets[static_cast<size_t>(s)],
-                  offsets[static_cast<size_t>(s) + 1], d, pooled->row(s),
-                  argmax_d == nullptr ? nullptr : argmax_d + s * d);
-    }
-  });
+  for (int64_t s = 0; s < num_sets; ++s) {
+    PoolSegment(pooling_, x.data(), offsets[static_cast<size_t>(s)],
+                offsets[static_cast<size_t>(s) + 1], d, pooled->row(s),
+                argmax_d == nullptr ? nullptr : argmax_d + s * d);
+  }
 }
 
 void SegmentPool::ForwardRow(const float* x, int64_t rows, int64_t d,
@@ -313,38 +258,34 @@ void SegmentPool::Backward(const Tensor& dpooled,
   const int64_t num_sets = static_cast<int64_t>(offsets.size()) - 1;
   const int64_t d = dpooled.cols();
   dx->ResizeAndZero(total_elements, d);
-  // Each set scatters only into its own element rows (CSR segments are
-  // disjoint), so splitting over sets is race-free and deterministic.
-  KernelParallelFor(num_sets, 128, [&](int64_t set_begin, int64_t set_end) {
-    for (int64_t s = set_begin; s < set_end; ++s) {
-      const int64_t begin = offsets[static_cast<size_t>(s)];
-      const int64_t end = offsets[static_cast<size_t>(s) + 1];
-      const float* prow = dpooled.row(s);
-      switch (pooling_) {
-        case Pooling::kSum:
-          for (int64_t e = begin; e < end; ++e) {
-            float* xr = dx->row(e);
-            for (int64_t j = 0; j < d; ++j) xr[j] += prow[j];
-          }
-          break;
-        case Pooling::kMean: {
-          if (end == begin) break;
-          const float inv = 1.0f / static_cast<float>(end - begin);
-          for (int64_t e = begin; e < end; ++e) {
-            float* xr = dx->row(e);
-            for (int64_t j = 0; j < d; ++j) xr[j] += prow[j] * inv;
-          }
-          break;
+  for (int64_t s = 0; s < num_sets; ++s) {
+    const int64_t begin = offsets[static_cast<size_t>(s)];
+    const int64_t end = offsets[static_cast<size_t>(s) + 1];
+    const float* prow = dpooled.row(s);
+    switch (pooling_) {
+      case Pooling::kSum:
+        for (int64_t e = begin; e < end; ++e) {
+          float* xr = dx->row(e);
+          for (int64_t j = 0; j < d; ++j) xr[j] += prow[j];
         }
-        case Pooling::kMax:
-          for (int64_t j = 0; j < d; ++j) {
-            int64_t winner = argmax[static_cast<size_t>(s * d + j)];
-            if (winner >= 0) (*dx)(winner, j) += prow[j];
-          }
-          break;
+        break;
+      case Pooling::kMean: {
+        if (end == begin) break;
+        const float inv = 1.0f / static_cast<float>(end - begin);
+        for (int64_t e = begin; e < end; ++e) {
+          float* xr = dx->row(e);
+          for (int64_t j = 0; j < d; ++j) xr[j] += prow[j] * inv;
+        }
+        break;
       }
+      case Pooling::kMax:
+        for (int64_t j = 0; j < d; ++j) {
+          int64_t winner = argmax[static_cast<size_t>(s * d + j)];
+          if (winner >= 0) (*dx)(winner, j) += prow[j];
+        }
+        break;
     }
-  });
+  }
 }
 
 }  // namespace los::nn

@@ -112,10 +112,7 @@ class Embedding {
   void ForwardInto(const std::vector<uint32_t>& ids, Tensor* out,
                    int64_t col_offset) const;
 
-  /// Scatters upstream grads back into the table gradient. Large batches
-  /// shard the scatter-add by id across the kernel pool (each worker owns
-  /// disjoint table rows, visited in gather order), so results are
-  /// bit-identical to the serial loop for any worker count.
+  /// Scatters upstream grads back into the table gradient, in gather order.
   void Backward(const std::vector<uint32_t>& ids, const Tensor& dout);
 
   /// Variant reading the upstream grad from columns

@@ -87,11 +87,18 @@ constexpr int64_t kRowLanes = 4 * kVecLanes;
 constexpr int64_t kTileRows = 8;
 constexpr int64_t kTileLanes = 2 * kVecLanes;
 
-/// A product of at least kThreadedCutoff multiply-adds and 32 columns
-/// splits its row tiles across the kernel pool, kRowTilesPerChunk at a
-/// time. Chunks write disjoint rows of C, so results never change.
+/// The two threaded kernels and their crossovers, measured in training on
+/// a 4-vCPU host (EXPERIMENTS.md "Two threaded kernels"): below them a
+/// 4-worker pool cost more than it saved. A product of at least
+/// kGemmThreadedMacs multiply-adds and 32 columns splits its row tiles
+/// across the kernel pool, kRowTilesPerChunk at a time. A compute-bound
+/// elementwise pass (Adam, sigmoid, tanh) over at least
+/// kElementwiseThreadedFloats floats splits into chunks of at least a
+/// quarter of that; the memory-bound passes never won and always run on the
+/// caller's thread. Chunks write disjoint outputs, so results never change.
 constexpr int64_t kRowTilesPerChunk = 16;
-constexpr int64_t kThreadedCutoff = 128 * 128 * 64;
+constexpr int64_t kGemmThreadedMacs = int64_t{1} << 25;
+constexpr int64_t kElementwiseThreadedFloats = int64_t{1} << 16;
 
 // Atomics so the setters can race with in-flight kernels without UB; the
 // kernels only need to see *some* consistent value, so relaxed ordering (a
@@ -99,9 +106,26 @@ constexpr int64_t kThreadedCutoff = 128 * 128 * 64;
 std::atomic<bool> g_kernel_threading{true};
 std::atomic<ThreadPool*> g_kernel_pool{nullptr};  // nullptr -> Global()
 
-ThreadPool* KernelPool() {
+/// Runs `fn(begin, end)` over [0, n): split across the kernel pool in
+/// chunks of at least `min_chunk` when `threaded` and kernel threading is
+/// enabled, inline otherwise (calling `fn` directly, so small kernels never
+/// allocate a closure). `fn` must write disjoint state per index, so that
+/// chunking cannot affect results.
+template <typename Fn>
+void KernelParallelFor(bool threaded, int64_t n, int64_t min_chunk,
+                       const Fn& fn) {
+  if (!threaded || !g_kernel_threading.load(std::memory_order_relaxed)) {
+    fn(int64_t{0}, n);
+    return;
+  }
   ThreadPool* pool = g_kernel_pool.load(std::memory_order_relaxed);
-  return pool != nullptr ? pool : ThreadPool::Global();
+  if (pool == nullptr) pool = ThreadPool::Global();
+  pool->ParallelFor(
+      static_cast<size_t>(n),
+      [&fn](size_t begin, size_t end) {
+        fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
+      },
+      static_cast<size_t>(min_chunk));
 }
 
 /// One multiply-add step of the kernel on a float or a vector, lane by lane:
@@ -349,22 +373,8 @@ void SetKernelThreading(bool enabled) {
   g_kernel_threading.store(enabled, std::memory_order_relaxed);
 }
 
-bool KernelThreadingEnabled() {
-  return g_kernel_threading.load(std::memory_order_relaxed);
-}
-
 void SetKernelThreadPool(ThreadPool* pool) {
   g_kernel_pool.store(pool, std::memory_order_relaxed);
-}
-
-void KernelPoolParallelFor(int64_t n, int64_t min_chunk,
-                           const std::function<void(int64_t, int64_t)>& fn) {
-  KernelPool()->ParallelFor(
-      static_cast<size_t>(n),
-      [&fn](size_t begin, size_t end) {
-        fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
-      },
-      static_cast<size_t>(min_chunk));
 }
 
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
@@ -430,9 +440,8 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
     return;
   }
   const int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
-  const bool threaded = n >= 32 && m * n * k >= kThreadedCutoff;
   KernelParallelFor(
-      row_tiles, threaded ? kRowTilesPerChunk : row_tiles,
+      n >= 32 && m * n * k >= kGemmThreadedMacs, row_tiles, kRowTilesPerChunk,
       [&](int64_t t0, int64_t t1) {
         const int64_t i0 = t0 * kTileRows;
         const int64_t i1 = std::min(m, t1 * kTileRows);
@@ -489,20 +498,17 @@ void AddRowBroadcast(const Tensor& bias, Tensor* x) {
   assert(bias.rows() == 1 && bias.cols() == x->cols());
   const float* b = bias.data();
   const int64_t cols = x->cols();
-  KernelParallelFor(x->rows(), 4096, [&](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      float* row = x->row(i);
-      for (int64_t j = 0; j < cols; ++j) row[j] += b[j];
-    }
-  });
+  for (int64_t i = 0; i < x->rows(); ++i) {
+    float* row = x->row(i);
+    for (int64_t j = 0; j < cols; ++j) row[j] += b[j];
+  }
 }
 
 namespace {
 
 // Rows per partial in the chunked SumRowsAccumulate reduction. The chunk
-// layout is a function of the row count alone — never of the worker count
-// or the threading flag — so the float accumulation order, and therefore
-// the result, is bit-identical for serial and any-width threaded runs.
+// layout is a function of the row count alone, so the float accumulation
+// order, and with it every bias gradient, is fixed by the shape.
 constexpr int64_t kSumRowsChunkRows = 256;
 
 }  // namespace
@@ -521,38 +527,31 @@ void SumRowsAccumulate(const Tensor& x, Tensor* out) {
     }
     return;
   }
-  // Cross-row reduction with fixed-shape chunking: each fixed chunk of
-  // kSumRowsChunkRows rows accumulates into its own zeroed partial (rows in
-  // ascending order), and the partials are merged into `out` in ascending
-  // chunk order. Workers only ever own whole chunks, so how chunks are
-  // distributed cannot change any accumulation order.
-  const int64_t num_chunks = (rows + kSumRowsChunkRows - 1) / kSumRowsChunkRows;
-  static thread_local std::vector<float> partials;
-  partials.assign(static_cast<size_t>(num_chunks * cols), 0.0f);
-  float* const pd = partials.data();
-  KernelParallelFor(num_chunks, 1, [&](int64_t cb, int64_t ce) {
-    for (int64_t c = cb; c < ce; ++c) {
-      const int64_t row_end = std::min(rows, (c + 1) * kSumRowsChunkRows);
-      float* part = pd + c * cols;
-      for (int64_t i = c * kSumRowsChunkRows; i < row_end; ++i) {
-        const float* row = x.row(i);
-        for (int64_t j = 0; j < cols; ++j) part[j] += row[j];
-      }
+  // Each chunk of kSumRowsChunkRows rows accumulates into a zeroed partial
+  // (rows in ascending order), which is then added into `out`, chunks in
+  // ascending order.
+  static thread_local std::vector<float> part;
+  part.resize(static_cast<size_t>(cols));
+  for (int64_t c = 0; c * kSumRowsChunkRows < rows; ++c) {
+    std::fill(part.begin(), part.end(), 0.0f);
+    const int64_t row_end = std::min(rows, (c + 1) * kSumRowsChunkRows);
+    for (int64_t i = c * kSumRowsChunkRows; i < row_end; ++i) {
+      const float* row = x.row(i);
+      for (int64_t j = 0; j < cols; ++j) part[j] += row[j];
     }
-  });
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    const float* part = pd + c * cols;
     for (int64_t j = 0; j < cols; ++j) o[j] += part[j];
   }
 }
 
 namespace {
 
-/// Splits a flat elementwise op over the kernel pool; chunk boundaries only
-/// partition disjoint output ranges, so threading never changes results.
+/// Splits a compute-bound elementwise pass over the kernel pool above its
+/// crossover; chunk boundaries only partition disjoint output ranges, so
+/// threading never changes results.
 template <typename Fn>
 void ElementwiseParallel(int64_t size, const Fn& fn) {
-  KernelParallelFor(size, 1 << 15, fn);
+  KernelParallelFor(size >= kElementwiseThreadedFloats, size,
+                    kElementwiseThreadedFloats / 4, fn);
 }
 
 }  // namespace
@@ -572,9 +571,7 @@ void TanhInPlace(float* d, int64_t n) {
 }
 
 void ReluInPlace(float* d, int64_t n) {
-  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
-  });
+  for (int64_t i = 0; i < n; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
 }
 
 void SigmoidInPlace(Tensor* x) { SigmoidInPlace(x->data(), x->size()); }
@@ -587,29 +584,23 @@ void SigmoidBackwardInPlace(const Tensor& y, Tensor* dy) {
   assert(y.SameShape(*dy));
   const float* yd = y.data();
   float* d = dy->data();
-  ElementwiseParallel(y.size(), [yd, d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) d[i] *= yd[i] * (1.0f - yd[i]);
-  });
+  for (int64_t i = 0; i < y.size(); ++i) d[i] *= yd[i] * (1.0f - yd[i]);
 }
 
 void TanhBackwardInPlace(const Tensor& y, Tensor* dy) {
   assert(y.SameShape(*dy));
   const float* yd = y.data();
   float* d = dy->data();
-  ElementwiseParallel(y.size(), [yd, d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) d[i] *= 1.0f - yd[i] * yd[i];
-  });
+  for (int64_t i = 0; i < y.size(); ++i) d[i] *= 1.0f - yd[i] * yd[i];
 }
 
 void ReluBackwardInPlace(const Tensor& y, Tensor* dy) {
   assert(y.SameShape(*dy));
   const float* yd = y.data();
   float* d = dy->data();
-  ElementwiseParallel(y.size(), [yd, d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      if (yd[i] <= 0.0f) d[i] = 0.0f;
-    }
-  });
+  for (int64_t i = 0; i < y.size(); ++i) {
+    if (yd[i] <= 0.0f) d[i] = 0.0f;
+  }
 }
 
 void Hadamard(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -617,9 +608,7 @@ void Hadamard(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* ad = a.data();
   const float* bd = b.data();
   float* od = out->data();
-  ElementwiseParallel(a.size(), [ad, bd, od](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) od[i] = ad[i] * bd[i];
-  });
+  for (int64_t i = 0; i < a.size(); ++i) od[i] = ad[i] * bd[i];
 }
 
 void HadamardAccumulate(const Tensor& a, const Tensor& b, Tensor* out) {
@@ -627,9 +616,7 @@ void HadamardAccumulate(const Tensor& a, const Tensor& b, Tensor* out) {
   const float* ad = a.data();
   const float* bd = b.data();
   float* od = out->data();
-  ElementwiseParallel(a.size(), [ad, bd, od](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) od[i] += ad[i] * bd[i];
-  });
+  for (int64_t i = 0; i < a.size(); ++i) od[i] += ad[i] * bd[i];
 }
 
 void AdamStepFused(float alpha, float beta1, float beta2, float eps,

@@ -1,8 +1,6 @@
 #ifndef LOS_NN_OPS_H_
 #define LOS_NN_OPS_H_
 
-#include <functional>
-
 #include "nn/tensor.h"
 
 namespace los {
@@ -60,53 +58,35 @@ void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y);
 void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
                    bool trans_b, float alpha, float beta, Tensor* c);
 
-/// Enables/disables use of the thread pool by all nn kernels (default on).
-/// Serial and threaded execution produce bit-identical results; the switch
-/// exists for benchmarking and for callers that manage their own outer
-/// parallelism. Safe to call concurrently with running kernels (the flag is
-/// atomic), though kernels already in flight may finish under the old
-/// setting.
+/// Enables/disables the kernel thread pool (default on). Two kernels use
+/// it, each only above a crossover measured on a 4-vCPU host (DESIGN.md
+/// "Compute backend"): Gemm's 8-row tiles from 2^25 multiply-adds and 32
+/// columns, and the compute-bound elementwise passes (AdamStepFused,
+/// sigmoid, tanh) from 2^16 floats. Every smaller kernel, and every other
+/// kernel, runs on the caller's thread. Serial and threaded execution
+/// produce bit-identical results; the switch exists for benchmarking and
+/// for callers that manage their own outer parallelism. Safe to call
+/// concurrently with running kernels (the flag is atomic), though kernels
+/// already in flight may finish under the old setting.
 void SetKernelThreading(bool enabled);
-bool KernelThreadingEnabled();
 
-/// Overrides the pool used by the nn kernels (nullptr restores
+/// Overrides the pool used by the threaded kernels (nullptr restores
 /// `ThreadPool::Global()`). Intended for tests that need a multi-worker pool
 /// regardless of the host's core count. The pointer is stored atomically,
 /// but the caller must keep the pool alive until every kernel that might
 /// have observed it has returned.
 void SetKernelThreadPool(ThreadPool* pool);
 
-/// Splits [0, n) across the kernel pool; the threaded half of
-/// KernelParallelFor.
-void KernelPoolParallelFor(int64_t n, int64_t min_chunk,
-                           const std::function<void(int64_t, int64_t)>& fn);
-
-/// Runs `fn(begin, end)` over [0, n), splitting across the kernel pool when
-/// threading is enabled and `n > min_chunk`; inline otherwise, calling `fn`
-/// directly so small (single-query) kernels never allocate a closure. `fn`
-/// must write disjoint state per index so that chunking cannot affect
-/// results.
-template <typename Fn>
-void KernelParallelFor(int64_t n, int64_t min_chunk, const Fn& fn) {
-  if (n <= 0) return;
-  if (!KernelThreadingEnabled() || n <= min_chunk) {
-    fn(int64_t{0}, n);
-    return;
-  }
-  KernelPoolParallelFor(n, min_chunk, fn);
-}
-
 /// Adds row-vector `bias` (1 x d) to every row of `x` (n x d).
 void AddRowBroadcast(const Tensor& bias, Tensor* x);
 
 /// Accumulates the column sums of `x` (n x d) into `out` (1 x d):
-/// out += sum_rows(x). Used for bias gradients. Large inputs reduce through
-/// fixed 256-row partials merged in ascending chunk order; the chunk layout
-/// depends only on the row count, so results are bit-identical for serial
-/// execution and any worker count.
+/// out += sum_rows(x). Used for bias gradients. Inputs above 256 rows
+/// reduce through fixed 256-row partials merged in ascending chunk order;
+/// trained weights, and so every `Save()` byte, depend on that order.
 void SumRowsAccumulate(const Tensor& x, Tensor* out);
 
-/// Fused Adam update for one parameter: in a single threaded pass computes
+/// Fused Adam update for one parameter: in a single pass computes
 /// m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g^2, subtracts
 /// alpha*m/(sqrt(v)+eps) from `value` and zeroes `grad`. `alpha` is the
 /// bias-corrected learning rate (lr * sqrt(1-beta2^t) / (1-beta1^t)).

@@ -51,8 +51,8 @@ struct GemmShape {
 TEST(GemmTest, MatchesReferenceAcrossShapesAndFlags) {
   ScopedKernelPool pool(4);
   // Covers the one-row and rows-as-lanes instances (m or n of 1), the
-  // 8-row tiles, the threaded path, tile remainders (non-multiples of 8
-  // and 32) and k-block splits (> 256 depth).
+  // 8-row tiles, tile remainders (non-multiples of 8 and 32) and k-block
+  // splits (> 256 depth).
   const std::vector<GemmShape> shapes = {
       {1, 1, 1},    {3, 5, 7},       {17, 31, 13},   {64, 64, 64},
       {1, 300, 2},  {97, 101, 103},  {130, 70, 257}, {160, 160, 160},
@@ -210,23 +210,29 @@ TEST(GemmTest, EveryPathMatchesPartialSumContractBitExact) {
 }
 
 TEST(GemmTest, ThreadedIsBitIdenticalToSerial) {
-  const int64_t n = 320;  // above the threaded cutoff
-  Rng rng(5);
-  Tensor a(n, n), b(n, n);
-  nn::GaussianInit(&a, 1.0f, &rng);
-  nn::GaussianInit(&b, 1.0f, &rng);
-  Tensor c_serial(n, n), c_threaded(n, n);
-  nn::SetKernelThreading(false);
-  nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c_serial);
-  nn::SetKernelThreading(true);
-  {
-    ScopedKernelPool pool(4);
-    nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c_threaded);
+  // 320^3 (~32.8M multiply-adds) is just below the threading crossover
+  // (2^25) and runs on the caller's thread; 1,043 x 96 x 384 (~38.4M) is
+  // above it and splits its 131 row tiles (the last one partial) into four
+  // chunks.
+  for (const GemmShape shape : {GemmShape{320, 320, 320},
+                                GemmShape{1043, 96, 384}}) {
+    Rng rng(5);
+    Tensor a(shape.m, shape.k), b(shape.k, shape.n);
+    nn::GaussianInit(&a, 1.0f, &rng);
+    nn::GaussianInit(&b, 1.0f, &rng);
+    Tensor c_serial(shape.m, shape.n), c_threaded(shape.m, shape.n);
+    nn::SetKernelThreading(false);
+    nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c_serial);
+    nn::SetKernelThreading(true);
+    {
+      ScopedKernelPool pool(4);
+      nn::Gemm(a, false, b, false, 1.0f, 0.0f, &c_threaded);
+    }
+    EXPECT_EQ(std::memcmp(c_serial.data(), c_threaded.data(),
+                          static_cast<size_t>(c_serial.size()) * sizeof(float)),
+              0)
+        << shape.m << " x " << shape.n << " x " << shape.k;
   }
-  ASSERT_EQ(c_serial.size(), c_threaded.size());
-  EXPECT_EQ(std::memcmp(c_serial.data(), c_threaded.data(),
-                        static_cast<size_t>(c_serial.size()) * sizeof(float)),
-            0);
 }
 
 TEST(GemmTest, PerRowResultsAreShapeInvariant) {
@@ -236,8 +242,8 @@ TEST(GemmTest, PerRowResultsAreShapeInvariant) {
   // Build/serve consistency of the learned structures — most critically the
   // Bloom filter's no-false-negative guarantee — requires the per-row
   // result to be bit-identical regardless of problem shape.
-  // n = 64 runs threaded 8-row tiles; n = 8 and 16 (the narrow backward
-  // products) single-threaded ones; n = 1 (the output head) rows as lanes.
+  // n = 8, 16 (the narrow backward products) and 64 run 8-row tiles; n = 1
+  // (the output head) rows as lanes.
   const int64_t m = 257;
   const int64_t k = 300;  // > kKc, so k splits into two blocks
   Rng rng(17);
@@ -456,7 +462,8 @@ std::vector<float> TrainAndDumpWeights() {
       subsets, sets::QueryLabel::kCardinality, scaler);
 
   deepsets::DeepSetsConfig cfg;
-  cfg.vocab = static_cast<int64_t>(collection.universe_size());
+  // A 4,096 x 16 table: 2^16 floats, so the Adam step over it threads.
+  cfg.vocab = 4096;
   cfg.embed_dim = 16;
   cfg.phi_hidden = {64};
   cfg.rho_hidden = {64};

@@ -1,12 +1,14 @@
-// Determinism tests for the parallel training pipeline: the threaded
-// backward kernels (chunked SumRows reduction, sharded embedding
-// scatter-add), the fused Adam step and the guided-learning eviction pass
-// must produce bit-identical results for serial execution and any worker
-// count. These tests are the ones the TSan CI job runs — every parallel
-// code path below must also be race-free by construction.
+// Determinism tests for the training pipeline: the fixed-order backward
+// kernels (chunked SumRows reduction, embedding scatter-add), the fused Adam
+// step — one of the two threaded kernels — and the guided-learning eviction
+// pass must produce bit-identical results for serial execution and any
+// worker count. These tests are the ones the TSan CI job runs — every
+// threaded code path below must also be race-free by construction.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -60,36 +62,49 @@ TEST(SumRowsTest, ChunkedReductionInvariantAcrossWorkerCounts) {
   Tensor base(1, 48);
   nn::GaussianInit(&base, 1.0f, &rng);
 
-  Tensor serial = base;
-  {
-    ScopedSerialKernels off;
-    nn::SumRowsAccumulate(x, &serial);
+  // Expected result: each 256-row chunk summed into a zeroed partial in row
+  // order, the partials added into `base` in chunk order. Bias gradients,
+  // and so every trained model's Save() bytes, depend on this order.
+  Tensor expected = base;
+  for (int64_t c = 0; c * 256 < x.rows(); ++c) {
+    std::vector<float> part(48, 0.0f);
+    for (int64_t i = c * 256; i < std::min<int64_t>(x.rows(), (c + 1) * 256);
+         ++i) {
+      for (int64_t j = 0; j < 48; ++j) part[j] += x(i, j);
+    }
+    for (int64_t j = 0; j < 48; ++j) expected.data()[j] += part[j];
   }
-  for (size_t workers : {1u, 2u, 8u}) {
-    ScopedKernelPool pool(workers);
-    Tensor threaded = base;
-    nn::SumRowsAccumulate(x, &threaded);
-    EXPECT_EQ(std::memcmp(serial.data(), threaded.data(),
-                          static_cast<size_t>(serial.size()) * sizeof(float)),
+  for (size_t workers : {0u, 1u, 2u, 8u}) {
+    std::unique_ptr<ScopedSerialKernels> serial;
+    std::unique_ptr<ScopedKernelPool> pool;
+    if (workers == 0) {
+      serial = std::make_unique<ScopedSerialKernels>();
+    } else {
+      pool = std::make_unique<ScopedKernelPool>(workers);
+    }
+    Tensor out = base;
+    nn::SumRowsAccumulate(x, &out);
+    EXPECT_EQ(std::memcmp(expected.data(), out.data(),
+                          static_cast<size_t>(out.size()) * sizeof(float)),
               0)
         << workers << " workers";
   }
 }
 
-TEST(EmbeddingScatterTest, ShardedScatterAddIsBitIdenticalToNaiveLoop) {
+TEST(EmbeddingScatterTest, BackwardAddsRowsInGatherOrder) {
   const int64_t vocab = 300;
   const int64_t dim = 16;
-  const size_t n = 2048;  // n * dim is above the sharded-path threshold
+  const size_t n = 2048;
   Rng rng(7);
   std::vector<uint32_t> ids(n);
   for (auto& id : ids) {
-    // Skewed ids so shards are uneven and many rows repeat.
+    // Skewed ids so many rows repeat.
     id = static_cast<uint32_t>(rng.Uniform(static_cast<uint64_t>(vocab)) / 2);
   }
   Tensor dout(static_cast<int64_t>(n), dim);
   nn::GaussianInit(&dout, 1.0f, &rng);
 
-  // Expected result: the seed's serial scatter-add order.
+  // Expected result: every row's additions applied in gather order.
   Tensor expected(vocab, dim);
   for (size_t i = 0; i < n; ++i) {
     const float* src = dout.row(static_cast<int64_t>(i));
@@ -97,49 +112,51 @@ TEST(EmbeddingScatterTest, ShardedScatterAddIsBitIdenticalToNaiveLoop) {
     for (int64_t j = 0; j < dim; ++j) dst[j] += src[j];
   }
 
-  for (size_t workers : {1u, 2u, 8u}) {
-    ScopedKernelPool pool(workers);
-    Rng init_rng(7);
-    nn::Embedding embed(vocab, dim, &init_rng);
-    embed.Backward(ids, dout);
-    EXPECT_EQ(std::memcmp(expected.data(), embed.table()->grad.data(),
-                          static_cast<size_t>(expected.size()) * sizeof(float)),
-              0)
-        << workers << " workers";
-  }
+  ScopedKernelPool pool(4);
+  Rng init_rng(7);
+  nn::Embedding embed(vocab, dim, &init_rng);
+  embed.Backward(ids, dout);
+  EXPECT_EQ(std::memcmp(expected.data(), embed.table()->grad.data(),
+                        static_cast<size_t>(expected.size()) * sizeof(float)),
+            0);
 }
 
 TEST(AdamStepTest, FusedMatchesReferenceBitExact) {
-  Rng rng(11);
-  Tensor value(123, 37), grad(123, 37), m(123, 37), v(123, 37);
-  nn::GaussianInit(&value, 1.0f, &rng);
-  nn::GaussianInit(&grad, 1.0f, &rng);
-  nn::GaussianInit(&m, 0.1f, &rng);
-  // Second moments must be non-negative.
-  nn::GaussianInit(&v, 0.1f, &rng);
-  for (int64_t i = 0; i < v.size(); ++i) {
-    v.data()[i] = std::abs(v.data()[i]);
-  }
+  // 255 x 257 floats, one below the elementwise crossover (2^16), run on
+  // the caller's thread; 263 x 251 is above it and splits into one chunk
+  // per worker, so chunk boundaries fall inside rows.
+  struct Shape {
+    int64_t rows, cols;
+  };
+  for (const Shape shape : {Shape{255, 257}, Shape{263, 251}}) {
+    Rng rng(11);
+    Tensor value(shape.rows, shape.cols), grad(shape.rows, shape.cols);
+    Tensor m(shape.rows, shape.cols), v(shape.rows, shape.cols);
+    nn::GaussianInit(&value, 1.0f, &rng);
+    nn::GaussianInit(&grad, 1.0f, &rng);
+    nn::GaussianInit(&m, 0.1f, &rng);
+    // Second moments must be non-negative.
+    nn::GaussianInit(&v, 0.1f, &rng);
+    for (int64_t i = 0; i < v.size(); ++i) {
+      v.data()[i] = std::abs(v.data()[i]);
+    }
 
-  Tensor value_ref = value, grad_ref = grad, m_ref = m, v_ref = v;
-  nn::AdamStepReference(1e-3f, 0.9f, 0.999f, 1e-7f, &value_ref, &grad_ref,
-                        &m_ref, &v_ref);
-  for (size_t workers : {1u, 2u, 8u}) {
-    ScopedKernelPool pool(workers);
-    Tensor value_f = value, grad_f = grad, m_f = m, v_f = v;
-    nn::AdamStepFused(1e-3f, 0.9f, 0.999f, 1e-7f, &value_f, &grad_f, &m_f,
-                      &v_f);
-    EXPECT_EQ(std::memcmp(value_ref.data(), value_f.data(),
-                          static_cast<size_t>(value.size()) * sizeof(float)),
-              0)
-        << workers << " workers";
-    EXPECT_EQ(std::memcmp(m_ref.data(), m_f.data(),
-                          static_cast<size_t>(m.size()) * sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(v_ref.data(), v_f.data(),
-                          static_cast<size_t>(v.size()) * sizeof(float)),
-              0);
-    EXPECT_EQ(grad_f.AbsMax(), 0.0f) << "fused step must zero the gradient";
+    Tensor value_ref = value, grad_ref = grad, m_ref = m, v_ref = v;
+    nn::AdamStepReference(1e-3f, 0.9f, 0.999f, 1e-7f, &value_ref, &grad_ref,
+                          &m_ref, &v_ref);
+    const size_t bytes = static_cast<size_t>(value.size()) * sizeof(float);
+    for (size_t workers : {2u, 4u, 8u}) {
+      ScopedKernelPool pool(workers);
+      Tensor value_f = value, grad_f = grad, m_f = m, v_f = v;
+      nn::AdamStepFused(1e-3f, 0.9f, 0.999f, 1e-7f, &value_f, &grad_f, &m_f,
+                        &v_f);
+      EXPECT_EQ(std::memcmp(value_ref.data(), value_f.data(), bytes), 0)
+          << shape.rows << " x " << shape.cols << ", " << workers
+          << " workers";
+      EXPECT_EQ(std::memcmp(m_ref.data(), m_f.data(), bytes), 0);
+      EXPECT_EQ(std::memcmp(v_ref.data(), v_f.data(), bytes), 0);
+      EXPECT_EQ(grad_f.AbsMax(), 0.0f) << "fused step must zero the gradient";
+    }
   }
 }
 
@@ -221,9 +238,8 @@ core::TrainingSet BuildData(Task task, const sets::SetCollection& collection,
 core::TrainConfig TestTrainConfig(Task task) {
   core::TrainConfig tc;
   tc.epochs = 3;
-  // Batch of 256 sets: enough gathered rows to cross the sharded
-  // scatter-add and chunked SumRows thresholds, so the parallel paths are
-  // the ones under test.
+  // Batch of 256 sets: enough gathered rows to cross the chunked SumRows
+  // threshold, so the fixed chunk order is the one under test.
   tc.batch_size = 256;
   tc.seed = 2;
   tc.loss = task == Task::kBloom ? core::LossKind::kBce : core::LossKind::kMse;
@@ -233,7 +249,10 @@ core::TrainConfig TestTrainConfig(Task task) {
 std::unique_ptr<deepsets::SetModel> TestModel(
     const sets::SetCollection& collection, bool compressed) {
   deepsets::DeepSetsConfig cfg;
-  cfg.vocab = static_cast<int64_t>(collection.universe_size());
+  // The LSM's 4,096 x 32 table is above the elementwise crossover (2^16
+  // floats), so every step's Adam pass over it is threaded.
+  cfg.vocab = compressed ? static_cast<int64_t>(collection.universe_size())
+                         : 4096;
   cfg.embed_dim = compressed ? 16 : 32;
   cfg.phi_hidden = {32};
   cfg.rho_hidden = {32};
