@@ -554,22 +554,35 @@ void BM_InvertedIndexCardinality(benchmark::State& state) {
 }
 BENCHMARK(BM_InvertedIndexCardinality);
 
-// The learned index's local scan over perfbench's collection (2,050 RW
-// sets, 430 elements, seed 17): sampled first-position queries of <= 3
-// elements, each scanned over the full-width window [0, N). Items are
+// The learned index's local scans over perfbench's collection (2,050 RW
+// sets, 430 elements, seed 17) and 4,096 sampled first-position queries of
+// <= 3 elements, each scanned over the full-width window [0, N). Items are
 // queries; scanned sets are counted as "sets".
+struct ScanBenchData {
+  los::sets::SetCollection collection;
+  std::vector<los::sets::Query> queries;
+};
+
+const ScanBenchData& ScanData() {
+  static const ScanBenchData data = [] {
+    los::sets::RwConfig cfg;
+    cfg.num_sets = 2050;
+    cfg.num_unique = 430;
+    cfg.seed = 17;
+    ScanBenchData d{GenerateRw(cfg), {}};
+    los::sets::SubsetGenOptions gen;
+    gen.max_subset_size = 3;
+    const auto subsets = EnumerateLabeledSubsets(d.collection, gen);
+    Rng rng(1);
+    d.queries = SampleQueries(
+        subsets, los::sets::QueryLabel::kFirstPosition, 4096, &rng);
+    return d;
+  }();
+  return data;
+}
+
 void BM_FindFirstSuperset(benchmark::State& state) {
-  los::sets::RwConfig cfg;
-  cfg.num_sets = 2050;
-  cfg.num_unique = 430;
-  cfg.seed = 17;
-  const auto collection = GenerateRw(cfg);
-  los::sets::SubsetGenOptions gen;
-  gen.max_subset_size = 3;
-  const auto subsets = EnumerateLabeledSubsets(collection, gen);
-  Rng rng(1);
-  const auto queries = SampleQueries(
-      subsets, los::sets::QueryLabel::kFirstPosition, 4096, &rng);
+  const auto& [collection, queries] = ScanData();
   size_t k = 0;
   int64_t sets = 0;
   for (auto _ : state) {
@@ -584,6 +597,26 @@ void BM_FindFirstSuperset(benchmark::State& state) {
       static_cast<double>(sets), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FindFirstSuperset);
+
+// LookupEqual's scan: each query is the whole set at a sampled query's
+// first position, so it is answered at or before that position.
+void BM_FindFirstEqual(benchmark::State& state) {
+  const auto& [collection, queries] = ScanData();
+  size_t k = 0;
+  int64_t sets = 0;
+  for (auto _ : state) {
+    const auto truth = static_cast<size_t>(queries[k].truth);
+    auto pos =
+        collection.FindFirstEqual(collection.set(truth), 0, collection.size());
+    benchmark::DoNotOptimize(pos);
+    sets += pos + 1;
+    k = k + 1 == queries.size() ? 0 : k + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["sets"] = benchmark::Counter(
+      static_cast<double>(sets), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FindFirstEqual);
 
 // Raw cost of one counter increment / histogram observation on the lock-free
 // metrics hot path, plus the same ops against a disabled registry (the

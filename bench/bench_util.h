@@ -24,6 +24,12 @@
 #include "sets/generators.h"
 #include "sets/subset_gen.h"
 
+// The bench targets' build defines LOS_GIT_SHA here (bench/git_sha.cmake);
+// other includers, such as perfbench, report "unknown".
+#if __has_include("los_git_sha.h")
+#include "los_git_sha.h"
+#endif
+
 namespace los::bench {
 
 /// LOS_SCALE env var (default 1.0).

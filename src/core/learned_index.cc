@@ -144,6 +144,9 @@ LearnedSetIndex::Instruments LearnedSetIndex::InstrumentsIn(
       .batches = registry->GetCounter("index.lookup_batches"),
       .absorbed = registry->GetCounter("index.subsets_absorbed"),
       .scan_width = registry->GetHistogram("index.scan_width", width),
+      .scan_visited = registry->GetHistogram("index.scan_visited", width),
+      .scan_visited_from0 =
+          registry->GetHistogram("index.scan_visited_from0", width),
       .latency = registry->GetHistogram("index.lookup_seconds",
                                         SampledLatencyHistogramOptions()),
       .batch_latency = registry->GetHistogram("index.lookup_batch_seconds",
@@ -279,11 +282,14 @@ int64_t LearnedSetIndex::PostModel(sets::SetView q, Match match, double score,
   const int64_t lo = std::max<int64_t>(0, est - e_r);
   const int64_t hi = std::min<int64_t>(
       static_cast<int64_t>(collection_->size()), est + e_r + 1);
-  if (m.scan_width->Sample()) {
-    m.scan_width->Observe(static_cast<double>(hi - lo));
-  }
+  const bool sampled = m.scan_width->Sample();
+  if (sampled) m.scan_width->Observe(static_cast<double>(hi - lo));
   span.set_arg("scan_width", static_cast<double>(hi - lo));
   const int64_t pos = FindFirst(q, match, lo, hi);
+  if (sampled && pos >= 0) {
+    m.scan_visited->Observe(static_cast<double>(pos - lo + 1));
+    m.scan_visited_from0->Observe(static_cast<double>(pos + 1));
+  }
   if (stats != nullptr) {
     *stats = {.estimate = est,
               .scan_width = hi - lo,

@@ -166,6 +166,12 @@ class LearnedSetIndex {
     Counter* batches = nullptr;         ///< index.lookup_batches
     Counter* absorbed = nullptr;        ///< index.subsets_absorbed
     Histogram* scan_width = nullptr;    ///< index.scan_width (sampled)
+    /// index.scan_visited and index.scan_visited_from0 (sampled with
+    /// scan_width, window hits only): the sets the scan examined up to its
+    /// answer, pos − lo + 1, and those a scan from position 0 would have,
+    /// pos + 1. 1 − visited / visited_from0 is what the estimate saves.
+    Histogram* scan_visited = nullptr;
+    Histogram* scan_visited_from0 = nullptr;
     Histogram* latency = nullptr;       ///< index.lookup_seconds (sampled)
     Histogram* batch_latency = nullptr;  ///< index.lookup_batch_seconds
   };

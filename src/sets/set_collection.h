@@ -65,17 +65,18 @@ class SetCollection {
 
   /// First position in [begin, end) whose set is a superset of sorted `q`,
   /// or -1; an `end` past size() is clamped and `begin >= end` finds
-  /// nothing. This is the hybrid index's bounded local scan. Every set keeps
-  /// a 64-bit SetSignature; a set whose signature lacks a bit of the query's
-  /// cannot contain the query. The scan tests signatures a block of 32 sets
-  /// at a time without branches and merge-checks only the sets that pass, in
-  /// position order, so the answer is the plain merge loop's.
+  /// nothing. This is the hybrid index's bounded local scan. Every set has a
+  /// 64-bit SetSignature; a set whose signature lacks a bit of the query's
+  /// cannot contain the query. The signatures are stored bit-sliced, so one
+  /// block of 64 sets gets its candidate mask from the AND of the slices of
+  /// the query's signature bits (at most 2|q| words). Candidates are
+  /// merge-checked in position order, so the answer is the plain merge
+  /// loop's.
   int64_t FindFirstSuperset(SetView q, size_t begin, size_t end) const;
 
   /// First position in [begin, end) whose set *equals* sorted `q`, or -1
-  /// (the equality-search mode of §4.1). Same block scan as
-  /// FindFirstSuperset; only sets whose signature equals the query's reach
-  /// the element comparison.
+  /// (the equality-search mode of §4.1). Same sliced scan as
+  /// FindFirstSuperset; a candidate then needs q's size and elements.
   int64_t FindFirstEqual(SetView q, size_t begin, size_t end) const;
 
   /// Replaces set `i` with new contents (used by the update-handling path,
@@ -84,12 +85,12 @@ class SetCollection {
   /// batched.
   Status UpdateSet(size_t i, std::vector<ElementId> elements);
 
-  /// Approximate heap footprint in bytes: elements, offsets and one 8-byte
-  /// signature per set.
+  /// Approximate heap footprint in bytes: elements, offsets and the
+  /// signature slices, 64 words (512 bytes) per started block of 64 sets.
   size_t MemoryBytes() const {
     return elements_.size() * sizeof(ElementId) +
            offsets_.size() * sizeof(uint64_t) +
-           signatures_.size() * sizeof(uint64_t);
+           slices_.size() * sizeof(uint64_t);
   }
 
   /// Signatures are not serialized; Load derives them from the elements.
@@ -97,9 +98,15 @@ class SetCollection {
   static Result<SetCollection> Load(BinaryReader* r);
 
  private:
+  /// Writes set i's signature into its column of the slices, growing them
+  /// by a zeroed block when i starts one.
+  void StoreSignature(size_t i, uint64_t sig);
+
   std::vector<ElementId> elements_;
   std::vector<uint64_t> offsets_;
-  std::vector<uint64_t> signatures_;  // SetSignature of each set.
+  // The sets' SetSignatures, transposed per block of 64 sets: bit j of
+  // slices_[64 * w + b] is signature bit b of set 64 * w + j.
+  std::vector<uint64_t> slices_;
   ElementId universe_size_ = 0;
 };
 

@@ -662,6 +662,91 @@ TEST(LearnedIndexTest, LookupStatsCountVisitedSets) {
   EXPECT_TRUE(checked_miss);
 }
 
+// index.scan_visited and index.scan_visited_from0 record a lookup exactly
+// when index.scan_width sampled it and the window held the answer: then
+// they take LookupStats::visited and pos + 1.
+TEST(LearnedIndexTest, ScanVisitedHistogramsFollowSampledWindowHits) {
+  sets::RwConfig rw;
+  rw.num_sets = 300;
+  rw.num_unique = 80;
+  rw.seed = 5;
+  auto c = GenerateRw(rw);
+  IndexOptions opts;
+  opts.model.embed_dim = 8;
+  opts.model.phi_hidden = {32};
+  opts.model.rho_hidden = {32};
+  opts.train.epochs = 4;
+  opts.max_subset_size = 2;
+  auto index = LearnedSetIndex::Build(c, opts);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  MetricsRegistry registry;
+  index->SetMetricsRegistry(&registry);
+
+  struct Reading {
+    uint64_t width = 0, visited = 0, from0 = 0;
+    double visited_sum = 0, from0_sum = 0;
+  };
+  auto read = [&] {
+    const auto snap = registry.Snapshot();
+    const HistogramSnapshot* width = snap.FindHistogram("index.scan_width");
+    const HistogramSnapshot* visited =
+        snap.FindHistogram("index.scan_visited");
+    const HistogramSnapshot* from0 =
+        snap.FindHistogram("index.scan_visited_from0");
+    EXPECT_NE(width, nullptr);
+    EXPECT_NE(visited, nullptr);
+    EXPECT_NE(from0, nullptr);
+    if (width == nullptr || visited == nullptr || from0 == nullptr) {
+      return Reading{};
+    }
+    EXPECT_EQ(visited->sample_period, width->sample_period);
+    return Reading{width->count, visited->count, from0->count, visited->sum,
+                   from0->sum};
+  };
+
+  auto subsets = EnumerateLabeledSubsets(c, {2});
+  std::vector<std::vector<sets::ElementId>> queries;
+  for (size_t i = 0; i < subsets.size(); ++i) {
+    sets::SetView q = subsets.subset(i);
+    queries.emplace_back(q.begin(), q.end());
+  }
+  // Pairs that no set holds, so some sampled scans miss their window.
+  for (sets::ElementId a = 0; a + 1 < c.universe_size(); ++a) {
+    const std::vector<sets::ElementId> q{a, a + 1};
+    if (c.FindFirstSuperset({q.data(), 2}, 0, c.size()) < 0) {
+      queries.push_back(q);
+    }
+  }
+  size_t sampled_hits = 0, sampled_misses = 0;
+  Reading before = read();
+  for (const auto& qv : queries) {
+    LearnedSetIndex::LookupStats stats;
+    const int64_t pos = index->Lookup({qv.data(), qv.size()}, &stats);
+    const Reading after = read();
+    const bool sampled = after.width > before.width;
+    // A window hit: the model's window answered, with no fallback scan.
+    const bool window_hit = !stats.aux_hit && pos >= 0 &&
+                            stats.scan_width <= static_cast<int64_t>(c.size());
+    if (sampled && window_hit) {
+      ++sampled_hits;
+      ASSERT_EQ(after.visited, before.visited + 1);
+      ASSERT_EQ(after.from0, before.from0 + 1);
+      EXPECT_EQ(after.visited_sum - before.visited_sum,
+                static_cast<double>(stats.visited));
+      EXPECT_EQ(after.from0_sum - before.from0_sum,
+                static_cast<double>(pos + 1));
+    } else {
+      if (sampled) ++sampled_misses;
+      ASSERT_EQ(after.visited, before.visited);
+      ASSERT_EQ(after.from0, before.from0);
+    }
+    before = after;
+  }
+  EXPECT_GT(sampled_hits, 0u);
+  EXPECT_GT(sampled_misses, 0u);
+  EXPECT_LE(before.visited, (queries.size() + 15) / 16);
+}
+
 TEST(LearnedIndexTest, LocalScanNarrowerThanGlobal) {
   sets::RwConfig rw;
   rw.num_sets = 500;

@@ -39,9 +39,15 @@ TEST(SetCollectionTest, TracksUniverseAndSizes) {
   EXPECT_EQ(c.total_elements(), 5u);
   EXPECT_EQ(c.SetSizeRange(), (std::pair<size_t, size_t>{2, 3}));
   EXPECT_EQ(c.CountDistinctElements(), 5u);
-  // Elements, offsets and one 8-byte signature per set.
+  // Elements, offsets and the signature slices: 64 words per started block
+  // of 64 sets.
   EXPECT_EQ(c.MemoryBytes(), 5 * sizeof(ElementId) + 3 * sizeof(uint64_t) +
-                                 2 * sizeof(uint64_t));
+                                 64 * sizeof(uint64_t));
+  for (ElementId e = 0; e < 63; ++e) c.Add({e});
+  EXPECT_EQ(c.size(), 65u);
+  EXPECT_EQ(c.MemoryBytes(), 68 * sizeof(ElementId) +
+                                 66 * sizeof(uint64_t) +
+                                 128 * sizeof(uint64_t));
 }
 
 TEST(SetCollectionTest, AllowsDuplicateSets) {
@@ -215,46 +221,63 @@ TEST(SetCollectionTest, SignatureIsMonotoneUnderInclusion) {
   }
 }
 
-// Seeded property test of the block scan: random collections of 0-300 sets
-// over universes below and above 64 ids; windows start at every offset
-// modulo the 32-set block and end after 0-2 full blocks plus every tail
-// length 0..33, including begin > end and end > size(); queries are random
-// subsets of member sets (hits), random id sets (mostly misses), whole
-// member sets (equality hits) and the empty query. Checked again after
-// UpdateSet and after Save -> Load.
+// Seeded property test of the sliced scan: random collections of 0-300 sets
+// (sizes on both sides of one and two 64-set slice blocks) over universes
+// below and above 64 ids; windows start at every offset 0..65 and end after
+// 0-2 full blocks plus every tail length 0..65, including begin > end and
+// end > size(); queries are random subsets of member sets (hits), random id
+// sets (mostly misses), whole member sets (equality hits) and the empty
+// query. Checked again after UpdateSet, on a copy and after Save -> Load.
 void ExpectBlockScansMatchReference(const SetCollection& c,
                                     const std::vector<std::vector<ElementId>>&
                                         queries) {
-  constexpr size_t kBlock = 32;
+  constexpr size_t kBlock = 64;
   for (const auto& qv : queries) {
     SetView q(qv.data(), qv.size());
+    // ReferenceFirst for every window at once: next[equal][i] is the first
+    // position >= i whose set passes the plain merge (or equality) test,
+    // or size() if none does.
+    std::vector<size_t> next[2];
+    for (int equal = 0; equal < 2; ++equal) {
+      next[equal].assign(c.size() + 1, c.size());
+      for (size_t i = c.size(); i-- > 0;) {
+        next[equal][i] = ReferenceFirst(c, q, i, i + 1, equal == 1) >= 0
+                             ? i
+                             : next[equal][i + 1];
+      }
+    }
+    auto reference = [&](size_t begin, size_t end, bool equal) -> int64_t {
+      const size_t stop = std::min(end, c.size());
+      if (begin >= stop) return -1;
+      const size_t first = next[equal][begin];
+      return first < stop ? static_cast<int64_t>(first) : -1;
+    };
+    auto expect = [&](size_t begin, size_t end) {
+      ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
+                reference(begin, end, false))
+          << "begin=" << begin << " end=" << end << " size=" << c.size();
+      ASSERT_EQ(c.FindFirstEqual(q, begin, end), reference(begin, end, true))
+          << "begin=" << begin << " end=" << end << " size=" << c.size();
+    };
     for (size_t begin = 0; begin <= kBlock + 1; ++begin) {
       for (size_t blocks = 0; blocks <= 2; ++blocks) {
         for (size_t tail = 0; tail <= kBlock + 1; ++tail) {
-          const size_t end = begin + blocks * kBlock + tail;
-          ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
-                    ReferenceFirst(c, q, begin, end, false))
-              << "begin=" << begin << " end=" << end << " size=" << c.size();
-          ASSERT_EQ(c.FindFirstEqual(q, begin, end),
-                    ReferenceFirst(c, q, begin, end, true))
-              << "begin=" << begin << " end=" << end << " size=" << c.size();
+          expect(begin, begin + blocks * kBlock + tail);
+          if (::testing::Test::HasFatalFailure()) return;
         }
       }
       // Windows that end before they start or run past the collection.
       for (size_t end : {begin / 2, c.size(), c.size() + 1, c.size() + 100}) {
-        ASSERT_EQ(c.FindFirstSuperset(q, begin, end),
-                  ReferenceFirst(c, q, begin, end, false));
-        ASSERT_EQ(c.FindFirstEqual(q, begin, end),
-                  ReferenceFirst(c, q, begin, end, true));
+        expect(begin, end);
+        if (::testing::Test::HasFatalFailure()) return;
       }
     }
     // Windows near the end of the collection, to exercise its last tail.
     const size_t last = c.size() > 3 * kBlock ? c.size() - 3 * kBlock : 0;
     for (size_t begin = last; begin <= c.size() + 1; ++begin) {
-      ASSERT_EQ(c.FindFirstSuperset(q, begin, c.size() + 1),
-                ReferenceFirst(c, q, begin, c.size() + 1, false));
-      ASSERT_EQ(c.FindFirstEqual(q, begin, c.size()),
-                ReferenceFirst(c, q, begin, c.size(), true));
+      expect(begin, c.size());
+      expect(begin, c.size() + 1);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
@@ -262,7 +285,8 @@ void ExpectBlockScansMatchReference(const SetCollection& c,
 TEST(SetCollectionTest, BlockScansMatchMergeOnRandomCollections) {
   Rng rng(2024);
   for (ElementId universe : {12u, 40u, 64u, 100u, 700u}) {
-    for (size_t num_sets : {0u, 1u, 31u, 32u, 33u, 97u, 300u}) {
+    for (size_t num_sets :
+         {0u, 1u, 63u, 64u, 65u, 127u, 128u, 129u, 300u}) {
       auto random_set = [&](size_t max_size) {
         std::vector<ElementId> s;
         const size_t n = rng.Uniform(max_size + 1);
@@ -297,6 +321,9 @@ TEST(SetCollectionTest, BlockScansMatchMergeOnRandomCollections) {
             c.UpdateSet(rng.Uniform(num_sets), random_set(10)).ok());
       }
       ExpectBlockScansMatchReference(c, make_queries());
+
+      const SetCollection copy = c;
+      ExpectBlockScansMatchReference(copy, make_queries());
 
       BinaryWriter w;
       c.Save(&w);

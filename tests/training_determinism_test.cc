@@ -208,6 +208,25 @@ sets::SetCollection TestCollection() {
   return GenerateRw(gen);
 }
 
+// TestCollection with its ids renumbered in order to 0..distinct-1, so every
+// id below universe_size() occurs and every embedding row is trained.
+sets::SetCollection DenseTestCollection() {
+  const sets::SetCollection sparse = TestCollection();
+  std::vector<sets::ElementId> rank(sparse.universe_size(), 0);
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    for (sets::ElementId e : sparse.set(i)) rank[e] = 1;
+  }
+  sets::ElementId next = 0;
+  for (auto& r : rank) r = r != 0 ? next++ : 0;
+  sets::SetCollection dense;
+  for (size_t i = 0; i < sparse.size(); ++i) {
+    std::vector<sets::ElementId> s;
+    for (sets::ElementId e : sparse.set(i)) s.push_back(rank[e]);
+    dense.AddSorted(std::move(s));
+  }
+  return dense;
+}
+
 core::TrainingSet BuildData(Task task, const sets::SetCollection& collection,
                             core::TargetScaler* scaler) {
   auto subsets = EnumerateLabeledSubsets(collection, {});
@@ -246,7 +265,7 @@ core::TrainConfig TestTrainConfig(Task task) {
   return tc;
 }
 
-std::unique_ptr<deepsets::SetModel> TestModel(
+deepsets::DeepSetsConfig TestModelConfig(
     const sets::SetCollection& collection, bool compressed) {
   deepsets::DeepSetsConfig cfg;
   // The LSM's 4,096 x 32 table is above the elementwise crossover (2^16
@@ -259,6 +278,11 @@ std::unique_ptr<deepsets::SetModel> TestModel(
   cfg.seed = 1;
   cfg.compressed = compressed;
   cfg.ns = 2;
+  return cfg;
+}
+
+std::unique_ptr<deepsets::SetModel> TestModel(
+    const deepsets::DeepSetsConfig& cfg) {
   auto model = deepsets::DeepSetsModel::Create(cfg);
   EXPECT_TRUE(model.ok());
   return std::move(*model);
@@ -276,7 +300,10 @@ std::vector<float> DumpWeights(deepsets::SetModel* model) {
 }
 
 /// Trains a fresh model on fresh data; workers == 0 means fully serial.
-std::vector<float> TrainWeights(Task task, bool compressed, size_t workers) {
+/// `embed_dim` > 0 instead trains an LSM of that width on
+/// DenseTestCollection(), with one embedding row per id of its universe.
+std::vector<float> TrainWeights(Task task, bool compressed, size_t workers,
+                                int64_t embed_dim = 0) {
   std::unique_ptr<ScopedSerialKernels> serial;
   std::unique_ptr<ScopedKernelPool> pool;
   if (workers == 0) {
@@ -284,10 +311,15 @@ std::vector<float> TrainWeights(Task task, bool compressed, size_t workers) {
   } else {
     pool = std::make_unique<ScopedKernelPool>(workers);
   }
-  auto collection = TestCollection();
+  auto collection = embed_dim > 0 ? DenseTestCollection() : TestCollection();
   core::TargetScaler scaler;
   core::TrainingSet data = BuildData(task, collection, &scaler);
-  auto model = TestModel(collection, compressed);
+  deepsets::DeepSetsConfig cfg = TestModelConfig(collection, compressed);
+  if (embed_dim > 0) {
+    cfg.vocab = static_cast<int64_t>(collection.universe_size());
+    cfg.embed_dim = embed_dim;
+  }
+  auto model = TestModel(cfg);
   core::Trainer trainer(TestTrainConfig(task));
   trainer.Train(model.get(), data);
   return DumpWeights(model.get());
@@ -337,6 +369,32 @@ TEST(TrainingDeterminismCompressedTest, ClsmWeightsBitIdenticalAcrossWorkers) {
   }
 }
 
+// The LSM above puts the Adam step's chunk boundaries in rows of ids the
+// 160-id universe never uses, whose gradients and moments stay zero, so a
+// misplaced boundary goes unseen there. A 512-wide table over the 136 ids
+// the collection uses is just above the elementwise crossover (2^16
+// floats), and every row is trained, so each boundary at 2, 4 and 8 workers
+// falls on a live row.
+TEST(TrainingDeterminismWideEmbedTest, AdamChunksOverLiveRowsAreBitExact) {
+  const sets::SetCollection collection = DenseTestCollection();
+  ASSERT_EQ(collection.CountDistinctElements(), collection.universe_size());
+  const int64_t floats =
+      static_cast<int64_t>(collection.universe_size()) * 512;
+  ASSERT_GT(floats, int64_t{1} << 16);
+  ASSERT_LT(floats, int64_t{1} << 17);
+  std::vector<float> serial = TrainWeights(Task::kCardinality, false, 0, 512);
+  ASSERT_FALSE(serial.empty());
+  for (size_t workers : {2u, 4u, 8u}) {
+    std::vector<float> threaded =
+        TrainWeights(Task::kCardinality, false, workers, 512);
+    ASSERT_EQ(serial.size(), threaded.size());
+    EXPECT_EQ(std::memcmp(serial.data(), threaded.data(),
+                          serial.size() * sizeof(float)),
+              0)
+        << workers << " workers";
+  }
+}
+
 // ---------- Guided learning (outlier eviction) determinism ----------
 
 std::vector<size_t> GuidedOutliers(size_t workers) {
@@ -350,7 +408,7 @@ std::vector<size_t> GuidedOutliers(size_t workers) {
   auto collection = TestCollection();
   core::TargetScaler scaler;
   core::TrainingSet data = BuildData(Task::kIndex, collection, &scaler);
-  auto model = TestModel(collection, false);
+  auto model = TestModel(TestModelConfig(collection, false));
   core::GuidedConfig guided;
   guided.train = TestTrainConfig(Task::kIndex);
   guided.train.epochs = 2;
