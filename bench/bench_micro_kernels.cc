@@ -241,7 +241,8 @@ BENCHMARK(BM_EmbeddingScatterAdd)->Arg(256)->Arg(2048)->Arg(16384);
 // One dense layer on one row, at the single-row property test's shapes
 // (in -> out; 1-wide heads use sigmoid, the rest relu). BM_DenseForwardM1
 // is the batched Tensor path at m = 1 (Gemm + bias + activation passes);
-// BM_DenseForwardRow is the single-row kernel PredictOne runs.
+// BM_DenseForwardRow is the fused inference kernel PredictOne runs
+// (Dense::ForwardRows at m = 1).
 los::nn::Dense MakeBenchDense(int64_t in, int64_t out) {
   Rng rng(3);
   return los::nn::Dense(in, out,
@@ -284,7 +285,7 @@ void BM_DenseForwardRow(benchmark::State& state) {
   const Tensor x = BenchRow(state.range(0));
   std::vector<float> y(static_cast<size_t>(state.range(1)));
   for (auto _ : state) {
-    layer.ForwardRow(x.data(), y.data());
+    layer.ForwardRows(x.data(), 1, y.data());
     auto* ptr = y.data();
     benchmark::DoNotOptimize(ptr);
     benchmark::ClobberMemory();
@@ -292,9 +293,34 @@ void BM_DenseForwardRow(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseForwardRow)->Apply(DenseShapes);
 
-// ρ's single-row forward as PredictOne runs it: a width -> width ReLU layer
-// and then the 1-wide sigmoid head, both through GemmRow, the kernel
-// Dense::ForwardRow calls. Width 64 is the cardinality and Bloom models'
+// φ's forward as PredictOne runs it: one ReLU layer over all of a query's
+// element rows in one Dense::ForwardRows call. 16 -> 64 is the
+// cardinality and Bloom models' φ (a CLSM's two 8-wide slot embeddings),
+// 8 -> 32 the index's; perfbench's queries have 1-3 elements.
+void BM_PhiForwardRows(benchmark::State& state) {
+  const int64_t in = state.range(0);
+  const int64_t out = state.range(1);
+  const int64_t rows = state.range(2);
+  Rng rng(6);
+  const los::nn::Dense layer(in, out, los::nn::Activation::kRelu, &rng);
+  Tensor x(rows, in);
+  los::nn::GaussianInit(&x, 1.0f, &rng);
+  std::vector<float> y(static_cast<size_t>(rows * out));
+  for (auto _ : state) {
+    layer.ForwardRows(x.data(), rows, y.data());
+    auto* ptr = y.data();
+    benchmark::DoNotOptimize(ptr);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PhiForwardRows)
+    ->ArgsProduct({{16}, {64}, {1, 3, 8}})
+    ->ArgsProduct({{8}, {32}, {1, 3, 8}})
+    ->ArgNames({"in", "out", "rows"});
+
+// ρ's forward as PredictOne runs it: a width -> width ReLU layer and then
+// the 1-wide sigmoid head, each one DenseRows call (the kernel
+// Dense::ForwardRows runs). Width 64 is the cardinality and Bloom models'
 // ρ, 32 the index's. Every buffer (weights, biases, input, hidden row)
 // starts `offset` bytes past a cache-line boundary: 0 is where Tensor
 // storage puts them, 16 where a 16-byte-aligned std::vector may.
@@ -318,19 +344,16 @@ void BM_RhoForwardRow(benchmark::State& state) {
   const float* w1 = bufs[0];
   const float* b1 = bufs[1];
   const float* w2 = bufs[2];
-  const float b2 = bufs[3][0];
+  const float* b2 = bufs[3];
   const float* x = bufs[4];
   float* hidden = bufs[5];
   const auto k = static_cast<int64_t>(width);
   for (auto _ : state) {
-    std::fill(hidden, hidden + width, 0.0f);
-    los::nn::GemmRow(x, w1, k, k, hidden);
-    for (size_t j = 0; j < width; ++j) hidden[j] += b1[j];
-    los::nn::ReluInPlace(hidden, k);
+    los::nn::DenseRows(x, 1, w1, b1, k, k, los::nn::Activation::kRelu,
+                       hidden);
     float out = 0.0f;
-    los::nn::GemmRow(hidden, w2, k, 1, &out);
-    out += b2;
-    los::nn::SigmoidInPlace(&out, 1);
+    los::nn::DenseRows(hidden, 1, w2, b2, k, 1, los::nn::Activation::kSigmoid,
+                       &out);
     benchmark::DoNotOptimize(out);
   }
 }

@@ -13,8 +13,8 @@ namespace {
 // Safety margin for backup-filter membership. The no-false-negative
 // guarantee requires that any positive accepted here on its model score is
 // also accepted at serve time, but serve-time scores come from a different
-// forward: MayContain's PredictOne runs the single-row path (each layer on
-// the nn::GemmRow kernel) while the scores below come from the batched
+// forward: MayContain's PredictOne runs the single-query path (each layer
+// one fused nn::DenseRows call) while the scores below come from the batched
 // Tensor pass. Both follow nn::Gemm's one accumulation contract (the same
 // partial sums, combining tree and FMA contraction), so within one binary
 // they are bit-identical (single_row_forward_test) and the margin is not

@@ -26,11 +26,10 @@ std::vector<int64_t> LayerDims(int64_t in, const std::vector<int64_t>& hidden,
 /// grow, so a warmed thread allocates nothing; the float rows are
 /// cache-line aligned like the weights they meet.
 struct RowScratch {
-  std::vector<uint32_t> sub;     ///< CLSM: each element's sub-elements
-  nn::AlignedVector<float> in;   ///< gathered φ inputs (elements x in_dim)
-  nn::AlignedVector<float> phi;  ///< φ outputs (elements x φ out)
+  std::vector<uint32_t> sub;    ///< CLSM: each element's sub-elements
+  nn::AlignedVector<float> in;  ///< gathered φ inputs (elements x in_dim)
   nn::AlignedVector<float> pooled;
-  nn::AlignedVector<float> ping, pong;  ///< Mlp::ForwardRow scratch
+  nn::AlignedVector<float> ping, pong;  ///< Mlp::ForwardRows scratch
 
   /// `v` grown to at least `n` entries; returns its data.
   template <typename V>
@@ -171,29 +170,26 @@ double DeepSetsModel::PredictOne(sets::SetView s) const {
       std::memcpy(in + i * in_dim + t * d, table.row(id), d * sizeof(float));
     }
   }
-  // φ on each row, then pool into one row, then ρ, ping-ponging two rows.
-  const int64_t width =
-      std::max(has_phi() ? phi_.max_width() : 0, rho_.max_width());
-  float* ping = RowScratch::Grow(&rs->ping, static_cast<size_t>(width));
-  float* pong = RowScratch::Grow(&rs->pong, static_cast<size_t>(width));
+  // φ over all n element rows in one call, then pool into one row, then
+  // ρ on it; both ping-pong the same two buffers.
+  const size_t width = std::max(
+      has_phi() ? n * static_cast<size_t>(phi_.max_width()) : 0,
+      static_cast<size_t>(rho_.max_width()));
+  float* ping = RowScratch::Grow(&rs->ping, width);
+  float* pong = RowScratch::Grow(&rs->pong, width);
   const float* rows = in;
   size_t row_dim = in_dim;
   if (has_phi()) {
     stage.Next("model.phi");
+    rows = phi_.ForwardRows(in, static_cast<int64_t>(n), ping, pong);
     row_dim = static_cast<size_t>(phi_.out_dim());
-    float* out = RowScratch::Grow(&rs->phi, n * row_dim);
-    for (size_t i = 0; i < n; ++i) {
-      const float* y = phi_.ForwardRow(in + i * in_dim, ping, pong);
-      std::memcpy(out + i * row_dim, y, row_dim * sizeof(float));
-    }
-    rows = out;
   }
   stage.Next("model.pool");
   float* pooled = RowScratch::Grow(&rs->pooled, row_dim);
   pool_.ForwardRow(rows, static_cast<int64_t>(n),
                    static_cast<int64_t>(row_dim), pooled);
   stage.Next("model.rho");
-  return static_cast<double>(rho_.ForwardRow(pooled, ping, pong)[0]);
+  return static_cast<double>(rho_.ForwardRows(pooled, 1, ping, pong)[0]);
 }
 
 void DeepSetsModel::BackwardPass(Workspace* base, const nn::Tensor& dout) {

@@ -91,9 +91,10 @@ class SetModel {
   /// Predicts the scalar for a single set, bit-identical to that set's
   /// entry in PredictBatch (LearnedBloomFilter's no-false-negative
   /// guarantee depends on it). This default runs ForwardPass on a one-set
-  /// batch; DeepSetsModel overrides it with a single-row forward (row
-  /// gather, φ per element row, pool, ρ; each layer on the nn::GemmRow
-  /// kernel) that skips the Tensor plumbing. After warm-up the calling
+  /// batch; DeepSetsModel overrides it with a single-query forward (row
+  /// gather, φ over all element rows at once, pool, ρ on the pooled row;
+  /// each layer one fused nn::DenseRows call, bias and ReLU in registers)
+  /// that skips the Tensor plumbing. After warm-up the calling
   /// thread's workspace has its capacity, so repeated calls do not
   /// allocate.
   virtual double PredictOne(sets::SetView s) const;

@@ -1,6 +1,5 @@
 #include "nn/layers.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -24,30 +23,20 @@ const char* ActivationName(Activation a) {
   return "?";
 }
 
-namespace {
-
-/// ApplyActivation over the `n` floats at `x`: the Tensor and single-row
-/// forwards share it, so both run the same elementwise code.
-void ApplyActivation(Activation act, float* x, int64_t n) {
+void ApplyActivation(Activation act, Tensor* x) {
   switch (act) {
     case Activation::kNone:
       return;
     case Activation::kRelu:
-      ReluInPlace(x, n);
+      ReluInPlace(x);
       return;
     case Activation::kSigmoid:
-      SigmoidInPlace(x, n);
+      SigmoidInPlace(x);
       return;
     case Activation::kTanh:
-      TanhInPlace(x, n);
+      TanhInPlace(x);
       return;
   }
-}
-
-}  // namespace
-
-void ApplyActivation(Activation act, Tensor* x) {
-  ApplyActivation(act, x->data(), x->size());
 }
 
 void ActivationBackward(Activation act, const Tensor& y, Tensor* dy) {
@@ -82,13 +71,9 @@ void Dense::Forward(const Tensor& x, Tensor* y) const {
   ApplyActivation(act_, y);
 }
 
-void Dense::ForwardRow(const float* x, float* y) const {
-  const int64_t n = out_dim();
-  std::fill(y, y + n, 0.0f);
-  GemmRow(x, weight_.value.data(), in_dim(), n, y);
-  const float* b = bias_.value.data();
-  for (int64_t j = 0; j < n; ++j) y[j] += b[j];
-  ApplyActivation(act_, y, n);
+void Dense::ForwardRows(const float* x, int64_t m, float* y) const {
+  DenseRows(x, m, weight_.value.data(), bias_.value.data(), in_dim(),
+            out_dim(), act_, y);
 }
 
 void Dense::Backward(const Tensor& x, const Tensor& y, Tensor* dy,

@@ -7,6 +7,7 @@
 #include "common/random.h"
 #include "common/serialize.h"
 #include "common/status.h"
+#include "nn/ops.h"
 #include "nn/tensor.h"
 
 namespace los::nn {
@@ -26,9 +27,6 @@ struct Parameter {
   void ZeroGrad() { grad.SetZero(); }
   size_t ByteSize() const { return value.ByteSize(); }
 };
-
-/// Supported activation functions for dense layers.
-enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
 const char* ActivationName(Activation a);
 
@@ -52,12 +50,12 @@ class Dense {
   /// Forward: writes `y` (n x out) for input `x` (n x in).
   void Forward(const Tensor& x, Tensor* y) const;
 
-  /// Single-row forward for inference: writes the out_dim() floats at `y`
-  /// for the in_dim() floats at `x` (which must not overlap `y`). Runs the
-  /// GemmRow kernel, then the bias add and the activation in place, so the
-  /// result is bit-identical to the matching row of Forward. Allocates
-  /// nothing.
-  void ForwardRow(const float* x, float* y) const;
+  /// Inference forward over `m` rows: writes m rows of out_dim() floats at
+  /// `y` for the m rows of in_dim() floats at `x` (which must not overlap
+  /// `y`). One DenseRows call: the bias add (and a ReLU) run in registers
+  /// before each output's store, and every row is bit-identical to the
+  /// matching row of Forward. Allocates nothing.
+  void ForwardRows(const float* x, int64_t m, float* y) const;
 
   /// Backward. `x` and `y` must be the tensors from the matching Forward;
   /// `dy` is the upstream gradient and is clobbered. If `dx` is non-null it

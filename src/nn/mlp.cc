@@ -26,10 +26,11 @@ const Tensor& Mlp::Forward(const Tensor& x, Workspace* ws) const {
   return *cur;
 }
 
-const float* Mlp::ForwardRow(const float* x, float* a, float* b) const {
+const float* Mlp::ForwardRows(const float* x, int64_t m, float* a,
+                              float* b) const {
   const float* cur = x;
   for (const Dense& layer : layers_) {
-    layer.ForwardRow(cur, a);
+    layer.ForwardRows(cur, m, a);
     cur = a;
     std::swap(a, b);
   }

@@ -30,14 +30,16 @@ class Mlp {
   /// Forward pass; returns a reference to the final activation held in `ws`.
   const Tensor& Forward(const Tensor& x, Workspace* ws) const;
 
-  /// Single-row forward for inference: runs the in_dim() floats at `x`
-  /// through every layer's Dense::ForwardRow, alternating between the
-  /// scratch rows `a` and `b` (each at least max_width() floats, neither
-  /// overlapping `x`), and returns whichever holds the out_dim() outputs.
-  /// Bit-identical to the matching row of Forward; allocates nothing.
-  const float* ForwardRow(const float* x, float* a, float* b) const;
+  /// Inference forward over `m` rows: runs the m rows of in_dim() floats at
+  /// `x` through every layer's Dense::ForwardRows, alternating between the
+  /// scratch buffers `a` and `b` (each at least m * max_width() floats,
+  /// neither overlapping `x`), and returns whichever holds the m rows of
+  /// out_dim() outputs. Every row is bit-identical to the matching row of
+  /// Forward; allocates nothing.
+  const float* ForwardRows(const float* x, int64_t m, float* a,
+                           float* b) const;
 
-  /// Widest layer output: the scratch ForwardRow needs per buffer.
+  /// Widest layer output: the scratch ForwardRows needs per row and buffer.
   int64_t max_width() const;
 
   /// Backward pass. `x`/`ws` must come from the matching Forward. `dy` is

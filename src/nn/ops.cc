@@ -22,19 +22,23 @@ namespace {
 // ---------------------------------------------------------------------------
 // GEMM tile kernel.
 //
-// Every product runs one register-tile template, Tile<R, W, S, kStrided>:
-// R rows x W lanes of C held in registers over all of k. Each k step
-// broadcasts one value per tile row and multiplies it into W lanes read
-// from one row of the other operand. Gemm's dispatcher picks the instance
-// from the shape (see the table in DESIGN.md "Compute backend"):
+// Every product runs one register-tile template,
+// Tile<R, W, S, kStrided, kFused>: R rows x W lanes of C held in registers
+// over all of k. Each k step broadcasts one value per tile row and
+// multiplies it into W lanes read from one row of the other operand. Gemm's
+// dispatcher picks the instance from the shape (see the table in DESIGN.md
+// "Compute backend"):
 //   - n = 1: the single-row tile on the transposed problem, so the rows of
 //     C become the lanes and op(B) is broadcast; untransposed A is read
 //     down its columns (kStrided);
-//   - m = 1 (and GemmRow): one row of up to kRowLanes lanes;
+//   - m = 1: one row of up to kRowLanes lanes;
 //   - otherwise kTileRows x kTileLanes tiles, split across the kernel pool
 //     for large products.
 // op(A) is read in place (from a copy scaled by alpha when alpha != 1),
-// op(B) in place too (from a k-major copy when transposed).
+// op(B) in place too (from a k-major copy when transposed). DenseRows runs
+// the one-row and kFusedRows x kRowLanes tiles with kFused set (seeded
+// from +0, the bias and a ReLU applied before the last store) and its
+// 1-wide heads as HeadDot.
 // ---------------------------------------------------------------------------
 
 // The accumulation contract every product keeps (see Gemm in ops.h). k is
@@ -86,6 +90,13 @@ static_assert(sizeof(LanesOf<4 * kVecLanes>) == kVecLanes * sizeof(float));
 constexpr int64_t kRowLanes = 4 * kVecLanes;
 constexpr int64_t kTileRows = 8;
 constexpr int64_t kTileLanes = 2 * kVecLanes;
+
+/// DenseRows' multi-row tiles: kRowLanes wide and as high as one partial's
+/// accumulators fit kAccRegs (4 rows with AVX-512, 2 otherwise), so each k
+/// step loads a weight row once for all of them. φ's few element rows ran
+/// 10-15% faster than on Gemm's 8 x kTileLanes tiles (16 -> 64 at 3 rows
+/// 96 -> 85 ns on an AVX-512 Xeon).
+constexpr int64_t kFusedRows = kAccRegs / (kRowLanes / kVecLanes);
 
 /// The two threaded kernels and their crossovers, measured in training on
 /// a 4-vCPU host (EXPERIMENTS.md "Two threaded kernels"): below them a
@@ -188,18 +199,42 @@ inline T LoadStrided(const float* p, int64_t stride) {
 
 /// Where a tile's operands live. Tile row i at k step kk broadcasts
 /// x[i * x_row + kk * x_step]; lane j reads w[j * w_lane + kk * w_step],
-/// where w_lane is 1 unless the tile reads its lanes strided.
+/// where w_lane is 1 unless the tile reads its lanes strided. A fused
+/// layer's lane j adds bias[j] before its last store, then applies `act`
+/// if it is ReLU.
 struct Operands {
   const float* x;
   int64_t x_row, x_step;
   const float* w;
   int64_t w_lane, w_step;
+  const float* bias = nullptr;
+  Activation act = Activation::kNone;
 
   /// The operands of the tile whose first row is i0 and first lane j0.
   Operands At(int64_t i0, int64_t j0) const {
-    return {x + i0 * x_row, x_row, x_step, w + j0 * w_lane, w_lane, w_step};
+    return {x + i0 * x_row, x_row, x_step, w + j0 * w_lane, w_lane, w_step,
+            bias == nullptr ? nullptr : bias + j0, act};
   }
 };
+
+/// The activations' per-element expressions, shared by the Tensor passes
+/// and DenseRows' epilogue so both round alike.
+inline float Sigmoid(float d) { return 1.0f / (1.0f + std::exp(-d)); }
+inline float Tanh(float d) { return std::tanh(d); }
+
+/// A fused layer's epilogue in registers: stores sum + bias for the lanes
+/// of `sum` (a float or a vector), through ReLU for a ReLU layer, with the
+/// per-element expressions of AddRowBroadcast and ReluInPlace. Sigmoid and
+/// tanh, scalar libm calls, run over the stored rows afterwards.
+template <typename T>
+[[gnu::always_inline]] inline void StoreBiased(float* c, T sum,
+                                               const float* bias,
+                                               Activation act) {
+  sum = sum + LoadAs<T>(bias);
+  // x > 0 ? x : 0 lane by lane: NaN and -0 become +0, as in ReluInPlace.
+  if (act == Activation::kRelu) sum = sum > T{} ? sum : T{};
+  StoreAs<T>(c, sum);
+}
 
 /// Partials per pass: the most (a power of two dividing S) whose tiles of
 /// `regs` registers fit kAccRegs together, and at least one.
@@ -232,10 +267,13 @@ template <bool kStrided, int64_t R, int64_t kV, typename T>
 
 /// Adds each element's S partials p[0, S) by halves, p[s] += p[s + h] for
 /// h = S/2, ..., 1 (for S = 8: ((p0 + p4) + (p2 + p6)) + ((p1 + p5) +
-/// (p3 + p7))), and stores the sum into the tile of C.
-template <int64_t S, int64_t R, int64_t kV, typename T>
+/// (p3 + p7))), and stores the sum into the tile of C; through a fused
+/// layer's epilogue when `last` (the block that ends k).
+template <bool kFused, int64_t S, int64_t R, int64_t kV, typename T>
 [[gnu::always_inline]] inline void CombineStore(T (&p)[S][R][kV], float* c,
-                                                int64_t ldc) {
+                                                int64_t ldc,
+                                                const Operands& o,
+                                                bool last) {
   constexpr int64_t kL = sizeof(T) / sizeof(float);
 #pragma GCC unroll 16
   for (int64_t i = 0; i < R; ++i) {
@@ -246,15 +284,24 @@ template <int64_t S, int64_t R, int64_t kV, typename T>
 #pragma GCC unroll 8
         for (int64_t s = 0; s < h; ++s) p[s][i][v] += p[s + h][i][v];
       }
-      StoreAs<T>(c + i * ldc + v * kL, p[0][i][v]);
+      if (kFused && last) {
+        StoreBiased<T>(c + i * ldc + v * kL, p[0][i][v], o.bias + v * kL,
+                       o.act);
+      } else {
+        StoreAs<T>(c + i * ldc + v * kL, p[0][i][v]);
+      }
     }
   }
 }
 
 /// The tile kernel: C (R x W at c, row stride ldc) += x * w over all of k
 /// under S partial sums, G of them per pass, interleaved. Fully unrolled
-/// and forced inline, so the accumulators live in registers.
-template <int64_t R, int64_t W, int64_t S, bool kStrided>
+/// and forced inline, so the accumulators live in registers. A fused
+/// layer's tile (kFused) instead writes x * w + bias, through ReLU for a
+/// ReLU layer: partial 0 starts from +0 rather than from C, and the
+/// epilogue runs before the last store. It runs one block even when k = 0,
+/// so that C still gets the bias.
+template <int64_t R, int64_t W, int64_t S, bool kStrided, bool kFused>
 [[gnu::always_inline]] inline void Tile(const Operands& o, int64_t k, float* c,
                                         int64_t ldc) {
   using T = LanesOf<W>;
@@ -262,8 +309,9 @@ template <int64_t R, int64_t W, int64_t S, bool kStrided>
   constexpr int64_t kV = W / kL;
   constexpr int64_t G = PartialsPerPass(R * kV, S);
   T part[G < S ? S : 1][R][kV];
-  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+  for (int64_t k0 = 0; k0 < k || (kFused && k0 == 0); k0 += kKc) {
     const int64_t k1 = std::min(k, k0 + kKc);
+    const bool seed_c = !kFused || k0 > 0;
     for (int64_t s0 = 0; s0 < S; s0 += G) {
       T acc[G][R][kV];
 #pragma GCC unroll 8
@@ -272,7 +320,9 @@ template <int64_t R, int64_t W, int64_t S, bool kStrided>
         for (int64_t i = 0; i < R; ++i) {
 #pragma GCC unroll 64
           for (int64_t v = 0; v < kV; ++v) {
-            acc[g][i][v] = s0 + g == 0 ? LoadAs<T>(c + i * ldc + v * kL) : T{};
+            acc[g][i][v] = s0 + g == 0 && seed_c
+                               ? LoadAs<T>(c + i * ldc + v * kL)
+                               : T{};
           }
         }
       }
@@ -299,29 +349,30 @@ template <int64_t R, int64_t W, int64_t S, bool kStrided>
         }
       }
       if constexpr (G == S) {
-        CombineStore(acc, c, ldc);
+        CombineStore<kFused>(acc, c, ldc, o, k1 == k);
       } else {
         for (int64_t g = 0; g < G; ++g) {
           std::memcpy(part[s0 + g], acc[g], sizeof(acc[g]));
         }
       }
     }
-    if constexpr (G < S) CombineStore(part, c, ldc);
+    if constexpr (G < S) CombineStore<kFused>(part, c, ldc, o, k1 == k);
   }
 }
 
 /// Rows [0, m) of a W-lane strip in R-high tiles; the last rows recurse
 /// down to their exact height, so every tile keeps constexpr shape.
-template <int64_t R, int64_t W, int64_t S, bool kStrided>
+template <int64_t R, int64_t W, int64_t S, bool kStrided, bool kFused>
 [[gnu::always_inline]] inline void Rows(const Operands& o, int64_t m,
                                         int64_t k, float* c, int64_t ldc) {
   int64_t i0 = 0;
   for (; i0 + R <= m; i0 += R) {
-    Tile<R, W, S, kStrided>(o.At(i0, 0), k, c + i0 * ldc, ldc);
+    Tile<R, W, S, kStrided, kFused>(o.At(i0, 0), k, c + i0 * ldc, ldc);
   }
   if constexpr (R > 1) {
     if (i0 < m) {
-      Rows<R - 1, W, S, kStrided>(o.At(i0, 0), m - i0, k, c + i0 * ldc, ldc);
+      Rows<R - 1, W, S, kStrided, kFused>(o.At(i0, 0), m - i0, k,
+                                          c + i0 * ldc, ldc);
     }
   }
 }
@@ -329,10 +380,10 @@ template <int64_t R, int64_t W, int64_t S, bool kStrided>
 /// Covers the last `rest` (< 2W) lanes with strips of width W, W/2, ..., 1:
 /// calls strip.template operator()<V>(offset) for every power of two V set
 /// in `rest`, widest first, with `offset` the width already covered, so
-/// every strip runs at a constexpr width (a 1-wide head is a dot product).
-/// Forced inline, like Rows: GCC otherwise emits the one-row strips out of
-/// line, which doubled a small single-row forward (BM_DenseForwardRow
-/// in:8/out:32, ~27 -> ~60 ns on an AVX-512 Xeon).
+/// every strip runs at a constexpr width. Forced inline, like Rows: GCC
+/// otherwise emits the one-row strips out of line, which doubled a small
+/// single-row forward (BM_DenseForwardRow in:8/out:32, ~27 -> ~60 ns on an
+/// AVX-512 Xeon).
 template <int64_t W, class F>
 [[gnu::always_inline]] inline void ForPow2Strips(int64_t rest, F&& strip,
                                                  int64_t offset = 0) {
@@ -345,26 +396,61 @@ template <int64_t W, class F>
 
 /// C (m x n at c, row stride ldc) += x * w: W-lane strips and then the
 /// power-of-two tail strips, each strip's rows in R-high tiles.
-template <int64_t R, int64_t W, int64_t S, bool kStrided = false>
+template <int64_t R, int64_t W, int64_t S, bool kStrided = false,
+          bool kFused = false>
 void Cover(const Operands& o, int64_t m, int64_t n, int64_t k, float* c,
            int64_t ldc) {
   int64_t j0 = 0;
   for (; j0 + W <= n; j0 += W) {
-    Rows<R, W, S, kStrided>(o.At(0, j0), m, k, c + j0, ldc);
+    Rows<R, W, S, kStrided, kFused>(o.At(0, j0), m, k, c + j0, ldc);
   }
   ForPow2Strips<W / 2>(n - j0, [&]<int64_t V>(int64_t off) {
-    Rows<R, V, S, kStrided>(o.At(0, j0 + off), m, k, c + j0 + off, ldc);
+    Rows<R, V, S, kStrided, kFused>(o.At(0, j0 + off), m, k, c + j0 + off,
+                                    ldc);
   });
 }
 
-/// The single-row instance, y (n) += x * w: Gemm's m = 1 and GemmRow. A
-/// 1-wide output is one dot product over kHeadSums chains.
-void SingleRow(const Operands& o, int64_t n, int64_t k, float* y) {
-  if (n == 1) {
-    Rows<1, 1, kHeadSums, false>(o, 1, k, y, 0);
-  } else {
-    Cover<1, kRowLanes, kWideSums>(o, 1, n, k, y, 0);
+/// A 1-wide layer's x · w over k steps from a +0 seed: one dot product
+/// whose kHeadSums partials are the lanes of one vector (Tile's lane type,
+/// so two 4-float halves without AVX). Lane s takes the steps k ≡ s
+/// (mod kHeadSums); at the end of each kKc block the lanes are added by
+/// halves, and the sum seeds lane 0 of the next block. The element-wise
+/// arithmetic of Gemm's n = 1 path, which keeps the partials of many rows.
+float HeadDot(const float* x, const float* w, int64_t k) {
+  using T = LanesOf<kHeadSums>;
+  constexpr int64_t kL = sizeof(T) / sizeof(float);
+  constexpr int64_t kV = kHeadSums / kL;
+  float sum = 0.0f;
+  for (int64_t k0 = 0; k0 < k; k0 += kKc) {
+    const int64_t k1 = std::min(k, k0 + kKc);
+    T acc[kV] = {};
+    acc[0][0] = sum;  // in a register: a store and a wider load would stall
+    int64_t kk = k0;
+    for (; kk + kHeadSums <= k1; kk += kHeadSums) {
+      for (int64_t v = 0; v < kV; ++v) {
+        acc[v] = MulAdd(LoadAs<T>(x + kk + v * kL), LoadAs<T>(w + kk + v * kL),
+                        acc[v]);
+      }
+    }
+    if (kk < k1) {
+      // The block's last k1 - kk steps go to partials 0, 1, ...; the other
+      // lanes add +0 * +0, which leaves them unchanged: partials start
+      // from +0, so none is ever -0.
+      float xt[kHeadSums] = {}, wt[kHeadSums] = {};
+      std::copy(x + kk, x + k1, xt);
+      std::copy(w + kk, w + k1, wt);
+      for (int64_t v = 0; v < kV; ++v) {
+        acc[v] = MulAdd(LoadAs<T>(xt + v * kL), LoadAs<T>(wt + v * kL), acc[v]);
+      }
+    }
+    float p[kHeadSums];
+    for (int64_t v = 0; v < kV; ++v) StoreAs<T>(p + v * kL, acc[v]);
+    for (int64_t h = kHeadSums / 2; h >= 1; h /= 2) {
+      for (int64_t s = 0; s < h; ++s) p[s] += p[s + h];
+    }
+    sum = p[0];
   }
+  return sum;
 }
 
 }  // namespace
@@ -436,7 +522,7 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
   const Operands o{ad, trans_a ? 1 : a.cols(), trans_a ? a.cols() : 1, bd, 1,
                    ldb};
   if (m == 1) {
-    SingleRow(o, n, k, cd);
+    Cover<1, kRowLanes, kWideSums>(o, 1, n, k, cd, 0);
     return;
   }
   const int64_t row_tiles = (m + kTileRows - 1) / kTileRows;
@@ -488,10 +574,25 @@ void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
   }
 }
 
-void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y) {
-  TRACE_SPAN_VAR(span, "nn", "nn.gemm");
-  span.set_arg("mnk", static_cast<double>(n * k));
-  SingleRow({x, 0, 1, w, 1, n}, n, k, y);
+void DenseRows(const float* x, int64_t m, const float* w, const float* bias,
+               int64_t k, int64_t n, Activation act, float* y) {
+  const Operands o{x, k, 1, w, 1, n, bias, act};
+  if (n == 1) {
+    for (int64_t i = 0; i < m; ++i) {
+      StoreBiased<float>(y + i, HeadDot(x + i * k, w, k), bias, act);
+    }
+  } else if (m == 1) {
+    // Its own instance: reached through Rows' recursion, the one-row tile
+    // ran ~8% slower (64 -> 64, 92 -> 99 ns on an AVX-512 Xeon).
+    Cover<1, kRowLanes, kWideSums, false, true>(o, 1, n, k, y, n);
+  } else {
+    Cover<kFusedRows, kRowLanes, kWideSums, false, true>(o, m, n, k, y, n);
+  }
+  if (act == Activation::kSigmoid) {
+    for (int64_t e = 0; e < m * n; ++e) y[e] = Sigmoid(y[e]);
+  } else if (act == Activation::kTanh) {
+    for (int64_t e = 0; e < m * n; ++e) y[e] = Tanh(y[e]);
+  }
 }
 
 void AddRowBroadcast(const Tensor& bias, Tensor* x) {
@@ -556,29 +657,24 @@ void ElementwiseParallel(int64_t size, const Fn& fn) {
 
 }  // namespace
 
-void SigmoidInPlace(float* d, int64_t n) {
-  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) {
-      d[i] = 1.0f / (1.0f + std::exp(-d[i]));
-    }
+void SigmoidInPlace(Tensor* x) {
+  float* d = x->data();
+  ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) d[i] = Sigmoid(d[i]);
   });
 }
 
-void TanhInPlace(float* d, int64_t n) {
-  ElementwiseParallel(n, [d](int64_t begin, int64_t end) {
-    for (int64_t i = begin; i < end; ++i) d[i] = std::tanh(d[i]);
+void TanhInPlace(Tensor* x) {
+  float* d = x->data();
+  ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) d[i] = Tanh(d[i]);
   });
 }
 
-void ReluInPlace(float* d, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
+void ReluInPlace(Tensor* x) {
+  float* d = x->data();
+  for (int64_t i = 0; i < x->size(); ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
 }
-
-void SigmoidInPlace(Tensor* x) { SigmoidInPlace(x->data(), x->size()); }
-
-void TanhInPlace(Tensor* x) { TanhInPlace(x->data(), x->size()); }
-
-void ReluInPlace(Tensor* x) { ReluInPlace(x->data(), x->size()); }
 
 void SigmoidBackwardInPlace(const Tensor& y, Tensor* dy) {
   assert(y.SameShape(*dy));

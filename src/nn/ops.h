@@ -13,12 +13,12 @@ namespace los::nn {
 ///
 /// `trans_a` / `trans_b` select whether A / B are used transposed. Every
 /// shape runs one register-tile kernel template, instantiated per shape:
-/// one row (the GemmRow kernel), a 1-wide output with the rows of C as the
-/// vector lanes, or 8-row tiles, which large products split across the
-/// kernel thread pool. Operands are read in place; a transposed B is
-/// packed k-major first, and A is scaled by alpha into a copy when
-/// alpha != 1. Threading only partitions disjoint rows of C, so results
-/// are bit-identical for any thread count.
+/// one row, a 1-wide output with the rows of C as the vector lanes, or
+/// 8-row tiles, which large products split across the kernel thread pool.
+/// Operands are read in place; a transposed B is packed k-major first, and
+/// A is scaled by alpha into a copy when alpha != 1. Threading only
+/// partitions disjoint rows of C, so results are bit-identical for any
+/// thread count.
 ///
 /// Every path computes each output element by one accumulation contract,
 /// so a row's result is bit-identical whichever kernel or blocking the
@@ -41,17 +41,26 @@ namespace los::nn {
 void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
           float alpha, float beta, Tensor* c);
 
-/// \brief y += x · W for one row: the single-row inference kernel.
+/// Supported activation functions for dense layers.
+enum class Activation { kNone, kRelu, kSigmoid, kTanh };
+
+/// \brief y = act(x · W + bias) for m rows: a dense layer's inference kernel.
 ///
-/// `x` holds k floats, `w` is a row-major (k x n) matrix and `y` holds n
-/// floats. Each y[j] starts from its value on entry and accumulates under
-/// Gemm's contract, its partials interleaved in registers. This is the
-/// tile kernel's one-row instance, which `Gemm` also runs for m = 1 and
-/// n > 1; with y zeroed the result is bit-identical to the matching row of
-/// a batched `Gemm` over the same data — Dense::ForwardRow, and through it
-/// SetModel::PredictOne, depend on this. Single-threaded; allocates
-/// nothing.
-void GemmRow(const float* x, const float* w, int64_t k, int64_t n, float* y);
+/// `x` holds m rows of k floats, `w` is a row-major (k x n) matrix, `bias`
+/// holds n floats and `y` receives m rows of n floats (it must not overlap
+/// `x`). Each output accumulates under Gemm's contract from a +0 seed (what
+/// Gemm loads from a zeroed C); the bias add and a ReLU then run on the
+/// combined sum in registers before its store (sigmoid and tanh, libm
+/// calls, run over the stored rows), with the per-element expressions of
+/// AddRowBroadcast and the activation passes below. Every row is therefore
+/// bit-identical to the matching row of a batched Gemm followed by those
+/// passes (Dense::Forward) — Dense::ForwardRows, and through it
+/// SetModel::PredictOne, depend on this. The rows run on the tile kernel
+/// Gemm uses; a 1-wide output is one dot product per row whose kHeadSums
+/// partials are the lanes of one vector. Single-threaded; allocates
+/// nothing; records no trace span.
+void DenseRows(const float* x, int64_t m, const float* w, const float* bias,
+               int64_t k, int64_t n, Activation act, float* y);
 
 /// The original single-threaded scalar GEMM kept as the correctness /
 /// performance baseline for tests and `bench_micro_kernels`.
@@ -99,19 +108,16 @@ void AdamStepFused(float alpha, float beta1, float beta2, float eps,
 void AdamStepReference(float alpha, float beta1, float beta2, float eps,
                        Tensor* value, Tensor* grad, Tensor* m, Tensor* v);
 
-/// Elementwise sigmoid, writing into `x` in place. The pointer overloads
-/// run the same per-element expressions over `n` floats (the single-row
-/// forward's activations), so a row and a tensor agree bit for bit.
+/// Elementwise sigmoid, writing into `x` in place. DenseRows' epilogue runs
+/// the same per-element expression, so a row and a tensor agree bit for
+/// bit; likewise for tanh and ReLU.
 void SigmoidInPlace(Tensor* x);
-void SigmoidInPlace(float* x, int64_t n);
 
 /// Elementwise tanh in place.
 void TanhInPlace(Tensor* x);
-void TanhInPlace(float* x, int64_t n);
 
 /// Elementwise ReLU in place.
 void ReluInPlace(Tensor* x);
-void ReluInPlace(float* x, int64_t n);
 
 /// Given activation *outputs* y and upstream grad dy, computes
 /// dy *= sigma'(x) expressed through y (sigmoid: y(1-y); tanh: 1-y^2;

@@ -1,11 +1,14 @@
-// Bit identity of the single-row inference path. SetModel::PredictOne runs
-// LSM and CLSM through Dense::ForwardRow (the nn::GemmRow kernel) instead
-// of the batched Tensor forward, and LearnedBloomFilter's no-false-negative
-// guarantee needs both to agree exactly. This checks:
-//   - Dense::ForwardRow against each row of Dense::Forward, over batch
-//     heights that select every instance of the GEMM tile kernel (one
-//     row, rows as lanes, 8-row tiles with short last tiles, threaded),
-//     every activation and the paper's layer shapes;
+// Bit identity of the single-query inference path. SetModel::PredictOne
+// runs LSM and CLSM through Dense::ForwardRows (the nn::DenseRows kernel:
+// φ over all of a query's element rows in one call, ρ on the pooled row)
+// instead of the batched Tensor forward, and LearnedBloomFilter's
+// no-false-negative guarantee needs both to agree exactly. This checks:
+//   - every row of Dense::ForwardRows against the same row of
+//     Dense::Forward, at 1-9, 17 and 2048 rows (every fused tile height
+//     and short last tile, against each instance of the GEMM tile kernel:
+//     one row, rows as lanes, 8-row tiles, threaded), every activation,
+//     the paper's layer shapes and 1-wide heads whose k leaves a partial
+//     tail or spans two 256-step blocks, with ±0 and NaN inputs;
 //   - PredictOne against PredictBatch over pooling, hidden activation, φ
 //     depth and ρ width for LSM and CLSM, on sets of 0-8 elements;
 //   - a learned Bloom filter answering MayContain for every member.
@@ -15,6 +18,7 @@
 #include <bit>
 #include <cstdint>
 #include <iomanip>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,7 +38,7 @@ namespace {
 
 using nn::Activation;
 
-constexpr int64_t kHeights[] = {1, 2, 7, 16, 17, 2048};
+constexpr int64_t kHeights[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 2048};
 constexpr int64_t kMinInputsPerCase = 2000;
 constexpr Activation kActivations[] = {Activation::kNone, Activation::kRelu,
                                        Activation::kSigmoid,
@@ -53,7 +57,18 @@ void Perturb(const std::vector<nn::Parameter*>& params, float stddev,
   }
 }
 
-// ---------- Dense::ForwardRow vs Dense::Forward ----------
+/// Sets about one input in 16 to +0, -0 or NaN. With the Gaussian rest
+/// (negative pre-activations included) they pin ReLU's select (NaN and
+/// -0 to +0) and which partial a 1-wide head's tail steps reach.
+void SprinkleSpecials(nn::Tensor* x, Rng* rng) {
+  const float specials[] = {0.0f, -0.0f,
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (int64_t e = 0; e < x->size(); ++e) {
+    if (rng->Uniform(16) == 0) x->data()[e] = specials[rng->Uniform(3)];
+  }
+}
+
+// ---------- Dense::ForwardRows vs Dense::Forward ----------
 
 class DenseForwardRowTest
     : public testing::TestWithParam<std::pair<int64_t, int64_t>> {};
@@ -66,21 +81,22 @@ TEST_P(DenseForwardRowTest, MatchesEveryRowOfForward) {
     std::vector<nn::Parameter*> params;
     layer.CollectParameters(&params);
     Perturb(params, 0.1f, &rng);
-    std::vector<float> row(static_cast<size_t>(out));
     for (int64_t m : kHeights) {
       int64_t inputs = 0;
       int64_t mismatches = 0;
       std::string first;
+      std::vector<float> rows(static_cast<size_t>(m * out));
       while (inputs < kMinInputsPerCase) {
         nn::Tensor x(m, in);
         nn::GaussianInit(&x, 1.0f, &rng);
+        SprinkleSpecials(&x, &rng);
         nn::Tensor y;
         layer.Forward(x, &y);
+        layer.ForwardRows(x.data(), m, rows.data());
         for (int64_t i = 0; i < m; ++i) {
-          layer.ForwardRow(x.row(i), row.data());
           for (int64_t j = 0; j < out; ++j) {
             const float batched = y(i, j);
-            const float single = row[static_cast<size_t>(j)];
+            const float single = rows[static_cast<size_t>(i * out + j)];
             if (std::bit_cast<uint32_t>(batched) !=
                 std::bit_cast<uint32_t>(single)) {
               if (mismatches++ == 0) {
@@ -112,7 +128,8 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Values(std::make_pair(8, 32), std::make_pair(32, 32),
                     std::make_pair(32, 1), std::make_pair(16, 64),
                     std::make_pair(64, 64), std::make_pair(64, 1),
-                    std::make_pair(33, 17), std::make_pair(512, 512)),
+                    std::make_pair(33, 17), std::make_pair(512, 512),
+                    std::make_pair(13, 1), std::make_pair(300, 1)),
     ShapeName);
 
 // ---------- PredictOne vs PredictBatch ----------
