@@ -239,10 +239,8 @@ void BM_EmbeddingScatterAdd(benchmark::State& state) {
 BENCHMARK(BM_EmbeddingScatterAdd)->Arg(256)->Arg(2048)->Arg(16384);
 
 // One dense layer on one row, at the single-row property test's shapes
-// (in -> out; 1-wide heads use sigmoid, the rest relu). BM_DenseForwardM1
-// is the batched Tensor path at m = 1 (Gemm + bias + activation passes);
-// BM_DenseForwardRow is the fused inference kernel PredictOne runs
-// (Dense::ForwardRows at m = 1).
+// (in -> out; 1-wide heads use sigmoid, the rest relu): the fused kernel
+// PredictOne runs (Dense::ForwardRows at m = 1).
 los::nn::Dense MakeBenchDense(int64_t in, int64_t out) {
   Rng rng(3);
   return los::nn::Dense(in, out,
@@ -267,19 +265,6 @@ Tensor BenchRow(int64_t in) {
   return x;
 }
 
-void BM_DenseForwardM1(benchmark::State& state) {
-  const los::nn::Dense layer = MakeBenchDense(state.range(0), state.range(1));
-  const Tensor x = BenchRow(state.range(0));
-  Tensor y;
-  for (auto _ : state) {
-    layer.Forward(x, &y);
-    auto* ptr = y.data();
-    benchmark::DoNotOptimize(ptr);
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_DenseForwardM1)->Apply(DenseShapes);
-
 void BM_DenseForwardRow(benchmark::State& state) {
   const los::nn::Dense layer = MakeBenchDense(state.range(0), state.range(1));
   const Tensor x = BenchRow(state.range(0));
@@ -292,6 +277,101 @@ void BM_DenseForwardRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DenseForwardRow)->Apply(DenseShapes);
+
+// A dense layer over a training batch, Dense::Forward on a Tensor as the
+// epochs and PredictScaled run it: 1,300 element rows through perfbench's φ
+// layers (16 -> 64 for the cardinality and Bloom models, 8 -> 32 for the
+// index's), then 512 pooled rows through ρ's hidden layers and its 1-wide
+// sigmoid head. Items are multiply-adds.
+void BM_DenseForwardTrain(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const los::nn::Dense layer = MakeBenchDense(state.range(1), state.range(2));
+  Rng rng(7);
+  Tensor x(m, state.range(1));
+  los::nn::GaussianInit(&x, 1.0f, &rng);
+  Tensor y;
+  for (auto _ : state) {
+    layer.Forward(x, &y);
+    auto* ptr = y.data();
+    benchmark::DoNotOptimize(ptr);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * m * state.range(1) *
+                          state.range(2));
+}
+BENCHMARK(BM_DenseForwardTrain)
+    ->Args({1300, 16, 64})
+    ->Args({1300, 8, 32})
+    ->Args({512, 64, 64})
+    ->Args({512, 32, 32})
+    ->Args({512, 64, 1})
+    ->ArgNames({"m", "in", "out"});
+
+// A bias gradient: the column sums of a training batch's dY added into
+// the gradient row (SumRowsAccumulate, in 256-row chunks above 256 rows).
+// 1,300 x 64 and 1,300 x 32 are φ's, 512 x 64 and 512 x 1 ρ's.
+void BM_SumRows(benchmark::State& state) {
+  const int64_t rows = state.range(0);
+  const int64_t cols = state.range(1);
+  Rng rng(8);
+  Tensor x(rows, cols);
+  los::nn::GaussianInit(&x, 1.0f, &rng);
+  Tensor out(1, cols);
+  for (auto _ : state) {
+    los::nn::SumRowsAccumulate(x, &out);
+    auto* ptr = out.data();
+    benchmark::DoNotOptimize(ptr);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows * cols);
+}
+BENCHMARK(BM_SumRows)
+    ->Args({1300, 64})
+    ->Args({1300, 32})
+    ->Args({512, 64})
+    ->Args({512, 1})
+    ->ArgNames({"rows", "cols"});
+
+// Set pooling of φ's output as one training batch runs it: 512 sets of
+// 1-4 element rows (1,280 rows) of width d, SegmentPool::Forward (pass 0)
+// or Backward (pass 1); pass 2 pools one 3-row set through ForwardRow, as
+// PredictOne does. Pooling 0 is sum, 1 mean, 2 max.
+void BM_SegmentPool(benchmark::State& state) {
+  const int64_t d = state.range(0);
+  const auto pooling = static_cast<los::nn::Pooling>(state.range(1));
+  const int64_t pass = state.range(2);
+  std::vector<int64_t> offsets{0};
+  for (int64_t s = 0; s < 512; ++s) {
+    offsets.push_back(offsets.back() + 1 + s % 4);
+  }
+  const int64_t rows = offsets.back();
+  Rng rng(9);
+  Tensor x(rows, d), pooled, dpooled(512, d), dx;
+  los::nn::GaussianInit(&x, 1.0f, &rng);
+  los::nn::GaussianInit(&dpooled, 1.0f, &rng);
+  std::vector<int64_t> argmax;
+  const los::nn::SegmentPool pool(pooling);
+  pool.Forward(x, offsets, &pooled, &argmax);
+  for (auto _ : state) {
+    float* ptr = nullptr;
+    if (pass == 0) {
+      pool.Forward(x, offsets, &pooled, &argmax);
+      ptr = pooled.data();
+    } else if (pass == 1) {
+      pool.Backward(dpooled, offsets, argmax, rows, &dx);
+      ptr = dx.data();
+    } else {
+      pool.ForwardRow(x.data(), 3, d, pooled.data());
+      ptr = pooled.data();
+    }
+    benchmark::DoNotOptimize(ptr);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * (pass == 2 ? 3 : rows) * d);
+}
+BENCHMARK(BM_SegmentPool)
+    ->ArgsProduct({{64, 32}, {0, 1, 2}, {0, 1, 2}})
+    ->ArgNames({"d", "pooling", "pass"});
 
 // φ's forward as PredictOne runs it: one ReLU layer over all of a query's
 // element rows in one Dense::ForwardRows call. 16 -> 64 is the

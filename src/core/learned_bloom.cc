@@ -37,11 +37,14 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
 
   sets::SubsetGenOptions gen;
   gen.max_subset_size = opts.max_subset_size;
+  Stopwatch phase;
   sets::LabeledSubsets positives = EnumerateLabeledSubsets(collection, gen);
+  ObserveBuildPhase("enumerate", phase.ElapsedSeconds());
   if (positives.empty()) return Status::InvalidArgument("no positives");
 
   // Negative training data: combinations whose co-occurrence is absent
   // (§7.1.2). Reject candidates via an exact containment oracle.
+  phase.Restart();
   std::unique_ptr<baselines::InvertedIndex> own_index;
   std::function<bool(sets::SetView)> contains_fn;
   if (contains != nullptr) {
@@ -57,6 +60,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   std::vector<sets::Query> negatives = sets::SampleNegativeQueries(
       collection.universe_size(), opts.max_subset_size, num_neg, contains_fn,
       &rng);
+  ObserveBuildPhase("negatives", phase.ElapsedSeconds());
 
   LearnedBloomFilter lbf;
   lbf.threshold_ = opts.threshold;
@@ -71,7 +75,9 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
 
   Stopwatch sw;
   Trainer trainer(train);
+  phase.Restart();
   trainer.Train(lbf.model_.get(), data);
+  ObserveBuildPhase("train", phase.ElapsedSeconds());
 
   // Backup filter over the model's false negatives — restores the classic
   // guarantee of no false negatives for the indexed subsets. Any positive
@@ -80,8 +86,11 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   // build-time scores.
   std::vector<size_t> pos_idx(positives.size());
   for (size_t i = 0; i < positives.size(); ++i) pos_idx[i] = i;
+  phase.Restart();
   std::vector<double> probs = trainer.PredictScaled(lbf.model_.get(), data,
                                                     pos_idx);
+  ObserveBuildPhase("score", phase.ElapsedSeconds());
+  phase.Restart();
   std::vector<size_t> false_negatives;
   for (size_t i = 0; i < pos_idx.size(); ++i) {
     if (probs[i] < lbf.threshold_ + kThresholdMargin) {
@@ -93,6 +102,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   for (size_t idx : false_negatives) {
     lbf.backup_.Insert(data.subset(idx));
   }
+  ObserveBuildPhase("aux", phase.ElapsedSeconds());
   lbf.train_seconds_ = sw.ElapsedSeconds();
   return lbf;
 }

@@ -22,7 +22,9 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   }
   sets::SubsetGenOptions gen;
   gen.max_subset_size = opts.max_subset_size;
+  Stopwatch phase;
   sets::LabeledSubsets subsets = EnumerateLabeledSubsets(collection, gen);
+  ObserveBuildPhase("enumerate", phase.ElapsedSeconds());
   if (subsets.empty()) return Status::InvalidArgument("no training subsets");
 
   LearnedSetIndex index;
@@ -43,6 +45,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   train.qerror_span = index.scaler_.span();
 
   Stopwatch sw;
+  double score_seconds = 0.0;
   if (opts.hybrid) {
     GuidedConfig guided;
     guided.train = train;
@@ -50,6 +53,9 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
     guided.keep_fraction = opts.keep_fraction;
     GuidedResult res =
         TrainGuided(index.model_.get(), &data, index.scaler_, guided);
+    ObserveBuildPhase("train", res.train_seconds);
+    score_seconds = res.score_seconds;
+    phase.Restart();
     std::vector<std::pair<uint64_t, uint32_t>> outliers;
     outliers.reserve(res.outliers.size());
     for (size_t idx : res.outliers) {
@@ -58,17 +64,23 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
     }
     index.aux_ = IndexAux::Build(std::move(outliers));
     index.num_outliers_ = res.outliers.size();
+    ObserveBuildPhase("aux", phase.ElapsedSeconds());
   } else {
     Trainer trainer(train);
+    phase.Restart();
     trainer.Train(index.model_.get(), data);
+    ObserveBuildPhase("train", phase.ElapsedSeconds());
   }
   index.train_seconds_ = sw.ElapsedSeconds();
 
   // Local error bounds + final accuracy over the *retained* subsets.
   std::vector<size_t> active = data.ActiveIndices();
   Trainer eval(train);
+  phase.Restart();
   std::vector<double> preds =
       eval.PredictScaled(index.model_.get(), data, active);
+  ObserveBuildPhase("score", score_seconds + phase.ElapsedSeconds());
+  phase.Restart();
   std::vector<double> estimates(active.size());
   std::vector<double> truths(active.size());
   double q_sum = 0.0, abs_sum = 0.0;
@@ -87,6 +99,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   }
   index.bounds_ =
       LocalErrorBounds::Build(estimates, truths, opts.error_range_length);
+  ObserveBuildPhase("bounds", phase.ElapsedSeconds());
   return index;
 }
 

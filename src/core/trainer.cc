@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "common/stopwatch.h"
 #include "common/trace.h"
@@ -124,7 +125,9 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
   Trainer trainer(config.train);
   const int rounds = std::max(config.rounds, 1);
   for (int round = 0; round < rounds; ++round) {
+    Stopwatch train_sw;
     auto stats = trainer.Train(model, *data);
+    result.train_seconds += train_sw.ElapsedSeconds();
     result.history.insert(result.history.end(), stats.begin(), stats.end());
     if (round + 1 == rounds) break;  // last round: no eviction afterwards
 
@@ -132,7 +135,9 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
     // Per-sample q-error in original space on the active set.
     std::vector<size_t> idx = data->ActiveIndices();
     if (idx.empty()) break;
+    Stopwatch score_sw;
     std::vector<double> preds = trainer.PredictScaled(model, *data, idx);
+    result.score_seconds += score_sw.ElapsedSeconds();
     std::vector<double> errors(idx.size());
     for (size_t i = 0; i < idx.size(); ++i) {
       errors[i] =
@@ -160,12 +165,21 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
         ->GetCounter("trainer.outliers_evicted")
         ->Increment(evicted);
   }
+  Stopwatch score_sw;
   result.final_avg_qerror =
       EvaluateAvgQError(model, *data, scaler, data->ActiveIndices());
+  result.score_seconds += score_sw.ElapsedSeconds();
   MetricsRegistry::Global()
       ->GetGauge("trainer.final_avg_qerror")
       ->Set(result.final_avg_qerror);
   return result;
+}
+
+void ObserveBuildPhase(const char* phase, double seconds) {
+  MetricsRegistry::Global()
+      ->GetHistogram(std::string("build.") + phase + "_seconds",
+                     LatencyHistogramOptions())
+      ->Observe(seconds);
 }
 
 double EvaluateAvgQError(deepsets::SetModel* model, const TrainingSet& data,

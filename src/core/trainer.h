@@ -77,6 +77,9 @@ struct GuidedResult {
   std::vector<size_t> outliers;     ///< deactivated training-sample indices
   std::vector<EpochStats> history;  ///< concatenated epoch stats
   double final_avg_qerror = 0.0;    ///< avg q-error on remaining samples
+  double train_seconds = 0.0;  ///< wall time in the rounds' epochs
+  /// wall time scoring samples (guided eviction, the final q-error)
+  double score_seconds = 0.0;
 };
 
 /// \brief Trains with iterative outlier eviction (§6): after each round, the
@@ -89,6 +92,16 @@ struct GuidedResult {
 GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
                          const TargetScaler& scaler,
                          const GuidedConfig& config);
+
+/// Records `seconds` of one phase of a structure's build as the histogram
+/// `build.<phase>_seconds` of MetricsRegistry::Global(), where the
+/// trainer's own metrics go. Each Build call observes each phase it runs
+/// once: enumerate (training subsets), negatives (the Bloom filter's
+/// negative sampling), train (epochs), score (batched predictions over
+/// the training samples: guided eviction, q-error, backup candidates),
+/// bounds (the index's local error bounds) and aux (the hybrid's aux
+/// structure or the Bloom filter's backup filter).
+void ObserveBuildPhase(const char* phase, double seconds);
 
 /// Average q-error of the model on the given samples (original space).
 double EvaluateAvgQError(deepsets::SetModel* model, const TrainingSet& data,

@@ -23,22 +23,6 @@ const char* ActivationName(Activation a) {
   return "?";
 }
 
-void ApplyActivation(Activation act, Tensor* x) {
-  switch (act) {
-    case Activation::kNone:
-      return;
-    case Activation::kRelu:
-      ReluInPlace(x);
-      return;
-    case Activation::kSigmoid:
-      SigmoidInPlace(x);
-      return;
-    case Activation::kTanh:
-      TanhInPlace(x);
-      return;
-  }
-}
-
 void ActivationBackward(Activation act, const Tensor& y, Tensor* dy) {
   switch (act) {
     case Activation::kNone:
@@ -63,12 +47,8 @@ Dense::Dense(int64_t in, int64_t out, Activation act, Rng* rng)
 
 void Dense::Forward(const Tensor& x, Tensor* y) const {
   assert(x.cols() == in_dim());
-  if (y->rows() != x.rows() || y->cols() != out_dim()) {
-    y->ResizeAndZero(x.rows(), out_dim());
-  }
-  Gemm(x, false, weight_.value, false, 1.0f, 0.0f, y);
-  AddRowBroadcast(bias_.value, y);
-  ApplyActivation(act_, y);
+  y->Resize(x.rows(), out_dim());
+  ForwardRows(x.data(), x.rows(), y->data());
 }
 
 void Dense::ForwardRows(const float* x, int64_t m, float* y) const {
@@ -184,7 +164,17 @@ namespace {
 /// run the same arithmetic.
 void PoolSegment(Pooling pooling, const float* x, int64_t begin, int64_t end,
                  int64_t d, float* prow, int64_t* argmax) {
-  if (pooling == Pooling::kMax) {
+  const float* xs = x + begin * d;
+  if (pooling != Pooling::kMax) {
+    ColumnSums(xs, end - begin, d, prow);
+    if (pooling == Pooling::kMean && end > begin) {
+      const float inv = 1.0f / static_cast<float>(end - begin);
+      for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
+    }
+  } else if (argmax == nullptr) {
+    ColumnMaxima(xs, end - begin, d, prow);
+  } else {
+    // ColumnMaxima's order, keeping each column's winning row.
     for (int64_t j = 0; j < d; ++j) {
       prow[j] = begin < end ? -std::numeric_limits<float>::infinity() : 0.0f;
     }
@@ -193,20 +183,10 @@ void PoolSegment(Pooling pooling, const float* x, int64_t begin, int64_t end,
       for (int64_t j = 0; j < d; ++j) {
         if (xr[j] > prow[j]) {
           prow[j] = xr[j];
-          if (argmax != nullptr) argmax[j] = e;
+          argmax[j] = e;
         }
       }
     }
-    return;
-  }
-  for (int64_t j = 0; j < d; ++j) prow[j] = 0.0f;
-  for (int64_t e = begin; e < end; ++e) {
-    const float* xr = x + e * d;
-    for (int64_t j = 0; j < d; ++j) prow[j] += xr[j];
-  }
-  if (pooling == Pooling::kMean && end > begin) {
-    const float inv = 1.0f / static_cast<float>(end - begin);
-    for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
   }
 }
 
@@ -242,33 +222,32 @@ void SegmentPool::Backward(const Tensor& dpooled,
                            int64_t total_elements, Tensor* dx) const {
   const int64_t num_sets = static_cast<int64_t>(offsets.size()) - 1;
   const int64_t d = dpooled.cols();
-  dx->ResizeAndZero(total_elements, d);
+  if (pooling_ == Pooling::kMax) {
+    dx->ResizeAndZero(total_elements, d);
+    for (int64_t s = 0; s < num_sets; ++s) {
+      const float* prow = dpooled.row(s);
+      for (int64_t j = 0; j < d; ++j) {
+        int64_t winner = argmax[static_cast<size_t>(s * d + j)];
+        if (winner >= 0) (*dx)(winner, j) += prow[j];
+      }
+    }
+    return;
+  }
+  // Sum and mean write every element row once, as 0 + g: the value of a
+  // zeroed row plus its gradient, so a -0 gradient stores +0. Sum scales by
+  // 1, which changes no bit.
+  assert(offsets.front() == 0 && offsets.back() == total_elements);
+  dx->Resize(total_elements, d);
   for (int64_t s = 0; s < num_sets; ++s) {
     const int64_t begin = offsets[static_cast<size_t>(s)];
     const int64_t end = offsets[static_cast<size_t>(s) + 1];
     const float* prow = dpooled.row(s);
-    switch (pooling_) {
-      case Pooling::kSum:
-        for (int64_t e = begin; e < end; ++e) {
-          float* xr = dx->row(e);
-          for (int64_t j = 0; j < d; ++j) xr[j] += prow[j];
-        }
-        break;
-      case Pooling::kMean: {
-        if (end == begin) break;
-        const float inv = 1.0f / static_cast<float>(end - begin);
-        for (int64_t e = begin; e < end; ++e) {
-          float* xr = dx->row(e);
-          for (int64_t j = 0; j < d; ++j) xr[j] += prow[j] * inv;
-        }
-        break;
-      }
-      case Pooling::kMax:
-        for (int64_t j = 0; j < d; ++j) {
-          int64_t winner = argmax[static_cast<size_t>(s * d + j)];
-          if (winner >= 0) (*dx)(winner, j) += prow[j];
-        }
-        break;
+    const float inv = pooling_ == Pooling::kMean && end > begin
+                          ? 1.0f / static_cast<float>(end - begin)
+                          : 1.0f;
+    for (int64_t e = begin; e < end; ++e) {
+      float* xr = dx->row(e);
+      for (int64_t j = 0; j < d; ++j) xr[j] = 0.0f + prow[j] * inv;
     }
   }
 }

@@ -30,9 +30,6 @@ struct Parameter {
 
 const char* ActivationName(Activation a);
 
-/// Applies an activation to `x` in place.
-void ApplyActivation(Activation act, Tensor* x);
-
 /// Multiplies `dy` in place by the activation derivative, expressed through
 /// the activation *output* `y`.
 void ActivationBackward(Activation act, const Tensor& y, Tensor* dy);
@@ -47,14 +44,16 @@ class Dense {
   /// \param act activation applied after the affine map
   Dense(int64_t in, int64_t out, Activation act, Rng* rng);
 
-  /// Forward: writes `y` (n x out) for input `x` (n x in).
+  /// Forward: writes `y` (n x out, resized to it) for input `x` (n x in),
+  /// which must be another tensor. ForwardRows on the tensors' rows.
   void Forward(const Tensor& x, Tensor* y) const;
 
-  /// Inference forward over `m` rows: writes m rows of out_dim() floats at
-  /// `y` for the m rows of in_dim() floats at `x` (which must not overlap
-  /// `y`). One DenseRows call: the bias add (and a ReLU) run in registers
-  /// before each output's store, and every row is bit-identical to the
-  /// matching row of Forward. Allocates nothing.
+  /// Forward over `m` rows: writes m rows of out_dim() floats at `y` for the
+  /// m rows of in_dim() floats at `x` (which must not overlap `y`). One
+  /// DenseRows call: the bias add (and a ReLU) run in registers before each
+  /// output's store, and each row's bits depend on that row alone, so a
+  /// query's rows match the same rows of a training batch. Allocates
+  /// nothing.
   void ForwardRows(const float* x, int64_t m, float* y) const;
 
   /// Backward. `x` and `y` must be the tensors from the matching Forward;
@@ -164,8 +163,9 @@ class SegmentPool {
   void ForwardRow(const float* x, int64_t rows, int64_t d,
                   float* pooled) const;
 
-  /// Scatters `dpooled` back to element rows in `dx` (must be pre-zeroed or
-  /// correctly shaped; it is overwritten).
+  /// Scatters `dpooled` back to element rows in `dx`, which is resized to
+  /// (total_elements x d) and overwritten. For sum and mean, `offsets` must
+  /// span all of [0, total_elements).
   void Backward(const Tensor& dpooled, const std::vector<int64_t>& offsets,
                 const std::vector<int64_t>& argmax, int64_t total_elements,
                 Tensor* dx) const;

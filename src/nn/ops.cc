@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <type_traits>
 #include <vector>
 
@@ -100,13 +101,14 @@ constexpr int64_t kFusedRows = kAccRegs / (kRowLanes / kVecLanes);
 
 /// The two threaded kernels and their crossovers, measured in training on
 /// a 4-vCPU host (EXPERIMENTS.md "Two threaded kernels"): below them a
-/// 4-worker pool cost more than it saved. A product of at least
-/// kGemmThreadedMacs multiply-adds and 32 columns splits its row tiles
-/// across the kernel pool, kRowTilesPerChunk at a time. A compute-bound
-/// elementwise pass (Adam, sigmoid, tanh) over at least
-/// kElementwiseThreadedFloats floats splits into chunks of at least a
-/// quarter of that; the memory-bound passes never won and always run on the
-/// caller's thread. Chunks write disjoint outputs, so results never change.
+/// 4-worker pool cost more than it saved. A product (Gemm's or a dense
+/// layer's) of at least kGemmThreadedMacs multiply-adds and 32 columns
+/// splits its rows across the kernel pool, kRowTilesPerChunk 8-row tiles
+/// (128 rows) at a time. A compute-bound elementwise pass (Adam, sigmoid,
+/// tanh) over at least kElementwiseThreadedFloats floats splits into chunks
+/// of at least a quarter of that; the memory-bound passes never won and
+/// always run on the caller's thread. Chunks write disjoint outputs, so
+/// results never change.
 constexpr int64_t kRowTilesPerChunk = 16;
 constexpr int64_t kGemmThreadedMacs = int64_t{1} << 25;
 constexpr int64_t kElementwiseThreadedFloats = int64_t{1} << 16;
@@ -137,6 +139,15 @@ void KernelParallelFor(bool threaded, int64_t n, int64_t min_chunk,
         fn(static_cast<int64_t>(begin), static_cast<int64_t>(end));
       },
       static_cast<size_t>(min_chunk));
+}
+
+/// Splits a compute-bound elementwise pass over the kernel pool above its
+/// crossover; chunk boundaries only partition disjoint output ranges, so
+/// threading never changes results.
+template <typename Fn>
+void ElementwiseParallel(int64_t size, const Fn& fn) {
+  KernelParallelFor(size >= kElementwiseThreadedFloats, size,
+                    kElementwiseThreadedFloats / 4, fn);
 }
 
 /// One multiply-add step of the kernel on a float or a vector, lane by lane:
@@ -224,14 +235,14 @@ inline float Tanh(float d) { return std::tanh(d); }
 
 /// A fused layer's epilogue in registers: stores sum + bias for the lanes
 /// of `sum` (a float or a vector), through ReLU for a ReLU layer, with the
-/// per-element expressions of AddRowBroadcast and ReluInPlace. Sigmoid and
+/// per-element expressions of AddRowBroadcast and a ReLU pass. Sigmoid and
 /// tanh, scalar libm calls, run over the stored rows afterwards.
 template <typename T>
 [[gnu::always_inline]] inline void StoreBiased(float* c, T sum,
                                                const float* bias,
                                                Activation act) {
   sum = sum + LoadAs<T>(bias);
-  // x > 0 ? x : 0 lane by lane: NaN and -0 become +0, as in ReluInPlace.
+  // x > 0 ? x : 0 lane by lane: NaN and -0 become +0.
   if (act == Activation::kRelu) sum = sum > T{} ? sum : T{};
   StoreAs<T>(c, sum);
 }
@@ -586,12 +597,27 @@ void DenseRows(const float* x, int64_t m, const float* w, const float* bias,
     // ran ~8% slower (64 -> 64, 92 -> 99 ns on an AVX-512 Xeon).
     Cover<1, kRowLanes, kWideSums, false, true>(o, 1, n, k, y, n);
   } else {
-    Cover<kFusedRows, kRowLanes, kWideSums, false, true>(o, m, n, k, y, n);
+    // Gemm's threading rule, over the same 128-row chunks: rows are
+    // independent, so the split never changes a bit.
+    const int64_t row_tiles = (m + kFusedRows - 1) / kFusedRows;
+    KernelParallelFor(
+        n >= 32 && m * n * k >= kGemmThreadedMacs, row_tiles,
+        kRowTilesPerChunk * kTileRows / kFusedRows,
+        [&](int64_t t0, int64_t t1) {
+          const int64_t i0 = t0 * kFusedRows;
+          const int64_t i1 = std::min(m, t1 * kFusedRows);
+          Cover<kFusedRows, kRowLanes, kWideSums, false, true>(
+              o.At(i0, 0), i1 - i0, n, k, y + i0 * n, n);
+        });
   }
   if (act == Activation::kSigmoid) {
-    for (int64_t e = 0; e < m * n; ++e) y[e] = Sigmoid(y[e]);
+    ElementwiseParallel(m * n, [y](int64_t begin, int64_t end) {
+      for (int64_t e = begin; e < end; ++e) y[e] = Sigmoid(y[e]);
+    });
   } else if (act == Activation::kTanh) {
-    for (int64_t e = 0; e < m * n; ++e) y[e] = Tanh(y[e]);
+    ElementwiseParallel(m * n, [y](int64_t begin, int64_t end) {
+      for (int64_t e = begin; e < end; ++e) y[e] = Tanh(y[e]);
+    });
   }
 }
 
@@ -612,6 +638,66 @@ namespace {
 // order, and with it every bias gradient, is fixed by the shape.
 constexpr int64_t kSumRowsChunkRows = 256;
 
+/// Columns per register block of the row reductions below: 64 floats are
+/// 4 zmm, 8 ymm or 16 xmm registers.
+constexpr int64_t kReduceCols = 64;
+
+/// W consecutive columns of a reduction, held in registers.
+template <int64_t W>
+struct ColumnBlock {
+  using T = LanesOf<W>;
+  static constexpr int64_t kL = sizeof(T) / sizeof(float);
+  T lane[W / kL] = {};
+
+  static ColumnBlock Load(const float* p) {
+    ColumnBlock b;
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) b.lane[v] = LoadAs<T>(p + v * kL);
+    return b;
+  }
+  static ColumnBlock Fill(float f) {
+    ColumnBlock b;
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) b.lane[v] = f - T{};  // f exactly
+    return b;
+  }
+  void Store(float* p) const {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) StoreAs<T>(p + v * kL, lane[v]);
+  }
+  /// Adds the row at p, lane by lane.
+  void Add(const float* p) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) lane[v] += LoadAs<T>(p + v * kL);
+  }
+  void Add(const ColumnBlock& o) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) lane[v] += o.lane[v];
+  }
+  /// Keeps the row at p's value where it is strictly greater (NaN never
+  /// wins).
+  void Max(const float* p) {
+#pragma GCC unroll 16
+    for (int64_t v = 0; v < W / kL; ++v) {
+      const T x = LoadAs<T>(p + v * kL);
+      lane[v] = x > lane[v] ? x : lane[v];
+    }
+  }
+};
+
+/// Calls block.template operator()<W>(j0) for the column blocks of
+/// [0, cols): kReduceCols-wide blocks, then the power-of-two tail strips.
+template <class F>
+[[gnu::always_inline]] inline void ForColumnBlocks(int64_t cols, F&& block) {
+  int64_t j0 = 0;
+  for (; j0 + kReduceCols <= cols; j0 += kReduceCols) {
+    block.template operator()<kReduceCols>(j0);
+  }
+  ForPow2Strips<kReduceCols / 2>(cols - j0, [&]<int64_t V>(int64_t off) {
+    block.template operator()<V>(j0 + off);
+  });
+}
+
 }  // namespace
 
 void SumRowsAccumulate(const Tensor& x, Tensor* out) {
@@ -620,42 +706,43 @@ void SumRowsAccumulate(const Tensor& x, Tensor* out) {
   span.set_arg("rows", static_cast<double>(x.rows()));
   const int64_t rows = x.rows();
   const int64_t cols = x.cols();
+  const float* xd = x.data();
   float* o = out->data();
-  if (rows <= kSumRowsChunkRows) {
-    for (int64_t i = 0; i < rows; ++i) {
-      const float* row = x.row(i);
-      for (int64_t j = 0; j < cols; ++j) o[j] += row[j];
+  ForColumnBlocks(cols, [&]<int64_t W>(int64_t j0) {
+    auto sum = ColumnBlock<W>::Load(o + j0);
+    if (rows <= kSumRowsChunkRows) {
+      for (int64_t i = 0; i < rows; ++i) sum.Add(xd + i * cols + j0);
+    } else {
+      // Each chunk of kSumRowsChunkRows rows accumulates into a zeroed
+      // partial (rows in ascending order), which is then added into `out`,
+      // chunks in ascending order.
+      for (int64_t c0 = 0; c0 < rows; c0 += kSumRowsChunkRows) {
+        ColumnBlock<W> part;
+        const int64_t c1 = std::min(rows, c0 + kSumRowsChunkRows);
+        for (int64_t i = c0; i < c1; ++i) part.Add(xd + i * cols + j0);
+        sum.Add(part);
+      }
     }
-    return;
-  }
-  // Each chunk of kSumRowsChunkRows rows accumulates into a zeroed partial
-  // (rows in ascending order), which is then added into `out`, chunks in
-  // ascending order.
-  static thread_local std::vector<float> part;
-  part.resize(static_cast<size_t>(cols));
-  for (int64_t c = 0; c * kSumRowsChunkRows < rows; ++c) {
-    std::fill(part.begin(), part.end(), 0.0f);
-    const int64_t row_end = std::min(rows, (c + 1) * kSumRowsChunkRows);
-    for (int64_t i = c * kSumRowsChunkRows; i < row_end; ++i) {
-      const float* row = x.row(i);
-      for (int64_t j = 0; j < cols; ++j) part[j] += row[j];
-    }
-    for (int64_t j = 0; j < cols; ++j) o[j] += part[j];
-  }
+    sum.Store(o + j0);
+  });
 }
 
-namespace {
-
-/// Splits a compute-bound elementwise pass over the kernel pool above its
-/// crossover; chunk boundaries only partition disjoint output ranges, so
-/// threading never changes results.
-template <typename Fn>
-void ElementwiseParallel(int64_t size, const Fn& fn) {
-  KernelParallelFor(size >= kElementwiseThreadedFloats, size,
-                    kElementwiseThreadedFloats / 4, fn);
+void ColumnSums(const float* x, int64_t rows, int64_t d, float* out) {
+  ForColumnBlocks(d, [&]<int64_t W>(int64_t j0) {
+    ColumnBlock<W> sum;
+    for (int64_t i = 0; i < rows; ++i) sum.Add(x + i * d + j0);
+    sum.Store(out + j0);
+  });
 }
 
-}  // namespace
+void ColumnMaxima(const float* x, int64_t rows, int64_t d, float* out) {
+  ForColumnBlocks(d, [&]<int64_t W>(int64_t j0) {
+    auto max = ColumnBlock<W>::Fill(
+        rows > 0 ? -std::numeric_limits<float>::infinity() : 0.0f);
+    for (int64_t i = 0; i < rows; ++i) max.Max(x + i * d + j0);
+    max.Store(out + j0);
+  });
+}
 
 void SigmoidInPlace(Tensor* x) {
   float* d = x->data();
@@ -669,11 +756,6 @@ void TanhInPlace(Tensor* x) {
   ElementwiseParallel(x->size(), [d](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) d[i] = Tanh(d[i]);
   });
-}
-
-void ReluInPlace(Tensor* x) {
-  float* d = x->data();
-  for (int64_t i = 0; i < x->size(); ++i) d[i] = d[i] > 0.0f ? d[i] : 0.0f;
 }
 
 void SigmoidBackwardInPlace(const Tensor& y, Tensor* dy) {

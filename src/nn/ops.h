@@ -44,7 +44,7 @@ void Gemm(const Tensor& a, bool trans_a, const Tensor& b, bool trans_b,
 /// Supported activation functions for dense layers.
 enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 
-/// \brief y = act(x · W + bias) for m rows: a dense layer's inference kernel.
+/// \brief y = act(x · W + bias) for m rows: a dense layer's forward kernel.
 ///
 /// `x` holds m rows of k floats, `w` is a row-major (k x n) matrix, `bias`
 /// holds n floats and `y` receives m rows of n floats (it must not overlap
@@ -52,13 +52,17 @@ enum class Activation { kNone, kRelu, kSigmoid, kTanh };
 /// Gemm loads from a zeroed C); the bias add and a ReLU then run on the
 /// combined sum in registers before its store (sigmoid and tanh, libm
 /// calls, run over the stored rows), with the per-element expressions of
-/// AddRowBroadcast and the activation passes below. Every row is therefore
-/// bit-identical to the matching row of a batched Gemm followed by those
-/// passes (Dense::Forward) — Dense::ForwardRows, and through it
+/// AddRowBroadcast, `x > 0 ? x : 0` and the activation passes below. Every
+/// row is therefore bit-identical to the matching row of a batched Gemm
+/// followed by those passes — Dense::ForwardRows, and through it
 /// SetModel::PredictOne, depend on this. The rows run on the tile kernel
 /// Gemm uses; a 1-wide output is one dot product per row whose kHeadSums
-/// partials are the lanes of one vector. Single-threaded; allocates
-/// nothing; records no trace span.
+/// partials are the lanes of one vector. Dense::Forward, training's
+/// forward, is this call on a Tensor. Above Gemm's threading crossover
+/// (2^25 multiply-adds and 32 columns) the row tiles split across the
+/// kernel pool, and a sigmoid or tanh over at least 2^16 outputs splits
+/// like SigmoidInPlace; rows are independent, so the bits do not depend on
+/// the worker count. Allocates nothing; records no trace span.
 void DenseRows(const float* x, int64_t m, const float* w, const float* bias,
                int64_t k, int64_t n, Activation act, float* y);
 
@@ -67,16 +71,16 @@ void DenseRows(const float* x, int64_t m, const float* w, const float* bias,
 void GemmReference(const Tensor& a, bool trans_a, const Tensor& b,
                    bool trans_b, float alpha, float beta, Tensor* c);
 
-/// Enables/disables the kernel thread pool (default on). Two kernels use
-/// it, each only above a crossover measured on a 4-vCPU host (DESIGN.md
-/// "Compute backend"): Gemm's 8-row tiles from 2^25 multiply-adds and 32
-/// columns, and the compute-bound elementwise passes (AdamStepFused,
-/// sigmoid, tanh) from 2^16 floats. Every smaller kernel, and every other
-/// kernel, runs on the caller's thread. Serial and threaded execution
-/// produce bit-identical results; the switch exists for benchmarking and
-/// for callers that manage their own outer parallelism. Safe to call
-/// concurrently with running kernels (the flag is atomic), though kernels
-/// already in flight may finish under the old setting.
+/// Enables/disables the kernel thread pool (default on). Two kinds of
+/// kernel use it, each only above a crossover measured on a 4-vCPU host
+/// (DESIGN.md "Compute backend"): the row tiles of Gemm and DenseRows from
+/// 2^25 multiply-adds and 32 columns, and the compute-bound elementwise
+/// passes (AdamStepFused, sigmoid, tanh) from 2^16 floats. Every smaller
+/// kernel, and every other kernel, runs on the caller's thread. Serial and
+/// threaded execution produce bit-identical results; the switch exists for
+/// benchmarking and for callers that manage their own outer parallelism.
+/// Safe to call concurrently with running kernels (the flag is atomic),
+/// though kernels already in flight may finish under the old setting.
 void SetKernelThreading(bool enabled);
 
 /// Overrides the pool used by the threaded kernels (nullptr restores
@@ -95,6 +99,16 @@ void AddRowBroadcast(const Tensor& bias, Tensor* x);
 /// trained weights, and so every `Save()` byte, depend on that order.
 void SumRowsAccumulate(const Tensor& x, Tensor* out);
 
+/// out[j] = the sum of column j of the `rows` rows of `d` floats at `x`,
+/// accumulated from +0 in row order (for rows = 0, +0). Sum pooling.
+void ColumnSums(const float* x, int64_t rows, int64_t d, float* out);
+
+/// out[j] = the largest value of column j of the `rows` rows of `d` floats
+/// at `x`: from -inf, a later row replacing the running value only when
+/// strictly greater (so NaN never wins); 0 when rows = 0. Max pooling
+/// without the argmax that its backward needs.
+void ColumnMaxima(const float* x, int64_t rows, int64_t d, float* out);
+
 /// Fused Adam update for one parameter: in a single pass computes
 /// m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g^2, subtracts
 /// alpha*m/(sqrt(v)+eps) from `value` and zeroes `grad`. `alpha` is the
@@ -109,15 +123,12 @@ void AdamStepReference(float alpha, float beta1, float beta2, float eps,
                        Tensor* value, Tensor* grad, Tensor* m, Tensor* v);
 
 /// Elementwise sigmoid, writing into `x` in place. DenseRows' epilogue runs
-/// the same per-element expression, so a row and a tensor agree bit for
-/// bit; likewise for tanh and ReLU.
+/// the same per-element expression, so a layer and a tensor pass agree bit
+/// for bit; likewise for tanh.
 void SigmoidInPlace(Tensor* x);
 
 /// Elementwise tanh in place.
 void TanhInPlace(Tensor* x);
-
-/// Elementwise ReLU in place.
-void ReluInPlace(Tensor* x);
 
 /// Given activation *outputs* y and upstream grad dy, computes
 /// dy *= sigma'(x) expressed through y (sigmoid: y(1-y); tanh: 1-y^2;

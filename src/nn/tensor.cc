@@ -36,6 +36,14 @@ void Tensor::ResizeAndZero(int64_t rows, int64_t cols) {
   data_.assign(static_cast<size_t>(rows) * static_cast<size_t>(cols), 0.0f);
 }
 
+void Tensor::Resize(int64_t rows, int64_t cols) {
+  assert(rows >= 0 && cols >= 0);
+  assert(cols == 0 || rows <= std::numeric_limits<int64_t>::max() / cols);
+  rows_ = rows;
+  cols_ = cols;
+  data_.resize(static_cast<size_t>(rows) * static_cast<size_t>(cols));
+}
+
 void Tensor::SetZero() { std::fill(data_.begin(), data_.end(), 0.0f); }
 
 void Tensor::Fill(float value) {

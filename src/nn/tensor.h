@@ -105,6 +105,11 @@ class Tensor {
   /// Resizes to the given shape; contents are zeroed.
   void ResizeAndZero(int64_t rows, int64_t cols);
 
+  /// Resizes to the given shape without clearing: the values are whatever
+  /// the storage held (zeros where it grew). For outputs that are then
+  /// written in full.
+  void Resize(int64_t rows, int64_t cols);
+
   /// Sets every entry to zero (shape unchanged).
   void SetZero();
 

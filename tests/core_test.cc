@@ -10,11 +10,13 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "baselines/bplus_tree.h"
 #include "baselines/inverted_index.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "core/hybrid.h"
 #include "nn/losses.h"
@@ -576,6 +578,71 @@ TEST(CardinalityHybridTest, OutliersAnsweredExactly) {
 TEST(CardinalityTest, EmptyCollectionRejected) {
   sets::SetCollection empty;
   EXPECT_FALSE(LearnedCardinalityEstimator::Build(empty, {}).ok());
+}
+
+// ---------- Build phase split ----------
+
+/// How many times each build.<phase>_seconds histogram of the global
+/// registry has been observed, and the seconds they hold.
+std::map<std::string, std::pair<uint64_t, double>> BuildPhases() {
+  std::map<std::string, std::pair<uint64_t, double>> phases;
+  const MetricsSnapshot snap = MetricsRegistry::Global()->Snapshot();
+  for (const char* phase :
+       {"enumerate", "negatives", "train", "score", "bounds", "aux"}) {
+    const std::string name = std::string("build.") + phase + "_seconds";
+    const HistogramSnapshot* h = snap.FindHistogram(name);
+    phases[phase] = h == nullptr ? std::make_pair(uint64_t{0}, 0.0)
+                                 : std::make_pair(h->count, h->sum);
+  }
+  return phases;
+}
+
+/// Phases observed between `before` and now, each with its count delta.
+std::map<std::string, uint64_t> PhasesSince(
+    const std::map<std::string, std::pair<uint64_t, double>>& before) {
+  std::map<std::string, uint64_t> observed;
+  for (const auto& [phase, now] : BuildPhases()) {
+    const auto& then = before.at(phase);
+    if (now.first != then.first) observed[phase] = now.first - then.first;
+    EXPECT_GE(now.second, then.second) << phase;
+  }
+  return observed;
+}
+
+TEST(BuildPhaseTest, EachBuildObservesEachOfItsPhasesOnce) {
+  sets::RwConfig rw;
+  rw.num_sets = 150;
+  rw.num_unique = 40;
+  const auto c = GenerateRw(rw);
+  using Phases = std::map<std::string, uint64_t>;
+
+  auto before = BuildPhases();
+  IndexOptions index_opts;
+  index_opts.train.epochs = 2;
+  index_opts.max_subset_size = 2;
+  index_opts.hybrid = true;
+  ASSERT_TRUE(LearnedSetIndex::Build(c, index_opts).ok());
+  EXPECT_EQ(PhasesSince(before), (Phases{{"aux", 1}, {"bounds", 1},
+                                         {"enumerate", 1}, {"score", 1},
+                                         {"train", 1}}));
+
+  before = BuildPhases();
+  CardinalityOptions card_opts;
+  card_opts.train.epochs = 2;
+  card_opts.max_subset_size = 2;
+  card_opts.hybrid = true;
+  ASSERT_TRUE(LearnedCardinalityEstimator::Build(c, card_opts).ok());
+  EXPECT_EQ(PhasesSince(before), (Phases{{"aux", 1}, {"enumerate", 1},
+                                         {"score", 1}, {"train", 1}}));
+
+  before = BuildPhases();
+  BloomOptions bloom_opts;
+  bloom_opts.train.epochs = 2;
+  bloom_opts.max_subset_size = 2;
+  ASSERT_TRUE(LearnedBloomFilter::Build(c, bloom_opts).ok());
+  EXPECT_EQ(PhasesSince(before),
+            (Phases{{"aux", 1}, {"enumerate", 1}, {"negatives", 1},
+                    {"score", 1}, {"train", 1}}));
 }
 
 // ---------- End-to-end: learned set index ----------

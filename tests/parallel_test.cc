@@ -20,6 +20,7 @@
 #include "deepsets/deepsets_model.h"
 #include "deepsets/set_transformer.h"
 #include "nn/init.h"
+#include "nn/layers.h"
 #include "nn/ops.h"
 #include "sets/generators.h"
 #include "sets/subset_gen.h"
@@ -232,6 +233,43 @@ TEST(GemmTest, ThreadedIsBitIdenticalToSerial) {
                           static_cast<size_t>(c_serial.size()) * sizeof(float)),
               0)
         << shape.m << " x " << shape.n << " x " << shape.k;
+  }
+}
+
+TEST(DenseRowsTest, ThreadedIsBitIdenticalToSerial) {
+  // A dense layer's forward threads its row tiles under Gemm's rule: 320 x
+  // 320 -> 320 (~32.8M multiply-adds) stays on the caller's thread, 1,043 x
+  // 384 -> 96 (~38.4M) splits into 128-row chunks with a partial last tile.
+  // Sigmoid and tanh over its 100,128 outputs also split, as elementwise
+  // passes from 2^16 floats.
+  for (const GemmShape shape : {GemmShape{320, 320, 320},
+                                GemmShape{1043, 96, 384}}) {
+    Rng rng(6);
+    Tensor x(shape.m, shape.k), w(shape.k, shape.n), bias(1, shape.n);
+    nn::GaussianInit(&x, 1.0f, &rng);
+    nn::GaussianInit(&w, 0.1f, &rng);
+    nn::GaussianInit(&bias, 0.1f, &rng);
+    const size_t bytes = static_cast<size_t>(shape.m * shape.n) * sizeof(float);
+    for (nn::Activation act : {nn::Activation::kNone, nn::Activation::kRelu,
+                               nn::Activation::kSigmoid,
+                               nn::Activation::kTanh}) {
+      std::vector<float> serial(static_cast<size_t>(shape.m * shape.n));
+      nn::SetKernelThreading(false);
+      nn::DenseRows(x.data(), shape.m, w.data(), bias.data(), shape.k,
+                    shape.n, act, serial.data());
+      nn::SetKernelThreading(true);
+      for (size_t workers : {2u, 4u, 8u}) {
+        std::vector<float> threaded(serial.size());
+        {
+          ScopedKernelPool pool(workers);
+          nn::DenseRows(x.data(), shape.m, w.data(), bias.data(), shape.k,
+                        shape.n, act, threaded.data());
+        }
+        EXPECT_EQ(std::memcmp(serial.data(), threaded.data(), bytes), 0)
+            << shape.m << " x " << shape.k << " -> " << shape.n << ", "
+            << nn::ActivationName(act) << ", " << workers << " workers";
+      }
+    }
   }
 }
 

@@ -3,12 +3,15 @@
 // φ over all of a query's element rows in one call, ρ on the pooled row)
 // instead of the batched Tensor forward, and LearnedBloomFilter's
 // no-false-negative guarantee needs both to agree exactly. This checks:
-//   - every row of Dense::ForwardRows against the same row of
-//     Dense::Forward, at 1-9, 17 and 2048 rows (every fused tile height
-//     and short last tile, against each instance of the GEMM tile kernel:
-//     one row, rows as lanes, 8-row tiles, threaded), every activation,
-//     the paper's layer shapes and 1-wide heads whose k leaves a partial
-//     tail or spans two 256-step blocks, with ±0 and NaN inputs;
+//   - Dense::ForwardRows and Dense::Forward (one kernel, nn::DenseRows)
+//     against the chain the training forward used to run, nn::Gemm then
+//     AddRowBroadcast then an activation pass, kept in the test, at 1-9,
+//     17 and 2048 rows (every fused tile height and short last tile,
+//     against each instance of the GEMM tile kernel: one row, rows as
+//     lanes, 8-row tiles, threaded) and at training's 513 and 1,300 rows
+//     for φ's and ρ's shapes, every activation, the paper's layer shapes
+//     and 1-wide heads whose k leaves a partial tail or spans two 256-step
+//     blocks, with ±0 and NaN inputs;
 //   - PredictOne against PredictBatch over pooling, hidden activation, φ
 //     depth and ρ width for LSM and CLSM, on sets of 0-8 elements;
 //   - a learned Bloom filter answering MayContain for every member.
@@ -18,6 +21,7 @@
 #include <bit>
 #include <cstdint>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -30,6 +34,7 @@
 #include "deepsets/deepsets_model.h"
 #include "nn/init.h"
 #include "nn/layers.h"
+#include "nn/ops.h"
 #include "sets/generators.h"
 #include "sets/subset_gen.h"
 
@@ -39,6 +44,9 @@ namespace {
 using nn::Activation;
 
 constexpr int64_t kHeights[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 2048};
+/// Training's batch heights, for φ (16 -> 64, 8 -> 32) and ρ (64 -> 64,
+/// 64 -> 1): a last row tile and a last 128-row chunk that are partial.
+constexpr int64_t kTrainingHeights[] = {513, 1300};
 constexpr int64_t kMinInputsPerCase = 2000;
 constexpr Activation kActivations[] = {Activation::kNone, Activation::kRelu,
                                        Activation::kSigmoid,
@@ -68,20 +76,72 @@ void SprinkleSpecials(nn::Tensor* x, Rng* rng) {
   }
 }
 
-// ---------- Dense::ForwardRows vs Dense::Forward ----------
+// ---------- Dense::Forward and ForwardRows vs Gemm + bias + act ----------
+
+/// The training forward before it ran nn::DenseRows: Gemm into a zeroed
+/// output, AddRowBroadcast, then a pass of the activation.
+nn::Tensor ChainForward(const nn::Dense& layer, const nn::Tensor& x) {
+  nn::Tensor y(x.rows(), layer.out_dim());
+  nn::Gemm(x, false, layer.weight().value, false, 1.0f, 0.0f, &y);
+  nn::AddRowBroadcast(layer.bias().value, &y);
+  switch (layer.activation()) {
+    case Activation::kNone:
+      break;
+    case Activation::kRelu:
+      for (int64_t e = 0; e < y.size(); ++e) {
+        y.data()[e] = y.data()[e] > 0.0f ? y.data()[e] : 0.0f;
+      }
+      break;
+    case Activation::kSigmoid:
+      nn::SigmoidInPlace(&y);
+      break;
+    case Activation::kTanh:
+      nn::TanhInPlace(&y);
+      break;
+  }
+  return y;
+}
+
+/// Counts the elements of the m x out floats at `got` whose bits differ
+/// from `want`'s, keeping the first as text.
+int64_t CountMismatches(const nn::Tensor& want, const float* got,
+                        const char* what, std::string* first) {
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < want.rows(); ++i) {
+    for (int64_t j = 0; j < want.cols(); ++j) {
+      const float w = want(i, j);
+      const float g = got[i * want.cols() + j];
+      if (std::bit_cast<uint32_t>(w) == std::bit_cast<uint32_t>(g)) continue;
+      ++mismatches;
+      if (first->empty()) {
+        std::ostringstream os;
+        os << std::setprecision(9) << what << " row " << i << " col " << j
+           << ": chain " << w << " vs " << g;
+        *first = os.str();
+      }
+    }
+  }
+  return mismatches;
+}
 
 class DenseForwardRowTest
     : public testing::TestWithParam<std::pair<int64_t, int64_t>> {};
 
 TEST_P(DenseForwardRowTest, MatchesEveryRowOfForward) {
   const auto [in, out] = GetParam();
+  std::vector<int64_t> heights(std::begin(kHeights), std::end(kHeights));
+  if ((in == 16 && out == 64) || (in == 8 && out == 32) ||
+      (in == 64 && (out == 64 || out == 1))) {
+    heights.insert(heights.end(), std::begin(kTrainingHeights),
+                   std::end(kTrainingHeights));
+  }
   Rng rng(static_cast<uint64_t>(in * 1000 + out));
   for (Activation act : kActivations) {
     nn::Dense layer(in, out, act, &rng);
     std::vector<nn::Parameter*> params;
     layer.CollectParameters(&params);
     Perturb(params, 0.1f, &rng);
-    for (int64_t m : kHeights) {
+    for (int64_t m : heights) {
       int64_t inputs = 0;
       int64_t mismatches = 0;
       std::string first;
@@ -90,24 +150,13 @@ TEST_P(DenseForwardRowTest, MatchesEveryRowOfForward) {
         nn::Tensor x(m, in);
         nn::GaussianInit(&x, 1.0f, &rng);
         SprinkleSpecials(&x, &rng);
+        const nn::Tensor want = ChainForward(layer, x);
         nn::Tensor y;
         layer.Forward(x, &y);
         layer.ForwardRows(x.data(), m, rows.data());
-        for (int64_t i = 0; i < m; ++i) {
-          for (int64_t j = 0; j < out; ++j) {
-            const float batched = y(i, j);
-            const float single = rows[static_cast<size_t>(i * out + j)];
-            if (std::bit_cast<uint32_t>(batched) !=
-                std::bit_cast<uint32_t>(single)) {
-              if (mismatches++ == 0) {
-                std::ostringstream os;
-                os << std::setprecision(9) << "row " << i << " col " << j
-                   << ": batched " << batched << " vs row " << single;
-                first = os.str();
-              }
-            }
-          }
-        }
+        ASSERT_TRUE(y.SameShape(want));
+        mismatches += CountMismatches(want, y.data(), "Forward", &first);
+        mismatches += CountMismatches(want, rows.data(), "ForwardRows", &first);
         inputs += m;
       }
       EXPECT_EQ(mismatches, 0)

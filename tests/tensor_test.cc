@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -178,13 +181,6 @@ TEST(OpsTest, SigmoidValues) {
   EXPECT_NEAR(x(0, 2), 0.0f, 1e-6);
 }
 
-TEST(OpsTest, ReluClampsNegatives) {
-  Tensor x = Tensor::FromValues(1, 3, {-1.0f, 0.0f, 2.0f});
-  ReluInPlace(&x);
-  EXPECT_FLOAT_EQ(x(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(x(0, 2), 2.0f);
-}
-
 TEST(OpsTest, HadamardProducts) {
   Tensor a = Tensor::FromValues(1, 2, {2, 3});
   Tensor b = Tensor::FromValues(1, 2, {4, 5});
@@ -320,6 +316,97 @@ TEST(SegmentPoolTest, EmptySegmentPoolsToZero) {
   sum.Forward(x, offsets, &pooled, nullptr);
   EXPECT_FLOAT_EQ(pooled(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(pooled(1, 0), 7.0f);
+}
+
+TEST(SegmentPoolTest, ForwardBackwardMatchNaiveLoops) {
+  // Every width class of the register-block reductions (1; 8; 63, every
+  // tail strip; 64, one block; 65, a block and a 1-wide tail; 512),
+  // segments of 0-3 rows around one of 1,300, and ±0 and NaN among the
+  // inputs and gradients. Forward, ForwardRow and Backward must match
+  // plain loops bit for bit: pooling order fixes the trained weights.
+  std::vector<int64_t> offsets{0};
+  for (int64_t rows : {0, 1, 2, 3, 1300, 3, 0, 2, 1}) {
+    offsets.push_back(offsets.back() + rows);
+  }
+  const int64_t sets = static_cast<int64_t>(offsets.size()) - 1;
+  const int64_t total = offsets.back();
+  const float specials[] = {0.0f, -0.0f,
+                            std::numeric_limits<float>::quiet_NaN()};
+  auto same_bits = [](const float* a, const float* b, int64_t n) {
+    return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+  };
+  Rng rng(17);
+  for (int64_t d : {1, 8, 63, 64, 65, 512}) {
+    Tensor x(total, d), dpooled(sets, d);
+    GaussianInit(&x, 1.0f, &rng);
+    GaussianInit(&dpooled, 1.0f, &rng);
+    for (Tensor* t : {&x, &dpooled}) {
+      for (int64_t e = 0; e < t->size(); ++e) {
+        if (rng.Uniform(16) == 0) t->data()[e] = specials[rng.Uniform(3)];
+      }
+    }
+    for (Pooling pooling : {Pooling::kSum, Pooling::kMean, Pooling::kMax}) {
+      // The loops: sum from +0 in row order, mean then scaled by 1/rows,
+      // max from -inf taking strictly greater values (0 when empty);
+      // backward adds each gradient into a zeroed dx.
+      Tensor want(sets, d), want_dx(total, d);
+      std::vector<int64_t> want_argmax(static_cast<size_t>(sets * d), -1);
+      for (int64_t s = 0; s < sets; ++s) {
+        const int64_t begin = offsets[static_cast<size_t>(s)];
+        const int64_t end = offsets[static_cast<size_t>(s) + 1];
+        const float inv = 1.0f / static_cast<float>(end - begin);
+        for (int64_t j = 0; j < d; ++j) {
+          float acc = pooling == Pooling::kMax && end > begin
+                          ? -std::numeric_limits<float>::infinity()
+                          : 0.0f;
+          for (int64_t e = begin; e < end; ++e) {
+            if (pooling != Pooling::kMax) {
+              acc += x(e, j);
+            } else if (x(e, j) > acc) {
+              acc = x(e, j);
+              want_argmax[static_cast<size_t>(s * d + j)] = e;
+            }
+          }
+          if (pooling == Pooling::kMean && end > begin) acc *= inv;
+          want(s, j) = acc;
+          if (pooling == Pooling::kMax) {
+            const int64_t winner = want_argmax[static_cast<size_t>(s * d + j)];
+            if (winner >= 0) want_dx(winner, j) += dpooled(s, j);
+          } else {
+            for (int64_t e = begin; e < end; ++e) {
+              want_dx(e, j) += pooling == Pooling::kMean ? dpooled(s, j) * inv
+                                                         : dpooled(s, j);
+            }
+          }
+        }
+      }
+
+      const SegmentPool pool(pooling);
+      const std::string what = std::string(PoolingName(pooling)) +
+                               " d=" + std::to_string(d);
+      Tensor pooled, dx(3, 7);  // dx starts at another shape
+      std::vector<int64_t> argmax;
+      pool.Forward(x, offsets, &pooled, &argmax);
+      EXPECT_TRUE(same_bits(want.data(), pooled.data(), want.size())) << what;
+      if (pooling == Pooling::kMax) {
+        EXPECT_EQ(argmax, want_argmax) << what;
+      }
+      pool.Forward(x, offsets, &pooled, nullptr);
+      EXPECT_TRUE(same_bits(want.data(), pooled.data(), want.size())) << what;
+      std::vector<float> row(static_cast<size_t>(d));
+      for (int64_t s = 0; s < sets; ++s) {
+        const int64_t begin = offsets[static_cast<size_t>(s)];
+        const int64_t end = offsets[static_cast<size_t>(s) + 1];
+        pool.ForwardRow(x.row(begin), end - begin, d, row.data());
+        EXPECT_TRUE(same_bits(want.row(s), row.data(), d))
+            << what << " ForwardRow set " << s;
+      }
+      pool.Backward(dpooled, offsets, argmax, total, &dx);
+      ASSERT_TRUE(dx.SameShape(want_dx)) << what;
+      EXPECT_TRUE(same_bits(want_dx.data(), dx.data(), want_dx.size()))
+          << what << " Backward";
+    }
+  }
 }
 
 TEST(OptimizerTest, SgdConvergesOnQuadratic) {

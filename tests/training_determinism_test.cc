@@ -56,38 +56,44 @@ class ScopedSerialKernels {
 // ---------- Kernel-level determinism ----------
 
 TEST(SumRowsTest, ChunkedReductionInvariantAcrossWorkerCounts) {
-  Rng rng(3);
-  Tensor x(1100, 48);  // > 4 fixed chunks of 256 rows, with a remainder
-  nn::GaussianInit(&x, 1.0f, &rng);
-  Tensor base(1, 48);
-  nn::GaussianInit(&base, 1.0f, &rng);
+  // 1,100 rows: > 4 fixed chunks of 256 rows, with a remainder. 48 columns
+  // take two tail strips of the 64-column register blocks, 65 a block and
+  // a 1-wide strip, 130 two blocks and a 2-wide strip.
+  for (int64_t cols : {48, 1, 65, 130}) {
+    Rng rng(3);
+    Tensor x(1100, cols);
+    nn::GaussianInit(&x, 1.0f, &rng);
+    Tensor base(1, cols);
+    nn::GaussianInit(&base, 1.0f, &rng);
 
-  // Expected result: each 256-row chunk summed into a zeroed partial in row
-  // order, the partials added into `base` in chunk order. Bias gradients,
-  // and so every trained model's Save() bytes, depend on this order.
-  Tensor expected = base;
-  for (int64_t c = 0; c * 256 < x.rows(); ++c) {
-    std::vector<float> part(48, 0.0f);
-    for (int64_t i = c * 256; i < std::min<int64_t>(x.rows(), (c + 1) * 256);
-         ++i) {
-      for (int64_t j = 0; j < 48; ++j) part[j] += x(i, j);
+    // Expected result: each 256-row chunk summed into a zeroed partial in
+    // row order, the partials added into `base` in chunk order. Bias
+    // gradients, and so every trained model's Save() bytes, depend on this
+    // order.
+    Tensor expected = base;
+    for (int64_t c = 0; c * 256 < x.rows(); ++c) {
+      std::vector<float> part(static_cast<size_t>(cols), 0.0f);
+      for (int64_t i = c * 256;
+           i < std::min<int64_t>(x.rows(), (c + 1) * 256); ++i) {
+        for (int64_t j = 0; j < cols; ++j) part[j] += x(i, j);
+      }
+      for (int64_t j = 0; j < cols; ++j) expected.data()[j] += part[j];
     }
-    for (int64_t j = 0; j < 48; ++j) expected.data()[j] += part[j];
-  }
-  for (size_t workers : {0u, 1u, 2u, 8u}) {
-    std::unique_ptr<ScopedSerialKernels> serial;
-    std::unique_ptr<ScopedKernelPool> pool;
-    if (workers == 0) {
-      serial = std::make_unique<ScopedSerialKernels>();
-    } else {
-      pool = std::make_unique<ScopedKernelPool>(workers);
+    for (size_t workers : {0u, 1u, 2u, 8u}) {
+      std::unique_ptr<ScopedSerialKernels> serial;
+      std::unique_ptr<ScopedKernelPool> pool;
+      if (workers == 0) {
+        serial = std::make_unique<ScopedSerialKernels>();
+      } else {
+        pool = std::make_unique<ScopedKernelPool>(workers);
+      }
+      Tensor out = base;
+      nn::SumRowsAccumulate(x, &out);
+      EXPECT_EQ(std::memcmp(expected.data(), out.data(),
+                            static_cast<size_t>(out.size()) * sizeof(float)),
+                0)
+          << cols << " columns, " << workers << " workers";
     }
-    Tensor out = base;
-    nn::SumRowsAccumulate(x, &out);
-    EXPECT_EQ(std::memcmp(expected.data(), out.data(),
-                          static_cast<size_t>(out.size()) * sizeof(float)),
-              0)
-        << workers << " workers";
   }
 }
 
