@@ -39,7 +39,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   gen.max_subset_size = opts.max_subset_size;
   Stopwatch phase;
   sets::LabeledSubsets positives = EnumerateLabeledSubsets(collection, gen);
-  ObserveBuildPhase("enumerate", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kEnumerate, phase.ElapsedSeconds());
   if (positives.empty()) return Status::InvalidArgument("no positives");
 
   // Negative training data: combinations whose co-occurrence is absent
@@ -60,7 +60,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   std::vector<sets::Query> negatives = sets::SampleNegativeQueries(
       collection.universe_size(), opts.max_subset_size, num_neg, contains_fn,
       &rng);
-  ObserveBuildPhase("negatives", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kNegatives, phase.ElapsedSeconds());
 
   LearnedBloomFilter lbf;
   lbf.threshold_ = opts.threshold;
@@ -77,7 +77,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   Trainer trainer(train);
   phase.Restart();
   trainer.Train(lbf.model_.get(), data);
-  ObserveBuildPhase("train", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kTrain, phase.ElapsedSeconds());
 
   // Backup filter over the model's false negatives — restores the classic
   // guarantee of no false negatives for the indexed subsets. Any positive
@@ -89,7 +89,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   phase.Restart();
   std::vector<double> probs = trainer.PredictScaled(lbf.model_.get(), data,
                                                     pos_idx);
-  ObserveBuildPhase("score", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kScore, phase.ElapsedSeconds());
   phase.Restart();
   std::vector<size_t> false_negatives;
   for (size_t i = 0; i < pos_idx.size(); ++i) {
@@ -102,7 +102,7 @@ Result<LearnedBloomFilter> LearnedBloomFilter::Build(
   for (size_t idx : false_negatives) {
     lbf.backup_.Insert(data.subset(idx));
   }
-  ObserveBuildPhase("aux", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kAux, phase.ElapsedSeconds());
   lbf.train_seconds_ = sw.ElapsedSeconds();
   return lbf;
 }

@@ -12,7 +12,7 @@ Result<LearnedCardinalityEstimator> LearnedCardinalityEstimator::Build(
   gen.max_subset_size = opts.max_subset_size;
   Stopwatch phase;
   sets::LabeledSubsets subsets = EnumerateLabeledSubsets(collection, gen);
-  ObserveBuildPhase("enumerate", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kEnumerate, phase.ElapsedSeconds());
   return BuildFromSubsets(subsets,
                           static_cast<int64_t>(collection.universe_size()),
                           opts);
@@ -48,8 +48,8 @@ LearnedCardinalityEstimator::BuildFromSubsets(
     guided.keep_fraction = opts.keep_fraction;
     GuidedResult res = TrainGuided(est.model_.get(), &data, est.scaler_,
                                    guided);
-    ObserveBuildPhase("train", res.train_seconds);
-    ObserveBuildPhase("score", res.score_seconds);
+    ObserveBuildPhase(BuildPhase::kTrain, res.train_seconds);
+    ObserveBuildPhase(BuildPhase::kScore, res.score_seconds);
     Stopwatch phase;
     std::vector<CardinalityAux::Entry> outliers;
     outliers.reserve(res.outliers.size());
@@ -60,17 +60,17 @@ LearnedCardinalityEstimator::BuildFromSubsets(
     auto aux = CardinalityAux::Build(outliers);
     if (!aux.ok()) return aux.status();
     est.aux_ = std::move(*aux);
-    ObserveBuildPhase("aux", phase.ElapsedSeconds());
+    ObserveBuildPhase(BuildPhase::kAux, phase.ElapsedSeconds());
     est.final_train_qerror_ = res.final_avg_qerror;
   } else {
     Trainer trainer(train);
     Stopwatch phase;
     trainer.Train(est.model_.get(), data);
-    ObserveBuildPhase("train", phase.ElapsedSeconds());
+    ObserveBuildPhase(BuildPhase::kTrain, phase.ElapsedSeconds());
     phase.Restart();
     est.final_train_qerror_ = EvaluateAvgQError(
         est.model_.get(), data, est.scaler_, data.ActiveIndices());
-    ObserveBuildPhase("score", phase.ElapsedSeconds());
+    ObserveBuildPhase(BuildPhase::kScore, phase.ElapsedSeconds());
   }
   est.train_seconds_ = sw.ElapsedSeconds();
   return est;

@@ -24,7 +24,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   gen.max_subset_size = opts.max_subset_size;
   Stopwatch phase;
   sets::LabeledSubsets subsets = EnumerateLabeledSubsets(collection, gen);
-  ObserveBuildPhase("enumerate", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kEnumerate, phase.ElapsedSeconds());
   if (subsets.empty()) return Status::InvalidArgument("no training subsets");
 
   LearnedSetIndex index;
@@ -53,7 +53,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
     guided.keep_fraction = opts.keep_fraction;
     GuidedResult res =
         TrainGuided(index.model_.get(), &data, index.scaler_, guided);
-    ObserveBuildPhase("train", res.train_seconds);
+    ObserveBuildPhase(BuildPhase::kTrain, res.train_seconds);
     score_seconds = res.score_seconds;
     phase.Restart();
     std::vector<std::pair<uint64_t, uint32_t>> outliers;
@@ -64,12 +64,12 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
     }
     index.aux_ = IndexAux::Build(std::move(outliers));
     index.num_outliers_ = res.outliers.size();
-    ObserveBuildPhase("aux", phase.ElapsedSeconds());
+    ObserveBuildPhase(BuildPhase::kAux, phase.ElapsedSeconds());
   } else {
     Trainer trainer(train);
     phase.Restart();
     trainer.Train(index.model_.get(), data);
-    ObserveBuildPhase("train", phase.ElapsedSeconds());
+    ObserveBuildPhase(BuildPhase::kTrain, phase.ElapsedSeconds());
   }
   index.train_seconds_ = sw.ElapsedSeconds();
 
@@ -79,7 +79,8 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   phase.Restart();
   std::vector<double> preds =
       eval.PredictScaled(index.model_.get(), data, active);
-  ObserveBuildPhase("score", score_seconds + phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kScore,
+                    score_seconds + phase.ElapsedSeconds());
   phase.Restart();
   std::vector<double> estimates(active.size());
   std::vector<double> truths(active.size());
@@ -99,7 +100,7 @@ Result<LearnedSetIndex> LearnedSetIndex::Build(
   }
   index.bounds_ =
       LocalErrorBounds::Build(estimates, truths, opts.error_range_length);
-  ObserveBuildPhase("bounds", phase.ElapsedSeconds());
+  ObserveBuildPhase(BuildPhase::kBounds, phase.ElapsedSeconds());
   return index;
 }
 

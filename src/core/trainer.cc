@@ -175,10 +175,27 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
   return result;
 }
 
-void ObserveBuildPhase(const char* phase, double seconds) {
+const char* BuildPhaseMetric(BuildPhase phase) {
+  switch (phase) {
+    case BuildPhase::kEnumerate:
+      return "build.enumerate_seconds";
+    case BuildPhase::kNegatives:
+      return "build.negatives_seconds";
+    case BuildPhase::kTrain:
+      return "build.train_seconds";
+    case BuildPhase::kScore:
+      return "build.score_seconds";
+    case BuildPhase::kBounds:
+      return "build.bounds_seconds";
+    case BuildPhase::kAux:
+      return "build.aux_seconds";
+  }
+  return "build.unknown_seconds";
+}
+
+void ObserveBuildPhase(BuildPhase phase, double seconds) {
   MetricsRegistry::Global()
-      ->GetHistogram(std::string("build.") + phase + "_seconds",
-                     LatencyHistogramOptions())
+      ->GetHistogram(BuildPhaseMetric(phase), LatencyHistogramOptions())
       ->Observe(seconds);
 }
 

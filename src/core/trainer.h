@@ -93,15 +93,29 @@ GuidedResult TrainGuided(deepsets::SetModel* model, TrainingSet* data,
                          const TargetScaler& scaler,
                          const GuidedConfig& config);
 
-/// Records `seconds` of one phase of a structure's build as the histogram
-/// `build.<phase>_seconds` of MetricsRegistry::Global(), where the
-/// trainer's own metrics go. Each Build call observes each phase it runs
-/// once: enumerate (training subsets), negatives (the Bloom filter's
-/// negative sampling), train (epochs), score (batched predictions over
-/// the training samples: guided eviction, q-error, backup candidates),
-/// bounds (the index's local error bounds) and aux (the hybrid's aux
-/// structure or the Bloom filter's backup filter).
-void ObserveBuildPhase(const char* phase, double seconds);
+/// One phase of a structure's build. Each Build call observes each phase
+/// it runs once.
+enum class BuildPhase {
+  kEnumerate,  ///< enumerating the training subsets
+  kNegatives,  ///< the Bloom filter's negative sampling
+  kTrain,      ///< epochs
+  kScore,      ///< batched predictions over the training samples: guided
+               ///< eviction, q-error, backup candidates
+  kBounds,     ///< the index's local error bounds
+  kAux,        ///< the hybrid's aux structure or the Bloom filter's backup
+};
+
+/// Every BuildPhase, in declaration order.
+inline constexpr BuildPhase kBuildPhases[] = {
+    BuildPhase::kEnumerate, BuildPhase::kNegatives, BuildPhase::kTrain,
+    BuildPhase::kScore,     BuildPhase::kBounds,    BuildPhase::kAux};
+
+/// The histogram `phase` is recorded in: "build.<phase>_seconds".
+const char* BuildPhaseMetric(BuildPhase phase);
+
+/// Records `seconds` of `phase` in the histogram BuildPhaseMetric(phase) of
+/// MetricsRegistry::Global(), where the trainer's own metrics go.
+void ObserveBuildPhase(BuildPhase phase, double seconds);
 
 /// Average q-error of the model on the given samples (original space).
 double EvaluateAvgQError(deepsets::SetModel* model, const TrainingSet& data,

@@ -164,17 +164,7 @@ namespace {
 /// run the same arithmetic.
 void PoolSegment(Pooling pooling, const float* x, int64_t begin, int64_t end,
                  int64_t d, float* prow, int64_t* argmax) {
-  const float* xs = x + begin * d;
-  if (pooling != Pooling::kMax) {
-    ColumnSums(xs, end - begin, d, prow);
-    if (pooling == Pooling::kMean && end > begin) {
-      const float inv = 1.0f / static_cast<float>(end - begin);
-      for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
-    }
-  } else if (argmax == nullptr) {
-    ColumnMaxima(xs, end - begin, d, prow);
-  } else {
-    // ColumnMaxima's order, keeping each column's winning row.
+  if (pooling == Pooling::kMax) {
     for (int64_t j = 0; j < d; ++j) {
       prow[j] = begin < end ? -std::numeric_limits<float>::infinity() : 0.0f;
     }
@@ -183,10 +173,16 @@ void PoolSegment(Pooling pooling, const float* x, int64_t begin, int64_t end,
       for (int64_t j = 0; j < d; ++j) {
         if (xr[j] > prow[j]) {
           prow[j] = xr[j];
-          argmax[j] = e;
+          if (argmax != nullptr) argmax[j] = e;
         }
       }
     }
+    return;
+  }
+  ColumnSums(x + begin * d, end - begin, d, prow);
+  if (pooling == Pooling::kMean && end > begin) {
+    const float inv = 1.0f / static_cast<float>(end - begin);
+    for (int64_t j = 0; j < d; ++j) prow[j] *= inv;
   }
 }
 

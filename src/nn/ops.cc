@@ -655,12 +655,6 @@ struct ColumnBlock {
     for (int64_t v = 0; v < W / kL; ++v) b.lane[v] = LoadAs<T>(p + v * kL);
     return b;
   }
-  static ColumnBlock Fill(float f) {
-    ColumnBlock b;
-#pragma GCC unroll 16
-    for (int64_t v = 0; v < W / kL; ++v) b.lane[v] = f - T{};  // f exactly
-    return b;
-  }
   void Store(float* p) const {
 #pragma GCC unroll 16
     for (int64_t v = 0; v < W / kL; ++v) StoreAs<T>(p + v * kL, lane[v]);
@@ -673,15 +667,6 @@ struct ColumnBlock {
   void Add(const ColumnBlock& o) {
 #pragma GCC unroll 16
     for (int64_t v = 0; v < W / kL; ++v) lane[v] += o.lane[v];
-  }
-  /// Keeps the row at p's value where it is strictly greater (NaN never
-  /// wins).
-  void Max(const float* p) {
-#pragma GCC unroll 16
-    for (int64_t v = 0; v < W / kL; ++v) {
-      const T x = LoadAs<T>(p + v * kL);
-      lane[v] = x > lane[v] ? x : lane[v];
-    }
   }
 };
 
@@ -732,15 +717,6 @@ void ColumnSums(const float* x, int64_t rows, int64_t d, float* out) {
     ColumnBlock<W> sum;
     for (int64_t i = 0; i < rows; ++i) sum.Add(x + i * d + j0);
     sum.Store(out + j0);
-  });
-}
-
-void ColumnMaxima(const float* x, int64_t rows, int64_t d, float* out) {
-  ForColumnBlocks(d, [&]<int64_t W>(int64_t j0) {
-    auto max = ColumnBlock<W>::Fill(
-        rows > 0 ? -std::numeric_limits<float>::infinity() : 0.0f);
-    for (int64_t i = 0; i < rows; ++i) max.Max(x + i * d + j0);
-    max.Store(out + j0);
   });
 }
 

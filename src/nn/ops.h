@@ -103,12 +103,6 @@ void SumRowsAccumulate(const Tensor& x, Tensor* out);
 /// accumulated from +0 in row order (for rows = 0, +0). Sum pooling.
 void ColumnSums(const float* x, int64_t rows, int64_t d, float* out);
 
-/// out[j] = the largest value of column j of the `rows` rows of `d` floats
-/// at `x`: from -inf, a later row replacing the running value only when
-/// strictly greater (so NaN never wins); 0 when rows = 0. Max pooling
-/// without the argmax that its backward needs.
-void ColumnMaxima(const float* x, int64_t rows, int64_t d, float* out);
-
 /// Fused Adam update for one parameter: in a single pass computes
 /// m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g^2, subtracts
 /// alpha*m/(sqrt(v)+eps) from `value` and zeroes `grad`. `alpha` is the

@@ -582,17 +582,16 @@ TEST(CardinalityTest, EmptyCollectionRejected) {
 
 // ---------- Build phase split ----------
 
-/// How many times each build.<phase>_seconds histogram of the global
-/// registry has been observed, and the seconds they hold.
+/// How many times each build phase's histogram in the global registry has
+/// been observed, and the seconds it holds, by metric name.
 std::map<std::string, std::pair<uint64_t, double>> BuildPhases() {
   std::map<std::string, std::pair<uint64_t, double>> phases;
   const MetricsSnapshot snap = MetricsRegistry::Global()->Snapshot();
-  for (const char* phase :
-       {"enumerate", "negatives", "train", "score", "bounds", "aux"}) {
-    const std::string name = std::string("build.") + phase + "_seconds";
+  for (BuildPhase phase : kBuildPhases) {
+    const char* name = BuildPhaseMetric(phase);
     const HistogramSnapshot* h = snap.FindHistogram(name);
-    phases[phase] = h == nullptr ? std::make_pair(uint64_t{0}, 0.0)
-                                 : std::make_pair(h->count, h->sum);
+    phases[name] = h == nullptr ? std::make_pair(uint64_t{0}, 0.0)
+                                : std::make_pair(h->count, h->sum);
   }
   return phases;
 }
@@ -622,9 +621,12 @@ TEST(BuildPhaseTest, EachBuildObservesEachOfItsPhasesOnce) {
   index_opts.max_subset_size = 2;
   index_opts.hybrid = true;
   ASSERT_TRUE(LearnedSetIndex::Build(c, index_opts).ok());
-  EXPECT_EQ(PhasesSince(before), (Phases{{"aux", 1}, {"bounds", 1},
-                                         {"enumerate", 1}, {"score", 1},
-                                         {"train", 1}}));
+  EXPECT_EQ(PhasesSince(before),
+            (Phases{{"build.aux_seconds", 1},
+                    {"build.bounds_seconds", 1},
+                    {"build.enumerate_seconds", 1},
+                    {"build.score_seconds", 1},
+                    {"build.train_seconds", 1}}));
 
   before = BuildPhases();
   CardinalityOptions card_opts;
@@ -632,8 +634,11 @@ TEST(BuildPhaseTest, EachBuildObservesEachOfItsPhasesOnce) {
   card_opts.max_subset_size = 2;
   card_opts.hybrid = true;
   ASSERT_TRUE(LearnedCardinalityEstimator::Build(c, card_opts).ok());
-  EXPECT_EQ(PhasesSince(before), (Phases{{"aux", 1}, {"enumerate", 1},
-                                         {"score", 1}, {"train", 1}}));
+  EXPECT_EQ(PhasesSince(before),
+            (Phases{{"build.aux_seconds", 1},
+                    {"build.enumerate_seconds", 1},
+                    {"build.score_seconds", 1},
+                    {"build.train_seconds", 1}}));
 
   before = BuildPhases();
   BloomOptions bloom_opts;
@@ -641,8 +646,11 @@ TEST(BuildPhaseTest, EachBuildObservesEachOfItsPhasesOnce) {
   bloom_opts.max_subset_size = 2;
   ASSERT_TRUE(LearnedBloomFilter::Build(c, bloom_opts).ok());
   EXPECT_EQ(PhasesSince(before),
-            (Phases{{"aux", 1}, {"enumerate", 1}, {"negatives", 1},
-                    {"score", 1}, {"train", 1}}));
+            (Phases{{"build.aux_seconds", 1},
+                    {"build.enumerate_seconds", 1},
+                    {"build.negatives_seconds", 1},
+                    {"build.score_seconds", 1},
+                    {"build.train_seconds", 1}}));
 }
 
 // ---------- End-to-end: learned set index ----------
